@@ -11,6 +11,7 @@ import numpy as np
 
 from . import lagrange, qsim, verify, vqe
 from .hammodel import (
+    eight_fold_symmetrize,
     parse_fcidump,
     random_one_body_perturbation,
     random_two_body_perturbation,
@@ -47,6 +48,23 @@ def _policy(args) -> TruncationPolicy:
     if args.leaves is not None:
         return TruncationPolicy.by_count(args.leaves)
     return TruncationPolicy.exact()
+
+
+# Smallest accepted value of each numeric flag; a subcommand checks the ones it has.
+_FLAG_MINIMA = (("leaves", 0), ("layers", 1), ("layers_small", 1), ("maxiter", 0),
+                ("perturbations", 1), ("steps", 1))
+
+
+def _check_flags(args) -> None:
+    """Reject out-of-range numeric flags before any work, naming the flag."""
+    for name, low in _FLAG_MINIMA:
+        value = getattr(args, name, None)
+        if value is not None and value < low:
+            raise ValueError(f"--{name.replace('_', '-')} must be at least {low}, got {value}")
+    for name in ("tol", "mass"):
+        value = getattr(args, name, None)
+        if value is not None and not value > 0:
+            raise ValueError(f"--{name} must be positive, got {value}")
 
 
 def _config_echo(args) -> dict:
@@ -108,7 +126,7 @@ def cmd_rdm(args) -> dict:
     if untruncated and args.ablate is None:
         gamma_m, big_m = qsim.measure_rdms_direct(state)
         gamma_m = 0.5 * (gamma_m + gamma_m.T)
-        big_m = lagrange._eight_fold(big_m)
+        big_m = eight_fold_symmetrize(big_m)
         oracle = {
             "gamma_max_abs_diff": float(np.max(np.abs(rdms.gamma_sym - gamma_m))),
             "Gamma_max_abs_diff": float(np.max(np.abs(rdms.Gamma_sym - big_m))),
@@ -253,6 +271,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        _check_flags(args)
         payload = args.func(args)
         code = EXIT_OK
     except (FileNotFoundError, ValueError) as exc:

@@ -26,6 +26,7 @@ import numpy as np
 
 from . import qsim
 from .givens import jacobian, pinv_solve
+from .hammodel import eight_fold_symmetrize
 from .qsim import EigenbasisDensities, Statevector
 from .xdf import XDFFactorization
 
@@ -69,13 +70,10 @@ class MultiplierSet:
 
 @dataclass(frozen=True, eq=False)
 class RelaxedRDMs:
-    """Reconstructed density matrices, raw and symmetrized."""
+    """Reconstructed density matrices, symmetrized."""
 
-    gamma: np.ndarray
-    Gamma: np.ndarray
     gamma_sym: np.ndarray
     Gamma_sym: np.ndarray
-    gamma_bar: np.ndarray
 
 
 def _lower_to_matrix(values: np.ndarray, n: int) -> np.ndarray:
@@ -88,7 +86,15 @@ def _lower_to_matrix(values: np.ndarray, n: int) -> np.ndarray:
     return mat
 
 
-def _solve_eta(fac: XDFFactorization, state: Statevector, leaf_id):
+def solve_eta(fac: XDFFactorization, state: Statevector,
+              leaf_id) -> tuple[np.ndarray, float]:
+    """Fabric-angle multipliers from the pseudoinverted angle Jacobian.
+
+    Solves sum_{p>k} eta[p, k] * A[g, (p, k)] = -dE/dtheta_g with shift-rule
+    energy derivatives; returns the strictly-lower-triangular eta matrix and
+    the max-abs residual of the solve, warning when it exceeds
+    ``ETA_RESIDUAL_TOL``.
+    """
     fabric = fac.fabric0() if leaf_id is None else fac.leaf_fabric(leaf_id)
     jac = jacobian(fabric)
     rhs = -np.array([qsim.denergy_dtheta_shift(state, fac, leaf_id, g)
@@ -98,17 +104,8 @@ def _solve_eta(fac: XDFFactorization, state: Statevector, leaf_id):
     if residual > ETA_RESIDUAL_TOL:
         warnings.warn(
             f"eta solve residual {residual:.3e} for leaf {leaf_id}; "
-            "state may not be stationary", stacklevel=3)
+            "state may not be stationary", stacklevel=2)
     return _lower_to_matrix(eta_vec, fac.n_orbitals), residual
-
-
-def solve_eta(fac: XDFFactorization, state: Statevector, leaf_id) -> np.ndarray:
-    """Fabric-angle multipliers from the pseudoinverted angle Jacobian.
-
-    Solves sum_{p>k} eta[p, k] * A[g, (p, k)] = -dE/dtheta_g with shift-rule
-    energy derivatives; returns the strictly-lower-triangular eta matrix.
-    """
-    return _solve_eta(fac, state, leaf_id)[0]
 
 
 def _mu_from_eta(eta_lower: np.ndarray, frame: np.ndarray, spectrum: np.ndarray,
@@ -181,13 +178,6 @@ def relaxed_gamma(fac: XDFFactorization, omegas: EigenbasisDensities,
     return gamma, 0.5 * (gamma + gamma.T)
 
 
-def _eight_fold(t: np.ndarray) -> np.ndarray:
-    t = 0.5 * (t + t.transpose(1, 0, 2, 3))
-    t = 0.5 * (t + t.transpose(0, 1, 3, 2))
-    t = 0.5 * (t + t.transpose(2, 3, 0, 1))
-    return t
-
-
 def relaxed_Gamma(fac: XDFFactorization, omegas: EigenbasisDensities,
                   nu: np.ndarray, gamma_bar: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Two-body density: identity terms, gamma_bar dressing, the explicit
@@ -213,7 +203,7 @@ def relaxed_Gamma(fac: XDFFactorization, omegas: EigenbasisDensities,
         coeff[t] = float(leaf.lam @ omegas.omega[t] @ leaf.lam)
     big += ((vecs.T * coeff) @ vecs).reshape(n, n, n, n)
     big += (vecs.T @ nu @ vecs).reshape(n, n, n, n)
-    return big, _eight_fold(big)
+    return big, eight_fold_symmetrize(big)
 
 
 def measure_and_solve(fac: XDFFactorization, state: Statevector,
@@ -226,7 +216,7 @@ def measure_and_solve(fac: XDFFactorization, state: Statevector,
     omegas = qsim.measure_densities(state, fac)
     worst_residual = 0.0
 
-    eta0, res = _solve_eta(fac, state, None)
+    eta0, res = solve_eta(fac, state, None)
     worst_residual = max(worst_residual, res)
     mu0 = solve_mu0(eta0, fac.U0, fac.F0, guard)
     if ablate == "eta0":
@@ -239,7 +229,7 @@ def measure_and_solve(fac: XDFFactorization, state: Statevector,
             etas.append(np.zeros((n, n)))
             mus.append(np.zeros((n, n)))
             continue
-        eta_t, res = _solve_eta(fac, state, t)
+        eta_t, res = solve_eta(fac, state, t)
         worst_residual = max(worst_residual, res)
         etas.append(eta_t)
         mus.append(solve_mu_leaf(eta_t, fac.leaves[t].U, fac.leaves[t].lam, guard))
@@ -273,6 +263,5 @@ def reconstruct_rdms(fac: XDFFactorization, state: Statevector,
     omegas, multipliers = measure_and_solve(fac, state, guard, ablate)
     gamma, gamma_sym = relaxed_gamma(fac, omegas, multipliers.mu0)
     gamma_bar = gamma - np.eye(fac.n_orbitals)
-    big, big_sym = relaxed_Gamma(fac, omegas, multipliers.nu, gamma_bar)
-    rdms = RelaxedRDMs(gamma, big, gamma_sym, big_sym, gamma_bar)
-    return rdms, multipliers
+    _, big_sym = relaxed_Gamma(fac, omegas, multipliers.nu, gamma_bar)
+    return RelaxedRDMs(gamma_sym, big_sym), multipliers

@@ -2,9 +2,23 @@
 
 Qubit ordering is blocked by spin: qubits 0 .. N-1 are the alpha spin
 orbitals, N .. 2N-1 the beta ones, and bit j of a basis index is the
-occupation of qubit j. All fabric gates act on adjacent qubits within one
-spin block, so no Jordan-Wigner strings appear in the circuit itself; the
-direct RDM oracle handles the strings explicitly.
+occupation of qubit j. Alpha qubits are the low bits, so the amplitude vector
+reshaped to (2^N, 2^N) is the matrix ``Psi[beta_string, alpha_string]``, where
+bit k of a spin string is the occupation of orbital k in that spin.
+
+All gate work is one in-place rotation between two sets of rows of an array,
+``rotate_pair``. A Givens gate on orbitals (m, m+1) of one spin rotates the
+strings ``pair_rows(N, m)``: rows of Psi for beta, rows of Psi^T for alpha.
+The ansatz pair-exchange gate rotates ``pair_exchange_rows(N, p)`` of the flat
+vector. Gates act on adjacent orbitals of one spin, so no Jordan-Wigner
+strings appear in circuits; the direct RDM oracle handles the strings
+explicitly on the full vector.
+
+A spin-locked fabric acts on each spin through one 2^N x 2^N operator M, its
+gates applied in order to the rows of the identity: the circuit maps Psi to
+M Psi M^T and its dagger to M^T Psi M. Each frame's energy operator is
+diagonal in its rotated basis and is built as a 2^N x 2^N matrix from
+per-spin occupation tables.
 
 Expectation values are exact (infinite-shot limit). All gates have real
 matrix elements, so amplitudes stay real in practice; complex amplitudes are
@@ -24,9 +38,14 @@ from .xdf import XDFFactorization, z_tensor
 __all__ = [
     "Statevector",
     "EigenbasisDensities",
+    "SHIFT_STEPS",
+    "string_bits",
+    "pair_rows",
+    "pair_exchange_rows",
+    "rotate_pair",
+    "pair_derivative",
     "hf_reference",
     "apply_orbital_rotation",
-    "apply_pair_exchange",
     "measure_omega0",
     "measure_omega_leaf",
     "measure_densities",
@@ -41,23 +60,17 @@ DESK_CAP = 8  # 4^8 amplitudes
 
 # Exact first-derivative rule for a plane-rotation gate, whose conjugation
 # carries both single and double angle frequencies: two symmetric
-# differences at pi/4 and pi/2.
-_SHIFT_STEPS = ((np.pi / 4.0, 1.0), (np.pi / 2.0, (1.0 - np.sqrt(2.0)) / 2.0))
+# differences at pi/4 and pi/2, as (step, coefficient) pairs.
+SHIFT_STEPS = ((np.pi / 4.0, 1.0), (np.pi / 2.0, (1.0 - np.sqrt(2.0)) / 2.0))
 
 
 @lru_cache(maxsize=16)
-def _bits(n_qubits: int) -> np.ndarray:
-    x = np.arange(1 << n_qubits, dtype=np.int64)
-    table = ((x[:, None] >> np.arange(n_qubits)) & 1).astype(np.int8)
+def string_bits(n_bits: int) -> np.ndarray:
+    """Read-only table whose row x holds bits 0 .. n_bits-1 of x."""
+    x = np.arange(1 << n_bits, dtype=np.int64)
+    table = ((x[:, None] >> np.arange(n_bits)) & 1).astype(np.int8)
     table.setflags(write=False)
     return table
-
-
-@lru_cache(maxsize=16)
-def _zvals(n_qubits: int) -> np.ndarray:
-    z = (1.0 - 2.0 * _bits(n_qubits)).astype(float)
-    z.setflags(write=False)
-    return z
 
 
 @dataclass(frozen=True, eq=False)
@@ -77,26 +90,19 @@ class Statevector:
         amps.setflags(write=False)
         object.__setattr__(self, "amplitudes", amps)
 
-    @property
-    def n_qubits(self) -> int:
-        return 2 * self.n_spatial
+    def matrix(self) -> np.ndarray:
+        """Read-only view of the amplitudes as Psi[beta_string, alpha_string]."""
+        side = 1 << self.n_spatial
+        return self.amplitudes.reshape(side, side)
 
     def norm(self) -> float:
         return float(np.linalg.norm(self.amplitudes))
 
-    def overlap(self, other: "Statevector") -> float:
-        """Real part of the inner product <self|other>."""
-        return float(np.real(np.vdot(self.amplitudes, other.amplitudes)))
-
     def electron_counts(self) -> tuple[int, int]:
         """Per-spin particle numbers; raises if the state mixes sectors."""
-        bits = _bits(self.n_qubits)
-        n = self.n_spatial
-        weights = np.abs(self.amplitudes) ** 2
-        na = bits[:, :n].sum(axis=1)
-        nb = bits[:, n:].sum(axis=1)
-        support = weights > 1e-24
-        counts = {(int(a), int(b)) for a, b in zip(na[support], nb[support])}
+        filled = string_bits(self.n_spatial).sum(axis=1)
+        beta, alpha = np.nonzero(np.abs(self.matrix()) ** 2 > 1e-24)
+        counts = set(zip(filled[alpha].tolist(), filled[beta].tolist()))
         if len(counts) != 1:
             raise ValueError(f"state is not in a single (n_alpha, n_beta) sector: {counts}")
         return counts.pop()
@@ -124,56 +130,52 @@ def hf_reference(n_spatial: int, n_alpha: int, n_beta: int) -> Statevector:
     return Statevector(n_spatial, amps)
 
 
-def _axis(n_qubits: int, qubit: int) -> int:
-    return n_qubits - 1 - qubit
+# ---------------------------------------------------------------------------
+# Gate kernel
+# ---------------------------------------------------------------------------
+
+def pair_rows(n: int, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """Spin strings of n orbitals with m occupied and m+1 empty, and the same
+    strings with those two occupations swapped: the rows a (m, m+1) gate mixes."""
+    x = np.arange(1 << n)
+    rows = x[((x >> m) & 3) == 1]
+    return rows, rows + (1 << m)
 
 
-def _pair_slices(n_qubits: int, a: int, b: int):
-    s10 = [slice(None)] * n_qubits
-    s01 = [slice(None)] * n_qubits
-    s10[_axis(n_qubits, a)], s10[_axis(n_qubits, b)] = 1, 0
-    s01[_axis(n_qubits, a)], s01[_axis(n_qubits, b)] = 0, 1
-    return tuple(s10), tuple(s01)
+def pair_exchange_rows(n: int, p: int) -> tuple[np.ndarray, np.ndarray]:
+    """Flat amplitude indices with both spins doubly occupying p (and p+1
+    empty), and their images with the pair moved to p+1."""
+    on_p, on_next = pair_rows(n, p)
+    return ((on_p[:, None] << n) | on_p).ravel(), ((on_next[:, None] << n) | on_next).ravel()
 
 
-def _rotate_pair(amps: np.ndarray, n_qubits: int, a: int, b: int, theta: float) -> None:
-    """In-place number-conserving rotation on qubits (a, b).
-
-    The singly-occupied subspace transforms like the single-particle plane
-    rotation: amp(a occupied) -> cos * amp(a) - sin * amp(b).
-    """
+def rotate_pair(rows: np.ndarray, a: np.ndarray, b: np.ndarray, theta: float) -> None:
+    """In-place plane rotation of rows a and b along the leading axis:
+    rows a -> cos * a - sin * b and rows b -> sin * a + cos * b."""
     if theta == 0.0:
         return
-    view = amps.reshape((2,) * n_qubits)
-    s10, s01 = _pair_slices(n_qubits, a, b)
     c, s = np.cos(theta), np.sin(theta)
-    old10 = view[s10].copy()
-    view[s10] = c * old10 - s * view[s01]
-    view[s01] = s * old10 + c * view[s01]
+    old_a = rows[a]
+    rows[a] = c * old_a - s * rows[b]
+    rows[b] = s * old_a + c * rows[b]
 
 
-def _apply_fabric_raw(
-    amps: np.ndarray,
-    n_spatial: int,
-    fabric: GivensFabric,
-    alpha_angles: np.ndarray,
-    beta_angles: np.ndarray,
-    dagger: bool,
-) -> None:
-    n_qubits = 2 * n_spatial
-    order = range(len(fabric.pivots))
-    if dagger:
-        order = reversed(order)
-    for g in order:
-        m = fabric.pivots[g][0]
-        ta = -alpha_angles[g] if dagger else alpha_angles[g]
-        tb = -beta_angles[g] if dagger else beta_angles[g]
-        if dagger:
-            _rotate_pair(amps, n_qubits, n_spatial + m, n_spatial + m + 1, tb)
-            _rotate_pair(amps, n_qubits, m, m + 1, ta)
-        else:
-            _rotate_pair(amps, n_qubits, m, m + 1, ta)
-            _rotate_pair(amps, n_qubits, n_spatial + m, n_spatial + m + 1, tb)
+def pair_derivative(rows: np.ndarray, a: np.ndarray, b: np.ndarray,
+                    theta: float) -> np.ndarray:
+    """Image under the angle derivative of ``rotate_pair``: the rotation at
+    theta + pi/2 on rows a and b, zero on every other row."""
+    out = np.zeros_like(rows)
+    out[a], out[b] = rows[a], rows[b]
+    rotate_pair(out, a, b, theta + np.pi / 2.0)
+    return out
+
+
+def _fabric_operator(fabric: GivensFabric, angles: np.ndarray) -> np.ndarray:
+    """Per-spin operator of the fabric gates at ``angles``, first gate rightmost."""
+    op = np.eye(1 << fabric.n)
+    for (m, _), theta in zip(fabric.pivots, angles):
+        rotate_pair(op, *pair_rows(fabric.n, m), theta)
+    return op
 
 
 def apply_orbital_rotation(state: Statevector, fabric: GivensFabric,
@@ -182,102 +184,35 @@ def apply_orbital_rotation(state: Statevector, fabric: GivensFabric,
     the fabric's orthogonal matrix (or its transpose when dagger)."""
     if fabric.n != state.n_spatial:
         raise ValueError("fabric dimension does not match state")
-    amps = state.amplitudes.copy()
-    _apply_fabric_raw(amps, state.n_spatial, fabric, fabric.angles, fabric.angles, dagger)
-    return Statevector(state.n_spatial, amps)
-
-
-def apply_locked_rotation(state: Statevector, m: int, theta: float) -> Statevector:
-    """One spin-locked Givens rotation on adjacent spatial orbitals (m, m+1)."""
-    n = state.n_spatial
-    if not 0 <= m < n - 1:
-        raise ValueError("rotation pivot out of range")
-    amps = state.amplitudes.copy()
-    _rotate_pair(amps, 2 * n, m, m + 1, theta)
-    _rotate_pair(amps, 2 * n, n + m, n + m + 1, theta)
-    return Statevector(n, amps)
-
-
-def apply_pair_exchange(state: Statevector, p: int, theta: float) -> Statevector:
-    """Rotation between the paired doubly-occupied states of spatial orbitals
-    (p, p+1); amp(pair on p+1) -> cos * amp + sin * amp(pair on p)."""
-    n = state.n_spatial
-    if not 0 <= p < n - 1:
-        raise ValueError("pair-exchange pivot out of range")
-    amps = state.amplitudes.copy()
-    _rotate_pair_exchange(amps, n, p, theta)
-    return Statevector(n, amps)
-
-
-def _pair_exchange_slices(n_spatial: int, p: int):
-    nq = 2 * n_spatial
-    sx = [slice(None)] * nq  # pair on p
-    sy = [slice(None)] * nq  # pair on p + 1
-    for q, bx, by in ((p, 1, 0), (p + 1, 0, 1),
-                      (n_spatial + p, 1, 0), (n_spatial + p + 1, 0, 1)):
-        sx[_axis(nq, q)] = bx
-        sy[_axis(nq, q)] = by
-    return tuple(sx), tuple(sy)
-
-
-def _rotate_pair_exchange(amps: np.ndarray, n_spatial: int, p: int, theta: float) -> None:
-    if theta == 0.0:
-        return
-    view = amps.reshape((2,) * (2 * n_spatial))
-    sx, sy = _pair_exchange_slices(n_spatial, p)
-    c, s = np.cos(theta), np.sin(theta)
-    old_x = view[sx].copy()
-    view[sx] = c * old_x - s * view[sy]
-    view[sy] = s * old_x + c * view[sy]
-
-
-def _derivative_pair_exchange(amps: np.ndarray, n_spatial: int, p: int,
-                              theta: float) -> np.ndarray:
-    view = amps.reshape((2,) * (2 * n_spatial))
-    out = np.zeros_like(amps)
-    oview = out.reshape((2,) * (2 * n_spatial))
-    sx, sy = _pair_exchange_slices(n_spatial, p)
-    c, s = np.cos(theta), np.sin(theta)
-    oview[sx] = -s * view[sx] - c * view[sy]
-    oview[sy] = c * view[sx] - s * view[sy]
-    return out
+    op = _fabric_operator(fabric, fabric.angles)
+    psi = state.matrix()
+    out = op.T @ psi @ op if dagger else op @ psi @ op.T
+    return Statevector(state.n_spatial, out.reshape(-1))
 
 
 # ---------------------------------------------------------------------------
 # Leaf-frame measurements
 # ---------------------------------------------------------------------------
 
-def _z_expectations(amps: np.ndarray, n_qubits: int) -> np.ndarray:
-    return (np.abs(amps) ** 2) @ _zvals(n_qubits)
-
-
-def _zz_matrix(amps: np.ndarray, n_qubits: int) -> np.ndarray:
-    z = _zvals(n_qubits)
-    weighted = z * (np.abs(amps) ** 2)[:, None]
-    return z.T @ weighted
-
-
-def _omega0_from_rotated(amps: np.ndarray, n: int) -> np.ndarray:
-    z = _z_expectations(amps, 2 * n)
-    return -0.5 * (z[:n] + z[n:])
-
-
-def _omega_leaf_from_rotated(amps: np.ndarray, n: int) -> np.ndarray:
-    c = _zz_matrix(amps, 2 * n)
-    omega = c[:n, :n] + c[:n, n:] + c[n:, :n] + c[n:, n:] - 2.0 * np.eye(n)
-    return omega / 8.0
+def _spin_z(n: int) -> np.ndarray:
+    """Pauli-Z eigenvalue of every orbital in every spin string."""
+    return 1.0 - 2.0 * string_bits(n)
 
 
 def measure_omega0(state: Statevector, fabric0: GivensFabric) -> np.ndarray:
     """One-body eigenbasis density: omega0_k = <E_kk> - 1 in the rotated frame."""
-    rotated = apply_orbital_rotation(state, fabric0, dagger=True)
-    return _omega0_from_rotated(rotated.amplitudes, state.n_spatial)
+    weights = np.abs(apply_orbital_rotation(state, fabric0, dagger=True).matrix()) ** 2
+    marginal = weights.sum(axis=0) + weights.sum(axis=1)
+    return -0.5 * (marginal @ _spin_z(state.n_spatial))
 
 
 def measure_omega_leaf(state: Statevector, fabric_t: GivensFabric) -> np.ndarray:
     """Two-body eigenbasis density of one leaf from Z/ZZ moments in its frame."""
-    rotated = apply_orbital_rotation(state, fabric_t, dagger=True)
-    return _omega_leaf_from_rotated(rotated.amplitudes, state.n_spatial)
+    weights = np.abs(apply_orbital_rotation(state, fabric_t, dagger=True).matrix()) ** 2
+    marginal = weights.sum(axis=0) + weights.sum(axis=1)
+    z = _spin_z(state.n_spatial)
+    moments = (z.T * marginal) @ z + z.T @ (weights + weights.T) @ z
+    return (moments - 2.0 * np.eye(state.n_spatial)) / 8.0
 
 
 def measure_densities(state: Statevector, fac: XDFFactorization) -> EigenbasisDensities:
@@ -291,16 +226,17 @@ def measure_densities(state: Statevector, fac: XDFFactorization) -> EigenbasisDe
 # X-DF energy and its angle derivatives
 # ---------------------------------------------------------------------------
 
-def _diag_one_body(n: int, f0: np.ndarray) -> np.ndarray:
-    bits = _bits(2 * n)
-    occ = bits[:, :n].astype(float) + bits[:, n:].astype(float)
-    return (occ - 1.0) @ f0
-
-
-def _diag_leaf(n: int, z_mat: np.ndarray) -> np.ndarray:
-    zv = _zvals(2 * n)
-    m = zv[:, :n] + zv[:, n:]
-    return 0.125 * np.einsum("xk,kl,xl->x", m, z_mat, m) - 0.25 * float(np.trace(z_mat))
+def _frame_diagonal(fac: XDFFactorization, leaf_id) -> np.ndarray:
+    """Energy operator of one frame in its rotated basis, as D[beta, alpha]."""
+    n = fac.n_orbitals
+    if leaf_id is None:
+        d = string_bits(n) @ fac.F0
+        return d[:, None] + d[None, :] - float(np.sum(fac.F0))
+    z_mat = z_tensor(fac.leaves[leaf_id])
+    z = _spin_z(n)
+    w = z @ z_mat @ z.T
+    q = np.diag(w)
+    return 0.125 * (q[:, None] + q[None, :] + 2.0 * w) - 0.25 * float(np.trace(z_mat))
 
 
 def energy(state: Statevector, fac: XDFFactorization) -> float:
@@ -315,30 +251,13 @@ def energy(state: Statevector, fac: XDFFactorization) -> float:
 
 def apply_hamiltonian(state: Statevector, fac: XDFFactorization) -> np.ndarray:
     """Action of the (possibly truncated) factorized Hamiltonian, leaf by leaf."""
-    n = state.n_spatial
-    out = fac.eff.scalar_offset * np.array(state.amplitudes)
-    frames = [(fac.fabric0(), _diag_one_body(n, fac.F0))]
-    frames += [(fac.leaf_fabric(t), _diag_leaf(n, z_tensor(fac.leaves[t])))
-               for t in range(fac.retained)]
-    for fabric, diag in frames:
-        work = state.amplitudes.copy()
-        _apply_fabric_raw(work, n, fabric, fabric.angles, fabric.angles, dagger=True)
-        work *= diag
-        _apply_fabric_raw(work, n, fabric, fabric.angles, fabric.angles, dagger=False)
-        out += work
-    return out
-
-
-def _leaf_objective(state: Statevector, fac: XDFFactorization, leaf_id,
-                    alpha_angles: np.ndarray, beta_angles: np.ndarray) -> float:
-    n = state.n_spatial
-    fabric = fac.fabric0() if leaf_id is None else fac.leaf_fabric(leaf_id)
-    amps = state.amplitudes.copy()
-    _apply_fabric_raw(amps, n, fabric, alpha_angles, beta_angles, dagger=True)
-    if leaf_id is None:
-        return float(fac.F0 @ _omega0_from_rotated(amps, n))
-    omega = _omega_leaf_from_rotated(amps, n)
-    return float(np.sum(z_tensor(fac.leaves[leaf_id]) * omega))
+    psi = state.matrix()
+    out = fac.eff.scalar_offset * psi
+    for leaf_id in [None, *range(fac.retained)]:
+        fabric = fac.fabric0() if leaf_id is None else fac.leaf_fabric(leaf_id)
+        op = _fabric_operator(fabric, fabric.angles)
+        out = out + op @ (_frame_diagonal(fac, leaf_id) * (op.T @ psi @ op)) @ op.T
+    return out.reshape(-1)
 
 
 def _check_leaf_angle(fac: XDFFactorization, leaf_id, g: int) -> GivensFabric:
@@ -359,22 +278,22 @@ def denergy_dtheta_shift(state: Statevector, fac: XDFFactorization,
 
     The spin-locked pair is unlocked and each spin's gate is differentiated
     with the exact two-frequency rule (symmetric differences at pi/4 and
-    pi/2), eight evaluations in total.
+    pi/2), eight evaluations in total. The unshifted spin's operator and the
+    frame diagonal are built once per call.
     """
     fabric = _check_leaf_angle(fac, leaf_id, g)
-    base = fabric.angles
+    psi = state.matrix()
+    diag = _frame_diagonal(fac, leaf_id)
+    fixed = _fabric_operator(fabric, fabric.angles)
     total = 0.0
-    for spin in (0, 1):
-        for step, coeff in _SHIFT_STEPS:
-            shifted = [base.copy(), base.copy()]
-            shifted[0][g] += step
-            shifted[1][g] -= step
-            values = []
-            for angles in shifted:
-                alpha = angles if spin == 0 else base
-                beta = base if spin == 0 else angles
-                values.append(_leaf_objective(state, fac, leaf_id, alpha, beta))
-            total += coeff * (values[0] - values[1])
+    for step, coeff in SHIFT_STEPS:
+        for sign in (1.0, -1.0):
+            angles = fabric.angles.copy()
+            angles[g] += sign * step
+            shifted = _fabric_operator(fabric, angles)
+            # alpha gate shifted (columns), then beta gate shifted (rows)
+            for rotated in (fixed.T @ psi @ shifted, shifted.T @ psi @ fixed):
+                total += sign * coeff * float(np.sum(diag * np.abs(rotated) ** 2))
     return total
 
 
@@ -382,55 +301,20 @@ def denergy_dtheta_direct(state: Statevector, fac: XDFFactorization,
                           leaf_id, g: int) -> float:
     """Analytic statevector differentiation of the same angle derivative."""
     fabric = _check_leaf_angle(fac, leaf_id, g)
-    n = state.n_spatial
-    nq = 2 * n
-    k = len(fabric.pivots)
-
-    rotated = state.amplitudes.copy()
-    _apply_fabric_raw(rotated, n, fabric, fabric.angles, fabric.angles, dagger=True)
-
-    # Dagger circuit applies gates reversed with negated angles; derivative of
-    # gate g therefore carries a factor d(-theta)/dtheta = -1 per spin branch.
-    branches = []
-    for spin in (0, 1):
-        work = state.amplitudes.copy()
-        for idx in range(k - 1, g, -1):
-            m = fabric.pivots[idx][0]
-            _rotate_pair(work, nq, n + m, n + m + 1, -fabric.angles[idx])
-            _rotate_pair(work, nq, m, m + 1, -fabric.angles[idx])
-        m = fabric.pivots[g][0]
-        theta = -fabric.angles[g]
-        if spin == 0:
-            _rotate_pair(work, nq, n + m, n + m + 1, theta)
-            work = -_derivative_pair(work, nq, m, m + 1, theta)
+    op = np.eye(1 << fabric.n)
+    dop = np.zeros_like(op)
+    for idx, ((m, _), theta) in enumerate(zip(fabric.pivots, fabric.angles)):
+        rows = pair_rows(fabric.n, m)
+        if idx == g:
+            dop = pair_derivative(op, *rows, theta)
         else:
-            work = -_derivative_pair(work, nq, n + m, n + m + 1, theta)
-            _rotate_pair(work, nq, m, m + 1, theta)
-        for idx in range(g - 1, -1, -1):
-            m2 = fabric.pivots[idx][0]
-            _rotate_pair(work, nq, n + m2, n + m2 + 1, -fabric.angles[idx])
-            _rotate_pair(work, nq, m2, m2 + 1, -fabric.angles[idx])
-        branches.append(work)
-    drotated = branches[0] + branches[1]
-
-    if leaf_id is None:
-        diag = _diag_one_body(n, fac.F0)
-    else:
-        diag = _diag_leaf(n, z_tensor(fac.leaves[leaf_id]))
+            rotate_pair(dop, *rows, theta)
+        rotate_pair(op, *rows, theta)
+    psi = state.matrix()
+    rotated = op.T @ psi @ op
+    drotated = dop.T @ psi @ op + op.T @ psi @ dop
+    diag = _frame_diagonal(fac, leaf_id)
     return 2.0 * float(np.real(np.vdot(drotated, diag * rotated)))
-
-
-def _derivative_pair(amps: np.ndarray, n_qubits: int, a: int, b: int,
-                     theta: float) -> np.ndarray:
-    """Image of the angle derivative of the (a, b) pair rotation."""
-    view = amps.reshape((2,) * n_qubits)
-    out = np.zeros_like(amps)
-    oview = out.reshape((2,) * n_qubits)
-    s10, s01 = _pair_slices(n_qubits, a, b)
-    c, s = np.cos(theta), np.sin(theta)
-    oview[s10] = -s * view[s10] - c * view[s01]
-    oview[s01] = c * view[s10] - s * view[s01]
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -440,7 +324,7 @@ def _derivative_pair(amps: np.ndarray, n_qubits: int, a: int, b: int,
 def _apply_singlet_excitation(amps: np.ndarray, n: int, p: int, q: int) -> np.ndarray:
     """E_pq acting on the amplitude vector, Jordan-Wigner strings included."""
     nq = 2 * n
-    bits = _bits(nq)
+    bits = string_bits(nq)
     out = np.zeros_like(amps)
     for off in (0, n):
         ps, qs = p + off, q + off

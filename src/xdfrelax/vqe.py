@@ -24,7 +24,6 @@ __all__ = [
     "ansatz_blocks",
     "n_parameters",
     "prepare_state",
-    "ansatz_gradient",
     "optimize",
     "exact_ground_state",
 ]
@@ -67,21 +66,28 @@ def n_parameters(n_spatial: int, cfg: AnsatzConfig) -> int:
 def prepare_state(fac: XDFFactorization, cfg: AnsatzConfig,
                   params: np.ndarray) -> Statevector:
     params = np.asarray(params, dtype=float)
-    blocks = ansatz_blocks(fac.n_orbitals, cfg.n_layers)
+    n = fac.n_orbitals
+    blocks = ansatz_blocks(n, cfg.n_layers)
     if params.shape != (2 * len(blocks),):
         raise ValueError(f"expected {2 * len(blocks)} parameters, got {params.shape}")
-    state = qsim.hf_reference(fac.n_orbitals, fac.n_alpha, fac.n_beta)
+    amps = np.array(qsim.hf_reference(n, fac.n_alpha, fac.n_beta).amplitudes)
+    psi = amps.reshape(1 << n, 1 << n)
     for i, m in enumerate(blocks):
-        state = qsim.apply_locked_rotation(state, m, params[2 * i])
-        state = qsim.apply_pair_exchange(state, m, params[2 * i + 1])
-    return state
+        rows = qsim.pair_rows(n, m)
+        qsim.rotate_pair(psi.T, *rows, params[2 * i])
+        qsim.rotate_pair(psi, *rows, params[2 * i])
+        qsim.rotate_pair(amps, *qsim.pair_exchange_rows(n, m), params[2 * i + 1])
+    return Statevector(n, amps)
 
 
 def _energy_and_gradient(fac: XDFFactorization, cfg: AnsatzConfig,
                          params: np.ndarray) -> tuple[float, np.ndarray]:
-    """Energy and its exact parameter gradient via one reverse sweep."""
+    """Energy and its exact parameter gradient via one reverse sweep.
+
+    Alpha gates act on the rows of Psi^T, beta gates on the rows of Psi and
+    pair exchanges on the flat vector; all three are views of one array.
+    """
     n = fac.n_orbitals
-    nq = 2 * n
     blocks = ansatz_blocks(n, cfg.n_layers)
     ket = prepare_state(fac, cfg, params)
     lam = qsim.apply_hamiltonian(ket, fac)
@@ -89,78 +95,30 @@ def _energy_and_gradient(fac: XDFFactorization, cfg: AnsatzConfig,
 
     grad = np.zeros_like(params)
     ket_amps = ket.amplitudes.copy()
+    ket_psi = ket_amps.reshape(1 << n, 1 << n)
+    lam_psi = lam.reshape(1 << n, 1 << n)
     for i in reversed(range(len(blocks))):
-        m = blocks[i]
+        rows = qsim.pair_rows(n, blocks[i])
+        pairs = qsim.pair_exchange_rows(n, blocks[i])
         th_or, th_px = params[2 * i], params[2 * i + 1]
 
         # undo the pair exchange, then differentiate it
-        qsim._rotate_pair_exchange(ket_amps, n, m, -th_px)
-        dpx = qsim._derivative_pair_exchange(ket_amps, n, m, th_px)
+        qsim.rotate_pair(ket_amps, *pairs, -th_px)
+        dpx = qsim.pair_derivative(ket_amps, *pairs, th_px)
         grad[2 * i + 1] = 2.0 * float(lam @ dpx)
-        qsim._rotate_pair_exchange(lam, n, m, -th_px)
+        qsim.rotate_pair(lam, *pairs, -th_px)
 
         # undo the locked rotation, then differentiate both spin halves
-        qsim._rotate_pair(ket_amps, nq, m, m + 1, -th_or)
-        qsim._rotate_pair(ket_amps, nq, n + m, n + m + 1, -th_or)
-        branch_a = qsim._derivative_pair(ket_amps, nq, m, m + 1, th_or)
-        qsim._rotate_pair(branch_a, nq, n + m, n + m + 1, th_or)
-        branch_b = qsim._derivative_pair(ket_amps, nq, n + m, n + m + 1, th_or)
-        qsim._rotate_pair(branch_b, nq, m, m + 1, th_or)
-        grad[2 * i] = 2.0 * float(lam @ (branch_a + branch_b))
-        qsim._rotate_pair(lam, nq, m, m + 1, -th_or)
-        qsim._rotate_pair(lam, nq, n + m, n + m + 1, -th_or)
+        qsim.rotate_pair(ket_psi.T, *rows, -th_or)
+        qsim.rotate_pair(ket_psi, *rows, -th_or)
+        branch_a = qsim.pair_derivative(ket_psi.T, *rows, th_or).T
+        qsim.rotate_pair(branch_a, *rows, th_or)
+        branch_b = qsim.pair_derivative(ket_psi, *rows, th_or)
+        qsim.rotate_pair(branch_b.T, *rows, th_or)
+        grad[2 * i] = 2.0 * float(lam @ (branch_a + branch_b).reshape(-1))
+        qsim.rotate_pair(lam_psi.T, *rows, -th_or)
+        qsim.rotate_pair(lam_psi, *rows, -th_or)
     return energy, grad
-
-
-def _energy(fac: XDFFactorization, cfg: AnsatzConfig, params: np.ndarray) -> float:
-    return qsim.energy(prepare_state(fac, cfg, params), fac)
-
-
-def ansatz_gradient(fac: XDFFactorization, cfg: AnsatzConfig,
-                    params: np.ndarray) -> np.ndarray:
-    """Shift-rule gradient of the energy with respect to the ansatz angles.
-
-    Orbital-rotation angles unlock their two spin halves (eight evaluations);
-    pair-exchange angles use the two-frequency rule directly (four).
-    """
-    params = np.asarray(params, dtype=float)
-    blocks = ansatz_blocks(fac.n_orbitals, cfg.n_layers)
-    grad = np.zeros_like(params)
-
-    def shifted_energy(i: int, delta: float) -> float:
-        x = params.copy()
-        x[i] += delta
-        return _energy(fac, cfg, x)
-
-    for i, m in enumerate(blocks):
-        # pair exchange: single generator, frequencies {1, 2}
-        acc = 0.0
-        for step, coeff in qsim._SHIFT_STEPS:
-            acc += coeff * (shifted_energy(2 * i + 1, step)
-                            - shifted_energy(2 * i + 1, -step))
-        grad[2 * i + 1] = acc
-
-        # locked rotation: evaluate with the two spin gates unlocked
-        acc = 0.0
-        for spin in (0, 1):
-            for step, coeff in qsim._SHIFT_STEPS:
-                vals = []
-                for sign in (1.0, -1.0):
-                    state = qsim.hf_reference(fac.n_orbitals, fac.n_alpha, fac.n_beta)
-                    for j, mj in enumerate(blocks):
-                        th = params[2 * j]
-                        amps = state.amplitudes.copy()
-                        ta = th + sign * step if (j == i and spin == 0) else th
-                        tb = th + sign * step if (j == i and spin == 1) else th
-                        qsim._rotate_pair(amps, 2 * fac.n_orbitals, mj, mj + 1, ta)
-                        qsim._rotate_pair(amps, 2 * fac.n_orbitals,
-                                          fac.n_orbitals + mj, fac.n_orbitals + mj + 1, tb)
-                        state = Statevector(fac.n_orbitals, amps)
-                        state = qsim.apply_pair_exchange(state, mj, params[2 * j + 1])
-                    vals.append(qsim.energy(state, fac))
-                acc += coeff * (vals[0] - vals[1])
-        grad[2 * i] = acc
-    return grad
 
 
 def _lbfgs(fac: XDFFactorization, cfg: AnsatzConfig, x0: np.ndarray,
@@ -286,11 +244,11 @@ def optimize(fac: XDFFactorization, cfg: AnsatzConfig, tol: float = 1e-10,
 
 
 def sector_indices(n_spatial: int, n_alpha: int, n_beta: int) -> np.ndarray:
-    """Basis indices of the fixed particle-number sector."""
-    bits = qsim._bits(2 * n_spatial)
-    na = bits[:, :n_spatial].sum(axis=1)
-    nb = bits[:, n_spatial:].sum(axis=1)
-    return np.nonzero((na == n_alpha) & (nb == n_beta))[0]
+    """Basis indices of the fixed particle-number sector, ascending."""
+    filled = qsim.string_bits(n_spatial).sum(axis=1)
+    alpha = np.nonzero(filled == n_alpha)[0]
+    beta = np.nonzero(filled == n_beta)[0]
+    return ((beta[:, None] << n_spatial) | alpha).ravel()
 
 
 def exact_ground_state(fac: XDFFactorization) -> tuple[Statevector, float]:

@@ -69,6 +69,8 @@ class TruncationPolicy:
             raise ValueError("threshold mode takes exactly a threshold")
         if self.mode == "count" and (self.count is None or self.threshold is not None):
             raise ValueError("count mode takes exactly a count")
+        if self.mode == "count" and self.count < 0:
+            raise ValueError(f"leaf count must be non-negative, got {self.count}")
 
     @classmethod
     def by_threshold(cls, threshold: float) -> "TruncationPolicy":
@@ -135,12 +137,6 @@ class XDFFactorization:
         if t not in self._fabric_cache:
             self._fabric_cache[t] = decompose(self.leaves[t].U)
         return self._fabric_cache[t]
-
-    def with_retained(self, retained: int) -> "XDFFactorization":
-        return XDFFactorization(
-            self.n_orbitals, self.n_alpha, self.n_beta, self.eff,
-            self.U0, self.F0, self.leaves, int(retained), self.ham,
-        )
 
 
 def _sign_fix_columns(u: np.ndarray) -> np.ndarray:

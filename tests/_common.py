@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from xdfrelax import givens, hammodel, qsim, xdf
+from xdfrelax import givens, hammodel, qsim, vqe, xdf
 from xdfrelax.hammodel import Hamiltonian
 
 
@@ -45,9 +45,122 @@ def random_sector_state(fac: xdf.XDFFactorization, seed: int,
     for _ in range(n_rounds):
         u = givens.random_special_orthogonal(fac.n_orbitals, int(rng.integers(1 << 30)))
         state = qsim.apply_orbital_rotation(state, givens.decompose(u))
+        amps = np.array(state.amplitudes)
         for p in range(fac.n_orbitals - 1):
-            state = qsim.apply_pair_exchange(state, p, float(rng.uniform(-1.0, 1.0)))
+            qsim.rotate_pair(amps, *qsim.pair_exchange_rows(fac.n_orbitals, p),
+                             float(rng.uniform(-1.0, 1.0)))
+        state = qsim.Statevector(fac.n_orbitals, amps)
     return state
+
+
+# Reference kernel: the slice-based gates on the full 4^N vector that the
+# spin-factorized kernel in qsim replaced. Tests compare against it on these
+# (N, n_alpha, n_beta, seed) cases.
+
+KERNEL_CASES = [(2, 1, 1, 7), (3, 2, 1, 3), (4, 2, 2, 13), (5, 3, 2, 1), (6, 3, 3, 4)]
+
+
+def _ref_pair_slices(n_qubits: int, bits_a: dict, bits_b: dict):
+    """Index tuples of the (2,) * n_qubits view fixing the given qubit bits."""
+    s_a = [slice(None)] * n_qubits
+    s_b = [slice(None)] * n_qubits
+    for qubit in bits_a:
+        s_a[n_qubits - 1 - qubit] = bits_a[qubit]
+        s_b[n_qubits - 1 - qubit] = bits_b[qubit]
+    return tuple(s_a), tuple(s_b)
+
+
+def _ref_rotate(amps: np.ndarray, n_qubits: int, s_a, s_b, theta: float) -> None:
+    view = amps.reshape((2,) * n_qubits)
+    c, s = np.cos(theta), np.sin(theta)
+    old_a = view[s_a].copy()
+    view[s_a] = c * old_a - s * view[s_b]
+    view[s_b] = s * old_a + c * view[s_b]
+
+
+def ref_rotate_pair(amps: np.ndarray, n_qubits: int, a: int, b: int, theta: float) -> None:
+    """In-place number-conserving rotation on qubits (a, b):
+    amp(a occupied) -> cos * amp(a) - sin * amp(b)."""
+    _ref_rotate(amps, n_qubits, *_ref_pair_slices(n_qubits, {a: 1, b: 0}, {a: 0, b: 1}),
+                theta)
+
+
+def ref_pair_exchange(amps: np.ndarray, n: int, p: int, theta: float) -> None:
+    """In-place rotation between the pairs doubly occupying p and p+1."""
+    on_p = {p: 1, p + 1: 0, n + p: 1, n + p + 1: 0}
+    on_next = {p: 0, p + 1: 1, n + p: 0, n + p + 1: 1}
+    _ref_rotate(amps, 2 * n, *_ref_pair_slices(2 * n, on_p, on_next), theta)
+
+
+def ref_apply_fabric(state: qsim.Statevector, fabric: givens.GivensFabric,
+                     dagger: bool = False) -> np.ndarray:
+    """Spin-locked fabric gate by gate; the dagger reverses and negates."""
+    n = state.n_spatial
+    amps = np.array(state.amplitudes)
+    order = range(len(fabric.pivots))
+    for g in (reversed(order) if dagger else order):
+        m = fabric.pivots[g][0]
+        theta = -fabric.angles[g] if dagger else fabric.angles[g]
+        ref_rotate_pair(amps, 2 * n, m, m + 1, theta)
+        ref_rotate_pair(amps, 2 * n, n + m, n + m + 1, theta)
+    return amps
+
+
+def ref_apply_hamiltonian(state: qsim.Statevector, fac: xdf.XDFFactorization) -> np.ndarray:
+    """Factorized Hamiltonian with frame diagonals tabulated over all 4^N indices."""
+    n = state.n_spatial
+    bits = qsim.string_bits(2 * n).astype(float)
+    occ = bits[:, :n] + bits[:, n:]
+    z = 2.0 - 2.0 * occ  # Z_alpha + Z_beta per orbital
+    out = fac.eff.scalar_offset * np.array(state.amplitudes)
+    frames = [(fac.fabric0(), (occ - 1.0) @ fac.F0)]
+    for t in range(fac.retained):
+        z_mat = xdf.z_tensor(fac.leaves[t])
+        diag = 0.125 * np.einsum("xk,kl,xl->x", z, z_mat, z) - 0.25 * np.trace(z_mat)
+        frames.append((fac.leaf_fabric(t), diag))
+    for fabric, diag in frames:
+        rotated = ref_apply_fabric(state, fabric, dagger=True)
+        out += ref_apply_fabric(qsim.Statevector(n, diag * rotated), fabric)
+    return out
+
+
+def ref_ansatz_state(fac: xdf.XDFFactorization, blocks, alpha, beta,
+                     exchange) -> qsim.Statevector:
+    """Ansatz circuit with separate alpha and beta orbital-rotation angles."""
+    n = fac.n_orbitals
+    amps = np.array(qsim.hf_reference(n, fac.n_alpha, fac.n_beta).amplitudes)
+    for i, m in enumerate(blocks):
+        ref_rotate_pair(amps, 2 * n, m, m + 1, alpha[i])
+        ref_rotate_pair(amps, 2 * n, n + m, n + m + 1, beta[i])
+        ref_pair_exchange(amps, n, m, exchange[i])
+    return qsim.Statevector(n, amps)
+
+
+def ansatz_gradient(fac: xdf.XDFFactorization, cfg: vqe.AnsatzConfig,
+                    params: np.ndarray) -> np.ndarray:
+    """Shift-rule gradient of the energy with respect to the ansatz angles.
+
+    Orbital-rotation angles unlock their two spin halves (eight evaluations);
+    pair-exchange angles use the two-frequency rule directly (four). This is
+    the referee of the adjoint gradient in vqe.
+    """
+    params = np.asarray(params, dtype=float)
+    blocks = vqe.ansatz_blocks(fac.n_orbitals, cfg.n_layers)
+    locked, exchange = params[0::2], params[1::2]
+    grad = np.zeros_like(params)
+
+    def energy(alpha, beta, exch):
+        return qsim.energy(ref_ansatz_state(fac, blocks, alpha, beta, exch), fac)
+
+    for i in range(len(blocks)):
+        for step, coeff in qsim.SHIFT_STEPS:
+            for sign in (1.0, -1.0):
+                shift = np.zeros(len(blocks))
+                shift[i] = sign * step
+                grad[2 * i + 1] += sign * coeff * energy(locked, locked, exchange + shift)
+                grad[2 * i] += sign * coeff * (energy(locked + shift, locked, exchange)
+                                               + energy(locked, locked + shift, exchange))
+    return grad
 
 
 # Standard fixtures referenced across the suite and the acceptance criteria.

@@ -124,6 +124,22 @@ def test_exit_code_malformed_file(tmp_path):
     assert code == 1
 
 
+@pytest.mark.parametrize("argv,flag", [
+    (["factorize", "--leaves", "-1"], "--leaves"),
+    (["vqe", "--layers", "-1"], "--layers"),
+    (["vqe", "--tol", "0"], "--tol"),
+    (["verify", "--perturbations", "0"], "--perturbations"),
+    (["path", "--mass", "0"], "--mass"),
+    (["path", "--steps", "0"], "--steps"),
+])
+def test_exit_code_bad_flag_value(fcidump_n3, tmp_path, argv, flag):
+    if argv[0] == "path":
+        argv = argv + ["--fcidump-b", fcidump_n3]
+    code, payload = _run(argv + ["--fcidump", fcidump_n3], tmp_path)
+    assert code == 1
+    assert payload["error"].startswith(flag + " ")
+
+
 def test_exit_code_nonconvergence(fcidump_n3, tmp_path):
     # zero optimizer iterations leaves the random start non-stationary
     code, payload = _run(["vqe", "--fcidump", fcidump_n3, "--layers", "2",

@@ -32,7 +32,7 @@ def test_eta_zero_for_rotation_invariant_state():
     fac = factorize(ham, TruncationPolicy.exact())
     vacuum = qsim.hf_reference(3, 0, 0)
     for leaf_id in [None, 0, 1]:
-        eta = solve_eta(fac, vacuum, leaf_id)
+        eta, _ = solve_eta(fac, vacuum, leaf_id)
         assert np.max(np.abs(eta)) < 1e-12
 
 
@@ -40,7 +40,7 @@ def test_eta_zero_for_diagonal_one_body_hf():
     ham = zero_two_body(3, 1, 1, [-2.0, -1.0, 0.5])
     fac = factorize(ham, TruncationPolicy.exact())
     state = qsim.hf_reference(3, 1, 1)
-    assert np.max(np.abs(solve_eta(fac, state, None))) < 1e-12
+    assert np.max(np.abs(solve_eta(fac, state, None)[0])) < 1e-12
 
 
 def test_eta_scalar_closed_form_n2():
@@ -48,7 +48,7 @@ def test_eta_scalar_closed_form_n2():
     fabric = fac.fabric0()
     de = qsim.denergy_dtheta_shift(state, fac, None, 0)
     a00 = jacobian(fabric).matrix[0, 0]
-    eta = solve_eta(fac, state, None)
+    eta, _ = solve_eta(fac, state, None)
     assert abs(eta[1, 0] - (-de / a00)) < 1e-12
 
 
@@ -57,11 +57,12 @@ def test_eta_residual_random_fixture():
     for leaf_id in [None] + list(range(fac.retained)):
         fabric = fac.fabric0() if leaf_id is None else fac.leaf_fabric(leaf_id)
         jac = jacobian(fabric)
-        eta = solve_eta(fac, state, leaf_id)
+        eta, residual = solve_eta(fac, state, leaf_id)
         eta_vec = np.array([eta[p, k] for p, k in jac.lower_indices])
         rhs = -np.array([qsim.denergy_dtheta_shift(state, fac, leaf_id, g)
                          for g in range(len(fabric.pivots))])
         assert np.max(np.abs(jac.matrix @ eta_vec - rhs)) < 1e-10
+        assert residual == np.max(np.abs(jac.matrix @ eta_vec - rhs))
 
 
 def test_eta_warns_on_nonstationary_state():

@@ -5,9 +5,7 @@ from xdfrelax import givens, qsim
 from xdfrelax.hammodel import Hamiltonian, synth_hamiltonian
 from xdfrelax.qsim import (
     Statevector,
-    apply_locked_rotation,
     apply_orbital_rotation,
-    apply_pair_exchange,
     denergy_dtheta_direct,
     denergy_dtheta_shift,
     energy,
@@ -18,7 +16,17 @@ from xdfrelax.qsim import (
 )
 from xdfrelax.xdf import TruncationPolicy, factorize
 
-from _common import eight_fold, random_sector_state, symmetrize, zero_two_body
+from _common import (
+    KERNEL_CASES,
+    eight_fold,
+    random_sector_state,
+    ref_apply_fabric,
+    ref_apply_hamiltonian,
+    ref_pair_exchange,
+    ref_rotate_pair,
+    symmetrize,
+    zero_two_body,
+)
 
 
 def test_hf_reference_basic():
@@ -67,11 +75,16 @@ def test_gates_preserve_norm_and_sector(seed):
     rotated = apply_orbital_rotation(state, fac.fabric0())
     assert abs(rotated.norm() - 1.0) < 1e-12
     assert rotated.electron_counts() == (2, 1)
-    exchanged = apply_pair_exchange(state, 0, 0.37)
+    exchanged = np.array(state.amplitudes)
+    qsim.rotate_pair(exchanged, *qsim.pair_exchange_rows(3, 0), 0.37)
+    exchanged = Statevector(3, exchanged)
     assert abs(exchanged.norm() - 1.0) < 1e-12
     assert exchanged.electron_counts() == (2, 1)
-    locked = apply_locked_rotation(state, 1, -0.8)
-    assert locked.electron_counts() == (2, 1)
+    locked = np.array(state.amplitudes)
+    psi = locked.reshape(8, 8)
+    qsim.rotate_pair(psi, *qsim.pair_rows(3, 1), -0.8)
+    qsim.rotate_pair(psi.T, *qsim.pair_rows(3, 1), -0.8)
+    assert Statevector(3, locked).electron_counts() == (2, 1)
 
 
 def test_omega0_on_hf_reference():
@@ -200,9 +213,16 @@ def test_shift_rule_every_angle_every_leaf(seed):
             plus[g] += step
             minus = fabric.angles.copy()
             minus[g] -= step
-            fd = (qsim._leaf_objective(state, fac, leaf_id, plus, plus)
-                  - qsim._leaf_objective(state, fac, leaf_id, minus, minus)) / (2 * step)
+            fd = (_frame_energy(state, fac, leaf_id, fabric.with_angles(plus))
+                  - _frame_energy(state, fac, leaf_id, fabric.with_angles(minus))) / (2 * step)
             assert abs(shift - fd) < 1e-7
+
+
+def _frame_energy(state, fac, leaf_id, fabric):
+    """Energy contribution of one frame measured through the given fabric."""
+    if leaf_id is None:
+        return float(fac.F0 @ measure_omega0(state, fabric))
+    return float(np.sum(fac.leaves[leaf_id].Z * measure_omega_leaf(state, fabric)))
 
 
 def test_shift_rule_rejects_bad_indices():
@@ -221,3 +241,55 @@ def test_statevector_guards():
     mixed[0b0001] = mixed[0b0011] = 1.0 / np.sqrt(2.0)
     with pytest.raises(ValueError):
         Statevector(2, mixed).electron_counts()
+
+
+# The spin-factorized kernel against the slice-based reference kernel.
+
+
+@pytest.mark.parametrize("n,na,nb,seed", KERNEL_CASES)
+def test_fabric_matches_reference_kernel(n, na, nb, seed):
+    fac = factorize(synth_hamiltonian(n, na, nb, seed), TruncationPolicy.exact())
+    state = random_sector_state(fac, seed + 20)
+    for fabric in (fac.fabric0(), fac.leaf_fabric(0),
+                   givens.decompose(givens.random_special_orthogonal(n, seed))):
+        for dagger in (False, True):
+            out = apply_orbital_rotation(state, fabric, dagger=dagger)
+            ref = ref_apply_fabric(state, fabric, dagger=dagger)
+            assert np.max(np.abs(out.amplitudes - ref)) <= 1e-12
+
+
+def test_fabric_matches_reference_kernel_n8():
+    fac = factorize(synth_hamiltonian(8, 4, 4, 3), TruncationPolicy.exact())
+    state = random_sector_state(fac, 8, n_rounds=1)
+    fabric = givens.decompose(givens.random_special_orthogonal(8, 5))
+    for dagger in (False, True):
+        out = apply_orbital_rotation(state, fabric, dagger=dagger)
+        ref = ref_apply_fabric(state, fabric, dagger=dagger)
+        assert np.max(np.abs(out.amplitudes - ref)) <= 1e-12
+
+
+@pytest.mark.parametrize("n,na,nb,seed", KERNEL_CASES)
+def test_apply_hamiltonian_matches_reference_kernel(n, na, nb, seed):
+    ham = synth_hamiltonian(n, na, nb, seed)
+    for policy in (TruncationPolicy.exact(), TruncationPolicy.by_count(2)):
+        fac = factorize(ham, policy)
+        state = random_sector_state(fac, seed + 30)
+        out = qsim.apply_hamiltonian(state, fac)
+        assert np.max(np.abs(out - ref_apply_hamiltonian(state, fac))) <= 1e-12
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def test_gate_primitive_matches_reference_kernel(n):
+    rng = np.random.default_rng(n)
+    amps = rng.standard_normal(4 ** n)
+    ref = amps.copy()
+    for m in range(n - 1):
+        theta = float(rng.uniform(-np.pi, np.pi))
+        psi = amps.reshape(1 << n, 1 << n)
+        qsim.rotate_pair(psi.T, *qsim.pair_rows(n, m), theta)
+        qsim.rotate_pair(psi, *qsim.pair_rows(n, m), -theta)
+        qsim.rotate_pair(amps, *qsim.pair_exchange_rows(n, m), 2.0 * theta)
+        ref_rotate_pair(ref, 2 * n, m, m + 1, theta)
+        ref_rotate_pair(ref, 2 * n, n + m, n + m + 1, -theta)
+        ref_pair_exchange(ref, n, m, 2.0 * theta)
+    assert np.max(np.abs(amps - ref)) <= 1e-12

@@ -1,12 +1,11 @@
 import numpy as np
 import pytest
 
-from xdfrelax import qsim
+from xdfrelax import qsim, vqe
 from xdfrelax.hammodel import synth_hamiltonian
 from xdfrelax.vqe import (
     AnsatzConfig,
     ansatz_blocks,
-    ansatz_gradient,
     exact_ground_state,
     n_parameters,
     optimize,
@@ -14,8 +13,7 @@ from xdfrelax.vqe import (
 )
 from xdfrelax.xdf import TruncationPolicy, factorize
 
-from _common import zero_two_body
-
+from _common import KERNEL_CASES, ansatz_gradient, ref_ansatz_state, zero_two_body
 
 def test_block_layout():
     assert ansatz_blocks(4, 2) == (0, 2, 1)
@@ -129,3 +127,25 @@ def test_exact_ground_state_sign_deterministic():
     np.testing.assert_array_equal(s1.amplitudes, s2.amplitudes)
     lead = np.nonzero(np.abs(s1.amplitudes) > 1e-8)[0][0]
     assert s1.amplitudes[lead] > 0
+
+
+@pytest.mark.parametrize("n,na,nb,seed", KERNEL_CASES)
+def test_prepare_state_matches_reference_kernel(n, na, nb, seed):
+    fac = factorize(synth_hamiltonian(n, na, nb, seed), TruncationPolicy.exact())
+    cfg = AnsatzConfig(3)
+    params = np.random.default_rng(seed).uniform(-np.pi, np.pi, n_parameters(n, cfg))
+    blocks = ansatz_blocks(n, cfg.n_layers)
+    ref = ref_ansatz_state(fac, blocks, params[0::2], params[0::2], params[1::2])
+    out = prepare_state(fac, cfg, params)
+    assert np.max(np.abs(out.amplitudes - ref.amplitudes)) <= 1e-12
+
+
+@pytest.mark.parametrize("n,na,nb,seed,layers", [(2, 1, 1, 7, 3), (3, 2, 1, 3, 2),
+                                                 (4, 2, 2, 13, 2)])
+def test_adjoint_gradient_matches_shift_rule(n, na, nb, seed, layers):
+    fac = factorize(synth_hamiltonian(n, na, nb, seed), TruncationPolicy.exact())
+    cfg = AnsatzConfig(layers)
+    params = np.random.default_rng(seed).uniform(-1.5, 1.5, n_parameters(n, cfg))
+    energy, grad = vqe._energy_and_gradient(fac, cfg, params)
+    assert abs(energy - qsim.energy(prepare_state(fac, cfg, params), fac)) <= 1e-12
+    assert np.max(np.abs(grad - ansatz_gradient(fac, cfg, params))) <= 1e-12

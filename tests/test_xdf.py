@@ -22,6 +22,8 @@ def test_policy_validation():
         TruncationPolicy("count", threshold=0.1, count=2)
     with pytest.raises(ValueError):
         TruncationPolicy("both")
+    with pytest.raises(ValueError, match="non-negative"):
+        TruncationPolicy.by_count(-1)
 
 
 def test_zero_two_body_gives_zero_leaves():
