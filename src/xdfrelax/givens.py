@@ -53,19 +53,20 @@ class GivensFabric:
     """An ordered set of plane-rotation angles on the rectangle pivot layout."""
 
     n: int
-    pivots: tuple[tuple[int, int], ...]
     angles: np.ndarray
 
     def __post_init__(self):
         object.__setattr__(self, "angles", np.array(self.angles, dtype=float))
         self.angles.setflags(write=False)
-        if self.pivots != rectangle_pivots(self.n):
-            raise ValueError("pivot sequence is not the rectangle layout")
         if self.angles.shape != (len(self.pivots),):
             raise ValueError("angle count does not match pivot count")
 
+    @property
+    def pivots(self) -> tuple[tuple[int, int], ...]:
+        return rectangle_pivots(self.n)
+
     def with_angles(self, angles: np.ndarray) -> GivensFabric:
-        return GivensFabric(self.n, self.pivots, angles)
+        return GivensFabric(self.n, angles)
 
     def as_records(self) -> list:
         """JSON-friendly ordered list of [p, q, angle]."""
@@ -73,8 +74,7 @@ class GivensFabric:
 
 
 def identity_fabric(n: int) -> GivensFabric:
-    pivots = rectangle_pivots(n)
-    return GivensFabric(n, pivots, np.zeros(len(pivots)))
+    return GivensFabric(n, np.zeros(n * (n - 1) // 2))
 
 
 @dataclass(frozen=True)
@@ -233,7 +233,7 @@ def decompose(u: np.ndarray) -> GivensFabric:
             raise AssertionError("missing pivot in elimination sequence")
 
     angles = _reduce_branch(canonical, angles)
-    fabric = GivensFabric(n, canonical, angles)
+    fabric = GivensFabric(n, angles)
     if np.max(np.abs(reconstruct(fabric) - u)) > ORTHOGONALITY_TOL:
         raise AssertionError("fabric does not reproduce the input matrix")
     return fabric

@@ -109,13 +109,11 @@ class Hamiltonian:
 class EffectiveOperators:
     """Scalar and one-body operators absorbing mean two-body contributions.
 
-    ``eff_one_body`` is the operator the factorization diagonalizes;
-    ``kappa`` is the alternative convention without the direct-term shift.
+    ``eff_one_body`` is the operator the factorization diagonalizes.
     """
 
     scalar_offset: float
     eff_one_body: np.ndarray
-    kappa: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -301,8 +299,7 @@ def effective_operators(ham: Hamiltonian) -> EffectiveOperators:
     direct = np.einsum("pqrr->pq", eri)
     exchange = np.einsum("prqr->pq", eri)
     eff = h + direct - 0.5 * exchange
-    kappa = h - 0.5 * exchange
-    return EffectiveOperators(scalar, eff, kappa)
+    return EffectiveOperators(scalar, eff)
 
 
 def interpolate(ham_a: Hamiltonian, ham_b: Hamiltonian, s: float) -> Hamiltonian:

@@ -27,15 +27,14 @@ import numpy as np
 from . import qsim
 from .givens import jacobian, pinv_solve
 from .hammodel import eight_fold_symmetrize
-from .qsim import EigenbasisDensities, Statevector
+from .qsim import EigenbasisDensities, Frame, Statevector
 from .xdf import XDFFactorization
 
 __all__ = [
     "MultiplierSet",
     "RelaxedRDMs",
     "solve_eta",
-    "solve_mu0",
-    "solve_mu_leaf",
+    "solve_mu",
     "solve_nu",
     "relaxed_gamma",
     "relaxed_Gamma",
@@ -65,7 +64,6 @@ class MultiplierSet:
     mu: tuple[np.ndarray, ...]
     nu: np.ndarray
     eta_residual: float
-    ablated: str | None = None
 
 
 @dataclass(frozen=True, eq=False)
@@ -77,43 +75,39 @@ class RelaxedRDMs:
 
 
 def _lower_to_matrix(values: np.ndarray, n: int) -> np.ndarray:
+    """Strictly-lower-triangular matrix from its row-major entries."""
     mat = np.zeros((n, n))
-    idx = 0
-    for p in range(n):
-        for k in range(p):
-            mat[p, k] = values[idx]
-            idx += 1
+    mat[np.tril_indices(n, -1)] = values
     return mat
 
 
-def solve_eta(fac: XDFFactorization, state: Statevector,
-              leaf_id) -> tuple[np.ndarray, float]:
-    """Fabric-angle multipliers from the pseudoinverted angle Jacobian.
+def solve_eta(frame: Frame, state: Statevector) -> tuple[np.ndarray, float]:
+    """Fabric-angle multipliers of one frame from the pseudoinverted angle Jacobian.
 
     Solves sum_{p>k} eta[p, k] * A[g, (p, k)] = -dE/dtheta_g with shift-rule
     energy derivatives; returns the strictly-lower-triangular eta matrix and
     the max-abs residual of the solve, warning when it exceeds
     ``ETA_RESIDUAL_TOL``.
     """
-    fabric = fac.fabric0() if leaf_id is None else fac.leaf_fabric(leaf_id)
-    jac = jacobian(fabric)
-    rhs = -np.array([qsim.denergy_dtheta_shift(state, fac, leaf_id, g)
-                     for g in range(len(fabric.pivots))])
+    jac = jacobian(frame.fabric)
+    rhs = -np.array([qsim.denergy_dtheta_shift(state, frame, g)
+                     for g in range(len(frame.fabric.pivots))])
     eta_vec = pinv_solve(jac, rhs)
     residual = float(np.max(np.abs(jac.matrix @ eta_vec - rhs))) if rhs.size else 0.0
     if residual > ETA_RESIDUAL_TOL:
         warnings.warn(
-            f"eta solve residual {residual:.3e} for leaf {leaf_id}; "
-            "state may not be stationary", stacklevel=2)
-    return _lower_to_matrix(eta_vec, fac.n_orbitals), residual
+            f"eta solve residual {residual:.3e}; state may not be stationary",
+            stacklevel=2)
+    return _lower_to_matrix(eta_vec, frame.fabric.n), residual
 
 
-def _mu_from_eta(eta_lower: np.ndarray, frame: np.ndarray, spectrum: np.ndarray,
-                 guard: float) -> np.ndarray:
-    eta_eig = frame.T @ eta_lower
+def solve_mu(eta_lower: np.ndarray, u: np.ndarray, spectrum: np.ndarray) -> np.ndarray:
+    """Eigenvector multipliers of one frame with orbitals ``u``: quotients over
+    its spectrum (F0 for the one-body frame, lambda for a leaf)."""
+    eta_eig = u.T @ eta_lower
     n = len(spectrum)
     spread = float(np.max(spectrum) - np.min(spectrum)) if n else 0.0
-    cutoff = guard * max(spread, 1e-300)
+    cutoff = DEGENERACY_GUARD * max(spread, 1e-300)
     mu = np.zeros((n, n))
     for a in range(n):
         for b in range(a):
@@ -124,20 +118,8 @@ def _mu_from_eta(eta_lower: np.ndarray, frame: np.ndarray, spectrum: np.ndarray,
     return mu
 
 
-def solve_mu0(eta0: np.ndarray, u0: np.ndarray, f0: np.ndarray,
-              guard: float = DEGENERACY_GUARD) -> np.ndarray:
-    """One-body eigenvector multipliers; quotient over the F0 spectrum."""
-    return _mu_from_eta(eta0, u0, f0, guard)
-
-
-def solve_mu_leaf(eta_t: np.ndarray, u_t: np.ndarray, lam_t: np.ndarray,
-                  guard: float = DEGENERACY_GUARD) -> np.ndarray:
-    """Leaf eigenvector multipliers; quotient over the leaf lambda spectrum."""
-    return _mu_from_eta(eta_t, u_t, lam_t, guard)
-
-
 def solve_nu(fac: XDFFactorization, omegas: EigenbasisDensities,
-             mus: tuple[np.ndarray, ...], guard: float = DEGENERACY_GUARD) -> np.ndarray:
+             mus: tuple[np.ndarray, ...]) -> np.ndarray:
     """Inter-leaf multipliers coupling retained frames to every other leaf.
 
     R[u_prime, u] projects leaf u's energy + mu gradients onto the
@@ -147,8 +129,7 @@ def solve_nu(fac: XDFFactorization, omegas: EigenbasisDensities,
     n_leaves = fac.n_leaves
     g_values = fac.g_values
     r_mat = np.zeros((n_leaves, n_leaves))
-    for u in range(fac.retained):
-        leaf = fac.leaves[u]
+    for u, leaf in enumerate(fac.retained_leaves):
         w = omegas.omega[u] @ leaf.lam
         core = 2.0 * leaf.g * (leaf.U * w) @ leaf.U.T + leaf.U @ mus[u] @ leaf.U.T
         for up in range(n_leaves):
@@ -157,7 +138,7 @@ def solve_nu(fac: XDFFactorization, omegas: EigenbasisDensities,
             r_mat[up, u] = float(np.sum(fac.leaves[up].V * core))
 
     spread = float(np.max(g_values) - np.min(g_values)) if n_leaves else 0.0
-    cutoff = guard * max(spread, 1e-300)
+    cutoff = DEGENERACY_GUARD * max(spread, 1e-300)
     nu = np.zeros((n_leaves, n_leaves))
     for t in range(n_leaves):
         for u in range(t):
@@ -198,8 +179,7 @@ def relaxed_Gamma(fac: XDFFactorization, omegas: EigenbasisDensities,
 
     vecs = np.stack([leaf.V.reshape(-1) for leaf in fac.leaves], axis=0)
     coeff = np.zeros(fac.n_leaves)
-    for t in range(fac.retained):
-        leaf = fac.leaves[t]
+    for t, leaf in enumerate(fac.retained_leaves):
         coeff[t] = float(leaf.lam @ omegas.omega[t] @ leaf.lam)
     big += ((vecs.T * coeff) @ vecs).reshape(n, n, n, n)
     big += (vecs.T @ nu @ vecs).reshape(n, n, n, n)
@@ -207,47 +187,40 @@ def relaxed_Gamma(fac: XDFFactorization, omegas: EigenbasisDensities,
 
 
 def measure_and_solve(fac: XDFFactorization, state: Statevector,
-                      guard: float = DEGENERACY_GUARD,
                       ablate: str | None = None) -> tuple[EigenbasisDensities, MultiplierSet]:
-    """Measure the leaf densities and run the full eta -> mu -> nu chain."""
+    """Measure the leaf densities and run the full eta -> mu -> nu chain,
+    one eta and mu solve per frame."""
     if ablate is not None and ablate not in ABLATION_MODES:
         raise ValueError(f"unknown ablation {ablate!r}; choose from {ABLATION_MODES}")
     n = fac.n_orbitals
     omegas = qsim.measure_densities(state, fac)
-    worst_residual = 0.0
-
-    eta0, res = solve_eta(fac, state, None)
-    worst_residual = max(worst_residual, res)
-    mu0 = solve_mu0(eta0, fac.U0, fac.F0, guard)
-    if ablate == "eta0":
-        eta0 = np.zeros((n, n))
-        mu0 = np.zeros((n, n))
-
-    etas, mus = [], []
-    for t in range(fac.retained):
-        if ablate == "etat":
+    orbitals = [(fac.U0, fac.F0)] + [(leaf.U, leaf.lam) for leaf in fac.retained_leaves]
+    etas, mus, worst_residual = [], [], 0.0
+    for k, (frame, (u, spectrum)) in enumerate(zip(fac.frames, orbitals)):
+        if k > 0 and ablate == "etat":
             etas.append(np.zeros((n, n)))
             mus.append(np.zeros((n, n)))
             continue
-        eta_t, res = solve_eta(fac, state, t)
+        eta, res = solve_eta(frame, state)
         worst_residual = max(worst_residual, res)
-        etas.append(eta_t)
-        mus.append(solve_mu_leaf(eta_t, fac.leaves[t].U, fac.leaves[t].lam, guard))
+        mu = solve_mu(eta, u, spectrum)
+        if k == 0 and ablate == "eta0":
+            eta, mu = np.zeros((n, n)), np.zeros((n, n))
+        etas.append(eta)
+        mus.append(mu)
 
-    nu = solve_nu(fac, omegas, tuple(mus), guard)
+    nu = solve_nu(fac, omegas, tuple(mus[1:]))
     if ablate == "nu":
         nu = np.zeros_like(nu)
 
-    multipliers = MultiplierSet(eta0, tuple(etas), mu0, tuple(mus), nu,
-                                worst_residual, ablated=ablate)
+    multipliers = MultiplierSet(etas[0], tuple(etas[1:]), mus[0], tuple(mus[1:]), nu,
+                                worst_residual)
     return omegas, multipliers
 
 
 def reconstruct_rdms(fac: XDFFactorization, state: Statevector,
-                     guard: float = DEGENERACY_GUARD,
                      ablate: str | None = None,
                      stationarity_grad: float | None = None,
-                     stationarity_tol: float = STATIONARITY_TOL,
                      ) -> tuple[RelaxedRDMs, MultiplierSet]:
     """Full pipeline from a stationary state to relaxed, symmetrized RDMs.
 
@@ -255,12 +228,12 @@ def reconstruct_rdms(fac: XDFFactorization, state: Statevector,
     infinity-norm; a violation is warned about (the multiplier premise is
     a variationally stationary state), never silently ignored.
     """
-    if stationarity_grad is not None and stationarity_grad > stationarity_tol:
+    if stationarity_grad is not None and stationarity_grad > STATIONARITY_TOL:
         warnings.warn(
             f"state gradient norm {stationarity_grad:.3e} exceeds "
-            f"{stationarity_tol:.1e}; relaxed densities will carry the bias",
+            f"{STATIONARITY_TOL:.1e}; relaxed densities will carry the bias",
             stacklevel=2)
-    omegas, multipliers = measure_and_solve(fac, state, guard, ablate)
+    omegas, multipliers = measure_and_solve(fac, state, ablate)
     gamma, gamma_sym = relaxed_gamma(fac, omegas, multipliers.mu0)
     gamma_bar = gamma - np.eye(fac.n_orbitals)
     _, big_sym = relaxed_Gamma(fac, omegas, multipliers.nu, gamma_bar)

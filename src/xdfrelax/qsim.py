@@ -16,9 +16,10 @@ explicitly on the full vector.
 
 A spin-locked fabric acts on each spin through one 2^N x 2^N operator M, its
 gates applied in order to the rows of the identity: the circuit maps Psi to
-M Psi M^T and its dagger to M^T Psi M. Each frame's energy operator is
-diagonal in its rotated basis and is built as a 2^N x 2^N matrix from
-per-spin occupation tables.
+M Psi M^T and its dagger to M^T Psi M. Each term of a factorized Hamiltonian
+is a ``Frame``: its fabric, the fabric's M and the term's energy operator,
+diagonal in the rotated basis, as the matrix D[beta, alpha]. A factorization
+builds its frames once, the one-body frame first, then one per retained leaf.
 
 Expectation values are exact (infinite-shot limit). All gates have real
 matrix elements, so amplitudes stay real in practice; complex amplitudes are
@@ -27,17 +28,23 @@ accepted and measured through |amplitude|^2 weights.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .givens import GivensFabric
-from .xdf import XDFFactorization, z_tensor
+
+if TYPE_CHECKING:
+    from .xdf import XDFFactorization, XDFLeaf
 
 __all__ = [
     "Statevector",
     "EigenbasisDensities",
+    "Frame",
+    "one_body_frame",
+    "leaf_frame",
     "SHIFT_STEPS",
     "string_bits",
     "pair_rows",
@@ -191,7 +198,7 @@ def apply_orbital_rotation(state: Statevector, fabric: GivensFabric,
 
 
 # ---------------------------------------------------------------------------
-# Leaf-frame measurements
+# Frames: one per term of the factorized Hamiltonian
 # ---------------------------------------------------------------------------
 
 def _spin_z(n: int) -> np.ndarray:
@@ -199,108 +206,127 @@ def _spin_z(n: int) -> np.ndarray:
     return 1.0 - 2.0 * string_bits(n)
 
 
-def measure_omega0(state: Statevector, fabric0: GivensFabric) -> np.ndarray:
-    """One-body eigenbasis density: omega0_k = <E_kk> - 1 in the rotated frame."""
-    weights = np.abs(apply_orbital_rotation(state, fabric0, dagger=True).matrix()) ** 2
+@dataclass(frozen=True, eq=False)
+class Frame:
+    """One term in its own basis: the fabric rotating into it, the term's
+    energy operator ``D[beta, alpha]``, diagonal in the rotated basis, and
+    the fabric's per-spin operator ``M``, built from the fabric on
+    construction. The arrays are read-only."""
+
+    fabric: GivensFabric
+    D: np.ndarray
+    M: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self):
+        for name, arr in (("D", np.array(self.D, dtype=float)),
+                          ("M", _fabric_operator(self.fabric, self.fabric.angles))):
+            arr.setflags(write=False)
+            object.__setattr__(self, name, arr)
+
+
+def one_body_frame(fabric: GivensFabric, f0: np.ndarray) -> Frame:
+    """Frame of the one-body term with eigenvalues ``f0``."""
+    d = string_bits(fabric.n) @ f0
+    return Frame(fabric, d[:, None] + d[None, :] - float(np.sum(f0)))
+
+
+def leaf_frame(fabric: GivensFabric, leaf: XDFLeaf) -> Frame:
+    """Frame of one leaf, whose Z/ZZ couplings are ``leaf.Z``."""
+    z_mat = leaf.Z
+    z = _spin_z(fabric.n)
+    w = z @ z_mat @ z.T
+    q = np.diag(w)
+    return Frame(fabric, 0.125 * (q[:, None] + q[None, :] + 2.0 * w)
+                 - 0.25 * float(np.trace(z_mat)))
+
+
+# ---------------------------------------------------------------------------
+# Leaf-frame measurements
+# ---------------------------------------------------------------------------
+
+def _omega0(state: Statevector, op: np.ndarray) -> np.ndarray:
+    weights = np.abs(op.T @ state.matrix() @ op) ** 2
     marginal = weights.sum(axis=0) + weights.sum(axis=1)
     return -0.5 * (marginal @ _spin_z(state.n_spatial))
 
 
-def measure_omega_leaf(state: Statevector, fabric_t: GivensFabric) -> np.ndarray:
-    """Two-body eigenbasis density of one leaf from Z/ZZ moments in its frame."""
-    weights = np.abs(apply_orbital_rotation(state, fabric_t, dagger=True).matrix()) ** 2
+def _omega_leaf(state: Statevector, op: np.ndarray) -> np.ndarray:
+    weights = np.abs(op.T @ state.matrix() @ op) ** 2
     marginal = weights.sum(axis=0) + weights.sum(axis=1)
     z = _spin_z(state.n_spatial)
     moments = (z.T * marginal) @ z + z.T @ (weights + weights.T) @ z
     return (moments - 2.0 * np.eye(state.n_spatial)) / 8.0
 
 
+def measure_omega0(state: Statevector, fabric: GivensFabric) -> np.ndarray:
+    """One-body eigenbasis density: omega0_k = <E_kk> - 1 in the fabric's frame."""
+    return _omega0(state, _fabric_operator(fabric, fabric.angles))
+
+
+def measure_omega_leaf(state: Statevector, fabric: GivensFabric) -> np.ndarray:
+    """Two-body eigenbasis density of one leaf from Z/ZZ moments in its frame."""
+    return _omega_leaf(state, _fabric_operator(fabric, fabric.angles))
+
+
 def measure_densities(state: Statevector, fac: XDFFactorization) -> EigenbasisDensities:
-    omega0 = measure_omega0(state, fac.fabric0())
-    omega = tuple(measure_omega_leaf(state, fac.leaf_fabric(t))
-                  for t in range(fac.retained))
-    return EigenbasisDensities(omega0, omega)
+    frame0, *leaf_frames = fac.frames
+    return EigenbasisDensities(_omega0(state, frame0.M),
+                               tuple(_omega_leaf(state, f.M) for f in leaf_frames))
 
 
 # ---------------------------------------------------------------------------
 # X-DF energy and its angle derivatives
 # ---------------------------------------------------------------------------
 
-def _frame_diagonal(fac: XDFFactorization, leaf_id) -> np.ndarray:
-    """Energy operator of one frame in its rotated basis, as D[beta, alpha]."""
-    n = fac.n_orbitals
-    if leaf_id is None:
-        d = string_bits(n) @ fac.F0
-        return d[:, None] + d[None, :] - float(np.sum(fac.F0))
-    z_mat = z_tensor(fac.leaves[leaf_id])
-    z = _spin_z(n)
-    w = z @ z_mat @ z.T
-    q = np.diag(w)
-    return 0.125 * (q[:, None] + q[None, :] + 2.0 * w) - 0.25 * float(np.trace(z_mat))
-
-
 def energy(state: Statevector, fac: XDFFactorization) -> float:
     """Eigenbasis-density energy: offset + F0 . omega0 + sum_t Z_t : omega_t."""
-    total = fac.eff.scalar_offset
-    total += float(fac.F0 @ measure_omega0(state, fac.fabric0()))
-    for t in range(fac.retained):
-        omega_t = measure_omega_leaf(state, fac.leaf_fabric(t))
-        total += float(np.sum(z_tensor(fac.leaves[t]) * omega_t))
+    omegas = measure_densities(state, fac)
+    total = fac.eff.scalar_offset + float(fac.F0 @ omegas.omega0)
+    for leaf, omega_t in zip(fac.retained_leaves, omegas.omega):
+        total += float(np.sum(leaf.Z * omega_t))
     return total
 
 
 def apply_hamiltonian(state: Statevector, fac: XDFFactorization) -> np.ndarray:
-    """Action of the (possibly truncated) factorized Hamiltonian, leaf by leaf."""
+    """Action of the (possibly truncated) factorized Hamiltonian, frame by frame."""
     psi = state.matrix()
     out = fac.eff.scalar_offset * psi
-    for leaf_id in [None, *range(fac.retained)]:
-        fabric = fac.fabric0() if leaf_id is None else fac.leaf_fabric(leaf_id)
-        op = _fabric_operator(fabric, fabric.angles)
-        out = out + op @ (_frame_diagonal(fac, leaf_id) * (op.T @ psi @ op)) @ op.T
+    for frame in fac.frames:
+        out = out + frame.M @ (frame.D * (frame.M.T @ psi @ frame.M)) @ frame.M.T
     return out.reshape(-1)
 
 
-def _check_leaf_angle(fac: XDFFactorization, leaf_id, g: int) -> GivensFabric:
-    if leaf_id is None:
-        fabric = fac.fabric0()
-    else:
-        if not 0 <= leaf_id < fac.retained:
-            raise ValueError(f"leaf id {leaf_id} is not a retained leaf")
-        fabric = fac.leaf_fabric(leaf_id)
-    if not 0 <= g < len(fabric.pivots):
+def _check_angle(frame: Frame, g: int) -> None:
+    if not 0 <= g < len(frame.fabric.pivots):
         raise ValueError(f"angle index {g} out of range")
-    return fabric
 
 
-def denergy_dtheta_shift(state: Statevector, fac: XDFFactorization,
-                         leaf_id, g: int) -> float:
-    """Shift-rule energy derivative with respect to one fabric angle.
+def denergy_dtheta_shift(state: Statevector, frame: Frame, g: int) -> float:
+    """Shift-rule energy derivative with respect to one fabric angle of a frame.
 
     The spin-locked pair is unlocked and each spin's gate is differentiated
     with the exact two-frequency rule (symmetric differences at pi/4 and
-    pi/2), eight evaluations in total. The unshifted spin's operator and the
-    frame diagonal are built once per call.
+    pi/2), eight evaluations in total. The unshifted spin keeps the frame's
+    operator; the four shifted operators are built per call.
     """
-    fabric = _check_leaf_angle(fac, leaf_id, g)
+    _check_angle(frame, g)
     psi = state.matrix()
-    diag = _frame_diagonal(fac, leaf_id)
-    fixed = _fabric_operator(fabric, fabric.angles)
     total = 0.0
     for step, coeff in SHIFT_STEPS:
         for sign in (1.0, -1.0):
-            angles = fabric.angles.copy()
+            angles = frame.fabric.angles.copy()
             angles[g] += sign * step
-            shifted = _fabric_operator(fabric, angles)
+            shifted = _fabric_operator(frame.fabric, angles)
             # alpha gate shifted (columns), then beta gate shifted (rows)
-            for rotated in (fixed.T @ psi @ shifted, shifted.T @ psi @ fixed):
-                total += sign * coeff * float(np.sum(diag * np.abs(rotated) ** 2))
+            for rotated in (frame.M.T @ psi @ shifted, shifted.T @ psi @ frame.M):
+                total += sign * coeff * float(np.sum(frame.D * np.abs(rotated) ** 2))
     return total
 
 
-def denergy_dtheta_direct(state: Statevector, fac: XDFFactorization,
-                          leaf_id, g: int) -> float:
+def denergy_dtheta_direct(state: Statevector, frame: Frame, g: int) -> float:
     """Analytic statevector differentiation of the same angle derivative."""
-    fabric = _check_leaf_angle(fac, leaf_id, g)
+    _check_angle(frame, g)
+    fabric = frame.fabric
     op = np.eye(1 << fabric.n)
     dop = np.zeros_like(op)
     for idx, ((m, _), theta) in enumerate(zip(fabric.pivots, fabric.angles)):
@@ -313,8 +339,7 @@ def denergy_dtheta_direct(state: Statevector, fac: XDFFactorization,
     psi = state.matrix()
     rotated = op.T @ psi @ op
     drotated = dop.T @ psi @ op + op.T @ psi @ dop
-    diag = _frame_diagonal(fac, leaf_id)
-    return 2.0 * float(np.real(np.vdot(drotated, diag * rotated)))
+    return 2.0 * float(np.real(np.vdot(drotated, frame.D * rotated)))
 
 
 # ---------------------------------------------------------------------------

@@ -71,7 +71,6 @@ class DerivativeReport:
     numerical: float
     abs_diff: float
     step: float
-    ablated: str | None = None
 
     def passed(self, tol: float = DERIVATIVE_TOL) -> bool:
         return self.abs_diff < tol
@@ -127,12 +126,11 @@ def five_point_derivative(f, step: float) -> float:
 
 
 def run_pipeline(ham: Hamiltonian, regime: RegimeSpec,
-                 seed_params: np.ndarray | None = None,
-                 require_converged: bool = True) -> Pipeline:
+                 seed_params: np.ndarray | None = None) -> Pipeline:
     fac = factorize(ham, regime.truncation)
     cfg = AnsatzConfig(regime.n_layers, regime.ansatz_seed)
     result = vqe.optimize(fac, cfg, tol=regime.vqe_tol, seed_params=seed_params)
-    if require_converged and not result.converged:
+    if not result.converged:
         raise RuntimeError(
             f"VQE did not reach gradient {regime.vqe_tol:.1e} in regime {regime.name}")
     state = vqe.prepare_state(fac, cfg, result.params)
@@ -209,7 +207,7 @@ def run_regime_suite(ham: Hamiltonian, specs, perturbations,
             numerical = fd_energy_derivative(ham, pert, regime, eps_step, base)
             reports.append(DerivativeReport(
                 regime.name, pert.label or pert.kind, analytic, numerical,
-                abs(analytic - numerical), eps_step, ablate))
+                abs(analytic - numerical), eps_step))
     return reports
 
 

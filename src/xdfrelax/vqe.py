@@ -28,6 +28,8 @@ __all__ = [
     "exact_ground_state",
 ]
 
+RESTARTS = 2  # random restarts after a cold start that fails to converge
+
 
 @dataclass(frozen=True)
 class AnsatzConfig:
@@ -199,18 +201,22 @@ def _grown_start(fac: XDFFactorization, cfg: AnsatzConfig, tol: float,
 
 
 def optimize(fac: XDFFactorization, cfg: AnsatzConfig, tol: float = 1e-10,
-             seed_params: np.ndarray | None = None, maxiter: int = 2000,
-             n_restarts: int = 2) -> VQEResult:
+             seed_params: np.ndarray | None = None, maxiter: int = 2000) -> VQEResult:
     """Minimize the factorized energy over the ansatz angles.
 
     Deterministic for fixed (seed, seed_params, tol). When ``seed_params`` is
     given the optimization starts exactly there, which keeps displaced
     re-optimizations on the same local minimum. Cold starts grow the ansatz
     layer by layer before full-depth refinement. Non-convergence is reported
-    through the ``converged`` flag, not raised.
+    through the ``converged`` flag, not raised. An ansatz without parameters
+    (no layers, or one orbital) leaves the reference state, which is
+    trivially stationary.
     """
     if tol <= 0:
         raise ValueError("tolerance must be positive")
+    if n_parameters(fac.n_orbitals, cfg) == 0:
+        energy, _ = _energy_and_gradient(fac, cfg, np.zeros(0))
+        return VQEResult(np.zeros(0), energy, 0.0, True, 0)
 
     candidates = []
     total_iters = 0
@@ -230,7 +236,7 @@ def optimize(fac: XDFFactorization, cfg: AnsatzConfig, tol: float = 1e-10,
     else:
         ok = attempt(_grown_start(fac, cfg, tol, maxiter))
         rng = np.random.default_rng(cfg.seed + 1)
-        for _ in range(n_restarts):
+        for _ in range(RESTARTS):
             if ok:
                 break
             ok = attempt(0.2 * rng.standard_normal(n_parameters(fac.n_orbitals, cfg)))

@@ -5,6 +5,10 @@ its eigenproblem is solved in the packed symmetric-pair basis. Each of the
 N (N + 1) / 2 eigenpairs (g, V) forms a leaf; the symmetric eigen-matrix V is
 then itself eigendecomposed into an orthogonal frame U and spectrum lambda,
 yielding the diagonal two-body couplings Z = g * outer(lambda, lambda).
+
+A factorization carries its measurement frames, built once on construction:
+the one-body frame first, then one per retained leaf, each from the Givens
+fabric of its orbital frame (``qsim.Frame``).
 """
 
 from __future__ import annotations
@@ -13,8 +17,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .givens import GivensFabric, decompose
+from .givens import decompose
 from .hammodel import EffectiveOperators, Hamiltonian, effective_operators
+from .qsim import Frame, leaf_frame, one_body_frame
 
 __all__ = [
     "XDFLeaf",
@@ -96,7 +101,8 @@ class XDFFactorization:
 
     Leaves are sorted by descending |g|; the retained set is the length-T
     prefix. Discarded leaves stay available as data: the inter-leaf response
-    couples retained to discarded frames.
+    couples retained to discarded frames. ``frames`` holds the one-body frame
+    and then the frame of each retained leaf.
     """
 
     n_orbitals: int
@@ -108,13 +114,16 @@ class XDFFactorization:
     leaves: tuple[XDFLeaf, ...]
     retained: int
     ham: Hamiltonian
-    _fabric_cache: dict = field(default_factory=dict, repr=False)
+    frames: tuple[Frame, ...] = field(init=False, repr=False)
 
     def __post_init__(self):
         for name in ("U0", "F0"):
             arr = np.array(getattr(self, name), dtype=float)
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
+        frames = (one_body_frame(decompose(self.U0), self.F0),
+                  *(leaf_frame(decompose(leaf.U), leaf) for leaf in self.retained_leaves))
+        object.__setattr__(self, "frames", frames)
 
     @property
     def n_leaves(self) -> int:
@@ -127,16 +136,6 @@ class XDFFactorization:
     @property
     def g_values(self) -> np.ndarray:
         return np.array([leaf.g for leaf in self.leaves])
-
-    def fabric0(self) -> GivensFabric:
-        if "0" not in self._fabric_cache:
-            self._fabric_cache["0"] = decompose(self.U0)
-        return self._fabric_cache["0"]
-
-    def leaf_fabric(self, t: int) -> GivensFabric:
-        if t not in self._fabric_cache:
-            self._fabric_cache[t] = decompose(self.leaves[t].U)
-        return self._fabric_cache[t]
 
 
 def _sign_fix_columns(u: np.ndarray) -> np.ndarray:

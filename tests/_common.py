@@ -113,14 +113,13 @@ def ref_apply_hamiltonian(state: qsim.Statevector, fac: xdf.XDFFactorization) ->
     occ = bits[:, :n] + bits[:, n:]
     z = 2.0 - 2.0 * occ  # Z_alpha + Z_beta per orbital
     out = fac.eff.scalar_offset * np.array(state.amplitudes)
-    frames = [(fac.fabric0(), (occ - 1.0) @ fac.F0)]
-    for t in range(fac.retained):
-        z_mat = xdf.z_tensor(fac.leaves[t])
-        diag = 0.125 * np.einsum("xk,kl,xl->x", z, z_mat, z) - 0.25 * np.trace(z_mat)
-        frames.append((fac.leaf_fabric(t), diag))
-    for fabric, diag in frames:
-        rotated = ref_apply_fabric(state, fabric, dagger=True)
-        out += ref_apply_fabric(qsim.Statevector(n, diag * rotated), fabric)
+    diags = [(occ - 1.0) @ fac.F0]
+    for leaf in fac.retained_leaves:
+        z_mat = xdf.z_tensor(leaf)
+        diags.append(0.125 * np.einsum("xk,kl,xl->x", z, z_mat, z) - 0.25 * np.trace(z_mat))
+    for frame, diag in zip(fac.frames, diags, strict=True):
+        rotated = ref_apply_fabric(state, frame.fabric, dagger=True)
+        out += ref_apply_fabric(qsim.Statevector(n, diag * rotated), frame.fabric)
     return out
 
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from xdfrelax import cli
-from xdfrelax.hammodel import synth_hamiltonian, write_fcidump
+from xdfrelax.hammodel import Hamiltonian, synth_hamiltonian, write_fcidump
 
 from _common import regime_fixture
 
@@ -155,3 +155,23 @@ def test_byte_identical_reruns(fcidump_n3, tmp_path):
     assert cli.main(args + ["--out", str(out1)]) == 0
     assert cli.main(args + ["--out", str(out2)]) == 0
     assert out1.read_bytes() == out2.read_bytes()
+
+
+def test_one_orbital_model(tmp_path):
+    # NORB=1, NELEC=2: the ansatz has no parameters, so the reference state is
+    # the answer, E = core + 2 h + (00|00) = -1.4
+    ham = Hamiltonian(1, 1, 1, 0.5, np.array([[-1.2]]), np.full((1, 1, 1, 1), 0.5))
+    path = tmp_path / "n1.fcidump"
+    path.write_text(write_fcidump(ham), encoding="ascii")
+    code, payload = _run(["vqe", "--fcidump", str(path), "--layers", "2"], tmp_path)
+    assert code == 0
+    assert payload["converged"] is True and payload["n_iterations"] == 0
+    assert abs(payload["energy"] + 1.4) <= 1e-12
+    code, payload = _run(["rdm", "--fcidump", str(path), "--layers", "2"], tmp_path)
+    assert code == 0
+    assert abs(payload["energy"] + 1.4) <= 1e-12
+    assert payload["oracle"]["gamma_max_abs_diff"] <= 1e-12
+    assert payload["oracle"]["Gamma_max_abs_diff"] <= 1e-12
+    code, payload = _run(["vqe", "--fcidump", str(path), "--layers", "0"], tmp_path)
+    assert code == 1
+    assert payload["error"].startswith("--layers ")

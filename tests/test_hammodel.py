@@ -124,7 +124,6 @@ def test_effective_operators_vanishing_two_body():
     ham = Hamiltonian(2, 1, 1, 0.25, h, np.zeros((2, 2, 2, 2)))
     eff = effective_operators(ham)
     np.testing.assert_allclose(eff.eff_one_body, h, atol=1e-15)
-    np.testing.assert_allclose(eff.kappa, h, atol=1e-15)
     assert abs(eff.scalar_offset - (0.25 + np.trace(h))) < 1e-14
 
 
@@ -146,8 +145,6 @@ def test_effective_operators_hand_values():
     assert abs(eff.scalar_offset - 3.825) < 1e-14
     np.testing.assert_allclose(eff.eff_one_body,
                                [[1.6, 0.575], [0.575, 2.55]], atol=1e-14)
-    np.testing.assert_allclose(eff.kappa,
-                               [[0.5, 0.425], [0.425, 1.55]], atol=1e-14)
 
 
 @pytest.mark.parametrize("n,seed", [(2, 1), (4, 2), (6, 3)])
@@ -155,22 +152,16 @@ def test_effective_operators_against_loop_oracle(n, seed):
     ham = synth_hamiltonian(n, 1, 1, seed)
     eff = effective_operators(ham)
     f_loop = np.zeros((n, n))
-    k_loop = np.zeros((n, n))
     for p in range(n):
         for q in range(n):
             direct = sum(ham.two_body[p, q, r, r] for r in range(n))
             exch = sum(ham.two_body[p, r, q, r] for r in range(n))
             f_loop[p, q] = ham.one_body[p, q] + direct - 0.5 * exch
-            k_loop[p, q] = ham.one_body[p, q] - 0.5 * exch
     scalar_loop = ham.core_energy + sum(ham.one_body[p, p] for p in range(n))
     scalar_loop += 0.5 * sum(ham.two_body[p, p, q, q] for p in range(n) for q in range(n))
     scalar_loop -= 0.25 * sum(ham.two_body[p, q, p, q] for p in range(n) for q in range(n))
     np.testing.assert_allclose(eff.eff_one_body, f_loop, atol=1e-12)
-    np.testing.assert_allclose(eff.kappa, k_loop, atol=1e-12)
     assert abs(eff.scalar_offset - scalar_loop) < 1e-12
-    # the two conventions differ exactly by the direct term
-    direct = np.einsum("pqrr->pq", ham.two_body)
-    np.testing.assert_allclose(eff.eff_one_body - eff.kappa, direct, atol=1e-12)
 
 
 def test_interpolate_endpoints_and_midpoint():

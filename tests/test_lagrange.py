@@ -9,8 +9,7 @@ from xdfrelax.lagrange import (
     relaxed_Gamma,
     relaxed_gamma,
     solve_eta,
-    solve_mu0,
-    solve_mu_leaf,
+    solve_mu,
     solve_nu,
 )
 from xdfrelax.qsim import EigenbasisDensities
@@ -31,8 +30,8 @@ def test_eta_zero_for_rotation_invariant_state():
     ham = synth_hamiltonian(3, 0, 0, 2)
     fac = factorize(ham, TruncationPolicy.exact())
     vacuum = qsim.hf_reference(3, 0, 0)
-    for leaf_id in [None, 0, 1]:
-        eta, _ = solve_eta(fac, vacuum, leaf_id)
+    for frame in fac.frames:
+        eta, _ = solve_eta(frame, vacuum)
         assert np.max(np.abs(eta)) < 1e-12
 
 
@@ -40,27 +39,26 @@ def test_eta_zero_for_diagonal_one_body_hf():
     ham = zero_two_body(3, 1, 1, [-2.0, -1.0, 0.5])
     fac = factorize(ham, TruncationPolicy.exact())
     state = qsim.hf_reference(3, 1, 1)
-    assert np.max(np.abs(solve_eta(fac, state, None)[0])) < 1e-12
+    assert np.max(np.abs(solve_eta(fac.frames[0], state)[0])) < 1e-12
 
 
 def test_eta_scalar_closed_form_n2():
     _, fac, state = _stationary_pipeline(2, 1, 1, 7)
-    fabric = fac.fabric0()
-    de = qsim.denergy_dtheta_shift(state, fac, None, 0)
-    a00 = jacobian(fabric).matrix[0, 0]
-    eta, _ = solve_eta(fac, state, None)
+    frame = fac.frames[0]
+    de = qsim.denergy_dtheta_shift(state, frame, 0)
+    a00 = jacobian(frame.fabric).matrix[0, 0]
+    eta, _ = solve_eta(frame, state)
     assert abs(eta[1, 0] - (-de / a00)) < 1e-12
 
 
 def test_eta_residual_random_fixture():
     _, fac, state = _stationary_pipeline(3, 2, 1, 4)
-    for leaf_id in [None] + list(range(fac.retained)):
-        fabric = fac.fabric0() if leaf_id is None else fac.leaf_fabric(leaf_id)
-        jac = jacobian(fabric)
-        eta, residual = solve_eta(fac, state, leaf_id)
+    for frame in fac.frames:
+        jac = jacobian(frame.fabric)
+        eta, residual = solve_eta(frame, state)
         eta_vec = np.array([eta[p, k] for p, k in jac.lower_indices])
-        rhs = -np.array([qsim.denergy_dtheta_shift(state, fac, leaf_id, g)
-                         for g in range(len(fabric.pivots))])
+        rhs = -np.array([qsim.denergy_dtheta_shift(state, frame, g)
+                         for g in range(len(frame.fabric.pivots))])
         assert np.max(np.abs(jac.matrix @ eta_vec - rhs)) < 1e-10
         assert residual == np.max(np.abs(jac.matrix @ eta_vec - rhs))
 
@@ -79,15 +77,14 @@ def test_eta_warns_on_nonstationary_state():
 def test_mu_zero_when_eta_zero():
     n = 3
     zeros = np.zeros((n, n))
-    assert np.max(np.abs(solve_mu0(zeros, np.eye(n), np.array([1.0, 2.0, 3.0])))) == 0.0
-    assert np.max(np.abs(solve_mu_leaf(zeros, np.eye(n), np.array([1.0, 2.0, 3.0])))) == 0.0
+    assert np.max(np.abs(solve_mu(zeros, np.eye(n), np.array([1.0, 2.0, 3.0])))) == 0.0
 
 
 def test_mu_scalar_quotient_n2():
     eta = np.array([[0.0, 0.0], [0.7, 0.0]])
     u = np.array([[np.cos(0.3), -np.sin(0.3)], [np.sin(0.3), np.cos(0.3)]])
     f0 = np.array([-1.5, 0.5])
-    mu = solve_mu0(eta, u, f0)
+    mu = solve_mu(eta, u, f0)
     eta_eig = u.T @ eta
     expected = (eta_eig[1, 0] - eta_eig[0, 1]) / (f0[1] - f0[0])
     assert abs(mu[1, 0] - expected) < 1e-14
@@ -99,8 +96,8 @@ def test_mu_solves_are_linear():
     eta = np.tril(rng.standard_normal((4, 4)), k=-1)
     u = np.linalg.qr(rng.standard_normal((4, 4)))[0]
     spec = np.array([0.1, 0.5, 1.7, 3.0])
-    np.testing.assert_allclose(solve_mu0(2.0 * eta, u, spec),
-                               2.0 * solve_mu0(eta, u, spec), atol=1e-13)
+    np.testing.assert_allclose(solve_mu(2.0 * eta, u, spec),
+                               2.0 * solve_mu(eta, u, spec), atol=1e-13)
 
 
 def test_mu_guard_triggers_only_below_cutoff():
@@ -108,7 +105,7 @@ def test_mu_guard_triggers_only_below_cutoff():
     u = np.eye(3)
     # pair (2, 1) is within the guard of the 3-unit spectral range; (1, 0) is not
     spec = np.array([-1.0, 2.0, 2.0 + 1e-9])
-    mu = solve_mu_leaf(eta, u, spec)
+    mu = solve_mu(eta, u, spec)
     assert mu[2, 1] == 0.0
     assert mu[1, 0] != 0.0
     assert mu[2, 0] != 0.0

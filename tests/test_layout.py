@@ -1,4 +1,5 @@
-"""Package modules use each other only through public names."""
+"""Package modules use each other only through public names, and their
+dataclasses hold no mutable containers."""
 
 import ast
 from pathlib import Path
@@ -45,3 +46,57 @@ def test_finder_flags_private_access():
 @pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
 def test_no_private_reach_ins(path):
     assert private_reach_ins(path.read_text(encoding="utf-8")) == []
+
+
+MUTABLE_FACTORIES = {"dict", "list", "set"}
+
+
+def _terminal_name(node) -> str | None:
+    """``f`` for ``f``, ``m.f``, ``f(...)`` and ``m.f(...)``."""
+    if isinstance(node, ast.Call):
+        node = node.func
+    if isinstance(node, ast.Attribute):
+        return node.attr
+    return node.id if isinstance(node, ast.Name) else None
+
+
+def mutable_dataclass_fields(source: str) -> list[str]:
+    """``Class.name`` of every dataclass field declared with
+    ``field(default_factory=dict|list|set)``."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if not (isinstance(node, ast.ClassDef)
+                and any(_terminal_name(d) == "dataclass" for d in node.decorator_list)):
+            continue
+        for stmt in node.body:
+            if not (isinstance(stmt, ast.AnnAssign) and isinstance(stmt.value, ast.Call)
+                    and _terminal_name(stmt.value) == "field"):
+                continue
+            if any(kw.arg == "default_factory" and _terminal_name(kw.value) in MUTABLE_FACTORIES
+                   for kw in stmt.value.keywords):
+                found.append(f"{node.name}.{stmt.target.id}")
+    return found
+
+
+def test_finder_flags_mutable_dataclass_fields():
+    source = (
+        "import dataclasses\n"
+        "from dataclasses import dataclass, field\n"
+        "@dataclass(frozen=True)\n"
+        "class A:\n"
+        "    cache: dict = field(default_factory=dict, repr=False)\n"
+        "    items: list = dataclasses.field(default_factory=list)\n"
+        "    frames: tuple = field(init=False)\n"
+        "    names: tuple = field(default_factory=tuple)\n"
+        "@dataclasses.dataclass\n"
+        "class B:\n"
+        "    seen: set = field(default_factory=set)\n"
+        "class C:\n"
+        "    table: dict = field(default_factory=dict)\n"
+    )
+    assert mutable_dataclass_fields(source) == ["A.cache", "A.items", "B.seen"]
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_no_mutable_dataclass_fields(path):
+    assert mutable_dataclass_fields(path.read_text(encoding="utf-8")) == []

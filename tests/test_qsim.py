@@ -72,7 +72,7 @@ def test_gates_preserve_norm_and_sector(seed):
     state = random_sector_state(fac, seed)
     assert abs(state.norm() - 1.0) < 1e-12
     assert state.electron_counts() == (2, 1)
-    rotated = apply_orbital_rotation(state, fac.fabric0())
+    rotated = apply_orbital_rotation(state, fac.frames[0].fabric)
     assert abs(rotated.norm() - 1.0) < 1e-12
     assert rotated.electron_counts() == (2, 1)
     exchanged = np.array(state.amplitudes)
@@ -97,7 +97,7 @@ def test_omega0_on_hf_reference():
 def test_omega0_sum_rule(n, na, nb, seed):
     fac = factorize(synth_hamiltonian(n, na, nb, seed), TruncationPolicy.exact())
     state = random_sector_state(fac, seed + 40)
-    omega0 = measure_omega0(state, fac.fabric0())
+    omega0 = measure_omega0(state, fac.frames[0].fabric)
     assert np.all(omega0 <= 1.0 + 1e-12) and np.all(omega0 >= -1.0 - 1e-12)
     assert abs(np.sum(omega0) - (na + nb - n)) < 1e-12
 
@@ -105,7 +105,7 @@ def test_omega0_sum_rule(n, na, nb, seed):
 def test_omega0_rotation_then_inverse():
     fac = factorize(synth_hamiltonian(3, 1, 1, 9), TruncationPolicy.exact())
     state = random_sector_state(fac, 5)
-    fabric = fac.fabric0()
+    fabric = fac.frames[0].fabric
     rotated = apply_orbital_rotation(apply_orbital_rotation(state, fabric),
                                      fabric, dagger=True)
     np.testing.assert_allclose(
@@ -126,13 +126,14 @@ def test_omega_measurements_are_rdm_projections(seed):
     state = random_sector_state(fac, seed)
     gamma, big = measure_rdms_direct(state)
 
-    omega0 = measure_omega0(state, fac.fabric0())
+    omega0 = measure_omega0(state, fac.frames[0].fabric)
     np.testing.assert_allclose(omega0, np.diag(fac.U0.T @ gamma @ fac.U0) - 1.0,
                                atol=1e-12)
 
-    for t in range(fac.n_leaves):
-        u = fac.leaves[t].U
-        omega = measure_omega_leaf(state, fac.leaf_fabric(t))
+    assert fac.retained == fac.n_leaves
+    for leaf, frame in zip(fac.leaves, fac.frames[1:], strict=True):
+        u = leaf.U
+        omega = measure_omega_leaf(state, frame.fabric)
         np.testing.assert_allclose(omega, omega.T, atol=1e-12)
         g_t = u.T @ gamma @ u
         big_t = np.einsum("pk,ql,rm,so,pqrs->klmo", u, u, u, u, big)
@@ -191,21 +192,21 @@ def test_shift_rule_zero_for_unsupported_angle():
     ham = zero_two_body(3, 1, 1, [-2.0, -1.0, 0.5])
     fac = factorize(ham, TruncationPolicy.exact())
     state = hf_reference(3, 1, 1)
-    fabric = fac.fabric0()
+    frame = fac.frames[0]
     # identity fabric here: angles are zero, pivot 1 is slot index 1
-    assert fabric.pivots[1] == (1, 2)
-    assert abs(denergy_dtheta_shift(state, fac, None, 1)) < 1e-14
+    assert frame.fabric.pivots[1] == (1, 2)
+    assert abs(denergy_dtheta_shift(state, frame, 1)) < 1e-14
 
 
 @pytest.mark.parametrize("seed", [0, 4])
 def test_shift_rule_every_angle_every_leaf(seed):
     fac = factorize(synth_hamiltonian(3, 2, 1, 4), TruncationPolicy.exact())
     state = random_sector_state(fac, seed + 99)
-    for leaf_id in [None] + list(range(fac.retained)):
-        fabric = fac.fabric0() if leaf_id is None else fac.leaf_fabric(leaf_id)
+    for k, frame in enumerate(fac.frames):
+        fabric = frame.fabric
         for g in range(len(fabric.pivots)):
-            shift = denergy_dtheta_shift(state, fac, leaf_id, g)
-            direct = denergy_dtheta_direct(state, fac, leaf_id, g)
+            shift = denergy_dtheta_shift(state, frame, g)
+            direct = denergy_dtheta_direct(state, frame, g)
             assert abs(shift - direct) < 1e-10
 
             step = 1e-5
@@ -213,25 +214,27 @@ def test_shift_rule_every_angle_every_leaf(seed):
             plus[g] += step
             minus = fabric.angles.copy()
             minus[g] -= step
-            fd = (_frame_energy(state, fac, leaf_id, fabric.with_angles(plus))
-                  - _frame_energy(state, fac, leaf_id, fabric.with_angles(minus))) / (2 * step)
+            fd = (_frame_energy(state, fac, k, fabric.with_angles(plus))
+                  - _frame_energy(state, fac, k, fabric.with_angles(minus))) / (2 * step)
             assert abs(shift - fd) < 1e-7
 
 
-def _frame_energy(state, fac, leaf_id, fabric):
-    """Energy contribution of one frame measured through the given fabric."""
-    if leaf_id is None:
+def _frame_energy(state, fac, k, fabric):
+    """Energy contribution of frame k measured through the given fabric."""
+    if k == 0:
         return float(fac.F0 @ measure_omega0(state, fabric))
-    return float(np.sum(fac.leaves[leaf_id].Z * measure_omega_leaf(state, fabric)))
+    return float(np.sum(fac.leaves[k - 1].Z * measure_omega_leaf(state, fabric)))
 
 
 def test_shift_rule_rejects_bad_indices():
     fac = factorize(synth_hamiltonian(3, 1, 1, 2), TruncationPolicy.by_count(2))
     state = hf_reference(3, 1, 1)
-    with pytest.raises(ValueError):
-        denergy_dtheta_shift(state, fac, 5, 0)
-    with pytest.raises(ValueError):
-        denergy_dtheta_shift(state, fac, None, 99)
+    for frame in fac.frames:
+        for g in (-1, 3, 99):
+            with pytest.raises(ValueError):
+                denergy_dtheta_shift(state, frame, g)
+            with pytest.raises(ValueError):
+                denergy_dtheta_direct(state, frame, g)
 
 
 def test_statevector_guards():
@@ -250,7 +253,7 @@ def test_statevector_guards():
 def test_fabric_matches_reference_kernel(n, na, nb, seed):
     fac = factorize(synth_hamiltonian(n, na, nb, seed), TruncationPolicy.exact())
     state = random_sector_state(fac, seed + 20)
-    for fabric in (fac.fabric0(), fac.leaf_fabric(0),
+    for fabric in (fac.frames[0].fabric, fac.frames[1].fabric,
                    givens.decompose(givens.random_special_orthogonal(n, seed))):
         for dagger in (False, True):
             out = apply_orbital_rotation(state, fabric, dagger=dagger)
@@ -293,3 +296,33 @@ def test_gate_primitive_matches_reference_kernel(n):
         ref_rotate_pair(ref, 2 * n, n + m, n + m + 1, -theta)
         ref_pair_exchange(ref, n, m, 2.0 * theta)
     assert np.max(np.abs(amps - ref)) <= 1e-12
+
+
+# Frames: built once per factorization, one-body first, then retained leaves.
+
+
+@pytest.mark.parametrize("policy", [TruncationPolicy.exact(), TruncationPolicy.by_count(2)])
+def test_frames_follow_the_factorization(policy):
+    fac = factorize(synth_hamiltonian(4, 2, 2, 13), policy)
+    assert len(fac.frames) == fac.retained + 1
+    orbitals = [fac.U0] + [leaf.U for leaf in fac.retained_leaves]
+    for frame, u in zip(fac.frames, orbitals, strict=True):
+        assert np.max(np.abs(givens.reconstruct(frame.fabric) - u)) <= 1e-10
+        for arr in (frame.M, frame.D):
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError):
+                arr[0, 0] = 0.0
+
+
+def test_factorized_operators_do_no_gate_work(monkeypatch):
+    fac = factorize(synth_hamiltonian(3, 2, 1, 3), TruncationPolicy.by_count(4))
+    state = random_sector_state(fac, 12)
+    expected = ref_apply_hamiltonian(state, fac)
+    omega0 = measure_omega0(state, fac.frames[0].fabric)
+
+    def refuse(*args):
+        raise AssertionError("gate applied after the factorization was built")
+
+    monkeypatch.setattr(qsim, "rotate_pair", refuse)
+    assert np.max(np.abs(qsim.apply_hamiltonian(state, fac) - expected)) <= 1e-12
+    np.testing.assert_array_equal(qsim.measure_densities(state, fac).omega0, omega0)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from xdfrelax import qsim, vqe
-from xdfrelax.hammodel import synth_hamiltonian
+from xdfrelax.hammodel import Hamiltonian, synth_hamiltonian
 from xdfrelax.vqe import (
     AnsatzConfig,
     ansatz_blocks,
@@ -149,3 +149,24 @@ def test_adjoint_gradient_matches_shift_rule(n, na, nb, seed, layers):
     energy, grad = vqe._energy_and_gradient(fac, cfg, params)
     assert abs(energy - qsim.energy(prepare_state(fac, cfg, params), fac)) <= 1e-12
     assert np.max(np.abs(grad - ansatz_gradient(fac, cfg, params))) <= 1e-12
+
+
+def _one_orbital_model() -> Hamiltonian:
+    # one doubly occupied orbital: E = core + 2 h + (00|00) = 0.5 - 2.4 + 0.5
+    return Hamiltonian(1, 1, 1, 0.5, np.array([[-1.2]]), np.full((1, 1, 1, 1), 0.5))
+
+
+@pytest.mark.parametrize("ham,cfg,expected", [
+    (synth_hamiltonian(2, 1, 1, 7), AnsatzConfig(0), None),
+    (_one_orbital_model(), AnsatzConfig(2), -1.4),
+])
+def test_optimize_without_parameters_keeps_reference(ham, cfg, expected):
+    fac = factorize(ham, TruncationPolicy.exact())
+    assert n_parameters(fac.n_orbitals, cfg) == 0
+    result = optimize(fac, cfg)
+    reference = qsim.hf_reference(fac.n_orbitals, fac.n_alpha, fac.n_beta)
+    assert result.params.shape == (0,)
+    assert result.converged and result.grad_norm == 0.0 and result.n_iterations == 0
+    assert abs(result.energy - qsim.energy(reference, fac)) <= 1e-12
+    if expected is not None:
+        assert abs(result.energy - expected) <= 1e-12
