@@ -274,7 +274,7 @@ def main(argv=None) -> int:
         _check_flags(args)
         payload = args.func(args)
         code = EXIT_OK
-    except (FileNotFoundError, ValueError) as exc:
+    except (OSError, ValueError) as exc:
         payload, code = {"error": str(exc)}, EXIT_INPUT
     except NonConvergence as exc:
         payload, code = {"error": str(exc)}, EXIT_NONCONVERGED

@@ -86,39 +86,23 @@ class FabricJacobian:
     N (N - 1) / 2.
     """
 
-    n: int
     matrix: np.ndarray
     lower_indices: tuple[tuple[int, int], ...]
 
 
-def _plane_rotation(n: int, m: int, theta: float) -> np.ndarray:
-    g = np.eye(n)
+def _rotate_rows(u: np.ndarray, m: int, theta: float) -> None:
+    """Left-multiply u in place by the pivot (m, m+1) rotation at theta."""
     c, s = np.cos(theta), np.sin(theta)
-    g[m, m] = c
-    g[m, m + 1] = -s
-    g[m + 1, m] = s
-    g[m + 1, m + 1] = c
-    return g
-
-
-def _plane_rotation_derivative(n: int, m: int, theta: float) -> np.ndarray:
-    g = np.zeros((n, n))
-    c, s = np.cos(theta), np.sin(theta)
-    g[m, m] = -s
-    g[m, m + 1] = -c
-    g[m + 1, m] = c
-    g[m + 1, m + 1] = -s
-    return g
+    row_m = u[m].copy()
+    u[m] = c * row_m - s * u[m + 1]
+    u[m + 1] = s * row_m + c * u[m + 1]
 
 
 def reconstruct(fabric: GivensFabric) -> np.ndarray:
     """Ordered product of the fabric's plane rotations (first pivot applied first)."""
     u = np.eye(fabric.n)
     for (m, _), theta in zip(fabric.pivots, fabric.angles):
-        c, s = np.cos(theta), np.sin(theta)
-        row_m = u[m].copy()
-        u[m] = c * row_m - s * u[m + 1]
-        u[m + 1] = s * row_m + c * u[m + 1]
+        _rotate_rows(u, m, theta)
     return u
 
 
@@ -161,20 +145,14 @@ def decompose(u: np.ndarray) -> GivensFabric:
             for j in range(i):
                 row, col = n - 1 - j, i - 1 - j
                 theta = np.arctan2(-work[row, col], work[row, col + 1])
-                c, s = np.cos(theta), np.sin(theta)
-                col_m = work[:, col].copy()
-                work[:, col] = c * col_m + s * work[:, col + 1]
-                work[:, col + 1] = -s * col_m + c * work[:, col + 1]
+                _rotate_rows(work.T, col, -theta)
                 right_ops.append((col, theta))
         else:
             for j in range(1, i + 1):
                 row, col = n - 1 + j - i, j - 1
                 m = row - 1
                 theta = np.arctan2(-work[row, col], work[m, col])
-                c, s = np.cos(theta), np.sin(theta)
-                row_m = work[m].copy()
-                work[m] = c * row_m - s * work[row]
-                work[row] = s * row_m + c * work[row]
+                _rotate_rows(work, m, theta)
                 left_ops.append((m, theta))
 
     diag = np.diagonal(work).copy()
@@ -277,32 +255,29 @@ def _reduce_branch(pivots, angles: np.ndarray) -> np.ndarray:
 
 
 def jacobian(fabric: GivensFabric) -> FabricJacobian:
-    """Angle derivatives of the reconstructed matrix's strictly-lower triangle."""
+    """Angle derivatives of the reconstructed matrix's strictly-lower triangle.
+
+    With P the product of the gates before gate g on pivot (m, m+1),
+    dU/dtheta_g = U (outer(P[m+1], P[m]) - outer(P[m], P[m+1])); one forward
+    sweep carries P through the gates and records those two rows.
+    """
     n = fabric.n
-    k = len(fabric.pivots)
-    gates = [_plane_rotation(n, m, t) for (m, _), t in zip(fabric.pivots, fabric.angles)]
-    prefix = [np.eye(n)]
-    for g in gates:
-        prefix.append(g @ prefix[-1])
-    suffix = [np.eye(n)]
-    for g in reversed(gates):
-        suffix.append(suffix[-1] @ g)
-    suffix.reverse()  # suffix[i] = G_K ... G_{i+1}
-
-    lower = lower_triangle_indices(n)
-    rows = np.zeros((k, len(lower)))
-    for g in range(k):
-        m = fabric.pivots[g][0]
-        dgate = _plane_rotation_derivative(n, m, fabric.angles[g])
-        du = suffix[g + 1] @ dgate @ prefix[g]
-        rows[g] = [du[p, q] for p, q in lower]
-    return FabricJacobian(n, rows, lower)
+    prefix = np.eye(n)
+    lo = np.empty((len(fabric.pivots), n))  # row m of P before each gate
+    hi = np.empty_like(lo)  # row m+1
+    for g, ((m, _), theta) in enumerate(zip(fabric.pivots, fabric.angles)):
+        lo[g], hi[g] = prefix[m], prefix[m + 1]
+        _rotate_rows(prefix, m, theta)
+    u_t = prefix.T  # after the last gate, P is the whole product U
+    rows, cols = np.tril_indices(n, -1)
+    matrix = (hi @ u_t)[:, rows] * lo[:, cols] - (lo @ u_t)[:, rows] * hi[:, cols]
+    return FabricJacobian(matrix, lower_triangle_indices(n))
 
 
-def pinv_solve(a, rhs: np.ndarray) -> np.ndarray:
+def pinv_solve(a: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     """Minimum-norm least-squares solve; small singular values are dropped."""
-    matrix = a.matrix if isinstance(a, FabricJacobian) else np.asarray(a, dtype=float)
-    solution, _, _, _ = np.linalg.lstsq(matrix, np.asarray(rhs, dtype=float), rcond=PINV_RCOND)
+    solution, _, _, _ = np.linalg.lstsq(np.asarray(a, dtype=float),
+                                        np.asarray(rhs, dtype=float), rcond=PINV_RCOND)
     return solution
 
 

@@ -84,15 +84,14 @@ def _lower_to_matrix(values: np.ndarray, n: int) -> np.ndarray:
 def solve_eta(frame: Frame, state: Statevector) -> tuple[np.ndarray, float]:
     """Fabric-angle multipliers of one frame from the pseudoinverted angle Jacobian.
 
-    Solves sum_{p>k} eta[p, k] * A[g, (p, k)] = -dE/dtheta_g with shift-rule
-    energy derivatives; returns the strictly-lower-triangular eta matrix and
-    the max-abs residual of the solve, warning when it exceeds
-    ``ETA_RESIDUAL_TOL``.
+    Solves sum_{p>k} eta[p, k] * A[g, (p, k)] = -dE/dtheta_g, with all energy
+    derivatives of the frame from one ``qsim.angle_gradient`` sweep; returns
+    the strictly-lower-triangular eta matrix and the max-abs residual of the
+    solve, warning when it exceeds ``ETA_RESIDUAL_TOL``.
     """
     jac = jacobian(frame.fabric)
-    rhs = -np.array([qsim.denergy_dtheta_shift(state, frame, g)
-                     for g in range(len(frame.fabric.pivots))])
-    eta_vec = pinv_solve(jac, rhs)
+    rhs = -qsim.angle_gradient(state, frame)
+    eta_vec = pinv_solve(jac.matrix, rhs)
     residual = float(np.max(np.abs(jac.matrix @ eta_vec - rhs))) if rhs.size else 0.0
     if residual > ETA_RESIDUAL_TOL:
         warnings.warn(
@@ -101,21 +100,22 @@ def solve_eta(frame: Frame, state: Statevector) -> tuple[np.ndarray, float]:
     return _lower_to_matrix(eta_vec, frame.fabric.n), residual
 
 
+def _guarded_quotients(x: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """Strictly-lower (x[a, b] - x[b, a]) / (values[a] - values[b]), zero where
+    the denominator is within ``DEGENERACY_GUARD`` x the spread of values
+    (a degenerate pair, whose numerator vanishes by symmetry)."""
+    spread = float(np.max(values) - np.min(values)) if len(values) else 0.0
+    denom = np.subtract.outer(values, values)
+    keep = np.tril(np.abs(denom) > DEGENERACY_GUARD * max(spread, 1e-300), -1)
+    out = np.zeros(denom.shape)
+    out[keep] = (x - x.T)[keep] / denom[keep]
+    return out
+
+
 def solve_mu(eta_lower: np.ndarray, u: np.ndarray, spectrum: np.ndarray) -> np.ndarray:
     """Eigenvector multipliers of one frame with orbitals ``u``: quotients over
     its spectrum (F0 for the one-body frame, lambda for a leaf)."""
-    eta_eig = u.T @ eta_lower
-    n = len(spectrum)
-    spread = float(np.max(spectrum) - np.min(spectrum)) if n else 0.0
-    cutoff = DEGENERACY_GUARD * max(spread, 1e-300)
-    mu = np.zeros((n, n))
-    for a in range(n):
-        for b in range(a):
-            denom = spectrum[a] - spectrum[b]
-            if abs(denom) <= cutoff:
-                continue  # degenerate pair: numerator vanishes by symmetry
-            mu[a, b] = (eta_eig[a, b] - eta_eig[b, a]) / denom
-    return mu
+    return _guarded_quotients(u.T @ eta_lower, spectrum)
 
 
 def solve_nu(fac: XDFFactorization, omegas: EigenbasisDensities,
@@ -127,7 +127,6 @@ def solve_nu(fac: XDFFactorization, omegas: EigenbasisDensities,
     nu is zero whenever both pair members are discarded.
     """
     n_leaves = fac.n_leaves
-    g_values = fac.g_values
     r_mat = np.zeros((n_leaves, n_leaves))
     for u, leaf in enumerate(fac.retained_leaves):
         w = omegas.omega[u] @ leaf.lam
@@ -137,17 +136,9 @@ def solve_nu(fac: XDFFactorization, omegas: EigenbasisDensities,
                 continue
             r_mat[up, u] = float(np.sum(fac.leaves[up].V * core))
 
-    spread = float(np.max(g_values) - np.min(g_values)) if n_leaves else 0.0
-    cutoff = DEGENERACY_GUARD * max(spread, 1e-300)
-    nu = np.zeros((n_leaves, n_leaves))
-    for t in range(n_leaves):
-        for u in range(t):
-            if t >= fac.retained and u >= fac.retained:
-                continue  # structurally zero: R vanishes for both members
-            denom = g_values[u] - g_values[t]
-            if abs(denom) <= cutoff:
-                continue
-            nu[t, u] = (r_mat[t, u] - r_mat[u, t]) / denom
+    # nu[t, u] = (R[t, u] - R[u, t]) / (g[u] - g[t])
+    nu = _guarded_quotients(r_mat, -fac.g_values)
+    nu[fac.retained:, fac.retained:] = 0.0  # structurally zero: R vanishes for both
     return nu
 
 

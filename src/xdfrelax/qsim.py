@@ -21,6 +21,11 @@ is a ``Frame``: its fabric, the fabric's M and the term's energy operator,
 diagonal in the rotated basis, as the matrix D[beta, alpha]. A factorization
 builds its frames once, the one-body frame first, then one per retained leaf.
 
+All angle derivatives of a frame's energy come from one forward sweep over its
+gates (``angle_gradient``). The two-frequency shift rule,
+``denergy_dtheta_shift``, evaluates shifted circuits one angle at a time and
+stays as the hardware-faithful referee.
+
 Expectation values are exact (infinite-shot limit). All gates have real
 matrix elements, so amplitudes stay real in practice; complex amplitudes are
 accepted and measured through |amplitude|^2 weights.
@@ -59,7 +64,7 @@ __all__ = [
     "energy",
     "apply_hamiltonian",
     "denergy_dtheta_shift",
-    "denergy_dtheta_direct",
+    "angle_gradient",
     "measure_rdms_direct",
 ]
 
@@ -141,19 +146,30 @@ def hf_reference(n_spatial: int, n_alpha: int, n_beta: int) -> Statevector:
 # Gate kernel
 # ---------------------------------------------------------------------------
 
+def _read_only(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
+    for arr in arrays:
+        arr.setflags(write=False)
+    return arrays
+
+
+@lru_cache(maxsize=64)
 def pair_rows(n: int, m: int) -> tuple[np.ndarray, np.ndarray]:
     """Spin strings of n orbitals with m occupied and m+1 empty, and the same
-    strings with those two occupations swapped: the rows a (m, m+1) gate mixes."""
+    strings with those two occupations swapped: the rows a (m, m+1) gate
+    mixes. Cached; the arrays are read-only."""
     x = np.arange(1 << n)
     rows = x[((x >> m) & 3) == 1]
-    return rows, rows + (1 << m)
+    return _read_only(rows, rows + (1 << m))
 
 
+@lru_cache(maxsize=64)
 def pair_exchange_rows(n: int, p: int) -> tuple[np.ndarray, np.ndarray]:
     """Flat amplitude indices with both spins doubly occupying p (and p+1
-    empty), and their images with the pair moved to p+1."""
+    empty), and their images with the pair moved to p+1. Cached; the arrays
+    are read-only."""
     on_p, on_next = pair_rows(n, p)
-    return ((on_p[:, None] << n) | on_p).ravel(), ((on_next[:, None] << n) | on_next).ravel()
+    return _read_only(((on_p[:, None] << n) | on_p).ravel(),
+                      ((on_next[:, None] << n) | on_next).ravel())
 
 
 def rotate_pair(rows: np.ndarray, a: np.ndarray, b: np.ndarray, theta: float) -> None:
@@ -296,11 +312,6 @@ def apply_hamiltonian(state: Statevector, fac: XDFFactorization) -> np.ndarray:
     return out.reshape(-1)
 
 
-def _check_angle(frame: Frame, g: int) -> None:
-    if not 0 <= g < len(frame.fabric.pivots):
-        raise ValueError(f"angle index {g} out of range")
-
-
 def denergy_dtheta_shift(state: Statevector, frame: Frame, g: int) -> float:
     """Shift-rule energy derivative with respect to one fabric angle of a frame.
 
@@ -309,7 +320,8 @@ def denergy_dtheta_shift(state: Statevector, frame: Frame, g: int) -> float:
     pi/2), eight evaluations in total. The unshifted spin keeps the frame's
     operator; the four shifted operators are built per call.
     """
-    _check_angle(frame, g)
+    if not 0 <= g < len(frame.fabric.pivots):
+        raise ValueError(f"angle index {g} out of range")
     psi = state.matrix()
     total = 0.0
     for step, coeff in SHIFT_STEPS:
@@ -323,23 +335,27 @@ def denergy_dtheta_shift(state: Statevector, frame: Frame, g: int) -> float:
     return total
 
 
-def denergy_dtheta_direct(state: Statevector, frame: Frame, g: int) -> float:
-    """Analytic statevector differentiation of the same angle derivative."""
-    _check_angle(frame, g)
-    fabric = frame.fabric
-    op = np.eye(1 << fabric.n)
-    dop = np.zeros_like(op)
-    for idx, ((m, _), theta) in enumerate(zip(fabric.pivots, fabric.angles)):
-        rows = pair_rows(fabric.n, m)
-        if idx == g:
-            dop = pair_derivative(op, *rows, theta)
-        else:
-            rotate_pair(dop, *rows, theta)
-        rotate_pair(op, *rows, theta)
+def angle_gradient(state: Statevector, frame: Frame) -> np.ndarray:
+    """Energy derivatives of one frame with respect to all of its fabric angles.
+
+    With R = M^T Psi M and Lambda = D * conj(R), the derivative with respect
+    to gate g is 2 Re sum(K_g * P_g Y P_g^T), where Y = M^T (Psi M Lambda^T +
+    Psi^T M Lambda) collects both spins, P_g is the product of the gates
+    before g and K_g is the generator of gate g. One forward sweep conjugates
+    Y by each gate in turn: one pass over the gates on one array, no
+    operator builds.
+    """
     psi = state.matrix()
-    rotated = op.T @ psi @ op
-    drotated = dop.T @ psi @ op + op.T @ psi @ dop
-    return 2.0 * float(np.real(np.vdot(drotated, frame.D * rotated)))
+    m_op = frame.M
+    lam = frame.D * np.conj(m_op.T @ psi @ m_op)
+    y = m_op.T @ (psi @ m_op @ lam.T + psi.T @ m_op @ lam)
+    grad = np.empty(len(frame.fabric.pivots))
+    for g, ((m, _), theta) in enumerate(zip(frame.fabric.pivots, frame.fabric.angles)):
+        a, b = pair_rows(frame.fabric.n, m)
+        grad[g] = 2.0 * float(np.real(np.sum(y[b, a]) - np.sum(y[a, b])))
+        rotate_pair(y, a, b, theta)
+        rotate_pair(y.T, a, b, theta)
+    return grad
 
 
 # ---------------------------------------------------------------------------

@@ -112,9 +112,11 @@ def test_path_command_short(fcidump_n3, tmp_path):
 
 
 def test_exit_code_input_error(tmp_path):
-    code, payload = _run(["factorize", "--fcidump", "/nonexistent.fcidump"], tmp_path)
-    assert code == 1
-    assert "error" in payload
+    # a missing file and a directory: both are unreadable inputs
+    for path in ("/nonexistent.fcidump", str(tmp_path)):
+        code, payload = _run(["factorize", "--fcidump", path], tmp_path)
+        assert code == 1
+        assert "error" in payload
 
 
 def test_exit_code_malformed_file(tmp_path):

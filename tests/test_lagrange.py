@@ -57,10 +57,26 @@ def test_eta_residual_random_fixture():
         jac = jacobian(frame.fabric)
         eta, residual = solve_eta(frame, state)
         eta_vec = np.array([eta[p, k] for p, k in jac.lower_indices])
-        rhs = -np.array([qsim.denergy_dtheta_shift(state, frame, g)
-                         for g in range(len(frame.fabric.pivots))])
+        rhs = -qsim.angle_gradient(state, frame)
+        shift_rhs = -np.array([qsim.denergy_dtheta_shift(state, frame, g)
+                               for g in range(len(frame.fabric.pivots))])
+        assert np.max(np.abs(rhs - shift_rhs)) < 1e-10
         assert np.max(np.abs(jac.matrix @ eta_vec - rhs)) < 1e-10
         assert residual == np.max(np.abs(jac.matrix @ eta_vec - rhs))
+
+
+def test_eta_builds_no_fabric_operator(monkeypatch):
+    _, fac, state = _stationary_pipeline(3, 2, 1, 4)
+    expected = [solve_eta(frame, state) for frame in fac.frames]
+
+    def refuse(*args):
+        raise AssertionError("fabric operator built during the eta solve")
+
+    monkeypatch.setattr(qsim, "_fabric_operator", refuse)
+    for frame, (eta, residual) in zip(fac.frames, expected, strict=True):
+        got, got_residual = solve_eta(frame, state)
+        np.testing.assert_array_equal(got, eta)
+        assert got_residual == residual
 
 
 def test_eta_warns_on_nonstationary_state():

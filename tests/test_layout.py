@@ -1,5 +1,5 @@
-"""Package modules use each other only through public names, and their
-dataclasses hold no mutable containers."""
+"""Package modules use each other only through public names, their
+dataclasses hold no mutable containers, and every name they export exists."""
 
 import ast
 from pathlib import Path
@@ -100,3 +100,39 @@ def test_finder_flags_mutable_dataclass_fields():
 @pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
 def test_no_mutable_dataclass_fields(path):
     assert mutable_dataclass_fields(path.read_text(encoding="utf-8")) == []
+
+
+def undefined_exports(source: str) -> list[str]:
+    """Names listed in the module's ``__all__`` that no top-level statement binds."""
+    tree = ast.parse(source)
+    bound, exported = set(), []
+    for stmt in tree.body:
+        if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            bound.add(stmt.name)
+        elif isinstance(stmt, (ast.Import, ast.ImportFrom)):
+            bound.update((a.asname or a.name).split(".")[0] for a in stmt.names)
+        elif isinstance(stmt, (ast.Assign, ast.AnnAssign)):
+            targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
+            for target in targets:
+                bound.update(n.id for n in ast.walk(target) if isinstance(n, ast.Name))
+                if getattr(target, "id", None) == "__all__":
+                    exported = [ast.literal_eval(elt) for elt in stmt.value.elts]
+    return [name for name in exported if name not in bound]
+
+
+def test_finder_flags_undefined_exports():
+    source = (
+        "import numpy as np\n"
+        "from .qsim import Frame as F\n"
+        "__all__ = ['f', 'C', 'X', 'np', 'F', 'gone']\n"
+        "X, Y = 1, 2\n"
+        "def f(): pass\n"
+        "class C: pass\n"
+    )
+    assert undefined_exports(source) == ["gone"]
+    assert undefined_exports("x = 1\n") == []
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_exports_are_defined(path):
+    assert undefined_exports(path.read_text(encoding="utf-8")) == []

@@ -5,8 +5,8 @@ from xdfrelax import givens, qsim
 from xdfrelax.hammodel import Hamiltonian, synth_hamiltonian
 from xdfrelax.qsim import (
     Statevector,
+    angle_gradient,
     apply_orbital_rotation,
-    denergy_dtheta_direct,
     denergy_dtheta_shift,
     energy,
     hf_reference,
@@ -204,10 +204,11 @@ def test_shift_rule_every_angle_every_leaf(seed):
     state = random_sector_state(fac, seed + 99)
     for k, frame in enumerate(fac.frames):
         fabric = frame.fabric
+        sweep = angle_gradient(state, frame)
+        assert sweep.shape == (len(fabric.pivots),)
         for g in range(len(fabric.pivots)):
             shift = denergy_dtheta_shift(state, frame, g)
-            direct = denergy_dtheta_direct(state, frame, g)
-            assert abs(shift - direct) < 1e-10
+            assert abs(shift - sweep[g]) < 1e-10
 
             step = 1e-5
             plus = fabric.angles.copy()
@@ -233,8 +234,27 @@ def test_shift_rule_rejects_bad_indices():
         for g in (-1, 3, 99):
             with pytest.raises(ValueError):
                 denergy_dtheta_shift(state, frame, g)
-            with pytest.raises(ValueError):
-                denergy_dtheta_direct(state, frame, g)
+
+
+@pytest.mark.parametrize("n,na,nb,seed", [(3, 2, 1, 4), (4, 2, 2, 13)])
+def test_angle_gradient_complex_state_matches_shift_rule(n, na, nb, seed):
+    fac = factorize(synth_hamiltonian(n, na, nb, seed), TruncationPolicy.exact())
+    real_part = random_sector_state(fac, seed + 1).amplitudes
+    imag_part = random_sector_state(fac, seed + 2).amplitudes
+    amps = real_part + 1j * imag_part
+    state = Statevector(n, amps / np.linalg.norm(amps))
+    for frame in fac.frames:
+        sweep = angle_gradient(state, frame)
+        shift = [denergy_dtheta_shift(state, frame, g) for g in range(len(frame.fabric.pivots))]
+        assert np.max(np.abs(sweep - shift)) < 1e-10
+
+
+def test_pair_rows_are_cached_and_read_only():
+    for rows in (qsim.pair_rows(4, 1), qsim.pair_exchange_rows(4, 1)):
+        for arr in rows:
+            assert not arr.flags.writeable
+    assert qsim.pair_rows(4, 1) is qsim.pair_rows(4, 1)
+    assert qsim.pair_exchange_rows(4, 1) is qsim.pair_exchange_rows(4, 1)
 
 
 def test_statevector_guards():
