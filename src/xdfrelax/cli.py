@@ -72,6 +72,11 @@ def _config_echo(args) -> dict:
     return {k: v for k, v in sorted(vars(args).items()) if k not in skip}
 
 
+def _render(payload: dict, code: int, args) -> str:
+    return json.dumps(dict(payload, config=_config_echo(args), exit_code=code),
+                      indent=2, sort_keys=True)
+
+
 def _optimize(fac, args):
     cfg = AnsatzConfig(args.layers, args.seed)
     result = vqe.optimize(fac, cfg, tol=args.tol, maxiter=args.maxiter)
@@ -163,7 +168,7 @@ def cmd_verify(args) -> dict:
     ham, digest = _load(args.fcidump)
     truncated = TruncationPolicy.by_count(args.leaves if args.leaves is not None else 4)
     specs = verify.RegimeSpec.grid(args.layers, args.layers_small, truncated,
-                                   ansatz_seed=args.seed)
+                                   ansatz_seed=args.seed, vqe_tol=args.tol)
     n = ham.n_orbitals
     perturbations = (
         [random_one_body_perturbation(n, args.seed + 10 + i) for i in range(args.perturbations)]
@@ -281,14 +286,17 @@ def main(argv=None) -> int:
     except (np.linalg.LinAlgError, ArithmeticError, RuntimeError, AssertionError) as exc:
         payload, code = {"error": str(exc)}, EXIT_NUMERICAL
 
-    payload["config"] = _config_echo(args)
-    payload["exit_code"] = code
-    text = json.dumps(payload, indent=2, sort_keys=True)
+    text = _render(payload, code, args)
     if args.out:
-        with open(args.out, "w", encoding="ascii") as handle:
-            handle.write(text + "\n")
-    else:
-        print(text)
+        try:
+            with open(args.out, "w", encoding="ascii") as handle:
+                handle.write(text + "\n")
+            return code
+        except OSError as exc:
+            # an unwritable --out is an input error, reported on stdout
+            code = EXIT_INPUT
+            text = _render({"error": str(exc)}, code, args)
+    print(text)
     return code
 
 

@@ -7,7 +7,7 @@ dynamics act as external referees for the analytic derivative chain.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -52,14 +52,15 @@ class RegimeSpec:
 
     @classmethod
     def grid(cls, exact_layers: int, approx_layers: int,
-             truncated: TruncationPolicy, ansatz_seed: int = 3):
+             truncated: TruncationPolicy, ansatz_seed: int = 3,
+             vqe_tol: float = 1e-9):
         """The standard four-regime grid: {exact, truncated} x {converged, approximate}."""
         exact = TruncationPolicy.exact()
         return (
-            cls("exact-converged", exact, exact_layers, ansatz_seed),
-            cls("truncated-converged", truncated, exact_layers, ansatz_seed),
-            cls("exact-approximate", exact, approx_layers, ansatz_seed),
-            cls("truncated-approximate", truncated, approx_layers, ansatz_seed),
+            cls("exact-converged", exact, exact_layers, ansatz_seed, vqe_tol),
+            cls("truncated-converged", truncated, exact_layers, ansatz_seed, vqe_tol),
+            cls("exact-approximate", exact, approx_layers, ansatz_seed, vqe_tol),
+            cls("truncated-approximate", truncated, approx_layers, ansatz_seed, vqe_tol),
         )
 
 
@@ -126,10 +127,11 @@ def five_point_derivative(f, step: float) -> float:
 
 
 def run_pipeline(ham: Hamiltonian, regime: RegimeSpec,
-                 seed_params: np.ndarray | None = None) -> Pipeline:
+                 seed: vqe.VQEResult | None = None) -> Pipeline:
+    """Factorize and optimize; ``seed`` warm-starts the VQE (see vqe.optimize)."""
     fac = factorize(ham, regime.truncation)
     cfg = AnsatzConfig(regime.n_layers, regime.ansatz_seed)
-    result = vqe.optimize(fac, cfg, tol=regime.vqe_tol, seed_params=seed_params)
+    result = vqe.optimize(fac, cfg, tol=regime.vqe_tol, seed=seed)
     if not result.converged:
         raise RuntimeError(
             f"VQE did not reach gradient {regime.vqe_tol:.1e} in regime {regime.name}")
@@ -177,18 +179,24 @@ def fd_energy_derivative(ham: Hamiltonian, pert: Perturbation, regime: RegimeSpe
     """5-point central difference of the full pipeline energy along eps.
 
     Every displaced evaluation re-factorizes with the base retained count,
-    re-seeds the optimizer from the base parameters, and re-optimizes; a
-    retained-set change across the stencil is a hard error.
+    re-seeds the optimizer from the base parameters, and re-optimizes with
+    the most recent curvature built in the stencil; a retained-set change
+    across the stencil is a hard error.
     """
     if base is None:
         base = run_pipeline(ham, regime)
     pinned = RegimeSpec(regime.name, TruncationPolicy.by_count(base.fac.retained),
                         regime.n_layers, regime.ansatz_seed, regime.vqe_tol)
 
+    curvature = base.result.curvature
+
     def displaced_energy(eps: float) -> float:
+        nonlocal curvature
         displaced = apply_perturbation(ham, pert, eps)
-        pipe = run_pipeline(displaced, pinned, seed_params=base.result.params)
+        pipe = run_pipeline(displaced, pinned,
+                            seed=replace(base.result, curvature=curvature))
         _check_leaf_tracking(base.fac, pipe.fac)
+        curvature = pipe.result.curvature
         return pipe.energy
 
     return five_point_derivative(displaced_energy, eps_step)
@@ -239,8 +247,8 @@ def verlet_path(ham_a: Hamiltonian, ham_b: Hamiltonian, n_steps: int, dt: float,
     d_one = ham_b.one_body - ham_a.one_body
     d_two = ham_b.two_body - ham_a.two_body
 
-    def evaluate(s: float, seed_params):
-        pipe = run_pipeline(interpolate(ham_a, ham_b, s), regime, seed_params)
+    def evaluate(s: float, seed: vqe.VQEResult | None):
+        pipe = run_pipeline(interpolate(ham_a, ham_b, s), regime, seed)
         rdms = relaxed_rdms(pipe, ablate=ablate)
         de_ds = (d_core + float(np.sum(rdms.gamma_sym * d_one))
                  + float(np.sum(rdms.Gamma_sym * d_two)))
@@ -256,7 +264,7 @@ def verlet_path(ham_a: Hamiltonian, ham_b: Hamiltonian, n_steps: int, dt: float,
     for step in range(n_steps):
         try:
             s_new = s + v * dt + 0.5 * accel * dt * dt
-            pipe, accel_new = evaluate(s_new, pipe.result.params)
+            pipe, accel_new = evaluate(s_new, pipe.result)
             v = v + 0.5 * (accel + accel_new) * dt
             s, accel = s_new, accel_new
         except (RuntimeError, ValueError) as exc:

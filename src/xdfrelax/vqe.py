@@ -41,16 +41,28 @@ class AnsatzConfig:
 
 @dataclass(frozen=True)
 class VQEResult:
+    """A solve's end point.
+
+    ``curvature`` is the gauge-truncated pseudo-inverse of the last Hessian
+    the solve stepped with (built by it or inherited from its seed), or None
+    when no Hessian was ever built; a warm re-solve seeded with this result
+    takes chord-Newton steps on it.
+    """
+
     params: np.ndarray
     energy: float
     grad_norm: float
     converged: bool
     n_iterations: int
+    curvature: np.ndarray | None = None
 
     def __post_init__(self):
-        params = np.array(self.params, dtype=float)
-        params.setflags(write=False)
-        object.__setattr__(self, "params", params)
+        for name in ("params", "curvature"):
+            value = getattr(self, name)
+            if value is not None:
+                value = np.array(value, dtype=float)
+                value.setflags(write=False)
+                object.__setattr__(self, name, value)
 
 
 def ansatz_blocks(n_spatial: int, n_layers: int) -> tuple[int, ...]:
@@ -135,82 +147,103 @@ def _lbfgs(fac: XDFFactorization, cfg: AnsatzConfig, x0: np.ndarray,
     return np.asarray(res.x), int(res.nit)
 
 
-def _newton_polish(fac: XDFFactorization, cfg: AnsatzConfig, x: np.ndarray,
-                   tol: float, max_steps: int = 20):
-    """Damped Newton steps on the exact gradient; the Hessian is a central
-    difference of the adjoint gradient, cheap at desk-scale parameter counts.
+def _inverse_hessian(fac: XDFFactorization, cfg: AnsatzConfig,
+                     x: np.ndarray) -> np.ndarray:
+    """Pseudo-inverse of the Hessian at x, a central difference of the adjoint
+    gradient (2P gradient calls, cheap at desk-scale parameter counts).
 
-    Flat (gauge) directions of the ansatz make the Hessian singular; steps
-    are taken in its eigenbasis with small-curvature directions dropped.
+    Flat (gauge) directions of the ansatz make the Hessian singular; its
+    eigen-directions with curvature below 1e-6 of the largest are dropped.
+    """
+    h = 1e-5
+    hess = np.zeros((x.size, x.size))
+    for i in range(x.size):
+        xp = x.copy(); xp[i] += h
+        xm = x.copy(); xm[i] -= h
+        hess[:, i] = (_energy_and_gradient(fac, cfg, xp)[1]
+                      - _energy_and_gradient(fac, cfg, xm)[1]) / (2 * h)
+    hess = 0.5 * (hess + hess.T)
+    evals, evecs = np.linalg.eigh(hess)
+    cutoff = 1e-6 * max(np.max(np.abs(evals)), 1e-300)
+    inv = np.where(np.abs(evals) > cutoff, 1.0 / np.where(evals == 0, 1, evals), 0.0)
+    return (evecs * inv) @ evecs.T
+
+
+def _newton_polish(fac: XDFFactorization, cfg: AnsatzConfig, x: np.ndarray,
+                   tol: float, max_steps: int, curvature: np.ndarray | None = None):
+    """Damped Newton steps on the exact gradient until max|g| <= tol.
+
+    A chord step x - C g on the current pseudo-inverse Hessian C is taken when
+    it at least halves max|g|. Otherwise C is rebuilt at x and the Newton step
+    is backtracked, then small gradient steps are tried, before giving up.
+    Returns the end point, its energy and gradient, the last C and the number
+    of steps taken.
     """
     energy, grad = _energy_and_gradient(fac, cfg, x)
-    h = 1e-5
+    steps = 0
     for _ in range(max_steps):
-        if np.max(np.abs(grad)) <= tol:
+        gmax = np.max(np.abs(grad))
+        if gmax <= tol:
             break
-        hess = np.zeros((x.size, x.size))
-        for i in range(x.size):
-            xp = x.copy(); xp[i] += h
-            xm = x.copy(); xm[i] -= h
-            hess[:, i] = (_energy_and_gradient(fac, cfg, xp)[1]
-                          - _energy_and_gradient(fac, cfg, xm)[1]) / (2 * h)
-        hess = 0.5 * (hess + hess.T)
-        evals, evecs = np.linalg.eigh(hess)
-        cutoff = 1e-6 * max(np.max(np.abs(evals)), 1e-300)
-        inv = np.where(np.abs(evals) > cutoff, 1.0 / np.where(evals == 0, 1, evals), 0.0)
-        step = -evecs @ (inv * (evecs.T @ grad))
-        scale = 1.0
-        accepted = False
-        for _ in range(30):
-            e_new, g_new = _energy_and_gradient(fac, cfg, x + scale * step)
-            if np.max(np.abs(g_new)) < np.max(np.abs(grad)):
-                x = x + scale * step
-                energy, grad = e_new, g_new
-                accepted = True
+        if curvature is not None:
+            trial = x - curvature @ grad
+            e_new, g_new = _energy_and_gradient(fac, cfg, trial)
+            if np.max(np.abs(g_new)) <= 0.5 * gmax:
+                x, energy, grad = trial, e_new, g_new
+                steps += 1
+                continue
+        curvature = _inverse_hessian(fac, cfg, x)
+        step = -curvature @ grad
+        # backtracked Newton step, then a conservative gradient fallback
+        trials = [x + 0.5 ** k * step for k in range(30)]
+        trials += [x - scale * grad for scale in (1e-2, 1e-3, 1e-4)]
+        for trial in trials:
+            e_new, g_new = _energy_and_gradient(fac, cfg, trial)
+            if np.max(np.abs(g_new)) < gmax:
+                x, energy, grad = trial, e_new, g_new
+                steps += 1
                 break
-            scale *= 0.5
-        if not accepted:
-            # conservative gradient fallback before giving up
-            for scale in (1e-2, 1e-3, 1e-4):
-                e_new, g_new = _energy_and_gradient(fac, cfg, x - scale * grad)
-                if np.max(np.abs(g_new)) < np.max(np.abs(grad)):
-                    x = x - scale * grad
-                    energy, grad = e_new, g_new
-                    accepted = True
-                    break
-        if not accepted:
+        else:
             break
-    return x, energy, grad
+    return x, energy, grad, curvature, steps
 
 
 def _grown_start(fac: XDFFactorization, cfg: AnsatzConfig, tol: float,
-                 maxiter: int) -> np.ndarray:
+                 maxiter: int) -> tuple[np.ndarray, int]:
     """Optimize layer by layer, embedding each solution into the next depth.
 
     Blocks are ordered by layer, so a shallower solution is a parameter
-    prefix of the deeper ansatz.
+    prefix of the deeper ansatz. Returns the parameters and the L-BFGS
+    iterations spent.
     """
     rng = np.random.default_rng(cfg.seed)
     params = np.zeros(0)
+    total = 0
     for depth in range(1, cfg.n_layers + 1):
         sub = AnsatzConfig(depth, cfg.seed)
         fresh = n_parameters(fac.n_orbitals, sub) - params.size
         x0 = np.concatenate([params, 0.05 * rng.standard_normal(fresh)])
-        params, _ = _lbfgs(fac, sub, x0, tol, maxiter)
-    return params
+        params, nit = _lbfgs(fac, sub, x0, tol, maxiter)
+        total += nit
+    return params, total
 
 
 def optimize(fac: XDFFactorization, cfg: AnsatzConfig, tol: float = 1e-10,
-             seed_params: np.ndarray | None = None, maxiter: int = 2000) -> VQEResult:
+             seed: VQEResult | None = None, maxiter: int = 2000) -> VQEResult:
     """Minimize the factorized energy over the ansatz angles.
 
-    Deterministic for fixed (seed, seed_params, tol). When ``seed_params`` is
-    given the optimization starts exactly there, which keeps displaced
-    re-optimizations on the same local minimum. Cold starts grow the ansatz
-    layer by layer before full-depth refinement. Non-convergence is reported
-    through the ``converged`` flag, not raised. An ansatz without parameters
-    (no layers, or one orbital) leaves the reference state, which is
-    trivially stationary.
+    Deterministic for fixed (cfg.seed, seed, tol). A warm start from ``seed``,
+    usually a converged result for a nearby Hamiltonian, begins exactly at
+    ``seed.params``, which keeps displaced re-optimizations on the same local
+    minimum, and goes straight to Newton steps on ``seed.curvature`` (built at
+    ``seed.params`` when the seed has none); only if those end above ``tol``
+    does it fall back to L-BFGS plus a Newton polish from ``seed.params``.
+    Cold starts grow the ansatz layer by layer, then refine at full depth
+    with L-BFGS and a Newton polish, with random restarts on failure.
+    ``n_iterations`` counts L-BFGS iterations and Newton steps.
+    Non-convergence is reported through the ``converged`` flag, not raised.
+    An ansatz without parameters (no layers, or one orbital) leaves the
+    reference state, which is trivially stationary.
     """
     if tol <= 0:
         raise ValueError("tolerance must be positive")
@@ -221,32 +254,39 @@ def optimize(fac: XDFFactorization, cfg: AnsatzConfig, tol: float = 1e-10,
     candidates = []
     total_iters = 0
 
+    def polish(x: np.ndarray, curvature: np.ndarray | None = None) -> bool:
+        nonlocal total_iters
+        x, energy, grad, curvature, steps = _newton_polish(
+            fac, cfg, x, tol, min(20, maxiter), curvature)
+        total_iters += steps
+        grad_norm = float(np.max(np.abs(grad)))
+        candidates.append((not grad_norm <= tol, energy, x, grad_norm, curvature))
+        return grad_norm <= tol
+
     def attempt(x0: np.ndarray) -> bool:
         nonlocal total_iters
         x, nit = _lbfgs(fac, cfg, x0, tol, maxiter)
-        x, energy, grad = _newton_polish(fac, cfg, x, tol,
-                                         max_steps=min(20, maxiter))
         total_iters += nit
-        grad_norm = float(np.max(np.abs(grad)))
-        candidates.append((not grad_norm <= tol, energy, x, grad_norm))
-        return grad_norm <= tol
+        return polish(x)
 
-    if seed_params is not None:
-        attempt(np.array(seed_params, dtype=float))
+    if seed is not None:
+        if not polish(seed.params, seed.curvature):
+            attempt(seed.params)
     else:
-        ok = attempt(_grown_start(fac, cfg, tol, maxiter))
+        x0, total_iters = _grown_start(fac, cfg, tol, maxiter)
+        ok = attempt(x0)
         rng = np.random.default_rng(cfg.seed + 1)
         for _ in range(RESTARTS):
             if ok:
                 break
             ok = attempt(0.2 * rng.standard_normal(n_parameters(fac.n_orbitals, cfg)))
 
-    _, energy, x, grad_norm = min(candidates, key=lambda c: (c[0], c[1]))
+    _, energy, x, grad_norm, curvature = min(candidates, key=lambda c: (c[0], c[1]))
     converged = bool(grad_norm <= tol)
     if not converged:
         warnings.warn(f"optimizer stalled with gradient norm {grad_norm:.3e}",
                       stacklevel=2)
-    return VQEResult(x, float(energy), grad_norm, converged, total_iters)
+    return VQEResult(x, float(energy), grad_norm, converged, total_iters, curvature)
 
 
 def sector_indices(n_spatial: int, n_alpha: int, n_beta: int) -> np.ndarray:

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from xdfrelax import cli
+from xdfrelax import cli, vqe
 from xdfrelax.hammodel import Hamiltonian, synth_hamiltonian, write_fcidump
 
 from _common import regime_fixture
@@ -98,6 +98,23 @@ def test_verify_command_small(fcidump_n3, tmp_path):
     assert "regime" in payload["table"]
 
 
+@pytest.mark.filterwarnings("ignore:state gradient norm")  # a loose --tol is the point
+def test_verify_passes_tol_to_every_solve(fcidump_n3, tmp_path, monkeypatch):
+    seen = []
+    real = vqe.optimize
+
+    def recording(fac, cfg, tol, **kwargs):
+        seen.append(tol)
+        return real(fac, cfg, tol, **kwargs)
+
+    monkeypatch.setattr(vqe, "optimize", recording)
+    code, payload = _run(["verify", "--fcidump", fcidump_n3, "--layers", "2",
+                          "--layers-small", "1", "--leaves", "3",
+                          "--perturbations", "1", "--tol", "1e-7"], tmp_path)
+    assert code == 0 and payload["config"]["tol"] == 1e-7
+    assert seen and set(seen) == {1e-7}
+
+
 def test_path_command_short(fcidump_n3, tmp_path):
     ham_b = synth_hamiltonian(3, 1, 1, 8)
     path_b = tmp_path / "n3b.fcidump"
@@ -111,12 +128,19 @@ def test_path_command_short(fcidump_n3, tmp_path):
     assert len(payload["total"]["data"]) == 11
 
 
-def test_exit_code_input_error(tmp_path):
+def test_exit_code_input_error(fcidump_n3, tmp_path, capsys):
     # a missing file and a directory: both are unreadable inputs
     for path in ("/nonexistent.fcidump", str(tmp_path)):
         code, payload = _run(["factorize", "--fcidump", path], tmp_path)
         assert code == 1
         assert "error" in payload
+    # an unwritable --out: the error payload goes to stdout instead
+    capsys.readouterr()
+    out = tmp_path / "missing" / "x.json"
+    code = cli.main(["factorize", "--fcidump", fcidump_n3, "--out", str(out)])
+    payload = json.loads(capsys.readouterr().out)
+    assert code == 1 and payload["exit_code"] == 1
+    assert "error" in payload and not out.exists()
 
 
 def test_exit_code_malformed_file(tmp_path):

@@ -1,8 +1,11 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from xdfrelax import qsim, vqe
-from xdfrelax.hammodel import Hamiltonian, synth_hamiltonian
+from xdfrelax.hammodel import (Hamiltonian, apply_perturbation,
+                               random_two_body_perturbation, synth_hamiltonian)
 from xdfrelax.vqe import (
     AnsatzConfig,
     ansatz_blocks,
@@ -13,7 +16,8 @@ from xdfrelax.vqe import (
 )
 from xdfrelax.xdf import TruncationPolicy, factorize
 
-from _common import KERNEL_CASES, ansatz_gradient, ref_ansatz_state, zero_two_body
+from _common import (KERNEL_CASES, ansatz_gradient, ref_ansatz_state, regime_fixture,
+                     zero_two_body)
 
 def test_block_layout():
     assert ansatz_blocks(4, 2) == (0, 2, 1)
@@ -79,12 +83,87 @@ def test_optimize_gradient_norm_at_optimum():
     assert np.max(np.abs(grad)) <= 1e-9
 
 
-def test_optimize_restart_is_a_fixed_point():
+WARM_TOL = 1e-9
+
+
+@pytest.fixture
+def energy_grad_calls(monkeypatch):
+    """Records every energy+gradient evaluation the optimizer makes."""
+    calls = []
+    real = vqe._energy_and_gradient
+
+    def counting(*args):
+        calls.append(args[-1])  # the evaluated parameters
+        return real(*args)
+
+    monkeypatch.setattr(vqe, "_energy_and_gradient", counting)
+    return calls
+
+
+@pytest.fixture(scope="module")
+def displaced_regime():
+    """A cold solve on the regime fixture and the fixture displaced by eps=1e-3."""
+    ham = regime_fixture()
+    cfg = AnsatzConfig(4, seed=3)
+    base = optimize(factorize(ham, TruncationPolicy.exact()), cfg, tol=WARM_TOL)
+    pert = random_two_body_perturbation(ham.n_orbitals, 350)
+    fac = factorize(apply_perturbation(ham, pert, 1e-3), TruncationPolicy.exact())
+    return fac, cfg, base
+
+
+def test_optimize_restart_is_a_fixed_point(energy_grad_calls):
     fac = factorize(synth_hamiltonian(3, 1, 1, 2), TruncationPolicy.exact())
     cfg = AnsatzConfig(2, seed=5)
     first = optimize(fac, cfg, tol=1e-10)
-    second = optimize(fac, cfg, tol=1e-10, seed_params=first.params)
-    assert abs(second.energy - first.energy) < 1e-12
+    energy_grad_calls.clear()
+    second = optimize(fac, cfg, tol=1e-10, seed=first)
+    # a converged seed is checked with one gradient and returned unchanged
+    assert len(energy_grad_calls) == 1
+    assert second.energy == first.energy and second.n_iterations == 0
+
+
+def test_warm_displaced_resolve_matches_lbfgs_route(displaced_regime, energy_grad_calls):
+    fac, cfg, base = displaced_regime
+    result = optimize(fac, cfg, tol=WARM_TOL, seed=base)
+    n_calls = len(energy_grad_calls)
+    assert result.converged and result.grad_norm <= WARM_TOL
+    assert result.n_iterations >= 1
+    # one Hessian build (2P calls) when the seed has no curvature, a few steps
+    assert n_calls <= 2 * base.params.size + 6
+    # reseeded with the curvature it built, the solve is a few chord steps
+    energy_grad_calls.clear()
+    chord = optimize(fac, cfg, tol=WARM_TOL, seed=replace(base, curvature=result.curvature))
+    assert chord.converged and len(energy_grad_calls) <= 4
+    # the route without curvature: L-BFGS from the seed, then a Newton polish
+    x, _ = vqe._lbfgs(fac, cfg, base.params, WARM_TOL, 2000)
+    _, energy, grad, _, _ = vqe._newton_polish(fac, cfg, x, WARM_TOL, 20)
+    assert np.max(np.abs(grad)) <= WARM_TOL
+    assert abs(result.energy - energy) <= 1e-12
+    assert abs(chord.energy - energy) <= 1e-12
+
+
+@pytest.mark.parametrize("scale", [-1.0, 0.0])
+def test_wrong_seed_curvature_is_rebuilt(displaced_regime, energy_grad_calls, scale):
+    fac, cfg, base = displaced_regime
+    good = optimize(fac, cfg, tol=WARM_TOL, seed=base)
+    wrong = replace(base, curvature=scale * good.curvature)
+    energy_grad_calls.clear()
+    result = optimize(fac, cfg, tol=WARM_TOL, seed=wrong)
+    assert result.converged
+    assert len(energy_grad_calls) >= 2 * base.params.size  # the Hessian was rebuilt
+    assert np.max(np.abs(result.curvature - wrong.curvature)) > 0
+    assert abs(result.energy - good.energy) <= 1e-12
+
+
+def test_curvature_is_read_only(displaced_regime):
+    fac, cfg, base = displaced_regime
+    result = optimize(fac, cfg, tol=WARM_TOL, seed=base)
+    assert result.curvature.shape == (base.params.size,) * 2
+    np.testing.assert_allclose(result.curvature, result.curvature.T, atol=1e-12)
+    with pytest.raises(ValueError):
+        result.curvature[0, 0] = 1.0
+    with pytest.raises(ValueError):
+        result.params[0] = 1.0
 
 
 def test_optimize_deterministic():
