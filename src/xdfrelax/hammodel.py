@@ -21,6 +21,7 @@ __all__ = [
     "random_two_body_perturbation",
 ]
 
+DESK_CAP = 8  # largest spatial-orbital count; statevectors hold 4^N amplitudes
 SYMMETRY_TOL = 1e-12
 DUPLICATE_TOL = 1e-10
 
@@ -161,6 +162,8 @@ def parse_fcidump(text: str) -> Hamiltonian:
         raise ValueError(f"malformed FCIDUMP header: missing {exc.args[0]}") from None
     except ValueError:
         raise ValueError("malformed FCIDUMP header: NORB/NELEC not integers") from None
+    if not 1 <= norb <= DESK_CAP:
+        raise ValueError(f"NORB={norb} outside the supported range [1, {DESK_CAP}]")
     ms2 = int(fields.get("MS2", "0") or 0)
     if (nelec + ms2) % 2 != 0:
         raise ValueError(f"NELEC={nelec} and MS2={ms2} have incompatible parity")

@@ -40,6 +40,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .givens import GivensFabric
+from .hammodel import DESK_CAP
 
 if TYPE_CHECKING:
     from .xdf import XDFFactorization, XDFLeaf
@@ -55,7 +56,6 @@ __all__ = [
     "pair_rows",
     "pair_exchange_rows",
     "rotate_pair",
-    "pair_derivative",
     "hf_reference",
     "apply_orbital_rotation",
     "measure_omega0",
@@ -67,8 +67,6 @@ __all__ = [
     "angle_gradient",
     "measure_rdms_direct",
 ]
-
-DESK_CAP = 8  # 4^8 amplitudes
 
 # Exact first-derivative rule for a plane-rotation gate, whose conjugation
 # carries both single and double angle frequencies: two symmetric
@@ -181,16 +179,6 @@ def rotate_pair(rows: np.ndarray, a: np.ndarray, b: np.ndarray, theta: float) ->
     old_a = rows[a]
     rows[a] = c * old_a - s * rows[b]
     rows[b] = s * old_a + c * rows[b]
-
-
-def pair_derivative(rows: np.ndarray, a: np.ndarray, b: np.ndarray,
-                    theta: float) -> np.ndarray:
-    """Image under the angle derivative of ``rotate_pair``: the rotation at
-    theta + pi/2 on rows a and b, zero on every other row."""
-    out = np.zeros_like(rows)
-    out[a], out[b] = rows[a], rows[b]
-    rotate_pair(out, a, b, theta + np.pi / 2.0)
-    return out
 
 
 def _fabric_operator(fabric: GivensFabric, angles: np.ndarray) -> np.ndarray:

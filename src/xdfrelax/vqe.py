@@ -28,8 +28,6 @@ __all__ = [
     "exact_ground_state",
 ]
 
-RESTARTS = 2  # random restarts after a cold start that fails to converge
-
 
 @dataclass(frozen=True)
 class AnsatzConfig:
@@ -41,7 +39,8 @@ class AnsatzConfig:
 
 @dataclass(frozen=True)
 class VQEResult:
-    """A solve's end point.
+    """A solve's end point, its energy and max|g|, whether that is within the
+    solve's ``tol``, and the L-BFGS iterations plus Newton steps it took.
 
     ``curvature`` is the gauge-truncated pseudo-inverse of the last Hessian
     the solve stepped with (built by it or inherited from its seed), or None
@@ -94,12 +93,21 @@ def prepare_state(fac: XDFFactorization, cfg: AnsatzConfig,
     return Statevector(n, amps)
 
 
+def _generator_term(lam: np.ndarray, psi: np.ndarray, a: np.ndarray,
+                    b: np.ndarray) -> float:
+    """<lam| K |psi> for the generator K of ``rotate_pair`` on rows a and b."""
+    return float(np.vdot(lam[b], psi[a]) - np.vdot(lam[a], psi[b]))
+
+
 def _energy_and_gradient(fac: XDFFactorization, cfg: AnsatzConfig,
                          params: np.ndarray) -> tuple[float, np.ndarray]:
     """Energy and its exact parameter gradient via one reverse sweep.
 
     Alpha gates act on the rows of Psi^T, beta gates on the rows of Psi and
     pair exchanges on the flat vector; all three are views of one array.
+    Each gate is un-applied on the ket and on lambda = H|psi>, and its
+    derivative is read off its generator, 2 <lambda| K |psi>. The locked
+    rotation's generator is the sum of its alpha and beta ones, which commute.
     """
     n = fac.n_orbitals
     blocks = ansatz_blocks(n, cfg.n_layers)
@@ -115,23 +123,14 @@ def _energy_and_gradient(fac: XDFFactorization, cfg: AnsatzConfig,
         rows = qsim.pair_rows(n, blocks[i])
         pairs = qsim.pair_exchange_rows(n, blocks[i])
         th_or, th_px = params[2 * i], params[2 * i + 1]
-
-        # undo the pair exchange, then differentiate it
-        qsim.rotate_pair(ket_amps, *pairs, -th_px)
-        dpx = qsim.pair_derivative(ket_amps, *pairs, th_px)
-        grad[2 * i + 1] = 2.0 * float(lam @ dpx)
-        qsim.rotate_pair(lam, *pairs, -th_px)
-
-        # undo the locked rotation, then differentiate both spin halves
-        qsim.rotate_pair(ket_psi.T, *rows, -th_or)
-        qsim.rotate_pair(ket_psi, *rows, -th_or)
-        branch_a = qsim.pair_derivative(ket_psi.T, *rows, th_or).T
-        qsim.rotate_pair(branch_a, *rows, th_or)
-        branch_b = qsim.pair_derivative(ket_psi, *rows, th_or)
-        qsim.rotate_pair(branch_b.T, *rows, th_or)
-        grad[2 * i] = 2.0 * float(lam @ (branch_a + branch_b).reshape(-1))
-        qsim.rotate_pair(lam_psi.T, *rows, -th_or)
-        qsim.rotate_pair(lam_psi, *rows, -th_or)
+        for vec in (ket_amps, lam):
+            qsim.rotate_pair(vec, *pairs, -th_px)
+        grad[2 * i + 1] = 2.0 * _generator_term(lam, ket_amps, *pairs)
+        for psi in (ket_psi, lam_psi):
+            qsim.rotate_pair(psi.T, *rows, -th_or)
+            qsim.rotate_pair(psi, *rows, -th_or)
+        grad[2 * i] = 2.0 * (_generator_term(lam_psi, ket_psi, *rows)
+                             + _generator_term(lam_psi.T, ket_psi.T, *rows))
     return energy, grad
 
 
@@ -175,7 +174,7 @@ def _newton_polish(fac: XDFFactorization, cfg: AnsatzConfig, x: np.ndarray,
 
     A chord step x - C g on the current pseudo-inverse Hessian C is taken when
     it at least halves max|g|. Otherwise C is rebuilt at x and the Newton step
-    is backtracked, then small gradient steps are tried, before giving up.
+    is halved until max|g| drops; if 30 halvings do not lower it, Newton stops.
     Returns the end point, its energy and gradient, the last C and the number
     of steps taken.
     """
@@ -194,10 +193,8 @@ def _newton_polish(fac: XDFFactorization, cfg: AnsatzConfig, x: np.ndarray,
                 continue
         curvature = _inverse_hessian(fac, cfg, x)
         step = -curvature @ grad
-        # backtracked Newton step, then a conservative gradient fallback
-        trials = [x + 0.5 ** k * step for k in range(30)]
-        trials += [x - scale * grad for scale in (1e-2, 1e-3, 1e-4)]
-        for trial in trials:
+        for k in range(30):
+            trial = x + 0.5 ** k * step
             e_new, g_new = _energy_and_gradient(fac, cfg, trial)
             if np.max(np.abs(g_new)) < gmax:
                 x, energy, grad = trial, e_new, g_new
@@ -232,18 +229,18 @@ def optimize(fac: XDFFactorization, cfg: AnsatzConfig, tol: float = 1e-10,
              seed: VQEResult | None = None, maxiter: int = 2000) -> VQEResult:
     """Minimize the factorized energy over the ansatz angles.
 
-    Deterministic for fixed (cfg.seed, seed, tol). A warm start from ``seed``,
-    usually a converged result for a nearby Hamiltonian, begins exactly at
-    ``seed.params``, which keeps displaced re-optimizations on the same local
-    minimum, and goes straight to Newton steps on ``seed.curvature`` (built at
-    ``seed.params`` when the seed has none); only if those end above ``tol``
-    does it fall back to L-BFGS plus a Newton polish from ``seed.params``.
-    Cold starts grow the ansatz layer by layer, then refine at full depth
-    with L-BFGS and a Newton polish, with random restarts on failure.
-    ``n_iterations`` counts L-BFGS iterations and Newton steps.
-    Non-convergence is reported through the ``converged`` flag, not raised.
-    An ansatz without parameters (no layers, or one orbital) leaves the
-    reference state, which is trivially stationary.
+    Deterministic for fixed (cfg.seed, seed, tol). Both kinds of start take
+    one flow. A cold start grows the ansatz layer by layer with L-BFGS; a warm
+    start from ``seed``, usually a converged result for a nearby Hamiltonian,
+    begins exactly at ``seed.params``, which keeps displaced re-optimizations
+    on the same local minimum, with ``seed.curvature``. Newton steps run from
+    that start. Only if they end above ``tol`` is there one fallback: L-BFGS
+    from the start, then Newton on a fresh Hessian; the converged, else the
+    lower-energy, of the two end points is returned. ``n_iterations`` counts
+    L-BFGS iterations and Newton steps. Non-convergence is reported through
+    the ``converged`` flag, not raised. An ansatz without parameters (no
+    layers, or one orbital) leaves the reference state, which is trivially
+    stationary.
     """
     if tol <= 0:
         raise ValueError("tolerance must be positive")
@@ -251,42 +248,29 @@ def optimize(fac: XDFFactorization, cfg: AnsatzConfig, tol: float = 1e-10,
         energy, _ = _energy_and_gradient(fac, cfg, np.zeros(0))
         return VQEResult(np.zeros(0), energy, 0.0, True, 0)
 
-    candidates = []
-    total_iters = 0
-
-    def polish(x: np.ndarray, curvature: np.ndarray | None = None) -> bool:
-        nonlocal total_iters
-        x, energy, grad, curvature, steps = _newton_polish(
-            fac, cfg, x, tol, min(20, maxiter), curvature)
-        total_iters += steps
-        grad_norm = float(np.max(np.abs(grad)))
-        candidates.append((not grad_norm <= tol, energy, x, grad_norm, curvature))
-        return grad_norm <= tol
-
-    def attempt(x0: np.ndarray) -> bool:
-        nonlocal total_iters
-        x, nit = _lbfgs(fac, cfg, x0, tol, maxiter)
-        total_iters += nit
-        return polish(x)
-
-    if seed is not None:
-        if not polish(seed.params, seed.curvature):
-            attempt(seed.params)
+    if seed is None:
+        start, iterations = _grown_start(fac, cfg, tol, maxiter)
+        curvature = None
     else:
-        x0, total_iters = _grown_start(fac, cfg, tol, maxiter)
-        ok = attempt(x0)
-        rng = np.random.default_rng(cfg.seed + 1)
-        for _ in range(RESTARTS):
-            if ok:
-                break
-            ok = attempt(0.2 * rng.standard_normal(n_parameters(fac.n_orbitals, cfg)))
+        start, iterations, curvature = seed.params, 0, seed.curvature
+    max_steps = min(20, maxiter)
+    x, energy, grad, curvature, steps = _newton_polish(
+        fac, cfg, start, tol, max_steps, curvature)
+    iterations += steps
+    grad_norm = float(np.max(np.abs(grad)))
+    if not grad_norm <= tol:
+        x_lbfgs, nit = _lbfgs(fac, cfg, start, tol, maxiter)
+        x_fb, e_fb, g_fb, c_fb, steps = _newton_polish(fac, cfg, x_lbfgs, tol, max_steps)
+        iterations += nit + steps
+        gn_fb = float(np.max(np.abs(g_fb)))
+        if gn_fb <= tol or e_fb < energy:  # converged first, then lower energy
+            x, energy, grad_norm, curvature = x_fb, e_fb, gn_fb, c_fb
 
-    _, energy, x, grad_norm, curvature = min(candidates, key=lambda c: (c[0], c[1]))
     converged = bool(grad_norm <= tol)
     if not converged:
         warnings.warn(f"optimizer stalled with gradient norm {grad_norm:.3e}",
                       stacklevel=2)
-    return VQEResult(x, float(energy), grad_norm, converged, total_iters, curvature)
+    return VQEResult(x, float(energy), grad_norm, converged, iterations, curvature)
 
 
 def sector_indices(n_spatial: int, n_alpha: int, n_beta: int) -> np.ndarray:

@@ -30,8 +30,6 @@ __all__ = [
     "z_tensor",
 ]
 
-EIGEN_TOL = 1e-10
-
 
 @dataclass(frozen=True, eq=False)
 class XDFLeaf:

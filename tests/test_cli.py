@@ -134,6 +134,11 @@ def test_exit_code_input_error(fcidump_n3, tmp_path, capsys):
         code, payload = _run(["factorize", "--fcidump", path], tmp_path)
         assert code == 1
         assert "error" in payload
+    # a NORB header above the desk cap is rejected before any allocation
+    huge = tmp_path / "huge.fcidump"
+    huge.write_text("&FCI NORB=1000,NELEC=2,MS2=0, &END\n", encoding="ascii")
+    code, payload = _run(["factorize", "--fcidump", str(huge)], tmp_path)
+    assert code == 1 and "NORB" in payload["error"]
     # an unwritable --out: the error payload goes to stdout instead
     capsys.readouterr()
     out = tmp_path / "missing" / "x.json"

@@ -54,6 +54,10 @@ def test_parse_electron_counts_from_ms2():
     "&FCI NORB=2,NELEC=3,MS2=0 &END 0.1 0 0 0 0",  # parity clash
     "&FCI NORB=2,NELEC=2,MS2=0 &END 0.1 3 1 0 0",  # index out of range
     "&FCI NORB=2,NELEC=2,MS2=0 &END 0.1 1 1",      # ragged record
+    "&FCI NORB=0,NELEC=0,MS2=0 &END",              # no orbitals
+    "&FCI NORB=-3,NELEC=2,MS2=0 &END",             # negative NORB
+    "&FCI NORB=9,NELEC=2,MS2=0 &END",              # above the desk cap
+    "&FCI NORB=1000,NELEC=2,MS2=0, &END",          # would allocate 8 TB
 ])
 def test_parse_rejects_malformed(text):
     with pytest.raises(ValueError):

@@ -1,7 +1,9 @@
 """Package modules use each other only through public names, their
-dataclasses hold no mutable containers, and every name they export exists."""
+dataclasses hold no mutable containers, every name they export exists and
+every module constant they define is read."""
 
 import ast
+import re
 from pathlib import Path
 
 import pytest
@@ -136,3 +138,50 @@ def test_finder_flags_undefined_exports():
 @pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
 def test_exports_are_defined(path):
     assert undefined_exports(path.read_text(encoding="utf-8")) == []
+
+
+TESTS = Path(__file__).parent
+CONSTANT = re.compile(r"[A-Z][A-Z0-9_]*")
+
+
+def unread_constants(source: str, readers: list[str]) -> list[str]:
+    """Module-level UPPER_CASE names bound in source that neither source nor
+    any reader loads by name or as an attribute."""
+    defined = []
+    for stmt in ast.parse(source).body:
+        if isinstance(stmt, (ast.Assign, ast.AnnAssign)):
+            targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
+            defined += [t.id for t in targets
+                        if isinstance(t, ast.Name) and CONSTANT.fullmatch(t.id)]
+    read = set()
+    for text in [source, *readers]:
+        for node in ast.walk(ast.parse(text)):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+    return [name for name in defined if name not in read]
+
+
+def test_finder_flags_unread_constants():
+    source = (
+        "import numpy as np\n"
+        "TOL = 1e-10\n"
+        "GUARD: float = 1e-8\n"
+        "STEPS = (1, 2)\n"
+        "CAP = 8\n"
+        "Mixed_Case = 3\n"
+        "def f():\n"
+        "    LOCAL = 1\n"
+        "    return STEPS\n"
+    )
+    reader = "from xdfrelax import m\nm.CAP\nfrom xdfrelax.m import GUARD\n"
+    assert unread_constants(source, [reader]) == ["TOL", "GUARD"]
+    assert unread_constants(source, [reader, "GUARD + m.TOL\n"]) == []
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_no_unread_constants(path):
+    readers = [p.read_text(encoding="utf-8")
+               for p in sorted(PACKAGE.glob("*.py")) + sorted(TESTS.glob("*.py"))]
+    assert unread_constants(path.read_text(encoding="utf-8"), readers) == []

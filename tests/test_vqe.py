@@ -142,6 +142,49 @@ def test_warm_displaced_resolve_matches_lbfgs_route(displaced_regime, energy_gra
     assert abs(chord.energy - energy) <= 1e-12
 
 
+@pytest.fixture
+def lbfgs_calls(monkeypatch):
+    """Records the parameter count of every L-BFGS run the optimizer starts."""
+    calls = []
+    real = vqe._lbfgs
+
+    def counting(fac, cfg, x0, tol, maxiter):
+        calls.append(x0.size)
+        return real(fac, cfg, x0, tol, maxiter)
+
+    monkeypatch.setattr(vqe, "_lbfgs", counting)
+    return calls
+
+
+def test_cold_solve_runs_lbfgs_once_per_depth(lbfgs_calls):
+    fac = factorize(synth_hamiltonian(3, 1, 1, 2), TruncationPolicy.exact())
+    cfg = AnsatzConfig(3, seed=3)
+    result = optimize(fac, cfg, tol=1e-10)
+    assert result.converged
+    # one run per grown depth; Newton finishes from the full-depth one
+    assert lbfgs_calls == [n_parameters(3, AnsatzConfig(d)) for d in (1, 2, 3)]
+
+
+def test_failed_newton_falls_back_to_lbfgs(monkeypatch, lbfgs_calls):
+    fac = factorize(synth_hamiltonian(3, 1, 1, 2), TruncationPolicy.exact())
+    cfg = AnsatzConfig(3, seed=3)
+    reference = optimize(fac, cfg, tol=1e-10)
+    lbfgs_calls.clear()
+    builds = []
+    real = vqe._inverse_hessian
+
+    def zero_first(fac, cfg, x):
+        builds.append(x)
+        return np.zeros((x.size, x.size)) if len(builds) == 1 else real(fac, cfg, x)
+
+    monkeypatch.setattr(vqe, "_inverse_hessian", zero_first)
+    result = optimize(fac, cfg, tol=1e-10)
+    assert len(builds) >= 2  # the zero Hessian stalled Newton, a fresh one was built
+    assert len(lbfgs_calls) == cfg.n_layers + 1  # the fallback ran
+    assert result.converged
+    assert abs(result.energy - reference.energy) <= 1e-12
+
+
 @pytest.mark.parametrize("scale", [-1.0, 0.0])
 def test_wrong_seed_curvature_is_rebuilt(displaced_regime, energy_grad_calls, scale):
     fac, cfg, base = displaced_regime
@@ -220,7 +263,7 @@ def test_prepare_state_matches_reference_kernel(n, na, nb, seed):
 
 
 @pytest.mark.parametrize("n,na,nb,seed,layers", [(2, 1, 1, 7, 3), (3, 2, 1, 3, 2),
-                                                 (4, 2, 2, 13, 2)])
+                                                 (4, 2, 2, 13, 2), (5, 3, 2, 1, 2)])
 def test_adjoint_gradient_matches_shift_rule(n, na, nb, seed, layers):
     fac = factorize(synth_hamiltonian(n, na, nb, seed), TruncationPolicy.exact())
     cfg = AnsatzConfig(layers)
