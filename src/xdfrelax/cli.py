@@ -16,6 +16,7 @@ from .hammodel import (
     random_one_body_perturbation,
     random_two_body_perturbation,
 )
+from .verify import NonConvergence
 from .vqe import AnsatzConfig
 from .xdf import TruncationPolicy, factorize, reconstruct_eri
 
@@ -23,10 +24,6 @@ EXIT_OK = 0
 EXIT_INPUT = 1
 EXIT_NUMERICAL = 2
 EXIT_NONCONVERGED = 3
-
-
-class NonConvergence(RuntimeError):
-    pass
 
 
 def _array(a: np.ndarray) -> dict:
@@ -221,47 +218,61 @@ def cmd_path(args) -> dict:
     }
 
 
-def _add_common(parser, layers_default=4):
+# Flags several subcommands share; each subcommand registers those it reads.
+_SHARED_FLAGS = {
+    "--threshold": {"type": float, "default": None,
+                    "help": "retain leaves with |g| >= threshold"},
+    "--leaves": {"type": int, "default": None,
+                 "help": "retain a fixed number of leading leaves"},
+    "--layers": {"type": int, "default": 4},
+    "--tol": {"type": float, "default": 1e-9},
+    "--maxiter": {"type": int, "default": 2000},
+    "--seed": {"type": int, "default": 0},
+}
+
+
+def _add_common(parser, *flags):
     parser.add_argument("--fcidump", required=True, help="input integral file")
-    parser.add_argument("--threshold", type=float, default=None,
-                        help="retain leaves with |g| >= threshold")
-    parser.add_argument("--leaves", type=int, default=None,
-                        help="retain a fixed number of leading leaves")
-    parser.add_argument("--layers", type=int, default=layers_default)
-    parser.add_argument("--tol", type=float, default=1e-9)
-    parser.add_argument("--maxiter", type=int, default=2000)
-    parser.add_argument("--seed", type=int, default=0)
+    for flag in flags:
+        parser.add_argument(flag, **_SHARED_FLAGS[flag])
     parser.add_argument("--out", default=None, help="write JSON here instead of stdout")
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a usage error as a ValueError, for the exit-1 path of ``main``."""
+
+    def error(self, message):
+        raise ValueError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="xdfrelax",
         description="Double-factorized Hamiltonians, statevector VQE, relaxed densities.")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("factorize", help="eigendecompose the integrals into leaves")
-    _add_common(p)
+    _add_common(p, "--threshold", "--leaves")
     p.set_defaults(func=cmd_factorize)
 
     p = sub.add_parser("vqe", help="variational ground-state optimization")
-    _add_common(p)
+    _add_common(p, *_SHARED_FLAGS)
     p.set_defaults(func=cmd_vqe)
 
     p = sub.add_parser("rdm", help="relaxed density matrices from multiplier solves")
-    _add_common(p)
+    _add_common(p, *_SHARED_FLAGS)
     p.add_argument("--ablate", choices=lagrange.ABLATION_MODES, default=None)
     p.set_defaults(func=cmd_rdm)
 
     p = sub.add_parser("verify", help="four-regime derivative validation suite")
-    _add_common(p)
+    _add_common(p, "--leaves", "--layers", "--tol", "--seed")
     p.add_argument("--layers-small", type=int, default=1)
     p.add_argument("--perturbations", type=int, default=3)
     p.add_argument("--ablate", choices=lagrange.ABLATION_MODES, default=None)
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("path", help="velocity-Verlet run on an interpolated pair")
-    _add_common(p, layers_default=3)
+    _add_common(p, "--threshold", "--leaves", "--layers", "--tol", "--seed")
     p.add_argument("--fcidump-b", required=True)
     p.add_argument("--steps", type=int, default=1000)
     p.add_argument("--dt", type=float, default=0.005)
@@ -269,12 +280,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--s0", type=float, default=0.3)
     p.add_argument("--v0", type=float, default=0.1)
     p.add_argument("--ablate", choices=lagrange.ABLATION_MODES, default=None)
-    p.set_defaults(func=cmd_path)
+    p.set_defaults(func=cmd_path, layers=3)
     return parser
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except ValueError as exc:
+        # a usage error: no parsed --out to honour and no config to echo
+        print(json.dumps({"error": str(exc), "exit_code": EXIT_INPUT}, indent=2, sort_keys=True))
+        return EXIT_INPUT
     try:
         _check_flags(args)
         payload = args.func(args)

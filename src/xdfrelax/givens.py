@@ -20,14 +20,12 @@ import numpy as np
 
 __all__ = [
     "GivensFabric",
-    "FabricJacobian",
     "rectangle_pivots",
     "decompose",
     "reconstruct",
     "jacobian",
     "pinv_solve",
     "identity_fabric",
-    "random_special_orthogonal",
 ]
 
 ORTHOGONALITY_TOL = 1e-10
@@ -41,11 +39,6 @@ def rectangle_pivots(n: int) -> tuple[tuple[int, int], ...]:
         for m in range(layer % 2, n - 1, 2):
             pivots.append((m, m + 1))
     return tuple(pivots)
-
-
-def lower_triangle_indices(n: int) -> tuple[tuple[int, int], ...]:
-    """Strictly-lower-triangle entries (p, k), p > k, in row-major order."""
-    return tuple((p, k) for p in range(n) for k in range(p))
 
 
 @dataclass(frozen=True)
@@ -65,29 +58,9 @@ class GivensFabric:
     def pivots(self) -> tuple[tuple[int, int], ...]:
         return rectangle_pivots(self.n)
 
-    def with_angles(self, angles: np.ndarray) -> GivensFabric:
-        return GivensFabric(self.n, angles)
-
-    def as_records(self) -> list:
-        """JSON-friendly ordered list of [p, q, angle]."""
-        return [[p, q, float(t)] for (p, q), t in zip(self.pivots, self.angles)]
-
 
 def identity_fabric(n: int) -> GivensFabric:
     return GivensFabric(n, np.zeros(n * (n - 1) // 2))
-
-
-@dataclass(frozen=True)
-class FabricJacobian:
-    """Derivatives of the fabric product's strictly-lower triangle.
-
-    ``matrix[g, c]`` is the derivative of entry ``lower_indices[c]`` of the
-    reconstructed matrix with respect to angle ``g``; square of dimension
-    N (N - 1) / 2.
-    """
-
-    matrix: np.ndarray
-    lower_indices: tuple[tuple[int, int], ...]
 
 
 def _rotate_rows(u: np.ndarray, m: int, theta: float) -> None:
@@ -254,9 +227,11 @@ def _reduce_branch(pivots, angles: np.ndarray) -> np.ndarray:
     return angles
 
 
-def jacobian(fabric: GivensFabric) -> FabricJacobian:
+def jacobian(fabric: GivensFabric) -> np.ndarray:
     """Angle derivatives of the reconstructed matrix's strictly-lower triangle.
 
+    Entry [g, c] is the derivative of entry c of ``np.tril_indices(N, -1)``
+    (row-major) with respect to angle g; square of dimension N (N - 1) / 2.
     With P the product of the gates before gate g on pivot (m, m+1),
     dU/dtheta_g = U (outer(P[m+1], P[m]) - outer(P[m], P[m+1])); one forward
     sweep carries P through the gates and records those two rows.
@@ -270,8 +245,7 @@ def jacobian(fabric: GivensFabric) -> FabricJacobian:
         _rotate_rows(prefix, m, theta)
     u_t = prefix.T  # after the last gate, P is the whole product U
     rows, cols = np.tril_indices(n, -1)
-    matrix = (hi @ u_t)[:, rows] * lo[:, cols] - (lo @ u_t)[:, rows] * hi[:, cols]
-    return FabricJacobian(matrix, lower_triangle_indices(n))
+    return (hi @ u_t)[:, rows] * lo[:, cols] - (lo @ u_t)[:, rows] * hi[:, cols]
 
 
 def pinv_solve(a: np.ndarray, rhs: np.ndarray) -> np.ndarray:
@@ -279,13 +253,3 @@ def pinv_solve(a: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     solution, _, _, _ = np.linalg.lstsq(np.asarray(a, dtype=float),
                                         np.asarray(rhs, dtype=float), rcond=PINV_RCOND)
     return solution
-
-
-def random_special_orthogonal(n: int, seed: int) -> np.ndarray:
-    """QR-based Haar-ish sample from SO(n), deterministic in the seed."""
-    rng = np.random.default_rng(seed)
-    q, r = np.linalg.qr(rng.standard_normal((n, n)))
-    q = q * np.sign(np.diagonal(r))
-    if np.linalg.det(q) < 0:
-        q[:, -1] = -q[:, -1]
-    return q

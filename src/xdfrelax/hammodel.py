@@ -84,7 +84,7 @@ class Hamiltonian:
         return self.two_body.reshape(n * n, n * n)
 
     def validate(self, check_psd: bool = False) -> None:
-        """Raise ValueError if shapes or permutational symmetries are violated."""
+        """Raise ValueError if shapes, finiteness or permutational symmetries are violated."""
         n = self.n_orbitals
         if n < 1:
             raise ValueError(f"n_orbitals must be positive, got {n}")
@@ -94,6 +94,10 @@ class Hamiltonian:
             raise ValueError(f"one_body has shape {self.one_body.shape}, expected {(n, n)}")
         if self.two_body.shape != (n, n, n, n):
             raise ValueError(f"two_body has shape {self.two_body.shape}")
+        for name, value in (("core energy", self.core_energy), ("one_body", self.one_body),
+                            ("two_body", self.two_body)):
+            if not np.all(np.isfinite(value)):
+                raise ValueError(f"{name} holds a non-finite value")
         dev1 = float(np.max(np.abs(self.one_body - self.one_body.T))) if n else 0.0
         if dev1 > SYMMETRY_TOL:
             raise ValueError(f"one_body not symmetric (deviation {dev1:.3e})")

@@ -91,8 +91,8 @@ def solve_eta(frame: Frame, state: Statevector) -> tuple[np.ndarray, float]:
     """
     jac = jacobian(frame.fabric)
     rhs = -qsim.angle_gradient(state, frame)
-    eta_vec = pinv_solve(jac.matrix, rhs)
-    residual = float(np.max(np.abs(jac.matrix @ eta_vec - rhs))) if rhs.size else 0.0
+    eta_vec = pinv_solve(jac, rhs)
+    residual = float(np.max(np.abs(jac @ eta_vec - rhs))) if rhs.size else 0.0
     if residual > ETA_RESIDUAL_TOL:
         warnings.warn(
             f"eta solve residual {residual:.3e}; state may not be stationary",

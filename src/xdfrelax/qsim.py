@@ -57,9 +57,6 @@ __all__ = [
     "pair_exchange_rows",
     "rotate_pair",
     "hf_reference",
-    "apply_orbital_rotation",
-    "measure_omega0",
-    "measure_omega_leaf",
     "measure_densities",
     "energy",
     "apply_hamiltonian",
@@ -107,15 +104,6 @@ class Statevector:
 
     def norm(self) -> float:
         return float(np.linalg.norm(self.amplitudes))
-
-    def electron_counts(self) -> tuple[int, int]:
-        """Per-spin particle numbers; raises if the state mixes sectors."""
-        filled = string_bits(self.n_spatial).sum(axis=1)
-        beta, alpha = np.nonzero(np.abs(self.matrix()) ** 2 > 1e-24)
-        counts = set(zip(filled[alpha].tolist(), filled[beta].tolist()))
-        if len(counts) != 1:
-            raise ValueError(f"state is not in a single (n_alpha, n_beta) sector: {counts}")
-        return counts.pop()
 
 
 @dataclass(frozen=True, eq=False)
@@ -189,18 +177,6 @@ def _fabric_operator(fabric: GivensFabric, angles: np.ndarray) -> np.ndarray:
     return op
 
 
-def apply_orbital_rotation(state: Statevector, fabric: GivensFabric,
-                           dagger: bool = False) -> Statevector:
-    """Spin-locked fabric circuit; single-particle amplitudes transform by
-    the fabric's orthogonal matrix (or its transpose when dagger)."""
-    if fabric.n != state.n_spatial:
-        raise ValueError("fabric dimension does not match state")
-    op = _fabric_operator(fabric, fabric.angles)
-    psi = state.matrix()
-    out = op.T @ psi @ op if dagger else op @ psi @ op.T
-    return Statevector(state.n_spatial, out.reshape(-1))
-
-
 # ---------------------------------------------------------------------------
 # Frames: one per term of the factorized Hamiltonian
 # ---------------------------------------------------------------------------
@@ -260,16 +236,6 @@ def _omega_leaf(state: Statevector, op: np.ndarray) -> np.ndarray:
     z = _spin_z(state.n_spatial)
     moments = (z.T * marginal) @ z + z.T @ (weights + weights.T) @ z
     return (moments - 2.0 * np.eye(state.n_spatial)) / 8.0
-
-
-def measure_omega0(state: Statevector, fabric: GivensFabric) -> np.ndarray:
-    """One-body eigenbasis density: omega0_k = <E_kk> - 1 in the fabric's frame."""
-    return _omega0(state, _fabric_operator(fabric, fabric.angles))
-
-
-def measure_omega_leaf(state: Statevector, fabric: GivensFabric) -> np.ndarray:
-    """Two-body eigenbasis density of one leaf from Z/ZZ moments in its frame."""
-    return _omega_leaf(state, _fabric_operator(fabric, fabric.angles))
 
 
 def measure_densities(state: Statevector, fac: XDFFactorization) -> EigenbasisDensities:

@@ -21,6 +21,7 @@ __all__ = [
     "DerivativeReport",
     "PathTrace",
     "Pipeline",
+    "NonConvergence",
     "TruncationBoundaryError",
     "dense_energy",
     "run_pipeline",
@@ -34,6 +35,10 @@ __all__ = [
 FD_STEP = 1e-3
 DERIVATIVE_TOL = 1e-6
 SUBSPACE_DRIFT_TOL = 0.1
+
+
+class NonConvergence(RuntimeError):
+    """A VQE solve stopped above its gradient tolerance."""
 
 
 class TruncationBoundaryError(RuntimeError):
@@ -71,7 +76,6 @@ class DerivativeReport:
     analytic: float
     numerical: float
     abs_diff: float
-    step: float
 
     def passed(self, tol: float = DERIVATIVE_TOL) -> bool:
         return self.abs_diff < tol
@@ -104,8 +108,6 @@ class PathTrace:
 class Pipeline:
     """One fully converged factorize + optimize run on a Hamiltonian."""
 
-    ham: Hamiltonian
-    regime: RegimeSpec
     fac: XDFFactorization
     result: vqe.VQEResult
     state: qsim.Statevector
@@ -133,10 +135,10 @@ def run_pipeline(ham: Hamiltonian, regime: RegimeSpec,
     cfg = AnsatzConfig(regime.n_layers, regime.ansatz_seed)
     result = vqe.optimize(fac, cfg, tol=regime.vqe_tol, seed=seed)
     if not result.converged:
-        raise RuntimeError(
+        raise NonConvergence(
             f"VQE did not reach gradient {regime.vqe_tol:.1e} in regime {regime.name}")
     state = vqe.prepare_state(fac, cfg, result.params)
-    return Pipeline(ham, regime, fac, result, state)
+    return Pipeline(fac, result, state)
 
 
 def relaxed_rdms(pipe: Pipeline, ablate: str | None = None) -> lagrange.RelaxedRDMs:
@@ -215,7 +217,7 @@ def run_regime_suite(ham: Hamiltonian, specs, perturbations,
             numerical = fd_energy_derivative(ham, pert, regime, eps_step, base)
             reports.append(DerivativeReport(
                 regime.name, pert.label or pert.kind, analytic, numerical,
-                abs(analytic - numerical), eps_step))
+                abs(analytic - numerical)))
     return reports
 
 

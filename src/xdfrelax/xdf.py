@@ -27,7 +27,6 @@ __all__ = [
     "TruncationPolicy",
     "factorize",
     "reconstruct_eri",
-    "z_tensor",
 ]
 
 
@@ -49,12 +48,8 @@ class XDFLeaf:
 
     @property
     def Z(self) -> np.ndarray:
-        return z_tensor(self)
-
-
-def z_tensor(leaf: XDFLeaf) -> np.ndarray:
-    """Diagonal-coupling matrix Z[k, l] = lambda_k * g * lambda_l."""
-    return leaf.g * np.outer(leaf.lam, leaf.lam)
+        """Diagonal-coupling matrix Z[k, l] = lambda_k * g * lambda_l."""
+        return self.g * np.outer(self.lam, self.lam)
 
 
 @dataclass(frozen=True)
@@ -111,7 +106,6 @@ class XDFFactorization:
     F0: np.ndarray
     leaves: tuple[XDFLeaf, ...]
     retained: int
-    ham: Hamiltonian
     frames: tuple[Frame, ...] = field(init=False, repr=False)
 
     def __post_init__(self):
@@ -209,8 +203,7 @@ def factorize(ham: Hamiltonian, policy: TruncationPolicy) -> XDFFactorization:
 
     retained = policy.retained_count(np.array([leaf.g for leaf in leaves]))
     return XDFFactorization(
-        n, ham.n_alpha, ham.n_beta, eff, u0, f0, tuple(leaves), retained, ham,
-    )
+        n, ham.n_alpha, ham.n_beta, eff, u0, f0, tuple(leaves), retained)
 
 
 def reconstruct_eri(fac: XDFFactorization, use_retained_only: bool = False) -> np.ndarray:
@@ -225,5 +218,5 @@ def reconstruct_eri(fac: XDFFactorization, use_retained_only: bool = False) -> n
     for leaf in leaves:
         cols = np.stack([np.outer(leaf.U[:, k], leaf.U[:, k]).reshape(-1)
                          for k in range(n)], axis=1)
-        out += cols @ z_tensor(leaf) @ cols.T
+        out += cols @ leaf.Z @ cols.T
     return out.reshape(n, n, n, n)

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from types import SimpleNamespace
+
 import numpy as np
 
 from xdfrelax import givens, hammodel, qsim, vqe, xdf
@@ -37,14 +39,57 @@ def zero_two_body(n: int, n_alpha: int, n_beta: int, diag, core: float = 0.0,
     return Hamiltonian(n, n_alpha, n_beta, core, h, np.zeros((n, n, n, n)))
 
 
+def random_special_orthogonal(n: int, seed: int) -> np.ndarray:
+    """QR-based Haar-ish sample from SO(n), deterministic in the seed."""
+    rng = np.random.default_rng(seed)
+    q, r = np.linalg.qr(rng.standard_normal((n, n)))
+    q = q * np.sign(np.diagonal(r))
+    if np.linalg.det(q) < 0:
+        q[:, -1] = -q[:, -1]
+    return q
+
+
+def electron_counts(state: qsim.Statevector) -> tuple[int, int]:
+    """Per-spin particle numbers; raises if the state mixes sectors."""
+    filled = qsim.string_bits(state.n_spatial).sum(axis=1)
+    beta, alpha = np.nonzero(np.abs(state.matrix()) ** 2 > 1e-24)
+    counts = set(zip(filled[alpha].tolist(), filled[beta].tolist()))
+    if len(counts) != 1:
+        raise ValueError(f"state is not in a single (n_alpha, n_beta) sector: {counts}")
+    return counts.pop()
+
+
+def fabric_frame(fabric: givens.GivensFabric) -> qsim.Frame:
+    """Frame of an arbitrary fabric, with a zero energy operator."""
+    side = 1 << fabric.n
+    return qsim.Frame(fabric, np.zeros((side, side)))
+
+
+def rotate_state(state: qsim.Statevector, frame: qsim.Frame,
+                 dagger: bool = False) -> qsim.Statevector:
+    """Spin-locked fabric circuit of a frame through its operator M:
+    Psi -> M Psi M^T, or M^T Psi M for the dagger."""
+    m_op = frame.M
+    psi = state.matrix()
+    out = m_op.T @ psi @ m_op if dagger else m_op @ psi @ m_op.T
+    return qsim.Statevector(state.n_spatial, out.reshape(-1))
+
+
+def frame_densities(state: qsim.Statevector, fabrics) -> qsim.EigenbasisDensities:
+    """``qsim.measure_densities`` in the frames of arbitrary fabrics: the first
+    stands for the one-body frame, the rest for leaf frames."""
+    frames = tuple(fabric_frame(fabric) for fabric in fabrics)
+    return qsim.measure_densities(state, SimpleNamespace(frames=frames))
+
+
 def random_sector_state(fac: xdf.XDFFactorization, seed: int,
                         n_rounds: int = 3) -> qsim.Statevector:
     """Generic normalized state in the factorization's electron sector."""
     rng = np.random.default_rng(seed)
     state = qsim.hf_reference(fac.n_orbitals, fac.n_alpha, fac.n_beta)
     for _ in range(n_rounds):
-        u = givens.random_special_orthogonal(fac.n_orbitals, int(rng.integers(1 << 30)))
-        state = qsim.apply_orbital_rotation(state, givens.decompose(u))
+        u = random_special_orthogonal(fac.n_orbitals, int(rng.integers(1 << 30)))
+        state = rotate_state(state, fabric_frame(givens.decompose(u)))
         amps = np.array(state.amplitudes)
         for p in range(fac.n_orbitals - 1):
             qsim.rotate_pair(amps, *qsim.pair_exchange_rows(fac.n_orbitals, p),
@@ -115,7 +160,7 @@ def ref_apply_hamiltonian(state: qsim.Statevector, fac: xdf.XDFFactorization) ->
     out = fac.eff.scalar_offset * np.array(state.amplitudes)
     diags = [(occ - 1.0) @ fac.F0]
     for leaf in fac.retained_leaves:
-        z_mat = xdf.z_tensor(leaf)
+        z_mat = leaf.Z
         diags.append(0.125 * np.einsum("xk,kl,xl->x", z, z_mat, z) - 0.25 * np.trace(z_mat))
     for frame, diag in zip(fac.frames, diags, strict=True):
         rotated = ref_apply_fabric(state, frame.fabric, dagger=True)

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from xdfrelax import cli, vqe
+from xdfrelax import cli, verify, vqe
 from xdfrelax.hammodel import Hamiltonian, synth_hamiltonian, write_fcidump
 
 from _common import regime_fixture
@@ -153,6 +153,32 @@ def test_exit_code_malformed_file(tmp_path):
     bad.write_text("not a namelist at all\n", encoding="ascii")
     code, payload = _run(["factorize", "--fcidump", str(bad)], tmp_path)
     assert code == 1
+    # non-finite integrals are input errors, not numerical failures
+    header = "&FCI NORB=2,NELEC=2,MS2=0,\n&END\n0.5 1 1 1 1\n-1.0 1 1 0 0\n"
+    for record, name in (("nan 0 0 0 0", "core energy"), ("inf 2 1 0 0", "one_body"),
+                         ("nan 2 1 2 1", "two_body")):
+        bad.write_text(header + record + "\n", encoding="ascii")
+        for command in ("factorize", "rdm"):
+            code, payload = _run([command, "--fcidump", str(bad)], tmp_path)
+            assert code == 1
+            assert payload["error"] == f"{name} holds a non-finite value"
+
+
+@pytest.mark.parametrize("argv,flag", [
+    (["vqe", "--bogus", "1"], "--bogus"),
+    (["vqe", "--layers", "abc"], "--layers"),
+    (["rdm", "--ablate", "foo"], "--ablate"),
+    (["verify", "--threshold", "0.3"], "--threshold"),
+    (["factorize", "--layers", "2"], "--layers"),
+])
+def test_exit_code_usage_error(fcidump_n3, tmp_path, capsys, argv, flag):
+    # the parser fails before --out is known, so the payload goes to stdout
+    out = tmp_path / "x.json"
+    code = cli.main(argv + ["--fcidump", fcidump_n3, "--out", str(out)])
+    payload = json.loads(capsys.readouterr().out)
+    assert code == 1 and not out.exists()
+    assert payload == {"error": payload["error"], "exit_code": 1}
+    assert flag in payload["error"]
 
 
 @pytest.mark.parametrize("argv,flag", [
@@ -177,6 +203,31 @@ def test_exit_code_nonconvergence(fcidump_n3, tmp_path):
                           "--tol", "1e-9", "--maxiter", "0", "--seed", "0"], tmp_path)
     assert code == 3
     assert "error" in payload
+
+
+@pytest.mark.parametrize("command", ["vqe", "verify", "path"])
+def test_exit_code_nonconvergence_every_command(fcidump_n3, tmp_path, monkeypatch, command):
+    # every solve, the first included, stops above its tolerance
+    def unconverged(fac, cfg, tol, **kwargs):
+        return vqe.VQEResult(np.zeros(1), 0.0, 1.0, False, 0)
+
+    monkeypatch.setattr(vqe, "optimize", unconverged)
+    argv = [command, "--fcidump", fcidump_n3]
+    if command == "path":
+        argv += ["--fcidump-b", fcidump_n3, "--steps", "2"]
+    code, payload = _run(argv, tmp_path)
+    assert code == 3 and payload["exit_code"] == 3
+    assert "error" in payload
+
+
+def test_exit_code_truncation_boundary(fcidump_n3, tmp_path, monkeypatch):
+    def boundary(*args, **kwargs):
+        raise verify.TruncationBoundaryError("retained count changed 3 -> 2")
+
+    monkeypatch.setattr(verify, "run_regime_suite", boundary)
+    code, payload = _run(["verify", "--fcidump", fcidump_n3], tmp_path)
+    assert code == 2
+    assert payload["error"] == "retained count changed 3 -> 2"
 
 
 def test_byte_identical_reruns(fcidump_n3, tmp_path):

@@ -48,6 +48,14 @@ def test_parse_electron_counts_from_ms2():
     assert (ham.n_alpha, ham.n_beta) == (2, 1)
 
 
+# Records with a non-finite value, and the message each must raise.
+NON_FINITE = {
+    "&FCI NORB=2,NELEC=2,MS2=0 &END nan 0 0 0 0": "core energy holds a non-finite value",
+    "&FCI NORB=2,NELEC=2,MS2=0 &END inf 2 1 0 0": "one_body holds a non-finite value",
+    "&FCI NORB=2,NELEC=2,MS2=0 &END -inf 2 1 2 1": "two_body holds a non-finite value",
+}
+
+
 @pytest.mark.parametrize("text", [
     "NORB=2,NELEC=2 &END 0.1 0 0 0 0",          # missing &FCI
     "&FCI NELEC=2,MS2=0 &END 0.1 0 0 0 0",       # missing NORB
@@ -58,9 +66,10 @@ def test_parse_electron_counts_from_ms2():
     "&FCI NORB=-3,NELEC=2,MS2=0 &END",             # negative NORB
     "&FCI NORB=9,NELEC=2,MS2=0 &END",              # above the desk cap
     "&FCI NORB=1000,NELEC=2,MS2=0, &END",          # would allocate 8 TB
+    *NON_FINITE,
 ])
 def test_parse_rejects_malformed(text):
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=NON_FINITE.get(text)):
         parse_fcidump(text)
 
 

@@ -1,14 +1,18 @@
 """Package modules use each other only through public names, their
-dataclasses hold no mutable containers, every name they export exists and
-every module constant they define is read."""
+dataclasses hold no mutable containers, every name they export exists,
+every module constant, function, class, method and field they define is
+read, and every CLI flag a subcommand registers is read by that subcommand."""
 
+import argparse
 import ast
+import inspect
 import re
 from pathlib import Path
 
 import pytest
 
 import xdfrelax
+from xdfrelax import cli
 
 PACKAGE = Path(xdfrelax.__file__).parent
 MODULES = {path.stem for path in PACKAGE.glob("*.py")} - {"__init__"}
@@ -144,6 +148,18 @@ TESTS = Path(__file__).parent
 CONSTANT = re.compile(r"[A-Z][A-Z0-9_]*")
 
 
+def loaded_names(texts: list[str]) -> set[str]:
+    """Every name the sources load by name or use as an attribute."""
+    read = set()
+    for text in texts:
+        for node in ast.walk(ast.parse(text)):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+    return read
+
+
 def unread_constants(source: str, readers: list[str]) -> list[str]:
     """Module-level UPPER_CASE names bound in source that neither source nor
     any reader loads by name or as an attribute."""
@@ -153,13 +169,7 @@ def unread_constants(source: str, readers: list[str]) -> list[str]:
             targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
             defined += [t.id for t in targets
                         if isinstance(t, ast.Name) and CONSTANT.fullmatch(t.id)]
-    read = set()
-    for text in [source, *readers]:
-        for node in ast.walk(ast.parse(text)):
-            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-                read.add(node.id)
-            elif isinstance(node, ast.Attribute):
-                read.add(node.attr)
+    read = loaded_names([source, *readers])
     return [name for name in defined if name not in read]
 
 
@@ -185,3 +195,125 @@ def test_no_unread_constants(path):
     readers = [p.read_text(encoding="utf-8")
                for p in sorted(PACKAGE.glob("*.py")) + sorted(TESTS.glob("*.py"))]
     assert unread_constants(path.read_text(encoding="utf-8"), readers) == []
+
+
+# Referees and fixture generators: the tests and the benchmark call them, the
+# package does not. A class listed here exempts its members too.
+REFEREES = (
+    "denergy_dtheta_shift", "dense_energy", "exact_ground_state",
+    "projection_lossiness_demo", "LossinessReport",
+    "synth_hamiltonian", "write_fcidump",  # perfbench builds its inputs with these
+)
+
+
+def unread_names(source: str, readers: list[str], skip=()) -> list[str]:
+    """Module-level functions and classes in source, and the methods,
+    properties and fields of those classes, whose name no reader loads by
+    name or as an attribute. Dunder names, names in ``skip`` and the methods
+    of a class derived from another module's class (hooks that base class
+    calls, as ``argparse.ArgumentParser.error``) are exempt."""
+    defined = []
+    for stmt in ast.parse(source).body:
+        if not isinstance(stmt, (ast.FunctionDef, ast.ClassDef)) or stmt.name in skip:
+            continue
+        defined.append(stmt.name)
+        if not isinstance(stmt, ast.ClassDef):
+            continue
+        hooks = any(isinstance(base, ast.Attribute) for base in stmt.bases)
+        for member in stmt.body:
+            if isinstance(member, ast.FunctionDef) and not hooks:
+                defined.append(member.name)
+            elif isinstance(member, ast.AnnAssign) and isinstance(member.target, ast.Name):
+                defined.append(member.target.id)
+    read = loaded_names(readers)
+    return [name for name in defined
+            if name not in read and not (name.startswith("__") and name.endswith("__"))]
+
+
+def test_finder_flags_unread_names():
+    source = (
+        "import argparse\n"
+        "from dataclasses import dataclass\n"
+        "def used(): pass\n"
+        "def unused(): pass\n"
+        "def _private(): pass\n"
+        "@dataclass\n"
+        "class Record:\n"
+        "    read: int\n"
+        "    never: int\n"
+        "    def __post_init__(self): pass\n"
+        "    @property\n"
+        "    def shown(self): return self.read\n"
+        "    def hidden(self): pass\n"
+        "class Referee:\n"
+        "    value: float\n"
+        "class Parser(argparse.ArgumentParser):\n"
+        "    def error(self, message): pass\n"
+    )
+    reader = "from m import used, Record, Parser\nused()\nRecord(1, 2).shown\nParser()\n"
+    assert unread_names(source, [source, reader], skip=("Referee",)) == [
+        "unused", "_private", "never", "hidden"]
+    assert unread_names(source, [source, reader, "hidden(never(unused(_private)))\n"],
+                        skip=("Referee",)) == []
+    assert unread_names(source, [source, reader]) == [
+        "unused", "_private", "never", "hidden", "Referee", "value"]
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_no_unread_names(path):
+    readers = [p.read_text(encoding="utf-8") for p in sorted(PACKAGE.glob("*.py"))]
+    assert unread_names(path.read_text(encoding="utf-8"), readers, skip=REFEREES) == []
+
+
+def unread_flags(source: str, func: str, dests) -> list[str]:
+    """The dests that function ``func`` in source never reads as
+    ``args.<dest>``, itself or through a module-level function it passes
+    ``args`` to (which reads it as ``args`` too)."""
+    functions = {node.name: node for node in ast.parse(source).body
+                 if isinstance(node, ast.FunctionDef)}
+    read, todo, seen = set(), [func], set()
+    while todo:
+        name = todo.pop()
+        if name in seen:
+            continue
+        seen.add(name)
+        for node in ast.walk(functions[name]):
+            if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                    and node.value.id == "args"):
+                read.add(node.attr)
+            elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                  and node.func.id in functions
+                  and any(isinstance(a, ast.Name) and a.id == "args" for a in node.args)):
+                todo.append(node.func.id)
+    return [dest for dest in dests if dest not in read]
+
+
+def test_finder_flags_unread_cli_flags():
+    source = (
+        "def _policy(args):\n"
+        "    return args.threshold\n"
+        "def _unused(args):\n"
+        "    return args.seed\n"
+        "def cmd_a(args):\n"
+        "    return _policy(args), args.layers, len(args)\n"
+        "def cmd_b(args):\n"
+        "    return args.layers\n"
+    )
+    dests = ["threshold", "layers", "seed"]
+    assert unread_flags(source, "cmd_a", dests) == ["seed"]
+    assert unread_flags(source, "cmd_b", dests) == ["threshold", "seed"]
+
+
+def _subparsers() -> dict[str, argparse.ArgumentParser]:
+    parser = cli.build_parser()
+    return next(action.choices for action in parser._actions
+                if isinstance(action, argparse._SubParsersAction))
+
+
+@pytest.mark.parametrize("command", sorted(_subparsers()))
+def test_cli_flags_are_read(command):
+    sub = _subparsers()[command]
+    # --out is read by main, which writes the payload; func is a default, not a flag
+    dests = [action.dest for action in sub._actions if action.dest not in ("help", "out")]
+    func = sub.get_default("func").__name__
+    assert unread_flags(inspect.getsource(cli), func, dests) == []

@@ -6,12 +6,10 @@ from xdfrelax.hammodel import Hamiltonian, synth_hamiltonian
 from xdfrelax.qsim import (
     Statevector,
     angle_gradient,
-    apply_orbital_rotation,
     denergy_dtheta_shift,
     energy,
     hf_reference,
-    measure_omega0,
-    measure_omega_leaf,
+    measure_densities,
     measure_rdms_direct,
 )
 from xdfrelax.xdf import TruncationPolicy, factorize
@@ -19,11 +17,16 @@ from xdfrelax.xdf import TruncationPolicy, factorize
 from _common import (
     KERNEL_CASES,
     eight_fold,
+    electron_counts,
+    fabric_frame,
+    frame_densities,
     random_sector_state,
+    random_special_orthogonal,
     ref_apply_fabric,
     ref_apply_hamiltonian,
     ref_pair_exchange,
     ref_rotate_pair,
+    rotate_state,
     symmetrize,
     zero_two_body,
 )
@@ -35,7 +38,7 @@ def test_hf_reference_basic():
     assert state.amplitudes[index] == 1.0
     assert np.count_nonzero(state.amplitudes) == 1
     assert abs(state.norm() - 1.0) < 1e-15
-    assert state.electron_counts() == (1, 1)
+    assert electron_counts(state) == (1, 1)
 
 
 def test_hf_reference_occupations():
@@ -51,16 +54,18 @@ def test_hf_reference_rejects_overflow():
 
 def test_identity_fabric_leaves_state_unchanged():
     state = hf_reference(3, 2, 1)
-    out = apply_orbital_rotation(state, givens.identity_fabric(3))
+    frame = fabric_frame(givens.identity_fabric(3))
+    np.testing.assert_array_equal(frame.M, np.eye(8))
+    out = rotate_state(state, frame)
     np.testing.assert_array_equal(out.amplitudes, state.amplitudes)
 
 
 def test_single_particle_transformation_law():
     n = 2
-    fabric = givens.identity_fabric(n).with_angles([0.4])
+    fabric = givens.GivensFabric(n, [0.4])
     amps = np.zeros(4 ** n)
     amps[0b01] = 1.0  # one alpha electron in orbital 0
-    out = apply_orbital_rotation(Statevector(n, amps), fabric)
+    out = rotate_state(Statevector(n, amps), fabric_frame(fabric))
     u = givens.reconstruct(fabric)
     np.testing.assert_allclose([out.amplitudes[0b01], out.amplitudes[0b10]],
                                u[:, 0], atol=1e-14)
@@ -71,25 +76,25 @@ def test_gates_preserve_norm_and_sector(seed):
     fac = factorize(synth_hamiltonian(3, 2, 1, 3), TruncationPolicy.exact())
     state = random_sector_state(fac, seed)
     assert abs(state.norm() - 1.0) < 1e-12
-    assert state.electron_counts() == (2, 1)
-    rotated = apply_orbital_rotation(state, fac.frames[0].fabric)
+    assert electron_counts(state) == (2, 1)
+    rotated = rotate_state(state, fac.frames[0])
     assert abs(rotated.norm() - 1.0) < 1e-12
-    assert rotated.electron_counts() == (2, 1)
+    assert electron_counts(rotated) == (2, 1)
     exchanged = np.array(state.amplitudes)
     qsim.rotate_pair(exchanged, *qsim.pair_exchange_rows(3, 0), 0.37)
     exchanged = Statevector(3, exchanged)
     assert abs(exchanged.norm() - 1.0) < 1e-12
-    assert exchanged.electron_counts() == (2, 1)
+    assert electron_counts(exchanged) == (2, 1)
     locked = np.array(state.amplitudes)
     psi = locked.reshape(8, 8)
     qsim.rotate_pair(psi, *qsim.pair_rows(3, 1), -0.8)
     qsim.rotate_pair(psi.T, *qsim.pair_rows(3, 1), -0.8)
-    assert Statevector(3, locked).electron_counts() == (2, 1)
+    assert electron_counts(Statevector(3, locked)) == (2, 1)
 
 
 def test_omega0_on_hf_reference():
     state = hf_reference(2, 1, 1)
-    np.testing.assert_allclose(measure_omega0(state, givens.identity_fabric(2)),
+    np.testing.assert_allclose(frame_densities(state, [givens.identity_fabric(2)]).omega0,
                                [1.0, -1.0], atol=1e-15)
 
 
@@ -97,7 +102,7 @@ def test_omega0_on_hf_reference():
 def test_omega0_sum_rule(n, na, nb, seed):
     fac = factorize(synth_hamiltonian(n, na, nb, seed), TruncationPolicy.exact())
     state = random_sector_state(fac, seed + 40)
-    omega0 = measure_omega0(state, fac.frames[0].fabric)
+    omega0 = measure_densities(state, fac).omega0
     assert np.all(omega0 <= 1.0 + 1e-12) and np.all(omega0 >= -1.0 - 1e-12)
     assert abs(np.sum(omega0) - (na + nb - n)) < 1e-12
 
@@ -105,18 +110,17 @@ def test_omega0_sum_rule(n, na, nb, seed):
 def test_omega0_rotation_then_inverse():
     fac = factorize(synth_hamiltonian(3, 1, 1, 9), TruncationPolicy.exact())
     state = random_sector_state(fac, 5)
-    fabric = fac.frames[0].fabric
-    rotated = apply_orbital_rotation(apply_orbital_rotation(state, fabric),
-                                     fabric, dagger=True)
-    np.testing.assert_allclose(
-        measure_omega0(rotated, givens.identity_fabric(3)),
-        measure_omega0(state, givens.identity_fabric(3)), atol=1e-12)
+    frame = fac.frames[0]
+    rotated = rotate_state(rotate_state(state, frame), frame, dagger=True)
+    identity = [givens.identity_fabric(3)]
+    np.testing.assert_allclose(frame_densities(rotated, identity).omega0,
+                               frame_densities(state, identity).omega0, atol=1e-12)
 
 
 def test_omega_leaf_hf_closed_shell_combinatorics():
     # determinant in its own basis: omega_kl = (n_k - 1)(n_l - 1)/2 - delta/4
     state = hf_reference(2, 1, 1)
-    omega = measure_omega_leaf(state, givens.identity_fabric(2))
+    omega, = frame_densities(state, [givens.identity_fabric(2)] * 2).omega
     np.testing.assert_allclose(omega, [[0.25, -0.5], [-0.5, 0.25]], atol=1e-15)
 
 
@@ -125,15 +129,14 @@ def test_omega_measurements_are_rdm_projections(seed):
     fac = factorize(synth_hamiltonian(3, 1, 1, seed), TruncationPolicy.exact())
     state = random_sector_state(fac, seed)
     gamma, big = measure_rdms_direct(state)
+    omegas = measure_densities(state, fac)
 
-    omega0 = measure_omega0(state, fac.frames[0].fabric)
-    np.testing.assert_allclose(omega0, np.diag(fac.U0.T @ gamma @ fac.U0) - 1.0,
+    np.testing.assert_allclose(omegas.omega0, np.diag(fac.U0.T @ gamma @ fac.U0) - 1.0,
                                atol=1e-12)
 
     assert fac.retained == fac.n_leaves
-    for leaf, frame in zip(fac.leaves, fac.frames[1:], strict=True):
+    for leaf, omega in zip(fac.leaves, omegas.omega, strict=True):
         u = leaf.U
-        omega = measure_omega_leaf(state, frame.fabric)
         np.testing.assert_allclose(omega, omega.T, atol=1e-12)
         g_t = u.T @ gamma @ u
         big_t = np.einsum("pk,ql,rm,so,pqrs->klmo", u, u, u, u, big)
@@ -215,16 +218,18 @@ def test_shift_rule_every_angle_every_leaf(seed):
             plus[g] += step
             minus = fabric.angles.copy()
             minus[g] -= step
-            fd = (_frame_energy(state, fac, k, fabric.with_angles(plus))
-                  - _frame_energy(state, fac, k, fabric.with_angles(minus))) / (2 * step)
+            fd = (_frame_energy(state, fac, k, givens.GivensFabric(fabric.n, plus))
+                  - _frame_energy(state, fac, k, givens.GivensFabric(fabric.n, minus))
+                  ) / (2 * step)
             assert abs(shift - fd) < 1e-7
 
 
 def _frame_energy(state, fac, k, fabric):
     """Energy contribution of frame k measured through the given fabric."""
     if k == 0:
-        return float(fac.F0 @ measure_omega0(state, fabric))
-    return float(np.sum(fac.leaves[k - 1].Z * measure_omega_leaf(state, fabric)))
+        return float(fac.F0 @ frame_densities(state, [fabric]).omega0)
+    omega, = frame_densities(state, [fabric, fabric]).omega
+    return float(np.sum(fac.leaves[k - 1].Z * omega))
 
 
 def test_shift_rule_rejects_bad_indices():
@@ -263,7 +268,7 @@ def test_statevector_guards():
     mixed = np.zeros(16)
     mixed[0b0001] = mixed[0b0011] = 1.0 / np.sqrt(2.0)
     with pytest.raises(ValueError):
-        Statevector(2, mixed).electron_counts()
+        electron_counts(Statevector(2, mixed))
 
 
 # The spin-factorized kernel against the slice-based reference kernel.
@@ -273,21 +278,21 @@ def test_statevector_guards():
 def test_fabric_matches_reference_kernel(n, na, nb, seed):
     fac = factorize(synth_hamiltonian(n, na, nb, seed), TruncationPolicy.exact())
     state = random_sector_state(fac, seed + 20)
-    for fabric in (fac.frames[0].fabric, fac.frames[1].fabric,
-                   givens.decompose(givens.random_special_orthogonal(n, seed))):
+    for frame in (fac.frames[0], fac.frames[1],
+                  fabric_frame(givens.decompose(random_special_orthogonal(n, seed)))):
         for dagger in (False, True):
-            out = apply_orbital_rotation(state, fabric, dagger=dagger)
-            ref = ref_apply_fabric(state, fabric, dagger=dagger)
+            out = rotate_state(state, frame, dagger=dagger)
+            ref = ref_apply_fabric(state, frame.fabric, dagger=dagger)
             assert np.max(np.abs(out.amplitudes - ref)) <= 1e-12
 
 
 def test_fabric_matches_reference_kernel_n8():
     fac = factorize(synth_hamiltonian(8, 4, 4, 3), TruncationPolicy.exact())
     state = random_sector_state(fac, 8, n_rounds=1)
-    fabric = givens.decompose(givens.random_special_orthogonal(8, 5))
+    frame = fabric_frame(givens.decompose(random_special_orthogonal(8, 5)))
     for dagger in (False, True):
-        out = apply_orbital_rotation(state, fabric, dagger=dagger)
-        ref = ref_apply_fabric(state, fabric, dagger=dagger)
+        out = rotate_state(state, frame, dagger=dagger)
+        ref = ref_apply_fabric(state, frame.fabric, dagger=dagger)
         assert np.max(np.abs(out.amplitudes - ref)) <= 1e-12
 
 
@@ -338,7 +343,7 @@ def test_factorized_operators_do_no_gate_work(monkeypatch):
     fac = factorize(synth_hamiltonian(3, 2, 1, 3), TruncationPolicy.by_count(4))
     state = random_sector_state(fac, 12)
     expected = ref_apply_hamiltonian(state, fac)
-    omega0 = measure_omega0(state, fac.frames[0].fabric)
+    omega0 = frame_densities(state, [fac.frames[0].fabric]).omega0
 
     def refuse(*args):
         raise AssertionError("gate applied after the factorization was built")

@@ -171,10 +171,10 @@ def test_verlet_short_run_conserves():
 
 
 def test_report_table_formatting():
-    reports = [verify.DerivativeReport("r", "p", 1.0, 1.0 + 2e-7, 2e-7, 1e-3)]
+    reports = [verify.DerivativeReport("r", "p", 1.0, 1.0 + 2e-7, 2e-7)]
     table = verify.format_reports(reports)
     assert "pass" in table
-    reports = [verify.DerivativeReport("r", "p", 1.0, 1.1, 0.1, 1e-3)]
+    reports = [verify.DerivativeReport("r", "p", 1.0, 1.1, 0.1)]
     assert "FAIL" in verify.format_reports(reports)
 
 

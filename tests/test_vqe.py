@@ -16,8 +16,8 @@ from xdfrelax.vqe import (
 )
 from xdfrelax.xdf import TruncationPolicy, factorize
 
-from _common import (KERNEL_CASES, ansatz_gradient, ref_ansatz_state, regime_fixture,
-                     zero_two_body)
+from _common import (KERNEL_CASES, ansatz_gradient, electron_counts, ref_ansatz_state,
+                     regime_fixture, zero_two_body)
 
 def test_block_layout():
     assert ansatz_blocks(4, 2) == (0, 2, 1)
@@ -31,7 +31,7 @@ def test_ansatz_state_stays_in_sector():
     rng = np.random.default_rng(2)
     params = rng.uniform(-1.5, 1.5, n_parameters(4, cfg))
     state = prepare_state(fac, cfg, params)
-    assert state.electron_counts() == (2, 2)
+    assert electron_counts(state) == (2, 2)
     assert abs(state.norm() - 1.0) < 1e-12
 
 
@@ -239,7 +239,7 @@ def test_exact_ground_state_energy_consistency():
     fac = factorize(synth_hamiltonian(3, 2, 1, 3), TruncationPolicy.exact())
     state, e0 = exact_ground_state(fac)
     assert abs(qsim.energy(state, fac) - e0) < 1e-10
-    assert state.electron_counts() == (2, 1)
+    assert electron_counts(state) == (2, 1)
 
 
 def test_exact_ground_state_sign_deterministic():

@@ -9,7 +9,6 @@ from xdfrelax.xdf import (
     XDFLeaf,
     factorize,
     reconstruct_eri,
-    z_tensor,
 )
 
 from _common import random_sector_state
@@ -97,11 +96,11 @@ def test_factorize_deterministic():
 
 def test_z_tensor_examples():
     leaf = XDFLeaf(0, 2.0, np.eye(2) / np.sqrt(2.0), np.eye(2), np.array([1.0, 0.0]))
-    np.testing.assert_allclose(z_tensor(leaf), [[2.0, 0.0], [0.0, 0.0]], atol=1e-15)
+    np.testing.assert_allclose(leaf.Z, [[2.0, 0.0], [0.0, 0.0]], atol=1e-15)
 
     fac = factorize(synth_hamiltonian(3, 1, 1, 5), TruncationPolicy.exact())
     for leaf in fac.leaves:
-        z = z_tensor(leaf)
+        z = leaf.Z
         np.testing.assert_allclose(z, z.T, atol=1e-15)
         # leaf-wise reconstruction against the raw eigenpair outer product
         n = 3
@@ -127,5 +126,5 @@ def test_energy_invariant_under_column_sign_flips():
     u0[:, 0] = -u0[:, 0]
     u0[:, 2] = -u0[:, 2]
     flipped = XDFFactorization(fac.n_orbitals, fac.n_alpha, fac.n_beta, fac.eff,
-                               u0, fac.F0, tuple(flipped_leaves), fac.retained, fac.ham)
+                               u0, fac.F0, tuple(flipped_leaves), fac.retained)
     assert abs(qsim.energy(state, flipped) - reference) < 1e-10
