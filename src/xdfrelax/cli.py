@@ -202,8 +202,10 @@ def cmd_path(args) -> dict:
     trace = verify.verlet_path(
         ham_a, ham_b, n_steps=args.steps, dt=args.dt, mass=args.mass,
         regime=regime, s0=args.s0, v0=args.v0, ablate=args.ablate)
-    if trace.aborted is not None and trace.completed < args.steps:
-        raise NonConvergence(f"dynamics aborted: {trace.aborted}")
+    if trace.aborted is not None:
+        # a failed VQE solve exits 3; any other failure of a later step is numerical
+        kind = NonConvergence if isinstance(trace.aborted, NonConvergence) else RuntimeError
+        raise kind(f"dynamics aborted at step {trace.completed + 1}: {trace.aborted}")
     return {
         "input_sha256": [digest_a, digest_b],
         "steps_completed": trace.completed,
@@ -295,12 +297,13 @@ def main(argv=None) -> int:
         _check_flags(args)
         payload = args.func(args)
         code = EXIT_OK
-    except (OSError, ValueError) as exc:
-        payload, code = {"error": str(exc)}, EXIT_INPUT
     except NonConvergence as exc:
         payload, code = {"error": str(exc)}, EXIT_NONCONVERGED
+    # LinAlgError subclasses ValueError, so the numerical clause comes first
     except (np.linalg.LinAlgError, ArithmeticError, RuntimeError, AssertionError) as exc:
         payload, code = {"error": str(exc)}, EXIT_NUMERICAL
+    except (OSError, ValueError) as exc:
+        payload, code = {"error": str(exc)}, EXIT_INPUT
 
     text = _render(payload, code, args)
     if args.out:

@@ -21,7 +21,9 @@ __all__ = [
     "random_two_body_perturbation",
 ]
 
-DESK_CAP = 8  # largest spatial-orbital count; statevectors hold 4^N amplitudes
+# largest spatial-orbital count; a statevector holds its filling's
+# C(N, n_beta) x C(N, n_alpha) block, 4900 amplitudes at N=8 half filling
+DESK_CAP = 8
 SYMMETRY_TOL = 1e-12
 DUPLICATE_TOL = 1e-10
 

@@ -1,30 +1,39 @@
-"""Jordan-Wigner statevector simulation over 2N qubits.
+"""Jordan-Wigner statevector simulation over 2N qubits, one spin filling at a time.
 
 Qubit ordering is blocked by spin: qubits 0 .. N-1 are the alpha spin
 orbitals, N .. 2N-1 the beta ones, and bit j of a basis index is the
-occupation of qubit j. Alpha qubits are the low bits, so the amplitude vector
-reshaped to (2^N, 2^N) is the matrix ``Psi[beta_string, alpha_string]``, where
-bit k of a spin string is the occupation of orbital k in that spin.
+occupation of qubit j; bit k of a spin string is the occupation of orbital k
+in that spin. Every gate and every frame operator here conserves each spin's
+particle number, so a state with n_alpha and n_beta electrons lives in one
+block: ``Statevector.amplitudes`` is the matrix ``Psi[beta_string,
+alpha_string]`` of shape (C(N, n_beta), C(N, n_alpha)), whose rows and
+columns are the spin strings of that filling in ascending order
+(``sector_strings``). ``Statevector.embed`` returns the full 4^N vector,
+alpha strings in the low bits; only referees call it.
 
 All gate work is one in-place rotation between two sets of rows of an array,
 ``rotate_pair``. A Givens gate on orbitals (m, m+1) of one spin rotates the
-strings ``pair_rows(N, m)``: rows of Psi for beta, rows of Psi^T for alpha.
-The ansatz pair-exchange gate rotates ``pair_exchange_rows(N, p)`` of the flat
-vector. Gates act on adjacent orbitals of one spin, so no Jordan-Wigner
-strings appear in circuits; the direct RDM oracle handles the strings
-explicitly on the full vector.
+block rows ``pair_rows(N, filling, m)`` of that spin's filling: rows of Psi
+for beta, rows of Psi^T for alpha. The ansatz pair-exchange gate rotates
+``pair_exchange_rows(N, n_alpha, n_beta, p)`` of the flat block. Gates act on
+adjacent orbitals of one spin, so no Jordan-Wigner strings appear in
+circuits; the direct RDM oracle handles the strings explicitly on the
+embedded vector.
 
-A spin-locked fabric acts on each spin through one 2^N x 2^N operator M, its
-gates applied in order to the rows of the identity: the circuit maps Psi to
-M Psi M^T and its dagger to M^T Psi M. Each term of a factorized Hamiltonian
-is a ``Frame``: its fabric, the fabric's M and the term's energy operator,
-diagonal in the rotated basis, as the matrix D[beta, alpha]. A factorization
-builds its frames once, the one-body frame first, then one per retained leaf.
+A spin-locked fabric acts on each spin through one operator on that spin's
+strings, its gates applied in order to the rows of the identity: the circuit
+maps Psi to M_beta Psi M_alpha^T and its dagger to M_beta^T Psi M_alpha (one
+operator serves both spins when n_alpha = n_beta). Each term of a factorized
+Hamiltonian is a ``Frame``: its fabric, the fabric's M_alpha and M_beta and
+the term's energy operator, diagonal in the rotated basis, as the block
+D[beta, alpha]. A factorization builds its frames once, the one-body frame
+first, then one per retained leaf.
 
 All angle derivatives of a frame's energy come from one forward sweep over its
 gates (``angle_gradient``). The two-frequency shift rule,
-``denergy_dtheta_shift``, evaluates shifted circuits one angle at a time and
-stays as the hardware-faithful referee.
+``denergy_dtheta_shift``, evaluates shifted circuits one angle at a time on
+the embedded vector with full per-spin operators, and stays as the
+hardware-faithful referee.
 
 Expectation values are exact (infinite-shot limit). All gates have real
 matrix elements, so amplitudes stay real in practice; complex amplitudes are
@@ -35,6 +44,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
+from math import comb
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -53,6 +63,8 @@ __all__ = [
     "leaf_frame",
     "SHIFT_STEPS",
     "string_bits",
+    "sector_strings",
+    "sector_shape",
     "pair_rows",
     "pair_exchange_rows",
     "rotate_pair",
@@ -71,36 +83,71 @@ __all__ = [
 SHIFT_STEPS = ((np.pi / 4.0, 1.0), (np.pi / 2.0, (1.0 - np.sqrt(2.0)) / 2.0))
 
 
+def _read_only(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
+    for arr in arrays:
+        arr.setflags(write=False)
+    return arrays
+
+
 @lru_cache(maxsize=16)
 def string_bits(n_bits: int) -> np.ndarray:
     """Read-only table whose row x holds bits 0 .. n_bits-1 of x."""
     x = np.arange(1 << n_bits, dtype=np.int64)
     table = ((x[:, None] >> np.arange(n_bits)) & 1).astype(np.int8)
-    table.setflags(write=False)
-    return table
+    return _read_only(table)[0]
+
+
+@lru_cache(maxsize=128)
+def sector_strings(n: int, filling: int) -> np.ndarray:
+    """Spin strings of n orbitals with ``filling`` of them occupied, ascending.
+    Cached; the array is read-only."""
+    x = np.arange(1 << n, dtype=np.int64)
+    return _read_only(x[string_bits(n).sum(axis=1) == filling])[0]
+
+
+def _sector_bits(n: int, filling: int) -> np.ndarray:
+    """Orbital occupations (0 or 1) of every string of one spin filling."""
+    return string_bits(n)[sector_strings(n, filling)]
+
+
+def sector_shape(n: int, n_alpha: int, n_beta: int) -> tuple[int, int]:
+    """Shape (C(n, n_beta), C(n, n_alpha)) of the amplitude block of a filling."""
+    if not (0 <= n_alpha <= n and 0 <= n_beta <= n):
+        raise ValueError("occupation exceeds orbital count")
+    return comb(n, n_beta), comb(n, n_alpha)
+
+
+def _embedded(block: np.ndarray, n: int, n_alpha: int, n_beta: int) -> np.ndarray:
+    """A filling's block placed in the 2^n x 2^n matrix over all spin strings."""
+    full = np.zeros((1 << n, 1 << n), dtype=block.dtype)
+    full[np.ix_(sector_strings(n, n_beta), sector_strings(n, n_alpha))] = block
+    return full
 
 
 @dataclass(frozen=True, eq=False)
 class Statevector:
-    """Amplitudes over 2 * n_spatial Jordan-Wigner qubits, blocked by spin."""
+    """Amplitudes of one (n_alpha, n_beta) filling of 2 * n_spatial
+    Jordan-Wigner qubits: the block Psi[beta_string, alpha_string]."""
 
     n_spatial: int
+    n_alpha: int
+    n_beta: int
     amplitudes: np.ndarray
 
     def __post_init__(self):
-        dtype = complex if np.iscomplexobj(self.amplitudes) else float
-        amps = np.array(self.amplitudes, dtype=dtype)
         if self.n_spatial > DESK_CAP:
             raise ValueError(f"n_spatial {self.n_spatial} above desk cap {DESK_CAP}")
-        if amps.shape != (4 ** self.n_spatial,):
-            raise ValueError("amplitude vector has wrong length")
-        amps.setflags(write=False)
-        object.__setattr__(self, "amplitudes", amps)
+        shape = sector_shape(self.n_spatial, self.n_alpha, self.n_beta)
+        dtype = complex if np.iscomplexobj(self.amplitudes) else float
+        amps = np.array(self.amplitudes, dtype=dtype)
+        if amps.shape != shape:
+            raise ValueError(f"amplitude block has shape {amps.shape}, expected {shape}")
+        object.__setattr__(self, "amplitudes", _read_only(amps)[0])
 
-    def matrix(self) -> np.ndarray:
-        """Read-only view of the amplitudes as Psi[beta_string, alpha_string]."""
-        side = 1 << self.n_spatial
-        return self.amplitudes.reshape(side, side)
+    def embed(self) -> np.ndarray:
+        """The full 4^N amplitude vector, zero outside this filling."""
+        return _embedded(self.amplitudes, self.n_spatial, self.n_alpha,
+                         self.n_beta).reshape(-1)
 
     def norm(self) -> float:
         return float(np.linalg.norm(self.amplitudes))
@@ -115,47 +162,39 @@ class EigenbasisDensities:
 
 
 def hf_reference(n_spatial: int, n_alpha: int, n_beta: int) -> Statevector:
-    """Computational basis determinant occupying the lowest orbitals per spin."""
-    if not (0 <= n_alpha <= n_spatial and 0 <= n_beta <= n_spatial):
-        raise ValueError("occupation exceeds orbital count")
-    index = 0
-    for k in range(n_alpha):
-        index |= 1 << k
-    for k in range(n_beta):
-        index |= 1 << (n_spatial + k)
-    amps = np.zeros(4 ** n_spatial)
-    amps[index] = 1.0
-    return Statevector(n_spatial, amps)
+    """Computational basis determinant occupying the lowest orbitals per spin:
+    the first string of each spin's filling."""
+    amps = np.zeros(sector_shape(n_spatial, n_alpha, n_beta))
+    amps[0, 0] = 1.0
+    return Statevector(n_spatial, n_alpha, n_beta, amps)
 
 
 # ---------------------------------------------------------------------------
 # Gate kernel
 # ---------------------------------------------------------------------------
 
-def _read_only(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
-    for arr in arrays:
-        arr.setflags(write=False)
-    return arrays
+@lru_cache(maxsize=512)
+def pair_rows(n: int, filling: int, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """Rows, among the strings of n orbitals with ``filling`` occupied, of
+    those with m occupied and m+1 empty, and of the same strings with those
+    two occupations swapped: the rows a (m, m+1) gate mixes. Cached; the
+    arrays are read-only."""
+    strings = sector_strings(n, filling)
+    rows = np.nonzero(((strings >> m) & 3) == 1)[0]
+    return _read_only(rows, np.searchsorted(strings, strings[rows] + (1 << m)))
 
 
-@lru_cache(maxsize=64)
-def pair_rows(n: int, m: int) -> tuple[np.ndarray, np.ndarray]:
-    """Spin strings of n orbitals with m occupied and m+1 empty, and the same
-    strings with those two occupations swapped: the rows a (m, m+1) gate
-    mixes. Cached; the arrays are read-only."""
-    x = np.arange(1 << n)
-    rows = x[((x >> m) & 3) == 1]
-    return _read_only(rows, rows + (1 << m))
-
-
-@lru_cache(maxsize=64)
-def pair_exchange_rows(n: int, p: int) -> tuple[np.ndarray, np.ndarray]:
-    """Flat amplitude indices with both spins doubly occupying p (and p+1
-    empty), and their images with the pair moved to p+1. Cached; the arrays
-    are read-only."""
-    on_p, on_next = pair_rows(n, p)
-    return _read_only(((on_p[:, None] << n) | on_p).ravel(),
-                      ((on_next[:, None] << n) | on_next).ravel())
+@lru_cache(maxsize=512)
+def pair_exchange_rows(n: int, n_alpha: int, n_beta: int,
+                       p: int) -> tuple[np.ndarray, np.ndarray]:
+    """Flat block indices with both spins doubly occupying p (and p+1 empty),
+    and their images with the pair moved to p+1. Cached; the arrays are
+    read-only."""
+    alpha_p, alpha_next = pair_rows(n, n_alpha, p)
+    beta_p, beta_next = pair_rows(n, n_beta, p)
+    width = comb(n, n_alpha)
+    return _read_only((beta_p[:, None] * width + alpha_p).ravel(),
+                      (beta_next[:, None] * width + alpha_next).ravel())
 
 
 def rotate_pair(rows: np.ndarray, a: np.ndarray, b: np.ndarray, theta: float) -> None:
@@ -169,11 +208,12 @@ def rotate_pair(rows: np.ndarray, a: np.ndarray, b: np.ndarray, theta: float) ->
     rows[b] = s * old_a + c * rows[b]
 
 
-def _fabric_operator(fabric: GivensFabric, angles: np.ndarray) -> np.ndarray:
-    """Per-spin operator of the fabric gates at ``angles``, first gate rightmost."""
-    op = np.eye(1 << fabric.n)
+def _fabric_operator(fabric: GivensFabric, angles: np.ndarray, filling: int) -> np.ndarray:
+    """Operator of the fabric gates at ``angles`` on the strings of one spin
+    filling, first gate rightmost."""
+    op = np.eye(comb(fabric.n, filling))
     for (m, _), theta in zip(fabric.pivots, angles):
-        rotate_pair(op, *pair_rows(fabric.n, m), theta)
+        rotate_pair(op, *pair_rows(fabric.n, filling, m), theta)
     return op
 
 
@@ -181,67 +221,99 @@ def _fabric_operator(fabric: GivensFabric, angles: np.ndarray) -> np.ndarray:
 # Frames: one per term of the factorized Hamiltonian
 # ---------------------------------------------------------------------------
 
-def _spin_z(n: int) -> np.ndarray:
-    """Pauli-Z eigenvalue of every orbital in every spin string."""
-    return 1.0 - 2.0 * string_bits(n)
+@lru_cache(maxsize=128)
+def _spin_z(n: int, filling: int) -> np.ndarray:
+    """Pauli-Z eigenvalue of every orbital in every string of one spin filling.
+    Cached; the array is read-only."""
+    return _read_only(1.0 - 2.0 * _sector_bits(n, filling))[0]
 
 
 @dataclass(frozen=True, eq=False)
 class Frame:
-    """One term in its own basis: the fabric rotating into it, the term's
-    energy operator ``D[beta, alpha]``, diagonal in the rotated basis, and
-    the fabric's per-spin operator ``M``, built from the fabric on
-    construction. The arrays are read-only."""
+    """One term in its own basis for one (n_alpha, n_beta) filling: the
+    fabric rotating into it, the term's energy operator ``D[beta, alpha]``,
+    diagonal in the rotated basis, and the fabric's operators on the alpha
+    and beta strings, ``M_alpha`` and ``M_beta`` (one array when the
+    fillings are equal), built from the fabric on construction. The arrays
+    are read-only."""
 
     fabric: GivensFabric
+    n_alpha: int
+    n_beta: int
     D: np.ndarray
-    M: np.ndarray = field(init=False, repr=False)
+    M_alpha: np.ndarray = field(init=False, repr=False)
+    M_beta: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        for name, arr in (("D", np.array(self.D, dtype=float)),
-                          ("M", _fabric_operator(self.fabric, self.fabric.angles))):
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
+        d = np.array(self.D, dtype=float)
+        shape = sector_shape(self.fabric.n, self.n_alpha, self.n_beta)
+        if d.shape != shape:
+            raise ValueError(f"energy operator has shape {d.shape}, expected {shape}")
+        m_alpha = _fabric_operator(self.fabric, self.fabric.angles, self.n_alpha)
+        m_beta = (m_alpha if self.n_beta == self.n_alpha
+                  else _fabric_operator(self.fabric, self.fabric.angles, self.n_beta))
+        for name, arr in (("D", d), ("M_alpha", m_alpha), ("M_beta", m_beta)):
+            object.__setattr__(self, name, _read_only(arr)[0])
 
 
-def one_body_frame(fabric: GivensFabric, f0: np.ndarray) -> Frame:
+def one_body_frame(fabric: GivensFabric, f0: np.ndarray, n_alpha: int,
+                   n_beta: int) -> Frame:
     """Frame of the one-body term with eigenvalues ``f0``."""
-    d = string_bits(fabric.n) @ f0
-    return Frame(fabric, d[:, None] + d[None, :] - float(np.sum(f0)))
+    d_alpha = _sector_bits(fabric.n, n_alpha) @ f0
+    d_beta = _sector_bits(fabric.n, n_beta) @ f0
+    return Frame(fabric, n_alpha, n_beta,
+                 d_beta[:, None] + d_alpha[None, :] - float(np.sum(f0)))
 
 
-def leaf_frame(fabric: GivensFabric, leaf: XDFLeaf) -> Frame:
+def leaf_frame(fabric: GivensFabric, leaf: XDFLeaf, n_alpha: int, n_beta: int) -> Frame:
     """Frame of one leaf, whose Z/ZZ couplings are ``leaf.Z``."""
     z_mat = leaf.Z
-    z = _spin_z(fabric.n)
-    w = z @ z_mat @ z.T
-    q = np.diag(w)
-    return Frame(fabric, 0.125 * (q[:, None] + q[None, :] + 2.0 * w)
+    z_alpha, z_beta = _spin_z(fabric.n, n_alpha), _spin_z(fabric.n, n_beta)
+    w = z_beta @ z_mat @ z_alpha.T
+    q_alpha = np.sum((z_alpha @ z_mat) * z_alpha, axis=1)
+    q_beta = q_alpha if n_beta == n_alpha else np.sum((z_beta @ z_mat) * z_beta, axis=1)
+    return Frame(fabric, n_alpha, n_beta,
+                 0.125 * (q_beta[:, None] + q_alpha[None, :] + 2.0 * w)
                  - 0.25 * float(np.trace(z_mat)))
+
+
+def _check_filling(state: Statevector, frame: Frame) -> None:
+    if (state.n_alpha, state.n_beta) != (frame.n_alpha, frame.n_beta):
+        raise ValueError(f"state filling ({state.n_alpha}, {state.n_beta}) differs from "
+                         f"frame filling ({frame.n_alpha}, {frame.n_beta})")
 
 
 # ---------------------------------------------------------------------------
 # Leaf-frame measurements
 # ---------------------------------------------------------------------------
 
-def _omega0(state: Statevector, op: np.ndarray) -> np.ndarray:
-    weights = np.abs(op.T @ state.matrix() @ op) ** 2
-    marginal = weights.sum(axis=0) + weights.sum(axis=1)
-    return -0.5 * (marginal @ _spin_z(state.n_spatial))
+def _rotated_weights(state: Statevector, frame: Frame) -> np.ndarray:
+    """|M_beta^T Psi M_alpha|^2: the state's weights in the frame's basis."""
+    _check_filling(state, frame)
+    return np.abs(frame.M_beta.T @ state.amplitudes @ frame.M_alpha) ** 2
 
 
-def _omega_leaf(state: Statevector, op: np.ndarray) -> np.ndarray:
-    weights = np.abs(op.T @ state.matrix() @ op) ** 2
-    marginal = weights.sum(axis=0) + weights.sum(axis=1)
-    z = _spin_z(state.n_spatial)
-    moments = (z.T * marginal) @ z + z.T @ (weights + weights.T) @ z
-    return (moments - 2.0 * np.eye(state.n_spatial)) / 8.0
+def _omega0(state: Statevector, frame: Frame) -> np.ndarray:
+    weights = _rotated_weights(state, frame)
+    n = state.n_spatial
+    return -0.5 * (weights.sum(axis=0) @ _spin_z(n, state.n_alpha)
+                   + weights.sum(axis=1) @ _spin_z(n, state.n_beta))
+
+
+def _omega_leaf(state: Statevector, frame: Frame) -> np.ndarray:
+    weights = _rotated_weights(state, frame)
+    n = state.n_spatial
+    z_alpha, z_beta = _spin_z(n, state.n_alpha), _spin_z(n, state.n_beta)
+    cross = z_beta.T @ weights @ z_alpha
+    moments = ((z_alpha.T * weights.sum(axis=0)) @ z_alpha
+               + (z_beta.T * weights.sum(axis=1)) @ z_beta + cross + cross.T)
+    return (moments - 2.0 * np.eye(n)) / 8.0
 
 
 def measure_densities(state: Statevector, fac: XDFFactorization) -> EigenbasisDensities:
     frame0, *leaf_frames = fac.frames
-    return EigenbasisDensities(_omega0(state, frame0.M),
-                               tuple(_omega_leaf(state, f.M) for f in leaf_frames))
+    return EigenbasisDensities(_omega0(state, frame0),
+                               tuple(_omega_leaf(state, f) for f in leaf_frames))
 
 
 # ---------------------------------------------------------------------------
@@ -258,12 +330,25 @@ def energy(state: Statevector, fac: XDFFactorization) -> float:
 
 
 def apply_hamiltonian(state: Statevector, fac: XDFFactorization) -> np.ndarray:
-    """Action of the (possibly truncated) factorized Hamiltonian, frame by frame."""
-    psi = state.matrix()
+    """Action of the (possibly truncated) factorized Hamiltonian on the
+    amplitude block, frame by frame; returns a block of the same shape."""
+    psi = state.amplitudes
     out = fac.eff.scalar_offset * psi
     for frame in fac.frames:
-        out = out + frame.M @ (frame.D * (frame.M.T @ psi @ frame.M)) @ frame.M.T
-    return out.reshape(-1)
+        _check_filling(state, frame)
+        m_alpha, m_beta = frame.M_alpha, frame.M_beta
+        out += m_beta @ (frame.D * (m_beta.T @ psi @ m_alpha)) @ m_alpha.T
+    return out
+
+
+def _full_operator(fabric: GivensFabric, angles: np.ndarray) -> np.ndarray:
+    """Per-spin operator of the fabric gates on all 2^N strings: the direct
+    sum of its operators on every filling."""
+    op = np.zeros((1 << fabric.n, 1 << fabric.n))
+    for filling in range(fabric.n + 1):
+        strings = sector_strings(fabric.n, filling)
+        op[np.ix_(strings, strings)] = _fabric_operator(fabric, angles, filling)
+    return op
 
 
 def denergy_dtheta_shift(state: Statevector, frame: Frame, g: int) -> float:
@@ -271,44 +356,56 @@ def denergy_dtheta_shift(state: Statevector, frame: Frame, g: int) -> float:
 
     The spin-locked pair is unlocked and each spin's gate is differentiated
     with the exact two-frequency rule (symmetric differences at pi/4 and
-    pi/2), eight evaluations in total. The unshifted spin keeps the frame's
-    operator; the four shifted operators are built per call.
+    pi/2), eight evaluations in total. Every evaluation runs on the embedded
+    2^N x 2^N amplitude matrix with full per-spin operators, built per call.
     """
     if not 0 <= g < len(frame.fabric.pivots):
         raise ValueError(f"angle index {g} out of range")
-    psi = state.matrix()
+    _check_filling(state, frame)
+    n = state.n_spatial
+    psi = state.embed().reshape(1 << n, 1 << n)
+    d_full = _embedded(frame.D, n, frame.n_alpha, frame.n_beta)
+    unshifted = _full_operator(frame.fabric, frame.fabric.angles)
     total = 0.0
     for step, coeff in SHIFT_STEPS:
         for sign in (1.0, -1.0):
             angles = frame.fabric.angles.copy()
             angles[g] += sign * step
-            shifted = _fabric_operator(frame.fabric, angles)
+            shifted = _full_operator(frame.fabric, angles)
             # alpha gate shifted (columns), then beta gate shifted (rows)
-            for rotated in (frame.M.T @ psi @ shifted, shifted.T @ psi @ frame.M):
-                total += sign * coeff * float(np.sum(frame.D * np.abs(rotated) ** 2))
+            for rotated in (unshifted.T @ psi @ shifted, shifted.T @ psi @ unshifted):
+                total += sign * coeff * float(np.sum(d_full * np.abs(rotated) ** 2))
     return total
 
 
 def angle_gradient(state: Statevector, frame: Frame) -> np.ndarray:
     """Energy derivatives of one frame with respect to all of its fabric angles.
 
-    With R = M^T Psi M and Lambda = D * conj(R), the derivative with respect
-    to gate g is 2 Re sum(K_g * P_g Y P_g^T), where Y = M^T (Psi M Lambda^T +
-    Psi^T M Lambda) collects both spins, P_g is the product of the gates
-    before g and K_g is the generator of gate g. One forward sweep conjugates
-    Y by each gate in turn: one pass over the gates on one array, no
-    operator builds.
+    With R = M_beta^T Psi M_alpha and Lambda = D * conj(R), the derivative
+    with respect to gate g is 2 Re sum(K_g * P_g Y P_g^T) summed over the
+    spins, where Y_alpha = M_alpha^T Psi^T M_beta Lambda and Y_beta =
+    M_beta^T Psi M_alpha Lambda^T, P_g is the product of the gates before g
+    and K_g is the generator of gate g. One forward sweep per spin conjugates
+    Y by each gate in turn, on that spin's rows; when the fillings are equal
+    the two share rows and one sweep runs on their sum. No operator builds.
     """
-    psi = state.matrix()
-    m_op = frame.M
-    lam = frame.D * np.conj(m_op.T @ psi @ m_op)
-    y = m_op.T @ (psi @ m_op @ lam.T + psi.T @ m_op @ lam)
-    grad = np.empty(len(frame.fabric.pivots))
-    for g, ((m, _), theta) in enumerate(zip(frame.fabric.pivots, frame.fabric.angles)):
-        a, b = pair_rows(frame.fabric.n, m)
-        grad[g] = 2.0 * float(np.real(np.sum(y[b, a]) - np.sum(y[a, b])))
-        rotate_pair(y, a, b, theta)
-        rotate_pair(y.T, a, b, theta)
+    _check_filling(state, frame)
+    psi = state.amplitudes
+    m_alpha, m_beta = frame.M_alpha, frame.M_beta
+    lam = frame.D * np.conj(m_beta.T @ psi @ m_alpha)
+    x_alpha = psi.T @ m_beta @ lam
+    x_beta = psi @ m_alpha @ lam.T
+    if frame.n_alpha == frame.n_beta:
+        sweeps = ((m_alpha.T @ (x_beta + x_alpha), frame.n_alpha),)
+    else:
+        sweeps = ((m_alpha.T @ x_alpha, frame.n_alpha), (m_beta.T @ x_beta, frame.n_beta))
+    grad = np.zeros(len(frame.fabric.pivots))
+    for y, filling in sweeps:
+        for g, ((m, _), theta) in enumerate(zip(frame.fabric.pivots, frame.fabric.angles)):
+            a, b = pair_rows(frame.fabric.n, filling, m)
+            grad[g] += 2.0 * float(np.real(np.sum(y[b, a]) - np.sum(y[a, b])))
+            rotate_pair(y, a, b, theta)
+            rotate_pair(y.T, a, b, theta)
     return grad
 
 
@@ -345,10 +442,11 @@ def measure_rdms_direct(state: Statevector) -> tuple[np.ndarray, np.ndarray]:
     """Full one- and two-body fermionic RDMs by explicit operator application.
 
     gamma[p, q] = <E_pq>; Gamma[p, q, r, s] = (<E_pq E_rs> - d_qr <E_ps>) / 2.
-    This is the oracle the leaf-frame workflow avoids measuring.
+    This is the oracle the leaf-frame workflow avoids measuring; it runs on
+    the embedded 4^N vector.
     """
     n = state.n_spatial
-    amps = state.amplitudes
+    amps = state.embed()
     images = np.empty((n, n, amps.size), dtype=amps.dtype)
     for r in range(n):
         for s in range(n):

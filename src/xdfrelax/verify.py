@@ -83,14 +83,15 @@ class DerivativeReport:
 
 @dataclass(frozen=True, eq=False)
 class PathTrace:
-    """Per-step energies of a model-coordinate dynamics run."""
+    """Per-step energies of a model-coordinate dynamics run; ``aborted`` is
+    the error that stopped it after ``completed`` steps, or None."""
 
     s: np.ndarray
     kinetic: np.ndarray
     potential: np.ndarray
     total: np.ndarray
     completed: int
-    aborted: str | None = None
+    aborted: Exception | None = None
 
     def drift(self) -> float:
         return float(np.max(np.abs(self.total - self.total[0])))
@@ -270,7 +271,7 @@ def verlet_path(ham_a: Hamiltonian, ham_b: Hamiltonian, n_steps: int, dt: float,
             v = v + 0.5 * (accel + accel_new) * dt
             s, accel = s_new, accel_new
         except (RuntimeError, ValueError) as exc:
-            aborted = f"step {step}: {exc}"
+            aborted = exc
             break
         s_hist.append(s)
         kin.append(0.5 * mass * v * v)

@@ -79,18 +79,18 @@ def n_parameters(n_spatial: int, cfg: AnsatzConfig) -> int:
 def prepare_state(fac: XDFFactorization, cfg: AnsatzConfig,
                   params: np.ndarray) -> Statevector:
     params = np.asarray(params, dtype=float)
-    n = fac.n_orbitals
+    n, n_alpha, n_beta = fac.n_orbitals, fac.n_alpha, fac.n_beta
     blocks = ansatz_blocks(n, cfg.n_layers)
     if params.shape != (2 * len(blocks),):
         raise ValueError(f"expected {2 * len(blocks)} parameters, got {params.shape}")
-    amps = np.array(qsim.hf_reference(n, fac.n_alpha, fac.n_beta).amplitudes)
-    psi = amps.reshape(1 << n, 1 << n)
+    psi = np.array(qsim.hf_reference(n, n_alpha, n_beta).amplitudes)
+    flat = psi.reshape(-1)
     for i, m in enumerate(blocks):
-        rows = qsim.pair_rows(n, m)
-        qsim.rotate_pair(psi.T, *rows, params[2 * i])
-        qsim.rotate_pair(psi, *rows, params[2 * i])
-        qsim.rotate_pair(amps, *qsim.pair_exchange_rows(n, m), params[2 * i + 1])
-    return Statevector(n, amps)
+        qsim.rotate_pair(psi.T, *qsim.pair_rows(n, n_alpha, m), params[2 * i])
+        qsim.rotate_pair(psi, *qsim.pair_rows(n, n_beta, m), params[2 * i])
+        qsim.rotate_pair(flat, *qsim.pair_exchange_rows(n, n_alpha, n_beta, m),
+                         params[2 * i + 1])
+    return Statevector(n, n_alpha, n_beta, psi)
 
 
 def _generator_term(lam: np.ndarray, psi: np.ndarray, a: np.ndarray,
@@ -104,33 +104,34 @@ def _energy_and_gradient(fac: XDFFactorization, cfg: AnsatzConfig,
     """Energy and its exact parameter gradient via one reverse sweep.
 
     Alpha gates act on the rows of Psi^T, beta gates on the rows of Psi and
-    pair exchanges on the flat vector; all three are views of one array.
+    pair exchanges on the flat block; all three are views of one array.
     Each gate is un-applied on the ket and on lambda = H|psi>, and its
     derivative is read off its generator, 2 <lambda| K |psi>. The locked
     rotation's generator is the sum of its alpha and beta ones, which commute.
     """
-    n = fac.n_orbitals
+    n, n_alpha, n_beta = fac.n_orbitals, fac.n_alpha, fac.n_beta
     blocks = ansatz_blocks(n, cfg.n_layers)
     ket = prepare_state(fac, cfg, params)
     lam = qsim.apply_hamiltonian(ket, fac)
-    energy = float(ket.amplitudes @ lam)
+    energy = float(np.vdot(ket.amplitudes, lam))
 
     grad = np.zeros_like(params)
-    ket_amps = ket.amplitudes.copy()
-    ket_psi = ket_amps.reshape(1 << n, 1 << n)
-    lam_psi = lam.reshape(1 << n, 1 << n)
+    ket_psi = ket.amplitudes.copy()
+    ket_flat, lam_flat = ket_psi.reshape(-1), lam.reshape(-1)
     for i in reversed(range(len(blocks))):
-        rows = qsim.pair_rows(n, blocks[i])
-        pairs = qsim.pair_exchange_rows(n, blocks[i])
+        m = blocks[i]
+        rows_alpha = qsim.pair_rows(n, n_alpha, m)
+        rows_beta = qsim.pair_rows(n, n_beta, m)
+        pairs = qsim.pair_exchange_rows(n, n_alpha, n_beta, m)
         th_or, th_px = params[2 * i], params[2 * i + 1]
-        for vec in (ket_amps, lam):
+        for vec in (ket_flat, lam_flat):
             qsim.rotate_pair(vec, *pairs, -th_px)
-        grad[2 * i + 1] = 2.0 * _generator_term(lam, ket_amps, *pairs)
-        for psi in (ket_psi, lam_psi):
-            qsim.rotate_pair(psi.T, *rows, -th_or)
-            qsim.rotate_pair(psi, *rows, -th_or)
-        grad[2 * i] = 2.0 * (_generator_term(lam_psi, ket_psi, *rows)
-                             + _generator_term(lam_psi.T, ket_psi.T, *rows))
+        grad[2 * i + 1] = 2.0 * _generator_term(lam_flat, ket_flat, *pairs)
+        for psi in (ket_psi, lam):
+            qsim.rotate_pair(psi.T, *rows_alpha, -th_or)
+            qsim.rotate_pair(psi, *rows_beta, -th_or)
+        grad[2 * i] = 2.0 * (_generator_term(lam, ket_psi, *rows_beta)
+                             + _generator_term(lam.T, ket_psi.T, *rows_alpha))
     return energy, grad
 
 
@@ -273,35 +274,27 @@ def optimize(fac: XDFFactorization, cfg: AnsatzConfig, tol: float = 1e-10,
     return VQEResult(x, float(energy), grad_norm, converged, iterations, curvature)
 
 
-def sector_indices(n_spatial: int, n_alpha: int, n_beta: int) -> np.ndarray:
-    """Basis indices of the fixed particle-number sector, ascending."""
-    filled = qsim.string_bits(n_spatial).sum(axis=1)
-    alpha = np.nonzero(filled == n_alpha)[0]
-    beta = np.nonzero(filled == n_beta)[0]
-    return ((beta[:, None] << n_spatial) | alpha).ravel()
-
-
 def exact_ground_state(fac: XDFFactorization) -> tuple[Statevector, float]:
     """Lowest eigenstate of the factorized Hamiltonian in the electron sector.
 
-    The Hamiltonian acts leaf by leaf on statevectors; the dense matrix is
-    built only on the sector basis. Degeneracies are broken deterministically
-    by fixing the sign of the first significant amplitude.
+    The Hamiltonian acts leaf by leaf on amplitude blocks; the dense matrix is
+    built column by column from the block's basis states. Degeneracies are
+    broken deterministically by fixing the sign of the first significant
+    amplitude.
     """
-    n = fac.n_orbitals
-    idx = sector_indices(n, fac.n_alpha, fac.n_beta)
-    dim = len(idx)
+    n, n_alpha, n_beta = fac.n_orbitals, fac.n_alpha, fac.n_beta
+    shape = qsim.sector_shape(n, n_alpha, n_beta)
+    dim = shape[0] * shape[1]
     hmat = np.zeros((dim, dim))
     for col in range(dim):
-        basis = np.zeros(4 ** n)
-        basis[idx[col]] = 1.0
-        hmat[:, col] = qsim.apply_hamiltonian(Statevector(n, basis), fac)[idx]
+        basis = np.zeros(dim)
+        basis[col] = 1.0
+        state = Statevector(n, n_alpha, n_beta, basis.reshape(shape))
+        hmat[:, col] = qsim.apply_hamiltonian(state, fac).reshape(-1)
     hmat = 0.5 * (hmat + hmat.T)
     evals, evecs = np.linalg.eigh(hmat)
     vec = evecs[:, 0]
     lead = np.nonzero(np.abs(vec) > 1e-8)[0]
     if lead.size and vec[lead[0]] < 0:
         vec = -vec
-    amps = np.zeros(4 ** n)
-    amps[idx] = vec
-    return Statevector(n, amps), float(evals[0])
+    return Statevector(n, n_alpha, n_beta, vec.reshape(shape)), float(evals[0])

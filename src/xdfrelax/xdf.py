@@ -8,7 +8,7 @@ yielding the diagonal two-body couplings Z = g * outer(lambda, lambda).
 
 A factorization carries its measurement frames, built once on construction:
 the one-body frame first, then one per retained leaf, each from the Givens
-fabric of its orbital frame (``qsim.Frame``).
+fabric of its orbital frame and for the electron filling (``qsim.Frame``).
 """
 
 from __future__ import annotations
@@ -113,8 +113,10 @@ class XDFFactorization:
             arr = np.array(getattr(self, name), dtype=float)
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
-        frames = (one_body_frame(decompose(self.U0), self.F0),
-                  *(leaf_frame(decompose(leaf.U), leaf) for leaf in self.retained_leaves))
+        filling = (self.n_alpha, self.n_beta)
+        frames = (one_body_frame(decompose(self.U0), self.F0, *filling),
+                  *(leaf_frame(decompose(leaf.U), leaf, *filling)
+                    for leaf in self.retained_leaves))
         object.__setattr__(self, "frames", frames)
 
     @property

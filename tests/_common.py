@@ -49,36 +49,47 @@ def random_special_orthogonal(n: int, seed: int) -> np.ndarray:
     return q
 
 
-def electron_counts(state: qsim.Statevector) -> tuple[int, int]:
-    """Per-spin particle numbers; raises if the state mixes sectors."""
-    filled = qsim.string_bits(state.n_spatial).sum(axis=1)
-    beta, alpha = np.nonzero(np.abs(state.matrix()) ** 2 > 1e-24)
+def electron_counts(amps: np.ndarray, n: int) -> tuple[int, int]:
+    """Per-spin particle numbers of a full 4^N amplitude vector; raises if the
+    vector mixes fillings."""
+    filled = qsim.string_bits(n).sum(axis=1)
+    beta, alpha = np.nonzero(np.abs(amps.reshape(1 << n, 1 << n)) ** 2 > 1e-24)
     counts = set(zip(filled[alpha].tolist(), filled[beta].tolist()))
     if len(counts) != 1:
         raise ValueError(f"state is not in a single (n_alpha, n_beta) sector: {counts}")
     return counts.pop()
 
 
-def fabric_frame(fabric: givens.GivensFabric) -> qsim.Frame:
-    """Frame of an arbitrary fabric, with a zero energy operator."""
-    side = 1 << fabric.n
-    return qsim.Frame(fabric, np.zeros((side, side)))
+def from_full(amps: np.ndarray, n: int) -> qsim.Statevector:
+    """The block of a full 4^N vector that lies in one filling; the inverse
+    of ``Statevector.embed``."""
+    n_alpha, n_beta = electron_counts(amps, n)
+    psi = amps.reshape(1 << n, 1 << n)
+    block = psi[np.ix_(qsim.sector_strings(n, n_beta), qsim.sector_strings(n, n_alpha))]
+    return qsim.Statevector(n, n_alpha, n_beta, block)
+
+
+def fabric_frame(fabric: givens.GivensFabric, state: qsim.Statevector) -> qsim.Frame:
+    """Frame of an arbitrary fabric for the filling of ``state``, with a zero
+    energy operator."""
+    return qsim.Frame(fabric, state.n_alpha, state.n_beta,
+                      np.zeros(state.amplitudes.shape))
 
 
 def rotate_state(state: qsim.Statevector, frame: qsim.Frame,
                  dagger: bool = False) -> qsim.Statevector:
-    """Spin-locked fabric circuit of a frame through its operator M:
-    Psi -> M Psi M^T, or M^T Psi M for the dagger."""
-    m_op = frame.M
-    psi = state.matrix()
-    out = m_op.T @ psi @ m_op if dagger else m_op @ psi @ m_op.T
-    return qsim.Statevector(state.n_spatial, out.reshape(-1))
+    """Spin-locked fabric circuit of a frame through its operators:
+    Psi -> M_beta Psi M_alpha^T, or M_beta^T Psi M_alpha for the dagger."""
+    m_alpha, m_beta = frame.M_alpha, frame.M_beta
+    psi = state.amplitudes
+    out = m_beta.T @ psi @ m_alpha if dagger else m_beta @ psi @ m_alpha.T
+    return qsim.Statevector(state.n_spatial, state.n_alpha, state.n_beta, out)
 
 
 def frame_densities(state: qsim.Statevector, fabrics) -> qsim.EigenbasisDensities:
     """``qsim.measure_densities`` in the frames of arbitrary fabrics: the first
     stands for the one-body frame, the rest for leaf frames."""
-    frames = tuple(fabric_frame(fabric) for fabric in fabrics)
+    frames = tuple(fabric_frame(fabric, state) for fabric in fabrics)
     return qsim.measure_densities(state, SimpleNamespace(frames=frames))
 
 
@@ -86,23 +97,28 @@ def random_sector_state(fac: xdf.XDFFactorization, seed: int,
                         n_rounds: int = 3) -> qsim.Statevector:
     """Generic normalized state in the factorization's electron sector."""
     rng = np.random.default_rng(seed)
-    state = qsim.hf_reference(fac.n_orbitals, fac.n_alpha, fac.n_beta)
+    n, n_alpha, n_beta = fac.n_orbitals, fac.n_alpha, fac.n_beta
+    state = qsim.hf_reference(n, n_alpha, n_beta)
     for _ in range(n_rounds):
-        u = random_special_orthogonal(fac.n_orbitals, int(rng.integers(1 << 30)))
-        state = rotate_state(state, fabric_frame(givens.decompose(u)))
-        amps = np.array(state.amplitudes)
-        for p in range(fac.n_orbitals - 1):
-            qsim.rotate_pair(amps, *qsim.pair_exchange_rows(fac.n_orbitals, p),
+        u = random_special_orthogonal(n, int(rng.integers(1 << 30)))
+        state = rotate_state(state, fabric_frame(givens.decompose(u), state))
+        psi = np.array(state.amplitudes)
+        for p in range(n - 1):
+            qsim.rotate_pair(psi.reshape(-1), *qsim.pair_exchange_rows(n, n_alpha, n_beta, p),
                              float(rng.uniform(-1.0, 1.0)))
-        state = qsim.Statevector(fac.n_orbitals, amps)
+        state = qsim.Statevector(n, n_alpha, n_beta, psi)
     return state
 
 
 # Reference kernel: the slice-based gates on the full 4^N vector that the
-# spin-factorized kernel in qsim replaced. Tests compare against it on these
-# (N, n_alpha, n_beta, seed) cases.
+# sector-block kernel in qsim replaced. Tests compare the embedded blocks
+# against it on these (N, n_alpha, n_beta, seed) cases.
 
 KERNEL_CASES = [(2, 1, 1, 7), (3, 2, 1, 3), (4, 2, 2, 13), (5, 3, 2, 1), (6, 3, 3, 4)]
+
+# Block-vs-reference cases beyond KERNEL_CASES: more open shells, and fillings
+# whose spin has a single string (no electrons, or every orbital filled).
+FILLING_CASES = [(4, 1, 3, 5), (3, 0, 2, 2), (4, 4, 1, 3), (3, 3, 3, 6), (2, 0, 0, 1)]
 
 
 def _ref_pair_slices(n_qubits: int, bits_a: dict, bits_b: dict):
@@ -137,11 +153,11 @@ def ref_pair_exchange(amps: np.ndarray, n: int, p: int, theta: float) -> None:
     _ref_rotate(amps, 2 * n, *_ref_pair_slices(2 * n, on_p, on_next), theta)
 
 
-def ref_apply_fabric(state: qsim.Statevector, fabric: givens.GivensFabric,
+def ref_apply_fabric(amps: np.ndarray, n: int, fabric: givens.GivensFabric,
                      dagger: bool = False) -> np.ndarray:
-    """Spin-locked fabric gate by gate; the dagger reverses and negates."""
-    n = state.n_spatial
-    amps = np.array(state.amplitudes)
+    """Spin-locked fabric gate by gate on a full vector; the dagger reverses
+    and negates."""
+    amps = np.array(amps)
     order = range(len(fabric.pivots))
     for g in (reversed(order) if dagger else order):
         m = fabric.pivots[g][0]
@@ -151,33 +167,61 @@ def ref_apply_fabric(state: qsim.Statevector, fabric: givens.GivensFabric,
     return amps
 
 
-def ref_apply_hamiltonian(state: qsim.Statevector, fac: xdf.XDFFactorization) -> np.ndarray:
-    """Factorized Hamiltonian with frame diagonals tabulated over all 4^N indices."""
-    n = state.n_spatial
+def ref_frame_diagonals(fac: xdf.XDFFactorization) -> list[np.ndarray]:
+    """Energy operator of every frame, tabulated over all 4^N indices."""
+    n = fac.n_orbitals
     bits = qsim.string_bits(2 * n).astype(float)
     occ = bits[:, :n] + bits[:, n:]
     z = 2.0 - 2.0 * occ  # Z_alpha + Z_beta per orbital
-    out = fac.eff.scalar_offset * np.array(state.amplitudes)
     diags = [(occ - 1.0) @ fac.F0]
     for leaf in fac.retained_leaves:
         z_mat = leaf.Z
         diags.append(0.125 * np.einsum("xk,kl,xl->x", z, z_mat, z) - 0.25 * np.trace(z_mat))
-    for frame, diag in zip(fac.frames, diags, strict=True):
-        rotated = ref_apply_fabric(state, frame.fabric, dagger=True)
-        out += ref_apply_fabric(qsim.Statevector(n, diag * rotated), frame.fabric)
+    return diags
+
+
+def ref_apply_hamiltonian(amps: np.ndarray, fac: xdf.XDFFactorization) -> np.ndarray:
+    """Factorized Hamiltonian on a full vector, frame diagonals over all 4^N indices."""
+    n = fac.n_orbitals
+    out = fac.eff.scalar_offset * np.array(amps)
+    for frame, diag in zip(fac.frames, ref_frame_diagonals(fac), strict=True):
+        rotated = ref_apply_fabric(amps, n, frame.fabric, dagger=True)
+        out += ref_apply_fabric(diag * rotated, n, frame.fabric)
     return out
 
 
-def ref_ansatz_state(fac: xdf.XDFFactorization, blocks, alpha, beta,
-                     exchange) -> qsim.Statevector:
-    """Ansatz circuit with separate alpha and beta orbital-rotation angles."""
+def ref_densities(amps: np.ndarray, fac: xdf.XDFFactorization):
+    """omega0 and the retained leaves' omega of a full vector: moments of
+    Z_alpha + Z_beta per orbital over the weights in each frame's basis."""
     n = fac.n_orbitals
-    amps = np.array(qsim.hf_reference(n, fac.n_alpha, fac.n_beta).amplitudes)
+    bits = qsim.string_bits(2 * n).astype(float)
+    z = 2.0 - 2.0 * (bits[:, :n] + bits[:, n:])
+    frame0, *leaf_frames = fac.frames
+    weights = np.abs(ref_apply_fabric(amps, n, frame0.fabric, dagger=True)) ** 2
+    omega0 = -0.5 * (weights @ z)
+    omegas = []
+    for frame in leaf_frames:
+        weights = np.abs(ref_apply_fabric(amps, n, frame.fabric, dagger=True)) ** 2
+        omegas.append(((z.T * weights) @ z - 2.0 * np.eye(n)) / 8.0)
+    return omega0, omegas
+
+
+def ref_energy(amps: np.ndarray, fac: xdf.XDFFactorization) -> float:
+    """<psi|H|psi> of a real full vector through ``ref_apply_hamiltonian``."""
+    return float(amps @ ref_apply_hamiltonian(amps, fac))
+
+
+def ref_ansatz_state(fac: xdf.XDFFactorization, blocks, alpha, beta,
+                     exchange) -> np.ndarray:
+    """Full vector of the ansatz circuit with separate alpha and beta
+    orbital-rotation angles."""
+    n = fac.n_orbitals
+    amps = qsim.hf_reference(n, fac.n_alpha, fac.n_beta).embed()
     for i, m in enumerate(blocks):
         ref_rotate_pair(amps, 2 * n, m, m + 1, alpha[i])
         ref_rotate_pair(amps, 2 * n, n + m, n + m + 1, beta[i])
         ref_pair_exchange(amps, n, m, exchange[i])
-    return qsim.Statevector(n, amps)
+    return amps
 
 
 def ansatz_gradient(fac: xdf.XDFFactorization, cfg: vqe.AnsatzConfig,
@@ -194,7 +238,8 @@ def ansatz_gradient(fac: xdf.XDFFactorization, cfg: vqe.AnsatzConfig,
     grad = np.zeros_like(params)
 
     def energy(alpha, beta, exch):
-        return qsim.energy(ref_ansatz_state(fac, blocks, alpha, beta, exch), fac)
+        return qsim.energy(from_full(ref_ansatz_state(fac, blocks, alpha, beta, exch),
+                                     fac.n_orbitals), fac)
 
     for i in range(len(blocks)):
         for step, coeff in qsim.SHIFT_STEPS:

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from xdfrelax import cli, verify, vqe
+from xdfrelax import cli, lagrange, verify, vqe
 from xdfrelax.hammodel import Hamiltonian, synth_hamiltonian, write_fcidump
 
 from _common import regime_fixture
@@ -228,6 +228,55 @@ def test_exit_code_truncation_boundary(fcidump_n3, tmp_path, monkeypatch):
     code, payload = _run(["verify", "--fcidump", fcidump_n3], tmp_path)
     assert code == 2
     assert payload["error"] == "retained count changed 3 -> 2"
+
+
+def test_exit_code_numerical_failure_in_rdm(fcidump_n3, tmp_path, monkeypatch):
+    # LinAlgError subclasses ValueError; it is still a numerical failure
+    def singular(*args, **kwargs):
+        raise np.linalg.LinAlgError("SVD did not converge")
+
+    monkeypatch.setattr(lagrange, "reconstruct_rdms", singular)
+    code, payload = _run(["rdm", "--fcidump", fcidump_n3, "--layers", "2"], tmp_path)
+    assert code == 2 and payload["exit_code"] == 2
+    assert payload["error"] == "SVD did not converge"
+
+
+def _fail_on_second_call(monkeypatch, module, name, fail):
+    """Let the first call of module.name through, then call ``fail`` instead."""
+    original = getattr(module, name)
+    calls = []
+
+    def wrapped(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs) if len(calls) == 1 else fail(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, wrapped)
+
+
+def _path_argv(fcidump):
+    return ["path", "--fcidump", fcidump, "--fcidump-b", fcidump, "--steps", "5",
+            "--layers", "2"]
+
+
+def test_exit_code_path_numerical_failure_at_step_1(fcidump_n3, tmp_path, monkeypatch):
+    def singular(*args, **kwargs):
+        raise np.linalg.LinAlgError("eigenvalues did not converge")
+
+    _fail_on_second_call(monkeypatch, lagrange, "reconstruct_rdms", singular)
+    code, payload = _run(_path_argv(fcidump_n3), tmp_path)
+    assert code == 2 and payload["exit_code"] == 2
+    assert payload["error"] == ("dynamics aborted at step 1: "
+                                "eigenvalues did not converge")
+
+
+def test_exit_code_path_nonconvergence_at_step_1(fcidump_n3, tmp_path, monkeypatch):
+    def unconverged(fac, cfg, tol, **kwargs):
+        return vqe.VQEResult(np.zeros(1), 0.0, 1.0, False, 0)
+
+    _fail_on_second_call(monkeypatch, vqe, "optimize", unconverged)
+    code, payload = _run(_path_argv(fcidump_n3), tmp_path)
+    assert code == 3 and payload["exit_code"] == 3
+    assert payload["error"].startswith("dynamics aborted at step 1: VQE did not reach")
 
 
 def test_byte_identical_reruns(fcidump_n3, tmp_path):

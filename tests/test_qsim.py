@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from xdfrelax import givens, qsim
+from xdfrelax import givens, lagrange, qsim, vqe
 from xdfrelax.hammodel import Hamiltonian, synth_hamiltonian
 from xdfrelax.qsim import (
     Statevector,
@@ -15,30 +15,38 @@ from xdfrelax.qsim import (
 from xdfrelax.xdf import TruncationPolicy, factorize
 
 from _common import (
+    FILLING_CASES,
     KERNEL_CASES,
     eight_fold,
     electron_counts,
-    fabric_frame,
     frame_densities,
+    from_full,
     random_sector_state,
     random_special_orthogonal,
     ref_apply_fabric,
     ref_apply_hamiltonian,
+    ref_densities,
+    ref_energy,
     ref_pair_exchange,
     ref_rotate_pair,
     rotate_state,
+    fabric_frame,
     symmetrize,
     zero_two_body,
 )
 
+BLOCK_CASES = KERNEL_CASES + FILLING_CASES
+
 
 def test_hf_reference_basic():
     state = hf_reference(2, 1, 1)
+    assert state.amplitudes.shape == (2, 2)
+    full = state.embed()
     index = 0b0101  # alpha 0 and beta 0 occupied
-    assert state.amplitudes[index] == 1.0
-    assert np.count_nonzero(state.amplitudes) == 1
+    assert full[index] == 1.0
+    assert np.count_nonzero(full) == 1
     assert abs(state.norm() - 1.0) < 1e-15
-    assert electron_counts(state) == (1, 1)
+    assert electron_counts(full, 2) == (1, 1)
 
 
 def test_hf_reference_occupations():
@@ -54,8 +62,9 @@ def test_hf_reference_rejects_overflow():
 
 def test_identity_fabric_leaves_state_unchanged():
     state = hf_reference(3, 2, 1)
-    frame = fabric_frame(givens.identity_fabric(3))
-    np.testing.assert_array_equal(frame.M, np.eye(8))
+    frame = fabric_frame(givens.identity_fabric(3), state)
+    np.testing.assert_array_equal(frame.M_alpha, np.eye(3))
+    np.testing.assert_array_equal(frame.M_beta, np.eye(3))
     out = rotate_state(state, frame)
     np.testing.assert_array_equal(out.amplitudes, state.amplitudes)
 
@@ -65,10 +74,10 @@ def test_single_particle_transformation_law():
     fabric = givens.GivensFabric(n, [0.4])
     amps = np.zeros(4 ** n)
     amps[0b01] = 1.0  # one alpha electron in orbital 0
-    out = rotate_state(Statevector(n, amps), fabric_frame(fabric))
+    state = from_full(amps, n)
+    out = rotate_state(state, fabric_frame(fabric, state)).embed()
     u = givens.reconstruct(fabric)
-    np.testing.assert_allclose([out.amplitudes[0b01], out.amplitudes[0b10]],
-                               u[:, 0], atol=1e-14)
+    np.testing.assert_allclose([out[0b01], out[0b10]], u[:, 0], atol=1e-14)
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -76,20 +85,21 @@ def test_gates_preserve_norm_and_sector(seed):
     fac = factorize(synth_hamiltonian(3, 2, 1, 3), TruncationPolicy.exact())
     state = random_sector_state(fac, seed)
     assert abs(state.norm() - 1.0) < 1e-12
-    assert electron_counts(state) == (2, 1)
+    assert electron_counts(state.embed(), 3) == (2, 1)
     rotated = rotate_state(state, fac.frames[0])
     assert abs(rotated.norm() - 1.0) < 1e-12
-    assert electron_counts(rotated) == (2, 1)
+    assert electron_counts(rotated.embed(), 3) == (2, 1)
     exchanged = np.array(state.amplitudes)
-    qsim.rotate_pair(exchanged, *qsim.pair_exchange_rows(3, 0), 0.37)
-    exchanged = Statevector(3, exchanged)
+    qsim.rotate_pair(exchanged.reshape(-1), *qsim.pair_exchange_rows(3, 2, 1, 0), 0.37)
+    exchanged = Statevector(3, 2, 1, exchanged)
     assert abs(exchanged.norm() - 1.0) < 1e-12
-    assert electron_counts(exchanged) == (2, 1)
-    locked = np.array(state.amplitudes)
-    psi = locked.reshape(8, 8)
-    qsim.rotate_pair(psi, *qsim.pair_rows(3, 1), -0.8)
-    qsim.rotate_pair(psi.T, *qsim.pair_rows(3, 1), -0.8)
-    assert electron_counts(Statevector(3, locked)) == (2, 1)
+    assert electron_counts(exchanged.embed(), 3) == (2, 1)
+    psi = np.array(state.amplitudes)
+    qsim.rotate_pair(psi, *qsim.pair_rows(3, 1, 1), -0.8)
+    qsim.rotate_pair(psi.T, *qsim.pair_rows(3, 2, 1), -0.8)
+    locked = Statevector(3, 2, 1, psi)
+    assert abs(locked.norm() - 1.0) < 1e-12
+    assert electron_counts(locked.embed(), 3) == (2, 1)
 
 
 def test_omega0_on_hf_reference():
@@ -173,7 +183,7 @@ def test_apply_hamiltonian_matches_energy():
     fac = factorize(synth_hamiltonian(3, 1, 1, 2), TruncationPolicy.exact())
     state = random_sector_state(fac, 8)
     hpsi = qsim.apply_hamiltonian(state, fac)
-    assert abs(float(state.amplitudes @ hpsi) - energy(state, fac)) < 1e-10
+    assert abs(float(np.vdot(state.amplitudes, hpsi)) - energy(state, fac)) < 1e-10
 
 
 def test_rdm_trace_identities():
@@ -241,86 +251,149 @@ def test_shift_rule_rejects_bad_indices():
                 denergy_dtheta_shift(state, frame, g)
 
 
-@pytest.mark.parametrize("n,na,nb,seed", [(3, 2, 1, 4), (4, 2, 2, 13)])
+@pytest.mark.parametrize("n,na,nb,seed", [(3, 2, 1, 4), (4, 2, 2, 13), *FILLING_CASES])
 def test_angle_gradient_complex_state_matches_shift_rule(n, na, nb, seed):
     fac = factorize(synth_hamiltonian(n, na, nb, seed), TruncationPolicy.exact())
     real_part = random_sector_state(fac, seed + 1).amplitudes
     imag_part = random_sector_state(fac, seed + 2).amplitudes
     amps = real_part + 1j * imag_part
-    state = Statevector(n, amps / np.linalg.norm(amps))
+    state = Statevector(n, na, nb, amps / np.linalg.norm(amps))
     for frame in fac.frames:
         sweep = angle_gradient(state, frame)
         shift = [denergy_dtheta_shift(state, frame, g) for g in range(len(frame.fabric.pivots))]
-        assert np.max(np.abs(sweep - shift)) < 1e-10
+        assert np.max(np.abs(sweep - shift), initial=0.0) < 1e-10
 
 
 def test_pair_rows_are_cached_and_read_only():
-    for rows in (qsim.pair_rows(4, 1), qsim.pair_exchange_rows(4, 1)):
+    for rows in (qsim.pair_rows(4, 2, 1), qsim.pair_exchange_rows(4, 1, 2, 1)):
         for arr in rows:
             assert not arr.flags.writeable
-    assert qsim.pair_rows(4, 1) is qsim.pair_rows(4, 1)
-    assert qsim.pair_exchange_rows(4, 1) is qsim.pair_exchange_rows(4, 1)
+    assert qsim.pair_rows(4, 2, 1) is qsim.pair_rows(4, 2, 1)
+    assert qsim.pair_exchange_rows(4, 1, 2, 1) is qsim.pair_exchange_rows(4, 1, 2, 1)
+    assert not qsim.sector_strings(4, 2).flags.writeable
 
 
 def test_statevector_guards():
     with pytest.raises(ValueError):
-        Statevector(2, np.zeros(7))
+        Statevector(2, 1, 1, np.zeros(7))
+    with pytest.raises(ValueError):
+        Statevector(2, 1, 1, np.zeros(16))  # the full vector is not a block
+    with pytest.raises(ValueError):
+        Statevector(2, 3, 0, np.zeros((1, 0)))
+    with pytest.raises(ValueError):
+        Statevector(9, 1, 1, np.zeros((9, 9)))  # above the desk cap
     mixed = np.zeros(16)
     mixed[0b0001] = mixed[0b0011] = 1.0 / np.sqrt(2.0)
     with pytest.raises(ValueError):
-        electron_counts(Statevector(2, mixed))
+        from_full(mixed, 2)
 
 
-# The spin-factorized kernel against the slice-based reference kernel.
+# The sector-block kernel against the slice-based reference kernel on the
+# embedded full vector.
 
 
-@pytest.mark.parametrize("n,na,nb,seed", KERNEL_CASES)
+def _embedded(block: np.ndarray, state: Statevector) -> np.ndarray:
+    return Statevector(state.n_spatial, state.n_alpha, state.n_beta, block).embed()
+
+
+@pytest.mark.parametrize("n,na,nb,seed", BLOCK_CASES)
 def test_fabric_matches_reference_kernel(n, na, nb, seed):
     fac = factorize(synth_hamiltonian(n, na, nb, seed), TruncationPolicy.exact())
     state = random_sector_state(fac, seed + 20)
-    for frame in (fac.frames[0], fac.frames[1],
-                  fabric_frame(givens.decompose(random_special_orthogonal(n, seed)))):
+    for frame in (*fac.frames[:2],
+                  fabric_frame(givens.decompose(random_special_orthogonal(n, seed)), state)):
         for dagger in (False, True):
             out = rotate_state(state, frame, dagger=dagger)
-            ref = ref_apply_fabric(state, frame.fabric, dagger=dagger)
-            assert np.max(np.abs(out.amplitudes - ref)) <= 1e-12
+            ref = ref_apply_fabric(state.embed(), n, frame.fabric, dagger=dagger)
+            assert np.max(np.abs(out.embed() - ref)) <= 1e-12
 
 
 def test_fabric_matches_reference_kernel_n8():
     fac = factorize(synth_hamiltonian(8, 4, 4, 3), TruncationPolicy.exact())
     state = random_sector_state(fac, 8, n_rounds=1)
-    frame = fabric_frame(givens.decompose(random_special_orthogonal(8, 5)))
+    frame = fabric_frame(givens.decompose(random_special_orthogonal(8, 5)), state)
     for dagger in (False, True):
         out = rotate_state(state, frame, dagger=dagger)
-        ref = ref_apply_fabric(state, frame.fabric, dagger=dagger)
-        assert np.max(np.abs(out.amplitudes - ref)) <= 1e-12
+        ref = ref_apply_fabric(state.embed(), 8, frame.fabric, dagger=dagger)
+        assert np.max(np.abs(out.embed() - ref)) <= 1e-12
 
 
-@pytest.mark.parametrize("n,na,nb,seed", KERNEL_CASES)
+@pytest.mark.parametrize("n,na,nb,seed", BLOCK_CASES)
 def test_apply_hamiltonian_matches_reference_kernel(n, na, nb, seed):
     ham = synth_hamiltonian(n, na, nb, seed)
     for policy in (TruncationPolicy.exact(), TruncationPolicy.by_count(2)):
         fac = factorize(ham, policy)
         state = random_sector_state(fac, seed + 30)
         out = qsim.apply_hamiltonian(state, fac)
-        assert np.max(np.abs(out - ref_apply_hamiltonian(state, fac))) <= 1e-12
+        assert out.shape == state.amplitudes.shape
+        ref = ref_apply_hamiltonian(state.embed(), fac)
+        assert np.max(np.abs(_embedded(out, state) - ref)) <= 1e-12
+
+
+@pytest.mark.parametrize("n,na,nb,seed", BLOCK_CASES)
+def test_energy_and_densities_match_reference_kernel(n, na, nb, seed):
+    ham = synth_hamiltonian(n, na, nb, seed)
+    for policy in (TruncationPolicy.exact(), TruncationPolicy.by_count(2)):
+        fac = factorize(ham, policy)
+        state = random_sector_state(fac, seed + 35)
+        assert abs(energy(state, fac) - ref_energy(state.embed(), fac)) <= 1e-12
+        omegas = measure_densities(state, fac)
+        ref0, ref_leaves = ref_densities(state.embed(), fac)
+        assert np.max(np.abs(omegas.omega0 - ref0)) <= 1e-12
+        assert len(omegas.omega) == len(ref_leaves) == fac.retained
+        for omega, ref in zip(omegas.omega, ref_leaves):
+            assert np.max(np.abs(omega - ref)) <= 1e-12
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
 def test_gate_primitive_matches_reference_kernel(n):
+    # one random full vector over every filling; each filling's block is
+    # rotated on its own and compared with the reference on the full vector
     rng = np.random.default_rng(n)
-    amps = rng.standard_normal(4 ** n)
-    ref = amps.copy()
-    for m in range(n - 1):
-        theta = float(rng.uniform(-np.pi, np.pi))
-        psi = amps.reshape(1 << n, 1 << n)
-        qsim.rotate_pair(psi.T, *qsim.pair_rows(n, m), theta)
-        qsim.rotate_pair(psi, *qsim.pair_rows(n, m), -theta)
-        qsim.rotate_pair(amps, *qsim.pair_exchange_rows(n, m), 2.0 * theta)
+    full = rng.standard_normal(4 ** n)
+    ref = full.copy()
+    thetas = rng.uniform(-np.pi, np.pi, n - 1)
+    for m, theta in enumerate(thetas):
         ref_rotate_pair(ref, 2 * n, m, m + 1, theta)
         ref_rotate_pair(ref, 2 * n, n + m, n + m + 1, -theta)
         ref_pair_exchange(ref, n, m, 2.0 * theta)
-    assert np.max(np.abs(amps - ref)) <= 1e-12
+    ref = ref.reshape(1 << n, 1 << n)
+    for na in range(n + 1):
+        for nb in range(n + 1):
+            rows = np.ix_(qsim.sector_strings(n, nb), qsim.sector_strings(n, na))
+            psi = full.reshape(1 << n, 1 << n)[rows]
+            for m, theta in enumerate(thetas):
+                qsim.rotate_pair(psi.T, *qsim.pair_rows(n, na, m), theta)
+                qsim.rotate_pair(psi, *qsim.pair_rows(n, nb, m), -theta)
+                qsim.rotate_pair(psi.reshape(-1), *qsim.pair_exchange_rows(n, na, nb, m),
+                                 2.0 * theta)
+            assert np.max(np.abs(psi - ref[rows])) <= 1e-12
+
+
+@pytest.mark.parametrize("n,na,nb,seed", BLOCK_CASES)
+def test_embed_round_trip(n, na, nb, seed):
+    fac = factorize(synth_hamiltonian(n, na, nb, seed), TruncationPolicy.by_count(1))
+    state = random_sector_state(fac, seed + 50)
+    full = state.embed()
+    assert full.shape == (4 ** n,)
+    assert electron_counts(full, n) == (na, nb)
+    assert abs(np.linalg.norm(full) - state.norm()) <= 1e-14
+    back = from_full(full, n)
+    assert (back.n_alpha, back.n_beta) == (na, nb)
+    np.testing.assert_array_equal(back.amplitudes, state.amplitudes)
+    # the block's rows and columns are that filling's strings, ascending
+    first = (int(qsim.sector_strings(n, nb)[0]) << n) | int(qsim.sector_strings(n, na)[0])
+    assert hf_reference(n, na, nb).embed()[first] == 1.0
+
+
+def test_kernels_refuse_a_state_of_another_filling():
+    fac = factorize(synth_hamiltonian(3, 2, 1, 3), TruncationPolicy.exact())
+    swapped = hf_reference(3, 1, 2)  # same block shape, other filling
+    for kernel in (qsim.apply_hamiltonian, measure_densities):
+        with pytest.raises(ValueError, match="filling"):
+            kernel(swapped, fac)
+    with pytest.raises(ValueError, match="filling"):
+        angle_gradient(swapped, fac.frames[0])
 
 
 # Frames: built once per factorization, one-body first, then retained leaves.
@@ -333,7 +406,7 @@ def test_frames_follow_the_factorization(policy):
     orbitals = [fac.U0] + [leaf.U for leaf in fac.retained_leaves]
     for frame, u in zip(fac.frames, orbitals, strict=True):
         assert np.max(np.abs(givens.reconstruct(frame.fabric) - u)) <= 1e-10
-        for arr in (frame.M, frame.D):
+        for arr in (frame.M_alpha, frame.M_beta, frame.D):
             assert not arr.flags.writeable
             with pytest.raises(ValueError):
                 arr[0, 0] = 0.0
@@ -342,12 +415,30 @@ def test_frames_follow_the_factorization(policy):
 def test_factorized_operators_do_no_gate_work(monkeypatch):
     fac = factorize(synth_hamiltonian(3, 2, 1, 3), TruncationPolicy.by_count(4))
     state = random_sector_state(fac, 12)
-    expected = ref_apply_hamiltonian(state, fac)
+    expected = ref_apply_hamiltonian(state.embed(), fac)
     omega0 = frame_densities(state, [fac.frames[0].fabric]).omega0
 
     def refuse(*args):
         raise AssertionError("gate applied after the factorization was built")
 
     monkeypatch.setattr(qsim, "rotate_pair", refuse)
-    assert np.max(np.abs(qsim.apply_hamiltonian(state, fac) - expected)) <= 1e-12
+    out = _embedded(qsim.apply_hamiltonian(state, fac), state)
+    assert np.max(np.abs(out - expected)) <= 1e-12
     np.testing.assert_array_equal(qsim.measure_densities(state, fac).omega0, omega0)
+
+
+def test_production_never_embeds(monkeypatch):
+    # only the direct RDM oracle and the referees see the full 4^N vector
+    fac = factorize(synth_hamiltonian(3, 2, 1, 3), TruncationPolicy.exact())
+    cfg = vqe.AnsatzConfig(2, seed=1)
+
+    def refuse(self):
+        raise AssertionError("full amplitude vector built outside a referee")
+
+    monkeypatch.setattr(Statevector, "embed", refuse)
+    result = vqe.optimize(fac, cfg, tol=1e-10)
+    state = vqe.prepare_state(fac, cfg, result.params)
+    rdms, _ = lagrange.reconstruct_rdms(fac, state, stationarity_grad=result.grad_norm)
+    assert result.converged and rdms.gamma_sym.shape == (3, 3)
+    with pytest.raises(AssertionError, match="outside a referee"):
+        measure_rdms_direct(state)

@@ -16,8 +16,8 @@ from xdfrelax.vqe import (
 )
 from xdfrelax.xdf import TruncationPolicy, factorize
 
-from _common import (KERNEL_CASES, ansatz_gradient, electron_counts, ref_ansatz_state,
-                     regime_fixture, zero_two_body)
+from _common import (FILLING_CASES, KERNEL_CASES, ansatz_gradient, electron_counts,
+                     ref_ansatz_state, regime_fixture, zero_two_body)
 
 def test_block_layout():
     assert ansatz_blocks(4, 2) == (0, 2, 1)
@@ -31,7 +31,8 @@ def test_ansatz_state_stays_in_sector():
     rng = np.random.default_rng(2)
     params = rng.uniform(-1.5, 1.5, n_parameters(4, cfg))
     state = prepare_state(fac, cfg, params)
-    assert electron_counts(state) == (2, 2)
+    assert state.amplitudes.shape == (6, 6)
+    assert electron_counts(state.embed(), 4) == (2, 2)
     assert abs(state.norm() - 1.0) < 1e-12
 
 
@@ -232,14 +233,14 @@ def test_exact_ground_state_one_body_limit():
     state, e0 = exact_ground_state(fac)
     assert abs(e0 - (0.1 + 2.0 * min(diag))) < 1e-12
     expected_index = (1 << 1) | (1 << (3 + 1))  # orbital 1 in both spins
-    assert abs(abs(state.amplitudes[expected_index]) - 1.0) < 1e-12
+    assert abs(abs(state.embed()[expected_index]) - 1.0) < 1e-12
 
 
 def test_exact_ground_state_energy_consistency():
     fac = factorize(synth_hamiltonian(3, 2, 1, 3), TruncationPolicy.exact())
     state, e0 = exact_ground_state(fac)
     assert abs(qsim.energy(state, fac) - e0) < 1e-10
-    assert electron_counts(state) == (2, 1)
+    assert electron_counts(state.embed(), 3) == (2, 1)
 
 
 def test_exact_ground_state_sign_deterministic():
@@ -247,11 +248,12 @@ def test_exact_ground_state_sign_deterministic():
     s1, _ = exact_ground_state(fac)
     s2, _ = exact_ground_state(fac)
     np.testing.assert_array_equal(s1.amplitudes, s2.amplitudes)
-    lead = np.nonzero(np.abs(s1.amplitudes) > 1e-8)[0][0]
-    assert s1.amplitudes[lead] > 0
+    flat = s1.amplitudes.reshape(-1)
+    lead = np.nonzero(np.abs(flat) > 1e-8)[0][0]
+    assert flat[lead] > 0
 
 
-@pytest.mark.parametrize("n,na,nb,seed", KERNEL_CASES)
+@pytest.mark.parametrize("n,na,nb,seed", KERNEL_CASES + FILLING_CASES)
 def test_prepare_state_matches_reference_kernel(n, na, nb, seed):
     fac = factorize(synth_hamiltonian(n, na, nb, seed), TruncationPolicy.exact())
     cfg = AnsatzConfig(3)
@@ -259,11 +261,12 @@ def test_prepare_state_matches_reference_kernel(n, na, nb, seed):
     blocks = ansatz_blocks(n, cfg.n_layers)
     ref = ref_ansatz_state(fac, blocks, params[0::2], params[0::2], params[1::2])
     out = prepare_state(fac, cfg, params)
-    assert np.max(np.abs(out.amplitudes - ref.amplitudes)) <= 1e-12
+    assert np.max(np.abs(out.embed() - ref)) <= 1e-12
 
 
 @pytest.mark.parametrize("n,na,nb,seed,layers", [(2, 1, 1, 7, 3), (3, 2, 1, 3, 2),
-                                                 (4, 2, 2, 13, 2), (5, 3, 2, 1, 2)])
+                                                 (4, 2, 2, 13, 2), (5, 3, 2, 1, 2),
+                                                 *((*case, 2) for case in FILLING_CASES)])
 def test_adjoint_gradient_matches_shift_rule(n, na, nb, seed, layers):
     fac = factorize(synth_hamiltonian(n, na, nb, seed), TruncationPolicy.exact())
     cfg = AnsatzConfig(layers)
