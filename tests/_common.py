@@ -167,24 +167,19 @@ def ref_apply_fabric(amps: np.ndarray, n: int, fabric: givens.GivensFabric,
     return amps
 
 
-def ref_frame_diagonals(fac: xdf.XDFFactorization) -> list[np.ndarray]:
-    """Energy operator of every frame, tabulated over all 4^N indices."""
+def ref_apply_hamiltonian(amps: np.ndarray, fac: xdf.XDFFactorization) -> np.ndarray:
+    """Factorized Hamiltonian on a full vector, frame diagonals tabulated over
+    all 4^N indices."""
     n = fac.n_orbitals
     bits = qsim.string_bits(2 * n).astype(float)
     occ = bits[:, :n] + bits[:, n:]
     z = 2.0 - 2.0 * occ  # Z_alpha + Z_beta per orbital
+    out = fac.eff.scalar_offset * np.array(amps)
     diags = [(occ - 1.0) @ fac.F0]
     for leaf in fac.retained_leaves:
         z_mat = leaf.Z
         diags.append(0.125 * np.einsum("xk,kl,xl->x", z, z_mat, z) - 0.25 * np.trace(z_mat))
-    return diags
-
-
-def ref_apply_hamiltonian(amps: np.ndarray, fac: xdf.XDFFactorization) -> np.ndarray:
-    """Factorized Hamiltonian on a full vector, frame diagonals over all 4^N indices."""
-    n = fac.n_orbitals
-    out = fac.eff.scalar_offset * np.array(amps)
-    for frame, diag in zip(fac.frames, ref_frame_diagonals(fac), strict=True):
+    for frame, diag in zip(fac.frames, diags, strict=True):
         rotated = ref_apply_fabric(amps, n, frame.fabric, dagger=True)
         out += ref_apply_fabric(diag * rotated, n, frame.fabric)
     return out
@@ -204,11 +199,6 @@ def ref_densities(amps: np.ndarray, fac: xdf.XDFFactorization):
         weights = np.abs(ref_apply_fabric(amps, n, frame.fabric, dagger=True)) ** 2
         omegas.append(((z.T * weights) @ z - 2.0 * np.eye(n)) / 8.0)
     return omega0, omegas
-
-
-def ref_energy(amps: np.ndarray, fac: xdf.XDFFactorization) -> float:
-    """<psi|H|psi> of a real full vector through ``ref_apply_hamiltonian``."""
-    return float(amps @ ref_apply_hamiltonian(amps, fac))
 
 
 def ref_ansatz_state(fac: xdf.XDFFactorization, blocks, alpha, beta,
