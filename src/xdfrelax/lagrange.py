@@ -81,16 +81,17 @@ def _lower_to_matrix(values: np.ndarray, n: int) -> np.ndarray:
     return mat
 
 
-def solve_eta(frame: Frame, state: Statevector) -> tuple[np.ndarray, float]:
+def solve_eta(frame: Frame, de_dtheta: np.ndarray) -> tuple[np.ndarray, float]:
     """Fabric-angle multipliers of one frame from the pseudoinverted angle Jacobian.
 
-    Solves sum_{p>k} eta[p, k] * A[g, (p, k)] = -dE/dtheta_g, with all energy
-    derivatives of the frame from one ``qsim.angle_gradient`` sweep; returns
-    the strictly-lower-triangular eta matrix and the max-abs residual of the
-    solve, warning when it exceeds ``ETA_RESIDUAL_TOL``.
+    Solves sum_{p>k} eta[p, k] * A[g, (p, k)] = -dE/dtheta_g, for the
+    frame's energy derivatives ``de_dtheta`` (its row of
+    ``qsim.angle_gradients``); returns the strictly-lower-triangular eta
+    matrix and the max-abs residual of the solve, warning when it exceeds
+    ``ETA_RESIDUAL_TOL``.
     """
     jac = jacobian(frame.fabric)
-    rhs = -qsim.angle_gradient(state, frame)
+    rhs = -de_dtheta
     eta_vec = pinv_solve(jac, rhs)
     residual = float(np.max(np.abs(jac @ eta_vec - rhs))) if rhs.size else 0.0
     if residual > ETA_RESIDUAL_TOL:
@@ -180,25 +181,27 @@ def relaxed_Gamma(fac: XDFFactorization, omegas: EigenbasisDensities,
 def measure_and_solve(fac: XDFFactorization, state: Statevector,
                       ablate: str | None = None) -> tuple[EigenbasisDensities, MultiplierSet]:
     """Measure the leaf densities and run the full eta -> mu -> nu chain,
-    one eta and mu solve per frame."""
+    one eta and mu solve per frame. The eta right-hand sides of all solved
+    frames come from one ``qsim.angle_gradients`` sweep; under
+    ``ablate="etat"`` only the one-body frame is solved."""
     if ablate is not None and ablate not in ABLATION_MODES:
         raise ValueError(f"unknown ablation {ablate!r}; choose from {ABLATION_MODES}")
     n = fac.n_orbitals
     omegas = qsim.measure_densities(state, fac)
+    solved = fac.frames[:1] if ablate == "etat" else fac.frames
+    gradients = qsim.angle_gradients(state, solved)
     orbitals = [(fac.U0, fac.F0)] + [(leaf.U, leaf.lam) for leaf in fac.retained_leaves]
     etas, mus, worst_residual = [], [], 0.0
-    for k, (frame, (u, spectrum)) in enumerate(zip(fac.frames, orbitals)):
-        if k > 0 and ablate == "etat":
-            etas.append(np.zeros((n, n)))
-            mus.append(np.zeros((n, n)))
-            continue
-        eta, res = solve_eta(frame, state)
+    for frame, de_dtheta, (u, spectrum) in zip(solved, gradients, orbitals):
+        eta, res = solve_eta(frame, de_dtheta)
         worst_residual = max(worst_residual, res)
-        mu = solve_mu(eta, u, spectrum)
-        if k == 0 and ablate == "eta0":
-            eta, mu = np.zeros((n, n)), np.zeros((n, n))
         etas.append(eta)
-        mus.append(mu)
+        mus.append(solve_mu(eta, u, spectrum))
+    if ablate == "eta0":
+        etas[0], mus[0] = np.zeros((n, n)), np.zeros((n, n))
+    for _ in range(len(fac.frames) - len(solved)):
+        etas.append(np.zeros((n, n)))
+        mus.append(np.zeros((n, n)))
 
     nu = solve_nu(fac, omegas, tuple(mus[1:]))
     if ablate == "nu":

@@ -11,14 +11,19 @@ columns are the spin strings of that filling in ascending order
 (``sector_strings``). ``Statevector.embed`` returns the full 4^N vector,
 alpha strings in the low bits; only referees call it.
 
-All gate work is one in-place rotation between two sets of rows of an array,
-``rotate_pair``. A Givens gate on orbitals (m, m+1) of one spin rotates the
-block rows ``pair_rows(N, filling, m)`` of that spin's filling: rows of Psi
-for beta, rows of Psi^T for alpha. The ansatz pair-exchange gate rotates
-``pair_exchange_rows(N, n_alpha, n_beta, p)`` of the flat block. Gates act on
-adjacent orbitals of one spin, so no Jordan-Wigner strings appear in
-circuits; the direct RDM oracle handles the strings explicitly on the
-embedded vector.
+All gate work is one kernel, ``apply_gate``: every gate is a signed
+permutation of a flat amplitude array, x <- where(mask, cos, 1) * x + sin *
+sign * x[..., perm], with batch axes leading and one angle per batch item.
+The tables of a gate set (``GateTable``: per gate its entry pairs and the
+perm, sign and mask rows) are built once and cached read-only. A Givens gate
+on orbitals (m, m+1) of one spin mixes the block rows ``pair_rows(N,
+filling, m)`` of that spin's filling: rows of Psi for beta, columns for
+alpha. ``ansatz_table`` holds the ansatz circuit on the flat block, its pair
+exchanges on ``pair_exchange_rows(N, n_alpha, n_beta, p)``;
+``fabric_tables`` holds a fabric's gates on the rows and on the columns of
+one spin's operators. Gates act on adjacent orbitals of one spin, so no
+Jordan-Wigner strings appear in circuits; the direct RDM oracle handles the
+strings explicitly on the embedded vector.
 
 A spin-locked fabric acts on each spin through one operator on that spin's
 strings, its gates applied in order to the rows of the identity: the circuit
@@ -29,11 +34,11 @@ the term's energy operator, diagonal in the rotated basis, as the block
 D[beta, alpha]. A factorization builds its frames once, the one-body frame
 first, then one per retained leaf.
 
-All angle derivatives of a frame's energy come from one forward sweep over its
-gates (``angle_gradient``). The two-frequency shift rule,
-``denergy_dtheta_shift``, evaluates shifted circuits one angle at a time on
-the embedded vector with full per-spin operators, and stays as the
-hardware-faithful referee.
+All angle derivatives of a set of frames come from one forward sweep over
+the rectangle pivots they share (``angle_gradients``). The two-frequency
+shift rule, ``denergy_dtheta_shift``, evaluates shifted circuits one angle
+at a time on the embedded vector with full per-spin operators, and stays as
+the hardware-faithful referee.
 
 Expectation values are exact (infinite-shot limit). All gates have real
 matrix elements, so amplitudes stay real in practice; complex amplitudes are
@@ -49,10 +54,12 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .givens import GivensFabric
+from .givens import GivensFabric, rectangle_pivots
 from .hammodel import DESK_CAP
 
 if TYPE_CHECKING:
+    from collections.abc import Sequence
+
     from .xdf import XDFFactorization, XDFLeaf
 
 __all__ = [
@@ -67,13 +74,16 @@ __all__ = [
     "sector_shape",
     "pair_rows",
     "pair_exchange_rows",
-    "rotate_pair",
+    "GateTable",
+    "apply_gate",
+    "fabric_tables",
+    "ansatz_table",
     "hf_reference",
     "measure_densities",
     "energy",
     "apply_hamiltonian",
     "denergy_dtheta_shift",
-    "angle_gradient",
+    "angle_gradients",
     "measure_rdms_direct",
 ]
 
@@ -197,24 +207,116 @@ def pair_exchange_rows(n: int, n_alpha: int, n_beta: int,
                       (beta_next[:, None] * width + alpha_next).ravel())
 
 
-def rotate_pair(rows: np.ndarray, a: np.ndarray, b: np.ndarray, theta: float) -> None:
-    """In-place plane rotation of rows a and b along the leading axis:
-    rows a -> cos * a - sin * b and rows b -> sin * a + cos * b."""
-    if theta == 0.0:
-        return
-    c, s = np.cos(theta), np.sin(theta)
-    old_a = rows[a]
-    rows[a] = c * old_a - s * rows[b]
-    rows[b] = s * old_a + c * rows[b]
+def _row_entries(rows: np.ndarray, width: int) -> np.ndarray:
+    """Flat indices of the given rows of a matrix ``width`` wide, row by row."""
+    return (rows[:, None] * width + np.arange(width)).ravel()
+
+
+def _column_entries(cols: np.ndarray, height: int, width: int) -> np.ndarray:
+    """Flat indices of the given columns of a (height, width) matrix, column
+    by column."""
+    return (np.arange(height)[None, :] * width + cols[:, None]).ravel()
+
+
+@dataclass(frozen=True, eq=False)
+class GateTable:
+    """Plane-rotation gates on a flat amplitude array of length ``dim``, each a
+    signed permutation of it.
+
+    Gate k mixes the entries ``pairs[k] = (a, b)``, a (2, L) index array:
+    a -> cos * a - sin * b and b -> sin * a + cos * b. Its row of ``perm``
+    maps every entry to its partner (to itself off the gate), of ``sign``
+    holds -1 on a, +1 on b and 0 off the gate, and of ``mask`` marks a and b.
+    The (K, dim) arrays are built on construction; every array is read-only.
+    """
+
+    dim: int
+    pairs: tuple[np.ndarray, ...]
+    perm: np.ndarray = field(init=False, repr=False)
+    sign: np.ndarray = field(init=False, repr=False)
+    mask: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self):
+        perm = np.tile(np.arange(self.dim), (len(self.pairs), 1))
+        sign = np.zeros(perm.shape)
+        for k, (a, b) in enumerate(_read_only(*self.pairs)):
+            perm[k, a], perm[k, b] = b, a
+            sign[k, a], sign[k, b] = -1.0, 1.0
+        for name, arr in (("perm", perm), ("sign", sign), ("mask", sign != 0.0)):
+            object.__setattr__(self, name, _read_only(arr)[0])
+
+    def factors(self, c, s, gates=slice(None)) -> tuple[np.ndarray, np.ndarray]:
+        """The kernel factors ``where(mask, c, 1)`` and ``s * sign`` of the
+        selected gates (all by default) at cosines c and sines s, which
+        broadcast against the selected rows of the tables."""
+        return np.where(self.mask[gates], c, 1.0), s * self.sign[gates]
+
+
+def apply_gate(x: np.ndarray, table: GateTable, k: int, scale: np.ndarray,
+               shift: np.ndarray) -> np.ndarray:
+    """Gate k of ``table`` on the flat amplitudes x, batch axes leading, with
+    its ``GateTable.factors`` (one cosine and sine per batch item): returns
+    ``scale * x + shift * x[..., perm[k]]``. On the gate's entries that is a
+    plane rotation's products and sum, rounded as such; off them, x times 1
+    plus a zero."""
+    return scale * x + shift * x.take(table.perm[k], axis=-1)
+
+
+@lru_cache(maxsize=64)
+def fabric_tables(n: int, filling: int) -> tuple[GateTable, GateTable, np.ndarray]:
+    """The rectangle-fabric gates on the flattened d x d arrays of one spin
+    filling (d = C(n, filling)): on their rows, on their columns, and the
+    (K, 2, L) flat indices of the entries (b_k, a_k) and (a_k, b_k) that gate
+    g's generator pairs, for its rows a, b = ``pair_rows(n, filling, m_g)``.
+    Cached; the arrays are read-only."""
+    d = comb(n, filling)
+    rows = [pair_rows(n, filling, m) for m, _ in rectangle_pivots(n)]
+    reads = np.zeros((len(rows), 2, len(rows[0][0]) if rows else 0), dtype=np.intp)
+    for g, (a, b) in enumerate(rows):
+        reads[g] = b * d + a, a * d + b
+    return (GateTable(d * d, tuple(np.array([_row_entries(a, d), _row_entries(b, d)])
+                                   for a, b in rows)),
+            GateTable(d * d, tuple(np.array([_column_entries(a, d, d),
+                                             _column_entries(b, d, d)])
+                                   for a, b in rows)),
+            _read_only(reads)[0])
+
+
+@lru_cache(maxsize=16)
+def ansatz_table(n: int, n_alpha: int, n_beta: int, blocks: tuple[int, ...]) -> GateTable:
+    """The ansatz gates on the flat amplitude block, three per block pivot m,
+    in circuit order: the alpha rotation on the columns ``pair_rows(n,
+    n_alpha, m)`` (entries column by column), the beta rotation on the rows
+    ``pair_rows(n, n_beta, m)`` (row by row) and the pair exchange on
+    ``pair_exchange_rows(n, n_alpha, n_beta, m)``.
+
+    Cached. The largest at the desk cap, N=8 (4a, 4b) with 8 layers, has
+    84 gates x 4900 amplitudes: about 7 MB, int64 ``perm`` and float
+    ``sign`` 3.3 MB each.
+    """
+    height, width = sector_shape(n, n_alpha, n_beta)
+    pairs = []
+    for m in blocks:
+        a, b = pair_rows(n, n_alpha, m)
+        pairs.append(np.array([_column_entries(a, height, width),
+                               _column_entries(b, height, width)]))
+        a, b = pair_rows(n, n_beta, m)
+        pairs.append(np.array([_row_entries(a, width), _row_entries(b, width)]))
+        pairs.append(np.array(pair_exchange_rows(n, n_alpha, n_beta, m)))
+    return GateTable(height * width, tuple(pairs))
 
 
 def _fabric_operator(fabric: GivensFabric, angles: np.ndarray, filling: int) -> np.ndarray:
     """Operator of the fabric gates at ``angles`` on the strings of one spin
-    filling, first gate rightmost."""
-    op = np.eye(comb(fabric.n, filling))
-    for (m, _), theta in zip(fabric.pivots, angles):
-        rotate_pair(op, *pair_rows(fabric.n, filling, m), theta)
-    return op
+    filling, first gate rightmost: the gates applied to the rows of the
+    identity."""
+    d = comb(fabric.n, filling)
+    rows = fabric_tables(fabric.n, filling)[0]
+    scale, shift = rows.factors(np.cos(angles)[:, None], np.sin(angles)[:, None])
+    op = np.eye(d).reshape(-1)
+    for k in range(len(angles)):
+        op = apply_gate(op, rows, k, scale[k], shift[k])
+    return op.reshape(d, d)
 
 
 # ---------------------------------------------------------------------------
@@ -378,34 +480,47 @@ def denergy_dtheta_shift(state: Statevector, frame: Frame, g: int) -> float:
     return total
 
 
-def angle_gradient(state: Statevector, frame: Frame) -> np.ndarray:
-    """Energy derivatives of one frame with respect to all of its fabric angles.
+def angle_gradients(state: Statevector, frames: Sequence[Frame]) -> np.ndarray:
+    """Energy derivatives of each frame with respect to all of its fabric
+    angles, one row per frame.
 
     With R = M_beta^T Psi M_alpha and Lambda = D * conj(R), the derivative
     with respect to gate g is 2 Re sum(K_g * P_g Y P_g^T) summed over the
     spins, where Y_alpha = M_alpha^T Psi^T M_beta Lambda and Y_beta =
     M_beta^T Psi M_alpha Lambda^T, P_g is the product of the gates before g
-    and K_g is the generator of gate g. One forward sweep per spin conjugates
-    Y by each gate in turn, on that spin's rows; when the fillings are equal
-    the two share rows and one sweep runs on their sum. No operator builds.
+    and K_g is the generator of gate g. Every fabric has the rectangle
+    pivots, so the frames share their gate tables and differ only in angles:
+    one forward sweep per spin conjugates the stacked Y of all frames by each
+    gate in turn, on that spin's rows and columns; when the fillings are
+    equal the two spins share rows and one sweep runs on their sum. No
+    operator builds. A row does not depend on the other frames: it equals
+    the one-frame call bitwise.
     """
-    _check_filling(state, frame)
+    for frame in frames:
+        _check_filling(state, frame)
     psi = state.amplitudes
-    m_alpha, m_beta = frame.M_alpha, frame.M_beta
-    lam = frame.D * np.conj(m_beta.T @ psi @ m_alpha)
+    m_alpha = np.stack([frame.M_alpha for frame in frames])
+    m_beta = np.stack([frame.M_beta for frame in frames])
+    lam = (np.stack([frame.D for frame in frames])
+           * np.conj(np.swapaxes(m_beta, 1, 2) @ psi @ m_alpha))
     x_alpha = psi.T @ m_beta @ lam
-    x_beta = psi @ m_alpha @ lam.T
-    if frame.n_alpha == frame.n_beta:
-        sweeps = ((m_alpha.T @ (x_beta + x_alpha), frame.n_alpha),)
+    x_beta = psi @ m_alpha @ np.swapaxes(lam, 1, 2)
+    if state.n_alpha == state.n_beta:
+        sweeps = ((np.swapaxes(m_alpha, 1, 2) @ (x_beta + x_alpha), state.n_alpha),)
     else:
-        sweeps = ((m_alpha.T @ x_alpha, frame.n_alpha), (m_beta.T @ x_beta, frame.n_beta))
-    grad = np.zeros(len(frame.fabric.pivots))
+        sweeps = ((np.swapaxes(m_alpha, 1, 2) @ x_alpha, state.n_alpha),
+                  (np.swapaxes(m_beta, 1, 2) @ x_beta, state.n_beta))
+    angles = np.stack([frame.fabric.angles for frame in frames])
+    c, s = np.cos(angles)[:, :, None], np.sin(angles)[:, :, None]
+    grad = np.zeros(angles.shape)
     for y, filling in sweeps:
-        for g, ((m, _), theta) in enumerate(zip(frame.fabric.pivots, frame.fabric.angles)):
-            a, b = pair_rows(frame.fabric.n, filling, m)
-            grad[g] += 2.0 * float(np.real(np.sum(y[b, a]) - np.sum(y[a, b])))
-            rotate_pair(y, a, b, theta)
-            rotate_pair(y.T, a, b, theta)
+        rows, cols, reads = fabric_tables(state.n_spatial, filling)
+        y = y.reshape(len(frames), -1)
+        for g in range(angles.shape[1]):
+            pair_sums = y.take(reads[g], axis=1).sum(axis=2)
+            grad[:, g] += 2.0 * np.real(pair_sums[:, 0] - pair_sums[:, 1])
+            for table in (rows, cols):
+                y = apply_gate(y, table, g, *table.factors(c[:, g], s[:, g], g))
     return grad
 
 

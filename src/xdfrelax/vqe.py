@@ -76,6 +76,12 @@ def n_parameters(n_spatial: int, cfg: AnsatzConfig) -> int:
     return 2 * len(ansatz_blocks(n_spatial, cfg.n_layers))
 
 
+def _gate_angles(params: np.ndarray) -> np.ndarray:
+    """Angle of every ansatz gate in ``qsim.ansatz_table`` order: per block the
+    locked rotation's for its alpha and its beta gate, then the exchange's."""
+    return params.reshape(-1, 2)[:, [0, 0, 1]].ravel()
+
+
 def prepare_state(fac: XDFFactorization, cfg: AnsatzConfig,
                   params: np.ndarray) -> Statevector:
     params = np.asarray(params, dtype=float)
@@ -83,31 +89,35 @@ def prepare_state(fac: XDFFactorization, cfg: AnsatzConfig,
     blocks = ansatz_blocks(n, cfg.n_layers)
     if params.shape != (2 * len(blocks),):
         raise ValueError(f"expected {2 * len(blocks)} parameters, got {params.shape}")
-    psi = np.array(qsim.hf_reference(n, n_alpha, n_beta).amplitudes)
-    flat = psi.reshape(-1)
-    for i, m in enumerate(blocks):
-        qsim.rotate_pair(psi.T, *qsim.pair_rows(n, n_alpha, m), params[2 * i])
-        qsim.rotate_pair(psi, *qsim.pair_rows(n, n_beta, m), params[2 * i])
-        qsim.rotate_pair(flat, *qsim.pair_exchange_rows(n, n_alpha, n_beta, m),
-                         params[2 * i + 1])
-    return Statevector(n, n_alpha, n_beta, psi)
+    table = qsim.ansatz_table(n, n_alpha, n_beta, blocks)
+    thetas = _gate_angles(params)[:, None]
+    scale, shift = table.factors(np.cos(thetas), np.sin(thetas))
+    psi = qsim.hf_reference(n, n_alpha, n_beta).amplitudes.reshape(-1)
+    for k in range(len(thetas)):
+        psi = qsim.apply_gate(psi, table, k, scale[k], shift[k])
+    return Statevector(n, n_alpha, n_beta,
+                       psi.reshape(qsim.sector_shape(n, n_alpha, n_beta)))
 
 
-def _generator_term(lam: np.ndarray, psi: np.ndarray, a: np.ndarray,
-                    b: np.ndarray) -> float:
-    """<lam| K |psi> for the generator K of ``rotate_pair`` on rows a and b."""
-    return float(np.vdot(lam[b], psi[a]) - np.vdot(lam[a], psi[b]))
+def _generator_term(kets: np.ndarray, pair: np.ndarray) -> float:
+    """<lam| K |psi> for the generator K of the gate on the flat entries
+    ``pair = (a, b)``, with ``kets`` the stacked flat psi and lam:
+    np.vdot(lam[b], psi[a]) - np.vdot(lam[a], psi[b]) over the entries in
+    table order (for a beta gate the block's rows, as ``lam[b]``; for an
+    alpha gate its columns, as ``lam.T[a]``)."""
+    (psi_a, psi_b), (lam_a, lam_b) = kets.take(pair, axis=1)
+    return float(np.vdot(lam_b, psi_a) - np.vdot(lam_a, psi_b))
 
 
 def _energy_and_gradient(fac: XDFFactorization, cfg: AnsatzConfig,
                          params: np.ndarray) -> tuple[float, np.ndarray]:
     """Energy and its exact parameter gradient via one reverse sweep.
 
-    Alpha gates act on the rows of Psi^T, beta gates on the rows of Psi and
-    pair exchanges on the flat block; all three are views of one array.
-    Each gate is un-applied on the ket and on lambda = H|psi>, and its
-    derivative is read off its generator, 2 <lambda| K |psi>. The locked
-    rotation's generator is the sum of its alpha and beta ones, which commute.
+    The ket and lambda = H|psi> are stacked as two flat blocks and every gate
+    of the table is un-applied to both at once, the alpha gate of a block
+    before its beta gate; each gate's derivative is read off its generator,
+    2 <lambda| K |psi>. The locked rotation's generator is the sum of its
+    alpha and beta ones, which commute.
     """
     n, n_alpha, n_beta = fac.n_orbitals, fac.n_alpha, fac.n_beta
     blocks = ansatz_blocks(n, cfg.n_layers)
@@ -115,23 +125,19 @@ def _energy_and_gradient(fac: XDFFactorization, cfg: AnsatzConfig,
     lam = qsim.apply_hamiltonian(ket, fac)
     energy = float(np.vdot(ket.amplitudes, lam))
 
+    table = qsim.ansatz_table(n, n_alpha, n_beta, blocks)
+    thetas = -_gate_angles(params)[:, None]
+    scale, shift = table.factors(np.cos(thetas), np.sin(thetas))
+    kets = np.stack([ket.amplitudes.reshape(-1), lam.reshape(-1)])
     grad = np.zeros_like(params)
-    ket_psi = ket.amplitudes.copy()
-    ket_flat, lam_flat = ket_psi.reshape(-1), lam.reshape(-1)
     for i in reversed(range(len(blocks))):
-        m = blocks[i]
-        rows_alpha = qsim.pair_rows(n, n_alpha, m)
-        rows_beta = qsim.pair_rows(n, n_beta, m)
-        pairs = qsim.pair_exchange_rows(n, n_alpha, n_beta, m)
-        th_or, th_px = params[2 * i], params[2 * i + 1]
-        for vec in (ket_flat, lam_flat):
-            qsim.rotate_pair(vec, *pairs, -th_px)
-        grad[2 * i + 1] = 2.0 * _generator_term(lam_flat, ket_flat, *pairs)
-        for psi in (ket_psi, lam):
-            qsim.rotate_pair(psi.T, *rows_alpha, -th_or)
-            qsim.rotate_pair(psi, *rows_beta, -th_or)
-        grad[2 * i] = 2.0 * (_generator_term(lam, ket_psi, *rows_beta)
-                             + _generator_term(lam.T, ket_psi.T, *rows_alpha))
+        alpha, beta, exchange = 3 * i, 3 * i + 1, 3 * i + 2
+        kets = qsim.apply_gate(kets, table, exchange, scale[exchange], shift[exchange])
+        grad[2 * i + 1] = 2.0 * _generator_term(kets, table.pairs[exchange])
+        for k in (alpha, beta):
+            kets = qsim.apply_gate(kets, table, k, scale[k], shift[k])
+        grad[2 * i] = 2.0 * (_generator_term(kets, table.pairs[beta])
+                             + _generator_term(kets, table.pairs[alpha]))
     return energy, grad
 
 

@@ -93,6 +93,25 @@ def frame_densities(state: qsim.Statevector, fabrics) -> qsim.EigenbasisDensitie
     return qsim.measure_densities(state, SimpleNamespace(frames=frames))
 
 
+def rotate_pair(rows: np.ndarray, a: np.ndarray, b: np.ndarray, theta: float) -> None:
+    """Referee of ``qsim.apply_gate``: an in-place plane rotation of rows a and b
+    along the leading axis by fancy-index gather and scatter, rows a ->
+    cos * a - sin * b and rows b -> sin * a + cos * b; a zero angle is skipped."""
+    if theta == 0.0:
+        return
+    c, s = np.cos(theta), np.sin(theta)
+    old_a = rows[a]
+    rows[a] = c * old_a - s * rows[b]
+    rows[b] = s * old_a + c * rows[b]
+
+
+def table_gate(x: np.ndarray, table: qsim.GateTable, k: int, theta) -> np.ndarray:
+    """Gate k of a ``qsim.GateTable`` at angle theta on flat amplitudes x, batch
+    axes leading; theta is one angle, or one per batch item."""
+    theta = np.asarray(theta, dtype=float)[..., None]
+    return qsim.apply_gate(x, table, k, *table.factors(np.cos(theta), np.sin(theta), k))
+
+
 def random_sector_state(fac: xdf.XDFFactorization, seed: int,
                         n_rounds: int = 3) -> qsim.Statevector:
     """Generic normalized state in the factorization's electron sector."""
@@ -104,10 +123,44 @@ def random_sector_state(fac: xdf.XDFFactorization, seed: int,
         state = rotate_state(state, fabric_frame(givens.decompose(u), state))
         psi = np.array(state.amplitudes)
         for p in range(n - 1):
-            qsim.rotate_pair(psi.reshape(-1), *qsim.pair_exchange_rows(n, n_alpha, n_beta, p),
-                             float(rng.uniform(-1.0, 1.0)))
+            rotate_pair(psi.reshape(-1), *qsim.pair_exchange_rows(n, n_alpha, n_beta, p),
+                        float(rng.uniform(-1.0, 1.0)))
         state = qsim.Statevector(n, n_alpha, n_beta, psi)
     return state
+
+
+def ref_energy_and_gradient(fac: xdf.XDFFactorization, cfg: vqe.AnsatzConfig,
+                            params: np.ndarray) -> tuple[float, np.ndarray]:
+    """Ansatz energy and adjoint gradient on ``rotate_pair``, the rows kernel:
+    alpha gates on the rows of Psi^T, beta gates on the rows of Psi and pair
+    exchanges on the flat block, each un-applied to the ket and to lambda =
+    H|psi> in turn, and every derivative read off the gate's generator."""
+    n, n_alpha, n_beta = fac.n_orbitals, fac.n_alpha, fac.n_beta
+    blocks = vqe.ansatz_blocks(n, cfg.n_layers)
+    rows = [(qsim.pair_rows(n, n_alpha, m), qsim.pair_rows(n, n_beta, m),
+             qsim.pair_exchange_rows(n, n_alpha, n_beta, m)) for m in blocks]
+    psi = np.array(qsim.hf_reference(n, n_alpha, n_beta).amplitudes)
+    for i, (alpha, beta, pairs) in enumerate(rows):
+        rotate_pair(psi.T, *alpha, params[2 * i])
+        rotate_pair(psi, *beta, params[2 * i])
+        rotate_pair(psi.reshape(-1), *pairs, params[2 * i + 1])
+    lam = qsim.apply_hamiltonian(qsim.Statevector(n, n_alpha, n_beta, psi), fac)
+    energy = float(np.vdot(psi, lam))
+
+    def generator(bra, ket, a, b):
+        return float(np.vdot(bra[b], ket[a]) - np.vdot(bra[a], ket[b]))
+
+    grad = np.zeros(len(params))
+    for i in reversed(range(len(blocks))):
+        alpha, beta, pairs = rows[i]
+        for vec in (psi.reshape(-1), lam.reshape(-1)):
+            rotate_pair(vec, *pairs, -params[2 * i + 1])
+        grad[2 * i + 1] = 2.0 * generator(lam.reshape(-1), psi.reshape(-1), *pairs)
+        for block in (psi, lam):
+            rotate_pair(block.T, *alpha, -params[2 * i])
+            rotate_pair(block, *beta, -params[2 * i])
+        grad[2 * i] = 2.0 * (generator(lam, psi, *beta) + generator(lam.T, psi.T, *alpha))
+    return energy, grad
 
 
 # Reference kernel: the slice-based gates on the full 4^N vector that the

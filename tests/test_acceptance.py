@@ -204,8 +204,7 @@ def test_criterion_8_parameter_shift_validation():
         fac = factorize(synth_hamiltonian(n, na, nb, seed), TruncationPolicy.exact())
         state = random_sector_state(fac, seed + 70)
         assert len(fac.frames) == fac.retained + 1
-        for frame in fac.frames:
-            sweep = qsim.angle_gradient(state, frame)
+        for frame, sweep in zip(fac.frames, qsim.angle_gradients(state, fac.frames)):
             for g in range(len(frame.fabric.pivots)):
                 shift = qsim.denergy_dtheta_shift(state, frame, g)
                 worst = max(worst, abs(shift - sweep[g]))

@@ -30,8 +30,8 @@ def test_eta_zero_for_rotation_invariant_state():
     ham = synth_hamiltonian(3, 0, 0, 2)
     fac = factorize(ham, TruncationPolicy.exact())
     vacuum = qsim.hf_reference(3, 0, 0)
-    for frame in fac.frames:
-        eta, _ = solve_eta(frame, vacuum)
+    for frame, de_dtheta in zip(fac.frames, qsim.angle_gradients(vacuum, fac.frames)):
+        eta, _ = solve_eta(frame, de_dtheta)
         assert np.max(np.abs(eta)) < 1e-12
 
 
@@ -39,7 +39,9 @@ def test_eta_zero_for_diagonal_one_body_hf():
     ham = zero_two_body(3, 1, 1, [-2.0, -1.0, 0.5])
     fac = factorize(ham, TruncationPolicy.exact())
     state = qsim.hf_reference(3, 1, 1)
-    assert np.max(np.abs(solve_eta(fac.frames[0], state)[0])) < 1e-12
+    frame = fac.frames[0]
+    eta, _ = solve_eta(frame, qsim.angle_gradients(state, (frame,))[0])
+    assert np.max(np.abs(eta)) < 1e-12
 
 
 def test_eta_scalar_closed_form_n2():
@@ -47,17 +49,17 @@ def test_eta_scalar_closed_form_n2():
     frame = fac.frames[0]
     de = qsim.denergy_dtheta_shift(state, frame, 0)
     a00 = jacobian(frame.fabric)[0, 0]
-    eta, _ = solve_eta(frame, state)
+    eta, _ = solve_eta(frame, qsim.angle_gradients(state, (frame,))[0])
     assert abs(eta[1, 0] - (-de / a00)) < 1e-12
 
 
 def test_eta_residual_random_fixture():
     _, fac, state = _stationary_pipeline(3, 2, 1, 4)
-    for frame in fac.frames:
+    for frame, de_dtheta in zip(fac.frames, qsim.angle_gradients(state, fac.frames)):
         jac = jacobian(frame.fabric)
-        eta, residual = solve_eta(frame, state)
+        eta, residual = solve_eta(frame, de_dtheta)
         eta_vec = eta[np.tril_indices(fac.n_orbitals, -1)]
-        rhs = -qsim.angle_gradient(state, frame)
+        rhs = -de_dtheta
         shift_rhs = -np.array([qsim.denergy_dtheta_shift(state, frame, g)
                                for g in range(len(frame.fabric.pivots))])
         assert np.max(np.abs(rhs - shift_rhs)) < 1e-10
@@ -65,18 +67,40 @@ def test_eta_residual_random_fixture():
         assert residual == np.max(np.abs(jac @ eta_vec - rhs))
 
 
+def _solve_every_eta(fac, state):
+    return [solve_eta(frame, de_dtheta)
+            for frame, de_dtheta in zip(fac.frames, qsim.angle_gradients(state, fac.frames))]
+
+
 def test_eta_builds_no_fabric_operator(monkeypatch):
     _, fac, state = _stationary_pipeline(3, 2, 1, 4)
-    expected = [solve_eta(frame, state) for frame in fac.frames]
+    expected = _solve_every_eta(fac, state)
 
     def refuse(*args):
         raise AssertionError("fabric operator built during the eta solve")
 
     monkeypatch.setattr(qsim, "_fabric_operator", refuse)
-    for frame, (eta, residual) in zip(fac.frames, expected, strict=True):
-        got, got_residual = solve_eta(frame, state)
+    for (eta, residual), (got, got_residual) in zip(expected, _solve_every_eta(fac, state),
+                                                    strict=True):
         np.testing.assert_array_equal(got, eta)
         assert got_residual == residual
+
+
+@pytest.mark.parametrize("ablate", [None, "eta0", "etat", "nu"])
+def test_measure_and_solve_sweeps_the_solved_frames_once(monkeypatch, ablate):
+    _, fac, state = _stationary_pipeline(3, 2, 1, 4)
+    swept = []
+    real = qsim.angle_gradients
+
+    def counting(state, frames):
+        swept.append(tuple(frames))
+        return real(state, frames)
+
+    monkeypatch.setattr(qsim, "angle_gradients", counting)
+    _, multipliers = lagrange.measure_and_solve(fac, state, ablate)
+    assert swept == [fac.frames[:1] if ablate == "etat" else fac.frames]
+    if ablate == "etat":
+        assert all(not np.any(eta) for eta in multipliers.eta)
 
 
 def test_eta_warns_on_nonstationary_state():

@@ -1,3 +1,5 @@
+from math import comb
+
 import numpy as np
 import pytest
 
@@ -5,7 +7,7 @@ from xdfrelax import givens, lagrange, qsim, vqe
 from xdfrelax.hammodel import Hamiltonian, synth_hamiltonian
 from xdfrelax.qsim import (
     Statevector,
-    angle_gradient,
+    angle_gradients,
     denergy_dtheta_shift,
     energy,
     hf_reference,
@@ -29,8 +31,10 @@ from _common import (
     ref_densities,
     ref_pair_exchange,
     ref_rotate_pair,
+    rotate_pair,
     rotate_state,
     symmetrize,
+    table_gate,
     zero_two_body,
 )
 
@@ -88,15 +92,14 @@ def test_gates_preserve_norm_and_sector(seed):
     rotated = rotate_state(state, fac.frames[0])
     assert abs(rotated.norm() - 1.0) < 1e-12
     assert electron_counts(rotated.embed(), 3) == (2, 1)
-    exchanged = np.array(state.amplitudes)
-    qsim.rotate_pair(exchanged.reshape(-1), *qsim.pair_exchange_rows(3, 2, 1, 0), 0.37)
-    exchanged = Statevector(3, 2, 1, exchanged)
+    table = qsim.ansatz_table(3, 2, 1, (0, 1))  # gates: alpha, beta, exchange per pivot
+    exchanged = table_gate(state.amplitudes.reshape(-1), table, 2, 0.37)
+    exchanged = Statevector(3, 2, 1, exchanged.reshape(state.amplitudes.shape))
     assert abs(exchanged.norm() - 1.0) < 1e-12
     assert electron_counts(exchanged.embed(), 3) == (2, 1)
-    psi = np.array(state.amplitudes)
-    qsim.rotate_pair(psi, *qsim.pair_rows(3, 1, 1), -0.8)
-    qsim.rotate_pair(psi.T, *qsim.pair_rows(3, 2, 1), -0.8)
-    locked = Statevector(3, 2, 1, psi)
+    psi = table_gate(state.amplitudes.reshape(-1), table, 4, -0.8)
+    psi = table_gate(psi, table, 3, -0.8)
+    locked = Statevector(3, 2, 1, psi.reshape(state.amplitudes.shape))
     assert abs(locked.norm() - 1.0) < 1e-12
     assert electron_counts(locked.embed(), 3) == (2, 1)
 
@@ -214,10 +217,10 @@ def test_shift_rule_zero_for_unsupported_angle():
 def test_shift_rule_every_angle_every_leaf(seed):
     fac = factorize(synth_hamiltonian(3, 2, 1, 4), TruncationPolicy.exact())
     state = random_sector_state(fac, seed + 99)
-    for k, frame in enumerate(fac.frames):
+    sweeps = angle_gradients(state, fac.frames)
+    assert sweeps.shape == (len(fac.frames), len(fac.frames[0].fabric.pivots))
+    for k, (frame, sweep) in enumerate(zip(fac.frames, sweeps, strict=True)):
         fabric = frame.fabric
-        sweep = angle_gradient(state, frame)
-        assert sweep.shape == (len(fabric.pivots),)
         for g in range(len(fabric.pivots)):
             shift = denergy_dtheta_shift(state, frame, g)
             assert abs(shift - sweep[g]) < 1e-10
@@ -257,8 +260,7 @@ def test_angle_gradient_complex_state_matches_shift_rule(n, na, nb, seed):
     imag_part = random_sector_state(fac, seed + 2).amplitudes
     amps = real_part + 1j * imag_part
     state = Statevector(n, na, nb, amps / np.linalg.norm(amps))
-    for frame in fac.frames:
-        sweep = angle_gradient(state, frame)
+    for frame, sweep in zip(fac.frames, angle_gradients(state, fac.frames), strict=True):
         shift = [denergy_dtheta_shift(state, frame, g) for g in range(len(frame.fabric.pivots))]
         assert np.max(np.abs(sweep - shift), initial=0.0) < 1e-10
 
@@ -270,6 +272,22 @@ def test_pair_rows_are_cached_and_read_only():
     assert qsim.pair_rows(4, 2, 1) is qsim.pair_rows(4, 2, 1)
     assert qsim.pair_exchange_rows(4, 1, 2, 1) is qsim.pair_exchange_rows(4, 1, 2, 1)
     assert not qsim.sector_strings(4, 2).flags.writeable
+    # the gate tables too
+    rows, cols, reads = qsim.fabric_tables(4, 2)
+    assert qsim.fabric_tables(4, 2)[0] is rows
+    ansatz = qsim.ansatz_table(4, 1, 2, (0, 2, 1))
+    assert qsim.ansatz_table(4, 1, 2, (0, 2, 1)) is ansatz
+    for table in (rows, cols, ansatz):
+        for arr in (table.perm, table.sign, table.mask, *table.pairs):
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError):
+                arr[(0,) * arr.ndim] = 1
+    assert not reads.flags.writeable
+    # every cache in qsim is bounded
+    caches = [f for f in vars(qsim).values() if hasattr(f, "cache_parameters")]
+    assert {f.__name__ for f in caches} >= {"fabric_tables", "ansatz_table", "pair_rows"}
+    for f in caches:
+        assert f.cache_parameters()["maxsize"] is not None, f.__name__
 
 
 def test_statevector_guards():
@@ -361,13 +379,82 @@ def test_gate_primitive_matches_reference_kernel(n):
     for na in range(n + 1):
         for nb in range(n + 1):
             rows = np.ix_(qsim.sector_strings(n, nb), qsim.sector_strings(n, na))
-            psi = full.reshape(1 << n, 1 << n)[rows]
+            table = qsim.ansatz_table(n, na, nb, tuple(range(n - 1)))
+            psi = full.reshape(1 << n, 1 << n)[rows].reshape(-1)
             for m, theta in enumerate(thetas):
-                qsim.rotate_pair(psi.T, *qsim.pair_rows(n, na, m), theta)
-                qsim.rotate_pair(psi, *qsim.pair_rows(n, nb, m), -theta)
-                qsim.rotate_pair(psi.reshape(-1), *qsim.pair_exchange_rows(n, na, nb, m),
-                                 2.0 * theta)
-            assert np.max(np.abs(psi - ref[rows])) <= 1e-12
+                for k, angle in enumerate((theta, -theta, 2.0 * theta)):
+                    psi = table_gate(psi, table, 3 * m + k, angle)
+            assert np.max(np.abs(psi.reshape(ref[rows].shape) - ref[rows])) <= 1e-12
+
+
+# The table kernel against the rows kernel it replaced, ``_common.rotate_pair``:
+# bitwise, for every gate kind, at exact zeros, +-pi and random angles.
+
+KERNEL_ANGLES = (0.0, -0.0, np.pi, -np.pi)
+
+
+def _random_amplitudes(shape, seed: int, dtype) -> np.ndarray:
+    rng = np.random.default_rng(seed)
+    amps = rng.standard_normal(shape)
+    return amps + 1j * rng.standard_normal(shape) if dtype is complex else amps
+
+
+@pytest.mark.parametrize("dtype", [float, complex])
+@pytest.mark.parametrize("n,na,nb,seed", BLOCK_CASES)
+def test_table_kernel_equals_rows_kernel(n, na, nb, seed, dtype):
+    angles = (*KERNEL_ANGLES, *np.random.default_rng(seed).uniform(-np.pi, np.pi, 2))
+    blocks = tuple(range(n - 1))
+    ansatz = qsim.ansatz_table(n, na, nb, blocks)
+    psi = _random_amplitudes(qsim.sector_shape(n, na, nb), seed, dtype)
+    for i, m in enumerate(blocks):
+        kinds = ((3 * i, lambda ref: ref.T, qsim.pair_rows(n, na, m)),       # alpha columns
+                 (3 * i + 1, lambda ref: ref, qsim.pair_rows(n, nb, m)),     # beta rows
+                 (3 * i + 2, lambda ref: ref.reshape(-1),                    # pair exchange
+                  qsim.pair_exchange_rows(n, na, nb, m)))
+        for k, view, rows in kinds:
+            for theta in angles:
+                ref = psi.copy()
+                rotate_pair(view(ref), *rows, theta)
+                out = table_gate(psi.reshape(-1), ansatz, k, theta)
+                np.testing.assert_array_equal(out, ref.reshape(-1))
+    for filling in {na, nb}:
+        rows, cols, _ = qsim.fabric_tables(n, filling)
+        d = comb(n, filling)
+        y = _random_amplitudes((d, d), seed + filling, dtype)
+        for g, (m, _) in enumerate(givens.rectangle_pivots(n)):
+            for theta in angles:
+                for table, view in ((rows, lambda ref: ref), (cols, lambda ref: ref.T)):
+                    ref = y.copy()
+                    rotate_pair(view(ref), *qsim.pair_rows(n, filling, m), theta)
+                    out = table_gate(y.reshape(-1), table, g, theta)
+                    np.testing.assert_array_equal(out, ref.reshape(-1))
+
+
+@pytest.mark.parametrize("n,na,nb,seed", BLOCK_CASES)
+def test_stacked_batch_equals_one_item_runs(n, na, nb, seed):
+    rng = np.random.default_rng(seed)
+    thetas = np.array([*KERNEL_ANGLES, *rng.uniform(-np.pi, np.pi, 3)])
+    tables = (qsim.ansatz_table(n, na, nb, tuple(range(n - 1))),
+              *qsim.fabric_tables(n, na)[:2])
+    for table in tables:
+        for dtype in (float, complex):
+            batch = _random_amplitudes((len(thetas), table.dim), seed, dtype)
+            for k in range(len(table.pairs)):
+                out = table_gate(batch, table, k, thetas)
+                for item, theta, row in zip(batch, thetas, out, strict=True):
+                    np.testing.assert_array_equal(row, table_gate(item, table, k, theta))
+
+
+@pytest.mark.parametrize("n,na,nb,seed", [(3, 2, 1, 4), (4, 2, 2, 13), *FILLING_CASES])
+def test_angle_gradients_rows_equal_one_frame_calls(n, na, nb, seed):
+    fac = factorize(synth_hamiltonian(n, na, nb, seed), TruncationPolicy.exact())
+    real = random_sector_state(fac, seed + 3)
+    amps = real.amplitudes + 0.5j * random_sector_state(fac, seed + 4).amplitudes
+    for state in (real, Statevector(n, na, nb, amps / np.linalg.norm(amps))):
+        sweeps = angle_gradients(state, fac.frames)
+        for frame, row in zip(fac.frames, sweeps, strict=True):
+            np.testing.assert_array_equal(row, angle_gradients(state, (frame,))[0])
+        np.testing.assert_array_equal(angle_gradients(state, fac.frames[::-1]), sweeps[::-1])
 
 
 @pytest.mark.parametrize("n,na,nb,seed", BLOCK_CASES)
@@ -393,7 +480,7 @@ def test_kernels_refuse_a_state_of_another_filling():
         with pytest.raises(ValueError, match="filling"):
             kernel(swapped, fac)
     with pytest.raises(ValueError, match="filling"):
-        angle_gradient(swapped, fac.frames[0])
+        angle_gradients(swapped, fac.frames[:1])
 
 
 # Frames: built once per factorization, one-body first, then retained leaves.
@@ -421,7 +508,7 @@ def test_factorized_operators_do_no_gate_work(monkeypatch):
     def refuse(*args):
         raise AssertionError("gate applied after the factorization was built")
 
-    monkeypatch.setattr(qsim, "rotate_pair", refuse)
+    monkeypatch.setattr(qsim, "apply_gate", refuse)
     out = _embedded(qsim.apply_hamiltonian(state, fac), state)
     assert np.max(np.abs(out - expected)) <= 1e-12
     np.testing.assert_array_equal(qsim.measure_densities(state, fac).omega0, omega0)

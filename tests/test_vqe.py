@@ -2,6 +2,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from xdfrelax import qsim, vqe
 from xdfrelax.hammodel import (Hamiltonian, apply_perturbation,
@@ -17,7 +19,8 @@ from xdfrelax.vqe import (
 from xdfrelax.xdf import TruncationPolicy, factorize
 
 from _common import (FILLING_CASES, KERNEL_CASES, ansatz_gradient, electron_counts,
-                     ref_ansatz_state, regime_fixture, zero_two_body)
+                     ref_ansatz_state, ref_energy_and_gradient, regime_fixture,
+                     zero_two_body)
 
 def test_block_layout():
     assert ansatz_blocks(4, 2) == (0, 2, 1)
@@ -295,3 +298,34 @@ def test_optimize_without_parameters_keeps_reference(ham, cfg, expected):
     assert abs(result.energy - qsim.energy(reference, fac)) <= 1e-12
     if expected is not None:
         assert abs(result.energy - expected) <= 1e-12
+
+
+# Property: on any desk-scale filling, depth and angles, including exact zeros
+# and +-pi, the table-kernel sweep reproduces the rows-kernel sweep bitwise and
+# the shift rule to 1e-10.
+
+ANGLES = st.one_of(st.sampled_from([0.0, -0.0, np.pi, -np.pi]),
+                   st.floats(-np.pi, np.pi, allow_nan=False))
+
+
+@st.composite
+def ansatz_points(draw):
+    n = draw(st.integers(2, 6))
+    filling = st.integers(1, n - 1) | st.integers(0, n)  # mostly partly filled
+    n_alpha, n_beta = draw(filling), draw(filling)
+    cfg = AnsatzConfig(draw(st.integers(1, 3)))
+    size = n_parameters(n, cfg)
+    params = np.array(draw(st.lists(ANGLES, min_size=size, max_size=size)))
+    return synth_hamiltonian(n, n_alpha, n_beta, draw(st.integers(0, 999))), cfg, params
+
+
+@settings(max_examples=60, derandomize=True, database=None, deadline=None)
+@given(ansatz_points())
+def test_table_kernel_sweep_matches_rows_kernel_and_shift_rule(point):
+    ham, cfg, params = point
+    fac = factorize(ham, TruncationPolicy.exact())
+    energy, grad = vqe._energy_and_gradient(fac, cfg, params)
+    ref_energy, ref_grad = ref_energy_and_gradient(fac, cfg, params)
+    assert energy == ref_energy
+    np.testing.assert_array_equal(grad, ref_grad)
+    assert np.max(np.abs(grad - ansatz_gradient(fac, cfg, params)), initial=0.0) <= 1e-10
