@@ -15,20 +15,30 @@ eta_eig = U^T eta,
 
 where spec is the relevant eigenvalue vector and R projects the leaf-frame
 energy and mu gradients onto foreign eigenvectors.
+
+The solved frames travel as stacks, frame first: one ``givens.jacobian``
+call differentiates every fabric, the mu quotients run over the (F, N, N)
+eta stack with a spread per frame, and R is one projection of every leaf
+onto every retained core. Only the eta least-squares solves run frame by
+frame: a stacked SVD rounds differently, and cond(J) ~ 1e3 amplifies that.
 """
 
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from . import qsim
-from .givens import jacobian, pinv_solve
+from .givens import jacobian, lower_indices, pinv_solve
 from .hammodel import eight_fold_symmetrize
 from .qsim import EigenbasisDensities, Frame, Statevector
 from .xdf import XDFFactorization
+
+if TYPE_CHECKING:
+    from collections.abc import Sequence
 
 __all__ = [
     "MultiplierSet",
@@ -74,49 +84,56 @@ class RelaxedRDMs:
     Gamma_sym: np.ndarray
 
 
-def _lower_to_matrix(values: np.ndarray, n: int) -> np.ndarray:
-    """Strictly-lower-triangular matrix from its row-major entries."""
-    mat = np.zeros((n, n))
-    mat[np.tril_indices(n, -1)] = values
-    return mat
+def _stack(arrays: Sequence[np.ndarray], shape: tuple[int, ...]) -> np.ndarray:
+    """The arrays of one ``shape`` stacked along a new leading axis; none
+    gives a (0, *shape) stack."""
+    return np.array(arrays, dtype=float).reshape(-1, *shape)
 
 
-def solve_eta(frame: Frame, de_dtheta: np.ndarray) -> tuple[np.ndarray, float]:
-    """Fabric-angle multipliers of one frame from the pseudoinverted angle Jacobian.
+def solve_eta(frames: Sequence[Frame], gradients: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Fabric-angle multipliers of each frame from its pseudoinverted angle Jacobian.
 
-    Solves sum_{p>k} eta[p, k] * A[g, (p, k)] = -dE/dtheta_g, for the
-    frame's energy derivatives ``de_dtheta`` (its row of
-    ``qsim.angle_gradients``); returns the strictly-lower-triangular eta
-    matrix and the max-abs residual of the solve, warning when it exceeds
-    ``ETA_RESIDUAL_TOL``.
+    Solves sum_{p>k} eta[p, k] * A[g, (p, k)] = -dE/dtheta_g for every frame,
+    with ``gradients`` its energy derivatives, one row per frame (as
+    ``qsim.angle_gradients`` returns them); returns the (F, N, N) stack of
+    strictly-lower-triangular eta matrices and the max-abs residual of each
+    solve, warning for each that exceeds ``ETA_RESIDUAL_TOL``.
     """
-    jac = jacobian(frame.fabric)
-    rhs = -de_dtheta
-    eta_vec = pinv_solve(jac, rhs)
-    residual = float(np.max(np.abs(jac @ eta_vec - rhs))) if rhs.size else 0.0
-    if residual > ETA_RESIDUAL_TOL:
-        warnings.warn(
-            f"eta solve residual {residual:.3e}; state may not be stationary",
-            stacklevel=2)
-    return _lower_to_matrix(eta_vec, frame.fabric.n), residual
+    n = frames[0].fabric.n
+    jacs = jacobian([frame.fabric for frame in frames])
+    etas = np.zeros((len(frames), n, n))
+    residuals = np.zeros(len(frames))
+    for f, (jac, rhs) in enumerate(zip(jacs, -gradients, strict=True)):
+        eta_vec = pinv_solve(jac, rhs)
+        residuals[f] = float(np.max(np.abs(jac @ eta_vec - rhs))) if rhs.size else 0.0
+        if residuals[f] > ETA_RESIDUAL_TOL:
+            warnings.warn(
+                f"eta solve residual {residuals[f]:.3e}; state may not be stationary",
+                stacklevel=2)
+        etas[f][lower_indices(n)] = eta_vec
+    return etas, residuals
 
 
 def _guarded_quotients(x: np.ndarray, values: np.ndarray) -> np.ndarray:
-    """Strictly-lower (x[a, b] - x[b, a]) / (values[a] - values[b]), zero where
-    the denominator is within ``DEGENERACY_GUARD`` x the spread of values
-    (a degenerate pair, whose numerator vanishes by symmetry)."""
-    spread = float(np.max(values) - np.min(values)) if len(values) else 0.0
-    denom = np.subtract.outer(values, values)
-    keep = np.tril(np.abs(denom) > DEGENERACY_GUARD * max(spread, 1e-300), -1)
+    """Strictly-lower (x[a, b] - x[b, a]) / (values[a] - values[b]) of every
+    member of a (..., n, n) stack, zero where the denominator is within
+    ``DEGENERACY_GUARD`` x the spread of that member's values (a degenerate
+    pair, whose numerator vanishes by symmetry)."""
+    spread = (np.max(values, axis=-1) - np.min(values, axis=-1) if values.shape[-1]
+              else np.zeros(values.shape[:-1]))
+    denom = values[..., :, None] - values[..., None, :]
+    cutoff = DEGENERACY_GUARD * np.maximum(spread, 1e-300)[..., None, None]
+    keep = np.tril(np.abs(denom) > cutoff, -1)
     out = np.zeros(denom.shape)
-    out[keep] = (x - x.T)[keep] / denom[keep]
+    out[keep] = (x - np.swapaxes(x, -1, -2))[keep] / denom[keep]
     return out
 
 
 def solve_mu(eta_lower: np.ndarray, u: np.ndarray, spectrum: np.ndarray) -> np.ndarray:
-    """Eigenvector multipliers of one frame with orbitals ``u``: quotients over
-    its spectrum (F0 for the one-body frame, lambda for a leaf)."""
-    return _guarded_quotients(u.T @ eta_lower, spectrum)
+    """Eigenvector multipliers of frames with orbitals ``u``: quotients over
+    their spectra (F0 for the one-body frame, lambda for a leaf). Takes one
+    frame's (N, N) eta, orbitals and (N,) spectrum, or stacks of them."""
+    return _guarded_quotients(np.swapaxes(u, -1, -2) @ eta_lower, spectrum)
 
 
 def solve_nu(fac: XDFFactorization, omegas: EigenbasisDensities,
@@ -127,15 +144,17 @@ def solve_nu(fac: XDFFactorization, omegas: EigenbasisDensities,
     eigenvector of leaf u_prime; it vanishes identically for discarded u, so
     nu is zero whenever both pair members are discarded.
     """
-    n_leaves = fac.n_leaves
-    r_mat = np.zeros((n_leaves, n_leaves))
-    for u, leaf in enumerate(fac.retained_leaves):
-        w = omegas.omega[u] @ leaf.lam
-        core = 2.0 * leaf.g * (leaf.U * w) @ leaf.U.T + leaf.U @ mus[u] @ leaf.U.T
-        for up in range(n_leaves):
-            if up == u:
-                continue
-            r_mat[up, u] = float(np.sum(fac.leaves[up].V * core))
+    n, retained = fac.n_orbitals, fac.retained_leaves
+    u_mat = _stack([leaf.U for leaf in retained], (n, n))
+    u_t = np.swapaxes(u_mat, 1, 2)
+    lam = _stack([leaf.lam for leaf in retained], (n,))
+    w = (_stack(omegas.omega, (n, n)) @ lam[:, :, None])[:, :, 0]
+    g = 2.0 * np.array([leaf.g for leaf in retained])
+    cores = g[:, None, None] * (u_mat * w[:, None, :]) @ u_t + u_mat @ _stack(mus, (n, n)) @ u_t
+    leaf_v = _stack([leaf.V for leaf in fac.leaves], (n, n))
+    r_mat = np.zeros((fac.n_leaves, fac.n_leaves))
+    # the diagonal R[u, u] cancels in the quotients
+    r_mat[:, :len(retained)] = (leaf_v[:, None] * cores[None]).sum(axis=(-2, -1))
 
     # nu[t, u] = (R[t, u] - R[u, t]) / (g[u] - g[t])
     nu = _guarded_quotients(r_mat, -fac.g_values)
@@ -180,8 +199,8 @@ def relaxed_Gamma(fac: XDFFactorization, omegas: EigenbasisDensities,
 
 def measure_and_solve(fac: XDFFactorization, state: Statevector,
                       ablate: str | None = None) -> tuple[EigenbasisDensities, MultiplierSet]:
-    """Measure the leaf densities and run the full eta -> mu -> nu chain,
-    one eta and mu solve per frame. The eta right-hand sides of all solved
+    """Measure the leaf densities and run the full eta -> mu -> nu chain on
+    the stack of solved frames. The eta right-hand sides of all solved
     frames come from one ``qsim.angle_gradients`` sweep; under
     ``ablate="etat"`` only the one-body frame is solved."""
     if ablate is not None and ablate not in ABLATION_MODES:
@@ -189,26 +208,21 @@ def measure_and_solve(fac: XDFFactorization, state: Statevector,
     n = fac.n_orbitals
     omegas = qsim.measure_densities(state, fac)
     solved = fac.frames[:1] if ablate == "etat" else fac.frames
-    gradients = qsim.angle_gradients(state, solved)
-    orbitals = [(fac.U0, fac.F0)] + [(leaf.U, leaf.lam) for leaf in fac.retained_leaves]
-    etas, mus, worst_residual = [], [], 0.0
-    for frame, de_dtheta, (u, spectrum) in zip(solved, gradients, orbitals):
-        eta, res = solve_eta(frame, de_dtheta)
-        worst_residual = max(worst_residual, res)
-        etas.append(eta)
-        mus.append(solve_mu(eta, u, spectrum))
+    etas, residuals = solve_eta(solved, qsim.angle_gradients(state, solved))
+    leaves = fac.retained_leaves[:len(solved) - 1]
+    mus = solve_mu(etas, np.array([fac.U0, *(leaf.U for leaf in leaves)]),
+                   np.array([fac.F0, *(leaf.lam for leaf in leaves)]))
     if ablate == "eta0":
-        etas[0], mus[0] = np.zeros((n, n)), np.zeros((n, n))
-    for _ in range(len(fac.frames) - len(solved)):
-        etas.append(np.zeros((n, n)))
-        mus.append(np.zeros((n, n)))
+        etas[0], mus[0] = 0.0, 0.0
+    unsolved = np.zeros((len(fac.frames) - len(solved), n, n))
+    etas, mus = np.concatenate([etas, unsolved]), np.concatenate([mus, unsolved])
 
     nu = solve_nu(fac, omegas, tuple(mus[1:]))
     if ablate == "nu":
         nu = np.zeros_like(nu)
 
     multipliers = MultiplierSet(etas[0], tuple(etas[1:]), mus[0], tuple(mus[1:]), nu,
-                                worst_residual)
+                                max(0.0, *residuals.tolist()))
     return omegas, multipliers
 
 

@@ -32,7 +32,10 @@ operator serves both spins when n_alpha = n_beta). Each term of a factorized
 Hamiltonian is a ``Frame``: its fabric, the fabric's M_alpha and M_beta and
 the term's energy operator, diagonal in the rotated basis, as the block
 D[beta, alpha]. A factorization builds its frames once, the one-body frame
-first, then one per retained leaf.
+first, then one per retained leaf, with ``build_frames``: one sweep per spin
+filling applies each gate to the stacked identities of all frames, one angle
+per frame. The density measurements rotate the state into every frame as
+one stack.
 
 All angle derivatives of a set of frames come from one forward sweep over
 the rectangle pivots they share (``angle_gradients``). The two-frequency
@@ -60,14 +63,15 @@ from .hammodel import DESK_CAP
 if TYPE_CHECKING:
     from collections.abc import Sequence
 
-    from .xdf import XDFFactorization, XDFLeaf
+    from .xdf import XDFFactorization
 
 __all__ = [
     "Statevector",
     "EigenbasisDensities",
     "Frame",
-    "one_body_frame",
-    "leaf_frame",
+    "build_frames",
+    "one_body_energy",
+    "leaf_energies",
     "SHIFT_STEPS",
     "string_bits",
     "sector_strings",
@@ -306,17 +310,17 @@ def ansatz_table(n: int, n_alpha: int, n_beta: int, blocks: tuple[int, ...]) -> 
     return GateTable(height * width, tuple(pairs))
 
 
-def _fabric_operator(fabric: GivensFabric, angles: np.ndarray, filling: int) -> np.ndarray:
-    """Operator of the fabric gates at ``angles`` on the strings of one spin
-    filling, first gate rightmost: the gates applied to the rows of the
-    identity."""
-    d = comb(fabric.n, filling)
-    rows = fabric_tables(fabric.n, filling)[0]
-    scale, shift = rows.factors(np.cos(angles)[:, None], np.sin(angles)[:, None])
-    op = np.eye(d).reshape(-1)
-    for k in range(len(angles)):
-        op = apply_gate(op, rows, k, scale[k], shift[k])
-    return op.reshape(d, d)
+def _fabric_operators(n: int, angles: np.ndarray, filling: int) -> np.ndarray:
+    """Operators of n-orbital fabrics at the (B, K) ``angles`` on the strings
+    of one spin filling, first gate rightmost: one sweep applies each gate,
+    one angle per fabric, to the rows of B identities. Returns (B, d, d)."""
+    d = comb(n, filling)
+    rows = fabric_tables(n, filling)[0]
+    c, s = np.cos(angles)[:, :, None], np.sin(angles)[:, :, None]
+    ops = np.tile(np.eye(d).reshape(-1), (len(angles), 1))
+    for k in range(angles.shape[1]):
+        ops = apply_gate(ops, rows, k, *rows.factors(c[:, k], s[:, k], k))
+    return ops.reshape(-1, d, d)
 
 
 # ---------------------------------------------------------------------------
@@ -336,47 +340,61 @@ class Frame:
     fabric rotating into it, the term's energy operator ``D[beta, alpha]``,
     diagonal in the rotated basis, and the fabric's operators on the alpha
     and beta strings, ``M_alpha`` and ``M_beta`` (one array when the
-    fillings are equal), built from the fabric on construction. The arrays
-    are read-only."""
+    fillings are equal). ``build_frames`` builds them; the arrays are
+    read-only."""
 
     fabric: GivensFabric
     n_alpha: int
     n_beta: int
     D: np.ndarray
-    M_alpha: np.ndarray = field(init=False, repr=False)
-    M_beta: np.ndarray = field(init=False, repr=False)
+    M_alpha: np.ndarray = field(repr=False)
+    M_beta: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        d = np.array(self.D, dtype=float)
         shape = sector_shape(self.fabric.n, self.n_alpha, self.n_beta)
-        if d.shape != shape:
-            raise ValueError(f"energy operator has shape {d.shape}, expected {shape}")
-        m_alpha = _fabric_operator(self.fabric, self.fabric.angles, self.n_alpha)
-        m_beta = (m_alpha if self.n_beta == self.n_alpha
-                  else _fabric_operator(self.fabric, self.fabric.angles, self.n_beta))
-        for name, arr in (("D", d), ("M_alpha", m_alpha), ("M_beta", m_beta)):
-            object.__setattr__(self, name, _read_only(arr)[0])
+        for name, expected in (("D", shape), ("M_alpha", (shape[1],) * 2),
+                               ("M_beta", (shape[0],) * 2)):
+            arr = getattr(self, name)
+            if arr.shape != expected:
+                raise ValueError(f"{name} has shape {arr.shape}, expected {expected}")
+            arr.setflags(write=False)
 
 
-def one_body_frame(fabric: GivensFabric, f0: np.ndarray, n_alpha: int,
-                   n_beta: int) -> Frame:
-    """Frame of the one-body term with eigenvalues ``f0``."""
-    d_alpha = _sector_bits(fabric.n, n_alpha) @ f0
-    d_beta = _sector_bits(fabric.n, n_beta) @ f0
-    return Frame(fabric, n_alpha, n_beta,
-                 d_beta[:, None] + d_alpha[None, :] - float(np.sum(f0)))
+def build_frames(fabrics: Sequence[GivensFabric], energies: np.ndarray, n_alpha: int,
+                 n_beta: int) -> tuple[Frame, ...]:
+    """Frames of fabrics of one orbital count with the (F, C(N, n_beta),
+    C(N, n_alpha)) stack of their energy operators. Each spin's operators of
+    all fabrics come from one sweep over the gates they share; every frame's
+    operators equal its one-fabric build bitwise."""
+    n = fabrics[0].n
+    angles = np.array([fabric.angles for fabric in fabrics])
+    m_alpha = _fabric_operators(n, angles, n_alpha)
+    m_beta = m_alpha if n_beta == n_alpha else _fabric_operators(n, angles, n_beta)
+    energies = np.array(energies, dtype=float)
+    return tuple(Frame(fabric, n_alpha, n_beta, energies[f], m_alpha[f], m_beta[f])
+                 for f, fabric in enumerate(fabrics))
 
 
-def leaf_frame(fabric: GivensFabric, leaf: XDFLeaf, n_alpha: int, n_beta: int) -> Frame:
-    """Frame of one leaf, whose Z/ZZ couplings are ``leaf.Z``."""
-    z_mat = leaf.Z
-    z_alpha, z_beta = _spin_z(fabric.n, n_alpha), _spin_z(fabric.n, n_beta)
-    w = z_beta @ z_mat @ z_alpha.T
-    q_alpha = np.sum((z_alpha @ z_mat) * z_alpha, axis=1)
-    q_beta = q_alpha if n_beta == n_alpha else np.sum((z_beta @ z_mat) * z_beta, axis=1)
-    return Frame(fabric, n_alpha, n_beta,
-                 0.125 * (q_beta[:, None] + q_alpha[None, :] + 2.0 * w)
-                 - 0.25 * float(np.trace(z_mat)))
+def one_body_energy(f0: np.ndarray, n_alpha: int, n_beta: int) -> np.ndarray:
+    """Energy operator of the one-body term with eigenvalues ``f0``."""
+    n = len(f0)
+    d_alpha = _sector_bits(n, n_alpha) @ f0
+    d_beta = _sector_bits(n, n_beta) @ f0
+    return d_beta[:, None] + d_alpha[None, :] - float(np.sum(f0))
+
+
+def leaf_energies(couplings: np.ndarray, n_alpha: int, n_beta: int) -> np.ndarray:
+    """Energy operators of the leaves with the (T, N, N) stack of Z/ZZ
+    couplings ``couplings`` (``XDFLeaf.Z``), as a (T, rows, cols) stack."""
+    n = couplings.shape[-1]
+    z_alpha, z_beta = _spin_z(n, n_alpha), _spin_z(n, n_beta)
+    w = z_beta @ couplings @ z_alpha.T
+    q_alpha = np.sum((z_alpha @ couplings) * z_alpha, axis=-1)
+    q_beta = (q_alpha if n_beta == n_alpha
+              else np.sum((z_beta @ couplings) * z_beta, axis=-1))
+    traces = np.trace(couplings, axis1=1, axis2=2)
+    return (0.125 * (q_beta[:, :, None] + q_alpha[:, None, :] + 2.0 * w)
+            - 0.25 * traces[:, None, None])
 
 
 def _check_filling(state: Statevector, frame: Frame) -> None:
@@ -389,33 +407,39 @@ def _check_filling(state: Statevector, frame: Frame) -> None:
 # Leaf-frame measurements
 # ---------------------------------------------------------------------------
 
-def _rotated_weights(state: Statevector, frame: Frame) -> np.ndarray:
-    """|M_beta^T Psi M_alpha|^2: the state's weights in the frame's basis."""
-    _check_filling(state, frame)
-    return np.abs(frame.M_beta.T @ state.amplitudes @ frame.M_alpha) ** 2
+def _rotated_weights(state: Statevector, frames: Sequence[Frame]) -> np.ndarray:
+    """|M_beta^T Psi M_alpha|^2: the state's weights in each frame's basis,
+    stacked."""
+    for frame in frames:
+        _check_filling(state, frame)
+    m_alpha = np.stack([frame.M_alpha for frame in frames])
+    m_beta = np.stack([frame.M_beta for frame in frames])
+    return np.abs(np.swapaxes(m_beta, 1, 2) @ state.amplitudes @ m_alpha) ** 2
 
 
-def _omega0(state: Statevector, frame: Frame) -> np.ndarray:
-    weights = _rotated_weights(state, frame)
+def _omega0(state: Statevector, weights: np.ndarray) -> np.ndarray:
     n = state.n_spatial
     return -0.5 * (weights.sum(axis=0) @ _spin_z(n, state.n_alpha)
                    + weights.sum(axis=1) @ _spin_z(n, state.n_beta))
 
 
-def _omega_leaf(state: Statevector, frame: Frame) -> np.ndarray:
-    weights = _rotated_weights(state, frame)
+def _omega_leaves(state: Statevector, weights: np.ndarray) -> np.ndarray:
+    """Leaf densities from a (T, rows, cols) stack of weights."""
     n = state.n_spatial
     z_alpha, z_beta = _spin_z(n, state.n_alpha), _spin_z(n, state.n_beta)
     cross = z_beta.T @ weights @ z_alpha
-    moments = ((z_alpha.T * weights.sum(axis=0)) @ z_alpha
-               + (z_beta.T * weights.sum(axis=1)) @ z_beta + cross + cross.T)
+    moments = ((z_alpha.T * weights.sum(axis=1)[:, None, :]) @ z_alpha
+               + (z_beta.T * weights.sum(axis=2)[:, None, :]) @ z_beta
+               + cross + np.swapaxes(cross, 1, 2))
     return (moments - 2.0 * np.eye(n)) / 8.0
 
 
 def measure_densities(state: Statevector, fac: XDFFactorization) -> EigenbasisDensities:
-    frame0, *leaf_frames = fac.frames
-    return EigenbasisDensities(_omega0(state, frame0),
-                               tuple(_omega_leaf(state, f) for f in leaf_frames))
+    """omega0 in the one-body frame and omega in every leaf frame, from one
+    stack of rotated weights."""
+    weights = _rotated_weights(state, fac.frames)
+    return EigenbasisDensities(_omega0(state, weights[0]),
+                               tuple(_omega_leaves(state, weights[1:])))
 
 
 # ---------------------------------------------------------------------------
@@ -449,7 +473,7 @@ def _full_operator(fabric: GivensFabric, angles: np.ndarray) -> np.ndarray:
     op = np.zeros((1 << fabric.n, 1 << fabric.n))
     for filling in range(fabric.n + 1):
         strings = sector_strings(fabric.n, filling)
-        op[np.ix_(strings, strings)] = _fabric_operator(fabric, angles, filling)
+        op[np.ix_(strings, strings)] = _fabric_operators(fabric.n, angles[None], filling)[0]
     return op
 
 

@@ -6,20 +6,27 @@ N (N + 1) / 2 eigenpairs (g, V) forms a leaf; the symmetric eigen-matrix V is
 then itself eigendecomposed into an orthogonal frame U and spectrum lambda,
 yielding the diagonal two-body couplings Z = g * outer(lambda, lambda).
 
+The leaves are built as stacks: one ``np.linalg.eigh`` over all leaf
+eigen-matrices and one sign fix over all of their frames.
+
 A factorization carries its measurement frames, built once on construction:
 the one-body frame first, then one per retained leaf, each from the Givens
 fabric of its orbital frame and for the electron filling (``qsim.Frame``).
+One ``givens.decompose`` call takes the one-body and retained-leaf orbital
+frames as one stack, and ``qsim.build_frames`` builds all of their
+operators in one sweep per spin filling.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
 from .givens import decompose
 from .hammodel import EffectiveOperators, Hamiltonian, effective_operators
-from .qsim import Frame, leaf_frame, one_body_frame
+from .qsim import Frame, build_frames, leaf_energies, one_body_energy
 
 __all__ = [
     "XDFLeaf",
@@ -114,10 +121,12 @@ class XDFFactorization:
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
         filling = (self.n_alpha, self.n_beta)
-        frames = (one_body_frame(decompose(self.U0), self.F0, *filling),
-                  *(leaf_frame(decompose(leaf.U), leaf, *filling)
-                    for leaf in self.retained_leaves))
-        object.__setattr__(self, "frames", frames)
+        n = self.n_orbitals
+        fabrics = decompose(np.array([self.U0, *(leaf.U for leaf in self.retained_leaves)]))
+        couplings = np.array([leaf.Z for leaf in self.retained_leaves]).reshape(-1, n, n)
+        energies = np.concatenate([one_body_energy(self.F0, *filling)[None],
+                                   leaf_energies(couplings, *filling)])
+        object.__setattr__(self, "frames", build_frames(fabrics, energies, *filling))
 
     @property
     def n_leaves(self) -> int:
@@ -132,29 +141,22 @@ class XDFFactorization:
         return np.array([leaf.g for leaf in self.leaves])
 
 
-def _sign_fix_columns(u: np.ndarray) -> np.ndarray:
-    u = u.copy()
-    for k in range(u.shape[1]):
-        lead = int(np.argmax(np.abs(u[:, k])))
-        if u[lead, k] < 0:
-            u[:, k] = -u[:, k]
-    return u
-
-
 def _special_orthogonalize(u: np.ndarray) -> np.ndarray:
-    u = _sign_fix_columns(u)
-    if np.linalg.det(u) < 0:
-        u[:, -1] = -u[:, -1]
+    """Orthogonal matrices (..., n, n) with every column's largest-magnitude
+    entry (the first on ties) made positive, then the last column of each
+    det -1 member negated."""
+    lead = np.take_along_axis(u, np.argmax(np.abs(u), axis=-2)[..., None, :], axis=-2)
+    u = np.where(lead < 0, -u, u)
+    last = u[..., :, -1]
+    u[..., :, -1] = np.where((np.linalg.det(u) < 0)[..., None], -last, last)
     return u
 
 
-def _symmetric_pairs(n: int) -> list[tuple[int, int]]:
-    return [(p, q) for p in range(n) for q in range(p, n)]
-
-
+@lru_cache(maxsize=16)
 def _pair_basis(n: int) -> np.ndarray:
-    """Orthonormal basis of vectorized symmetric matrices, columns of shape N^2."""
-    pairs = _symmetric_pairs(n)
+    """Orthonormal basis of vectorized symmetric matrices, columns of shape N^2.
+    Cached; the array is read-only."""
+    pairs = [(p, q) for p in range(n) for q in range(p, n)]
     basis = np.zeros((n * n, len(pairs)))
     for col, (p, q) in enumerate(pairs):
         mat = np.zeros((n, n))
@@ -163,6 +165,7 @@ def _pair_basis(n: int) -> np.ndarray:
         else:
             mat[p, q] = mat[q, p] = 1.0 / np.sqrt(2.0)
         basis[:, col] = mat.reshape(-1)
+    basis.setflags(write=False)
     return basis
 
 
@@ -184,28 +187,23 @@ def factorize(ham: Hamiltonian, policy: TruncationPolicy) -> XDFFactorization:
     packed = 0.5 * (packed + packed.T)
     g_all, w_all = np.linalg.eigh(packed)
 
-    raw = []
-    for col in range(w_all.shape[1]):
-        vec = basis @ w_all[:, col]
-        lead = int(np.argmax(np.abs(vec)))
-        if vec[lead] < 0:
-            vec = -vec
-        first_nonzero = int(np.argmax(np.abs(vec) > 1e-12))
-        raw.append((float(g_all[col]), vec, first_nonzero))
+    # one matrix-vector product per column: a matrix product rounds differently
+    vecs = np.array([basis @ w_all[:, col] for col in range(w_all.shape[1])])
+    lead = np.take_along_axis(vecs, np.argmax(np.abs(vecs), axis=1)[:, None], axis=1)
+    vecs = np.where(lead < 0, -vecs, vecs)
+    first_nonzero = np.argmax(np.abs(vecs) > 1e-12, axis=1)
+    order = sorted(range(len(vecs)), key=lambda col: (
+        -abs(float(g_all[col])), first_nonzero[col], vecs[col].tobytes()))
 
-    raw.sort(key=lambda item: (-abs(item[0]), item[2], item[1].tobytes()))
-
-    leaves = []
-    for index, (g, vec, _) in enumerate(raw):
-        v = vec.reshape(n, n)
-        v = 0.5 * (v + v.T)
-        lam, u = np.linalg.eigh(v)
-        u = _special_orthogonalize(u)
-        leaves.append(XDFLeaf(index, g, v, u, lam))
+    v = vecs[order].reshape(-1, n, n)
+    v = 0.5 * (v + np.swapaxes(v, 1, 2))
+    lam, u = np.linalg.eigh(v)
+    u = _special_orthogonalize(u)
+    leaves = tuple(XDFLeaf(index, float(g_all[col]), v[index], u[index], lam[index])
+                   for index, col in enumerate(order))
 
     retained = policy.retained_count(np.array([leaf.g for leaf in leaves]))
-    return XDFFactorization(
-        n, ham.n_alpha, ham.n_beta, eff, u0, f0, tuple(leaves), retained)
+    return XDFFactorization(n, ham.n_alpha, ham.n_beta, eff, u0, f0, leaves, retained)
 
 
 def reconstruct_eri(fac: XDFFactorization, use_retained_only: bool = False) -> np.ndarray:

@@ -39,6 +39,10 @@ def zero_two_body(n: int, n_alpha: int, n_beta: int, diag, core: float = 0.0,
     return Hamiltonian(n, n_alpha, n_beta, core, h, np.zeros((n, n, n, n)))
 
 
+def identity_fabric(n: int) -> givens.GivensFabric:
+    return givens.GivensFabric(n, np.zeros(n * (n - 1) // 2))
+
+
 def random_special_orthogonal(n: int, seed: int) -> np.ndarray:
     """QR-based Haar-ish sample from SO(n), deterministic in the seed."""
     rng = np.random.default_rng(seed)
@@ -72,8 +76,8 @@ def from_full(amps: np.ndarray, n: int) -> qsim.Statevector:
 def fabric_frame(fabric: givens.GivensFabric, state: qsim.Statevector) -> qsim.Frame:
     """Frame of an arbitrary fabric for the filling of ``state``, with a zero
     energy operator."""
-    return qsim.Frame(fabric, state.n_alpha, state.n_beta,
-                      np.zeros(state.amplitudes.shape))
+    return qsim.build_frames((fabric,), np.zeros((1, *state.amplitudes.shape)),
+                             state.n_alpha, state.n_beta)[0]
 
 
 def rotate_state(state: qsim.Statevector, frame: qsim.Frame,
@@ -110,6 +114,145 @@ def table_gate(x: np.ndarray, table: qsim.GateTable, k: int, theta) -> np.ndarra
     axes leading; theta is one angle, or one per batch item."""
     theta = np.asarray(theta, dtype=float)[..., None]
     return qsim.apply_gate(x, table, k, *table.factors(np.cos(theta), np.sin(theta), k))
+
+
+# Referees of the stacked fabric algebra in ``givens``: the per-matrix
+# elimination, sign absorption, branch reduction and Jacobian sweep that the
+# stacked pass replaced, one matrix and one gate at a time.
+
+def _ref_rotate_rows(u: np.ndarray, m: int, theta: float) -> None:
+    """Left-multiply u in place by the pivot (m, m+1) rotation at theta."""
+    c, s = np.cos(theta), np.sin(theta)
+    row_m = u[m].copy()
+    u[m] = c * row_m - s * u[m + 1]
+    u[m + 1] = s * row_m + c * u[m + 1]
+
+
+def ref_reconstruct(n: int, angles: np.ndarray) -> np.ndarray:
+    u = np.eye(n)
+    for (m, _), theta in zip(givens.rectangle_pivots(n), angles):
+        _ref_rotate_rows(u, m, theta)
+    return u
+
+
+def _ref_wrap_angle(theta: float) -> float:
+    wrapped = (theta + np.pi) % (2.0 * np.pi) - np.pi
+    if wrapped <= -np.pi + 1e-15:
+        wrapped = np.pi
+    return wrapped
+
+
+def ref_decompose(u: np.ndarray) -> np.ndarray:
+    """Rectangle-fabric angles of one special orthogonal matrix, gate by gate."""
+    u = np.asarray(u, dtype=float)
+    n = u.shape[0]
+    if np.max(np.abs(u.T @ u - np.eye(n))) > givens.ORTHOGONALITY_TOL:
+        raise ValueError("input is not orthogonal within tolerance")
+    if abs(np.linalg.det(u) - 1.0) > givens.ORTHOGONALITY_TOL:
+        raise ValueError("input has det != +1; sign-fix a column first")
+    if n == 1:
+        return np.zeros(0)
+
+    work = u.copy()
+    right_ops, left_ops = [], []
+    for i in range(1, n):
+        if i % 2 == 1:
+            for j in range(i):
+                row, col = n - 1 - j, i - 1 - j
+                theta = np.arctan2(-work[row, col], work[row, col + 1])
+                _ref_rotate_rows(work.T, col, -theta)
+                right_ops.append((col, theta))
+        else:
+            for j in range(1, i + 1):
+                row, col = n - 1 + j - i, j - 1
+                m = row - 1
+                theta = np.arctan2(-work[row, col], work[m, col])
+                _ref_rotate_rows(work, m, theta)
+                left_ops.append((m, theta))
+    signs = np.where(np.diagonal(work) > 0, 1, -1)
+
+    factors = [(m, -theta * signs[m] * signs[m + 1]) for m, theta in left_ops]
+    factors += [(m, -theta) for m, theta in reversed(right_ops)]
+    s = signs.copy()
+    flips = []
+    p = 0
+    while p < n - 1:
+        if s[p] < 0:
+            flips.append(p)
+            s[p] = -s[p]
+            s[p + 1] = -s[p + 1]
+        else:
+            p += 1
+    for m in flips:
+        for idx, (piv, ang) in enumerate(factors):
+            if piv == m:
+                factors[idx] = (piv, ang + np.pi)
+                break
+            if abs(piv - m) == 1:
+                factors[idx] = (piv, -ang)
+
+    applied = list(reversed(factors))
+    canonical = givens.rectangle_pivots(n)
+    angles = np.zeros(len(canonical))
+    for slot, (m, _) in enumerate(canonical):
+        idx = next(i for i, (piv, _) in enumerate(applied) if piv == m)
+        angles[slot] = _ref_wrap_angle(applied.pop(idx)[1])
+    return ref_reduce_branch(canonical, angles)
+
+
+def ref_reduce_branch(pivots, angles: np.ndarray) -> np.ndarray:
+    """Gauge away pi-shifted angle pairs per pivot chain, preferring angles
+    near zero."""
+    angles = np.array([_ref_wrap_angle(t) for t in angles])
+
+    def magnitude_gain(t: float) -> float:
+        return abs(_ref_wrap_angle(t)) - abs(_ref_wrap_angle(t + np.pi))
+
+    for m in sorted({p for p, _ in pivots}):
+        chain = [g for g, (p, _) in enumerate(pivots) if p == m]
+        gains = [magnitude_gain(angles[g]) for g in chain]
+        chosen = [i for i, b in enumerate(gains) if b > 1e-12]
+        if len(chosen) % 2 == 1:
+            rest = [i for i in range(len(chain)) if i not in chosen]
+            drop_cost = min(gains[i] for i in chosen)
+            add_cost = -max(gains[i] for i in rest) if rest else np.inf
+            if add_cost < drop_cost:
+                chosen.append(max(rest, key=lambda i: gains[i]))
+            else:
+                chosen.remove(min(chosen, key=lambda i: gains[i]))
+        chosen.sort()
+        for a, b in zip(chosen[::2], chosen[1::2]):
+            g, g2 = chain[a], chain[b]
+            angles[g] = _ref_wrap_angle(angles[g] + np.pi)
+            angles[g2] = _ref_wrap_angle(angles[g2] + np.pi)
+            for h in range(g + 1, g2):
+                if abs(pivots[h][0] - m) == 1:
+                    angles[h] = -angles[h]
+    return angles
+
+
+def ref_jacobian(n: int, angles: np.ndarray) -> np.ndarray:
+    """Angle derivatives of the strictly-lower triangle, one forward sweep
+    carrying the gate prefix."""
+    pivots = givens.rectangle_pivots(n)
+    prefix = np.eye(n)
+    lo = np.empty((len(pivots), n))
+    hi = np.empty_like(lo)
+    for g, ((m, _), theta) in enumerate(zip(pivots, angles)):
+        lo[g], hi[g] = prefix[m], prefix[m + 1]
+        _ref_rotate_rows(prefix, m, theta)
+    u_t = prefix.T
+    rows, cols = np.tril_indices(n, -1)
+    return (hi @ u_t)[:, rows] * lo[:, cols] - (lo @ u_t)[:, rows] * hi[:, cols]
+
+
+def ref_fabric_operator(fabric: givens.GivensFabric, filling: int) -> np.ndarray:
+    """Operator of a fabric on the strings of one spin filling: its gates
+    applied in order to the rows of the identity with ``rotate_pair``."""
+    op = np.eye(len(qsim.sector_strings(fabric.n, filling)))
+    for (m, _), theta in zip(fabric.pivots, fabric.angles):
+        rotate_pair(op, *qsim.pair_rows(fabric.n, filling, m), theta)
+    return op
 
 
 def random_sector_state(fac: xdf.XDFFactorization, seed: int,

@@ -1,17 +1,32 @@
+import itertools
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from xdfrelax import givens
 from xdfrelax.givens import (
+    ORTHOGONALITY_TOL,
     GivensFabric,
     decompose,
-    identity_fabric,
     jacobian,
+    lower_indices,
     pinv_solve,
     reconstruct,
     rectangle_pivots,
 )
+from xdfrelax.hammodel import synth_hamiltonian
+from xdfrelax.xdf import TruncationPolicy, factorize
 
-from _common import random_special_orthogonal
+from _common import (
+    KERNEL_CASES,
+    identity_fabric,
+    random_special_orthogonal,
+    ref_decompose,
+    ref_jacobian,
+    ref_reconstruct,
+)
 
 
 def test_rectangle_pivot_count():
@@ -140,3 +155,144 @@ def test_pinv_solve_linear_in_rhs():
     rhs = rng.standard_normal(6)
     np.testing.assert_allclose(pinv_solve(a, 2.0 * rhs), 2.0 * pinv_solve(a, rhs),
                                atol=1e-12)
+
+
+def test_pivots_and_lower_indices_are_cached_read_only():
+    assert rectangle_pivots(5) is rectangle_pivots(5)
+    rows, cols = lower_indices(4)
+    assert lower_indices(4)[0] is rows
+    np.testing.assert_array_equal(rows, np.tril_indices(4, -1)[0])
+    np.testing.assert_array_equal(cols, np.tril_indices(4, -1)[1])
+    with pytest.raises(ValueError):
+        rows[0] = 1
+    assert GivensFabric(6, np.zeros(15)).pivots is rectangle_pivots(6)
+
+
+# The stacked pass against the per-matrix referees of tests/_common.py:
+# angles and Jacobians must agree bit for bit.
+
+
+def _fixture_frames(n, na, nb, seed):
+    fac = factorize(synth_hamiltonian(n, na, nb, seed), TruncationPolicy.exact())
+    return np.array([fac.U0, *(leaf.U for leaf in fac.leaves)])
+
+
+def _assert_matches_referee(stack):
+    fabrics = decompose(stack)
+    assert len(fabrics) == len(stack)
+    n = stack.shape[1]
+    jacs = jacobian(fabrics)
+    assert jacs.shape == (len(stack), n * (n - 1) // 2, n * (n - 1) // 2)
+    for u, fabric, jac in zip(stack, fabrics, jacs, strict=True):
+        expected = ref_decompose(u)
+        assert fabric.angles.tobytes() == expected.tobytes()
+        assert decompose(u).angles.tobytes() == expected.tobytes()
+        assert jac.tobytes() == ref_jacobian(n, expected).tobytes()
+        assert jacobian(fabric).tobytes() == jac.tobytes()
+    np.testing.assert_array_equal(reconstruct(fabrics),
+                                  np.array([reconstruct(f) for f in fabrics]))
+
+
+@pytest.mark.parametrize("n,na,nb,seed", [*KERNEL_CASES, (8, 4, 4, 3)])
+def test_stacked_decompose_matches_referee_on_fixture_frames(n, na, nb, seed):
+    _assert_matches_referee(_fixture_frames(n, na, nb, seed))
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_stacked_decompose_matches_referee_on_random_rotations(n):
+    _assert_matches_referee(np.array([random_special_orthogonal(n, seed)
+                                      for seed in range(12)]))
+
+
+def test_empty_stack_gives_no_fabrics():
+    assert decompose(np.zeros((0, 4, 4))) == ()
+
+
+def test_one_orbital_gives_the_identity_fabric():
+    fabric = decompose(np.eye(1))
+    assert fabric.n == 1 and fabric.angles.shape == (0,)
+    fabrics = decompose(np.ones((3, 1, 1)))
+    assert [f.angles.shape for f in fabrics] == [(0,)] * 3
+    assert jacobian(fabric).shape == (0, 0)
+    assert jacobian(fabrics).shape == (3, 0, 0)
+    np.testing.assert_array_equal(reconstruct(fabric), np.eye(1))
+
+
+@pytest.mark.parametrize("bad,message", [
+    (np.diag([1.0, 1.0, 1.1]), "input is not orthogonal within tolerance"),
+    (np.diag([1.0, 1.0, -1.0]), "input has det != +1; sign-fix a column first"),
+])
+def test_stack_names_its_bad_member(bad, message):
+    with pytest.raises(ValueError) as single:
+        decompose(bad)
+    assert str(single.value) == message
+    stack = np.array([random_special_orthogonal(3, 0), random_special_orthogonal(3, 1), bad])
+    with pytest.raises(ValueError) as stacked:
+        decompose(stack)
+    assert str(stacked.value) == f"stack member 2: {message}"
+
+
+def test_jacobian_rejects_mixed_orbital_counts():
+    with pytest.raises(ValueError, match="different orbital counts"):
+        jacobian([identity_fabric(3), identity_fabric(4)])
+
+
+# Property: on any n <= 8 and angles that include exact zeros, +-pi/2, +-pi
+# and values within 1e-12 of +-pi, and on signed permutation matrices of
+# det +1 (which take the pi-absorption path), the stacked decomposition
+# reproduces its input, agrees with the per-matrix referee bit for bit, and
+# decompose o reconstruct o decompose is idempotent wherever the fabric is a
+# regular point of the angle map (a well-conditioned Jacobian). At singular
+# points, such as signed permutations, a continuum of fabrics gives one
+# matrix: arctan2 of two roundoff-sized entries picks among them, and round
+# trips need not settle.
+
+EDGE_ANGLES = [0.0, -0.0, np.pi / 2, -np.pi / 2, np.pi, -np.pi,
+               np.pi - 1e-12, -np.pi + 1e-12, np.nextafter(np.pi, 0.0),
+               np.nextafter(-np.pi, 0.0)]
+ANGLES = st.one_of(st.sampled_from(EDGE_ANGLES),
+                   st.floats(np.pi - 1e-12, np.pi), st.floats(-np.pi, -np.pi + 1e-12),
+                   st.floats(-np.pi, np.pi, allow_nan=False))
+
+
+@st.composite
+def signed_permutation(draw, n):
+    perm = draw(st.permutations(range(n)))
+    signs = np.array(draw(st.lists(st.sampled_from([1.0, -1.0]), min_size=n, max_size=n)))
+    u = np.eye(n)[list(perm)] * signs
+    if np.linalg.det(u) < 0:
+        u[:, 0] = -u[:, 0]
+    return u
+
+
+@st.composite
+def rotation_stacks(draw):
+    n = draw(st.integers(1, 8))
+    size = n * (n - 1) // 2
+    members = draw(st.lists(
+        st.one_of(st.lists(ANGLES, min_size=size, max_size=size)
+                  .map(lambda angles: ref_reconstruct(n, np.array(angles))),
+                  signed_permutation(n)),
+        min_size=1, max_size=4))
+    return np.array(members).reshape(-1, n, n)
+
+
+def _wrapped_gap(a: np.ndarray, b: np.ndarray) -> float:
+    gap = np.abs(a - b) % (2.0 * np.pi)
+    return float(np.max(np.minimum(gap, 2.0 * np.pi - gap), initial=0.0))
+
+
+@settings(max_examples=80, derandomize=True, database=None, deadline=None)
+@given(rotation_stacks())
+def test_decompose_property(stack):
+    fabrics = decompose(stack)
+    rebuilt = reconstruct(fabrics)
+    assert np.max(np.abs(rebuilt - stack), initial=0.0) <= ORTHOGONALITY_TOL
+    for u, fabric in zip(stack, fabrics, strict=True):
+        assert fabric.angles.tobytes() == ref_decompose(u).tobytes()
+    once = decompose(rebuilt)
+    twice = decompose(reconstruct(once))
+    for fabric, again in zip(once, twice, strict=True):
+        jac = jacobian(fabric)
+        if not jac.size or np.linalg.cond(jac) < 1e6:
+            assert _wrapped_gap(fabric.angles, again.angles) <= 1e-9

@@ -30,17 +30,17 @@ def test_eta_zero_for_rotation_invariant_state():
     ham = synth_hamiltonian(3, 0, 0, 2)
     fac = factorize(ham, TruncationPolicy.exact())
     vacuum = qsim.hf_reference(3, 0, 0)
-    for frame, de_dtheta in zip(fac.frames, qsim.angle_gradients(vacuum, fac.frames)):
-        eta, _ = solve_eta(frame, de_dtheta)
-        assert np.max(np.abs(eta)) < 1e-12
+    etas, _ = solve_eta(fac.frames, qsim.angle_gradients(vacuum, fac.frames))
+    assert etas.shape == (len(fac.frames), 3, 3)
+    assert np.max(np.abs(etas)) < 1e-12
 
 
 def test_eta_zero_for_diagonal_one_body_hf():
     ham = zero_two_body(3, 1, 1, [-2.0, -1.0, 0.5])
     fac = factorize(ham, TruncationPolicy.exact())
     state = qsim.hf_reference(3, 1, 1)
-    frame = fac.frames[0]
-    eta, _ = solve_eta(frame, qsim.angle_gradients(state, (frame,))[0])
+    frames = fac.frames[:1]
+    (eta,), _ = solve_eta(frames, qsim.angle_gradients(state, frames))
     assert np.max(np.abs(eta)) < 1e-12
 
 
@@ -49,15 +49,17 @@ def test_eta_scalar_closed_form_n2():
     frame = fac.frames[0]
     de = qsim.denergy_dtheta_shift(state, frame, 0)
     a00 = jacobian(frame.fabric)[0, 0]
-    eta, _ = solve_eta(frame, qsim.angle_gradients(state, (frame,))[0])
+    (eta,), _ = solve_eta((frame,), qsim.angle_gradients(state, (frame,)))
     assert abs(eta[1, 0] - (-de / a00)) < 1e-12
 
 
 def test_eta_residual_random_fixture():
     _, fac, state = _stationary_pipeline(3, 2, 1, 4)
-    for frame, de_dtheta in zip(fac.frames, qsim.angle_gradients(state, fac.frames)):
+    gradients = qsim.angle_gradients(state, fac.frames)
+    etas, residuals = solve_eta(fac.frames, gradients)
+    for frame, de_dtheta, eta, residual in zip(fac.frames, gradients, etas, residuals,
+                                               strict=True):
         jac = jacobian(frame.fabric)
-        eta, residual = solve_eta(frame, de_dtheta)
         eta_vec = eta[np.tril_indices(fac.n_orbitals, -1)]
         rhs = -de_dtheta
         shift_rhs = -np.array([qsim.denergy_dtheta_shift(state, frame, g)
@@ -68,8 +70,8 @@ def test_eta_residual_random_fixture():
 
 
 def _solve_every_eta(fac, state):
-    return [solve_eta(frame, de_dtheta)
-            for frame, de_dtheta in zip(fac.frames, qsim.angle_gradients(state, fac.frames))]
+    return list(zip(*solve_eta(fac.frames, qsim.angle_gradients(state, fac.frames)),
+                    strict=True))
 
 
 def test_eta_builds_no_fabric_operator(monkeypatch):
@@ -79,7 +81,7 @@ def test_eta_builds_no_fabric_operator(monkeypatch):
     def refuse(*args):
         raise AssertionError("fabric operator built during the eta solve")
 
-    monkeypatch.setattr(qsim, "_fabric_operator", refuse)
+    monkeypatch.setattr(qsim, "_fabric_operators", refuse)
     for (eta, residual), (got, got_residual) in zip(expected, _solve_every_eta(fac, state),
                                                     strict=True):
         np.testing.assert_array_equal(got, eta)
@@ -277,3 +279,55 @@ def test_ablation_modes_zero_the_right_pieces():
 
     with pytest.raises(ValueError):
         reconstruct_rdms(fac, state, ablate="everything")
+
+
+def test_no_retained_leaves_leaves_only_the_one_body_frame():
+    ham = synth_hamiltonian(3, 1, 1, 2)
+    fac = factorize(ham, TruncationPolicy.by_count(0))
+    assert fac.retained == 0 and len(fac.frames) == 1
+    state, _ = vqe.exact_ground_state(fac)
+    rdms, mult = reconstruct_rdms(fac, state)
+    assert mult.eta == () and mult.mu == ()
+    assert mult.nu.shape == (fac.n_leaves, fac.n_leaves)
+    assert not np.any(mult.nu)
+    assert np.any(mult.mu0)
+    assert abs(np.trace(rdms.gamma_sym) - 2.0) < 1e-8
+
+
+@pytest.mark.parametrize("n,na,nb,seed,count", [(3, 2, 1, 4, None), (4, 2, 2, 13, 4),
+                                                (5, 3, 2, 1, None)])
+def test_stacked_chain_matches_per_frame_loops(n, na, nb, seed, count):
+    # the per-frame mu quotients and the per-pair R projections that the
+    # stacked chain replaced, bit for bit
+    policy = TruncationPolicy.exact() if count is None else TruncationPolicy.by_count(count)
+    fac = factorize(synth_hamiltonian(n, na, nb, seed), policy)
+    state = random_sector_state(fac, seed + 3)
+    omegas, mult = lagrange.measure_and_solve(fac, state)
+    etas = (mult.eta0, *mult.eta)
+    orbitals = [(fac.U0, fac.F0)] + [(leaf.U, leaf.lam) for leaf in fac.retained_leaves]
+    for eta, mu, (u, spectrum) in zip(etas, (mult.mu0, *mult.mu), orbitals, strict=True):
+        x = u.T @ eta
+        spread = float(np.max(spectrum) - np.min(spectrum))
+        expected = np.zeros((n, n))
+        for a in range(n):
+            for b in range(a):
+                denom = spectrum[a] - spectrum[b]
+                if abs(denom) > lagrange.DEGENERACY_GUARD * max(spread, 1e-300):
+                    expected[a, b] = (x[a, b] - x[b, a]) / denom
+        assert mu.tobytes() == expected.tobytes()
+
+    r_mat = np.zeros((fac.n_leaves, fac.n_leaves))
+    for u, leaf in enumerate(fac.retained_leaves):
+        w = omegas.omega[u] @ leaf.lam
+        core = 2.0 * leaf.g * (leaf.U * w) @ leaf.U.T + leaf.U @ mult.mu[u] @ leaf.U.T
+        for up in range(fac.n_leaves):
+            if up != u:
+                r_mat[up, u] = float(np.sum(fac.leaves[up].V * core))
+    assert solve_nu(fac, omegas, mult.mu).tobytes() == mult.nu.tobytes()
+    g = fac.g_values
+    for t in range(fac.n_leaves):
+        for u in range(t):
+            expected = 0.0
+            if abs(g[t] - g[u]) > lagrange.DEGENERACY_GUARD * float(np.max(g) - np.min(g)):
+                expected = (r_mat[t, u] - r_mat[u, t]) / (g[u] - g[t])
+            assert mult.nu[t, u] == (0.0 if min(t, u) >= fac.retained else expected)

@@ -24,11 +24,13 @@ from _common import (
     fabric_frame,
     frame_densities,
     from_full,
+    identity_fabric,
     random_sector_state,
     random_special_orthogonal,
     ref_apply_fabric,
     ref_apply_hamiltonian,
     ref_densities,
+    ref_fabric_operator,
     ref_pair_exchange,
     ref_rotate_pair,
     rotate_pair,
@@ -65,7 +67,7 @@ def test_hf_reference_rejects_overflow():
 
 def test_identity_fabric_leaves_state_unchanged():
     state = hf_reference(3, 2, 1)
-    frame = fabric_frame(givens.identity_fabric(3), state)
+    frame = fabric_frame(identity_fabric(3), state)
     np.testing.assert_array_equal(frame.M_alpha, np.eye(3))
     np.testing.assert_array_equal(frame.M_beta, np.eye(3))
     out = rotate_state(state, frame)
@@ -106,7 +108,7 @@ def test_gates_preserve_norm_and_sector(seed):
 
 def test_omega0_on_hf_reference():
     state = hf_reference(2, 1, 1)
-    np.testing.assert_allclose(frame_densities(state, [givens.identity_fabric(2)]).omega0,
+    np.testing.assert_allclose(frame_densities(state, [identity_fabric(2)]).omega0,
                                [1.0, -1.0], atol=1e-15)
 
 
@@ -124,7 +126,7 @@ def test_omega0_rotation_then_inverse():
     state = random_sector_state(fac, 5)
     frame = fac.frames[0]
     rotated = rotate_state(rotate_state(state, frame), frame, dagger=True)
-    identity = [givens.identity_fabric(3)]
+    identity = [identity_fabric(3)]
     np.testing.assert_allclose(frame_densities(rotated, identity).omega0,
                                frame_densities(state, identity).omega0, atol=1e-12)
 
@@ -132,7 +134,7 @@ def test_omega0_rotation_then_inverse():
 def test_omega_leaf_hf_closed_shell_combinatorics():
     # determinant in its own basis: omega_kl = (n_k - 1)(n_l - 1)/2 - delta/4
     state = hf_reference(2, 1, 1)
-    omega, = frame_densities(state, [givens.identity_fabric(2)] * 2).omega
+    omega, = frame_densities(state, [identity_fabric(2)] * 2).omega
     np.testing.assert_allclose(omega, [[0.25, -0.5], [-0.5, 0.25]], atol=1e-15)
 
 
@@ -529,3 +531,31 @@ def test_production_never_embeds(monkeypatch):
     assert result.converged and rdms.gamma_sym.shape == (3, 3)
     with pytest.raises(AssertionError, match="outside a referee"):
         measure_rdms_direct(state)
+
+
+@pytest.mark.parametrize("n,na,nb,seed", [*KERNEL_CASES, *FILLING_CASES, (8, 4, 4, 3)])
+def test_stacked_frame_operators_match_per_frame_referee(n, na, nb, seed):
+    fac = factorize(synth_hamiltonian(n, na, nb, seed), TruncationPolicy.exact())
+    for frame in fac.frames:
+        np.testing.assert_array_equal(frame.M_alpha, ref_fabric_operator(frame.fabric, na))
+        np.testing.assert_array_equal(frame.M_beta, ref_fabric_operator(frame.fabric, nb))
+
+
+@pytest.mark.parametrize("n,na,nb,seed", [*KERNEL_CASES, (4, 1, 3, 5), (3, 0, 2, 2)])
+def test_stacked_densities_match_per_frame_formulas(n, na, nb, seed):
+    # the per-frame weights and moments the stacked measurement replaced
+    fac = factorize(synth_hamiltonian(n, na, nb, seed), TruncationPolicy.exact())
+    state = random_sector_state(fac, seed + 40)
+    z_alpha, z_beta = (1.0 - 2.0 * qsim.string_bits(n)[qsim.sector_strings(n, filling)]
+                       for filling in (na, nb))
+    weights = [np.abs(f.M_beta.T @ state.amplitudes @ f.M_alpha) ** 2 for f in fac.frames]
+    omegas = qsim.measure_densities(state, fac)
+    w0 = weights[0]
+    omega0 = -0.5 * (w0.sum(axis=0) @ z_alpha + w0.sum(axis=1) @ z_beta)
+    assert omegas.omega0.tobytes() == omega0.tobytes()
+    assert len(omegas.omega) == fac.retained
+    for w, omega in zip(weights[1:], omegas.omega, strict=True):
+        cross = z_beta.T @ w @ z_alpha
+        moments = ((z_alpha.T * w.sum(axis=0)) @ z_alpha
+                   + (z_beta.T * w.sum(axis=1)) @ z_beta + cross + cross.T)
+        assert omega.tobytes() == ((moments - 2.0 * np.eye(n)) / 8.0).tobytes()

@@ -128,3 +128,21 @@ def test_energy_invariant_under_column_sign_flips():
     flipped = XDFFactorization(fac.n_orbitals, fac.n_alpha, fac.n_beta, fac.eff,
                                u0, fac.F0, tuple(flipped_leaves), fac.retained)
     assert abs(qsim.energy(state, flipped) - reference) < 1e-10
+
+
+@pytest.mark.parametrize("n,seed", [(2, 7), (3, 5), (4, 13), (6, 4)])
+def test_stacked_leaf_frames_match_per_leaf_loop(n, seed):
+    # one eigh per leaf and a column-by-column sign fix, as the stacked
+    # factorization replaced them, bit for bit
+    fac = factorize(synth_hamiltonian(n, 1, 1, seed), TruncationPolicy.exact())
+    for u_ref, stored in [(np.linalg.eigh(fac.eff.eff_one_body)[1], fac.U0),
+                          *((np.linalg.eigh(leaf.V)[1], leaf.U) for leaf in fac.leaves)]:
+        u = u_ref.copy()
+        for k in range(n):
+            if u[int(np.argmax(np.abs(u[:, k]))), k] < 0:
+                u[:, k] = -u[:, k]
+        if np.linalg.det(u) < 0:
+            u[:, -1] = -u[:, -1]
+        assert u.tobytes() == stored.tobytes()
+    for leaf in fac.leaves:
+        assert np.linalg.eigh(leaf.V)[0].tobytes() == leaf.lam.tobytes()
