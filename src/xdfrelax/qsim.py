@@ -339,8 +339,8 @@ class Frame:
     """One term in its own basis for one (n_alpha, n_beta) filling: the
     fabric rotating into it, the term's energy operator ``D[beta, alpha]``,
     diagonal in the rotated basis, and the fabric's operators on the alpha
-    and beta strings, ``M_alpha`` and ``M_beta`` (one array when the
-    fillings are equal). ``build_frames`` builds them; the arrays are
+    and beta strings, ``M_alpha`` and ``M_beta`` (views of one array when
+    the fillings are equal). ``build_frames`` builds them; the arrays are
     read-only."""
 
     fabric: GivensFabric

@@ -197,10 +197,10 @@ def ref_decompose(u: np.ndarray) -> np.ndarray:
     for slot, (m, _) in enumerate(canonical):
         idx = next(i for i, (piv, _) in enumerate(applied) if piv == m)
         angles[slot] = _ref_wrap_angle(applied.pop(idx)[1])
-    return ref_reduce_branch(canonical, angles)
+    return _ref_reduce_branch(canonical, angles)
 
 
-def ref_reduce_branch(pivots, angles: np.ndarray) -> np.ndarray:
+def _ref_reduce_branch(pivots, angles: np.ndarray) -> np.ndarray:
     """Gauge away pi-shifted angle pairs per pivot chain, preferring angles
     near zero."""
     angles = np.array([_ref_wrap_angle(t) for t in angles])

@@ -1,11 +1,8 @@
-import itertools
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from xdfrelax import givens
 from xdfrelax.givens import (
     ORTHOGONALITY_TOL,
     GivensFabric,
