@@ -142,16 +142,11 @@ def cmd_rdm(args) -> dict:
         "gamma_sym": _array(rdms.gamma_sym),
         "Gamma_sym": _array(rdms.Gamma_sym),
         "multipliers": {
-            "eta0": _array(mult.eta0),
-            "eta": [_array(e) for e in mult.eta],
             "mu0": _array(mult.mu0),
             "mu": [_array(m) for m in mult.mu],
             "nu": _array(mult.nu),
-            "eta_residual": mult.eta_residual,
         },
         "multiplier_norms": {
-            "eta0": float(np.max(np.abs(mult.eta0))),
-            "eta_leaf_max": max((float(np.max(np.abs(e))) for e in mult.eta), default=0.0),
             "mu0": float(np.max(np.abs(mult.mu0))),
             "mu_leaf_max": max((float(np.max(np.abs(m))) for m in mult.mu), default=0.0),
             "nu": float(np.max(np.abs(mult.nu))),
@@ -230,6 +225,9 @@ _SHARED_FLAGS = {
     "--tol": {"type": float, "default": 1e-9},
     "--maxiter": {"type": int, "default": 2000},
     "--seed": {"type": int, "default": 0},
+    "--ablate": {"choices": lagrange.ABLATION_MODES, "default": None,
+                 "help": "zero one multiplier block: eta0 the one-body mu, "
+                         "etat every leaf mu, nu the inter-leaf nu"},
 }
 
 
@@ -258,30 +256,27 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_factorize)
 
     p = sub.add_parser("vqe", help="variational ground-state optimization")
-    _add_common(p, *_SHARED_FLAGS)
+    _add_common(p, "--threshold", "--leaves", "--layers", "--tol", "--maxiter", "--seed")
     p.set_defaults(func=cmd_vqe)
 
     p = sub.add_parser("rdm", help="relaxed density matrices from multiplier solves")
     _add_common(p, *_SHARED_FLAGS)
-    p.add_argument("--ablate", choices=lagrange.ABLATION_MODES, default=None)
     p.set_defaults(func=cmd_rdm)
 
     p = sub.add_parser("verify", help="four-regime derivative validation suite")
-    _add_common(p, "--leaves", "--layers", "--tol", "--seed")
+    _add_common(p, "--leaves", "--layers", "--tol", "--seed", "--ablate")
     p.add_argument("--layers-small", type=int, default=1)
     p.add_argument("--perturbations", type=int, default=3)
-    p.add_argument("--ablate", choices=lagrange.ABLATION_MODES, default=None)
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("path", help="velocity-Verlet run on an interpolated pair")
-    _add_common(p, "--threshold", "--leaves", "--layers", "--tol", "--seed")
+    _add_common(p, "--threshold", "--leaves", "--layers", "--tol", "--seed", "--ablate")
     p.add_argument("--fcidump-b", required=True)
     p.add_argument("--steps", type=int, default=1000)
     p.add_argument("--dt", type=float, default=0.005)
     p.add_argument("--mass", type=float, default=10.0)
     p.add_argument("--s0", type=float, default=0.3)
     p.add_argument("--v0", type=float, default=0.1)
-    p.add_argument("--ablate", choices=lagrange.ABLATION_MODES, default=None)
     p.set_defaults(func=cmd_path, layers=3)
     return parser
 

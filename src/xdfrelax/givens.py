@@ -40,11 +40,9 @@ __all__ = [
     "decompose",
     "reconstruct",
     "jacobian",
-    "pinv_solve",
 ]
 
 ORTHOGONALITY_TOL = 1e-10
-PINV_RCOND = 1e-10
 
 
 @lru_cache(maxsize=16)
@@ -349,9 +347,3 @@ def jacobian(fabrics: GivensFabric | Sequence[GivensFabric]) -> np.ndarray:
     jac = (hi @ u_t)[:, :, rows] * lo[:, :, cols] - (lo @ u_t)[:, :, rows] * hi[:, :, cols]
     return jac[0] if isinstance(fabrics, GivensFabric) else jac
 
-
-def pinv_solve(a: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Minimum-norm least-squares solve; small singular values are dropped."""
-    solution, _, _, _ = np.linalg.lstsq(np.asarray(a, dtype=float),
-                                        np.asarray(rhs, dtype=float), rcond=PINV_RCOND)
-    return solution

@@ -1,26 +1,30 @@
 """Relaxed density matrices from nested multiplier solves.
 
 The energy only sees eigenbasis densities, so its integral derivatives need
-response terms for every frame the factorization fixed: fabric angles (eta),
-one-body and leaf eigenvectors (mu), and the two-electron eigenvectors (nu).
-Each solve feeds the next; the final assembly reproduces the full one- and
-two-body density matrices without ever measuring their off-diagonals.
+response terms for every frame the factorization fixed: one-body and leaf
+eigenvectors (mu) and the two-electron eigenvectors (nu). Each solve feeds
+the next; the final assembly reproduces the full one- and two-body density
+matrices without ever measuring their off-diagonals.
 
-Sign conventions are self-consistent within this package (see the scalar
-N=2 closed form in the tests): with eta solving  A eta = -dE/dtheta  and
-eta_eig = U^T eta,
+A frame's eigenvector multipliers come from its orbital-rotation gradient
+G[a, b], the derivative of its energy along U -> U exp(kappa (e_a e_b^T -
+e_b e_a^T)), a > b (``qsim.rotation_gradients``). G needs no angle chart, so
+identity-like, block-diagonal and signed-permutation orbitals, where the
+Givens angle Jacobian is singular, are no special case. Sign conventions are
+self-consistent within this package (see the scalar N=2 closed form in the
+tests):
 
-    mu[a, b]  = (eta_eig[a, b] - eta_eig[b, a]) / (spec[a] - spec[b]),  a > b,
+    mu[a, b]  = -G[a, b] / (spec[a] - spec[b]),                         a > b,
     nu[t, u]  = (R[t, u] - R[u, t]) / (g[u] - g[t]),                    t > u,
 
 where spec is the relevant eigenvalue vector and R projects the leaf-frame
-energy and mu gradients onto foreign eigenvectors.
+energy and mu gradients onto foreign eigenvectors. The paper's angle route
+(solve J eta = -dE/dtheta, then the same quotients of U^T eta) agrees
+wherever J is well conditioned and stays a referee in the tests.
 
-The solved frames travel as stacks, frame first: one ``givens.jacobian``
-call differentiates every fabric, the mu quotients run over the (F, N, N)
-eta stack with a spread per frame, and R is one projection of every leaf
-onto every retained core. Only the eta least-squares solves run frame by
-frame: a stacked SVD rounds differently, and cond(J) ~ 1e3 amplifies that.
+The solved frames travel as stacks, frame first: the mu quotients run over
+the (F, P) gradient stack with a spread per frame, and R is one projection
+of every leaf onto every retained core.
 """
 
 from __future__ import annotations
@@ -32,9 +36,9 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from . import qsim
-from .givens import jacobian, lower_indices, pinv_solve
+from .givens import lower_indices
 from .hammodel import eight_fold_symmetrize
-from .qsim import EigenbasisDensities, Frame, Statevector
+from .qsim import EigenbasisDensities, Statevector
 from .xdf import XDFFactorization
 
 if TYPE_CHECKING:
@@ -43,7 +47,6 @@ if TYPE_CHECKING:
 __all__ = [
     "MultiplierSet",
     "RelaxedRDMs",
-    "solve_eta",
     "solve_mu",
     "solve_nu",
     "relaxed_gamma",
@@ -53,7 +56,6 @@ __all__ = [
     "ABLATION_MODES",
 ]
 
-ETA_RESIDUAL_TOL = 1e-8
 DEGENERACY_GUARD = 1e-8
 STATIONARITY_TOL = 1e-8
 
@@ -68,12 +70,9 @@ class MultiplierSet:
     indices are discarded leaves.
     """
 
-    eta0: np.ndarray
-    eta: tuple[np.ndarray, ...]
     mu0: np.ndarray
     mu: tuple[np.ndarray, ...]
     nu: np.ndarray
-    eta_residual: float
 
 
 @dataclass(frozen=True, eq=False)
@@ -88,30 +87,6 @@ def _stack(arrays: Sequence[np.ndarray], shape: tuple[int, ...]) -> np.ndarray:
     """The arrays of one ``shape`` stacked along a new leading axis; none
     gives a (0, *shape) stack."""
     return np.array(arrays, dtype=float).reshape(-1, *shape)
-
-
-def solve_eta(frames: Sequence[Frame], gradients: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Fabric-angle multipliers of each frame from its pseudoinverted angle Jacobian.
-
-    Solves sum_{p>k} eta[p, k] * A[g, (p, k)] = -dE/dtheta_g for every frame,
-    with ``gradients`` its energy derivatives, one row per frame (as
-    ``qsim.angle_gradients`` returns them); returns the (F, N, N) stack of
-    strictly-lower-triangular eta matrices and the max-abs residual of each
-    solve, warning for each that exceeds ``ETA_RESIDUAL_TOL``.
-    """
-    n = frames[0].fabric.n
-    jacs = jacobian([frame.fabric for frame in frames])
-    etas = np.zeros((len(frames), n, n))
-    residuals = np.zeros(len(frames))
-    for f, (jac, rhs) in enumerate(zip(jacs, -gradients, strict=True)):
-        eta_vec = pinv_solve(jac, rhs)
-        residuals[f] = float(np.max(np.abs(jac @ eta_vec - rhs))) if rhs.size else 0.0
-        if residuals[f] > ETA_RESIDUAL_TOL:
-            warnings.warn(
-                f"eta solve residual {residuals[f]:.3e}; state may not be stationary",
-                stacklevel=2)
-        etas[f][lower_indices(n)] = eta_vec
-    return etas, residuals
 
 
 def _guarded_quotients(x: np.ndarray, values: np.ndarray) -> np.ndarray:
@@ -129,11 +104,14 @@ def _guarded_quotients(x: np.ndarray, values: np.ndarray) -> np.ndarray:
     return out
 
 
-def solve_mu(eta_lower: np.ndarray, u: np.ndarray, spectrum: np.ndarray) -> np.ndarray:
-    """Eigenvector multipliers of frames with orbitals ``u``: quotients over
-    their spectra (F0 for the one-body frame, lambda for a leaf). Takes one
-    frame's (N, N) eta, orbitals and (N,) spectrum, or stacks of them."""
-    return _guarded_quotients(np.swapaxes(u, -1, -2) @ eta_lower, spectrum)
+def solve_mu(gradients: np.ndarray, spectrum: np.ndarray) -> np.ndarray:
+    """Eigenvector multipliers -G[a, b] / (spec[a] - spec[b]) of frames with
+    orbital-rotation gradients G over their spectra (F0 for the one-body
+    frame, lambda for a leaf). Takes one frame's (P,) gradients, in
+    ``lower_indices(N)`` order, and (N,) spectrum, or stacks of them."""
+    x = np.zeros((*spectrum.shape, spectrum.shape[-1]))
+    x[(..., *lower_indices(spectrum.shape[-1]))] = -gradients
+    return _guarded_quotients(x, spectrum)
 
 
 def solve_nu(fac: XDFFactorization, omegas: EigenbasisDensities,
@@ -199,31 +177,28 @@ def relaxed_Gamma(fac: XDFFactorization, omegas: EigenbasisDensities,
 
 def measure_and_solve(fac: XDFFactorization, state: Statevector,
                       ablate: str | None = None) -> tuple[EigenbasisDensities, MultiplierSet]:
-    """Measure the leaf densities and run the full eta -> mu -> nu chain on
-    the stack of solved frames. The eta right-hand sides of all solved
-    frames come from one ``qsim.angle_gradients`` sweep; under
-    ``ablate="etat"`` only the one-body frame is solved."""
+    """Measure the leaf densities and run the mu -> nu chain on the stack of
+    solved frames, whose orbital-rotation gradients come from one
+    ``qsim.rotation_gradients`` call. ``ablate="eta0"`` zeroes the one-body
+    mu, ``"etat"`` leaves every leaf mu unsolved (zero) and ``"nu"`` zeroes
+    nu; the names follow the paper's fabric-angle multipliers."""
     if ablate is not None and ablate not in ABLATION_MODES:
         raise ValueError(f"unknown ablation {ablate!r}; choose from {ABLATION_MODES}")
     n = fac.n_orbitals
     omegas = qsim.measure_densities(state, fac)
     solved = fac.frames[:1] if ablate == "etat" else fac.frames
-    etas, residuals = solve_eta(solved, qsim.angle_gradients(state, solved))
     leaves = fac.retained_leaves[:len(solved) - 1]
-    mus = solve_mu(etas, np.array([fac.U0, *(leaf.U for leaf in leaves)]),
+    mus = solve_mu(qsim.rotation_gradients(state, solved),
                    np.array([fac.F0, *(leaf.lam for leaf in leaves)]))
     if ablate == "eta0":
-        etas[0], mus[0] = 0.0, 0.0
-    unsolved = np.zeros((len(fac.frames) - len(solved), n, n))
-    etas, mus = np.concatenate([etas, unsolved]), np.concatenate([mus, unsolved])
+        mus[0] = 0.0
+    mus = np.concatenate([mus, np.zeros((len(fac.frames) - len(solved), n, n))])
 
     nu = solve_nu(fac, omegas, tuple(mus[1:]))
     if ablate == "nu":
         nu = np.zeros_like(nu)
 
-    multipliers = MultiplierSet(etas[0], tuple(etas[1:]), mus[0], tuple(mus[1:]), nu,
-                                max(0.0, *residuals.tolist()))
-    return omegas, multipliers
+    return omegas, MultiplierSet(mus[0], tuple(mus[1:]), nu)
 
 
 def reconstruct_rdms(fac: XDFFactorization, state: Statevector,

@@ -37,11 +37,14 @@ filling applies each gate to the stacked identities of all frames, one angle
 per frame. The density measurements rotate the state into every frame as
 one stack.
 
-All angle derivatives of a set of frames come from one forward sweep over
-the rectangle pivots they share (``angle_gradients``). The two-frequency
-shift rule, ``denergy_dtheta_shift``, evaluates shifted circuits one angle
-at a time on the embedded vector with full per-spin operators, and stays as
-the hardware-faithful referee.
+Production differentiates frames without an angle chart:
+``rotation_gradients`` gets G[a, b], the derivative of each frame's energy
+along U -> U exp(kappa (e_a e_b^T - e_b e_a^T)), a > b, from one product per
+spin against the string-space table of E_ab - E_ba (``rotation_generators``),
+and ``lagrange`` takes mu[a, b] = -G[a, b] / (spec[a] - spec[b]). The paper's
+angle route stays as referees: ``angle_gradients``, one forward sweep over
+the shared rectangle pivots, and the two-frequency shift rule
+``denergy_dtheta_shift`` on the embedded vector.
 
 Expectation values are exact (infinite-shot limit). All gates have real
 matrix elements, so amplitudes stay real in practice; complex amplitudes are
@@ -57,7 +60,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .givens import GivensFabric, rectangle_pivots
+from .givens import GivensFabric, lower_indices, rectangle_pivots
 from .hammodel import DESK_CAP
 
 if TYPE_CHECKING:
@@ -87,6 +90,8 @@ __all__ = [
     "energy",
     "apply_hamiltonian",
     "denergy_dtheta_shift",
+    "rotation_generators",
+    "rotation_gradients",
     "angle_gradients",
     "measure_rdms_direct",
 ]
@@ -504,40 +509,70 @@ def denergy_dtheta_shift(state: Statevector, frame: Frame, g: int) -> float:
     return total
 
 
-def angle_gradients(state: Statevector, frames: Sequence[Frame]) -> np.ndarray:
-    """Energy derivatives of each frame with respect to all of its fabric
-    angles, one row per frame.
+@lru_cache(maxsize=64)
+def rotation_generators(n: int, filling: int) -> np.ndarray:
+    """String-space matrices of E_ab - E_ba on one spin filling, one per pair
+    a > b in ``lower_indices(n)`` order, as a (P, d, d) stack: the hop
+    a_a^+ a_b carries +(-1)^(occupied orbitals strictly between b and a),
+    the reverse hop the opposite sign. Cached; the array is read-only."""
+    strings, bits = sector_strings(n, filling), _sector_bits(n, filling)
+    a, b = lower_indices(n)
+    filled = np.cumsum(bits, axis=1)
+    hops = (bits[:, b] == 1) & (bits[:, a] == 0)
+    sign = 1.0 - 2.0 * ((filled[:, a - 1] - filled[:, b]) % 2)
+    rows, pairs = np.nonzero(hops)
+    targets = np.searchsorted(strings, strings[rows] + (1 << a[pairs]) - (1 << b[pairs]))
+    table = np.zeros((len(a), len(strings), len(strings)))
+    table[pairs, targets, rows] = sign[rows, pairs]
+    table[pairs, rows, targets] = -sign[rows, pairs]
+    return _read_only(table)[0]
 
-    With R = M_beta^T Psi M_alpha and Lambda = D * conj(R), the derivative
-    with respect to gate g is 2 Re sum(K_g * P_g Y P_g^T) summed over the
-    spins, where Y_alpha = M_alpha^T Psi^T M_beta Lambda and Y_beta =
-    M_beta^T Psi M_alpha Lambda^T, P_g is the product of the gates before g
-    and K_g is the generator of gate g. Every fabric has the rectangle
-    pivots, so the frames share their gate tables and differ only in angles:
-    one forward sweep per spin conjugates the stacked Y of all frames by each
-    gate in turn, on that spin's rows and columns; when the fillings are
-    equal the two spins share rows and one sweep runs on their sum. No
-    operator builds. A row does not depend on the other frames: it equals
-    the one-frame call bitwise.
-    """
+
+def _frame_responses(state: Statevector,
+                     frames: Sequence[Frame]) -> tuple[tuple[np.ndarray, int], ...]:
+    """The (F, d, d) stacks R^T Lambda on the alpha strings and R Lambda^T on
+    the beta ones, with R = M_beta^T Psi M_alpha and Lambda = D * conj(R),
+    each with its spin's filling; their sum alone when the fillings are equal."""
     for frame in frames:
         _check_filling(state, frame)
-    psi = state.amplitudes
     m_alpha = np.stack([frame.M_alpha for frame in frames])
     m_beta = np.stack([frame.M_beta for frame in frames])
-    lam = (np.stack([frame.D for frame in frames])
-           * np.conj(np.swapaxes(m_beta, 1, 2) @ psi @ m_alpha))
-    x_alpha = psi.T @ m_beta @ lam
-    x_beta = psi @ m_alpha @ np.swapaxes(lam, 1, 2)
+    rotated = np.swapaxes(m_beta, 1, 2) @ state.amplitudes @ m_alpha
+    lam = np.stack([frame.D for frame in frames]) * np.conj(rotated)
+    alpha = np.swapaxes(rotated, 1, 2) @ lam
+    beta = rotated @ np.swapaxes(lam, 1, 2)
     if state.n_alpha == state.n_beta:
-        sweeps = ((np.swapaxes(m_alpha, 1, 2) @ (x_beta + x_alpha), state.n_alpha),)
-    else:
-        sweeps = ((np.swapaxes(m_alpha, 1, 2) @ x_alpha, state.n_alpha),
-                  (np.swapaxes(m_beta, 1, 2) @ x_beta, state.n_beta))
+        return ((alpha + beta, state.n_alpha),)
+    return (alpha, state.n_alpha), (beta, state.n_beta)
+
+
+def rotation_gradients(state: Statevector, frames: Sequence[Frame]) -> np.ndarray:
+    """Energy derivative of each frame along every orbital rotation U -> U
+    exp(kappa (e_a e_b^T - e_b e_a^T)), a > b, at kappa = 0, as (F, P) rows in
+    ``lower_indices(N)`` order. The rotation moves each spin's operator as
+    M -> M k_ab (``rotation_generators``), so G = 2 Re sum over spins of
+    vec(Y) . k_ab with Y the ``_frame_responses``: one product per spin
+    against the stacked table. A row equals the one-frame call bitwise."""
+    grad = 0.0
+    for y, filling in _frame_responses(state, frames):
+        table = rotation_generators(state.n_spatial, filling)
+        y = np.real(y).reshape(len(frames), 1, -1)
+        grad = grad + y @ table.reshape(len(table), y.shape[-1]).T
+    return 2.0 * grad[:, 0]
+
+
+def angle_gradients(state: Statevector, frames: Sequence[Frame]) -> np.ndarray:
+    """Energy derivatives of each frame with respect to all of its fabric
+    angles, one row per frame: the paper's angle route, kept as a referee.
+    With Y the ``_frame_responses``, the derivative by gate g is 2 Re
+    sum(K_g * P_g Y P_g^T) over the spins (P_g the gates before g, K_g the
+    generator of g), from one forward sweep per spin over the frames' shared
+    gate tables. A row equals the one-frame call bitwise.
+    """
     angles = np.stack([frame.fabric.angles for frame in frames])
     c, s = np.cos(angles)[:, :, None], np.sin(angles)[:, :, None]
     grad = np.zeros(angles.shape)
-    for y, filling in sweeps:
+    for y, filling in _frame_responses(state, frames):
         rows, cols, reads = fabric_tables(state.n_spatial, filling)
         y = y.reshape(len(frames), -1)
         for g in range(angles.shape[1]):

@@ -6,7 +6,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from xdfrelax import givens, hammodel, qsim, vqe, xdf
+from xdfrelax import givens, hammodel, lagrange, qsim, vqe, xdf
 from xdfrelax.hammodel import Hamiltonian
 
 
@@ -253,6 +253,88 @@ def ref_fabric_operator(fabric: givens.GivensFabric, filling: int) -> np.ndarray
     for (m, _), theta in zip(fabric.pivots, fabric.angles):
         rotate_pair(op, *qsim.pair_rows(fabric.n, filling, m), theta)
     return op
+
+
+# Referee of the chart-free multipliers: the paper's angle route that
+# production used before, verbatim. Each frame solves J eta = -dE/dtheta
+# through its fabric's angle Jacobian by a minimum-norm least-squares solve,
+# and mu takes the quotients of X = U^T eta. Where J is singular the
+# minimum-norm eta can be wrong, so comparisons keep to well-conditioned J.
+
+PINV_RCOND = 1e-10
+
+
+def pinv_solve(a: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Minimum-norm least-squares solve; small singular values are dropped."""
+    solution, _, _, _ = np.linalg.lstsq(np.asarray(a, dtype=float),
+                                        np.asarray(rhs, dtype=float), rcond=PINV_RCOND)
+    return solution
+
+
+def ref_angle_eta(state: qsim.Statevector, frames) -> tuple[np.ndarray, np.ndarray]:
+    """The (F, N, N) strictly-lower eta stack of the frames and the max-abs
+    residual of each frame's solve."""
+    n = frames[0].fabric.n
+    jacs = givens.jacobian([frame.fabric for frame in frames])
+    etas = np.zeros((len(frames), n, n))
+    residuals = np.zeros(len(frames))
+    for f, (jac, rhs) in enumerate(zip(jacs, -qsim.angle_gradients(state, frames),
+                                       strict=True)):
+        eta_vec = pinv_solve(jac, rhs)
+        residuals[f] = float(np.max(np.abs(jac @ eta_vec - rhs))) if rhs.size else 0.0
+        etas[f][givens.lower_indices(n)] = eta_vec
+    return etas, residuals
+
+
+def ref_angle_mu(fac: xdf.XDFFactorization, state: qsim.Statevector) -> np.ndarray:
+    """The (F, N, N) mu stack of every frame of ``fac`` by the angle route."""
+    etas, _ = ref_angle_eta(state, fac.frames)
+    leaves = fac.retained_leaves
+    u = np.array([fac.U0, *(leaf.U for leaf in leaves)])
+    spectra = np.array([fac.F0, *(leaf.lam for leaf in leaves)])
+    return lagrange._guarded_quotients(np.swapaxes(u, 1, 2) @ etas, spectra)
+
+
+# Models whose frames sit where the angle chart is singular: identity-like,
+# block-diagonal or signed-permutation orbital frames. The angle route misses
+# the direct oracle on each of them; the chart-free multipliers do not.
+
+def with_effective_one_body(ham: Hamiltonian, diag) -> Hamiltonian:
+    """``ham`` with its one-body part set so that its effective one-body
+    operator is diag(diag): h = diag - (direct - exchange / 2)."""
+    eri = ham.two_body
+    direct, exchange = np.einsum("pqrr->pq", eri), np.einsum("prqr->pq", eri)
+    h = np.diag(np.asarray(diag, dtype=float)) - (direct - 0.5 * exchange)
+    return Hamiltonian(ham.n_orbitals, ham.n_alpha, ham.n_beta, ham.core_energy, h, eri)
+
+
+def z2_masked(ham: Hamiltonian, irreps) -> Hamiltonian:
+    """``ham`` with every integral that breaks a Z2 symmetry zeroed: h[p, q]
+    survives when orbitals p and q share an irrep, (pq|rs) when the four
+    irreps sum to an even number."""
+    ir = np.asarray(irreps)
+    h = np.where(ir[:, None] == ir[None, :], ham.one_body, 0.0)
+    parity = np.add.outer(np.add.outer(ir, ir), np.add.outer(ir, ir)) % 2
+    eri = np.where(parity == 0, ham.two_body, 0.0)
+    return Hamiltonian(ham.n_orbitals, ham.n_alpha, ham.n_beta, ham.core_energy, h, eri)
+
+
+SINGULAR_CHART_CASES = {
+    "diagonal-3-1-1-2": lambda: with_effective_one_body(
+        hammodel.synth_hamiltonian(3, 1, 1, 2), [-2.0, -1.0, 0.5]),
+    "diagonal-4-2-2-13": lambda: with_effective_one_body(
+        hammodel.synth_hamiltonian(4, 2, 2, 13), [-2.0, -1.0, 0.5, 1.5]),
+    # eigh orders diag(-2, 1.5, 0.5, -1) as an odd permutation, which the
+    # sign fix turns into a signed permutation
+    "permuted-diagonal-4-2-2-13": lambda: with_effective_one_body(
+        hammodel.synth_hamiltonian(4, 2, 2, 13), [-2.0, 1.5, 0.5, -1.0]),
+    "z2-contiguous-4-2-2-13": lambda: z2_masked(
+        hammodel.synth_hamiltonian(4, 2, 2, 13), [0, 0, 1, 1]),
+    "z2-contiguous-6-2-2-4": lambda: z2_masked(
+        hammodel.synth_hamiltonian(6, 2, 2, 4), [0, 0, 0, 1, 1, 1]),
+    "z2-interleaved-6-2-2-4": lambda: z2_masked(
+        hammodel.synth_hamiltonian(6, 2, 2, 4), [0, 1, 0, 1, 0, 1]),
+}
 
 
 def random_sector_state(fac: xdf.XDFFactorization, seed: int,

@@ -9,7 +9,6 @@ from xdfrelax.givens import (
     decompose,
     jacobian,
     lower_indices,
-    pinv_solve,
     reconstruct,
     rectangle_pivots,
 )
@@ -19,6 +18,7 @@ from xdfrelax.xdf import TruncationPolicy, factorize
 from _common import (
     KERNEL_CASES,
     identity_fabric,
+    pinv_solve,
     random_special_orthogonal,
     ref_decompose,
     ref_jacobian,
@@ -125,6 +125,9 @@ def test_jacobian_matches_finite_differences(n):
               - reconstruct(GivensFabric(n, minus))) / (2 * step)
         fd = du[np.tril_indices(n, -1)]
         assert np.max(np.abs(fd - jac[g])) < 1e-7
+
+
+# the minimum-norm solve of the angle-route referee in _common
 
 
 def test_pinv_solve_identity():

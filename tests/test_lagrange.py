@@ -1,21 +1,29 @@
 import numpy as np
 import pytest
 
-from xdfrelax import lagrange, qsim, vqe
-from xdfrelax.givens import jacobian
-from xdfrelax.hammodel import synth_hamiltonian
+from xdfrelax import cli, givens, lagrange, qsim, verify, vqe
+from xdfrelax.hammodel import synth_hamiltonian, write_fcidump
 from xdfrelax.lagrange import (
     reconstruct_rdms,
     relaxed_Gamma,
     relaxed_gamma,
-    solve_eta,
     solve_mu,
     solve_nu,
 )
 from xdfrelax.qsim import EigenbasisDensities
 from xdfrelax.xdf import TruncationPolicy, factorize
 
-from _common import eight_fold, random_sector_state, symmetrize, zero_two_body
+from _common import (
+    FILLING_CASES,
+    KERNEL_CASES,
+    SINGULAR_CHART_CASES,
+    eight_fold,
+    random_sector_state,
+    ref_angle_eta,
+    ref_angle_mu,
+    symmetrize,
+    zero_two_body,
+)
 
 
 def _stationary_pipeline(n, na, nb, seed, policy=None):
@@ -25,41 +33,51 @@ def _stationary_pipeline(n, na, nb, seed, policy=None):
     return ham, fac, state
 
 
-def test_eta_zero_for_rotation_invariant_state():
-    # empty sector: every leaf energy is angle-independent
+def test_gradient_zero_for_rotation_invariant_state():
+    # empty sector: every frame energy is rotation-independent
     ham = synth_hamiltonian(3, 0, 0, 2)
     fac = factorize(ham, TruncationPolicy.exact())
     vacuum = qsim.hf_reference(3, 0, 0)
-    etas, _ = solve_eta(fac.frames, qsim.angle_gradients(vacuum, fac.frames))
-    assert etas.shape == (len(fac.frames), 3, 3)
-    assert np.max(np.abs(etas)) < 1e-12
+    grads = qsim.rotation_gradients(vacuum, fac.frames)
+    assert grads.shape == (len(fac.frames), 3)
+    assert np.max(np.abs(grads)) < 1e-12
+    _, mult = lagrange.measure_and_solve(fac, vacuum)
+    assert max(np.max(np.abs(mu)) for mu in (mult.mu0, *mult.mu)) < 1e-12
 
 
-def test_eta_zero_for_diagonal_one_body_hf():
+def test_gradient_zero_for_diagonal_one_body_hf():
+    # U0 is the identity here, where the angle chart is singular
     ham = zero_two_body(3, 1, 1, [-2.0, -1.0, 0.5])
     fac = factorize(ham, TruncationPolicy.exact())
     state = qsim.hf_reference(3, 1, 1)
-    frames = fac.frames[:1]
-    (eta,), _ = solve_eta(frames, qsim.angle_gradients(state, frames))
-    assert np.max(np.abs(eta)) < 1e-12
+    (grad,) = qsim.rotation_gradients(state, fac.frames[:1])
+    assert np.max(np.abs(grad)) < 1e-12
+    assert np.max(np.abs(solve_mu(grad, fac.F0))) < 1e-12
 
 
-def test_eta_scalar_closed_form_n2():
+def test_gradient_scalar_closed_form_n2():
+    # at N=2, U exp(kappa K_10) is the fabric at theta + kappa: G is dE/dtheta
     _, fac, state = _stationary_pipeline(2, 1, 1, 7)
     frame = fac.frames[0]
     de = qsim.denergy_dtheta_shift(state, frame, 0)
-    a00 = jacobian(frame.fabric)[0, 0]
-    (eta,), _ = solve_eta((frame,), qsim.angle_gradients(state, (frame,)))
-    assert abs(eta[1, 0] - (-de / a00)) < 1e-12
+    (grad,) = qsim.rotation_gradients(state, (frame,))
+    assert abs(grad[0] - de) < 1e-12
+    mu = solve_mu(grad, fac.F0)
+    assert abs(mu[1, 0] - (-de / (fac.F0[1] - fac.F0[0]))) < 1e-12
+    # the angle route's closed form: eta = -dE/dtheta / J, mu from U^T eta
+    eta = np.array([[0.0, 0.0], [-de / givens.jacobian(frame.fabric)[0, 0], 0.0]])
+    x = fac.U0.T @ eta
+    assert abs(mu[1, 0] - (x[1, 0] - x[0, 1]) / (fac.F0[1] - fac.F0[0])) < 1e-12
 
 
 def test_eta_residual_random_fixture():
+    # the angle-route referee solves a consistent system on generic frames
     _, fac, state = _stationary_pipeline(3, 2, 1, 4)
     gradients = qsim.angle_gradients(state, fac.frames)
-    etas, residuals = solve_eta(fac.frames, gradients)
+    etas, residuals = ref_angle_eta(state, fac.frames)
     for frame, de_dtheta, eta, residual in zip(fac.frames, gradients, etas, residuals,
                                                strict=True):
-        jac = jacobian(frame.fabric)
+        jac = givens.jacobian(frame.fabric)
         eta_vec = eta[np.tril_indices(fac.n_orbitals, -1)]
         rhs = -de_dtheta
         shift_rhs = -np.array([qsim.denergy_dtheta_shift(state, frame, g)
@@ -69,85 +87,76 @@ def test_eta_residual_random_fixture():
         assert residual == np.max(np.abs(jac @ eta_vec - rhs))
 
 
-def _solve_every_eta(fac, state):
-    return list(zip(*solve_eta(fac.frames, qsim.angle_gradients(state, fac.frames)),
-                    strict=True))
-
-
-def test_eta_builds_no_fabric_operator(monkeypatch):
-    _, fac, state = _stationary_pipeline(3, 2, 1, 4)
-    expected = _solve_every_eta(fac, state)
-
-    def refuse(*args):
-        raise AssertionError("fabric operator built during the eta solve")
-
-    monkeypatch.setattr(qsim, "_fabric_operators", refuse)
-    for (eta, residual), (got, got_residual) in zip(expected, _solve_every_eta(fac, state),
-                                                    strict=True):
-        np.testing.assert_array_equal(got, eta)
-        assert got_residual == residual
-
-
-@pytest.mark.parametrize("ablate", [None, "eta0", "etat", "nu"])
-def test_measure_and_solve_sweeps_the_solved_frames_once(monkeypatch, ablate):
-    _, fac, state = _stationary_pipeline(3, 2, 1, 4)
-    swept = []
-    real = qsim.angle_gradients
+def _counting_gradients(monkeypatch):
+    """Record the frames of every ``qsim.rotation_gradients`` call."""
+    swept, real = [], qsim.rotation_gradients
 
     def counting(state, frames):
         swept.append(tuple(frames))
         return real(state, frames)
 
-    monkeypatch.setattr(qsim, "angle_gradients", counting)
+    monkeypatch.setattr(qsim, "rotation_gradients", counting)
+    return swept
+
+
+def test_rotation_gradients_build_no_fabric_operator(monkeypatch):
+    _, fac, state = _stationary_pipeline(3, 2, 1, 4)
+    _, expected = lagrange.measure_and_solve(fac, state)
+
+    def refuse(*args):
+        raise AssertionError("fabric operator built during the multiplier solve")
+
+    monkeypatch.setattr(qsim, "_fabric_operators", refuse)
+    swept = _counting_gradients(monkeypatch)
+    _, got = lagrange.measure_and_solve(fac, state)
+    assert swept == [fac.frames]
+    for mu, got_mu in zip((expected.mu0, *expected.mu), (got.mu0, *got.mu), strict=True):
+        np.testing.assert_array_equal(got_mu, mu)
+
+
+@pytest.mark.parametrize("ablate", [None, "eta0", "etat", "nu"])
+def test_measure_and_solve_sweeps_the_solved_frames_once(monkeypatch, ablate):
+    _, fac, state = _stationary_pipeline(3, 2, 1, 4)
+    swept = _counting_gradients(monkeypatch)
     _, multipliers = lagrange.measure_and_solve(fac, state, ablate)
     assert swept == [fac.frames[:1] if ablate == "etat" else fac.frames]
     if ablate == "etat":
-        assert all(not np.any(eta) for eta in multipliers.eta)
+        assert all(not np.any(mu) for mu in multipliers.mu)
 
 
 def test_eta_warns_on_nonstationary_state():
     ham = synth_hamiltonian(2, 1, 1, 7)
     fac = factorize(ham, TruncationPolicy.exact())
     state = qsim.hf_reference(2, 1, 1)  # not an eigenstate of this Hamiltonian
-    # force an inconsistent system: residual warning only fires when the
-    # lower-triangle system cannot absorb the derivative, so probe the
-    # stationarity warning through the pipeline instead
+    # the multiplier premise is a stationary state; the pipeline says so
     with pytest.warns(UserWarning, match="gradient norm"):
         reconstruct_rdms(fac, state, stationarity_grad=1.0)
 
 
-def test_mu_zero_when_eta_zero():
-    n = 3
-    zeros = np.zeros((n, n))
-    assert np.max(np.abs(solve_mu(zeros, np.eye(n), np.array([1.0, 2.0, 3.0])))) == 0.0
+def test_mu_zero_when_gradient_zero():
+    spec = np.array([1.0, 2.0, 3.0])
+    assert np.max(np.abs(solve_mu(np.zeros(3), spec))) == 0.0
 
 
 def test_mu_scalar_quotient_n2():
-    eta = np.array([[0.0, 0.0], [0.7, 0.0]])
-    u = np.array([[np.cos(0.3), -np.sin(0.3)], [np.sin(0.3), np.cos(0.3)]])
     f0 = np.array([-1.5, 0.5])
-    mu = solve_mu(eta, u, f0)
-    eta_eig = u.T @ eta
-    expected = (eta_eig[1, 0] - eta_eig[0, 1]) / (f0[1] - f0[0])
-    assert abs(mu[1, 0] - expected) < 1e-14
+    mu = solve_mu(np.array([0.7]), f0)
+    assert mu[1, 0] == -0.7 / (f0[1] - f0[0])
     assert mu[0, 1] == 0.0
 
 
 def test_mu_solves_are_linear():
     rng = np.random.default_rng(3)
-    eta = np.tril(rng.standard_normal((4, 4)), k=-1)
-    u = np.linalg.qr(rng.standard_normal((4, 4)))[0]
+    grads = rng.standard_normal(6)
     spec = np.array([0.1, 0.5, 1.7, 3.0])
-    np.testing.assert_allclose(solve_mu(2.0 * eta, u, spec),
-                               2.0 * solve_mu(eta, u, spec), atol=1e-13)
+    np.testing.assert_allclose(solve_mu(2.0 * grads, spec), 2.0 * solve_mu(grads, spec),
+                               atol=1e-13)
 
 
 def test_mu_guard_triggers_only_below_cutoff():
-    eta = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [1.0, 1.0, 0.0]])
-    u = np.eye(3)
     # pair (2, 1) is within the guard of the 3-unit spectral range; (1, 0) is not
     spec = np.array([-1.0, 2.0, 2.0 + 1e-9])
-    mu = solve_mu(eta, u, spec)
+    mu = solve_mu(np.ones(3), spec)
     assert mu[2, 1] == 0.0
     assert mu[1, 0] != 0.0
     assert mu[2, 0] != 0.0
@@ -202,14 +211,74 @@ def test_relaxed_Gamma_identity_terms_only():
     np.testing.assert_allclose(big_sym, expected, atol=1e-14)
 
 
-@pytest.mark.parametrize("n,na,nb,seed", [(2, 1, 1, 7), (3, 1, 1, 2), (3, 2, 1, 3)])
-def test_oracle_equivalence_exact_state(n, na, nb, seed):
-    _, fac, state = _stationary_pipeline(n, na, nb, seed)
+@pytest.mark.parametrize("case", ["2-1-1-7", "3-1-1-2", "3-2-1-3", *SINGULAR_CHART_CASES])
+def test_oracle_equivalence_exact_state(case):
+    # a synthetic "n-na-nb-seed" model, or a model whose frames sit where the
+    # angle chart is singular
+    if case in SINGULAR_CHART_CASES:
+        ham = SINGULAR_CHART_CASES[case]()
+    else:
+        ham = synth_hamiltonian(*map(int, case.split("-")))
+    fac = factorize(ham, TruncationPolicy.exact())
+    state, _ = vqe.exact_ground_state(fac)
     rdms, _ = reconstruct_rdms(fac, state)
     gamma_m, big_m = qsim.measure_rdms_direct(state)
     assert np.max(np.abs(rdms.gamma_sym - symmetrize(gamma_m))) < 1e-8
     assert np.max(np.abs(rdms.Gamma_sym - eight_fold(big_m))) < 1e-8
-    assert abs(np.trace(rdms.gamma_sym) - (na + nb)) < 1e-8
+    assert abs(np.trace(rdms.gamma_sym) - (ham.n_alpha + ham.n_beta)) < 1e-8
+
+
+def test_gauge_distinct_fabrics_give_one_frame():
+    # decompose alternates between these fabrics of one signed permutation;
+    # frame operators, and so every result, depend on U alone
+    u = np.array([[1, 0, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0], [0, -1, 0, 0]], dtype=float)
+    fabrics = (givens.GivensFabric(4, np.pi * np.array([0, -0.5, -0.5, 0, 0.5, 0])),
+               givens.GivensFabric(4, np.pi * np.array([0, 0.25, 0.5, 0, -0.5, -0.25])))
+    assert np.max(np.abs(givens.reconstruct(fabrics) - u)) < 1e-15
+    for na, nb in ((2, 2), (1, 3)):
+        first, second = qsim.build_frames(
+            fabrics, np.zeros((2, *qsim.sector_shape(4, na, nb))), na, nb)
+        assert np.max(np.abs(first.M_alpha - second.M_alpha)) < 1e-14
+        assert np.max(np.abs(first.M_beta - second.M_beta)) < 1e-14
+
+
+@pytest.mark.parametrize("n,na,nb,seed", [*KERNEL_CASES, *FILLING_CASES])
+def test_angle_route_mu_matches_chart_free(n, na, nb, seed):
+    _, fac, state = _stationary_pipeline(n, na, nb, seed)
+    _, mult = lagrange.measure_and_solve(fac, state)
+    conds = np.linalg.cond(givens.jacobian([frame.fabric for frame in fac.frames]))
+    compared = 0
+    for mu, ref, cond in zip((mult.mu0, *mult.mu), ref_angle_mu(fac, state), conds,
+                             strict=True):
+        if cond < 1e6:
+            assert np.max(np.abs(mu - ref)) < 1e-10
+            compared += 1
+    assert compared >= 1
+
+
+def test_production_never_reaches_the_angle_chart(monkeypatch, tmp_path):
+    # the angle chart is a referee: relaxed densities, the rdm command and
+    # Verlet forces all run on orbital-rotation gradients
+    ham_a, ham_b = synth_hamiltonian(3, 1, 1, 2), synth_hamiltonian(3, 1, 1, 8)
+    fac = factorize(ham_a, TruncationPolicy.exact())
+    state, _ = vqe.exact_ground_state(fac)
+    path = tmp_path / "n3.fcidump"
+    path.write_text(write_fcidump(ham_a), encoding="ascii")
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("angle chart reached outside a referee")
+
+    for original in (givens.jacobian, qsim.angle_gradients):
+        for module in (cli, givens, lagrange, qsim, verify, vqe):
+            for name, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, name, refuse)
+    rdms, _ = reconstruct_rdms(fac, state)
+    assert rdms.gamma_sym.shape == (3, 3)
+    assert cli.main(["rdm", "--fcidump", str(path), "--layers", "2",
+                     "--out", str(tmp_path / "rdm.json")]) == cli.EXIT_OK
+    trace = verify.verlet_path(ham_a, ham_b, n_steps=2, dt=0.005, mass=10.0)
+    assert trace.completed == 2 and trace.aborted is None
 
 
 def test_oracle_equivalence_converged_vqe_state():
@@ -263,7 +332,6 @@ def test_ablation_modes_zero_the_right_pieces():
 
     rdms0, mult0 = reconstruct_rdms(fac, state, ablate="eta0")
     assert np.max(np.abs(mult0.mu0)) == 0.0
-    assert np.max(np.abs(mult0.eta0)) == 0.0
     # gamma loses its off-diagonal response, Gamma inherits via gamma_bar
     assert np.max(np.abs(rdms0.gamma_sym - full_rdms.gamma_sym)) > 1e-6
 
@@ -287,7 +355,7 @@ def test_no_retained_leaves_leaves_only_the_one_body_frame():
     assert fac.retained == 0 and len(fac.frames) == 1
     state, _ = vqe.exact_ground_state(fac)
     rdms, mult = reconstruct_rdms(fac, state)
-    assert mult.eta == () and mult.mu == ()
+    assert mult.mu == ()
     assert mult.nu.shape == (fac.n_leaves, fac.n_leaves)
     assert not np.any(mult.nu)
     assert np.any(mult.mu0)
@@ -303,17 +371,15 @@ def test_stacked_chain_matches_per_frame_loops(n, na, nb, seed, count):
     fac = factorize(synth_hamiltonian(n, na, nb, seed), policy)
     state = random_sector_state(fac, seed + 3)
     omegas, mult = lagrange.measure_and_solve(fac, state)
-    etas = (mult.eta0, *mult.eta)
-    orbitals = [(fac.U0, fac.F0)] + [(leaf.U, leaf.lam) for leaf in fac.retained_leaves]
-    for eta, mu, (u, spectrum) in zip(etas, (mult.mu0, *mult.mu), orbitals, strict=True):
-        x = u.T @ eta
+    grads = qsim.rotation_gradients(state, fac.frames)
+    spectra = [fac.F0] + [leaf.lam for leaf in fac.retained_leaves]
+    for grad, mu, spectrum in zip(grads, (mult.mu0, *mult.mu), spectra, strict=True):
         spread = float(np.max(spectrum) - np.min(spectrum))
         expected = np.zeros((n, n))
-        for a in range(n):
-            for b in range(a):
-                denom = spectrum[a] - spectrum[b]
-                if abs(denom) > lagrange.DEGENERACY_GUARD * max(spread, 1e-300):
-                    expected[a, b] = (x[a, b] - x[b, a]) / denom
+        for p, (a, b) in enumerate(zip(*givens.lower_indices(n))):
+            denom = spectrum[a] - spectrum[b]
+            if abs(denom) > lagrange.DEGENERACY_GUARD * max(spread, 1e-300):
+                expected[a, b] = -grad[p] / denom
         assert mu.tobytes() == expected.tobytes()
 
     r_mat = np.zeros((fac.n_leaves, fac.n_leaves))

@@ -201,6 +201,7 @@ def test_no_unread_constants(path):
 # package does not. A class listed here exempts its members too.
 REFEREES = (
     "denergy_dtheta_shift", "dense_energy", "exact_ground_state",
+    "jacobian", "angle_gradients",  # the paper's angle route; production is chart-free
     "projection_lossiness_demo", "LossinessReport",
     "synth_hamiltonian", "write_fcidump",  # perfbench builds its inputs with these
 )

@@ -2,6 +2,7 @@ from math import comb
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from xdfrelax import givens, lagrange, qsim, vqe
 from xdfrelax.hammodel import Hamiltonian, synth_hamiltonian
@@ -457,6 +458,65 @@ def test_angle_gradients_rows_equal_one_frame_calls(n, na, nb, seed):
         for frame, row in zip(fac.frames, sweeps, strict=True):
             np.testing.assert_array_equal(row, angle_gradients(state, (frame,))[0])
         np.testing.assert_array_equal(angle_gradients(state, fac.frames[::-1]), sweeps[::-1])
+
+
+def _rotated_frame_energy(state, frame, u, a, b, t):
+    """Energy of a frame whose orbitals U move to U exp(t (e_a e_b^T - e_b
+    e_a^T)), its fabric rebuilt from scratch."""
+    k = np.zeros(u.shape)
+    k[a, b], k[b, a] = 1.0, -1.0
+    fabric = givens.decompose(u @ scipy.linalg.expm(t * k))
+    moved, = qsim.build_frames((fabric,), frame.D[None], frame.n_alpha, frame.n_beta)
+    return float(np.sum(frame.D * np.abs(moved.M_beta.T @ state.amplitudes
+                                         @ moved.M_alpha) ** 2))
+
+
+@pytest.mark.parametrize("n,na,nb,seed", [(3, 2, 1, 4), (4, 1, 3, 5), (4, 2, 2, 13)])
+def test_rotation_gradients_match_five_point_differences(n, na, nb, seed):
+    fac = factorize(synth_hamiltonian(n, na, nb, seed), TruncationPolicy.exact())
+    state = random_sector_state(fac, seed + 5)
+    orbitals = [fac.U0] + [leaf.U for leaf in fac.retained_leaves]
+    step = 1e-3
+    for frame, u, grad in zip(fac.frames, orbitals, qsim.rotation_gradients(state, fac.frames),
+                              strict=True):
+        for p, (a, b) in enumerate(zip(*givens.lower_indices(n))):
+            e = [_rotated_frame_energy(state, frame, u, a, b, k * step) for k in (-2, -1, 1, 2)]
+            fd = (e[0] - 8.0 * e[1] + 8.0 * e[2] - e[3]) / (12.0 * step)
+            assert abs(grad[p] - fd) < 1e-9
+
+
+@pytest.mark.parametrize("n,na,nb,seed", FILLING_CASES)
+def test_rotation_generators_match_jordan_wigner_excitations(n, na, nb, seed):
+    # each spin's table against E_ab - E_ba on embedded basis vectors, read at
+    # the other spin's unchanged string
+    for filling, other, shift in ((na, nb, 0), (nb, na, n)):
+        table = qsim.rotation_generators(n, filling)
+        assert qsim.rotation_generators(n, filling) is table
+        assert not table.flags.writeable
+        strings = qsim.sector_strings(n, filling)
+        spectator = int(qsim.sector_strings(n, other)[0]) << (n - shift)
+        assert table.shape == (n * (n - 1) // 2, len(strings), len(strings))
+        for p, (a, b) in enumerate(zip(*givens.lower_indices(n))):
+            for col, string in enumerate(strings):
+                basis = np.zeros(4 ** n)
+                basis[spectator | (int(string) << shift)] = 1.0
+                image = (qsim._apply_singlet_excitation(basis, n, a, b)
+                         - qsim._apply_singlet_excitation(basis, n, b, a))
+                column = image[spectator | (strings << shift)]
+                np.testing.assert_array_equal(table[p, :, col], column)
+
+
+@pytest.mark.parametrize("n,na,nb,seed", [(3, 2, 1, 4), (4, 2, 2, 13), *FILLING_CASES])
+def test_rotation_gradients_rows_equal_one_frame_calls(n, na, nb, seed):
+    fac = factorize(synth_hamiltonian(n, na, nb, seed), TruncationPolicy.exact())
+    real = random_sector_state(fac, seed + 3)
+    amps = real.amplitudes + 0.5j * random_sector_state(fac, seed + 4).amplitudes
+    for state in (real, Statevector(n, na, nb, amps / np.linalg.norm(amps))):
+        grads = qsim.rotation_gradients(state, fac.frames)
+        for frame, row in zip(fac.frames, grads, strict=True):
+            assert row.tobytes() == qsim.rotation_gradients(state, (frame,))[0].tobytes()
+        assert qsim.rotation_gradients(state, fac.frames[::-1]).tobytes() == \
+            grads[::-1].tobytes()
 
 
 @pytest.mark.parametrize("n,na,nb,seed", BLOCK_CASES)
