@@ -53,15 +53,20 @@ _FLAG_MINIMA = (("leaves", 0), ("layers", 1), ("layers_small", 1), ("maxiter", 0
 
 
 def _check_flags(args) -> None:
-    """Reject out-of-range numeric flags before any work, naming the flag."""
+    """Reject out-of-range and non-finite numeric flags before any work,
+    naming the flag."""
     for name, low in _FLAG_MINIMA:
         value = getattr(args, name, None)
         if value is not None and value < low:
             raise ValueError(f"--{name.replace('_', '-')} must be at least {low}, got {value}")
     for name in ("tol", "mass"):
         value = getattr(args, name, None)
-        if value is not None and not value > 0:
-            raise ValueError(f"--{name} must be positive, got {value}")
+        if value is not None and not 0 < value < np.inf:
+            raise ValueError(f"--{name} must be positive and finite, got {value}")
+    for name in ("threshold", "dt", "s0", "v0"):
+        value = getattr(args, name, None)
+        if value is not None and not np.isfinite(value):
+            raise ValueError(f"--{name} must be finite, got {value}")
 
 
 def _config_echo(args) -> dict:

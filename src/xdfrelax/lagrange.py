@@ -8,11 +8,12 @@ matrices without ever measuring their off-diagonals.
 
 A frame's eigenvector multipliers come from its orbital-rotation gradient
 G[a, b], the derivative of its energy along U -> U exp(kappa (e_a e_b^T -
-e_b e_a^T)), a > b (``qsim.rotation_gradients``). G needs no angle chart, so
-identity-like, block-diagonal and signed-permutation orbitals, where the
-Givens angle Jacobian is singular, are no special case. Sign conventions are
-self-consistent within this package (see the scalar N=2 closed form in the
-tests):
+e_b e_a^T)), a > b. ``qsim.measure_densities`` returns G for every frame
+next to the densities, from the same single rotation of the state into the
+frame stack. G needs no angle chart, so identity-like, block-diagonal and
+signed-permutation orbitals, where the Givens angle Jacobian is singular,
+are no special case. Sign conventions are self-consistent within this
+package (see the scalar N=2 closed form in the tests):
 
     mu[a, b]  = -G[a, b] / (spec[a] - spec[b]),                         a > b,
     nu[t, u]  = (R[t, u] - R[u, t]) / (g[u] - g[t]),                    t > u,
@@ -92,8 +93,11 @@ def _stack(arrays: Sequence[np.ndarray], shape: tuple[int, ...]) -> np.ndarray:
 def _guarded_quotients(x: np.ndarray, values: np.ndarray) -> np.ndarray:
     """Strictly-lower (x[a, b] - x[b, a]) / (values[a] - values[b]) of every
     member of a (..., n, n) stack, zero where the denominator is within
-    ``DEGENERACY_GUARD`` x the spread of that member's values (a degenerate
-    pair, whose numerator vanishes by symmetry)."""
+    ``DEGENERACY_GUARD`` x the spread of that member's values. A zero drops
+    the in-block density element, which the frame energies do not see, with
+    no warning; it is right only when both pair members are discarded or the
+    state is totally symmetric. Otherwise the relaxed RDMs miss the element:
+    an F0 pair split by 1e-8 or less gave a 1.4e-3 oracle gap (ROADMAP item 2)."""
     spread = (np.max(values, axis=-1) - np.min(values, axis=-1) if values.shape[-1]
               else np.zeros(values.shape[:-1]))
     denom = values[..., :, None] - values[..., None, :]
@@ -177,22 +181,20 @@ def relaxed_Gamma(fac: XDFFactorization, omegas: EigenbasisDensities,
 
 def measure_and_solve(fac: XDFFactorization, state: Statevector,
                       ablate: str | None = None) -> tuple[EigenbasisDensities, MultiplierSet]:
-    """Measure the leaf densities and run the mu -> nu chain on the stack of
-    solved frames, whose orbital-rotation gradients come from one
-    ``qsim.rotation_gradients`` call. ``ablate="eta0"`` zeroes the one-body
-    mu, ``"etat"`` leaves every leaf mu unsolved (zero) and ``"nu"`` zeroes
-    nu; the names follow the paper's fabric-angle multipliers."""
+    """Measure the leaf densities and every frame's orbital-rotation
+    gradients in one ``qsim.measure_densities`` call and run the mu -> nu
+    chain on the frame stack. ``ablate="eta0"`` zeroes the one-body mu,
+    ``"etat"`` every leaf mu and ``"nu"`` nu; the names follow the paper's
+    fabric-angle multipliers."""
     if ablate is not None and ablate not in ABLATION_MODES:
         raise ValueError(f"unknown ablation {ablate!r}; choose from {ABLATION_MODES}")
-    n = fac.n_orbitals
     omegas = qsim.measure_densities(state, fac)
-    solved = fac.frames[:1] if ablate == "etat" else fac.frames
-    leaves = fac.retained_leaves[:len(solved) - 1]
-    mus = solve_mu(qsim.rotation_gradients(state, solved),
-                   np.array([fac.F0, *(leaf.lam for leaf in leaves)]))
+    mus = solve_mu(omegas.gradients,
+                   np.array([fac.F0, *(leaf.lam for leaf in fac.retained_leaves)]))
     if ablate == "eta0":
         mus[0] = 0.0
-    mus = np.concatenate([mus, np.zeros((len(fac.frames) - len(solved), n, n))])
+    elif ablate == "etat":
+        mus[1:] = 0.0
 
     nu = solve_nu(fac, omegas, tuple(mus[1:]))
     if ablate == "nu":

@@ -28,23 +28,23 @@ strings explicitly on the embedded vector.
 A spin-locked fabric acts on each spin through one operator on that spin's
 strings, its gates applied in order to the rows of the identity: the circuit
 maps Psi to M_beta Psi M_alpha^T and its dagger to M_beta^T Psi M_alpha (one
-operator serves both spins when n_alpha = n_beta). Each term of a factorized
-Hamiltonian is a ``Frame``: its fabric, the fabric's M_alpha and M_beta and
-the term's energy operator, diagonal in the rotated basis, as the block
-D[beta, alpha]. A factorization builds its frames once, the one-body frame
-first, then one per retained leaf, with ``build_frames``: one sweep per spin
-filling applies each gate to the stacked identities of all frames, one angle
-per frame. The density measurements rotate the state into every frame as
-one stack.
+operator serves both spins when n_alpha = n_beta). The terms of a factorized
+Hamiltonian, the one-body term first, then one per retained leaf, are one
+``Frames`` stack, frame first: fabrics, their M_alpha and M_beta, and the
+terms' energy operators, diagonal in the rotated bases, as D[f, beta,
+alpha]. Every kernel reads the stack through one rotation of the state,
+M_beta^T Psi M_alpha for all frames at once: ``apply_hamiltonian`` maps it
+back and sums, ``measure_densities`` takes the densities and the
+orbital-rotation gradients of every frame from it.
 
-Production differentiates frames without an angle chart:
-``rotation_gradients`` gets G[a, b], the derivative of each frame's energy
-along U -> U exp(kappa (e_a e_b^T - e_b e_a^T)), a > b, from one product per
-spin against the string-space table of E_ab - E_ba (``rotation_generators``),
-and ``lagrange`` takes mu[a, b] = -G[a, b] / (spec[a] - spec[b]). The paper's
-angle route stays as referees: ``angle_gradients``, one forward sweep over
-the shared rectangle pivots, and the two-frequency shift rule
-``denergy_dtheta_shift`` on the embedded vector.
+Production differentiates frames without an angle chart: G[a, b], the
+derivative of each frame's energy along U -> U exp(kappa (e_a e_b^T - e_b
+e_a^T)), a > b, comes from one product per spin against the string-space
+table of E_ab - E_ba (``rotation_generators``), and ``lagrange`` takes
+mu[a, b] = -G[a, b] / (spec[a] - spec[b]). The paper's angle route stays as
+referees: ``angle_gradients``, one forward sweep over the shared rectangle
+pivots, and the two-frequency shift rule ``denergy_dtheta_shift`` on the
+embedded vector.
 
 Expectation values are exact (infinite-shot limit). All gates have real
 matrix elements, so amplitudes stay real in practice; complex amplitudes are
@@ -64,15 +64,12 @@ from .givens import GivensFabric, lower_indices, rectangle_pivots
 from .hammodel import DESK_CAP
 
 if TYPE_CHECKING:
-    from collections.abc import Sequence
-
     from .xdf import XDFFactorization
 
 __all__ = [
     "Statevector",
     "EigenbasisDensities",
-    "Frame",
-    "build_frames",
+    "Frames",
     "one_body_energy",
     "leaf_energies",
     "SHIFT_STEPS",
@@ -91,7 +88,6 @@ __all__ = [
     "apply_hamiltonian",
     "denergy_dtheta_shift",
     "rotation_generators",
-    "rotation_gradients",
     "angle_gradients",
     "measure_rdms_direct",
 ]
@@ -174,10 +170,12 @@ class Statevector:
 
 @dataclass(frozen=True, eq=False)
 class EigenbasisDensities:
-    """Measured leaf-frame densities: omega0 (length N) and per-retained-leaf omega."""
+    """What one rotation into the frame stack measures: omega0 (length N),
+    omega per retained leaf and every frame's (F, P) rotation ``gradients``."""
 
     omega0: np.ndarray
     omega: tuple[np.ndarray, ...]
+    gradients: np.ndarray
 
 
 def hf_reference(n_spatial: int, n_alpha: int, n_beta: int) -> Statevector:
@@ -329,7 +327,7 @@ def _fabric_operators(n: int, angles: np.ndarray, filling: int) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Frames: one per term of the factorized Hamiltonian
+# Frames: the terms of the factorized Hamiltonian as one stack
 # ---------------------------------------------------------------------------
 
 @lru_cache(maxsize=128)
@@ -340,44 +338,35 @@ def _spin_z(n: int, filling: int) -> np.ndarray:
 
 
 @dataclass(frozen=True, eq=False)
-class Frame:
-    """One term in its own basis for one (n_alpha, n_beta) filling: the
-    fabric rotating into it, the term's energy operator ``D[beta, alpha]``,
-    diagonal in the rotated basis, and the fabric's operators on the alpha
-    and beta strings, ``M_alpha`` and ``M_beta`` (views of one array when
-    the fillings are equal). ``build_frames`` builds them; the arrays are
-    read-only."""
+class Frames:
+    """The terms of a factorized Hamiltonian for one (n_alpha, n_beta)
+    filling, frame first: the fabrics rotating into their bases, the (F,
+    rows, cols) energy operators ``D[f, beta, alpha]``, diagonal there, and
+    the fabrics' (F, d, d) operators on the alpha and beta strings,
+    ``M_alpha`` and ``M_beta`` (one array when the fillings are equal). One
+    sweep per spin filling builds the operators on construction, each gate
+    applied to the stacked identities with one angle per frame, so every
+    member equals its one-fabric build bitwise. The arrays are read-only."""
 
-    fabric: GivensFabric
+    fabrics: tuple[GivensFabric, ...]
     n_alpha: int
     n_beta: int
     D: np.ndarray
-    M_alpha: np.ndarray = field(repr=False)
-    M_beta: np.ndarray = field(repr=False)
+    M_alpha: np.ndarray = field(init=False, repr=False)
+    M_beta: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        shape = sector_shape(self.fabric.n, self.n_alpha, self.n_beta)
-        for name, expected in (("D", shape), ("M_alpha", (shape[1],) * 2),
-                               ("M_beta", (shape[0],) * 2)):
-            arr = getattr(self, name)
-            if arr.shape != expected:
-                raise ValueError(f"{name} has shape {arr.shape}, expected {expected}")
-            arr.setflags(write=False)
-
-
-def build_frames(fabrics: Sequence[GivensFabric], energies: np.ndarray, n_alpha: int,
-                 n_beta: int) -> tuple[Frame, ...]:
-    """Frames of fabrics of one orbital count with the (F, C(N, n_beta),
-    C(N, n_alpha)) stack of their energy operators. Each spin's operators of
-    all fabrics come from one sweep over the gates they share; every frame's
-    operators equal its one-fabric build bitwise."""
-    n = fabrics[0].n
-    angles = np.array([fabric.angles for fabric in fabrics])
-    m_alpha = _fabric_operators(n, angles, n_alpha)
-    m_beta = m_alpha if n_beta == n_alpha else _fabric_operators(n, angles, n_beta)
-    energies = np.array(energies, dtype=float)
-    return tuple(Frame(fabric, n_alpha, n_beta, energies[f], m_alpha[f], m_beta[f])
-                 for f, fabric in enumerate(fabrics))
+        n = self.fabrics[0].n
+        energies = np.array(self.D, dtype=float)
+        shape = (len(self.fabrics), *sector_shape(n, self.n_alpha, self.n_beta))
+        if energies.shape != shape:
+            raise ValueError(f"D has shape {energies.shape}, expected {shape}")
+        angles = np.array([fabric.angles for fabric in self.fabrics])
+        m_alpha = _fabric_operators(n, angles, self.n_alpha)
+        m_beta = (m_alpha if self.n_beta == self.n_alpha
+                  else _fabric_operators(n, angles, self.n_beta))
+        for name, arr in (("D", energies), ("M_alpha", m_alpha), ("M_beta", m_beta)):
+            object.__setattr__(self, name, _read_only(arr)[0])
 
 
 def one_body_energy(f0: np.ndarray, n_alpha: int, n_beta: int) -> np.ndarray:
@@ -402,25 +391,23 @@ def leaf_energies(couplings: np.ndarray, n_alpha: int, n_beta: int) -> np.ndarra
             - 0.25 * traces[:, None, None])
 
 
-def _check_filling(state: Statevector, frame: Frame) -> None:
-    if (state.n_alpha, state.n_beta) != (frame.n_alpha, frame.n_beta):
+def _check_filling(state: Statevector, frames: Frames) -> None:
+    if (state.n_alpha, state.n_beta) != (frames.n_alpha, frames.n_beta):
         raise ValueError(f"state filling ({state.n_alpha}, {state.n_beta}) differs from "
-                         f"frame filling ({frame.n_alpha}, {frame.n_beta})")
+                         f"frame filling ({frames.n_alpha}, {frames.n_beta})")
+
+
+def _rotated(state: Statevector, frames: Frames) -> np.ndarray:
+    """M_beta^T Psi M_alpha: the state in the basis of every frame, as an (F,
+    rows, cols) stack. Every kernel reads the frames through this one
+    rotation; it refuses a state of another filling."""
+    _check_filling(state, frames)
+    return np.swapaxes(frames.M_beta, 1, 2) @ state.amplitudes @ frames.M_alpha
 
 
 # ---------------------------------------------------------------------------
-# Leaf-frame measurements
+# Frame measurements
 # ---------------------------------------------------------------------------
-
-def _rotated_weights(state: Statevector, frames: Sequence[Frame]) -> np.ndarray:
-    """|M_beta^T Psi M_alpha|^2: the state's weights in each frame's basis,
-    stacked."""
-    for frame in frames:
-        _check_filling(state, frame)
-    m_alpha = np.stack([frame.M_alpha for frame in frames])
-    m_beta = np.stack([frame.M_beta for frame in frames])
-    return np.abs(np.swapaxes(m_beta, 1, 2) @ state.amplitudes @ m_alpha) ** 2
-
 
 def _omega0(state: Statevector, weights: np.ndarray) -> np.ndarray:
     n = state.n_spatial
@@ -437,76 +424,6 @@ def _omega_leaves(state: Statevector, weights: np.ndarray) -> np.ndarray:
                + (z_beta.T * weights.sum(axis=2)[:, None, :]) @ z_beta
                + cross + np.swapaxes(cross, 1, 2))
     return (moments - 2.0 * np.eye(n)) / 8.0
-
-
-def measure_densities(state: Statevector, fac: XDFFactorization) -> EigenbasisDensities:
-    """omega0 in the one-body frame and omega in every leaf frame, from one
-    stack of rotated weights."""
-    weights = _rotated_weights(state, fac.frames)
-    return EigenbasisDensities(_omega0(state, weights[0]),
-                               tuple(_omega_leaves(state, weights[1:])))
-
-
-# ---------------------------------------------------------------------------
-# X-DF energy and its angle derivatives
-# ---------------------------------------------------------------------------
-
-def energy(state: Statevector, fac: XDFFactorization) -> float:
-    """Eigenbasis-density energy: offset + F0 . omega0 + sum_t Z_t : omega_t."""
-    omegas = measure_densities(state, fac)
-    total = fac.eff.scalar_offset + float(fac.F0 @ omegas.omega0)
-    for leaf, omega_t in zip(fac.retained_leaves, omegas.omega):
-        total += float(np.sum(leaf.Z * omega_t))
-    return total
-
-
-def apply_hamiltonian(state: Statevector, fac: XDFFactorization) -> np.ndarray:
-    """Action of the (possibly truncated) factorized Hamiltonian on the
-    amplitude block, frame by frame; returns a block of the same shape."""
-    psi = state.amplitudes
-    out = fac.eff.scalar_offset * psi
-    for frame in fac.frames:
-        _check_filling(state, frame)
-        m_alpha, m_beta = frame.M_alpha, frame.M_beta
-        out += m_beta @ (frame.D * (m_beta.T @ psi @ m_alpha)) @ m_alpha.T
-    return out
-
-
-def _full_operator(fabric: GivensFabric, angles: np.ndarray) -> np.ndarray:
-    """Per-spin operator of the fabric gates on all 2^N strings: the direct
-    sum of its operators on every filling."""
-    op = np.zeros((1 << fabric.n, 1 << fabric.n))
-    for filling in range(fabric.n + 1):
-        strings = sector_strings(fabric.n, filling)
-        op[np.ix_(strings, strings)] = _fabric_operators(fabric.n, angles[None], filling)[0]
-    return op
-
-
-def denergy_dtheta_shift(state: Statevector, frame: Frame, g: int) -> float:
-    """Shift-rule energy derivative with respect to one fabric angle of a frame.
-
-    The spin-locked pair is unlocked and each spin's gate is differentiated
-    with the exact two-frequency rule (symmetric differences at pi/4 and
-    pi/2), eight evaluations in total. Every evaluation runs on the embedded
-    2^N x 2^N amplitude matrix with full per-spin operators, built per call.
-    """
-    if not 0 <= g < len(frame.fabric.pivots):
-        raise ValueError(f"angle index {g} out of range")
-    _check_filling(state, frame)
-    n = state.n_spatial
-    psi = state.embed().reshape(1 << n, 1 << n)
-    d_full = _embedded(frame.D, n, frame.n_alpha, frame.n_beta)
-    unshifted = _full_operator(frame.fabric, frame.fabric.angles)
-    total = 0.0
-    for step, coeff in SHIFT_STEPS:
-        for sign in (1.0, -1.0):
-            angles = frame.fabric.angles.copy()
-            angles[g] += sign * step
-            shifted = _full_operator(frame.fabric, angles)
-            # alpha gate shifted (columns), then beta gate shifted (rows)
-            for rotated in (unshifted.T @ psi @ shifted, shifted.T @ psi @ unshifted):
-                total += sign * coeff * float(np.sum(d_full * np.abs(rotated) ** 2))
-    return total
 
 
 @lru_cache(maxsize=64)
@@ -528,17 +445,12 @@ def rotation_generators(n: int, filling: int) -> np.ndarray:
     return _read_only(table)[0]
 
 
-def _frame_responses(state: Statevector,
-                     frames: Sequence[Frame]) -> tuple[tuple[np.ndarray, int], ...]:
+def _frame_responses(state: Statevector, frames: Frames,
+                     rotated: np.ndarray) -> tuple[tuple[np.ndarray, int], ...]:
     """The (F, d, d) stacks R^T Lambda on the alpha strings and R Lambda^T on
-    the beta ones, with R = M_beta^T Psi M_alpha and Lambda = D * conj(R),
+    the beta ones, with R the ``_rotated`` state and Lambda = D * conj(R),
     each with its spin's filling; their sum alone when the fillings are equal."""
-    for frame in frames:
-        _check_filling(state, frame)
-    m_alpha = np.stack([frame.M_alpha for frame in frames])
-    m_beta = np.stack([frame.M_beta for frame in frames])
-    rotated = np.swapaxes(m_beta, 1, 2) @ state.amplitudes @ m_alpha
-    lam = np.stack([frame.D for frame in frames]) * np.conj(rotated)
+    lam = frames.D * np.conj(rotated)
     alpha = np.swapaxes(rotated, 1, 2) @ lam
     beta = rotated @ np.swapaxes(lam, 1, 2)
     if state.n_alpha == state.n_beta:
@@ -546,35 +458,110 @@ def _frame_responses(state: Statevector,
     return (alpha, state.n_alpha), (beta, state.n_beta)
 
 
-def rotation_gradients(state: Statevector, frames: Sequence[Frame]) -> np.ndarray:
+def _rotation_gradients(state: Statevector, frames: Frames,
+                        rotated: np.ndarray) -> np.ndarray:
     """Energy derivative of each frame along every orbital rotation U -> U
     exp(kappa (e_a e_b^T - e_b e_a^T)), a > b, at kappa = 0, as (F, P) rows in
     ``lower_indices(N)`` order. The rotation moves each spin's operator as
     M -> M k_ab (``rotation_generators``), so G = 2 Re sum over spins of
     vec(Y) . k_ab with Y the ``_frame_responses``: one product per spin
-    against the stacked table. A row equals the one-frame call bitwise."""
+    against the stacked table. A row equals the one-frame result bitwise."""
     grad = 0.0
-    for y, filling in _frame_responses(state, frames):
+    for y, filling in _frame_responses(state, frames, rotated):
         table = rotation_generators(state.n_spatial, filling)
-        y = np.real(y).reshape(len(frames), 1, -1)
+        y = np.real(y).reshape(len(y), 1, -1)
         grad = grad + y @ table.reshape(len(table), y.shape[-1]).T
     return 2.0 * grad[:, 0]
 
 
-def angle_gradients(state: Statevector, frames: Sequence[Frame]) -> np.ndarray:
+def measure_densities(state: Statevector, fac: XDFFactorization) -> EigenbasisDensities:
+    """omega0 in the one-body frame, omega in every leaf frame and the
+    orbital-rotation gradients of every frame, all from one rotation of the
+    state into the frame stack."""
+    rotated = _rotated(state, fac.frames)
+    weights = np.abs(rotated) ** 2
+    return EigenbasisDensities(_omega0(state, weights[0]),
+                               tuple(_omega_leaves(state, weights[1:])),
+                               _rotation_gradients(state, fac.frames, rotated))
+
+
+# ---------------------------------------------------------------------------
+# X-DF energy and the angle-route referees
+# ---------------------------------------------------------------------------
+
+def energy(state: Statevector, fac: XDFFactorization) -> float:
+    """Eigenbasis-density energy: offset + F0 . omega0 + sum_t Z_t : omega_t."""
+    omegas = measure_densities(state, fac)
+    total = fac.eff.scalar_offset + float(fac.F0 @ omegas.omega0)
+    for leaf, omega_t in zip(fac.retained_leaves, omegas.omega):
+        total += float(np.sum(leaf.Z * omega_t))
+    return total
+
+
+def apply_hamiltonian(state: Statevector, fac: XDFFactorization) -> np.ndarray:
+    """Action of the (possibly truncated) factorized Hamiltonian on the
+    amplitude block: every frame's term M_beta (D * R) M_alpha^T from one
+    rotation R of the stack, added one at a time in frame order after the
+    offset (``np.add.reduce`` would add a (1, 1) block's terms pairwise, and
+    so round them differently). Returns a block of the same shape."""
+    frames = fac.frames
+    terms = (frames.M_beta @ (frames.D * _rotated(state, frames))
+             @ np.swapaxes(frames.M_alpha, 1, 2))
+    return sum(terms, fac.eff.scalar_offset * state.amplitudes)
+
+
+def _full_operator(fabric: GivensFabric, angles: np.ndarray) -> np.ndarray:
+    """Per-spin operator of the fabric gates on all 2^N strings: the direct
+    sum of its operators on every filling."""
+    op = np.zeros((1 << fabric.n, 1 << fabric.n))
+    for filling in range(fabric.n + 1):
+        strings = sector_strings(fabric.n, filling)
+        op[np.ix_(strings, strings)] = _fabric_operators(fabric.n, angles[None], filling)[0]
+    return op
+
+
+def denergy_dtheta_shift(state: Statevector, frames: Frames, f: int, g: int) -> float:
+    """Shift-rule energy derivative with respect to angle g of frame f.
+
+    The spin-locked pair is unlocked and each spin's gate is differentiated
+    with the exact two-frequency rule (symmetric differences at pi/4 and
+    pi/2), eight evaluations in total. Every evaluation runs on the embedded
+    2^N x 2^N amplitude matrix with full per-spin operators, built per call.
+    """
+    fabric = frames.fabrics[f]
+    if not 0 <= g < len(fabric.pivots):
+        raise ValueError(f"angle index {g} out of range")
+    _check_filling(state, frames)
+    n = state.n_spatial
+    psi = state.embed().reshape(1 << n, 1 << n)
+    d_full = _embedded(frames.D[f], n, frames.n_alpha, frames.n_beta)
+    unshifted = _full_operator(fabric, fabric.angles)
+    total = 0.0
+    for step, coeff in SHIFT_STEPS:
+        for sign in (1.0, -1.0):
+            angles = fabric.angles.copy()
+            angles[g] += sign * step
+            shifted = _full_operator(fabric, angles)
+            # alpha gate shifted (columns), then beta gate shifted (rows)
+            for rotated in (unshifted.T @ psi @ shifted, shifted.T @ psi @ unshifted):
+                total += sign * coeff * float(np.sum(d_full * np.abs(rotated) ** 2))
+    return total
+
+
+def angle_gradients(state: Statevector, frames: Frames) -> np.ndarray:
     """Energy derivatives of each frame with respect to all of its fabric
     angles, one row per frame: the paper's angle route, kept as a referee.
     With Y the ``_frame_responses``, the derivative by gate g is 2 Re
     sum(K_g * P_g Y P_g^T) over the spins (P_g the gates before g, K_g the
     generator of g), from one forward sweep per spin over the frames' shared
-    gate tables. A row equals the one-frame call bitwise.
+    gate tables. A row equals the one-frame result bitwise.
     """
-    angles = np.stack([frame.fabric.angles for frame in frames])
+    angles = np.array([fabric.angles for fabric in frames.fabrics])
     c, s = np.cos(angles)[:, :, None], np.sin(angles)[:, :, None]
     grad = np.zeros(angles.shape)
-    for y, filling in _frame_responses(state, frames):
+    for y, filling in _frame_responses(state, frames, _rotated(state, frames)):
         rows, cols, reads = fabric_tables(state.n_spatial, filling)
-        y = y.reshape(len(frames), -1)
+        y = y.reshape(len(angles), -1)
         for g in range(angles.shape[1]):
             pair_sums = y.take(reads[g], axis=1).sum(axis=2)
             grad[:, g] += 2.0 * np.real(pair_sums[:, 0] - pair_sums[:, 1])

@@ -9,12 +9,11 @@ yielding the diagonal two-body couplings Z = g * outer(lambda, lambda).
 The leaves are built as stacks: one ``np.linalg.eigh`` over all leaf
 eigen-matrices and one sign fix over all of their frames.
 
-A factorization carries its measurement frames, built once on construction:
-the one-body frame first, then one per retained leaf, each from the Givens
-fabric of its orbital frame and for the electron filling (``qsim.Frame``).
-One ``givens.decompose`` call takes the one-body and retained-leaf orbital
-frames as one stack, and ``qsim.build_frames`` builds all of their
-operators in one sweep per spin filling.
+A factorization carries its measurement frames, built once on construction
+as one ``qsim.Frames`` stack for the electron filling: the one-body frame
+first, then one per retained leaf. One ``givens.decompose`` call takes the
+one-body and retained-leaf orbital frames as one stack, and the stack's
+operators come from one sweep per spin filling.
 """
 
 from __future__ import annotations
@@ -26,7 +25,7 @@ import numpy as np
 
 from .givens import decompose
 from .hammodel import EffectiveOperators, Hamiltonian, effective_operators
-from .qsim import Frame, build_frames, leaf_energies, one_body_energy
+from .qsim import Frames, leaf_energies, one_body_energy
 
 __all__ = [
     "XDFLeaf",
@@ -101,7 +100,7 @@ class XDFFactorization:
 
     Leaves are sorted by descending |g|; the retained set is the length-T
     prefix. Discarded leaves stay available as data: the inter-leaf response
-    couples retained to discarded frames. ``frames`` holds the one-body frame
+    couples retained to discarded frames. ``frames`` stacks the one-body frame
     and then the frame of each retained leaf.
     """
 
@@ -113,7 +112,7 @@ class XDFFactorization:
     F0: np.ndarray
     leaves: tuple[XDFLeaf, ...]
     retained: int
-    frames: tuple[Frame, ...] = field(init=False, repr=False)
+    frames: Frames = field(init=False, repr=False)
 
     def __post_init__(self):
         for name in ("U0", "F0"):
@@ -126,7 +125,7 @@ class XDFFactorization:
         couplings = np.array([leaf.Z for leaf in self.retained_leaves]).reshape(-1, n, n)
         energies = np.concatenate([one_body_energy(self.F0, *filling)[None],
                                    leaf_energies(couplings, *filling)])
-        object.__setattr__(self, "frames", build_frames(fabrics, energies, *filling))
+        object.__setattr__(self, "frames", Frames(fabrics, *filling, energies))
 
     @property
     def n_leaves(self) -> int:

@@ -73,18 +73,33 @@ def from_full(amps: np.ndarray, n: int) -> qsim.Statevector:
     return qsim.Statevector(n, n_alpha, n_beta, block)
 
 
-def fabric_frame(fabric: givens.GivensFabric, state: qsim.Statevector) -> qsim.Frame:
-    """Frame of an arbitrary fabric for the filling of ``state``, with a zero
+def fabric_frame(fabric: givens.GivensFabric, state: qsim.Statevector) -> qsim.Frames:
+    """One-fabric frame stack for the filling of ``state``, with a zero
     energy operator."""
-    return qsim.build_frames((fabric,), np.zeros((1, *state.amplitudes.shape)),
-                             state.n_alpha, state.n_beta)[0]
+    return qsim.Frames((fabric,), state.n_alpha, state.n_beta,
+                       np.zeros((1, *state.amplitudes.shape)))
 
 
-def rotate_state(state: qsim.Statevector, frame: qsim.Frame,
+def frame_subset(frames: qsim.Frames, members) -> qsim.Frames:
+    """The stack of the given members of a frame stack, in that order, built
+    on its own."""
+    members = list(members)
+    return qsim.Frames(tuple(frames.fabrics[f] for f in members), frames.n_alpha,
+                       frames.n_beta, frames.D[members])
+
+
+def stack_measure(state: qsim.Statevector, frames: qsim.Frames) -> qsim.EigenbasisDensities:
+    """``qsim.measure_densities`` on a bare frame stack: the first member
+    stands for the one-body frame, the rest for leaf frames."""
+    return qsim.measure_densities(state, SimpleNamespace(frames=frames))
+
+
+def rotate_state(state: qsim.Statevector, frames: qsim.Frames, f: int = 0,
                  dagger: bool = False) -> qsim.Statevector:
-    """Spin-locked fabric circuit of a frame through its operators:
-    Psi -> M_beta Psi M_alpha^T, or M_beta^T Psi M_alpha for the dagger."""
-    m_alpha, m_beta = frame.M_alpha, frame.M_beta
+    """Spin-locked fabric circuit of member f of a frame stack through its
+    operators: Psi -> M_beta Psi M_alpha^T, or M_beta^T Psi M_alpha for the
+    dagger."""
+    m_alpha, m_beta = frames.M_alpha[f], frames.M_beta[f]
     psi = state.amplitudes
     out = m_beta.T @ psi @ m_alpha if dagger else m_beta @ psi @ m_alpha.T
     return qsim.Statevector(state.n_spatial, state.n_alpha, state.n_beta, out)
@@ -93,8 +108,19 @@ def rotate_state(state: qsim.Statevector, frame: qsim.Frame,
 def frame_densities(state: qsim.Statevector, fabrics) -> qsim.EigenbasisDensities:
     """``qsim.measure_densities`` in the frames of arbitrary fabrics: the first
     stands for the one-body frame, the rest for leaf frames."""
-    frames = tuple(fabric_frame(fabric, state) for fabric in fabrics)
-    return qsim.measure_densities(state, SimpleNamespace(frames=frames))
+    frames = qsim.Frames(tuple(fabrics), state.n_alpha, state.n_beta,
+                         np.zeros((len(fabrics), *state.amplitudes.shape)))
+    return stack_measure(state, frames)
+
+
+def loop_apply_hamiltonian(state: qsim.Statevector, fac: xdf.XDFFactorization) -> np.ndarray:
+    """``qsim.apply_hamiltonian`` as the running sum over frames that the
+    stacked expression replaced, kept verbatim as its bitwise referee."""
+    psi = state.amplitudes
+    out = fac.eff.scalar_offset * psi
+    for m_alpha, m_beta, d in zip(fac.frames.M_alpha, fac.frames.M_beta, fac.frames.D):
+        out += m_beta @ (d * (m_beta.T @ psi @ m_alpha)) @ m_alpha.T
+    return out
 
 
 def rotate_pair(rows: np.ndarray, a: np.ndarray, b: np.ndarray, theta: float) -> None:
@@ -274,10 +300,10 @@ def pinv_solve(a: np.ndarray, rhs: np.ndarray) -> np.ndarray:
 def ref_angle_eta(state: qsim.Statevector, frames) -> tuple[np.ndarray, np.ndarray]:
     """The (F, N, N) strictly-lower eta stack of the frames and the max-abs
     residual of each frame's solve."""
-    n = frames[0].fabric.n
-    jacs = givens.jacobian([frame.fabric for frame in frames])
-    etas = np.zeros((len(frames), n, n))
-    residuals = np.zeros(len(frames))
+    n = frames.fabrics[0].n
+    jacs = givens.jacobian(frames.fabrics)
+    etas = np.zeros((len(frames.fabrics), n, n))
+    residuals = np.zeros(len(frames.fabrics))
     for f, (jac, rhs) in enumerate(zip(jacs, -qsim.angle_gradients(state, frames),
                                        strict=True)):
         eta_vec = pinv_solve(jac, rhs)
@@ -457,9 +483,9 @@ def ref_apply_hamiltonian(amps: np.ndarray, fac: xdf.XDFFactorization) -> np.nda
     for leaf in fac.retained_leaves:
         z_mat = leaf.Z
         diags.append(0.125 * np.einsum("xk,kl,xl->x", z, z_mat, z) - 0.25 * np.trace(z_mat))
-    for frame, diag in zip(fac.frames, diags, strict=True):
-        rotated = ref_apply_fabric(amps, n, frame.fabric, dagger=True)
-        out += ref_apply_fabric(diag * rotated, n, frame.fabric)
+    for fabric, diag in zip(fac.frames.fabrics, diags, strict=True):
+        rotated = ref_apply_fabric(amps, n, fabric, dagger=True)
+        out += ref_apply_fabric(diag * rotated, n, fabric)
     return out
 
 
@@ -469,12 +495,12 @@ def ref_densities(amps: np.ndarray, fac: xdf.XDFFactorization):
     n = fac.n_orbitals
     bits = qsim.string_bits(2 * n).astype(float)
     z = 2.0 - 2.0 * (bits[:, :n] + bits[:, n:])
-    frame0, *leaf_frames = fac.frames
-    weights = np.abs(ref_apply_fabric(amps, n, frame0.fabric, dagger=True)) ** 2
+    fabric0, *leaf_fabrics = fac.frames.fabrics
+    weights = np.abs(ref_apply_fabric(amps, n, fabric0, dagger=True)) ** 2
     omega0 = -0.5 * (weights @ z)
     omegas = []
-    for frame in leaf_frames:
-        weights = np.abs(ref_apply_fabric(amps, n, frame.fabric, dagger=True)) ** 2
+    for fabric in leaf_fabrics:
+        weights = np.abs(ref_apply_fabric(amps, n, fabric, dagger=True)) ** 2
         omegas.append(((z.T * weights) @ z - 2.0 * np.eye(n)) / 8.0)
     return omega0, omegas
 

@@ -188,6 +188,17 @@ def test_exit_code_usage_error(fcidump_n3, tmp_path, capsys, argv, flag):
     (["verify", "--perturbations", "0"], "--perturbations"),
     (["path", "--mass", "0"], "--mass"),
     (["path", "--steps", "0"], "--steps"),
+    # non-finite values: each was accepted, or failed later with another code
+    (["rdm", "--threshold", "nan"], "--threshold"),
+    (["rdm", "--threshold", "inf"], "--threshold"),
+    (["vqe", "--tol", "inf"], "--tol"),
+    (["rdm", "--tol", "inf"], "--tol"),
+    (["path", "--steps", "2", "--mass", "inf"], "--mass"),
+    (["path", "--steps", "2", "--dt", "nan"], "--dt"),
+    (["path", "--steps", "2", "--dt", "inf"], "--dt"),
+    (["path", "--steps", "2", "--s0", "nan"], "--s0"),
+    (["path", "--steps", "2", "--v0", "nan"], "--v0"),
+    (["path", "--steps", "2", "--v0", "inf"], "--v0"),
 ])
 def test_exit_code_bad_flag_value(fcidump_n3, tmp_path, argv, flag):
     if argv[0] == "path":
@@ -199,8 +210,9 @@ def test_exit_code_bad_flag_value(fcidump_n3, tmp_path, argv, flag):
 
 def test_exit_code_nonconvergence(fcidump_n3, tmp_path):
     # zero optimizer iterations leaves the random start non-stationary
-    code, payload = _run(["vqe", "--fcidump", fcidump_n3, "--layers", "2",
-                          "--tol", "1e-9", "--maxiter", "0", "--seed", "0"], tmp_path)
+    with pytest.warns(UserWarning, match="optimizer stalled"):
+        code, payload = _run(["vqe", "--fcidump", fcidump_n3, "--layers", "2",
+                              "--tol", "1e-9", "--maxiter", "0", "--seed", "0"], tmp_path)
     assert code == 3
     assert "error" in payload
 

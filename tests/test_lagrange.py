@@ -38,8 +38,8 @@ def test_gradient_zero_for_rotation_invariant_state():
     ham = synth_hamiltonian(3, 0, 0, 2)
     fac = factorize(ham, TruncationPolicy.exact())
     vacuum = qsim.hf_reference(3, 0, 0)
-    grads = qsim.rotation_gradients(vacuum, fac.frames)
-    assert grads.shape == (len(fac.frames), 3)
+    grads = qsim.measure_densities(vacuum, fac).gradients
+    assert grads.shape == (len(fac.frames.fabrics), 3)
     assert np.max(np.abs(grads)) < 1e-12
     _, mult = lagrange.measure_and_solve(fac, vacuum)
     assert max(np.max(np.abs(mu)) for mu in (mult.mu0, *mult.mu)) < 1e-12
@@ -50,7 +50,7 @@ def test_gradient_zero_for_diagonal_one_body_hf():
     ham = zero_two_body(3, 1, 1, [-2.0, -1.0, 0.5])
     fac = factorize(ham, TruncationPolicy.exact())
     state = qsim.hf_reference(3, 1, 1)
-    (grad,) = qsim.rotation_gradients(state, fac.frames[:1])
+    grad = qsim.measure_densities(state, fac).gradients[0]
     assert np.max(np.abs(grad)) < 1e-12
     assert np.max(np.abs(solve_mu(grad, fac.F0))) < 1e-12
 
@@ -58,14 +58,13 @@ def test_gradient_zero_for_diagonal_one_body_hf():
 def test_gradient_scalar_closed_form_n2():
     # at N=2, U exp(kappa K_10) is the fabric at theta + kappa: G is dE/dtheta
     _, fac, state = _stationary_pipeline(2, 1, 1, 7)
-    frame = fac.frames[0]
-    de = qsim.denergy_dtheta_shift(state, frame, 0)
-    (grad,) = qsim.rotation_gradients(state, (frame,))
+    de = qsim.denergy_dtheta_shift(state, fac.frames, 0, 0)
+    grad = qsim.measure_densities(state, fac).gradients[0]
     assert abs(grad[0] - de) < 1e-12
     mu = solve_mu(grad, fac.F0)
     assert abs(mu[1, 0] - (-de / (fac.F0[1] - fac.F0[0]))) < 1e-12
     # the angle route's closed form: eta = -dE/dtheta / J, mu from U^T eta
-    eta = np.array([[0.0, 0.0], [-de / givens.jacobian(frame.fabric)[0, 0], 0.0]])
+    eta = np.array([[0.0, 0.0], [-de / givens.jacobian(fac.frames.fabrics[0])[0, 0], 0.0]])
     x = fac.U0.T @ eta
     assert abs(mu[1, 0] - (x[1, 0] - x[0, 1]) / (fac.F0[1] - fac.F0[0])) < 1e-12
 
@@ -75,27 +74,27 @@ def test_eta_residual_random_fixture():
     _, fac, state = _stationary_pipeline(3, 2, 1, 4)
     gradients = qsim.angle_gradients(state, fac.frames)
     etas, residuals = ref_angle_eta(state, fac.frames)
-    for frame, de_dtheta, eta, residual in zip(fac.frames, gradients, etas, residuals,
-                                               strict=True):
-        jac = givens.jacobian(frame.fabric)
+    for f, (fabric, de_dtheta, eta, residual) in enumerate(
+            zip(fac.frames.fabrics, gradients, etas, residuals, strict=True)):
+        jac = givens.jacobian(fabric)
         eta_vec = eta[np.tril_indices(fac.n_orbitals, -1)]
         rhs = -de_dtheta
-        shift_rhs = -np.array([qsim.denergy_dtheta_shift(state, frame, g)
-                               for g in range(len(frame.fabric.pivots))])
+        shift_rhs = -np.array([qsim.denergy_dtheta_shift(state, fac.frames, f, g)
+                               for g in range(len(fabric.pivots))])
         assert np.max(np.abs(rhs - shift_rhs)) < 1e-10
         assert np.max(np.abs(jac @ eta_vec - rhs)) < 1e-10
         assert residual == np.max(np.abs(jac @ eta_vec - rhs))
 
 
-def _counting_gradients(monkeypatch):
-    """Record the frames of every ``qsim.rotation_gradients`` call."""
-    swept, real = [], qsim.rotation_gradients
+def _counting_rotations(monkeypatch):
+    """Record the frame stack of every rotation of a state into frames."""
+    swept, real = [], qsim._rotated
 
     def counting(state, frames):
-        swept.append(tuple(frames))
+        swept.append(frames)
         return real(state, frames)
 
-    monkeypatch.setattr(qsim, "rotation_gradients", counting)
+    monkeypatch.setattr(qsim, "_rotated", counting)
     return swept
 
 
@@ -107,7 +106,7 @@ def test_rotation_gradients_build_no_fabric_operator(monkeypatch):
         raise AssertionError("fabric operator built during the multiplier solve")
 
     monkeypatch.setattr(qsim, "_fabric_operators", refuse)
-    swept = _counting_gradients(monkeypatch)
+    swept = _counting_rotations(monkeypatch)
     _, got = lagrange.measure_and_solve(fac, state)
     assert swept == [fac.frames]
     for mu, got_mu in zip((expected.mu0, *expected.mu), (got.mu0, *got.mu), strict=True):
@@ -116,12 +115,15 @@ def test_rotation_gradients_build_no_fabric_operator(monkeypatch):
 
 @pytest.mark.parametrize("ablate", [None, "eta0", "etat", "nu"])
 def test_measure_and_solve_sweeps_the_solved_frames_once(monkeypatch, ablate):
+    # one rotation serves the densities and every frame's gradients
     _, fac, state = _stationary_pipeline(3, 2, 1, 4)
-    swept = _counting_gradients(monkeypatch)
+    _, full = lagrange.measure_and_solve(fac, state)
+    swept = _counting_rotations(monkeypatch)
     _, multipliers = lagrange.measure_and_solve(fac, state, ablate)
-    assert swept == [fac.frames[:1] if ablate == "etat" else fac.frames]
+    assert swept == [fac.frames]
     if ablate == "etat":
         assert all(not np.any(mu) for mu in multipliers.mu)
+        assert multipliers.mu0.tobytes() == full.mu0.tobytes()
 
 
 def test_eta_warns_on_nonstationary_state():
@@ -166,7 +168,8 @@ def test_nu_zero_cases():
     _, fac, _ = _stationary_pipeline(3, 1, 1, 2)
     n = fac.n_orbitals
     omegas = EigenbasisDensities(np.zeros(n),
-                                 tuple(np.zeros((n, n)) for _ in range(fac.retained)))
+                                 tuple(np.zeros((n, n)) for _ in range(fac.retained)),
+                                 np.zeros((fac.retained + 1, 3)))
     mus = tuple(np.zeros((n, n)) for _ in range(fac.retained))
     nu = solve_nu(fac, omegas, mus)
     assert np.max(np.abs(nu)) == 0.0
@@ -189,7 +192,7 @@ def test_nu_structural_zeros_beyond_retained():
 def test_relaxed_gamma_hf_identity_frame():
     ham = zero_two_body(2, 1, 1, [-1.0, 1.0])
     fac = factorize(ham, TruncationPolicy.exact())
-    omegas = EigenbasisDensities(np.array([1.0, -1.0]), tuple())
+    omegas = EigenbasisDensities(np.array([1.0, -1.0]), tuple(), np.zeros((fac.retained + 1, 1)))
     gamma, gamma_sym = relaxed_gamma(fac, omegas, np.zeros((2, 2)))
     np.testing.assert_allclose(gamma, np.diag([2.0, 0.0]), atol=1e-14)
     np.testing.assert_allclose(gamma_sym, gamma, atol=1e-15)
@@ -200,7 +203,8 @@ def test_relaxed_Gamma_identity_terms_only():
     fac = factorize(ham, TruncationPolicy.exact())
     n = 3
     omegas = EigenbasisDensities(np.zeros(n),
-                                 tuple(np.zeros((n, n)) for _ in range(fac.retained)))
+                                 tuple(np.zeros((n, n)) for _ in range(fac.retained)),
+                                 np.zeros((fac.retained + 1, 3)))
     nu = np.zeros((fac.n_leaves, fac.n_leaves))
     big, big_sym = relaxed_Gamma(fac, omegas, nu, np.zeros((n, n)))
     eye = np.eye(n)
@@ -236,17 +240,16 @@ def test_gauge_distinct_fabrics_give_one_frame():
                givens.GivensFabric(4, np.pi * np.array([0, 0.25, 0.5, 0, -0.5, -0.25])))
     assert np.max(np.abs(givens.reconstruct(fabrics) - u)) < 1e-15
     for na, nb in ((2, 2), (1, 3)):
-        first, second = qsim.build_frames(
-            fabrics, np.zeros((2, *qsim.sector_shape(4, na, nb))), na, nb)
-        assert np.max(np.abs(first.M_alpha - second.M_alpha)) < 1e-14
-        assert np.max(np.abs(first.M_beta - second.M_beta)) < 1e-14
+        frames = qsim.Frames(fabrics, na, nb, np.zeros((2, *qsim.sector_shape(4, na, nb))))
+        assert np.max(np.abs(frames.M_alpha[0] - frames.M_alpha[1])) < 1e-14
+        assert np.max(np.abs(frames.M_beta[0] - frames.M_beta[1])) < 1e-14
 
 
 @pytest.mark.parametrize("n,na,nb,seed", [*KERNEL_CASES, *FILLING_CASES])
 def test_angle_route_mu_matches_chart_free(n, na, nb, seed):
     _, fac, state = _stationary_pipeline(n, na, nb, seed)
     _, mult = lagrange.measure_and_solve(fac, state)
-    conds = np.linalg.cond(givens.jacobian([frame.fabric for frame in fac.frames]))
+    conds = np.linalg.cond(givens.jacobian(fac.frames.fabrics))
     compared = 0
     for mu, ref, cond in zip((mult.mu0, *mult.mu), ref_angle_mu(fac, state), conds,
                              strict=True):
@@ -352,7 +355,7 @@ def test_ablation_modes_zero_the_right_pieces():
 def test_no_retained_leaves_leaves_only_the_one_body_frame():
     ham = synth_hamiltonian(3, 1, 1, 2)
     fac = factorize(ham, TruncationPolicy.by_count(0))
-    assert fac.retained == 0 and len(fac.frames) == 1
+    assert fac.retained == 0 and len(fac.frames.fabrics) == 1
     state, _ = vqe.exact_ground_state(fac)
     rdms, mult = reconstruct_rdms(fac, state)
     assert mult.mu == ()
@@ -371,7 +374,7 @@ def test_stacked_chain_matches_per_frame_loops(n, na, nb, seed, count):
     fac = factorize(synth_hamiltonian(n, na, nb, seed), policy)
     state = random_sector_state(fac, seed + 3)
     omegas, mult = lagrange.measure_and_solve(fac, state)
-    grads = qsim.rotation_gradients(state, fac.frames)
+    grads = omegas.gradients
     spectra = [fac.F0] + [leaf.lam for leaf in fac.retained_leaves]
     for grad, mu, spectrum in zip(grads, (mult.mu0, *mult.mu), spectra, strict=True):
         spread = float(np.max(spectrum) - np.min(spectrum))

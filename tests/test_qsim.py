@@ -24,8 +24,10 @@ from _common import (
     electron_counts,
     fabric_frame,
     frame_densities,
+    frame_subset,
     from_full,
     identity_fabric,
+    loop_apply_hamiltonian,
     random_sector_state,
     random_special_orthogonal,
     ref_apply_fabric,
@@ -36,6 +38,7 @@ from _common import (
     ref_rotate_pair,
     rotate_pair,
     rotate_state,
+    stack_measure,
     symmetrize,
     table_gate,
     zero_two_body,
@@ -69,8 +72,8 @@ def test_hf_reference_rejects_overflow():
 def test_identity_fabric_leaves_state_unchanged():
     state = hf_reference(3, 2, 1)
     frame = fabric_frame(identity_fabric(3), state)
-    np.testing.assert_array_equal(frame.M_alpha, np.eye(3))
-    np.testing.assert_array_equal(frame.M_beta, np.eye(3))
+    np.testing.assert_array_equal(frame.M_alpha[0], np.eye(3))
+    np.testing.assert_array_equal(frame.M_beta[0], np.eye(3))
     out = rotate_state(state, frame)
     np.testing.assert_array_equal(out.amplitudes, state.amplitudes)
 
@@ -92,7 +95,7 @@ def test_gates_preserve_norm_and_sector(seed):
     state = random_sector_state(fac, seed)
     assert abs(state.norm() - 1.0) < 1e-12
     assert electron_counts(state.embed(), 3) == (2, 1)
-    rotated = rotate_state(state, fac.frames[0])
+    rotated = rotate_state(state, fac.frames)
     assert abs(rotated.norm() - 1.0) < 1e-12
     assert electron_counts(rotated.embed(), 3) == (2, 1)
     table = qsim.ansatz_table(3, 2, 1, (0, 1))  # gates: alpha, beta, exchange per pivot
@@ -125,8 +128,7 @@ def test_omega0_sum_rule(n, na, nb, seed):
 def test_omega0_rotation_then_inverse():
     fac = factorize(synth_hamiltonian(3, 1, 1, 9), TruncationPolicy.exact())
     state = random_sector_state(fac, 5)
-    frame = fac.frames[0]
-    rotated = rotate_state(rotate_state(state, frame), frame, dagger=True)
+    rotated = rotate_state(rotate_state(state, fac.frames), fac.frames, dagger=True)
     identity = [identity_fabric(3)]
     np.testing.assert_allclose(frame_densities(rotated, identity).omega0,
                                frame_densities(state, identity).omega0, atol=1e-12)
@@ -210,10 +212,9 @@ def test_shift_rule_zero_for_unsupported_angle():
     ham = zero_two_body(3, 1, 1, [-2.0, -1.0, 0.5])
     fac = factorize(ham, TruncationPolicy.exact())
     state = hf_reference(3, 1, 1)
-    frame = fac.frames[0]
     # identity fabric here: angles are zero, pivot 1 is slot index 1
-    assert frame.fabric.pivots[1] == (1, 2)
-    assert abs(denergy_dtheta_shift(state, frame, 1)) < 1e-14
+    assert fac.frames.fabrics[0].pivots[1] == (1, 2)
+    assert abs(denergy_dtheta_shift(state, fac.frames, 0, 1)) < 1e-14
 
 
 @pytest.mark.parametrize("seed", [0, 4])
@@ -221,11 +222,10 @@ def test_shift_rule_every_angle_every_leaf(seed):
     fac = factorize(synth_hamiltonian(3, 2, 1, 4), TruncationPolicy.exact())
     state = random_sector_state(fac, seed + 99)
     sweeps = angle_gradients(state, fac.frames)
-    assert sweeps.shape == (len(fac.frames), len(fac.frames[0].fabric.pivots))
-    for k, (frame, sweep) in enumerate(zip(fac.frames, sweeps, strict=True)):
-        fabric = frame.fabric
+    assert sweeps.shape == (len(fac.frames.fabrics), len(fac.frames.fabrics[0].pivots))
+    for k, (fabric, sweep) in enumerate(zip(fac.frames.fabrics, sweeps, strict=True)):
         for g in range(len(fabric.pivots)):
-            shift = denergy_dtheta_shift(state, frame, g)
+            shift = denergy_dtheta_shift(state, fac.frames, k, g)
             assert abs(shift - sweep[g]) < 1e-10
 
             step = 1e-5
@@ -250,10 +250,10 @@ def _frame_energy(state, fac, k, fabric):
 def test_shift_rule_rejects_bad_indices():
     fac = factorize(synth_hamiltonian(3, 1, 1, 2), TruncationPolicy.by_count(2))
     state = hf_reference(3, 1, 1)
-    for frame in fac.frames:
+    for f in range(len(fac.frames.fabrics)):
         for g in (-1, 3, 99):
             with pytest.raises(ValueError):
-                denergy_dtheta_shift(state, frame, g)
+                denergy_dtheta_shift(state, fac.frames, f, g)
 
 
 @pytest.mark.parametrize("n,na,nb,seed", [(3, 2, 1, 4), (4, 2, 2, 13), *FILLING_CASES])
@@ -263,8 +263,9 @@ def test_angle_gradient_complex_state_matches_shift_rule(n, na, nb, seed):
     imag_part = random_sector_state(fac, seed + 2).amplitudes
     amps = real_part + 1j * imag_part
     state = Statevector(n, na, nb, amps / np.linalg.norm(amps))
-    for frame, sweep in zip(fac.frames, angle_gradients(state, fac.frames), strict=True):
-        shift = [denergy_dtheta_shift(state, frame, g) for g in range(len(frame.fabric.pivots))]
+    sweeps = angle_gradients(state, fac.frames)
+    for f, (fabric, sweep) in enumerate(zip(fac.frames.fabrics, sweeps, strict=True)):
+        shift = [denergy_dtheta_shift(state, fac.frames, f, g) for g in range(len(fabric.pivots))]
         assert np.max(np.abs(sweep - shift), initial=0.0) < 1e-10
 
 
@@ -320,11 +321,11 @@ def _embedded(block: np.ndarray, state: Statevector) -> np.ndarray:
 def test_fabric_matches_reference_kernel(n, na, nb, seed):
     fac = factorize(synth_hamiltonian(n, na, nb, seed), TruncationPolicy.exact())
     state = random_sector_state(fac, seed + 20)
-    for frame in (*fac.frames[:2],
-                  fabric_frame(givens.decompose(random_special_orthogonal(n, seed)), state)):
+    custom = fabric_frame(givens.decompose(random_special_orthogonal(n, seed)), state)
+    for frames, f in ((fac.frames, 0), (fac.frames, 1), (custom, 0)):
         for dagger in (False, True):
-            out = rotate_state(state, frame, dagger=dagger)
-            ref = ref_apply_fabric(state.embed(), n, frame.fabric, dagger=dagger)
+            out = rotate_state(state, frames, f, dagger=dagger)
+            ref = ref_apply_fabric(state.embed(), n, frames.fabrics[f], dagger=dagger)
             assert np.max(np.abs(out.embed() - ref)) <= 1e-12
 
 
@@ -334,7 +335,7 @@ def test_fabric_matches_reference_kernel_n8():
     frame = fabric_frame(givens.decompose(random_special_orthogonal(8, 5)), state)
     for dagger in (False, True):
         out = rotate_state(state, frame, dagger=dagger)
-        ref = ref_apply_fabric(state.embed(), 8, frame.fabric, dagger=dagger)
+        ref = ref_apply_fabric(state.embed(), 8, frame.fabrics[0], dagger=dagger)
         assert np.max(np.abs(out.embed() - ref)) <= 1e-12
 
 
@@ -348,6 +349,32 @@ def test_apply_hamiltonian_matches_reference_kernel(n, na, nb, seed):
         assert out.shape == state.amplitudes.shape
         ref = ref_apply_hamiltonian(state.embed(), fac)
         assert np.max(np.abs(_embedded(out, state) - ref)) <= 1e-12
+
+
+@pytest.mark.parametrize("n,na,nb,seed", [*BLOCK_CASES, (8, 4, 4, 3)])
+def test_stacked_hamiltonian_equals_per_frame_loop(n, na, nb, seed):
+    ham = synth_hamiltonian(n, na, nb, seed)
+    for policy in (TruncationPolicy.exact(), TruncationPolicy.by_count(2)):
+        fac = factorize(ham, policy)
+        real = random_sector_state(fac, seed + 30, n_rounds=1)
+        amps = real.amplitudes + 0.5j * random_sector_state(fac, seed + 31, n_rounds=1).amplitudes
+        for state in (real, Statevector(n, na, nb, amps / np.linalg.norm(amps))):
+            out = qsim.apply_hamiltonian(state, fac)
+            assert out.tobytes() == loop_apply_hamiltonian(state, fac).tobytes()
+
+
+def test_apply_hamiltonian_rotates_once(monkeypatch):
+    fac = factorize(synth_hamiltonian(3, 2, 1, 3), TruncationPolicy.exact())
+    state = random_sector_state(fac, 12)
+    rotations, real = [], qsim._rotated
+
+    def counting(state, frames):
+        rotations.append(frames)
+        return real(state, frames)
+
+    monkeypatch.setattr(qsim, "_rotated", counting)
+    qsim.apply_hamiltonian(state, fac)
+    assert rotations == [fac.frames]
 
 
 @pytest.mark.parametrize("n,na,nb,seed", BLOCK_CASES)
@@ -455,20 +482,22 @@ def test_angle_gradients_rows_equal_one_frame_calls(n, na, nb, seed):
     amps = real.amplitudes + 0.5j * random_sector_state(fac, seed + 4).amplitudes
     for state in (real, Statevector(n, na, nb, amps / np.linalg.norm(amps))):
         sweeps = angle_gradients(state, fac.frames)
-        for frame, row in zip(fac.frames, sweeps, strict=True):
-            np.testing.assert_array_equal(row, angle_gradients(state, (frame,))[0])
-        np.testing.assert_array_equal(angle_gradients(state, fac.frames[::-1]), sweeps[::-1])
+        for f, row in enumerate(sweeps):
+            np.testing.assert_array_equal(
+                row, angle_gradients(state, frame_subset(fac.frames, [f]))[0])
+        backwards = frame_subset(fac.frames, reversed(range(len(sweeps))))
+        np.testing.assert_array_equal(angle_gradients(state, backwards), sweeps[::-1])
 
 
-def _rotated_frame_energy(state, frame, u, a, b, t):
-    """Energy of a frame whose orbitals U move to U exp(t (e_a e_b^T - e_b
-    e_a^T)), its fabric rebuilt from scratch."""
+def _rotated_frame_energy(state, frames, f, u, a, b, t):
+    """Energy of frame f of a stack whose orbitals U move to U exp(t (e_a
+    e_b^T - e_b e_a^T)), its fabric rebuilt from scratch."""
     k = np.zeros(u.shape)
     k[a, b], k[b, a] = 1.0, -1.0
     fabric = givens.decompose(u @ scipy.linalg.expm(t * k))
-    moved, = qsim.build_frames((fabric,), frame.D[None], frame.n_alpha, frame.n_beta)
-    return float(np.sum(frame.D * np.abs(moved.M_beta.T @ state.amplitudes
-                                         @ moved.M_alpha) ** 2))
+    moved = qsim.Frames((fabric,), frames.n_alpha, frames.n_beta, frames.D[f:f + 1])
+    return float(np.sum(moved.D[0] * np.abs(moved.M_beta[0].T @ state.amplitudes
+                                            @ moved.M_alpha[0]) ** 2))
 
 
 @pytest.mark.parametrize("n,na,nb,seed", [(3, 2, 1, 4), (4, 1, 3, 5), (4, 2, 2, 13)])
@@ -477,10 +506,11 @@ def test_rotation_gradients_match_five_point_differences(n, na, nb, seed):
     state = random_sector_state(fac, seed + 5)
     orbitals = [fac.U0] + [leaf.U for leaf in fac.retained_leaves]
     step = 1e-3
-    for frame, u, grad in zip(fac.frames, orbitals, qsim.rotation_gradients(state, fac.frames),
-                              strict=True):
+    grads = measure_densities(state, fac).gradients
+    for f, (u, grad) in enumerate(zip(orbitals, grads, strict=True)):
         for p, (a, b) in enumerate(zip(*givens.lower_indices(n))):
-            e = [_rotated_frame_energy(state, frame, u, a, b, k * step) for k in (-2, -1, 1, 2)]
+            e = [_rotated_frame_energy(state, fac.frames, f, u, a, b, k * step)
+                 for k in (-2, -1, 1, 2)]
             fd = (e[0] - 8.0 * e[1] + 8.0 * e[2] - e[3]) / (12.0 * step)
             assert abs(grad[p] - fd) < 1e-9
 
@@ -512,11 +542,12 @@ def test_rotation_gradients_rows_equal_one_frame_calls(n, na, nb, seed):
     real = random_sector_state(fac, seed + 3)
     amps = real.amplitudes + 0.5j * random_sector_state(fac, seed + 4).amplitudes
     for state in (real, Statevector(n, na, nb, amps / np.linalg.norm(amps))):
-        grads = qsim.rotation_gradients(state, fac.frames)
-        for frame, row in zip(fac.frames, grads, strict=True):
-            assert row.tobytes() == qsim.rotation_gradients(state, (frame,))[0].tobytes()
-        assert qsim.rotation_gradients(state, fac.frames[::-1]).tobytes() == \
-            grads[::-1].tobytes()
+        grads = measure_densities(state, fac).gradients
+        for f, row in enumerate(grads):
+            one = stack_measure(state, frame_subset(fac.frames, [f])).gradients
+            assert row.tobytes() == one[0].tobytes()
+        backwards = frame_subset(fac.frames, reversed(range(len(grads))))
+        assert stack_measure(state, backwards).gradients.tobytes() == grads[::-1].tobytes()
 
 
 @pytest.mark.parametrize("n,na,nb,seed", BLOCK_CASES)
@@ -542,7 +573,9 @@ def test_kernels_refuse_a_state_of_another_filling():
         with pytest.raises(ValueError, match="filling"):
             kernel(swapped, fac)
     with pytest.raises(ValueError, match="filling"):
-        angle_gradients(swapped, fac.frames[:1])
+        angle_gradients(swapped, fac.frames)
+    with pytest.raises(ValueError, match="filling"):
+        denergy_dtheta_shift(swapped, fac.frames, 0, 0)
 
 
 # Frames: built once per factorization, one-body first, then retained leaves.
@@ -551,21 +584,33 @@ def test_kernels_refuse_a_state_of_another_filling():
 @pytest.mark.parametrize("policy", [TruncationPolicy.exact(), TruncationPolicy.by_count(2)])
 def test_frames_follow_the_factorization(policy):
     fac = factorize(synth_hamiltonian(4, 2, 2, 13), policy)
-    assert len(fac.frames) == fac.retained + 1
+    frames = fac.frames
+    assert len(frames.fabrics) == fac.retained + 1
+    assert frames.D.shape == (fac.retained + 1, *qsim.sector_shape(4, 2, 2))
+    assert frames.M_alpha.shape == frames.M_beta.shape == (fac.retained + 1, 6, 6)
     orbitals = [fac.U0] + [leaf.U for leaf in fac.retained_leaves]
-    for frame, u in zip(fac.frames, orbitals, strict=True):
-        assert np.max(np.abs(givens.reconstruct(frame.fabric) - u)) <= 1e-10
-        for arr in (frame.M_alpha, frame.M_beta, frame.D):
-            assert not arr.flags.writeable
-            with pytest.raises(ValueError):
-                arr[0, 0] = 0.0
+    for fabric, u in zip(frames.fabrics, orbitals, strict=True):
+        assert np.max(np.abs(givens.reconstruct(fabric) - u)) <= 1e-10
+    for arr in (frames.M_alpha, frames.M_beta, frames.D):
+        assert not arr.flags.writeable
+        with pytest.raises(ValueError):
+            arr[0, 0, 0] = 0.0
+
+
+def test_frames_refuse_a_misshapen_energy_operator():
+    fabrics = (identity_fabric(3), identity_fabric(3))
+    # one alpha electron and no beta electron: D is (2, 1, 3)
+    for shape in ((2, 3, 1), (1, 1, 3), (3, 1, 3), (2, 3), (2, 3, 3)):
+        with pytest.raises(ValueError, match="D has shape"):
+            qsim.Frames(fabrics, 1, 0, np.zeros(shape))
+    assert qsim.Frames(fabrics, 1, 0, np.zeros((2, 1, 3)).tolist()).D.shape == (2, 1, 3)
 
 
 def test_factorized_operators_do_no_gate_work(monkeypatch):
     fac = factorize(synth_hamiltonian(3, 2, 1, 3), TruncationPolicy.by_count(4))
     state = random_sector_state(fac, 12)
     expected = ref_apply_hamiltonian(state.embed(), fac)
-    omega0 = frame_densities(state, [fac.frames[0].fabric]).omega0
+    omega0 = frame_densities(state, fac.frames.fabrics[:1]).omega0
 
     def refuse(*args):
         raise AssertionError("gate applied after the factorization was built")
@@ -595,10 +640,14 @@ def test_production_never_embeds(monkeypatch):
 
 @pytest.mark.parametrize("n,na,nb,seed", [*KERNEL_CASES, *FILLING_CASES, (8, 4, 4, 3)])
 def test_stacked_frame_operators_match_per_frame_referee(n, na, nb, seed):
-    fac = factorize(synth_hamiltonian(n, na, nb, seed), TruncationPolicy.exact())
-    for frame in fac.frames:
-        np.testing.assert_array_equal(frame.M_alpha, ref_fabric_operator(frame.fabric, na))
-        np.testing.assert_array_equal(frame.M_beta, ref_fabric_operator(frame.fabric, nb))
+    # and every member of the stack equals its one-fabric stack, bit for bit
+    frames = factorize(synth_hamiltonian(n, na, nb, seed), TruncationPolicy.exact()).frames
+    for f, fabric in enumerate(frames.fabrics):
+        np.testing.assert_array_equal(frames.M_alpha[f], ref_fabric_operator(fabric, na))
+        np.testing.assert_array_equal(frames.M_beta[f], ref_fabric_operator(fabric, nb))
+        one = frame_subset(frames, [f])
+        for name in ("M_alpha", "M_beta", "D"):
+            assert getattr(one, name)[0].tobytes() == getattr(frames, name)[f].tobytes()
 
 
 @pytest.mark.parametrize("n,na,nb,seed", [*KERNEL_CASES, (4, 1, 3, 5), (3, 0, 2, 2)])
@@ -608,7 +657,8 @@ def test_stacked_densities_match_per_frame_formulas(n, na, nb, seed):
     state = random_sector_state(fac, seed + 40)
     z_alpha, z_beta = (1.0 - 2.0 * qsim.string_bits(n)[qsim.sector_strings(n, filling)]
                        for filling in (na, nb))
-    weights = [np.abs(f.M_beta.T @ state.amplitudes @ f.M_alpha) ** 2 for f in fac.frames]
+    weights = [np.abs(m_beta.T @ state.amplitudes @ m_alpha) ** 2
+               for m_alpha, m_beta in zip(fac.frames.M_alpha, fac.frames.M_beta)]
     omegas = qsim.measure_densities(state, fac)
     w0 = weights[0]
     omega0 = -0.5 * (w0.sum(axis=0) @ z_alpha + w0.sum(axis=1) @ z_beta)
