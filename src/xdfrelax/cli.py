@@ -49,7 +49,7 @@ def _policy(args) -> TruncationPolicy:
 
 # Smallest accepted value of each numeric flag; a subcommand checks the ones it has.
 _FLAG_MINIMA = (("leaves", 0), ("layers", 1), ("layers_small", 1), ("maxiter", 0),
-                ("perturbations", 1), ("steps", 1))
+                ("perturbations", 1), ("seed", 0), ("steps", 1))
 
 
 def _check_flags(args) -> None:
@@ -99,7 +99,7 @@ def cmd_factorize(args) -> dict:
         "n_orbitals": fac.n_orbitals,
         "total_leaves": fac.n_leaves,
         "retained": fac.retained,
-        "leaf_eigenvalues": [float(leaf.g) for leaf in fac.leaves],
+        "leaf_eigenvalues": fac.g.tolist(),
         "reconstruction_error": err / denom if denom > 0 else err,
         "scalar_offset": fac.eff.scalar_offset,
         "eff_one_body_spectrum": _array(fac.F0),
@@ -153,7 +153,7 @@ def cmd_rdm(args) -> dict:
         },
         "multiplier_norms": {
             "mu0": float(np.max(np.abs(mult.mu0))),
-            "mu_leaf_max": max((float(np.max(np.abs(m))) for m in mult.mu), default=0.0),
+            "mu_leaf_max": float(np.max(np.abs(mult.mu), initial=0.0)),
             "nu": float(np.max(np.abs(mult.nu))),
         },
         "ablated": args.ablate,

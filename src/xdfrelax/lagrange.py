@@ -25,14 +25,14 @@ wherever J is well conditioned and stays a referee in the tests.
 
 The solved frames travel as stacks, frame first: the mu quotients run over
 the (F, P) gradient stack with a spread per frame, and R is one projection
-of every leaf onto every retained core.
+of every leaf onto every retained core. The leaf data are the
+factorization's stacks, and the retained leaves are their prefix.
 """
 
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -41,9 +41,6 @@ from .givens import lower_indices
 from .hammodel import eight_fold_symmetrize
 from .qsim import EigenbasisDensities, Statevector
 from .xdf import XDFFactorization
-
-if TYPE_CHECKING:
-    from collections.abc import Sequence
 
 __all__ = [
     "MultiplierSet",
@@ -67,12 +64,14 @@ ABLATION_MODES = ("eta0", "etat", "nu")
 class MultiplierSet:
     """Solved multipliers; strictly-lower-triangular storage throughout.
 
-    ``nu`` spans all leaf pairs t > u and is structurally zero when both
-    indices are discarded leaves.
+    ``mu0`` is the one-body frame's (N, N) block and ``mu`` the (T, N, N)
+    stack of the retained leaves, (0, N, N) when none is retained. ``nu``
+    spans all leaf pairs t > u and is structurally zero when both indices
+    are discarded leaves.
     """
 
     mu0: np.ndarray
-    mu: tuple[np.ndarray, ...]
+    mu: np.ndarray
     nu: np.ndarray
 
 
@@ -82,12 +81,6 @@ class RelaxedRDMs:
 
     gamma_sym: np.ndarray
     Gamma_sym: np.ndarray
-
-
-def _stack(arrays: Sequence[np.ndarray], shape: tuple[int, ...]) -> np.ndarray:
-    """The arrays of one ``shape`` stacked along a new leading axis; none
-    gives a (0, *shape) stack."""
-    return np.array(arrays, dtype=float).reshape(-1, *shape)
 
 
 def _guarded_quotients(x: np.ndarray, values: np.ndarray) -> np.ndarray:
@@ -119,28 +112,27 @@ def solve_mu(gradients: np.ndarray, spectrum: np.ndarray) -> np.ndarray:
 
 
 def solve_nu(fac: XDFFactorization, omegas: EigenbasisDensities,
-             mus: tuple[np.ndarray, ...]) -> np.ndarray:
-    """Inter-leaf multipliers coupling retained frames to every other leaf.
+             mus: np.ndarray) -> np.ndarray:
+    """Inter-leaf multipliers coupling retained frames to every other leaf,
+    from the (T, N, N) stack of retained-leaf ``mus``.
 
     R[u_prime, u] projects leaf u's energy + mu gradients onto the
     eigenvector of leaf u_prime; it vanishes identically for discarded u, so
     nu is zero whenever both pair members are discarded.
     """
-    n, retained = fac.n_orbitals, fac.retained_leaves
-    u_mat = _stack([leaf.U for leaf in retained], (n, n))
+    kept = fac.retained
+    u_mat = fac.U[:kept]
     u_t = np.swapaxes(u_mat, 1, 2)
-    lam = _stack([leaf.lam for leaf in retained], (n,))
-    w = (_stack(omegas.omega, (n, n)) @ lam[:, :, None])[:, :, 0]
-    g = 2.0 * np.array([leaf.g for leaf in retained])
-    cores = g[:, None, None] * (u_mat * w[:, None, :]) @ u_t + u_mat @ _stack(mus, (n, n)) @ u_t
-    leaf_v = _stack([leaf.V for leaf in fac.leaves], (n, n))
+    w = (omegas.omega @ fac.lam[:kept, :, None])[:, :, 0]
+    g = 2.0 * fac.g[:kept]
+    cores = g[:, None, None] * (u_mat * w[:, None, :]) @ u_t + u_mat @ mus @ u_t
     r_mat = np.zeros((fac.n_leaves, fac.n_leaves))
     # the diagonal R[u, u] cancels in the quotients
-    r_mat[:, :len(retained)] = (leaf_v[:, None] * cores[None]).sum(axis=(-2, -1))
+    r_mat[:, :kept] = (fac.V[:, None] * cores[None]).sum(axis=(-2, -1))
 
     # nu[t, u] = (R[t, u] - R[u, t]) / (g[u] - g[t])
-    nu = _guarded_quotients(r_mat, -fac.g_values)
-    nu[fac.retained:, fac.retained:] = 0.0  # structurally zero: R vanishes for both
+    nu = _guarded_quotients(r_mat, -fac.g)
+    nu[kept:, kept:] = 0.0  # structurally zero: R vanishes for both
     return nu
 
 
@@ -170,10 +162,10 @@ def relaxed_Gamma(fac: XDFFactorization, omegas: EigenbasisDensities,
     )
     big = identity_term + gamma_term
 
-    vecs = np.stack([leaf.V.reshape(-1) for leaf in fac.leaves], axis=0)
+    vecs = fac.V.reshape(fac.n_leaves, -1)
     coeff = np.zeros(fac.n_leaves)
-    for t, leaf in enumerate(fac.retained_leaves):
-        coeff[t] = float(leaf.lam @ omegas.omega[t] @ leaf.lam)
+    for t, lam in enumerate(fac.lam[:fac.retained]):
+        coeff[t] = float(lam @ omegas.omega[t] @ lam)
     big += ((vecs.T * coeff) @ vecs).reshape(n, n, n, n)
     big += (vecs.T @ nu @ vecs).reshape(n, n, n, n)
     return big, eight_fold_symmetrize(big)
@@ -189,18 +181,17 @@ def measure_and_solve(fac: XDFFactorization, state: Statevector,
     if ablate is not None and ablate not in ABLATION_MODES:
         raise ValueError(f"unknown ablation {ablate!r}; choose from {ABLATION_MODES}")
     omegas = qsim.measure_densities(state, fac)
-    mus = solve_mu(omegas.gradients,
-                   np.array([fac.F0, *(leaf.lam for leaf in fac.retained_leaves)]))
+    mus = solve_mu(omegas.gradients, np.concatenate([fac.F0[None], fac.lam[:fac.retained]]))
     if ablate == "eta0":
         mus[0] = 0.0
     elif ablate == "etat":
         mus[1:] = 0.0
 
-    nu = solve_nu(fac, omegas, tuple(mus[1:]))
+    nu = solve_nu(fac, omegas, mus[1:])
     if ablate == "nu":
         nu = np.zeros_like(nu)
 
-    return omegas, MultiplierSet(mus[0], tuple(mus[1:]), nu)
+    return omegas, MultiplierSet(mus[0], mus[1:], nu)
 
 
 def reconstruct_rdms(fac: XDFFactorization, state: Statevector,

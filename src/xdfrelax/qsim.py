@@ -35,7 +35,9 @@ terms' energy operators, diagonal in the rotated bases, as D[f, beta,
 alpha]. Every kernel reads the stack through one rotation of the state,
 M_beta^T Psi M_alpha for all frames at once: ``apply_hamiltonian`` maps it
 back and sums, ``measure_densities`` takes the densities and the
-orbital-rotation gradients of every frame from it.
+orbital-rotation gradients of every frame from it, and ``energy`` the
+densities alone. The leaf densities are one (T, N, N) stack, matching the
+factorization's leaf stacks.
 
 Production differentiates frames without an angle chart: G[a, b], the
 derivative of each frame's energy along U -> U exp(kappa (e_a e_b^T - e_b
@@ -171,10 +173,11 @@ class Statevector:
 @dataclass(frozen=True, eq=False)
 class EigenbasisDensities:
     """What one rotation into the frame stack measures: omega0 (length N),
-    omega per retained leaf and every frame's (F, P) rotation ``gradients``."""
+    the (T, N, N) stack ``omega`` of the retained leaves and every frame's
+    (F, P) rotation ``gradients``."""
 
     omega0: np.ndarray
-    omega: tuple[np.ndarray, ...]
+    omega: np.ndarray
     gradients: np.ndarray
 
 
@@ -379,7 +382,8 @@ def one_body_energy(f0: np.ndarray, n_alpha: int, n_beta: int) -> np.ndarray:
 
 def leaf_energies(couplings: np.ndarray, n_alpha: int, n_beta: int) -> np.ndarray:
     """Energy operators of the leaves with the (T, N, N) stack of Z/ZZ
-    couplings ``couplings`` (``XDFLeaf.Z``), as a (T, rows, cols) stack."""
+    couplings ``couplings`` (a slice of ``XDFFactorization.Z``), as a (T,
+    rows, cols) stack."""
     n = couplings.shape[-1]
     z_alpha, z_beta = _spin_z(n, n_alpha), _spin_z(n, n_beta)
     w = z_beta @ couplings @ z_alpha.T
@@ -474,14 +478,18 @@ def _rotation_gradients(state: Statevector, frames: Frames,
     return 2.0 * grad[:, 0]
 
 
+def _densities(state: Statevector, rotated: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """omega0 and the (T, N, N) leaf omega stack from the ``_rotated`` state."""
+    weights = np.abs(rotated) ** 2
+    return _omega0(state, weights[0]), _omega_leaves(state, weights[1:])
+
+
 def measure_densities(state: Statevector, fac: XDFFactorization) -> EigenbasisDensities:
     """omega0 in the one-body frame, omega in every leaf frame and the
     orbital-rotation gradients of every frame, all from one rotation of the
     state into the frame stack."""
     rotated = _rotated(state, fac.frames)
-    weights = np.abs(rotated) ** 2
-    return EigenbasisDensities(_omega0(state, weights[0]),
-                               tuple(_omega_leaves(state, weights[1:])),
+    return EigenbasisDensities(*_densities(state, rotated),
                                _rotation_gradients(state, fac.frames, rotated))
 
 
@@ -490,11 +498,12 @@ def measure_densities(state: Statevector, fac: XDFFactorization) -> EigenbasisDe
 # ---------------------------------------------------------------------------
 
 def energy(state: Statevector, fac: XDFFactorization) -> float:
-    """Eigenbasis-density energy: offset + F0 . omega0 + sum_t Z_t : omega_t."""
-    omegas = measure_densities(state, fac)
-    total = fac.eff.scalar_offset + float(fac.F0 @ omegas.omega0)
-    for leaf, omega_t in zip(fac.retained_leaves, omegas.omega):
-        total += float(np.sum(leaf.Z * omega_t))
+    """Eigenbasis-density energy: offset + F0 . omega0 + sum_t Z_t : omega_t,
+    from the densities alone (no rotation gradients)."""
+    omega0, omega = _densities(state, _rotated(state, fac.frames))
+    total = fac.eff.scalar_offset + float(fac.F0 @ omega0)
+    for z, omega_t in zip(fac.Z[:fac.retained], omega):
+        total += float(np.sum(z * omega_t))
     return total
 
 

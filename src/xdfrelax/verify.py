@@ -160,7 +160,7 @@ def analytic_energy_derivative(pipe: Pipeline, pert: Perturbation,
 
 
 def _retained_subspace(fac: XDFFactorization) -> np.ndarray:
-    vecs = np.stack([leaf.V.reshape(-1) for leaf in fac.retained_leaves], axis=0)
+    vecs = fac.V[:fac.retained].reshape(fac.retained, -1)
     return vecs.T @ vecs
 
 

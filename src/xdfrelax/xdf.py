@@ -6,8 +6,9 @@ N (N + 1) / 2 eigenpairs (g, V) forms a leaf; the symmetric eigen-matrix V is
 then itself eigendecomposed into an orthogonal frame U and spectrum lambda,
 yielding the diagonal two-body couplings Z = g * outer(lambda, lambda).
 
-The leaves are built as stacks: one ``np.linalg.eigh`` over all leaf
-eigen-matrices and one sign fix over all of their frames.
+The leaves are built and kept as stacks, leaf first: one
+``np.linalg.eigh`` over all leaf eigen-matrices and one sign fix over all of
+their frames. Consumers slice the stacks; the retained leaves are a prefix.
 
 A factorization carries its measurement frames, built once on construction
 as one ``qsim.Frames`` stack for the electron filling: the one-body frame
@@ -28,34 +29,11 @@ from .hammodel import EffectiveOperators, Hamiltonian, effective_operators
 from .qsim import Frames, leaf_energies, one_body_energy
 
 __all__ = [
-    "XDFLeaf",
     "XDFFactorization",
     "TruncationPolicy",
     "factorize",
     "reconstruct_eri",
 ]
-
-
-@dataclass(frozen=True, eq=False)
-class XDFLeaf:
-    """One term of the supermatrix eigendecomposition with its own orbital frame."""
-
-    index: int
-    g: float
-    V: np.ndarray
-    U: np.ndarray
-    lam: np.ndarray
-
-    def __post_init__(self):
-        for name in ("V", "U", "lam"):
-            arr = np.array(getattr(self, name), dtype=float)
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
-
-    @property
-    def Z(self) -> np.ndarray:
-        """Diagonal-coupling matrix Z[k, l] = lambda_k * g * lambda_l."""
-        return self.g * np.outer(self.lam, self.lam)
 
 
 @dataclass(frozen=True)
@@ -88,20 +66,22 @@ class TruncationPolicy:
     def exact(cls) -> "TruncationPolicy":
         return cls("threshold", threshold=-1.0)
 
-    def retained_count(self, g_values: np.ndarray) -> int:
+    def retained_count(self, g: np.ndarray) -> int:
         if self.mode == "threshold":
-            return int(np.sum(np.abs(g_values) >= self.threshold))
-        return min(self.count, len(g_values))
+            return int(np.sum(np.abs(g) >= self.threshold))
+        return min(self.count, len(g))
 
 
 @dataclass(frozen=True, eq=False)
 class XDFFactorization:
-    """Eigendecomposed one-body part plus the ordered list of two-body leaves.
+    """Eigendecomposed one-body part plus the two-body leaves as stacks.
 
-    Leaves are sorted by descending |g|; the retained set is the length-T
-    prefix. Discarded leaves stay available as data: the inter-leaf response
-    couples retained to discarded frames. ``frames`` stacks the one-body frame
-    and then the frame of each retained leaf.
+    The leaves are sorted by descending |g| and held as read-only stacks:
+    couplings ``g`` (L,), eigen-matrices ``V`` (L, N, N), orbital frames
+    ``U`` (L, N, N) and spectra ``lam`` (L, N). The retained set is the
+    ``[:retained]`` prefix. Discarded leaves stay available as data: the
+    inter-leaf response couples retained to discarded frames. ``frames``
+    stacks the one-body frame and then the frame of each retained leaf.
     """
 
     n_orbitals: int
@@ -110,34 +90,34 @@ class XDFFactorization:
     eff: EffectiveOperators
     U0: np.ndarray
     F0: np.ndarray
-    leaves: tuple[XDFLeaf, ...]
+    g: np.ndarray
+    V: np.ndarray
+    U: np.ndarray
+    lam: np.ndarray
     retained: int
     frames: Frames = field(init=False, repr=False)
 
     def __post_init__(self):
-        for name in ("U0", "F0"):
+        for name in ("U0", "F0", "g", "V", "U", "lam"):
             arr = np.array(getattr(self, name), dtype=float)
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
         filling = (self.n_alpha, self.n_beta)
-        n = self.n_orbitals
-        fabrics = decompose(np.array([self.U0, *(leaf.U for leaf in self.retained_leaves)]))
-        couplings = np.array([leaf.Z for leaf in self.retained_leaves]).reshape(-1, n, n)
+        kept = self.retained
+        fabrics = decompose(np.concatenate([self.U0[None], self.U[:kept]]))
         energies = np.concatenate([one_body_energy(self.F0, *filling)[None],
-                                   leaf_energies(couplings, *filling)])
+                                   leaf_energies(self.Z[:kept], *filling)])
         object.__setattr__(self, "frames", Frames(fabrics, *filling, energies))
 
     @property
     def n_leaves(self) -> int:
-        return len(self.leaves)
+        return len(self.g)
 
     @property
-    def retained_leaves(self) -> tuple[XDFLeaf, ...]:
-        return self.leaves[: self.retained]
-
-    @property
-    def g_values(self) -> np.ndarray:
-        return np.array([leaf.g for leaf in self.leaves])
+    def Z(self) -> np.ndarray:
+        """Diagonal couplings Z[t, k, l] = lambda_tk * g_t * lambda_tl of every
+        leaf, as an (L, N, N) stack."""
+        return self.g[:, None, None] * (self.lam[:, :, None] * self.lam[:, None, :])
 
 
 def _special_orthogonalize(u: np.ndarray) -> np.ndarray:
@@ -198,11 +178,9 @@ def factorize(ham: Hamiltonian, policy: TruncationPolicy) -> XDFFactorization:
     v = 0.5 * (v + np.swapaxes(v, 1, 2))
     lam, u = np.linalg.eigh(v)
     u = _special_orthogonalize(u)
-    leaves = tuple(XDFLeaf(index, float(g_all[col]), v[index], u[index], lam[index])
-                   for index, col in enumerate(order))
-
-    retained = policy.retained_count(np.array([leaf.g for leaf in leaves]))
-    return XDFFactorization(n, ham.n_alpha, ham.n_beta, eff, u0, f0, leaves, retained)
+    g = g_all[order]
+    return XDFFactorization(n, ham.n_alpha, ham.n_beta, eff, u0, f0, g, v, u, lam,
+                            policy.retained_count(g))
 
 
 def reconstruct_eri(fac: XDFFactorization, use_retained_only: bool = False) -> np.ndarray:
@@ -213,9 +191,8 @@ def reconstruct_eri(fac: XDFFactorization, use_retained_only: bool = False) -> n
     """
     n = fac.n_orbitals
     out = np.zeros((n * n, n * n))
-    leaves = fac.retained_leaves if use_retained_only else fac.leaves
-    for leaf in leaves:
-        cols = np.stack([np.outer(leaf.U[:, k], leaf.U[:, k]).reshape(-1)
-                         for k in range(n)], axis=1)
-        out += cols @ leaf.Z @ cols.T
+    count = fac.retained if use_retained_only else fac.n_leaves
+    for u, z in zip(fac.U[:count], fac.Z[:count]):
+        cols = np.stack([np.outer(u[:, k], u[:, k]).reshape(-1) for k in range(n)], axis=1)
+        out += cols @ z @ cols.T
     return out.reshape(n, n, n, n)

@@ -315,9 +315,8 @@ def ref_angle_eta(state: qsim.Statevector, frames) -> tuple[np.ndarray, np.ndarr
 def ref_angle_mu(fac: xdf.XDFFactorization, state: qsim.Statevector) -> np.ndarray:
     """The (F, N, N) mu stack of every frame of ``fac`` by the angle route."""
     etas, _ = ref_angle_eta(state, fac.frames)
-    leaves = fac.retained_leaves
-    u = np.array([fac.U0, *(leaf.U for leaf in leaves)])
-    spectra = np.array([fac.F0, *(leaf.lam for leaf in leaves)])
+    u = np.concatenate([fac.U0[None], fac.U[:fac.retained]])
+    spectra = np.concatenate([fac.F0[None], fac.lam[:fac.retained]])
     return lagrange._guarded_quotients(np.swapaxes(u, 1, 2) @ etas, spectra)
 
 
@@ -480,8 +479,7 @@ def ref_apply_hamiltonian(amps: np.ndarray, fac: xdf.XDFFactorization) -> np.nda
     z = 2.0 - 2.0 * occ  # Z_alpha + Z_beta per orbital
     out = fac.eff.scalar_offset * np.array(amps)
     diags = [(occ - 1.0) @ fac.F0]
-    for leaf in fac.retained_leaves:
-        z_mat = leaf.Z
+    for z_mat in fac.Z[:fac.retained]:
         diags.append(0.125 * np.einsum("xk,kl,xl->x", z, z_mat, z) - 0.25 * np.trace(z_mat))
     for fabric, diag in zip(fac.frames.fabrics, diags, strict=True):
         rotated = ref_apply_fabric(amps, n, fabric, dagger=True)

@@ -1,10 +1,13 @@
 import json
+import string
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from xdfrelax import cli, lagrange, verify, vqe
-from xdfrelax.hammodel import Hamiltonian, synth_hamiltonian, write_fcidump
+from xdfrelax.hammodel import Hamiltonian, parse_fcidump, synth_hamiltonian, write_fcidump
 
 from _common import regime_fixture
 
@@ -199,6 +202,11 @@ def test_exit_code_usage_error(fcidump_n3, tmp_path, capsys, argv, flag):
     (["path", "--steps", "2", "--s0", "nan"], "--s0"),
     (["path", "--steps", "2", "--v0", "nan"], "--v0"),
     (["path", "--steps", "2", "--v0", "inf"], "--v0"),
+    # a negative seed: each command factorized first, then failed in numpy
+    (["vqe", "--seed", "-1"], "--seed"),
+    (["rdm", "--seed", "-1"], "--seed"),
+    (["verify", "--seed", "-1"], "--seed"),
+    (["path", "--steps", "2", "--seed", "-1"], "--seed"),
 ])
 def test_exit_code_bad_flag_value(fcidump_n3, tmp_path, argv, flag):
     if argv[0] == "path":
@@ -206,6 +214,36 @@ def test_exit_code_bad_flag_value(fcidump_n3, tmp_path, argv, flag):
     code, payload = _run(argv + ["--fcidump", fcidump_n3], tmp_path)
     assert code == 1
     assert payload["error"].startswith(flag + " ")
+
+
+VALID_FCIDUMP = write_fcidump(synth_hamiltonian(2, 1, 1, 7))
+
+
+@st.composite
+def mutated_fcidumps(draw):
+    """A valid FCIDUMP with one to four characters replaced, inserted or
+    deleted."""
+    text = VALID_FCIDUMP
+    for _ in range(draw(st.integers(1, 4))):
+        at = draw(st.integers(0, len(text) - 1))
+        char = draw(st.sampled_from(string.printable))
+        kind = draw(st.sampled_from(("replace", "insert", "delete")))
+        tail = text[at:] if kind == "insert" else text[at + 1:]
+        text = text[:at] + ("" if kind == "delete" else char) + tail
+    return text
+
+
+@settings(max_examples=150, derandomize=True, database=None, deadline=None)
+@given(mutated_fcidumps())
+def test_mutated_fcidump_is_an_input_error_or_parses(tmp_path_factory, text):
+    try:
+        parse_fcidump(text)
+    except ValueError:
+        pass
+    path = tmp_path_factory.mktemp("fuzz") / "mutated.fcidump"
+    path.write_text(text, encoding="ascii")
+    out = path.with_suffix(".json")
+    assert cli.main(["factorize", "--fcidump", str(path), "--out", str(out)]) in (0, 1)
 
 
 def test_exit_code_nonconvergence(fcidump_n3, tmp_path):

@@ -174,7 +174,7 @@ def test_pivots_and_lower_indices_are_cached_read_only():
 
 def _fixture_frames(n, na, nb, seed):
     fac = factorize(synth_hamiltonian(n, na, nb, seed), TruncationPolicy.exact())
-    return np.array([fac.U0, *(leaf.U for leaf in fac.leaves)])
+    return np.concatenate([fac.U0[None], fac.U])
 
 
 def _assert_matches_referee(stack):

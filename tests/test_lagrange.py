@@ -167,11 +167,9 @@ def test_mu_guard_triggers_only_below_cutoff():
 def test_nu_zero_cases():
     _, fac, _ = _stationary_pipeline(3, 1, 1, 2)
     n = fac.n_orbitals
-    omegas = EigenbasisDensities(np.zeros(n),
-                                 tuple(np.zeros((n, n)) for _ in range(fac.retained)),
+    omegas = EigenbasisDensities(np.zeros(n), np.zeros((fac.retained, n, n)),
                                  np.zeros((fac.retained + 1, 3)))
-    mus = tuple(np.zeros((n, n)) for _ in range(fac.retained))
-    nu = solve_nu(fac, omegas, mus)
+    nu = solve_nu(fac, omegas, np.zeros((fac.retained, n, n)))
     assert np.max(np.abs(nu)) == 0.0
 
 
@@ -192,7 +190,8 @@ def test_nu_structural_zeros_beyond_retained():
 def test_relaxed_gamma_hf_identity_frame():
     ham = zero_two_body(2, 1, 1, [-1.0, 1.0])
     fac = factorize(ham, TruncationPolicy.exact())
-    omegas = EigenbasisDensities(np.array([1.0, -1.0]), tuple(), np.zeros((fac.retained + 1, 1)))
+    omegas = EigenbasisDensities(np.array([1.0, -1.0]), np.zeros((0, 2, 2)),
+                                 np.zeros((fac.retained + 1, 1)))
     gamma, gamma_sym = relaxed_gamma(fac, omegas, np.zeros((2, 2)))
     np.testing.assert_allclose(gamma, np.diag([2.0, 0.0]), atol=1e-14)
     np.testing.assert_allclose(gamma_sym, gamma, atol=1e-15)
@@ -202,8 +201,7 @@ def test_relaxed_Gamma_identity_terms_only():
     ham = synth_hamiltonian(3, 1, 1, 2)
     fac = factorize(ham, TruncationPolicy.exact())
     n = 3
-    omegas = EigenbasisDensities(np.zeros(n),
-                                 tuple(np.zeros((n, n)) for _ in range(fac.retained)),
+    omegas = EigenbasisDensities(np.zeros(n), np.zeros((fac.retained, n, n)),
                                  np.zeros((fac.retained + 1, 3)))
     nu = np.zeros((fac.n_leaves, fac.n_leaves))
     big, big_sym = relaxed_Gamma(fac, omegas, nu, np.zeros((n, n)))
@@ -356,9 +354,15 @@ def test_no_retained_leaves_leaves_only_the_one_body_frame():
     ham = synth_hamiltonian(3, 1, 1, 2)
     fac = factorize(ham, TruncationPolicy.by_count(0))
     assert fac.retained == 0 and len(fac.frames.fabrics) == 1
+    # every leaf stays as data; the retained-leaf stacks are empty
+    assert fac.g.shape == (6,) and fac.lam.shape == (6, 3)
+    assert fac.V.shape == fac.U.shape == fac.Z.shape == (6, 3, 3)
     state, _ = vqe.exact_ground_state(fac)
+    omegas = qsim.measure_densities(state, fac)
+    assert omegas.omega.shape == (0, 3, 3)
+    assert omegas.gradients.shape == (1, 3)
     rdms, mult = reconstruct_rdms(fac, state)
-    assert mult.mu == ()
+    assert mult.mu.shape == (0, 3, 3)
     assert mult.nu.shape == (fac.n_leaves, fac.n_leaves)
     assert not np.any(mult.nu)
     assert np.any(mult.mu0)
@@ -375,7 +379,7 @@ def test_stacked_chain_matches_per_frame_loops(n, na, nb, seed, count):
     state = random_sector_state(fac, seed + 3)
     omegas, mult = lagrange.measure_and_solve(fac, state)
     grads = omegas.gradients
-    spectra = [fac.F0] + [leaf.lam for leaf in fac.retained_leaves]
+    spectra = [fac.F0, *fac.lam[:fac.retained]]
     for grad, mu, spectrum in zip(grads, (mult.mu0, *mult.mu), spectra, strict=True):
         spread = float(np.max(spectrum) - np.min(spectrum))
         expected = np.zeros((n, n))
@@ -386,14 +390,15 @@ def test_stacked_chain_matches_per_frame_loops(n, na, nb, seed, count):
         assert mu.tobytes() == expected.tobytes()
 
     r_mat = np.zeros((fac.n_leaves, fac.n_leaves))
-    for u, leaf in enumerate(fac.retained_leaves):
-        w = omegas.omega[u] @ leaf.lam
-        core = 2.0 * leaf.g * (leaf.U * w) @ leaf.U.T + leaf.U @ mult.mu[u] @ leaf.U.T
+    for u in range(fac.retained):
+        leaf_u = fac.U[u]
+        w = omegas.omega[u] @ fac.lam[u]
+        core = 2.0 * fac.g[u] * (leaf_u * w) @ leaf_u.T + leaf_u @ mult.mu[u] @ leaf_u.T
         for up in range(fac.n_leaves):
             if up != u:
-                r_mat[up, u] = float(np.sum(fac.leaves[up].V * core))
+                r_mat[up, u] = float(np.sum(fac.V[up] * core))
     assert solve_nu(fac, omegas, mult.mu).tobytes() == mult.nu.tobytes()
-    g = fac.g_values
+    g = fac.g
     for t in range(fac.n_leaves):
         for u in range(t):
             expected = 0.0

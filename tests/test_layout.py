@@ -200,11 +200,20 @@ def test_no_unread_constants(path):
 # Referees and fixture generators: the tests and the benchmark call them, the
 # package does not. A class listed here exempts its members too.
 REFEREES = (
+    "energy",  # the eigenbasis-density energy; vqe takes it from apply_hamiltonian
     "denergy_dtheta_shift", "dense_energy", "exact_ground_state",
     "jacobian", "angle_gradients",  # the paper's angle route; production is chart-free
     "projection_lossiness_demo", "LossinessReport",
     "synth_hamiltonian", "write_fcidump",  # perfbench builds its inputs with these
 )
+
+
+def test_referees_are_defined():
+    # a deleted referee must leave the skip list too
+    defined = {stmt.name for path in PACKAGE.glob("*.py")
+               for stmt in ast.parse(path.read_text(encoding="utf-8")).body
+               if isinstance(stmt, (ast.FunctionDef, ast.ClassDef))}
+    assert [name for name in REFEREES if name not in defined] == []
 
 
 def unread_names(source: str, readers: list[str], skip=()) -> list[str]:

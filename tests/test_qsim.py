@@ -152,8 +152,7 @@ def test_omega_measurements_are_rdm_projections(seed):
                                atol=1e-12)
 
     assert fac.retained == fac.n_leaves
-    for leaf, omega in zip(fac.leaves, omegas.omega, strict=True):
-        u = leaf.U
+    for u, omega in zip(fac.U, omegas.omega, strict=True):
         np.testing.assert_allclose(omega, omega.T, atol=1e-12)
         g_t = u.T @ gamma @ u
         big_t = np.einsum("pk,ql,rm,so,pqrs->klmo", u, u, u, u, big)
@@ -191,6 +190,21 @@ def test_apply_hamiltonian_matches_energy():
     state = random_sector_state(fac, 8)
     hpsi = qsim.apply_hamiltonian(state, fac)
     assert abs(float(np.vdot(state.amplitudes, hpsi)) - energy(state, fac)) < 1e-10
+
+
+def test_energy_computes_no_rotation_gradient(monkeypatch):
+    # the energy reads the densities alone; the gradients serve the multipliers
+    fac = factorize(synth_hamiltonian(3, 2, 1, 4), TruncationPolicy.by_count(3))
+    state = random_sector_state(fac, 8)
+    expected = energy(state, fac)
+
+    def refuse(*args):
+        raise AssertionError("rotation gradients computed")
+
+    monkeypatch.setattr(qsim, "_rotation_gradients", refuse)
+    assert energy(state, fac) == expected
+    with pytest.raises(AssertionError, match="rotation gradients computed"):
+        measure_densities(state, fac)
 
 
 def test_rdm_trace_identities():
@@ -244,7 +258,7 @@ def _frame_energy(state, fac, k, fabric):
     if k == 0:
         return float(fac.F0 @ frame_densities(state, [fabric]).omega0)
     omega, = frame_densities(state, [fabric, fabric]).omega
-    return float(np.sum(fac.leaves[k - 1].Z * omega))
+    return float(np.sum(fac.Z[k - 1] * omega))
 
 
 def test_shift_rule_rejects_bad_indices():
@@ -504,7 +518,7 @@ def _rotated_frame_energy(state, frames, f, u, a, b, t):
 def test_rotation_gradients_match_five_point_differences(n, na, nb, seed):
     fac = factorize(synth_hamiltonian(n, na, nb, seed), TruncationPolicy.exact())
     state = random_sector_state(fac, seed + 5)
-    orbitals = [fac.U0] + [leaf.U for leaf in fac.retained_leaves]
+    orbitals = [fac.U0, *fac.U[:fac.retained]]
     step = 1e-3
     grads = measure_densities(state, fac).gradients
     for f, (u, grad) in enumerate(zip(orbitals, grads, strict=True)):
@@ -588,13 +602,19 @@ def test_frames_follow_the_factorization(policy):
     assert len(frames.fabrics) == fac.retained + 1
     assert frames.D.shape == (fac.retained + 1, *qsim.sector_shape(4, 2, 2))
     assert frames.M_alpha.shape == frames.M_beta.shape == (fac.retained + 1, 6, 6)
-    orbitals = [fac.U0] + [leaf.U for leaf in fac.retained_leaves]
+    # every leaf, retained or not, is a member of the leaf stacks
+    assert fac.g.shape == (10,) and fac.lam.shape == (10, 4)
+    assert fac.V.shape == fac.U.shape == fac.Z.shape == (10, 4, 4)
+    orbitals = [fac.U0, *fac.U[:fac.retained]]
     for fabric, u in zip(frames.fabrics, orbitals, strict=True):
         assert np.max(np.abs(givens.reconstruct(fabric) - u)) <= 1e-10
-    for arr in (frames.M_alpha, frames.M_beta, frames.D):
+    for arr in (frames.M_alpha, frames.M_beta, frames.D, fac.U0, fac.F0,
+                fac.g, fac.V, fac.U, fac.lam):
         assert not arr.flags.writeable
         with pytest.raises(ValueError):
-            arr[0, 0, 0] = 0.0
+            arr[...] = 0.0
+    omegas, mult = lagrange.measure_and_solve(fac, random_sector_state(fac, 3))
+    assert omegas.omega.shape == mult.mu.shape == (fac.retained, 4, 4)
 
 
 def test_frames_refuse_a_misshapen_energy_operator():

@@ -132,7 +132,7 @@ def test_leaf_tracking_error_on_crossing():
     # them through each other with a crafted perturbation
     base = synth_hamiltonian(3, 1, 1, 2)
     fac = factorize(base, TruncationPolicy.exact())
-    vecs = [leaf.V for leaf in fac.leaves]
+    vecs = fac.V
     gs = [0.8, 0.5, 0.4995, 0.3, 0.2, 0.1]
     eri = np.zeros((9, 9))
     for g, v in zip(gs, vecs):

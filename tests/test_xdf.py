@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -5,8 +7,6 @@ from xdfrelax import hammodel, qsim
 from xdfrelax.hammodel import Hamiltonian, synth_hamiltonian
 from xdfrelax.xdf import (
     TruncationPolicy,
-    XDFFactorization,
-    XDFLeaf,
     factorize,
     reconstruct_eri,
 )
@@ -30,7 +30,7 @@ def test_zero_two_body_gives_zero_leaves():
     fac = factorize(ham, TruncationPolicy.by_threshold(1e-12))
     assert fac.n_leaves == 6
     assert fac.retained == 0
-    assert np.max(np.abs(fac.g_values)) == 0.0
+    assert np.max(np.abs(fac.g)) == 0.0
 
 
 def test_n4_has_ten_leaves():
@@ -59,7 +59,7 @@ def test_truncation_error_equals_discarded_tail():
     fac = factorize(ham, TruncationPolicy.by_threshold(1e-1))
     rebuilt = reconstruct_eri(fac, use_retained_only=True)
     err = np.linalg.norm(rebuilt - ham.two_body)
-    tail = np.linalg.norm(fac.g_values[fac.retained:])
+    tail = np.linalg.norm(fac.g[fac.retained:])
     assert abs(err - tail) < 1e-10
 
 
@@ -68,45 +68,43 @@ def test_leaf_eigendecompositions():
     np.testing.assert_allclose(fac.U0 @ np.diag(fac.F0) @ fac.U0.T,
                                fac.eff.eff_one_body, atol=1e-10)
     assert abs(np.linalg.det(fac.U0) - 1.0) < 1e-10
-    for leaf in fac.leaves:
-        np.testing.assert_allclose(leaf.U @ np.diag(leaf.lam) @ leaf.U.T, leaf.V,
-                                   atol=1e-10)
-        assert abs(np.linalg.det(leaf.U) - 1.0) < 1e-10
-        assert abs(np.linalg.norm(leaf.V) - 1.0) < 1e-10
+    for u, lam, v in zip(fac.U, fac.lam, fac.V, strict=True):
+        np.testing.assert_allclose(u @ np.diag(lam) @ u.T, v, atol=1e-10)
+        assert abs(np.linalg.det(u) - 1.0) < 1e-10
+        assert abs(np.linalg.norm(v) - 1.0) < 1e-10
 
 
 def test_leaf_ordering_and_prefix_retention():
     fac = factorize(synth_hamiltonian(5, 2, 2, 3), TruncationPolicy.by_threshold(0.05))
-    mags = np.abs(fac.g_values)
+    mags = np.abs(fac.g)
     assert np.all(np.diff(mags) <= 1e-12)
     assert np.all(mags[: fac.retained] >= 0.05)
     assert np.all(mags[fac.retained:] < 0.05)
-    for index, leaf in enumerate(fac.leaves):
-        assert leaf.index == index
 
 
 def test_factorize_deterministic():
     a = factorize(synth_hamiltonian(4, 2, 2, 13), TruncationPolicy.exact())
     b = factorize(synth_hamiltonian(4, 2, 2, 13), TruncationPolicy.exact())
     np.testing.assert_array_equal(a.U0, b.U0)
-    for la, lb in zip(a.leaves, b.leaves):
-        np.testing.assert_array_equal(la.V, lb.V)
-        np.testing.assert_array_equal(la.U, lb.U)
+    np.testing.assert_array_equal(a.V, b.V)
+    np.testing.assert_array_equal(a.U, b.U)
 
 
 def test_z_tensor_examples():
-    leaf = XDFLeaf(0, 2.0, np.eye(2) / np.sqrt(2.0), np.eye(2), np.array([1.0, 0.0]))
-    np.testing.assert_allclose(leaf.Z, [[2.0, 0.0], [0.0, 0.0]], atol=1e-15)
+    two = factorize(synth_hamiltonian(2, 1, 1, 7), TruncationPolicy.exact())
+    one = replace(two, g=[2.0], V=[np.eye(2) / np.sqrt(2.0)], U=[np.eye(2)],
+                  lam=[[1.0, 0.0]], retained=1)
+    np.testing.assert_allclose(one.Z, [[[2.0, 0.0], [0.0, 0.0]]], atol=1e-15)
 
     fac = factorize(synth_hamiltonian(3, 1, 1, 5), TruncationPolicy.exact())
-    for leaf in fac.leaves:
-        z = leaf.Z
+    assert fac.Z.shape == (fac.n_leaves, 3, 3)
+    for g, v, u, lam, z in zip(fac.g, fac.V, fac.U, fac.lam, fac.Z, strict=True):
+        # the stacked product rounds like the per-leaf outer product
+        assert z.tobytes() == (g * np.outer(lam, lam)).tobytes()
         np.testing.assert_allclose(z, z.T, atol=1e-15)
         # leaf-wise reconstruction against the raw eigenpair outer product
-        n = 3
-        cols = np.stack([np.outer(leaf.U[:, k], leaf.U[:, k]).reshape(-1)
-                         for k in range(n)], axis=1)
-        direct = leaf.g * np.outer(leaf.V.reshape(-1), leaf.V.reshape(-1))
+        cols = np.stack([np.outer(u[:, k], u[:, k]).reshape(-1) for k in range(3)], axis=1)
+        direct = g * np.outer(v.reshape(-1), v.reshape(-1))
         np.testing.assert_allclose(cols @ z @ cols.T, direct, atol=1e-10)
 
 
@@ -116,17 +114,12 @@ def test_energy_invariant_under_column_sign_flips():
     state = random_sector_state(fac, 17)
     reference = qsim.energy(state, fac)
 
-    flipped_leaves = []
-    for leaf in fac.leaves:
-        u = leaf.U.copy()
-        u[:, 0] = -u[:, 0]
-        u[:, 1] = -u[:, 1]  # flip a pair to keep det = +1
-        flipped_leaves.append(XDFLeaf(leaf.index, leaf.g, leaf.V, u, leaf.lam))
+    u = fac.U.copy()
+    u[:, :, :2] = -u[:, :, :2]  # flip a pair in every leaf to keep det = +1
     u0 = fac.U0.copy()
     u0[:, 0] = -u0[:, 0]
     u0[:, 2] = -u0[:, 2]
-    flipped = XDFFactorization(fac.n_orbitals, fac.n_alpha, fac.n_beta, fac.eff,
-                               u0, fac.F0, tuple(flipped_leaves), fac.retained)
+    flipped = replace(fac, U0=u0, U=u)
     assert abs(qsim.energy(state, flipped) - reference) < 1e-10
 
 
@@ -136,7 +129,7 @@ def test_stacked_leaf_frames_match_per_leaf_loop(n, seed):
     # factorization replaced them, bit for bit
     fac = factorize(synth_hamiltonian(n, 1, 1, seed), TruncationPolicy.exact())
     for u_ref, stored in [(np.linalg.eigh(fac.eff.eff_one_body)[1], fac.U0),
-                          *((np.linalg.eigh(leaf.V)[1], leaf.U) for leaf in fac.leaves)]:
+                          *((np.linalg.eigh(v)[1], u) for v, u in zip(fac.V, fac.U))]:
         u = u_ref.copy()
         for k in range(n):
             if u[int(np.argmax(np.abs(u[:, k]))), k] < 0:
@@ -144,5 +137,5 @@ def test_stacked_leaf_frames_match_per_leaf_loop(n, seed):
         if np.linalg.det(u) < 0:
             u[:, -1] = -u[:, -1]
         assert u.tobytes() == stored.tobytes()
-    for leaf in fac.leaves:
-        assert np.linalg.eigh(leaf.V)[0].tobytes() == leaf.lam.tobytes()
+    for v, lam in zip(fac.V, fac.lam, strict=True):
+        assert np.linalg.eigh(v)[0].tobytes() == lam.tobytes()
