@@ -91,7 +91,7 @@ def _optimize(fac, args):
 def cmd_factorize(args) -> dict:
     ham, digest = _load(args.fcidump)
     fac = factorize(ham, _policy(args))
-    rebuilt = reconstruct_eri(fac, use_retained_only=True)
+    rebuilt = reconstruct_eri(fac)
     err = float(np.linalg.norm(rebuilt - ham.two_body))
     denom = float(np.linalg.norm(ham.two_body))
     return {

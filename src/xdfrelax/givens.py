@@ -13,25 +13,22 @@ Conventions (fixed once, relied on by every other module):
 * Strictly-lower-triangular entries are ordered as ``lower_indices(N)``,
   the row-major ``np.tril_indices(N, -1)``.
 
-Every fabric of one N shares the same pivots, so ``decompose`` and
-``jacobian`` work on stacks: a (B, N, N) stack of matrices, or a sequence of
-B fabrics, with the stack as the leading axis of every array, one angle per
-member at each gate. A single matrix or fabric is the one-member stack. What
-depends only on N (the elimination schedule, the order of the factors, which
-factor absorbs each sign flip, the permutation into rectangle order and the
-pivot chains of the branch reduction) is a cached, read-only ``_Plan``.
+Every fabric of one N shares the same pivots, so a ``GivensFabric`` is one
+fabric, (K,) angles, or a stack of B fabrics, (B, K) angles, one angle per
+member at each gate. ``decompose`` turns one matrix into one fabric and a
+(B, N, N) stack into one stacked fabric; ``reconstruct`` and ``jacobian``
+keep the stack as the leading axis of what they return. What depends only
+on N (the elimination schedule, the order of the factors, which factor
+absorbs each sign flip, the permutation into rectangle order and the pivot
+chains of the branch reduction) is a cached, read-only ``_Plan``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import TYPE_CHECKING
 
 import numpy as np
-
-if TYPE_CHECKING:
-    from collections.abc import Sequence
 
 __all__ = [
     "GivensFabric",
@@ -70,7 +67,8 @@ def lower_indices(n: int) -> tuple[np.ndarray, np.ndarray]:
 
 @dataclass(frozen=True)
 class GivensFabric:
-    """An ordered set of plane-rotation angles on the rectangle pivot layout."""
+    """Plane-rotation angles on the rectangle pivot layout: (K,) for one
+    fabric, (B, K) for a stack of B fabrics of one N. Read-only."""
 
     n: int
     angles: np.ndarray
@@ -78,8 +76,10 @@ class GivensFabric:
     def __post_init__(self):
         object.__setattr__(self, "angles", np.array(self.angles, dtype=float))
         self.angles.setflags(write=False)
-        if self.angles.shape != (len(self.pivots),):
-            raise ValueError("angle count does not match pivot count")
+        k = len(self.pivots)
+        if self.angles.ndim not in (1, 2) or self.angles.shape[-1] != k:
+            raise ValueError(f"angles have shape {self.angles.shape}, "
+                             f"expected ({k},) or (B, {k})")
 
     @property
     def pivots(self) -> tuple[tuple[int, int], ...]:
@@ -108,21 +108,11 @@ def _sweep(n: int, angles: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarr
     return prefix, lo, hi
 
 
-def _angle_stack(fabrics: GivensFabric | Sequence[GivensFabric]) -> tuple[int, np.ndarray]:
-    """Orbital count and (B, K) angles of one fabric or a sequence of them."""
-    members = (fabrics,) if isinstance(fabrics, GivensFabric) else tuple(fabrics)
-    n = members[0].n
-    if any(fabric.n != n for fabric in members):
-        raise ValueError("fabrics of different orbital counts cannot be stacked")
-    return n, np.array([fabric.angles for fabric in members]).reshape(len(members), -1)
-
-
-def reconstruct(fabrics: GivensFabric | Sequence[GivensFabric]) -> np.ndarray:
+def reconstruct(fabric: GivensFabric) -> np.ndarray:
     """Ordered product of a fabric's plane rotations (first pivot applied
-    first); a sequence of fabrics of one N gives the (B, N, N) stack."""
-    n, angles = _angle_stack(fabrics)
-    product = _sweep(n, angles)[0]
-    return product[0] if isinstance(fabrics, GivensFabric) else product
+    first): (N, N) for one fabric, (B, N, N) for a stack."""
+    product = _sweep(fabric.n, np.atleast_2d(fabric.angles))[0]
+    return product if fabric.angles.ndim == 2 else product[0]
 
 
 def _wrap_angle(theta: np.ndarray) -> np.ndarray:
@@ -271,22 +261,20 @@ def _reduce_branch(plan: _Plan, angles: np.ndarray) -> np.ndarray:
     return angles
 
 
-def decompose(u: np.ndarray) -> GivensFabric | tuple[GivensFabric, ...]:
+def decompose(u: np.ndarray) -> GivensFabric:
     """Decompose special orthogonal matrices into rectangle Givens fabrics.
 
     ``u`` is one (n, n) matrix, which gives its fabric, or a (B, n, n) stack,
-    which gives a tuple of B fabrics, each bitwise equal to its member's
-    one-matrix call; an empty stack gives ``()``. Raises ``ValueError`` for a
-    matrix that is not square, not orthogonal within ``ORTHOGONALITY_TOL`` or
-    of det -1, naming the member of a stack.
+    which gives one fabric with (B, K) angles, each row bitwise equal to its
+    member's one-matrix call; an empty stack gives (0, K) angles. Raises
+    ``ValueError`` for a matrix that is not square, not orthogonal within
+    ``ORTHOGONALITY_TOL`` or of det -1, naming the member of a stack.
     """
     u = np.asarray(u, dtype=float)
     stacked = u.ndim == 3
     stack = u if stacked else u[None]
     if stack.ndim != 3 or stack.shape[1] != stack.shape[2]:
         raise ValueError("input must be square")
-    if not len(stack):
-        return ()
     n = stack.shape[1]
     gram = np.swapaxes(stack, 1, 2) @ stack
     _raise_for_member(ValueError, "input is not orthogonal within tolerance",
@@ -322,28 +310,27 @@ def decompose(u: np.ndarray) -> GivensFabric | tuple[GivensFabric, ...]:
         factors[np.ix_(flip, negate)] = -factors[np.ix_(flip, negate)]
 
     angles = _reduce_branch(plan, _wrap_angle(factors[:, plan.canonical]))
-    fabrics = tuple(GivensFabric(n, row) for row in angles)
+    fabric = GivensFabric(n, angles)
     _raise_for_member(AssertionError, "fabric does not reproduce the input matrix",
-                      np.max(np.abs(reconstruct(fabrics) - stack), axis=(1, 2))
+                      np.max(np.abs(reconstruct(fabric) - stack), axis=(1, 2))
                       > ORTHOGONALITY_TOL, stacked)
-    return fabrics if stacked else fabrics[0]
+    return fabric if stacked else GivensFabric(n, angles[0])
 
 
-def jacobian(fabrics: GivensFabric | Sequence[GivensFabric]) -> np.ndarray:
+def jacobian(fabric: GivensFabric) -> np.ndarray:
     """Angle derivatives of the reconstructed matrix's strictly-lower triangle.
 
     Entry [g, c] is the derivative of entry c of ``lower_indices(N)`` with
-    respect to angle g; square of dimension N (N - 1) / 2. One fabric gives
-    that matrix; a sequence of fabrics of one N gives their (B, K, K) stack,
-    each bitwise equal to its one-fabric call.
+    respect to angle g; square of dimension K = N (N - 1) / 2. One fabric
+    gives that matrix; a stacked fabric gives the (B, K, K) stack, each
+    member bitwise equal to its one-fabric call.
     With P the product of the gates before gate g on pivot (m, m+1),
     dU/dtheta_g = U (outer(P[m+1], P[m]) - outer(P[m], P[m+1])); one forward
     sweep carries P through the gates and records those two rows.
     """
-    n, angles = _angle_stack(fabrics)
-    product, lo, hi = _sweep(n, angles)
+    product, lo, hi = _sweep(fabric.n, np.atleast_2d(fabric.angles))
     u_t = np.swapaxes(product, 1, 2)  # after the last gate, P is the whole product U
-    rows, cols = lower_indices(n)
+    rows, cols = lower_indices(fabric.n)
     jac = (hi @ u_t)[:, :, rows] * lo[:, :, cols] - (lo @ u_t)[:, :, rows] * hi[:, :, cols]
-    return jac[0] if isinstance(fabrics, GivensFabric) else jac
+    return jac if fabric.angles.ndim == 2 else jac[0]
 

@@ -164,13 +164,13 @@ def parse_fcidump(text: str) -> Hamiltonian:
     try:
         norb = int(fields["NORB"])
         nelec = int(fields["NELEC"])
+        ms2 = int(fields.get("MS2") or 0)
     except KeyError as exc:
         raise ValueError(f"malformed FCIDUMP header: missing {exc.args[0]}") from None
     except ValueError:
-        raise ValueError("malformed FCIDUMP header: NORB/NELEC not integers") from None
+        raise ValueError("malformed FCIDUMP header: NORB/NELEC/MS2 not integers") from None
     if not 1 <= norb <= DESK_CAP:
         raise ValueError(f"NORB={norb} outside the supported range [1, {DESK_CAP}]")
-    ms2 = int(fields.get("MS2", "0") or 0)
     if (nelec + ms2) % 2 != 0:
         raise ValueError(f"NELEC={nelec} and MS2={ms2} have incompatible parity")
     n_alpha = (nelec + ms2) // 2

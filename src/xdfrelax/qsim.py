@@ -20,23 +20,24 @@ on orbitals (m, m+1) of one spin mixes the block rows ``pair_rows(N,
 filling, m)`` of that spin's filling: rows of Psi for beta, columns for
 alpha. ``ansatz_table`` holds the ansatz circuit on the flat block, its pair
 exchanges on ``pair_exchange_rows(N, n_alpha, n_beta, p)``;
-``fabric_tables`` holds a fabric's gates on the rows and on the columns of
-one spin's operators. Gates act on adjacent orbitals of one spin, so no
-Jordan-Wigner strings appear in circuits; the direct RDM oracle handles the
-strings explicitly on the embedded vector.
+``fabric_table`` holds a fabric's gates on the rows of one spin's
+operators, and on their columns through the transpose. Gates act on
+adjacent orbitals of one spin, so no Jordan-Wigner strings appear in
+circuits; the direct RDM oracle handles the strings explicitly on the
+embedded vector.
 
 A spin-locked fabric acts on each spin through one operator on that spin's
 strings, its gates applied in order to the rows of the identity: the circuit
 maps Psi to M_beta Psi M_alpha^T and its dagger to M_beta^T Psi M_alpha (one
 operator serves both spins when n_alpha = n_beta). The terms of a factorized
 Hamiltonian, the one-body term first, then one per retained leaf, are one
-``Frames`` stack, frame first: fabrics, their M_alpha and M_beta, and the
-terms' energy operators, diagonal in the rotated bases, as D[f, beta,
-alpha]. Every kernel reads the stack through one rotation of the state,
-M_beta^T Psi M_alpha for all frames at once: ``apply_hamiltonian`` maps it
-back and sums, ``measure_densities`` takes the densities and the
-orbital-rotation gradients of every frame from it, and ``energy`` the
-densities alone. The leaf densities are one (T, N, N) stack, matching the
+``Frames`` stack, frame first: one stacked fabric with a row of angles per
+frame, its M_alpha and M_beta, and the terms' energy operators, diagonal in
+the rotated bases, as D[f, beta, alpha]. Every kernel reads the stack
+through one rotation of the state, M_beta^T Psi M_alpha for all frames at
+once: ``apply_hamiltonian`` maps it back and sums, ``measure_densities``
+takes the densities and the orbital-rotation gradients of every frame from
+it, and ``energy`` the densities alone. The leaf densities are one (T, N, N) stack, matching the
 factorization's leaf stacks.
 
 Production differentiates frames without an angle chart: G[a, b], the
@@ -82,7 +83,7 @@ __all__ = [
     "pair_exchange_rows",
     "GateTable",
     "apply_gate",
-    "fabric_tables",
+    "fabric_table",
     "ansatz_table",
     "hf_reference",
     "measure_densities",
@@ -273,23 +274,14 @@ def apply_gate(x: np.ndarray, table: GateTable, k: int, scale: np.ndarray,
 
 
 @lru_cache(maxsize=64)
-def fabric_tables(n: int, filling: int) -> tuple[GateTable, GateTable, np.ndarray]:
-    """The rectangle-fabric gates on the flattened d x d arrays of one spin
-    filling (d = C(n, filling)): on their rows, on their columns, and the
-    (K, 2, L) flat indices of the entries (b_k, a_k) and (a_k, b_k) that gate
-    g's generator pairs, for its rows a, b = ``pair_rows(n, filling, m_g)``.
-    Cached; the arrays are read-only."""
+def fabric_table(n: int, filling: int) -> GateTable:
+    """The rectangle-fabric gates on the rows of the flattened d x d arrays of
+    one spin filling (d = C(n, filling)), gate g on the rows ``pair_rows(n,
+    filling, m_g)``. Cached; the arrays are read-only."""
     d = comb(n, filling)
-    rows = [pair_rows(n, filling, m) for m, _ in rectangle_pivots(n)]
-    reads = np.zeros((len(rows), 2, len(rows[0][0]) if rows else 0), dtype=np.intp)
-    for g, (a, b) in enumerate(rows):
-        reads[g] = b * d + a, a * d + b
-    return (GateTable(d * d, tuple(np.array([_row_entries(a, d), _row_entries(b, d)])
-                                   for a, b in rows)),
-            GateTable(d * d, tuple(np.array([_column_entries(a, d, d),
-                                             _column_entries(b, d, d)])
-                                   for a, b in rows)),
-            _read_only(reads)[0])
+    return GateTable(d * d, tuple(
+        np.array([_row_entries(a, d), _row_entries(b, d)])
+        for a, b in (pair_rows(n, filling, m) for m, _ in rectangle_pivots(n))))
 
 
 @lru_cache(maxsize=16)
@@ -321,7 +313,7 @@ def _fabric_operators(n: int, angles: np.ndarray, filling: int) -> np.ndarray:
     of one spin filling, first gate rightmost: one sweep applies each gate,
     one angle per fabric, to the rows of B identities. Returns (B, d, d)."""
     d = comb(n, filling)
-    rows = fabric_tables(n, filling)[0]
+    rows = fabric_table(n, filling)
     c, s = np.cos(angles)[:, :, None], np.sin(angles)[:, :, None]
     ops = np.tile(np.eye(d).reshape(-1), (len(angles), 1))
     for k in range(angles.shape[1]):
@@ -343,15 +335,16 @@ def _spin_z(n: int, filling: int) -> np.ndarray:
 @dataclass(frozen=True, eq=False)
 class Frames:
     """The terms of a factorized Hamiltonian for one (n_alpha, n_beta)
-    filling, frame first: the fabrics rotating into their bases, the (F,
-    rows, cols) energy operators ``D[f, beta, alpha]``, diagonal there, and
-    the fabrics' (F, d, d) operators on the alpha and beta strings,
-    ``M_alpha`` and ``M_beta`` (one array when the fillings are equal). One
-    sweep per spin filling builds the operators on construction, each gate
-    applied to the stacked identities with one angle per frame, so every
-    member equals its one-fabric build bitwise. The arrays are read-only."""
+    filling, frame first: one stacked fabric with (F, K) angles rotating into
+    the frames' bases, the (F, rows, cols) energy operators ``D[f, beta,
+    alpha]``, diagonal there, and the fabric's (F, d, d) operators on the
+    alpha and beta strings, ``M_alpha`` and ``M_beta`` (one array when the
+    fillings are equal). One sweep per spin filling builds the operators on
+    construction, each gate applied to the stacked identities with one angle
+    per frame, so every member equals its one-fabric build bitwise. The
+    arrays are read-only."""
 
-    fabrics: tuple[GivensFabric, ...]
+    fabric: GivensFabric
     n_alpha: int
     n_beta: int
     D: np.ndarray
@@ -359,12 +352,14 @@ class Frames:
     M_beta: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        n = self.fabrics[0].n
+        n, angles = self.fabric.n, self.fabric.angles
+        if angles.ndim != 2:
+            raise ValueError(f"Frames needs a stacked fabric with (F, K) angles, "
+                             f"got one fabric with angles of shape {angles.shape}")
         energies = np.array(self.D, dtype=float)
-        shape = (len(self.fabrics), *sector_shape(n, self.n_alpha, self.n_beta))
+        shape = (len(angles), *sector_shape(n, self.n_alpha, self.n_beta))
         if energies.shape != shape:
             raise ValueError(f"D has shape {energies.shape}, expected {shape}")
-        angles = np.array([fabric.angles for fabric in self.fabrics])
         m_alpha = _fabric_operators(n, angles, self.n_alpha)
         m_beta = (m_alpha if self.n_beta == self.n_alpha
                   else _fabric_operators(n, angles, self.n_beta))
@@ -519,13 +514,13 @@ def apply_hamiltonian(state: Statevector, fac: XDFFactorization) -> np.ndarray:
     return sum(terms, fac.eff.scalar_offset * state.amplitudes)
 
 
-def _full_operator(fabric: GivensFabric, angles: np.ndarray) -> np.ndarray:
-    """Per-spin operator of the fabric gates on all 2^N strings: the direct
-    sum of its operators on every filling."""
-    op = np.zeros((1 << fabric.n, 1 << fabric.n))
-    for filling in range(fabric.n + 1):
-        strings = sector_strings(fabric.n, filling)
-        op[np.ix_(strings, strings)] = _fabric_operators(fabric.n, angles[None], filling)[0]
+def _full_operator(n: int, angles: np.ndarray) -> np.ndarray:
+    """Per-spin operator of one n-orbital fabric at the (K,) ``angles`` on all
+    2^n strings: the direct sum of its operators on every filling."""
+    op = np.zeros((1 << n, 1 << n))
+    for filling in range(n + 1):
+        strings = sector_strings(n, filling)
+        op[np.ix_(strings, strings)] = _fabric_operators(n, angles[None], filling)[0]
     return op
 
 
@@ -537,20 +532,20 @@ def denergy_dtheta_shift(state: Statevector, frames: Frames, f: int, g: int) -> 
     pi/2), eight evaluations in total. Every evaluation runs on the embedded
     2^N x 2^N amplitude matrix with full per-spin operators, built per call.
     """
-    fabric = frames.fabrics[f]
-    if not 0 <= g < len(fabric.pivots):
+    row = frames.fabric.angles[f]
+    if not 0 <= g < len(row):
         raise ValueError(f"angle index {g} out of range")
     _check_filling(state, frames)
     n = state.n_spatial
     psi = state.embed().reshape(1 << n, 1 << n)
     d_full = _embedded(frames.D[f], n, frames.n_alpha, frames.n_beta)
-    unshifted = _full_operator(fabric, fabric.angles)
+    unshifted = _full_operator(n, row)
     total = 0.0
     for step, coeff in SHIFT_STEPS:
         for sign in (1.0, -1.0):
-            angles = fabric.angles.copy()
+            angles = row.copy()
             angles[g] += sign * step
-            shifted = _full_operator(fabric, angles)
+            shifted = _full_operator(n, angles)
             # alpha gate shifted (columns), then beta gate shifted (rows)
             for rotated in (unshifted.T @ psi @ shifted, shifted.T @ psi @ unshifted):
                 total += sign * coeff * float(np.sum(d_full * np.abs(rotated) ** 2))
@@ -563,19 +558,23 @@ def angle_gradients(state: Statevector, frames: Frames) -> np.ndarray:
     With Y the ``_frame_responses``, the derivative by gate g is 2 Re
     sum(K_g * P_g Y P_g^T) over the spins (P_g the gates before g, K_g the
     generator of g), from one forward sweep per spin over the frames' shared
-    gate tables. A row equals the one-frame result bitwise.
+    gate table, applied to the rows of Y and then to the rows of its
+    transpose. A row equals the one-frame result bitwise.
     """
-    angles = np.array([fabric.angles for fabric in frames.fabrics])
+    n, angles = state.n_spatial, frames.fabric.angles
     c, s = np.cos(angles)[:, :, None], np.sin(angles)[:, :, None]
     grad = np.zeros(angles.shape)
     for y, filling in _frame_responses(state, frames, _rotated(state, frames)):
-        rows, cols, reads = fabric_tables(state.n_spatial, filling)
-        y = y.reshape(len(angles), -1)
-        for g in range(angles.shape[1]):
-            pair_sums = y.take(reads[g], axis=1).sum(axis=2)
-            grad[:, g] += 2.0 * np.real(pair_sums[:, 0] - pair_sums[:, 1])
-            for table in (rows, cols):
-                y = apply_gate(y, table, g, *table.factors(c[:, g], s[:, g], g))
+        table, d = fabric_table(n, filling), y.shape[-1]
+        y = y.reshape(len(y), -1)
+        for g, (m, _) in enumerate(rectangle_pivots(n)):
+            a, b = pair_rows(n, filling, m)
+            grad[:, g] += 2.0 * np.real(y.take(b * d + a, axis=1).sum(axis=1)
+                                        - y.take(a * d + b, axis=1).sum(axis=1))
+            factors = table.factors(c[:, g], s[:, g], g)
+            for _ in range(2):  # rows, then columns through the transpose: G Y G^T
+                y = apply_gate(y, table, g, *factors)
+                y = np.swapaxes(y.reshape(-1, d, d), 1, 2).reshape(len(y), -1)
     return grad
 
 

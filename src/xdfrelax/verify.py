@@ -188,8 +188,7 @@ def fd_energy_derivative(ham: Hamiltonian, pert: Perturbation, regime: RegimeSpe
     """
     if base is None:
         base = run_pipeline(ham, regime)
-    pinned = RegimeSpec(regime.name, TruncationPolicy.by_count(base.fac.retained),
-                        regime.n_layers, regime.ansatz_seed, regime.vqe_tol)
+    pinned = replace(regime, truncation=TruncationPolicy.by_count(base.fac.retained))
 
     curvature = base.result.curvature
 

@@ -12,8 +12,8 @@ their frames. Consumers slice the stacks; the retained leaves are a prefix.
 
 A factorization carries its measurement frames, built once on construction
 as one ``qsim.Frames`` stack for the electron filling: the one-body frame
-first, then one per retained leaf. One ``givens.decompose`` call takes the
-one-body and retained-leaf orbital frames as one stack, and the stack's
+first, then one per retained leaf. One ``givens.decompose`` call turns the
+one-body and retained-leaf orbital frames into one stacked fabric, and its
 operators come from one sweep per spin filling.
 """
 
@@ -104,10 +104,10 @@ class XDFFactorization:
             object.__setattr__(self, name, arr)
         filling = (self.n_alpha, self.n_beta)
         kept = self.retained
-        fabrics = decompose(np.concatenate([self.U0[None], self.U[:kept]]))
+        fabric = decompose(np.concatenate([self.U0[None], self.U[:kept]]))
         energies = np.concatenate([one_body_energy(self.F0, *filling)[None],
                                    leaf_energies(self.Z[:kept], *filling)])
-        object.__setattr__(self, "frames", Frames(fabrics, *filling, energies))
+        object.__setattr__(self, "frames", Frames(fabric, *filling, energies))
 
     @property
     def n_leaves(self) -> int:
@@ -183,16 +183,15 @@ def factorize(ham: Hamiltonian, policy: TruncationPolicy) -> XDFFactorization:
                             policy.retained_count(g))
 
 
-def reconstruct_eri(fac: XDFFactorization, use_retained_only: bool = False) -> np.ndarray:
-    """Rebuild (pq|rs) from the leaf frames, optionally truncated.
+def reconstruct_eri(fac: XDFFactorization) -> np.ndarray:
+    """Rebuild (pq|rs) from the retained leaf frames.
 
     Contracts through the U / Z factors rather than the raw eigenvectors so
     the nested decomposition itself is exercised.
     """
     n = fac.n_orbitals
     out = np.zeros((n * n, n * n))
-    count = fac.retained if use_retained_only else fac.n_leaves
-    for u, z in zip(fac.U[:count], fac.Z[:count]):
+    for u, z in zip(fac.U[:fac.retained], fac.Z[:fac.retained]):
         cols = np.stack([np.outer(u[:, k], u[:, k]).reshape(-1) for k in range(n)], axis=1)
         out += cols @ z @ cols.T
     return out.reshape(n, n, n, n)

@@ -73,10 +73,21 @@ def from_full(amps: np.ndarray, n: int) -> qsim.Statevector:
     return qsim.Statevector(n, n_alpha, n_beta, block)
 
 
+def stack_fabrics(fabrics) -> givens.GivensFabric:
+    """One stacked fabric of a sequence of one-fabric members of one N."""
+    fabrics = list(fabrics)
+    return givens.GivensFabric(fabrics[0].n, [fabric.angles for fabric in fabrics])
+
+
+def frame_fabrics(frames: qsim.Frames) -> list[givens.GivensFabric]:
+    """The members of a frame stack's fabric, one one-fabric per frame."""
+    return [givens.GivensFabric(frames.fabric.n, row) for row in frames.fabric.angles]
+
+
 def fabric_frame(fabric: givens.GivensFabric, state: qsim.Statevector) -> qsim.Frames:
     """One-fabric frame stack for the filling of ``state``, with a zero
     energy operator."""
-    return qsim.Frames((fabric,), state.n_alpha, state.n_beta,
+    return qsim.Frames(stack_fabrics([fabric]), state.n_alpha, state.n_beta,
                        np.zeros((1, *state.amplitudes.shape)))
 
 
@@ -84,8 +95,8 @@ def frame_subset(frames: qsim.Frames, members) -> qsim.Frames:
     """The stack of the given members of a frame stack, in that order, built
     on its own."""
     members = list(members)
-    return qsim.Frames(tuple(frames.fabrics[f] for f in members), frames.n_alpha,
-                       frames.n_beta, frames.D[members])
+    return qsim.Frames(givens.GivensFabric(frames.fabric.n, frames.fabric.angles[members]),
+                       frames.n_alpha, frames.n_beta, frames.D[members])
 
 
 def stack_measure(state: qsim.Statevector, frames: qsim.Frames) -> qsim.EigenbasisDensities:
@@ -108,8 +119,9 @@ def rotate_state(state: qsim.Statevector, frames: qsim.Frames, f: int = 0,
 def frame_densities(state: qsim.Statevector, fabrics) -> qsim.EigenbasisDensities:
     """``qsim.measure_densities`` in the frames of arbitrary fabrics: the first
     stands for the one-body frame, the rest for leaf frames."""
-    frames = qsim.Frames(tuple(fabrics), state.n_alpha, state.n_beta,
-                         np.zeros((len(fabrics), *state.amplitudes.shape)))
+    fabric = stack_fabrics(fabrics)
+    frames = qsim.Frames(fabric, state.n_alpha, state.n_beta,
+                         np.zeros((len(fabric.angles), *state.amplitudes.shape)))
     return stack_measure(state, frames)
 
 
@@ -300,10 +312,10 @@ def pinv_solve(a: np.ndarray, rhs: np.ndarray) -> np.ndarray:
 def ref_angle_eta(state: qsim.Statevector, frames) -> tuple[np.ndarray, np.ndarray]:
     """The (F, N, N) strictly-lower eta stack of the frames and the max-abs
     residual of each frame's solve."""
-    n = frames.fabrics[0].n
-    jacs = givens.jacobian(frames.fabrics)
-    etas = np.zeros((len(frames.fabrics), n, n))
-    residuals = np.zeros(len(frames.fabrics))
+    n = frames.fabric.n
+    jacs = givens.jacobian(frames.fabric)
+    etas = np.zeros((len(jacs), n, n))
+    residuals = np.zeros(len(jacs))
     for f, (jac, rhs) in enumerate(zip(jacs, -qsim.angle_gradients(state, frames),
                                        strict=True)):
         eta_vec = pinv_solve(jac, rhs)
@@ -481,7 +493,7 @@ def ref_apply_hamiltonian(amps: np.ndarray, fac: xdf.XDFFactorization) -> np.nda
     diags = [(occ - 1.0) @ fac.F0]
     for z_mat in fac.Z[:fac.retained]:
         diags.append(0.125 * np.einsum("xk,kl,xl->x", z, z_mat, z) - 0.25 * np.trace(z_mat))
-    for fabric, diag in zip(fac.frames.fabrics, diags, strict=True):
+    for fabric, diag in zip(frame_fabrics(fac.frames), diags, strict=True):
         rotated = ref_apply_fabric(amps, n, fabric, dagger=True)
         out += ref_apply_fabric(diag * rotated, n, fabric)
     return out
@@ -493,7 +505,7 @@ def ref_densities(amps: np.ndarray, fac: xdf.XDFFactorization):
     n = fac.n_orbitals
     bits = qsim.string_bits(2 * n).astype(float)
     z = 2.0 - 2.0 * (bits[:, :n] + bits[:, n:])
-    fabric0, *leaf_fabrics = fac.frames.fabrics
+    fabric0, *leaf_fabrics = frame_fabrics(fac.frames)
     weights = np.abs(ref_apply_fabric(amps, n, fabric0, dagger=True)) ** 2
     omega0 = -0.5 * (weights @ z)
     omegas = []

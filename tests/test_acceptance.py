@@ -203,10 +203,10 @@ def test_criterion_8_parameter_shift_validation():
     for n, na, nb, seed in ((3, 2, 1, 4), (4, 2, 2, 13)):
         fac = factorize(synth_hamiltonian(n, na, nb, seed), TruncationPolicy.exact())
         state = random_sector_state(fac, seed + 70)
-        assert len(fac.frames.fabrics) == fac.retained + 1
+        assert len(fac.frames.fabric.angles) == fac.retained + 1
         sweeps = qsim.angle_gradients(state, fac.frames)
-        for f, (fabric, sweep) in enumerate(zip(fac.frames.fabrics, sweeps)):
-            for g in range(len(fabric.pivots)):
+        for f, sweep in enumerate(sweeps):
+            for g in range(len(sweep)):
                 shift = qsim.denergy_dtheta_shift(state, fac.frames, f, g)
                 worst = max(worst, abs(shift - sweep[g]))
     _report(8, worst < 1e-10,

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from xdfrelax import hammodel
 from xdfrelax.hammodel import (
@@ -54,6 +56,11 @@ NON_FINITE = {
     "&FCI NORB=2,NELEC=2,MS2=0 &END inf 2 1 0 0": "one_body holds a non-finite value",
     "&FCI NORB=2,NELEC=2,MS2=0 &END -inf 2 1 2 1": "two_body holds a non-finite value",
 }
+# Header texts whose error must name the field they get wrong.
+NAMED_FIELD = {
+    "&FCI NORB=2,NELEC=2,MS2=x &END": "MS2",
+    "&FCI NORB=2,NELEC=2,MS2=1.5 &END": "MS2",
+}
 
 
 @pytest.mark.parametrize("text", [
@@ -67,9 +74,10 @@ NON_FINITE = {
     "&FCI NORB=9,NELEC=2,MS2=0 &END",              # above the desk cap
     "&FCI NORB=1000,NELEC=2,MS2=0, &END",          # would allocate 8 TB
     *NON_FINITE,
+    *NAMED_FIELD,
 ])
 def test_parse_rejects_malformed(text):
-    with pytest.raises(ValueError, match=NON_FINITE.get(text)):
+    with pytest.raises(ValueError, match={**NON_FINITE, **NAMED_FIELD}.get(text)):
         parse_fcidump(text)
 
 
@@ -101,13 +109,24 @@ def test_write_all_zero_integrals_is_core_only():
     assert float(records[0].split()[0]) == 0.5
 
 
-@pytest.mark.parametrize("n,seed", [(2, 0), (4, 5), (5, 9)])
-def test_write_parse_round_trip_random(n, seed):
-    ham = synth_hamiltonian(n, 1, 1, seed)
+@st.composite
+def synthetic_models(draw):
+    n = draw(st.integers(2, 8))
+    return synth_hamiltonian(n, draw(st.integers(0, n)), draw(st.integers(0, n)),
+                             draw(st.integers(0, 2**32 - 1)))
+
+
+# Writing prints 17 significant digits, so every number survives bit for bit.
+@settings(max_examples=100, derandomize=True, database=None, deadline=None)
+@given(synthetic_models())
+@example(synth_hamiltonian(2, 1, 1, 0))
+@example(synth_hamiltonian(4, 1, 1, 5))
+@example(synth_hamiltonian(5, 1, 1, 9))
+def test_write_parse_round_trip_random(ham):
     again = parse_fcidump(write_fcidump(ham))
-    assert abs(again.core_energy - ham.core_energy) < 1e-12
-    assert np.max(np.abs(again.one_body - ham.one_body)) < 1e-12
-    assert np.max(np.abs(again.two_body - ham.two_body)) < 1e-12
+    assert again.core_energy == ham.core_energy
+    assert again.one_body.tobytes() == ham.one_body.tobytes()
+    assert again.two_body.tobytes() == ham.two_body.tobytes()
     assert (again.n_alpha, again.n_beta) == (ham.n_alpha, ham.n_beta)
 
 

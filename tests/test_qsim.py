@@ -24,6 +24,7 @@ from _common import (
     electron_counts,
     fabric_frame,
     frame_densities,
+    frame_fabrics,
     frame_subset,
     from_full,
     identity_fabric,
@@ -38,6 +39,7 @@ from _common import (
     ref_rotate_pair,
     rotate_pair,
     rotate_state,
+    stack_fabrics,
     stack_measure,
     symmetrize,
     table_gate,
@@ -227,7 +229,7 @@ def test_shift_rule_zero_for_unsupported_angle():
     fac = factorize(ham, TruncationPolicy.exact())
     state = hf_reference(3, 1, 1)
     # identity fabric here: angles are zero, pivot 1 is slot index 1
-    assert fac.frames.fabrics[0].pivots[1] == (1, 2)
+    assert fac.frames.fabric.pivots[1] == (1, 2)
     assert abs(denergy_dtheta_shift(state, fac.frames, 0, 1)) < 1e-14
 
 
@@ -236,8 +238,8 @@ def test_shift_rule_every_angle_every_leaf(seed):
     fac = factorize(synth_hamiltonian(3, 2, 1, 4), TruncationPolicy.exact())
     state = random_sector_state(fac, seed + 99)
     sweeps = angle_gradients(state, fac.frames)
-    assert sweeps.shape == (len(fac.frames.fabrics), len(fac.frames.fabrics[0].pivots))
-    for k, (fabric, sweep) in enumerate(zip(fac.frames.fabrics, sweeps, strict=True)):
+    assert sweeps.shape == fac.frames.fabric.angles.shape
+    for k, (fabric, sweep) in enumerate(zip(frame_fabrics(fac.frames), sweeps, strict=True)):
         for g in range(len(fabric.pivots)):
             shift = denergy_dtheta_shift(state, fac.frames, k, g)
             assert abs(shift - sweep[g]) < 1e-10
@@ -264,7 +266,7 @@ def _frame_energy(state, fac, k, fabric):
 def test_shift_rule_rejects_bad_indices():
     fac = factorize(synth_hamiltonian(3, 1, 1, 2), TruncationPolicy.by_count(2))
     state = hf_reference(3, 1, 1)
-    for f in range(len(fac.frames.fabrics)):
+    for f in range(len(fac.frames.fabric.angles)):
         for g in (-1, 3, 99):
             with pytest.raises(ValueError):
                 denergy_dtheta_shift(state, fac.frames, f, g)
@@ -278,8 +280,8 @@ def test_angle_gradient_complex_state_matches_shift_rule(n, na, nb, seed):
     amps = real_part + 1j * imag_part
     state = Statevector(n, na, nb, amps / np.linalg.norm(amps))
     sweeps = angle_gradients(state, fac.frames)
-    for f, (fabric, sweep) in enumerate(zip(fac.frames.fabrics, sweeps, strict=True)):
-        shift = [denergy_dtheta_shift(state, fac.frames, f, g) for g in range(len(fabric.pivots))]
+    for f, sweep in enumerate(sweeps):
+        shift = [denergy_dtheta_shift(state, fac.frames, f, g) for g in range(len(sweep))]
         assert np.max(np.abs(sweep - shift), initial=0.0) < 1e-10
 
 
@@ -291,19 +293,18 @@ def test_pair_rows_are_cached_and_read_only():
     assert qsim.pair_exchange_rows(4, 1, 2, 1) is qsim.pair_exchange_rows(4, 1, 2, 1)
     assert not qsim.sector_strings(4, 2).flags.writeable
     # the gate tables too
-    rows, cols, reads = qsim.fabric_tables(4, 2)
-    assert qsim.fabric_tables(4, 2)[0] is rows
+    fabric = qsim.fabric_table(4, 2)
+    assert qsim.fabric_table(4, 2) is fabric
     ansatz = qsim.ansatz_table(4, 1, 2, (0, 2, 1))
     assert qsim.ansatz_table(4, 1, 2, (0, 2, 1)) is ansatz
-    for table in (rows, cols, ansatz):
+    for table in (fabric, ansatz):
         for arr in (table.perm, table.sign, table.mask, *table.pairs):
             assert not arr.flags.writeable
             with pytest.raises(ValueError):
                 arr[(0,) * arr.ndim] = 1
-    assert not reads.flags.writeable
     # every cache in qsim is bounded
     caches = [f for f in vars(qsim).values() if hasattr(f, "cache_parameters")]
-    assert {f.__name__ for f in caches} >= {"fabric_tables", "ansatz_table", "pair_rows"}
+    assert {f.__name__ for f in caches} >= {"fabric_table", "ansatz_table", "pair_rows"}
     for f in caches:
         assert f.cache_parameters()["maxsize"] is not None, f.__name__
 
@@ -339,7 +340,7 @@ def test_fabric_matches_reference_kernel(n, na, nb, seed):
     for frames, f in ((fac.frames, 0), (fac.frames, 1), (custom, 0)):
         for dagger in (False, True):
             out = rotate_state(state, frames, f, dagger=dagger)
-            ref = ref_apply_fabric(state.embed(), n, frames.fabrics[f], dagger=dagger)
+            ref = ref_apply_fabric(state.embed(), n, frame_fabrics(frames)[f], dagger=dagger)
             assert np.max(np.abs(out.embed() - ref)) <= 1e-12
 
 
@@ -349,7 +350,7 @@ def test_fabric_matches_reference_kernel_n8():
     frame = fabric_frame(givens.decompose(random_special_orthogonal(8, 5)), state)
     for dagger in (False, True):
         out = rotate_state(state, frame, dagger=dagger)
-        ref = ref_apply_fabric(state.embed(), 8, frame.fabrics[0], dagger=dagger)
+        ref = ref_apply_fabric(state.embed(), 8, frame_fabrics(frame)[0], dagger=dagger)
         assert np.max(np.abs(out.embed() - ref)) <= 1e-12
 
 
@@ -462,24 +463,23 @@ def test_table_kernel_equals_rows_kernel(n, na, nb, seed, dtype):
                 out = table_gate(psi.reshape(-1), ansatz, k, theta)
                 np.testing.assert_array_equal(out, ref.reshape(-1))
     for filling in {na, nb}:
-        rows, cols, _ = qsim.fabric_tables(n, filling)
+        table = qsim.fabric_table(n, filling)
         d = comb(n, filling)
         y = _random_amplitudes((d, d), seed + filling, dtype)
         for g, (m, _) in enumerate(givens.rectangle_pivots(n)):
             for theta in angles:
-                for table, view in ((rows, lambda ref: ref), (cols, lambda ref: ref.T)):
+                for view in (lambda ref: ref, lambda ref: ref.T):  # rows, columns
                     ref = y.copy()
                     rotate_pair(view(ref), *qsim.pair_rows(n, filling, m), theta)
-                    out = table_gate(y.reshape(-1), table, g, theta)
-                    np.testing.assert_array_equal(out, ref.reshape(-1))
+                    out = table_gate(view(y).reshape(-1), table, g, theta)
+                    np.testing.assert_array_equal(out, view(ref).reshape(-1))
 
 
 @pytest.mark.parametrize("n,na,nb,seed", BLOCK_CASES)
 def test_stacked_batch_equals_one_item_runs(n, na, nb, seed):
     rng = np.random.default_rng(seed)
     thetas = np.array([*KERNEL_ANGLES, *rng.uniform(-np.pi, np.pi, 3)])
-    tables = (qsim.ansatz_table(n, na, nb, tuple(range(n - 1))),
-              *qsim.fabric_tables(n, na)[:2])
+    tables = (qsim.ansatz_table(n, na, nb, tuple(range(n - 1))), qsim.fabric_table(n, na))
     for table in tables:
         for dtype in (float, complex):
             batch = _random_amplitudes((len(thetas), table.dim), seed, dtype)
@@ -509,7 +509,7 @@ def _rotated_frame_energy(state, frames, f, u, a, b, t):
     k = np.zeros(u.shape)
     k[a, b], k[b, a] = 1.0, -1.0
     fabric = givens.decompose(u @ scipy.linalg.expm(t * k))
-    moved = qsim.Frames((fabric,), frames.n_alpha, frames.n_beta, frames.D[f:f + 1])
+    moved = qsim.Frames(stack_fabrics([fabric]), frames.n_alpha, frames.n_beta, frames.D[f:f + 1])
     return float(np.sum(moved.D[0] * np.abs(moved.M_beta[0].T @ state.amplitudes
                                             @ moved.M_alpha[0]) ** 2))
 
@@ -599,16 +599,15 @@ def test_kernels_refuse_a_state_of_another_filling():
 def test_frames_follow_the_factorization(policy):
     fac = factorize(synth_hamiltonian(4, 2, 2, 13), policy)
     frames = fac.frames
-    assert len(frames.fabrics) == fac.retained + 1
+    assert frames.fabric.angles.shape == (fac.retained + 1, 6)
     assert frames.D.shape == (fac.retained + 1, *qsim.sector_shape(4, 2, 2))
     assert frames.M_alpha.shape == frames.M_beta.shape == (fac.retained + 1, 6, 6)
     # every leaf, retained or not, is a member of the leaf stacks
     assert fac.g.shape == (10,) and fac.lam.shape == (10, 4)
     assert fac.V.shape == fac.U.shape == fac.Z.shape == (10, 4, 4)
     orbitals = [fac.U0, *fac.U[:fac.retained]]
-    for fabric, u in zip(frames.fabrics, orbitals, strict=True):
-        assert np.max(np.abs(givens.reconstruct(fabric) - u)) <= 1e-10
-    for arr in (frames.M_alpha, frames.M_beta, frames.D, fac.U0, fac.F0,
+    assert np.max(np.abs(givens.reconstruct(frames.fabric) - orbitals)) <= 1e-10
+    for arr in (frames.fabric.angles, frames.M_alpha, frames.M_beta, frames.D, fac.U0, fac.F0,
                 fac.g, fac.V, fac.U, fac.lam):
         assert not arr.flags.writeable
         with pytest.raises(ValueError):
@@ -618,19 +617,24 @@ def test_frames_follow_the_factorization(policy):
 
 
 def test_frames_refuse_a_misshapen_energy_operator():
-    fabrics = (identity_fabric(3), identity_fabric(3))
+    fabric = stack_fabrics([identity_fabric(3)] * 2)
     # one alpha electron and no beta electron: D is (2, 1, 3)
     for shape in ((2, 3, 1), (1, 1, 3), (3, 1, 3), (2, 3), (2, 3, 3)):
         with pytest.raises(ValueError, match="D has shape"):
-            qsim.Frames(fabrics, 1, 0, np.zeros(shape))
-    assert qsim.Frames(fabrics, 1, 0, np.zeros((2, 1, 3)).tolist()).D.shape == (2, 1, 3)
+            qsim.Frames(fabric, 1, 0, np.zeros(shape))
+    assert qsim.Frames(fabric, 1, 0, np.zeros((2, 1, 3)).tolist()).D.shape == (2, 1, 3)
+
+
+def test_frames_refuse_a_one_fabric():
+    with pytest.raises(ValueError, match="stacked fabric"):
+        qsim.Frames(identity_fabric(3), 1, 0, np.zeros((1, 1, 3)))
 
 
 def test_factorized_operators_do_no_gate_work(monkeypatch):
     fac = factorize(synth_hamiltonian(3, 2, 1, 3), TruncationPolicy.by_count(4))
     state = random_sector_state(fac, 12)
     expected = ref_apply_hamiltonian(state.embed(), fac)
-    omega0 = frame_densities(state, fac.frames.fabrics[:1]).omega0
+    omega0 = frame_densities(state, frame_fabrics(fac.frames)[:1]).omega0
 
     def refuse(*args):
         raise AssertionError("gate applied after the factorization was built")
@@ -662,7 +666,7 @@ def test_production_never_embeds(monkeypatch):
 def test_stacked_frame_operators_match_per_frame_referee(n, na, nb, seed):
     # and every member of the stack equals its one-fabric stack, bit for bit
     frames = factorize(synth_hamiltonian(n, na, nb, seed), TruncationPolicy.exact()).frames
-    for f, fabric in enumerate(frames.fabrics):
+    for f, fabric in enumerate(frame_fabrics(frames)):
         np.testing.assert_array_equal(frames.M_alpha[f], ref_fabric_operator(fabric, na))
         np.testing.assert_array_equal(frames.M_beta[f], ref_fabric_operator(fabric, nb))
         one = frame_subset(frames, [f])

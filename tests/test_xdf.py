@@ -51,13 +51,13 @@ def test_full_reconstruction_identity(n, seed):
 def test_reconstruct_retained_zero_is_zero_tensor():
     ham = synth_hamiltonian(3, 1, 1, 5)
     fac = factorize(ham, TruncationPolicy.by_count(0))
-    assert np.max(np.abs(reconstruct_eri(fac, use_retained_only=True))) == 0.0
+    assert np.max(np.abs(reconstruct_eri(fac))) == 0.0
 
 
 def test_truncation_error_equals_discarded_tail():
     ham = synth_hamiltonian(4, 2, 2, 13)
     fac = factorize(ham, TruncationPolicy.by_threshold(1e-1))
-    rebuilt = reconstruct_eri(fac, use_retained_only=True)
+    rebuilt = reconstruct_eri(fac)
     err = np.linalg.norm(rebuilt - ham.two_body)
     tail = np.linalg.norm(fac.g[fac.retained:])
     assert abs(err - tail) < 1e-10
