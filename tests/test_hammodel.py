@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from xdfrelax import hammodel
@@ -117,17 +117,23 @@ def synthetic_models(draw):
 
 
 # Writing prints 17 significant digits, so every number survives bit for bit.
-@settings(max_examples=100, derandomize=True, database=None, deadline=None)
-@given(synthetic_models())
-@example(synth_hamiltonian(2, 1, 1, 0))
-@example(synth_hamiltonian(4, 1, 1, 5))
-@example(synth_hamiltonian(5, 1, 1, 9))
-def test_write_parse_round_trip_random(ham):
+def assert_round_trips(ham):
     again = parse_fcidump(write_fcidump(ham))
     assert again.core_energy == ham.core_energy
     assert again.one_body.tobytes() == ham.one_body.tobytes()
     assert again.two_body.tobytes() == ham.two_body.tobytes()
     assert (again.n_alpha, again.n_beta) == (ham.n_alpha, ham.n_beta)
+
+
+@pytest.mark.parametrize("n,seed", [(2, 0), (4, 5), (5, 9)])
+def test_write_parse_round_trip_random(n, seed):
+    assert_round_trips(synth_hamiltonian(n, 1, 1, seed))
+
+
+@settings(max_examples=100, derandomize=True, database=None, deadline=None)
+@given(synthetic_models())
+def test_write_parse_round_trip_any_model(ham):
+    assert_round_trips(ham)
 
 
 def test_synth_deterministic():
