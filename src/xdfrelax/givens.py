@@ -65,7 +65,7 @@ def lower_indices(n: int) -> tuple[np.ndarray, np.ndarray]:
     return _read_only(*np.tril_indices(n, -1))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GivensFabric:
     """Plane-rotation angles on the rectangle pivot layout: (K,) for one
     fabric, (B, K) for a stack of B fabrics of one N. Read-only."""

@@ -54,7 +54,7 @@ def eight_fold_deviation(eri: np.ndarray) -> float:
     return float(np.max(np.abs(eri - eight_fold_symmetrize(eri))))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Hamiltonian:
     """Active-space electronic Hamiltonian in chemists' notation.
 
@@ -112,7 +112,7 @@ class Hamiltonian:
                 raise ValueError(f"supermatrix not PSD (min eigenvalue {evals.min():.3e})")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EffectiveOperators:
     """Scalar and one-body operators absorbing mean two-body contributions.
 
@@ -123,7 +123,7 @@ class EffectiveOperators:
     eff_one_body: np.ndarray
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Perturbation:
     """Symmetric integral-space direction, unit-normalized in Frobenius norm."""
 

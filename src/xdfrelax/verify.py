@@ -129,10 +129,24 @@ def five_point_derivative(f, step: float) -> float:
     return (f(-2 * step) - 8.0 * f(-step) + 8.0 * f(step) - f(2 * step)) / (12.0 * step)
 
 
+def _built_once(built: dict | None, key, build):
+    """``build()``, or with a ``built`` dict the value stored under ``key``,
+    built and stored on first request. The records used in keys hash by
+    identity, so a key names the very objects it was made from."""
+    if built is None:
+        return build()
+    if key not in built:
+        built[key] = build()
+    return built[key]
+
+
 def run_pipeline(ham: Hamiltonian, regime: RegimeSpec,
-                 seed: vqe.VQEResult | None = None) -> Pipeline:
-    """Factorize and optimize; ``seed`` warm-starts the VQE (see vqe.optimize)."""
-    fac = factorize(ham, regime.truncation)
+                 seed: vqe.VQEResult | None = None, *, built: dict | None = None) -> Pipeline:
+    """Factorize and optimize; ``seed`` warm-starts the VQE (see vqe.optimize).
+    ``built`` shares factorizations of the same (ham, truncation) input
+    across the calls given it."""
+    fac = _built_once(built, (ham, regime.truncation),
+                      lambda: factorize(ham, regime.truncation))
     cfg = AnsatzConfig(regime.n_layers, regime.ansatz_seed)
     result = vqe.optimize(fac, cfg, tol=regime.vqe_tol, seed=seed)
     if not result.converged:
@@ -178,13 +192,14 @@ def _check_leaf_tracking(base: XDFFactorization, displaced: XDFFactorization) ->
 
 def fd_energy_derivative(ham: Hamiltonian, pert: Perturbation, regime: RegimeSpec,
                          eps_step: float = FD_STEP,
-                         base: Pipeline | None = None) -> float:
+                         base: Pipeline | None = None, *, built: dict | None = None) -> float:
     """5-point central difference of the full pipeline energy along eps.
 
     Every displaced evaluation re-factorizes with the base retained count,
     re-seeds the optimizer from the base parameters, and re-optimizes with
     the most recent curvature built in the stencil; a retained-set change
-    across the stencil is a hard error.
+    across the stencil is a hard error. ``built`` shares the displaced
+    Hamiltonians and their factorizations across the calls given it.
     """
     if base is None:
         base = run_pipeline(ham, regime)
@@ -194,9 +209,10 @@ def fd_energy_derivative(ham: Hamiltonian, pert: Perturbation, regime: RegimeSpe
 
     def displaced_energy(eps: float) -> float:
         nonlocal curvature
-        displaced = apply_perturbation(ham, pert, eps)
+        displaced = _built_once(built, (ham, pert, eps),
+                                lambda: apply_perturbation(ham, pert, eps))
         pipe = run_pipeline(displaced, pinned,
-                            seed=replace(base.result, curvature=curvature))
+                            seed=replace(base.result, curvature=curvature), built=built)
         _check_leaf_tracking(base.fac, pipe.fac)
         curvature = pipe.result.curvature
         return pipe.energy
@@ -207,14 +223,22 @@ def fd_energy_derivative(ham: Hamiltonian, pert: Perturbation, regime: RegimeSpe
 def run_regime_suite(ham: Hamiltonian, specs, perturbations,
                      eps_step: float = FD_STEP,
                      ablate: str | None = None) -> list[DerivativeReport]:
-    """Analytic-vs-numerical derivative reports over regimes and perturbations."""
+    """Analytic-vs-numerical derivative reports over regimes and perturbations.
+
+    The regimes displace ``ham`` along the same perturbations and steps, so
+    each displaced Hamiltonian, and each factorization of one input under
+    one truncation policy, is built once, when the loop first needs it, and
+    shared for the rest of this call. Every regime still runs its own solves
+    and leaf-tracking checks.
+    """
+    built = {}
     reports = []
     for regime in specs:
-        base = run_pipeline(ham, regime)
+        base = run_pipeline(ham, regime, built=built)
         rdms = relaxed_rdms(base, ablate=ablate)
         for pert in perturbations:
             analytic = analytic_energy_derivative(base, pert, rdms)
-            numerical = fd_energy_derivative(ham, pert, regime, eps_step, base)
+            numerical = fd_energy_derivative(ham, pert, regime, eps_step, base, built=built)
             reports.append(DerivativeReport(
                 regime.name, pert.label or pert.kind, analytic, numerical,
                 abs(analytic - numerical)))

@@ -37,7 +37,7 @@ class AnsatzConfig:
     seed: int = 0
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class VQEResult:
     """A solve's end point, its energy and max|g|, whether that is within the
     solve's ``tol``, and the L-BFGS iterations plus Newton steps it took.
@@ -64,6 +64,9 @@ class VQEResult:
                 object.__setattr__(self, name, value)
 
 
+STENCIL_SWEEP_ENTRIES = 1 << 20  # gate-factor entries of one batched sweep (8 MB a table)
+
+
 def ansatz_blocks(n_spatial: int, n_layers: int) -> tuple[int, ...]:
     """Pivot orbital of every block, brickwork order."""
     blocks = []
@@ -76,68 +79,105 @@ def n_parameters(n_spatial: int, cfg: AnsatzConfig) -> int:
     return 2 * len(ansatz_blocks(n_spatial, cfg.n_layers))
 
 
-def _gate_angles(params: np.ndarray) -> np.ndarray:
-    """Angle of every ansatz gate in ``qsim.ansatz_table`` order: per block the
-    locked rotation's for its alpha and its beta gate, then the exchange's."""
-    return params.reshape(-1, 2)[:, [0, 0, 1]].ravel()
+def _gate_angles(points: np.ndarray) -> np.ndarray:
+    """Angle of every ansatz gate in ``qsim.ansatz_table`` order at the (B, P)
+    points: per block the locked rotation's for its alpha and its beta gate,
+    then the exchange's. Returns (B, K) with K = 3 P / 2."""
+    pairs = points.reshape(len(points), points.shape[1] // 2, 2)
+    return pairs[..., [0, 0, 1]].reshape(len(points), -1)
+
+
+def _gate_factors(table: qsim.GateTable, angles: np.ndarray):
+    """``GateTable.factors`` of every gate at the (B, K) gate angles, gate
+    axis first: two (K, B, dim) arrays, gate k's factors at ``[k]``."""
+    thetas = angles[..., None]
+    return (f.swapaxes(0, 1) for f in table.factors(np.cos(thetas), np.sin(thetas)))
+
+
+def _ansatz_amplitudes(fac: XDFFactorization, cfg: AnsatzConfig,
+                       points: np.ndarray) -> np.ndarray:
+    """The flat ansatz blocks at the (B, P) points, as (B, dim)."""
+    n, n_alpha, n_beta = fac.n_orbitals, fac.n_alpha, fac.n_beta
+    blocks = ansatz_blocks(n, cfg.n_layers)
+    if points.shape[1:] != (2 * len(blocks),):
+        raise ValueError(f"expected {2 * len(blocks)} parameters, got {points.shape[1:]}")
+    table = qsim.ansatz_table(n, n_alpha, n_beta, blocks)
+    scale, shift = _gate_factors(table, _gate_angles(points))
+    psi = np.empty((len(points), table.dim))
+    psi[:] = qsim.hf_reference(n, n_alpha, n_beta).amplitudes.reshape(-1)
+    for k in range(len(table.pairs)):
+        psi = qsim.apply_gate(psi, table, k, scale[k], shift[k])
+    return psi
 
 
 def prepare_state(fac: XDFFactorization, cfg: AnsatzConfig,
                   params: np.ndarray) -> Statevector:
-    params = np.asarray(params, dtype=float)
     n, n_alpha, n_beta = fac.n_orbitals, fac.n_alpha, fac.n_beta
-    blocks = ansatz_blocks(n, cfg.n_layers)
-    if params.shape != (2 * len(blocks),):
-        raise ValueError(f"expected {2 * len(blocks)} parameters, got {params.shape}")
-    table = qsim.ansatz_table(n, n_alpha, n_beta, blocks)
-    thetas = _gate_angles(params)[:, None]
-    scale, shift = table.factors(np.cos(thetas), np.sin(thetas))
-    psi = qsim.hf_reference(n, n_alpha, n_beta).amplitudes.reshape(-1)
-    for k in range(len(thetas)):
-        psi = qsim.apply_gate(psi, table, k, scale[k], shift[k])
+    psi = _ansatz_amplitudes(fac, cfg, np.asarray(params, dtype=float)[None])[0]
     return Statevector(n, n_alpha, n_beta,
                        psi.reshape(qsim.sector_shape(n, n_alpha, n_beta)))
 
 
-def _generator_term(kets: np.ndarray, pair: np.ndarray) -> float:
-    """<lam| K |psi> for the generator K of the gate on the flat entries
-    ``pair = (a, b)``, with ``kets`` the stacked flat psi and lam:
-    np.vdot(lam[b], psi[a]) - np.vdot(lam[a], psi[b]) over the entries in
-    table order (for a beta gate the block's rows, as ``lam[b]``; for an
-    alpha gate its columns, as ``lam.T[a]``)."""
-    (psi_a, psi_b), (lam_a, lam_b) = kets.take(pair, axis=1)
-    return float(np.vdot(lam_b, psi_a) - np.vdot(lam_a, psi_b))
+def _generator_terms(reads: list[np.ndarray]) -> np.ndarray:
+    """<lam| K |psi> for the generators K of G gates, from their (2, B, 2, L)
+    reads ``kets.take(pair, axis=-1)`` of the flat psi and lam stack on the
+    gate's entries ``pair = (a, b)``: lam[b] . psi[a] - lam[a] . psi[b] over
+    the entries in table order (for a beta gate the block's rows, as
+    ``lam[b]``; for an alpha gate its columns, as ``lam.T[a]``). Returns (B,
+    G). Every dot is a row of one stacked matmul, (1, L) @ (L, 1), which
+    rounds as ``np.vdot`` does."""
+    psi, lam = np.array(reads).swapaxes(0, 1)
+    dots = (lam[..., ::-1, None, :] @ psi[..., None])[..., 0, 0]
+    return (dots[..., 0] - dots[..., 1]).T
 
 
-def _energy_and_gradient(fac: XDFFactorization, cfg: AnsatzConfig,
-                         params: np.ndarray) -> tuple[float, np.ndarray]:
-    """Energy and its exact parameter gradient via one reverse sweep.
+def _energy_and_gradient(fac: XDFFactorization, cfg: AnsatzConfig, params: np.ndarray):
+    """Energy and its exact parameter gradient via one reverse sweep: a float
+    and (P,) at a (P,) point, or (B,) and (B, P) at a (B, P) stack of
+    points, batch axis leading as in ``qsim.apply_gate``. Every row comes
+    out bitwise as its own single-point call.
 
-    The ket and lambda = H|psi> are stacked as two flat blocks and every gate
-    of the table is un-applied to both at once, the alpha gate of a block
-    before its beta gate; each gate's derivative is read off its generator,
-    2 <lambda| K |psi>. The locked rotation's generator is the sum of its
-    alpha and beta ones, which commute.
+    H is applied one point at a time. The kets and lambda = H|psi> are
+    stacked as (2, B, dim) and every gate of the table is un-applied to both
+    at once, the alpha gate of a block before its beta gate; each gate's
+    derivative is read off its generator, 2 <lambda| K |psi>, from the
+    entries it acts on, taken where the sweep passes it. The locked
+    rotation's generator is the sum of its alpha and beta ones, which
+    commute.
     """
     n, n_alpha, n_beta = fac.n_orbitals, fac.n_alpha, fac.n_beta
     blocks = ansatz_blocks(n, cfg.n_layers)
-    ket = prepare_state(fac, cfg, params)
-    lam = qsim.apply_hamiltonian(ket, fac)
-    energy = float(np.vdot(ket.amplitudes, lam))
+    params = np.asarray(params, dtype=float)
+    points = params[None] if params.ndim == 1 else params
+    psi = _ansatz_amplitudes(fac, cfg, points)
+    lam = np.empty_like(psi)
+    energy = np.empty(len(points))
+    for b, amps in enumerate(psi):
+        ket = Statevector(n, n_alpha, n_beta,
+                          amps.reshape(qsim.sector_shape(n, n_alpha, n_beta)))
+        lam[b] = qsim.apply_hamiltonian(ket, fac).reshape(-1)
+        energy[b] = np.vdot(ket.amplitudes, lam[b])
 
     table = qsim.ansatz_table(n, n_alpha, n_beta, blocks)
-    thetas = -_gate_angles(params)[:, None]
-    scale, shift = table.factors(np.cos(thetas), np.sin(thetas))
-    kets = np.stack([ket.amplitudes.reshape(-1), lam.reshape(-1)])
-    grad = np.zeros_like(params)
+    scale, shift = _gate_factors(table, -_gate_angles(points))
+    kets = np.array([psi, lam])
+    reads = [None] * len(table.pairs)
     for i in reversed(range(len(blocks))):
         alpha, beta, exchange = 3 * i, 3 * i + 1, 3 * i + 2
         kets = qsim.apply_gate(kets, table, exchange, scale[exchange], shift[exchange])
-        grad[2 * i + 1] = 2.0 * _generator_term(kets, table.pairs[exchange])
+        reads[exchange] = kets.take(table.pairs[exchange], axis=-1)
         for k in (alpha, beta):
             kets = qsim.apply_gate(kets, table, k, scale[k], shift[k])
-        grad[2 * i] = 2.0 * (_generator_term(kets, table.pairs[beta])
-                             + _generator_term(kets, table.pairs[alpha]))
+        for k in (alpha, beta):
+            reads[k] = kets.take(table.pairs[k], axis=-1)
+    grad = np.zeros(points.shape)
+    if blocks:
+        alpha_terms, beta_terms, exchange_terms = (
+            _generator_terms(reads[kind::3]) for kind in range(3))
+        grad[:, 0::2] = 2.0 * (beta_terms + alpha_terms)
+        grad[:, 1::2] = 2.0 * exchange_terms
+    if params.ndim == 1:
+        return float(energy[0]), grad[0]
     return energy, grad
 
 
@@ -156,18 +196,24 @@ def _lbfgs(fac: XDFFactorization, cfg: AnsatzConfig, x0: np.ndarray,
 def _inverse_hessian(fac: XDFFactorization, cfg: AnsatzConfig,
                      x: np.ndarray) -> np.ndarray:
     """Pseudo-inverse of the Hessian at x, a central difference of the adjoint
-    gradient (2P gradient calls, cheap at desk-scale parameter counts).
+    gradient over the 2P stencil points x +- h e_i, evaluated as one batch
+    (in slices of at most ``STENCIL_SWEEP_ENTRIES`` gate-factor entries, so
+    deep N=8 stencils stay small), cheap at desk-scale parameter counts.
 
     Flat (gauge) directions of the ansatz make the Hessian singular; its
     eigen-directions with curvature below 1e-6 of the largest are dropped.
     """
     h = 1e-5
-    hess = np.zeros((x.size, x.size))
-    for i in range(x.size):
-        xp = x.copy(); xp[i] += h
-        xm = x.copy(); xm[i] -= h
-        hess[:, i] = (_energy_and_gradient(fac, cfg, xp)[1]
-                      - _energy_and_gradient(fac, cfg, xm)[1]) / (2 * h)
+    diag = np.arange(x.size)
+    stencil = np.tile(x, (2, x.size, 1))
+    stencil[0, diag, diag] += h
+    stencil[1, diag, diag] -= h
+    stencil = stencil.reshape(-1, x.size)
+    dim = np.prod(qsim.sector_shape(fac.n_orbitals, fac.n_alpha, fac.n_beta))
+    rows = max(1, STENCIL_SWEEP_ENTRIES // (3 * x.size // 2 * dim))
+    grads = np.concatenate([_energy_and_gradient(fac, cfg, stencil[i:i + rows])[1]
+                            for i in range(0, len(stencil), rows)])
+    hess = ((grads[:x.size] - grads[x.size:]) / (2 * h)).T
     hess = 0.5 * (hess + hess.T)
     evals, evecs = np.linalg.eigh(hess)
     cutoff = 1e-6 * max(np.max(np.abs(evals)), 1e-300)

@@ -1,5 +1,6 @@
 """Package modules use each other only through public names, their
-dataclasses hold no mutable containers, every name they export exists,
+dataclasses hold no mutable containers and compare by identity when they
+hold arrays, every name they export exists,
 every module constant, function, class, method and field they define is
 read, and every CLI flag a subcommand registers is read by that subcommand."""
 
@@ -9,10 +10,11 @@ import inspect
 import re
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import xdfrelax
-from xdfrelax import cli
+from xdfrelax import cli, givens, hammodel, vqe, xdf
 
 PACKAGE = Path(xdfrelax.__file__).parent
 MODULES = {path.stem for path in PACKAGE.glob("*.py")} - {"__init__"}
@@ -106,6 +108,73 @@ def test_finder_flags_mutable_dataclass_fields():
 @pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
 def test_no_mutable_dataclass_fields(path):
     assert mutable_dataclass_fields(path.read_text(encoding="utf-8")) == []
+
+
+def array_records_compared_by_value(source: str) -> list[str]:
+    """Every dataclass with a field annotated as an ndarray that keeps the
+    generated ``__eq__`` (and with frozen=True, ``__hash__``): comparing two
+    instances would compare arrays and raise."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, ast.ClassDef):
+            continue
+        for deco in node.decorator_list:
+            if _terminal_name(deco) != "dataclass":
+                continue
+            eq = next((kw.value for kw in getattr(deco, "keywords", ())
+                       if kw.arg == "eq"), None)
+            if isinstance(eq, ast.Constant) and eq.value is False:
+                continue
+            if any(isinstance(stmt, ast.AnnAssign) and "ndarray" in ast.unparse(stmt.annotation)
+                   for stmt in node.body):
+                found.append(node.name)
+    return found
+
+
+def test_finder_flags_array_records_compared_by_value():
+    source = (
+        "from dataclasses import dataclass\n"
+        "@dataclass(frozen=True)\n"
+        "class A:\n"
+        "    x: np.ndarray\n"
+        "@dataclass\n"
+        "class B:\n"
+        "    x: np.ndarray | None = None\n"
+        "@dataclass(frozen=True, eq=False)\n"
+        "class C:\n"
+        "    x: np.ndarray\n"
+        "@dataclass(frozen=True)\n"
+        "class D:\n"
+        "    x: float\n"
+    )
+    assert array_records_compared_by_value(source) == ["A", "B"]
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_array_records_compare_by_identity(path):
+    assert array_records_compared_by_value(path.read_text(encoding="utf-8")) == []
+
+
+def _twin_records():
+    """Two distinct, equal-valued instances of every array-holding record."""
+    def build():
+        ham = hammodel.synth_hamiltonian(3, 1, 1, 2)
+        return {
+            "GivensFabric": givens.decompose(np.eye(3)),
+            "Hamiltonian": ham,
+            "EffectiveOperators": xdf.factorize(ham, xdf.TruncationPolicy.exact()).eff,
+            "Perturbation": hammodel.random_one_body_perturbation(3, 1),
+            "VQEResult": vqe.VQEResult(np.zeros(2), -1.0, 0.0, True, 3, np.eye(2)),
+        }
+
+    first, second = build(), build()
+    return [pytest.param(first[name], second[name], id=name) for name in first]
+
+
+@pytest.mark.parametrize("a,b", _twin_records())
+def test_array_records_compare_and_hash_without_raising(a, b):
+    assert a == a and a != b  # identity, whatever the values
+    assert a in {a} and b not in {a}
 
 
 def undefined_exports(source: str) -> list[str]:

@@ -78,6 +78,28 @@ def test_truncated_regime_derivatives_n3():
         assert report.passed()
 
 
+def test_regime_suite_builds_each_input_once(monkeypatch):
+    # the four regimes displace one Hamiltonian along the same stencil, and the
+    # two regimes of one truncation policy factorize identical inputs
+    ham = synth_hamiltonian(3, 1, 1, 2)
+    specs = RegimeSpec.grid(2, 1, TruncationPolicy.by_count(3))
+    perts = [hammodel.random_one_body_perturbation(3, 31),
+             hammodel.random_two_body_perturbation(3, 32)]
+    calls = []
+    real = verify.factorize
+
+    def counting(ham, policy):
+        calls.append(policy)
+        return real(ham, policy)
+
+    monkeypatch.setattr(verify, "factorize", counting)
+    alone = [report for spec in specs for report in run_regime_suite(ham, [spec], perts)]
+    assert len(calls) == 4 * (1 + 2 * 4)  # per regime: its base, 4 stencil points each
+    calls.clear()
+    assert run_regime_suite(ham, specs, perts) == alone
+    assert len(calls) == 2 * (1 + 2 * 4)  # per truncation policy
+
+
 def test_nu_ablation_breaks_derivatives():
     ham = synth_hamiltonian(3, 1, 1, 2)
     spec = RegimeSpec("truncated", TruncationPolicy.by_count(3), 3)

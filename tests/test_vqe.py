@@ -19,8 +19,8 @@ from xdfrelax.vqe import (
 from xdfrelax.xdf import TruncationPolicy, factorize
 
 from _common import (FILLING_CASES, KERNEL_CASES, ansatz_gradient, electron_counts,
-                     ref_ansatz_state, ref_energy_and_gradient, regime_fixture,
-                     zero_two_body)
+                     ref_ansatz_state, ref_energy_and_gradient, ref_inverse_hessian,
+                     regime_fixture, zero_two_body)
 
 def test_block_layout():
     assert ansatz_blocks(4, 2) == (0, 2, 1)
@@ -92,12 +92,13 @@ WARM_TOL = 1e-9
 
 @pytest.fixture
 def energy_grad_calls(monkeypatch):
-    """Records every energy+gradient evaluation the optimizer makes."""
+    """Records every point the optimizer evaluates energy+gradient at: one
+    entry per point of a single-point call, one per row of a batched one."""
     calls = []
     real = vqe._energy_and_gradient
 
     def counting(*args):
-        calls.append(args[-1])  # the evaluated parameters
+        calls.extend(np.atleast_2d(args[-1]))  # the evaluated parameters
         return real(*args)
 
     monkeypatch.setattr(vqe, "_energy_and_gradient", counting)
@@ -277,6 +278,42 @@ def test_adjoint_gradient_matches_shift_rule(n, na, nb, seed, layers):
     energy, grad = vqe._energy_and_gradient(fac, cfg, params)
     assert abs(energy - qsim.energy(prepare_state(fac, cfg, params), fac)) <= 1e-12
     assert np.max(np.abs(grad - ansatz_gradient(fac, cfg, params))) <= 1e-12
+
+
+@pytest.mark.parametrize("layers", [0, 2])
+@pytest.mark.parametrize("n,na,nb,seed", KERNEL_CASES + FILLING_CASES)
+def test_batched_rows_match_single_points(n, na, nb, seed, layers):
+    fac = factorize(synth_hamiltonian(n, na, nb, seed), TruncationPolicy.exact())
+    cfg = AnsatzConfig(layers)
+    points = np.random.default_rng(seed).uniform(-np.pi, np.pi, (5, n_parameters(n, cfg)))
+    points[0] = 0.0
+    energies, grads = vqe._energy_and_gradient(fac, cfg, points)
+    assert energies.shape == (5,) and grads.shape == points.shape
+    for point, energy, grad in zip(points, energies, grads):
+        single_energy, single_grad = vqe._energy_and_gradient(fac, cfg, point)
+        assert energy == single_energy
+        np.testing.assert_array_equal(grad, single_grad)
+
+
+@pytest.mark.parametrize("sweep_entries", [None, 1])  # one batch; one point per sweep
+@pytest.mark.parametrize("n,na,nb,seed", KERNEL_CASES + [(4, 1, 3, 5)])
+def test_inverse_hessian_matches_sequential_referee(monkeypatch, n, na, nb, seed,
+                                                     sweep_entries):
+    if sweep_entries is not None:
+        monkeypatch.setattr(vqe, "STENCIL_SWEEP_ENTRIES", sweep_entries)
+    fac = factorize(synth_hamiltonian(n, na, nb, seed), TruncationPolicy.exact())
+    cfg = AnsatzConfig(2)
+    x = np.random.default_rng(seed).uniform(-1.5, 1.5, n_parameters(n, cfg))
+    np.testing.assert_array_equal(vqe._inverse_hessian(fac, cfg, x),
+                                  ref_inverse_hessian(fac, cfg, x))
+
+
+@pytest.mark.parametrize("shape", [(3,), (2, 4), ()])
+def test_prepare_state_takes_one_point(shape):
+    fac = factorize(synth_hamiltonian(3, 1, 1, 2), TruncationPolicy.exact())
+    with pytest.raises(ValueError, match=r"expected 4 parameters, got \(") as err:
+        prepare_state(fac, AnsatzConfig(2), np.zeros(shape))
+    assert str(shape) in str(err.value)
 
 
 def _one_orbital_model() -> Hamiltonian:
