@@ -4,9 +4,10 @@ Conventions (fixed once, relied on by every other module):
 
 * A pivot ``(m, m+1)`` rotation acts on coordinates m and m+1 as
   ``[[cos t, -sin t], [sin t, cos t]]``.
-* The pivot layout is the rectangle (brickwork) mesh: layer ``l`` carries
-  pivots ``(m, m+1)`` for ``m = l % 2, l % 2 + 2, ...``, for ``l = 0 .. N-1``,
-  giving ``N (N - 1) / 2`` pivots in total.
+* The pivot layout is the rectangle (brickwork) mesh ``brickwork(N, N)``:
+  layer ``l`` carries pivots ``(m, m+1)`` for ``m = l % 2, l % 2 + 2, ...``,
+  for ``l = 0 .. N-1``, giving ``N (N - 1) / 2`` pivots in total. The same
+  schedule, at its own layer count, lays out the VQE ansatz (``vqe``).
 * ``reconstruct`` multiplies gates in application order: the first fabric
   entry is the rightmost matrix factor, i.e. ``U = G_K ... G_2 G_1``.
 * Angles live in (-pi, pi].
@@ -32,7 +33,8 @@ import numpy as np
 
 __all__ = [
     "GivensFabric",
-    "rectangle_pivots",
+    "brickwork",
+    "read_only",
     "lower_indices",
     "decompose",
     "reconstruct",
@@ -42,17 +44,15 @@ __all__ = [
 ORTHOGONALITY_TOL = 1e-10
 
 
-@lru_cache(maxsize=16)
-def rectangle_pivots(n: int) -> tuple[tuple[int, int], ...]:
-    """Rectangle-layout pivot sequence in gate application order. Cached."""
-    pivots = []
-    for layer in range(n):
-        for m in range(layer % 2, n - 1, 2):
-            pivots.append((m, m + 1))
-    return tuple(pivots)
+@lru_cache(maxsize=64)
+def brickwork(n: int, layers: int) -> tuple[int, ...]:
+    """Pivot orbital m of every gate (m, m+1) of a brickwork circuit on n
+    orbitals, in application order: layer l starts at l % 2. Cached."""
+    return tuple(m for layer in range(layers) for m in range(layer % 2, n - 1, 2))
 
 
-def _read_only(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
+def read_only(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The arrays themselves, each made read-only."""
     for arr in arrays:
         arr.setflags(write=False)
     return arrays
@@ -62,7 +62,7 @@ def _read_only(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
 def lower_indices(n: int) -> tuple[np.ndarray, np.ndarray]:
     """Row and column indices of the strictly-lower triangle of an n x n
     matrix, row-major. Cached; the arrays are read-only."""
-    return _read_only(*np.tril_indices(n, -1))
+    return read_only(*np.tril_indices(n, -1))
 
 
 @dataclass(frozen=True, eq=False)
@@ -74,16 +74,16 @@ class GivensFabric:
     angles: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "angles", np.array(self.angles, dtype=float))
-        self.angles.setflags(write=False)
+        object.__setattr__(self, "angles", read_only(np.array(self.angles, dtype=float))[0])
         k = len(self.pivots)
         if self.angles.ndim not in (1, 2) or self.angles.shape[-1] != k:
             raise ValueError(f"angles have shape {self.angles.shape}, "
                              f"expected ({k},) or (B, {k})")
 
     @property
-    def pivots(self) -> tuple[tuple[int, int], ...]:
-        return rectangle_pivots(self.n)
+    def pivots(self) -> tuple[int, ...]:
+        """Pivot orbital of every gate: ``brickwork(n, n)``."""
+        return brickwork(self.n, self.n)
 
 
 def _rotate_rows(u: np.ndarray, m: int, c: np.ndarray, s: np.ndarray) -> None:
@@ -102,7 +102,7 @@ def _sweep(n: int, angles: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarr
     lo = np.empty((*angles.shape, n))
     hi = np.empty_like(lo)
     c, s = np.cos(angles)[:, :, None], np.sin(angles)[:, :, None]
-    for g, (m, _) in enumerate(rectangle_pivots(n)):
+    for g, m in enumerate(brickwork(n, n)):
         lo[:, g], hi[:, g] = prefix[:, m], prefix[:, m + 1]
         _rotate_rows(prefix, m, c[:, g], s[:, g])
     return prefix, lo, hi
@@ -187,13 +187,13 @@ def _plan(n: int) -> _Plan:
         if not hits.size:
             raise AssertionError("sign flip could not be absorbed into the mesh")
         before = factor_pivots[:hits[0]]
-        absorb.append((int(hits[0]), *_read_only(np.nonzero(np.abs(before - m) == 1)[0])))
+        absorb.append((int(hits[0]), *read_only(np.nonzero(np.abs(before - m) == 1)[0])))
 
     # Application order is the reverse of matrix-product order; sort into the
     # canonical rectangle sequence by commuting disjoint-pivot neighbors.
     applied = list(range(len(factor_steps)))[::-1]
     canonical = []
-    for m, _ in rectangle_pivots(n):
+    for m in brickwork(n, n):
         for idx, factor in enumerate(applied):
             piv = factor_pivots[factor]
             if piv == m:
@@ -204,16 +204,16 @@ def _plan(n: int) -> _Plan:
         else:
             raise AssertionError("missing pivot in elimination sequence")
 
-    gate_pivots = np.array([m for m, _ in rectangle_pivots(n)], dtype=np.intp)
+    gate_pivots = np.array(brickwork(n, n), dtype=np.intp)
     chains = []
     for m in range(n - 1):
         chain = np.nonzero(gate_pivots == m)[0]
         neighbours = np.nonzero(np.abs(gate_pivots - m) == 1)[0]
         chains.append((chain, neighbours, chain[None, :] < neighbours[:, None]))
 
-    return _Plan(tuple(steps), len(left), *_read_only(factor_steps, factor_pivots),
-                 tuple(absorb), *_read_only(np.array(canonical, dtype=np.intp)),
-                 tuple(_read_only(*chain) for chain in chains))
+    return _Plan(tuple(steps), len(left), *read_only(factor_steps, factor_pivots),
+                 tuple(absorb), *read_only(np.array(canonical, dtype=np.intp)),
+                 tuple(read_only(*chain) for chain in chains))
 
 
 def _eliminate(plan: _Plan, work: np.ndarray) -> np.ndarray:

@@ -100,7 +100,7 @@ class Hamiltonian:
                             ("two_body", self.two_body)):
             if not np.all(np.isfinite(value)):
                 raise ValueError(f"{name} holds a non-finite value")
-        dev1 = float(np.max(np.abs(self.one_body - self.one_body.T))) if n else 0.0
+        dev1 = float(np.max(np.abs(self.one_body - self.one_body.T)))
         if dev1 > SYMMETRY_TOL:
             raise ValueError(f"one_body not symmetric (deviation {dev1:.3e})")
         dev2 = eight_fold_deviation(self.two_body)
@@ -236,17 +236,13 @@ def write_fcidump(ham: Hamiltonian) -> str:
     def rec(value, i, j, k, l):
         lines.append(f"{value: 23.16E} {i:4d} {j:4d} {k:4d} {l:4d}")
 
-    written = set()
+    # p >= q, r >= s and (p, q) >= (r, s) visit each 8-fold class once
     for p in range(n):
         for q in range(p + 1):
             for r in range(n):
                 for s in range(r + 1):
                     if (p, q) < (r, s):
                         continue
-                    key = min(eight_fold_images(p, q, r, s))
-                    if key in written:
-                        continue
-                    written.add(key)
                     value = ham.two_body[p, q, r, s]
                     if value != 0.0:
                         rec(value, p + 1, q + 1, r + 1, s + 1)

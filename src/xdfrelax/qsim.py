@@ -18,8 +18,9 @@ The tables of a gate set (``GateTable``: per gate its entry pairs and the
 perm, sign and mask rows) are built once and cached read-only. A Givens gate
 on orbitals (m, m+1) of one spin mixes the block rows ``pair_rows(N,
 filling, m)`` of that spin's filling: rows of Psi for beta, columns for
-alpha. ``ansatz_table`` holds the ansatz circuit on the flat block, its pair
-exchanges on ``pair_exchange_rows(N, n_alpha, n_beta, p)``;
+alpha. One brickwork schedule, ``givens.brickwork``, lays out both
+circuits: ``ansatz_table`` holds the ansatz circuit on the flat block, its
+pair exchanges on ``pair_exchange_rows(N, n_alpha, n_beta, p)``, and
 ``fabric_table`` holds a fabric's gates on the rows of one spin's
 operators, and on their columns through the transpose. Gates act on
 adjacent orbitals of one spin, so no Jordan-Wigner strings appear in
@@ -45,9 +46,9 @@ derivative of each frame's energy along U -> U exp(kappa (e_a e_b^T - e_b
 e_a^T)), a > b, comes from one product per spin against the string-space
 table of E_ab - E_ba (``rotation_generators``), and ``lagrange`` takes
 mu[a, b] = -G[a, b] / (spec[a] - spec[b]). The paper's angle route stays as
-referees: ``angle_gradients``, one forward sweep over the shared rectangle
-pivots, and the two-frequency shift rule ``denergy_dtheta_shift`` on the
-embedded vector.
+referees: ``angle_gradients``, one forward sweep over the fabrics' shared
+brickwork schedule, and the two-frequency shift rule
+``denergy_dtheta_shift`` on the embedded vector.
 
 Expectation values are exact (infinite-shot limit). All gates have real
 matrix elements, so amplitudes stay real in practice; complex amplitudes are
@@ -63,7 +64,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .givens import GivensFabric, lower_indices, rectangle_pivots
+from .givens import GivensFabric, brickwork, lower_indices, read_only
 from .hammodel import DESK_CAP
 
 if TYPE_CHECKING:
@@ -101,18 +102,12 @@ __all__ = [
 SHIFT_STEPS = ((np.pi / 4.0, 1.0), (np.pi / 2.0, (1.0 - np.sqrt(2.0)) / 2.0))
 
 
-def _read_only(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
-    for arr in arrays:
-        arr.setflags(write=False)
-    return arrays
-
-
 @lru_cache(maxsize=16)
 def string_bits(n_bits: int) -> np.ndarray:
     """Read-only table whose row x holds bits 0 .. n_bits-1 of x."""
     x = np.arange(1 << n_bits, dtype=np.int64)
     table = ((x[:, None] >> np.arange(n_bits)) & 1).astype(np.int8)
-    return _read_only(table)[0]
+    return read_only(table)[0]
 
 
 @lru_cache(maxsize=128)
@@ -120,7 +115,7 @@ def sector_strings(n: int, filling: int) -> np.ndarray:
     """Spin strings of n orbitals with ``filling`` of them occupied, ascending.
     Cached; the array is read-only."""
     x = np.arange(1 << n, dtype=np.int64)
-    return _read_only(x[string_bits(n).sum(axis=1) == filling])[0]
+    return read_only(x[string_bits(n).sum(axis=1) == filling])[0]
 
 
 def _sector_bits(n: int, filling: int) -> np.ndarray:
@@ -160,15 +155,12 @@ class Statevector:
         amps = np.array(self.amplitudes, dtype=dtype)
         if amps.shape != shape:
             raise ValueError(f"amplitude block has shape {amps.shape}, expected {shape}")
-        object.__setattr__(self, "amplitudes", _read_only(amps)[0])
+        object.__setattr__(self, "amplitudes", read_only(amps)[0])
 
     def embed(self) -> np.ndarray:
         """The full 4^N amplitude vector, zero outside this filling."""
         return _embedded(self.amplitudes, self.n_spatial, self.n_alpha,
                          self.n_beta).reshape(-1)
-
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.amplitudes))
 
 
 @dataclass(frozen=True, eq=False)
@@ -202,7 +194,7 @@ def pair_rows(n: int, filling: int, m: int) -> tuple[np.ndarray, np.ndarray]:
     arrays are read-only."""
     strings = sector_strings(n, filling)
     rows = np.nonzero(((strings >> m) & 3) == 1)[0]
-    return _read_only(rows, np.searchsorted(strings, strings[rows] + (1 << m)))
+    return read_only(rows, np.searchsorted(strings, strings[rows] + (1 << m)))
 
 
 @lru_cache(maxsize=512)
@@ -214,8 +206,8 @@ def pair_exchange_rows(n: int, n_alpha: int, n_beta: int,
     alpha_p, alpha_next = pair_rows(n, n_alpha, p)
     beta_p, beta_next = pair_rows(n, n_beta, p)
     width = comb(n, n_alpha)
-    return _read_only((beta_p[:, None] * width + alpha_p).ravel(),
-                      (beta_next[:, None] * width + alpha_next).ravel())
+    return read_only((beta_p[:, None] * width + alpha_p).ravel(),
+                     (beta_next[:, None] * width + alpha_next).ravel())
 
 
 def _row_entries(rows: np.ndarray, width: int) -> np.ndarray:
@@ -250,11 +242,11 @@ class GateTable:
     def __post_init__(self):
         perm = np.tile(np.arange(self.dim), (len(self.pairs), 1))
         sign = np.zeros(perm.shape)
-        for k, (a, b) in enumerate(_read_only(*self.pairs)):
+        for k, (a, b) in enumerate(read_only(*self.pairs)):
             perm[k, a], perm[k, b] = b, a
             sign[k, a], sign[k, b] = -1.0, 1.0
         for name, arr in (("perm", perm), ("sign", sign), ("mask", sign != 0.0)):
-            object.__setattr__(self, name, _read_only(arr)[0])
+            object.__setattr__(self, name, read_only(arr)[0])
 
     def factors(self, c, s, gates=slice(None)) -> tuple[np.ndarray, np.ndarray]:
         """The kernel factors ``where(mask, c, 1)`` and ``s * sign`` of the
@@ -275,21 +267,22 @@ def apply_gate(x: np.ndarray, table: GateTable, k: int, scale: np.ndarray,
 
 @lru_cache(maxsize=64)
 def fabric_table(n: int, filling: int) -> GateTable:
-    """The rectangle-fabric gates on the rows of the flattened d x d arrays of
-    one spin filling (d = C(n, filling)), gate g on the rows ``pair_rows(n,
-    filling, m_g)``. Cached; the arrays are read-only."""
+    """The fabric gates on the rows of the flattened d x d arrays of one spin
+    filling (d = C(n, filling)), gate g on the rows ``pair_rows(n, filling,
+    m_g)`` for m_g in ``brickwork(n, n)``. Cached; the arrays are read-only."""
     d = comb(n, filling)
     return GateTable(d * d, tuple(
         np.array([_row_entries(a, d), _row_entries(b, d)])
-        for a, b in (pair_rows(n, filling, m) for m, _ in rectangle_pivots(n))))
+        for a, b in (pair_rows(n, filling, m) for m in brickwork(n, n))))
 
 
 @lru_cache(maxsize=16)
 def ansatz_table(n: int, n_alpha: int, n_beta: int, blocks: tuple[int, ...]) -> GateTable:
-    """The ansatz gates on the flat amplitude block, three per block pivot m,
-    in circuit order: the alpha rotation on the columns ``pair_rows(n,
-    n_alpha, m)`` (entries column by column), the beta rotation on the rows
-    ``pair_rows(n, n_beta, m)`` (row by row) and the pair exchange on
+    """The ansatz gates on the flat amplitude block, three per block pivot m
+    of ``blocks`` (a ``brickwork`` schedule), in circuit order: the alpha
+    rotation on the columns ``pair_rows(n, n_alpha, m)`` (entries column by
+    column), the beta rotation on the rows ``pair_rows(n, n_beta, m)`` (row
+    by row) and the pair exchange on
     ``pair_exchange_rows(n, n_alpha, n_beta, m)``.
 
     Cached. The largest at the desk cap, N=8 (4a, 4b) with 8 layers, has
@@ -329,7 +322,7 @@ def _fabric_operators(n: int, angles: np.ndarray, filling: int) -> np.ndarray:
 def _spin_z(n: int, filling: int) -> np.ndarray:
     """Pauli-Z eigenvalue of every orbital in every string of one spin filling.
     Cached; the array is read-only."""
-    return _read_only(1.0 - 2.0 * _sector_bits(n, filling))[0]
+    return read_only(1.0 - 2.0 * _sector_bits(n, filling))[0]
 
 
 @dataclass(frozen=True, eq=False)
@@ -364,7 +357,7 @@ class Frames:
         m_beta = (m_alpha if self.n_beta == self.n_alpha
                   else _fabric_operators(n, angles, self.n_beta))
         for name, arr in (("D", energies), ("M_alpha", m_alpha), ("M_beta", m_beta)):
-            object.__setattr__(self, name, _read_only(arr)[0])
+            object.__setattr__(self, name, read_only(arr)[0])
 
 
 def one_body_energy(f0: np.ndarray, n_alpha: int, n_beta: int) -> np.ndarray:
@@ -441,7 +434,7 @@ def rotation_generators(n: int, filling: int) -> np.ndarray:
     table = np.zeros((len(a), len(strings), len(strings)))
     table[pairs, targets, rows] = sign[rows, pairs]
     table[pairs, rows, targets] = -sign[rows, pairs]
-    return _read_only(table)[0]
+    return read_only(table)[0]
 
 
 def _frame_responses(state: Statevector, frames: Frames,
@@ -567,7 +560,7 @@ def angle_gradients(state: Statevector, frames: Frames) -> np.ndarray:
     for y, filling in _frame_responses(state, frames, _rotated(state, frames)):
         table, d = fabric_table(n, filling), y.shape[-1]
         y = y.reshape(len(y), -1)
-        for g, (m, _) in enumerate(rectangle_pivots(n)):
+        for g, m in enumerate(brickwork(n, n)):
             a, b = pair_rows(n, filling, m)
             grad[:, g] += 2.0 * np.real(y.take(b * d + a, axis=1).sum(axis=1)
                                         - y.take(a * d + b, axis=1).sum(axis=1))

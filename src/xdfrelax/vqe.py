@@ -1,9 +1,11 @@
 """Variational ground-state preparation with a number/spin-conserving ansatz.
 
-The ansatz is a brickwork fabric over adjacent spatial-orbital pairs. Each
-block carries two angles: a spin-locked orbital rotation followed by a
-pair-exchange rotation between the two doubly-occupied configurations. Both
-gates conserve particle number, S_z, and total spin on singlet references.
+The ansatz is a brickwork fabric over adjacent spatial-orbital pairs, laid
+out by the same schedule as the measurement fabrics, ``givens.brickwork``,
+at the configured layer count. Each block carries two angles: a spin-locked
+orbital rotation followed by a pair-exchange rotation between the two
+doubly-occupied configurations. Both gates conserve particle number, S_z,
+and total spin on singlet references.
 """
 
 from __future__ import annotations
@@ -15,13 +17,13 @@ import numpy as np
 from scipy.optimize import minimize
 
 from . import qsim
+from .givens import brickwork, read_only
 from .qsim import Statevector
 from .xdf import XDFFactorization
 
 __all__ = [
     "AnsatzConfig",
     "VQEResult",
-    "ansatz_blocks",
     "n_parameters",
     "prepare_state",
     "optimize",
@@ -59,24 +61,14 @@ class VQEResult:
         for name in ("params", "curvature"):
             value = getattr(self, name)
             if value is not None:
-                value = np.array(value, dtype=float)
-                value.setflags(write=False)
-                object.__setattr__(self, name, value)
+                object.__setattr__(self, name, read_only(np.array(value, dtype=float))[0])
 
 
 STENCIL_SWEEP_ENTRIES = 1 << 20  # gate-factor entries of one batched sweep (8 MB a table)
 
 
-def ansatz_blocks(n_spatial: int, n_layers: int) -> tuple[int, ...]:
-    """Pivot orbital of every block, brickwork order."""
-    blocks = []
-    for layer in range(n_layers):
-        blocks.extend(range(layer % 2, n_spatial - 1, 2))
-    return tuple(blocks)
-
-
 def n_parameters(n_spatial: int, cfg: AnsatzConfig) -> int:
-    return 2 * len(ansatz_blocks(n_spatial, cfg.n_layers))
+    return 2 * len(brickwork(n_spatial, cfg.n_layers))
 
 
 def _gate_angles(points: np.ndarray) -> np.ndarray:
@@ -98,7 +90,7 @@ def _ansatz_amplitudes(fac: XDFFactorization, cfg: AnsatzConfig,
                        points: np.ndarray) -> np.ndarray:
     """The flat ansatz blocks at the (B, P) points, as (B, dim)."""
     n, n_alpha, n_beta = fac.n_orbitals, fac.n_alpha, fac.n_beta
-    blocks = ansatz_blocks(n, cfg.n_layers)
+    blocks = brickwork(n, cfg.n_layers)
     if points.shape[1:] != (2 * len(blocks),):
         raise ValueError(f"expected {2 * len(blocks)} parameters, got {points.shape[1:]}")
     table = qsim.ansatz_table(n, n_alpha, n_beta, blocks)
@@ -146,7 +138,7 @@ def _energy_and_gradient(fac: XDFFactorization, cfg: AnsatzConfig, params: np.nd
     commute.
     """
     n, n_alpha, n_beta = fac.n_orbitals, fac.n_alpha, fac.n_beta
-    blocks = ansatz_blocks(n, cfg.n_layers)
+    blocks = brickwork(n, cfg.n_layers)
     params = np.asarray(params, dtype=float)
     points = params[None] if params.ndim == 1 else params
     psi = _ansatz_amplitudes(fac, cfg, points)

@@ -24,7 +24,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .givens import decompose
+from .givens import decompose, read_only
 from .hammodel import EffectiveOperators, Hamiltonian, effective_operators
 from .qsim import Frames, leaf_energies, one_body_energy
 
@@ -36,38 +36,34 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class TruncationPolicy:
-    """Leaf retention rule: keep |g| >= threshold, or a fixed leading count."""
+    """Leaf retention rule: keep |g| >= threshold, or a fixed leading count;
+    exactly one of the two is set, by keyword."""
 
-    mode: str
     threshold: float | None = None
     count: int | None = None
 
     def __post_init__(self):
-        if self.mode not in ("threshold", "count"):
-            raise ValueError(f"unknown truncation mode {self.mode!r}")
-        if self.mode == "threshold" and (self.threshold is None or self.count is not None):
-            raise ValueError("threshold mode takes exactly a threshold")
-        if self.mode == "count" and (self.count is None or self.threshold is not None):
-            raise ValueError("count mode takes exactly a count")
-        if self.mode == "count" and self.count < 0:
+        if (self.threshold is None) == (self.count is None):
+            raise ValueError("a truncation policy takes exactly one of threshold and count")
+        if self.count is not None and self.count < 0:
             raise ValueError(f"leaf count must be non-negative, got {self.count}")
 
     @classmethod
     def by_threshold(cls, threshold: float) -> "TruncationPolicy":
-        return cls("threshold", threshold=float(threshold))
+        return cls(threshold=float(threshold))
 
     @classmethod
     def by_count(cls, count: int) -> "TruncationPolicy":
-        return cls("count", count=int(count))
+        return cls(count=int(count))
 
     @classmethod
     def exact(cls) -> "TruncationPolicy":
-        return cls("threshold", threshold=-1.0)
+        return cls(threshold=-1.0)
 
     def retained_count(self, g: np.ndarray) -> int:
-        if self.mode == "threshold":
+        if self.count is None:
             return int(np.sum(np.abs(g) >= self.threshold))
         return min(self.count, len(g))
 
@@ -100,8 +96,7 @@ class XDFFactorization:
     def __post_init__(self):
         for name in ("U0", "F0", "g", "V", "U", "lam"):
             arr = np.array(getattr(self, name), dtype=float)
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
+            object.__setattr__(self, name, read_only(arr)[0])
         filling = (self.n_alpha, self.n_beta)
         kept = self.retained
         fabric = decompose(np.concatenate([self.U0[None], self.U[:kept]]))
@@ -120,12 +115,18 @@ class XDFFactorization:
         return self.g[:, None, None] * (self.lam[:, :, None] * self.lam[:, None, :])
 
 
+def _lead_positive(x: np.ndarray, axis: int) -> np.ndarray:
+    """x with every vector along ``axis`` negated where its largest-magnitude
+    entry (the first on ties) is negative."""
+    index = np.expand_dims(np.argmax(np.abs(x), axis=axis), axis)
+    return np.where(np.take_along_axis(x, index, axis=axis) < 0, -x, x)
+
+
 def _special_orthogonalize(u: np.ndarray) -> np.ndarray:
     """Orthogonal matrices (..., n, n) with every column's largest-magnitude
-    entry (the first on ties) made positive, then the last column of each
+    entry made positive (``_lead_positive``), then the last column of each
     det -1 member negated."""
-    lead = np.take_along_axis(u, np.argmax(np.abs(u), axis=-2)[..., None, :], axis=-2)
-    u = np.where(lead < 0, -u, u)
+    u = _lead_positive(u, axis=-2)
     last = u[..., :, -1]
     u[..., :, -1] = np.where((np.linalg.det(u) < 0)[..., None], -last, last)
     return u
@@ -144,8 +145,7 @@ def _pair_basis(n: int) -> np.ndarray:
         else:
             mat[p, q] = mat[q, p] = 1.0 / np.sqrt(2.0)
         basis[:, col] = mat.reshape(-1)
-    basis.setflags(write=False)
-    return basis
+    return read_only(basis)[0]
 
 
 def factorize(ham: Hamiltonian, policy: TruncationPolicy) -> XDFFactorization:
@@ -168,8 +168,7 @@ def factorize(ham: Hamiltonian, policy: TruncationPolicy) -> XDFFactorization:
 
     # one matrix-vector product per column: a matrix product rounds differently
     vecs = np.array([basis @ w_all[:, col] for col in range(w_all.shape[1])])
-    lead = np.take_along_axis(vecs, np.argmax(np.abs(vecs), axis=1)[:, None], axis=1)
-    vecs = np.where(lead < 0, -vecs, vecs)
+    vecs = _lead_positive(vecs, axis=1)
     first_nonzero = np.argmax(np.abs(vecs) > 1e-12, axis=1)
     order = sorted(range(len(vecs)), key=lambda col: (
         -abs(float(g_all[col])), first_nonzero[col], vecs[col].tobytes()))

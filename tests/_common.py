@@ -168,7 +168,7 @@ def _ref_rotate_rows(u: np.ndarray, m: int, theta: float) -> None:
 
 def ref_reconstruct(n: int, angles: np.ndarray) -> np.ndarray:
     u = np.eye(n)
-    for (m, _), theta in zip(givens.rectangle_pivots(n), angles):
+    for m, theta in zip(givens.brickwork(n, n), angles):
         _ref_rotate_rows(u, m, theta)
     return u
 
@@ -230,9 +230,9 @@ def ref_decompose(u: np.ndarray) -> np.ndarray:
                 factors[idx] = (piv, -ang)
 
     applied = list(reversed(factors))
-    canonical = givens.rectangle_pivots(n)
+    canonical = givens.brickwork(n, n)
     angles = np.zeros(len(canonical))
-    for slot, (m, _) in enumerate(canonical):
+    for slot, m in enumerate(canonical):
         idx = next(i for i, (piv, _) in enumerate(applied) if piv == m)
         angles[slot] = _ref_wrap_angle(applied.pop(idx)[1])
     return _ref_reduce_branch(canonical, angles)
@@ -246,8 +246,8 @@ def _ref_reduce_branch(pivots, angles: np.ndarray) -> np.ndarray:
     def magnitude_gain(t: float) -> float:
         return abs(_ref_wrap_angle(t)) - abs(_ref_wrap_angle(t + np.pi))
 
-    for m in sorted({p for p, _ in pivots}):
-        chain = [g for g, (p, _) in enumerate(pivots) if p == m]
+    for m in sorted(set(pivots)):
+        chain = [g for g, p in enumerate(pivots) if p == m]
         gains = [magnitude_gain(angles[g]) for g in chain]
         chosen = [i for i, b in enumerate(gains) if b > 1e-12]
         if len(chosen) % 2 == 1:
@@ -264,7 +264,7 @@ def _ref_reduce_branch(pivots, angles: np.ndarray) -> np.ndarray:
             angles[g] = _ref_wrap_angle(angles[g] + np.pi)
             angles[g2] = _ref_wrap_angle(angles[g2] + np.pi)
             for h in range(g + 1, g2):
-                if abs(pivots[h][0] - m) == 1:
+                if abs(pivots[h] - m) == 1:
                     angles[h] = -angles[h]
     return angles
 
@@ -272,11 +272,11 @@ def _ref_reduce_branch(pivots, angles: np.ndarray) -> np.ndarray:
 def ref_jacobian(n: int, angles: np.ndarray) -> np.ndarray:
     """Angle derivatives of the strictly-lower triangle, one forward sweep
     carrying the gate prefix."""
-    pivots = givens.rectangle_pivots(n)
+    pivots = givens.brickwork(n, n)
     prefix = np.eye(n)
     lo = np.empty((len(pivots), n))
     hi = np.empty_like(lo)
-    for g, ((m, _), theta) in enumerate(zip(pivots, angles)):
+    for g, (m, theta) in enumerate(zip(pivots, angles)):
         lo[g], hi[g] = prefix[m], prefix[m + 1]
         _ref_rotate_rows(prefix, m, theta)
     u_t = prefix.T
@@ -288,7 +288,7 @@ def ref_fabric_operator(fabric: givens.GivensFabric, filling: int) -> np.ndarray
     """Operator of a fabric on the strings of one spin filling: its gates
     applied in order to the rows of the identity with ``rotate_pair``."""
     op = np.eye(len(qsim.sector_strings(fabric.n, filling)))
-    for (m, _), theta in zip(fabric.pivots, fabric.angles):
+    for m, theta in zip(fabric.pivots, fabric.angles):
         rotate_pair(op, *qsim.pair_rows(fabric.n, filling, m), theta)
     return op
 
@@ -398,7 +398,7 @@ def ref_energy_and_gradient(fac: xdf.XDFFactorization, cfg: vqe.AnsatzConfig,
     exchanges on the flat block, each un-applied to the ket and to lambda =
     H|psi> in turn, and every derivative read off the gate's generator."""
     n, n_alpha, n_beta = fac.n_orbitals, fac.n_alpha, fac.n_beta
-    blocks = vqe.ansatz_blocks(n, cfg.n_layers)
+    blocks = givens.brickwork(n, cfg.n_layers)
     rows = [(qsim.pair_rows(n, n_alpha, m), qsim.pair_rows(n, n_beta, m),
              qsim.pair_exchange_rows(n, n_alpha, n_beta, m)) for m in blocks]
     psi = np.array(qsim.hf_reference(n, n_alpha, n_beta).amplitudes)
@@ -496,7 +496,7 @@ def ref_apply_fabric(amps: np.ndarray, n: int, fabric: givens.GivensFabric,
     amps = np.array(amps)
     order = range(len(fabric.pivots))
     for g in (reversed(order) if dagger else order):
-        m = fabric.pivots[g][0]
+        m = fabric.pivots[g]
         theta = -fabric.angles[g] if dagger else fabric.angles[g]
         ref_rotate_pair(amps, 2 * n, m, m + 1, theta)
         ref_rotate_pair(amps, 2 * n, n + m, n + m + 1, theta)
@@ -558,7 +558,7 @@ def ansatz_gradient(fac: xdf.XDFFactorization, cfg: vqe.AnsatzConfig,
     the referee of the adjoint gradient in vqe.
     """
     params = np.asarray(params, dtype=float)
-    blocks = vqe.ansatz_blocks(fac.n_orbitals, cfg.n_layers)
+    blocks = givens.brickwork(fac.n_orbitals, cfg.n_layers)
     locked, exchange = params[0::2], params[1::2]
     grad = np.zeros_like(params)
 

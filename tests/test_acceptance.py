@@ -153,7 +153,7 @@ def test_criterion_5_four_regime_derivatives():
     per_regime = {s.name for s in specs}
     assert {r.regime for r in reports} == per_regime
     assert len(reports) == 4 * 6
-    _report(5, all(r.passed(1e-6) for r in reports),
+    _report(5, all(r.abs_diff < 1e-6 for r in reports),
             f"4 regimes x 6 perturbations at step 1e-3, worst |diff| {worst:.2e}")
 
 

@@ -131,6 +131,21 @@ def test_path_command_short(fcidump_n3, tmp_path):
     assert len(payload["total"]["data"]) == 11
 
 
+def test_path_refuses_models_of_different_orbital_counts(fcidump_n3, fcidump_n4, tmp_path):
+    # the compatibility check runs before the models are subtracted
+    code, payload = _run(["path", "--fcidump", fcidump_n4, "--fcidump-b", fcidump_n3,
+                          "--steps", "2"], tmp_path)
+    assert code == 1 and payload["exit_code"] == 1
+    assert payload["error"] == "Hamiltonians differ in orbital count"
+
+
+def test_threshold_with_leaves_is_an_input_error(fcidump_n3, tmp_path):
+    code, payload = _run(["rdm", "--fcidump", fcidump_n3, "--threshold", "0.1",
+                          "--leaves", "2"], tmp_path)
+    assert code == 1 and payload["exit_code"] == 1
+    assert payload["error"] == "--threshold and --leaves are mutually exclusive"
+
+
 def test_exit_code_input_error(fcidump_n3, tmp_path, capsys):
     # a missing file and a directory: both are unreadable inputs
     for path in ("/nonexistent.fcidump", str(tmp_path)):

@@ -6,11 +6,11 @@ from hypothesis import strategies as st
 from xdfrelax.givens import (
     ORTHOGONALITY_TOL,
     GivensFabric,
+    brickwork,
     decompose,
     jacobian,
     lower_indices,
     reconstruct,
-    rectangle_pivots,
 )
 from xdfrelax.hammodel import synth_hamiltonian
 from xdfrelax.xdf import TruncationPolicy, factorize
@@ -28,7 +28,7 @@ from _common import (
 
 def test_rectangle_pivot_count():
     for n in range(2, 9):
-        assert len(rectangle_pivots(n)) == n * (n - 1) // 2
+        assert len(brickwork(n, n)) == n * (n - 1) // 2
 
 
 def test_identity_decomposes_to_zero_angles():
@@ -73,7 +73,7 @@ def test_matrix_round_trip(n):
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
 def test_angle_round_trip_principal_domain(n):
     rng = np.random.default_rng(n)
-    pivots = rectangle_pivots(n)
+    pivots = brickwork(n, n)
     for _ in range(10):
         angles = rng.uniform(-np.pi / 2 + 1e-3, np.pi / 2 - 1e-3, size=len(pivots))
         recovered = decompose(reconstruct(GivensFabric(n, angles))).angles
@@ -96,6 +96,12 @@ def test_decompose_rejects_bad_inputs():
         decompose(refl)
 
 
+@pytest.mark.parametrize("shape", [(3,), (2, 3), (3, 2), (2, 3, 4), (1, 2, 2, 2)])
+def test_decompose_refuses_non_square_input(shape):
+    with pytest.raises(ValueError, match="^input must be square$"):
+        decompose(np.zeros(shape))
+
+
 def test_jacobian_is_square_of_pair_dimension():
     fabric = decompose(random_special_orthogonal(4, 0))
     assert jacobian(fabric).shape == (6, 6)
@@ -111,7 +117,7 @@ def test_jacobian_two_by_two_at_zero():
 @pytest.mark.parametrize("n", [2, 3, 4, 6])
 def test_jacobian_matches_finite_differences(n):
     rng = np.random.default_rng(100 + n)
-    pivots = rectangle_pivots(n)
+    pivots = brickwork(n, n)
     angles = rng.uniform(-1.0, 1.0, size=len(pivots))
     fabric = GivensFabric(n, angles)
     jac = jacobian(fabric)
@@ -158,14 +164,14 @@ def test_pinv_solve_linear_in_rhs():
 
 
 def test_pivots_and_lower_indices_are_cached_read_only():
-    assert rectangle_pivots(5) is rectangle_pivots(5)
+    assert brickwork(5, 5) is brickwork(5, 5)
     rows, cols = lower_indices(4)
     assert lower_indices(4)[0] is rows
     np.testing.assert_array_equal(rows, np.tril_indices(4, -1)[0])
     np.testing.assert_array_equal(cols, np.tril_indices(4, -1)[1])
     with pytest.raises(ValueError):
         rows[0] = 1
-    assert GivensFabric(6, np.zeros(15)).pivots is rectangle_pivots(6)
+    assert GivensFabric(6, np.zeros(15)).pivots is brickwork(6, 6)
 
 
 # The stacked pass against the per-matrix referees of tests/_common.py:

@@ -1,3 +1,6 @@
+import re
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -88,6 +91,64 @@ def test_parse_rejects_conflicting_duplicates():
     # agreeing duplicates are fine
     ok = "&FCI NORB=2,NELEC=2,MS2=0,\n&END\n0.25 1 1 1 1\n0.25 1 1 1 1\n"
     assert parse_fcidump(ok).two_body[0, 0, 0, 0] == 0.25
+
+
+@pytest.mark.parametrize("records,message", [
+    ("0.5 0 0 0 0\n0.6 0 0 0 0", "conflicting duplicate core-energy records"),
+    ("0.1 1 2 0 0\n0.2 2 1 0 0", "conflicting duplicate one-body record for (2, 1)"),
+    ("0.25 1 2 1 1\n0.30 1 1 2 1", "conflicting duplicate two-body record for (0, 0, 0, 1)"),
+], ids=["core", "one-body", "two-body"])
+def test_parse_names_conflicting_duplicate(records, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        parse_fcidump(f"&FCI NORB=2,NELEC=2,MS2=0,\n&END\n{records}\n")
+
+
+def _off_diagonal(shape: tuple[int, ...]) -> np.ndarray:
+    """Zeros with a 1e-6 in the entry (0, 1, 0, ...): no symmetry holds."""
+    t = np.zeros(shape)
+    t[(0, 1) + (0,) * (len(shape) - 2)] = 1e-6
+    return t
+
+
+VALIDATE_MODEL = synth_hamiltonian(2, 1, 1, 7)
+
+
+@pytest.mark.parametrize("fields,check_psd,message", [
+    ({"n_orbitals": 0}, False, "n_orbitals must be positive, got 0"),
+    ({"n_alpha": 3}, False, "electron counts must lie in [0, n_orbitals]"),
+    ({"n_beta": -1}, False, "electron counts must lie in [0, n_orbitals]"),
+    ({"one_body": np.zeros((3, 3))}, False, "one_body has shape (3, 3), expected (2, 2)"),
+    ({"two_body": np.zeros((2, 2, 2))}, False, "two_body has shape (2, 2, 2)"),
+    ({"one_body": VALIDATE_MODEL.one_body + _off_diagonal((2, 2))}, False,
+     "one_body not symmetric (deviation 1.000e-06)"),
+    ({"two_body": VALIDATE_MODEL.two_body + _off_diagonal((2, 2, 2, 2))}, False,
+     "two_body breaks 8-fold symmetry (deviation 7.500e-07)"),
+    ({"two_body": -VALIDATE_MODEL.two_body}, True, "supermatrix not PSD (min eigenvalue"),
+], ids=["no-orbitals", "alpha-count", "beta-count", "one-body-shape", "two-body-shape",
+        "asymmetric-one-body", "broken-8-fold", "not-psd"])
+def test_validate_names_each_violation(fields, check_psd, message):
+    ham = replace(VALIDATE_MODEL, **fields)
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}"):
+        ham.validate(check_psd=check_psd)
+
+
+def test_perturbation_refuses_unknown_kind():
+    with pytest.raises(ValueError, match="^unknown perturbation kind 'three_body'$"):
+        hammodel.Perturbation("three_body", np.zeros((2, 2)))
+
+
+@pytest.mark.parametrize("kind,tensor,message", [
+    ("one_body", np.zeros((3, 3)), "one-body perturbation has wrong shape"),
+    ("two_body", np.zeros((3, 3, 3, 3)), "two-body perturbation has wrong shape"),
+    ("two_body", np.zeros((2, 2)), "two-body perturbation has wrong shape"),
+    ("one_body", _off_diagonal((2, 2)), "one-body perturbation is not symmetric"),
+    ("two_body", _off_diagonal((2, 2, 2, 2)), "two-body perturbation breaks 8-fold symmetry"),
+], ids=["one-body-shape", "two-body-shape", "two-body-rank", "one-body-asymmetric",
+        "two-body-asymmetric"])
+def test_apply_perturbation_names_each_violation(kind, tensor, message):
+    pert = hammodel.Perturbation(kind, tensor)
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        apply_perturbation(VALIDATE_MODEL, pert, 1e-3)
 
 
 def test_write_round_trip_small_fixture():

@@ -1,8 +1,9 @@
 """Package modules use each other only through public names, their
 dataclasses hold no mutable containers and compare by identity when they
-hold arrays, every name they export exists,
-every module constant, function, class, method and field they define is
-read, and every CLI flag a subcommand registers is read by that subcommand."""
+hold arrays, every name they export exists, no two of them define the same
+top-level function or class, every module constant, function, class, method
+and field they define is read, and every CLI flag a subcommand registers is
+read by that subcommand."""
 
 import argparse
 import ast
@@ -213,19 +214,68 @@ def test_exports_are_defined(path):
     assert undefined_exports(path.read_text(encoding="utf-8")) == []
 
 
+def duplicate_definitions(sources: dict[str, str]) -> list[str]:
+    """``name: module, module`` for every top-level function or class name
+    that more than one of the named sources defines."""
+    homes = {}
+    for module, source in sorted(sources.items()):
+        for stmt in ast.parse(source).body:
+            if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+                homes.setdefault(stmt.name, []).append(module)
+    return [f"{name}: {', '.join(mods)}" for name, mods in homes.items() if len(mods) > 1]
+
+
+def test_finder_flags_duplicate_definitions():
+    sources = {
+        "a": "def _read_only(x): pass\nclass Plan: pass\ndef used(): pass\n",
+        "b": "def _read_only(x): pass\ndef f():\n    def used(): pass\n",
+        "c": "class Plan: pass\nPlan2 = Plan\n",
+    }
+    assert duplicate_definitions(sources) == ["_read_only: a, b", "Plan: a, c"]
+    assert duplicate_definitions({"a": sources["a"]}) == []
+
+
+def test_no_helper_defined_twice():
+    sources = {path.stem: path.read_text(encoding="utf-8") for path in PACKAGE.glob("*.py")}
+    assert duplicate_definitions(sources) == []
+
+
 TESTS = Path(__file__).parent
 CONSTANT = re.compile(r"[A-Z][A-Z0-9_]*")
 
 
+def _other_package_aliases(tree: ast.Module) -> set[str]:
+    """Names the imports of another package bind: ``np`` for ``import numpy
+    as np``, ``scipy`` for ``import scipy.linalg``, ``la`` for ``from scipy
+    import linalg as la``."""
+    aliases = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            aliases.update((a.asname or a.name).split(".")[0] for a in node.names
+                           if a.name.split(".")[0] != "xdfrelax")
+        elif (isinstance(node, ast.ImportFrom) and node.level == 0
+              and (node.module or "").split(".")[0] != "xdfrelax"):
+            aliases.update(a.asname or a.name for a in node.names)
+    return aliases
+
+
 def loaded_names(texts: list[str]) -> set[str]:
-    """Every name the sources load by name or use as an attribute."""
+    """Every name the sources load by name or use as an attribute, except
+    the attributes of a dotted chain rooted at another package's import:
+    ``np.linalg.norm`` reads ``np``, not a package ``norm``."""
     read = set()
     for text in texts:
-        for node in ast.walk(ast.parse(text)):
+        tree = ast.parse(text)
+        foreign = _other_package_aliases(tree)
+        for node in ast.walk(tree):
             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
                 read.add(node.id)
             elif isinstance(node, ast.Attribute):
-                read.add(node.attr)
+                root = node.value
+                while isinstance(root, ast.Attribute):
+                    root = root.value
+                if not (isinstance(root, ast.Name) and root.id in foreign):
+                    read.add(node.attr)
     return read
 
 
@@ -336,6 +386,17 @@ def test_finder_flags_unread_names():
                         skip=("Referee",)) == []
     assert unread_names(source, [source, reader]) == [
         "unused", "_private", "never", "hidden", "Referee", "value"]
+
+
+def test_finder_ignores_attributes_of_other_packages():
+    source = "class Statevector:\n    def norm(self): pass\n"
+    reader = ("import numpy as np\nimport scipy.linalg\nfrom scipy import linalg as la\n"
+              "from xdfrelax import qsim\nqsim.Statevector\n"
+              "np.linalg.norm(1)\nscipy.linalg.norm(1)\nla.norm(1)\n")
+    assert unread_names(source, [source, reader]) == ["norm"]
+    assert unread_names(source, [source, reader, "state.norm()\n"]) == []
+    assert unread_names(source, [source, reader, "np.abs(x).norm\n"]) == []
+    assert {"np", "scipy", "la"} <= loaded_names([reader])
 
 
 @pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)

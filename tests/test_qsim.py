@@ -56,7 +56,7 @@ def test_hf_reference_basic():
     index = 0b0101  # alpha 0 and beta 0 occupied
     assert full[index] == 1.0
     assert np.count_nonzero(full) == 1
-    assert abs(state.norm() - 1.0) < 1e-15
+    assert abs(np.linalg.norm(state.amplitudes) - 1.0) < 1e-15
     assert electron_counts(full, 2) == (1, 1)
 
 
@@ -95,20 +95,20 @@ def test_single_particle_transformation_law():
 def test_gates_preserve_norm_and_sector(seed):
     fac = factorize(synth_hamiltonian(3, 2, 1, 3), TruncationPolicy.exact())
     state = random_sector_state(fac, seed)
-    assert abs(state.norm() - 1.0) < 1e-12
+    assert abs(np.linalg.norm(state.amplitudes) - 1.0) < 1e-12
     assert electron_counts(state.embed(), 3) == (2, 1)
     rotated = rotate_state(state, fac.frames)
-    assert abs(rotated.norm() - 1.0) < 1e-12
+    assert abs(np.linalg.norm(rotated.amplitudes) - 1.0) < 1e-12
     assert electron_counts(rotated.embed(), 3) == (2, 1)
     table = qsim.ansatz_table(3, 2, 1, (0, 1))  # gates: alpha, beta, exchange per pivot
     exchanged = table_gate(state.amplitudes.reshape(-1), table, 2, 0.37)
     exchanged = Statevector(3, 2, 1, exchanged.reshape(state.amplitudes.shape))
-    assert abs(exchanged.norm() - 1.0) < 1e-12
+    assert abs(np.linalg.norm(exchanged.amplitudes) - 1.0) < 1e-12
     assert electron_counts(exchanged.embed(), 3) == (2, 1)
     psi = table_gate(state.amplitudes.reshape(-1), table, 4, -0.8)
     psi = table_gate(psi, table, 3, -0.8)
     locked = Statevector(3, 2, 1, psi.reshape(state.amplitudes.shape))
-    assert abs(locked.norm() - 1.0) < 1e-12
+    assert abs(np.linalg.norm(locked.amplitudes) - 1.0) < 1e-12
     assert electron_counts(locked.embed(), 3) == (2, 1)
 
 
@@ -229,7 +229,7 @@ def test_shift_rule_zero_for_unsupported_angle():
     fac = factorize(ham, TruncationPolicy.exact())
     state = hf_reference(3, 1, 1)
     # identity fabric here: angles are zero, pivot 1 is slot index 1
-    assert fac.frames.fabric.pivots[1] == (1, 2)
+    assert fac.frames.fabric.pivots[1] == 1
     assert abs(denergy_dtheta_shift(state, fac.frames, 0, 1)) < 1e-14
 
 
@@ -466,7 +466,7 @@ def test_table_kernel_equals_rows_kernel(n, na, nb, seed, dtype):
         table = qsim.fabric_table(n, filling)
         d = comb(n, filling)
         y = _random_amplitudes((d, d), seed + filling, dtype)
-        for g, (m, _) in enumerate(givens.rectangle_pivots(n)):
+        for g, m in enumerate(givens.brickwork(n, n)):
             for theta in angles:
                 for view in (lambda ref: ref, lambda ref: ref.T):  # rows, columns
                     ref = y.copy()
@@ -571,7 +571,7 @@ def test_embed_round_trip(n, na, nb, seed):
     full = state.embed()
     assert full.shape == (4 ** n,)
     assert electron_counts(full, n) == (na, nb)
-    assert abs(np.linalg.norm(full) - state.norm()) <= 1e-14
+    assert abs(np.linalg.norm(full) - np.linalg.norm(state.amplitudes)) <= 1e-14
     back = from_full(full, n)
     assert (back.n_alpha, back.n_beta) == (na, nb)
     np.testing.assert_array_equal(back.amplitudes, state.amplitudes)

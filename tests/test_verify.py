@@ -54,7 +54,7 @@ def test_regime_grid_has_four_members():
     assert [s.name for s in specs] == [
         "exact-converged", "truncated-converged",
         "exact-approximate", "truncated-approximate"]
-    assert specs[0].truncation.mode == "threshold"
+    assert specs[0].truncation.count is None
     assert specs[1].truncation.count == 3
 
 

@@ -6,11 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from xdfrelax import qsim, vqe
+from xdfrelax.givens import brickwork
 from xdfrelax.hammodel import (Hamiltonian, apply_perturbation,
                                random_two_body_perturbation, synth_hamiltonian)
 from xdfrelax.vqe import (
     AnsatzConfig,
-    ansatz_blocks,
     exact_ground_state,
     n_parameters,
     optimize,
@@ -23,9 +23,9 @@ from _common import (FILLING_CASES, KERNEL_CASES, ansatz_gradient, electron_coun
                      regime_fixture, zero_two_body)
 
 def test_block_layout():
-    assert ansatz_blocks(4, 2) == (0, 2, 1)
+    assert brickwork(4, 2) == (0, 2, 1)
     assert n_parameters(4, AnsatzConfig(2)) == 6
-    assert ansatz_blocks(2, 3) == (0, 0)  # odd layers are empty for N=2
+    assert brickwork(2, 3) == (0, 0)  # odd layers are empty for N=2
 
 
 def test_ansatz_state_stays_in_sector():
@@ -36,7 +36,7 @@ def test_ansatz_state_stays_in_sector():
     state = prepare_state(fac, cfg, params)
     assert state.amplitudes.shape == (6, 6)
     assert electron_counts(state.embed(), 4) == (2, 2)
-    assert abs(state.norm() - 1.0) < 1e-12
+    assert abs(np.linalg.norm(state.amplitudes) - 1.0) < 1e-12
 
 
 def test_zero_two_body_stationary_at_zero_parameters():
@@ -262,7 +262,7 @@ def test_prepare_state_matches_reference_kernel(n, na, nb, seed):
     fac = factorize(synth_hamiltonian(n, na, nb, seed), TruncationPolicy.exact())
     cfg = AnsatzConfig(3)
     params = np.random.default_rng(seed).uniform(-np.pi, np.pi, n_parameters(n, cfg))
-    blocks = ansatz_blocks(n, cfg.n_layers)
+    blocks = brickwork(n, cfg.n_layers)
     ref = ref_ansatz_state(fac, blocks, params[0::2], params[0::2], params[1::2])
     out = prepare_state(fac, cfg, params)
     assert np.max(np.abs(out.embed() - ref)) <= 1e-12

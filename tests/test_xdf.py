@@ -15,12 +15,12 @@ from _common import random_sector_state
 
 
 def test_policy_validation():
-    with pytest.raises(ValueError):
-        TruncationPolicy("threshold")
-    with pytest.raises(ValueError):
-        TruncationPolicy("count", threshold=0.1, count=2)
-    with pytest.raises(ValueError):
-        TruncationPolicy("both")
+    with pytest.raises(ValueError, match="exactly one of threshold and count"):
+        TruncationPolicy()
+    with pytest.raises(ValueError, match="exactly one of threshold and count"):
+        TruncationPolicy(threshold=0.1, count=2)
+    with pytest.raises(TypeError):
+        TruncationPolicy("threshold")  # keyword-only: a positional value is refused
     with pytest.raises(ValueError, match="non-negative"):
         TruncationPolicy.by_count(-1)
 
