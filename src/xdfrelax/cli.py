@@ -27,7 +27,7 @@ EXIT_NONCONVERGED = 3
 
 
 def _array(a: np.ndarray) -> dict:
-    return {"shape": list(a.shape), "data": [float(x) for x in np.asarray(a).reshape(-1)]}
+    return {"shape": list(a.shape), "data": np.asarray(a, dtype=float).reshape(-1).tolist()}
 
 
 def _load(path: str):

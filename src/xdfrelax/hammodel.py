@@ -7,6 +7,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .givens import read_only
+
 __all__ = [
     "Hamiltonian",
     "EffectiveOperators",
@@ -73,8 +75,7 @@ class Hamiltonian:
     def __post_init__(self):
         object.__setattr__(self, "one_body", np.array(self.one_body, dtype=float))
         object.__setattr__(self, "two_body", np.array(self.two_body, dtype=float))
-        self.one_body.setflags(write=False)
-        self.two_body.setflags(write=False)
+        read_only(self.one_body, self.two_body)
 
     @property
     def n_electrons(self) -> int:
@@ -125,17 +126,18 @@ class EffectiveOperators:
 
 @dataclass(frozen=True, eq=False)
 class Perturbation:
-    """Symmetric integral-space direction, unit-normalized in Frobenius norm."""
+    """Integral-space direction: a symmetric one-body part, an 8-fold
+    symmetric two-body part and a core-energy part, any of which may be zero."""
 
-    kind: str  # "one_body" | "two_body"
-    tensor: np.ndarray
+    one_body: np.ndarray
+    two_body: np.ndarray
+    core: float = 0.0
     label: str = ""
 
     def __post_init__(self):
-        if self.kind not in ("one_body", "two_body"):
-            raise ValueError(f"unknown perturbation kind {self.kind!r}")
-        object.__setattr__(self, "tensor", np.array(self.tensor, dtype=float))
-        self.tensor.setflags(write=False)
+        object.__setattr__(self, "one_body", np.array(self.one_body, dtype=float))
+        object.__setattr__(self, "two_body", np.array(self.two_body, dtype=float))
+        read_only(self.one_body, self.two_body)
 
 
 # ---------------------------------------------------------------------------
@@ -325,24 +327,19 @@ def interpolate(ham_a: Hamiltonian, ham_b: Hamiltonian, s: float) -> Hamiltonian
 
 
 def apply_perturbation(ham: Hamiltonian, pert: Perturbation, eps: float) -> Hamiltonian:
-    """Shift the targeted integral tensor by eps times the perturbation."""
+    """Shift every integral part by eps times the perturbation's part."""
     n = ham.n_orbitals
-    if pert.kind == "one_body":
-        if pert.tensor.shape != (n, n):
-            raise ValueError("one-body perturbation has wrong shape")
-        if np.max(np.abs(pert.tensor - pert.tensor.T)) > DUPLICATE_TOL:
-            raise ValueError("one-body perturbation is not symmetric")
-        return Hamiltonian(
-            n, ham.n_alpha, ham.n_beta, ham.core_energy,
-            ham.one_body + eps * pert.tensor, ham.two_body,
-        )
-    if pert.tensor.shape != (n, n, n, n):
+    if pert.one_body.shape != (n, n):
+        raise ValueError("one-body perturbation has wrong shape")
+    if pert.two_body.shape != (n, n, n, n):
         raise ValueError("two-body perturbation has wrong shape")
-    if eight_fold_deviation(pert.tensor) > DUPLICATE_TOL:
+    if np.max(np.abs(pert.one_body - pert.one_body.T)) > DUPLICATE_TOL:
+        raise ValueError("one-body perturbation is not symmetric")
+    if eight_fold_deviation(pert.two_body) > DUPLICATE_TOL:
         raise ValueError("two-body perturbation breaks 8-fold symmetry")
     return Hamiltonian(
-        n, ham.n_alpha, ham.n_beta, ham.core_energy,
-        ham.one_body, ham.two_body + eps * pert.tensor,
+        n, ham.n_alpha, ham.n_beta, ham.core_energy + eps * pert.core,
+        ham.one_body + eps * pert.one_body, ham.two_body + eps * pert.two_body,
     )
 
 
@@ -350,11 +347,11 @@ def random_one_body_perturbation(n: int, seed: int) -> Perturbation:
     rng = np.random.default_rng(seed)
     p = _symmetrize_one_body(rng.standard_normal((n, n)))
     p /= np.linalg.norm(p)
-    return Perturbation("one_body", p, label=f"one_body[{seed}]")
+    return Perturbation(p, np.zeros((n, n, n, n)), label=f"one_body[{seed}]")
 
 
 def random_two_body_perturbation(n: int, seed: int) -> Perturbation:
     rng = np.random.default_rng(seed)
     p = eight_fold_symmetrize(rng.standard_normal((n, n, n, n)))
     p /= np.linalg.norm(p.reshape(-1))
-    return Perturbation("two_body", p, label=f"two_body[{seed}]")
+    return Perturbation(np.zeros((n, n)), p, label=f"two_body[{seed}]")

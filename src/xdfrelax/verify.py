@@ -165,12 +165,12 @@ def relaxed_rdms(pipe: Pipeline, ablate: str | None = None) -> lagrange.RelaxedR
 
 def analytic_energy_derivative(pipe: Pipeline, pert: Perturbation,
                                rdms: lagrange.RelaxedRDMs | None = None) -> float:
-    """Integral-space directional derivative from the relaxed densities."""
+    """Integral-space directional derivative from the relaxed densities,
+    E_core' + h' : gamma + (pq|rs)' : Gamma."""
     if rdms is None:
         rdms = relaxed_rdms(pipe)
-    if pert.kind == "one_body":
-        return float(np.sum(rdms.gamma_sym * pert.tensor))
-    return float(np.sum(rdms.Gamma_sym * pert.tensor))
+    return (pert.core + float(np.sum(rdms.gamma_sym * pert.one_body))
+            + float(np.sum(rdms.Gamma_sym * pert.two_body)))
 
 
 def _retained_subspace(fac: XDFFactorization) -> np.ndarray:
@@ -178,10 +178,13 @@ def _retained_subspace(fac: XDFFactorization) -> np.ndarray:
     return vecs.T @ vecs
 
 
-def _check_leaf_tracking(base: XDFFactorization, displaced: XDFFactorization) -> None:
-    if displaced.retained != base.retained:
-        raise TruncationBoundaryError(
-            f"retained count changed {base.retained} -> {displaced.retained}")
+def _check_leaf_tracking(base: XDFFactorization, displaced: XDFFactorization,
+                         truncation: TruncationPolicy) -> None:
+    """Raise if the regime's own (unpinned) policy keeps another leaf count
+    at the displaced point, or if the retained leaf subspace moved."""
+    count = truncation.retained_count(displaced.g)
+    if count != base.retained:
+        raise TruncationBoundaryError(f"retained count changed {base.retained} -> {count}")
     if base.retained == 0:
         return
     drift = np.linalg.norm(_retained_subspace(base) - _retained_subspace(displaced))
@@ -197,9 +200,10 @@ def fd_energy_derivative(ham: Hamiltonian, pert: Perturbation, regime: RegimeSpe
 
     Every displaced evaluation re-factorizes with the base retained count,
     re-seeds the optimizer from the base parameters, and re-optimizes with
-    the most recent curvature built in the stencil; a retained-set change
-    across the stencil is a hard error. ``built`` shares the displaced
-    Hamiltonians and their factorizations across the calls given it.
+    the most recent curvature built in the stencil; a change in the leaf
+    count the regime's own policy keeps, or in the retained subspace, across
+    the stencil is a hard error. ``built`` shares the displaced Hamiltonians
+    and their factorizations across the calls given it.
     """
     if base is None:
         base = run_pipeline(ham, regime)
@@ -213,7 +217,7 @@ def fd_energy_derivative(ham: Hamiltonian, pert: Perturbation, regime: RegimeSpe
                                 lambda: apply_perturbation(ham, pert, eps))
         pipe = run_pipeline(displaced, pinned,
                             seed=replace(base.result, curvature=curvature), built=built)
-        _check_leaf_tracking(base.fac, pipe.fac)
+        _check_leaf_tracking(base.fac, pipe.fac, regime.truncation)
         curvature = pipe.result.curvature
         return pipe.energy
 
@@ -239,7 +243,7 @@ def run_regime_suite(ham: Hamiltonian, specs, perturbations,
             analytic = analytic_energy_derivative(base, pert, rdms)
             numerical = fd_energy_derivative(ham, pert, regime, base=base, built=built)
             reports.append(DerivativeReport(
-                regime.name, pert.label or pert.kind, analytic, numerical,
+                regime.name, pert.label, analytic, numerical,
                 abs(analytic - numerical)))
     return reports
 
@@ -261,24 +265,20 @@ def verlet_path(ham_a: Hamiltonian, ham_b: Hamiltonian, n_steps: int, dt: float,
                 ablate: str | None = None) -> PathTrace:
     """Velocity Verlet on the interpolation coordinate s.
 
-    The potential is the pipeline energy at H(s); the force is the chain-rule
-    contraction of the relaxed densities with H_B - H_A. A consistent
-    energy/force pair conserves kinetic + potential; response errors show up
-    as drift or instability.
+    The potential is the pipeline energy at H(s); the force is the analytic
+    derivative along H_B - H_A. A consistent energy/force pair conserves
+    kinetic + potential; response errors show up as drift or instability.
     """
     if regime is None:
         regime = RegimeSpec("path", TruncationPolicy.exact(), n_layers=3)
     start = interpolate(ham_a, ham_b, s0)  # refuses incompatible models first
-    d_core = ham_b.core_energy - ham_a.core_energy
-    d_one = ham_b.one_body - ham_a.one_body
-    d_two = ham_b.two_body - ham_a.two_body
+    direction = Perturbation(ham_b.one_body - ham_a.one_body, ham_b.two_body - ham_a.two_body,
+                             core=ham_b.core_energy - ham_a.core_energy)
 
     def evaluate(ham: Hamiltonian, seed: vqe.VQEResult | None):
         pipe = run_pipeline(ham, regime, seed)
         rdms = relaxed_rdms(pipe, ablate=ablate)
-        de_ds = (d_core + float(np.sum(rdms.gamma_sym * d_one))
-                 + float(np.sum(rdms.Gamma_sym * d_two)))
-        return pipe, -de_ds / mass
+        return pipe, -analytic_energy_derivative(pipe, direction, rdms) / mass
 
     s_hist = [s0]
     pipe, accel = evaluate(start, None)

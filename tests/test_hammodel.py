@@ -132,11 +132,6 @@ def test_validate_names_each_violation(fields, check_psd, message):
         ham.validate(check_psd=check_psd)
 
 
-def test_perturbation_refuses_unknown_kind():
-    with pytest.raises(ValueError, match="^unknown perturbation kind 'three_body'$"):
-        hammodel.Perturbation("three_body", np.zeros((2, 2)))
-
-
 @pytest.mark.parametrize("kind,tensor,message", [
     ("one_body", np.zeros((3, 3)), "one-body perturbation has wrong shape"),
     ("two_body", np.zeros((3, 3, 3, 3)), "two-body perturbation has wrong shape"),
@@ -146,7 +141,11 @@ def test_perturbation_refuses_unknown_kind():
 ], ids=["one-body-shape", "two-body-shape", "two-body-rank", "one-body-asymmetric",
         "two-body-asymmetric"])
 def test_apply_perturbation_names_each_violation(kind, tensor, message):
-    pert = hammodel.Perturbation(kind, tensor)
+    # the bad part sits beside a valid zero part
+    if kind == "one_body":
+        pert = hammodel.Perturbation(tensor, np.zeros((2, 2, 2, 2)))
+    else:
+        pert = hammodel.Perturbation(np.zeros((2, 2)), tensor)
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         apply_perturbation(VALIDATE_MODEL, pert, 1e-3)
 
@@ -295,9 +294,10 @@ def test_apply_perturbation_targets_single_entry():
     ham = synth_hamiltonian(2, 1, 1, 4)
     e11 = np.zeros((2, 2))
     e11[0, 0] = 1.0
-    out = apply_perturbation(ham, hammodel.Perturbation("one_body", e11), 1e-3)
+    out = apply_perturbation(ham, hammodel.Perturbation(e11, np.zeros((2, 2, 2, 2))), 1e-3)
     assert abs(out.one_body[0, 0] - ham.one_body[0, 0] - 1e-3) < 1e-15
     np.testing.assert_array_equal(out.two_body, ham.two_body)
+    assert out.core_energy == ham.core_energy
 
 
 @pytest.mark.parametrize("kind,seed", [("one_body", 3), ("two_body", 4)])
@@ -306,19 +306,24 @@ def test_perturbation_frobenius_normalized(kind, seed):
     maker = random_one_body_perturbation if kind == "one_body" else random_two_body_perturbation
     pert = maker(3, seed)
     out = apply_perturbation(ham, pert, 1e-3)
-    target = out.one_body - ham.one_body if kind == "one_body" else out.two_body - ham.two_body
-    assert abs(np.sum(pert.tensor * target) / 1e-3 - 1.0) < 1e-10
+    if kind == "one_body":
+        part, target, other = pert.one_body, out.one_body - ham.one_body, pert.two_body
+    else:
+        part, target, other = pert.two_body, out.two_body - ham.two_body, pert.one_body
+    assert abs(np.sum(part * target) / 1e-3 - 1.0) < 1e-10
+    assert pert.label == f"{kind}[{seed}]" and pert.core == 0.0
+    assert not other.any()
 
 
 def test_apply_perturbation_rejects_asymmetric():
     ham = synth_hamiltonian(2, 1, 1, 4)
     bad = np.array([[0.0, 1.0], [0.0, 0.0]])
     with pytest.raises(ValueError):
-        apply_perturbation(ham, hammodel.Perturbation("one_body", bad), 1e-3)
+        apply_perturbation(ham, hammodel.Perturbation(bad, np.zeros((2, 2, 2, 2))), 1e-3)
     bad2 = np.zeros((2, 2, 2, 2))
     bad2[0, 1, 0, 0] = 1.0
     with pytest.raises(ValueError):
-        apply_perturbation(ham, hammodel.Perturbation("two_body", bad2), 1e-3)
+        apply_perturbation(ham, hammodel.Perturbation(np.zeros((2, 2)), bad2), 1e-3)
 
 
 def test_eight_fold_symmetrize_idempotent():

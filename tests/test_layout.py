@@ -1,9 +1,9 @@
 """Package modules use each other only through public names, their
 dataclasses hold no mutable containers and compare by identity when they
 hold arrays, every name they export exists, no two of them define the same
-top-level function or class, every module constant, function, class, method
-and field they define is read, and every CLI flag a subcommand registers is
-read by that subcommand."""
+top-level function or class, only ``givens.read_only`` calls ``setflags``,
+every module constant, function, class, method and field they define is
+read, and every CLI flag a subcommand registers is read by that subcommand."""
 
 import argparse
 import ast
@@ -238,6 +238,46 @@ def test_finder_flags_duplicate_definitions():
 def test_no_helper_defined_twice():
     sources = {path.stem: path.read_text(encoding="utf-8") for path in PACKAGE.glob("*.py")}
     assert duplicate_definitions(sources) == []
+
+
+def setflags_callers(source: str, module: str) -> list[str]:
+    """``module.Class.function`` of the innermost function or method around
+    every ``.setflags(...)`` call, or ``module`` for one at top level."""
+    found = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(child, scope + [child.name])
+                continue
+            if (isinstance(child, ast.Call) and isinstance(child.func, ast.Attribute)
+                    and child.func.attr == "setflags"):
+                found.append(".".join([module] + scope))
+            visit(child, scope)
+
+    visit(ast.parse(source), [])
+    return found
+
+
+def test_finder_flags_setflags_callers():
+    source = (
+        "def read_only(*arrays):\n"
+        "    for arr in arrays:\n"
+        "        arr.setflags(write=False)\n"
+        "class Record:\n"
+        "    def __post_init__(self):\n"
+        "        self.x.setflags(write=False)\n"
+        "        read_only(self.y)\n"
+        "np.zeros(2).setflags(write=False)\n"
+    )
+    assert setflags_callers(source, "m") == ["m.read_only", "m.Record.__post_init__", "m"]
+
+
+def test_only_read_only_freezes_arrays():
+    # one way to freeze an array: every other package function calls givens.read_only
+    found = [caller for path in sorted(PACKAGE.glob("*.py"))
+             for caller in setflags_callers(path.read_text(encoding="utf-8"), path.stem)]
+    assert found == ["givens.read_only"]
 
 
 TESTS = Path(__file__).parent

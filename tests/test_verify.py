@@ -116,7 +116,7 @@ def test_null_space_perturbation_has_zero_derivative():
     spec = RegimeSpec("one-body", TruncationPolicy.exact(), 2)
     probe = np.zeros((3, 3))
     probe[2, 2] = 1.0
-    pert = hammodel.Perturbation("one_body", probe, label="empty-orbital")
+    pert = hammodel.Perturbation(probe, np.zeros((3, 3, 3, 3)), label="empty-orbital")
     base = run_pipeline(ham, spec)
     analytic = verify.analytic_energy_derivative(base, pert)
     numerical = fd_energy_derivative(ham, pert, spec, base=base)
@@ -149,26 +149,58 @@ def test_stencil_halving_is_high_order():
     assert err_coarse < 1e-8  # both tiny; 5-point truncation is O(step^4)
 
 
-def test_leaf_tracking_error_on_crossing():
-    # build integrals whose two leading leaves sit a hair apart, then push
-    # them through each other with a crafted perturbation
+def _leaf_model(gs):
+    """The N=3 model with the leaf vectors of synth_hamiltonian(3, 1, 1, 2)
+    and the couplings ``gs``, and those leaf vectors."""
     base = synth_hamiltonian(3, 1, 1, 2)
-    fac = factorize(base, TruncationPolicy.exact())
-    vecs = fac.V
-    gs = [0.8, 0.5, 0.4995, 0.3, 0.2, 0.1]
+    vecs = factorize(base, TruncationPolicy.exact()).V
     eri = np.zeros((9, 9))
     for g, v in zip(gs, vecs):
         eri += g * np.outer(v.reshape(-1), v.reshape(-1))
-    ham = Hamiltonian(3, 1, 1, base.core_energy, base.one_body,
-                      eri.reshape(3, 3, 3, 3))
+    return Hamiltonian(3, 1, 1, base.core_energy, base.one_body,
+                       eri.reshape(3, 3, 3, 3)), vecs
+
+
+def test_leaf_tracking_error_on_crossing():
+    # build integrals whose two leading leaves sit a hair apart, then push
+    # them through each other with a crafted perturbation
+    ham, vecs = _leaf_model([0.8, 0.5, 0.4995, 0.3, 0.2, 0.1])
     direction = (np.outer(vecs[2].reshape(-1), vecs[2].reshape(-1))
                  - np.outer(vecs[1].reshape(-1), vecs[1].reshape(-1)))
     direction = hammodel.eight_fold_symmetrize(direction.reshape(3, 3, 3, 3))
     direction /= np.linalg.norm(direction)
-    pert = hammodel.Perturbation("two_body", direction, label="crossing")
+    pert = hammodel.Perturbation(np.zeros((3, 3)), direction, label="crossing")
     spec = RegimeSpec("truncated", TruncationPolicy.by_count(2), 2)
     with pytest.raises(TruncationBoundaryError):
         fd_energy_derivative(ham, pert, spec, eps_step=1e-3)
+
+
+def test_threshold_crossing_inside_stencil_is_reported():
+    # leaf 3 sits 5e-4 above the threshold; the stencil's eps < 0 points
+    # push it below, where the regime's own policy keeps 3 leaves, not 4
+    ham, vecs = _leaf_model([0.8, 0.5, 0.4, 0.3, 0.2, 0.1])
+    direction = np.outer(vecs[3].reshape(-1), vecs[3].reshape(-1))
+    pert = hammodel.Perturbation(
+        np.zeros((3, 3)), hammodel.eight_fold_symmetrize(direction.reshape(3, 3, 3, 3)))
+    spec = RegimeSpec("threshold", TruncationPolicy.by_threshold(0.2995), 2)
+    base = run_pipeline(ham, spec)
+    assert base.fac.retained == 4
+    with pytest.raises(TruncationBoundaryError, match="^retained count changed 4 -> 3$"):
+        fd_energy_derivative(ham, pert, spec, base=base)
+
+
+def test_mixed_direction_derivative():
+    # one direction moving the core energy, one-body and two-body integrals
+    # together, as a nuclear displacement does
+    ham, _ = path_fixtures()
+    spec = RegimeSpec("exact", TruncationPolicy.exact(), PATH_LAYERS)
+    pert = hammodel.Perturbation(
+        hammodel.random_one_body_perturbation(3, 11).one_body,
+        hammodel.random_two_body_perturbation(3, 12).two_body, core=0.7, label="mixed")
+    base = run_pipeline(ham, spec)
+    analytic = verify.analytic_energy_derivative(base, pert)
+    numerical = fd_energy_derivative(ham, pert, spec, base=base)
+    assert abs(analytic - numerical) < verify.DERIVATIVE_TOL
 
 
 def test_verlet_flat_path_conserves_exactly():
