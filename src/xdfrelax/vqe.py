@@ -10,11 +10,11 @@ and total spin on singlet references.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize
 
 from . import qsim
 from .givens import brickwork, read_only
@@ -173,16 +173,174 @@ def _energy_and_gradient(fac: XDFFactorization, cfg: AnsatzConfig, params: np.nd
     return energy, grad
 
 
+def _cubic_step(a: float, fa: float, da: float, b: float, fb: float, db: float):
+    """The minimizer of the cubic through (a, fa, da) and (b, fb, db) as the
+    fraction r of the way from a to b, and the cubic's gamma, which is 0
+    when the cubic has no minimizer."""
+    theta = 3.0 * (fa - fb) / (b - a) + da + db
+    s = max(abs(theta), abs(da), abs(db))
+    gamma = s * math.sqrt(max(0.0, (theta / s) ** 2 - (da / s) * (db / s)))
+    if b < a:
+        gamma = -gamma
+    return ((gamma - da) + theta) / (((gamma - da) + gamma) + db), gamma
+
+
+def _safeguarded_step(stx, fx, dx, sty, fy, dy, stp, fp, dp, bracketed, lo, hi):
+    """One trial step of Moré and Thuente (ACM TOMS 20, 286 (1994), Sec. 4),
+    as MINPACK-2's ``dcstep``: stx is the best step so far, sty the other
+    end of the interval, stp the step just evaluated, lo and hi bound the
+    next step while no minimizer is bracketed. Returns the updated stx, fx,
+    dx, sty, fy, dy, the next step and whether a minimizer is bracketed."""
+    opposite = dp < 0 < dx or dx < 0 < dp
+    if fp > fx:                                   # higher value: bracketed
+        r, _ = _cubic_step(stx, fx, dx, stp, fp, dp)
+        cubic = stx + r * (stp - stx)
+        quad = stx + dx / ((fx - fp) / (stp - stx) + dx) / 2.0 * (stp - stx)
+        new = cubic if abs(cubic - stx) < abs(quad - stx) else cubic + (quad - cubic) / 2.0
+        bracketed = True
+    elif opposite:                                # the derivative changed sign
+        r, _ = _cubic_step(stp, fp, dp, stx, fx, dx)
+        cubic = stp + r * (stx - stp)
+        secant = stp + dp / (dp - dx) * (stx - stp)
+        new = cubic if abs(cubic - stp) > abs(secant - stp) else secant
+        bracketed = True
+    elif abs(dp) < abs(dx):                       # the derivative shrank
+        r, gamma = _cubic_step(stp, fp, dp, stx, fx, dx)
+        if r < 0 and gamma != 0:
+            cubic = stp + r * (stx - stp)
+        else:
+            cubic = hi if stp > stx else lo
+        secant = stp + dp / (dp - dx) * (stx - stp)
+        if bracketed:
+            new = cubic if abs(cubic - stp) < abs(secant - stp) else secant
+            limit = stp + 0.66 * (sty - stp)
+            new = min(limit, new) if stp > stx else max(limit, new)
+        else:
+            new = cubic if abs(cubic - stp) > abs(secant - stp) else secant
+            new = min(max(new, lo), hi)
+    elif bracketed:                               # the derivative grew
+        r, _ = _cubic_step(stp, fp, dp, sty, fy, dy)
+        new = stp + r * (sty - stp)
+    else:
+        new = hi if stp > stx else lo
+    if fp > fx:
+        sty, fy, dy = stp, fp, dp
+    else:
+        if opposite:
+            sty, fy, dy = stx, fx, dx
+        stx, fx, dx = stp, fp, dp
+    return stx, fx, dx, sty, fy, dy, new, bracketed
+
+
+def _wolfe_search(fun, x: np.ndarray, d: np.ndarray, f0: float, slope0: float,
+                  step: float):
+    """A Moré–Thuente line search from x along the descent direction d, as
+    MINPACK-2's ``dcsrch`` with ftol 1e-3, gtol 0.9, xtol 0.1 and steps in
+    [0, 1e10]: at most 20 evaluations of ``fun`` for a strong-Wolfe step,
+    f <= f0 + 1e-3 step slope0 and |slope| <= 0.9 |slope0|.
+
+    When the bracket shrinks below xtol, or rounding or a degenerate
+    interpolant stops progress, the best step so far (``dcsrch``'s stx) is
+    taken, as L-BFGS-B takes a ``dcsrch`` warning. Returns (point, f, g),
+    or None when that best step is still 0 or the 20 evaluations run out,
+    and the evaluations spent.
+    """
+    gtest = 1e-3 * slope0
+    stx = sty = 0.0
+    fx = fy = f0
+    gx = gy = slope0
+    best = None
+    bracketed, stage1 = False, True
+    width, width1 = 1e10, 2e10
+    lo, hi = 0.0, 5.0 * step
+    for evals in range(1, 21):
+        point = x + step * d
+        f, g = fun(point)
+        slope = float(g @ d)
+        ftest = f0 + step * gtest
+        if f <= ftest and abs(slope) <= -0.9 * slope0:
+            return (point, f, g), evals
+        if stage1 and f <= ftest and slope >= 0:
+            stage1 = False
+        # Until a step has sufficient decrease and a nonnegative slope, a
+        # lower f without sufficient decrease is stepped on through
+        # psi(t) = f(t) - f0 - t gtest.
+        shift = gtest if stage1 and ftest < f <= fx else 0.0
+        try:
+            stx, fx, gx, sty, fy, gy, new, bracketed = _safeguarded_step(
+                stx, fx - stx * shift, gx - shift, sty, fy - sty * shift, gy - shift,
+                step, f - step * shift, slope - shift, bracketed, lo, hi)
+        except ZeroDivisionError:
+            return best, evals
+        fx, gx, fy, gy = fx + stx * shift, gx + shift, fy + sty * shift, gy + shift
+        if stx == step:
+            best = (point, f, g)
+        if bracketed:
+            if abs(sty - stx) >= 0.66 * width1:
+                new = stx + 0.5 * (sty - stx)
+            width1, width = width, abs(sty - stx)
+            lo, hi = min(stx, sty), max(stx, sty)
+        else:
+            lo, hi = new + 1.1 * (new - stx), new + 4.0 * (new - stx)
+        step = min(max(new, 0.0), 1e10)
+        if bracketed and (step <= lo or step >= hi or hi - lo <= 0.1 * hi):
+            return best, evals
+    return None, evals
+
+
+def _minimize_lbfgs(fun, x: np.ndarray, gtol: float, maxiter: int):
+    """L-BFGS (Liu and Nocedal, Math. Program. 45, 503 (1989)) as L-BFGS-B
+    runs it on an unbounded problem: 10 correction pairs, the first trial
+    step 1/|g|_2 and then 1, ``_wolfe_search`` for the step. A pair is
+    skipped when s.y <= eps y.y. ``fun`` maps a point to (f, g).
+
+    Stops when max|g| <= gtol, when a step lowers f by at most 1e-18 of
+    max(|f|, 1), after ``maxiter`` iterations or 15000 evaluations, or when
+    the direction does not descend or the line search finds no step; then
+    at the last accepted point.
+    Returns the end point and the iterations taken.
+    """
+    f, g = fun(x)
+    evals, nit = 1, 0
+    pairs = []                                    # (s, y, 1 / s.y), oldest first
+    while np.max(np.abs(g)) > gtol and nit < maxiter and evals < 15000:
+        d = -g
+        alphas = []
+        for s, y, rho in reversed(pairs):
+            alpha = rho * (s @ d)
+            d = d - alpha * y
+            alphas.append(alpha)
+        if pairs:
+            s, y, rho = pairs[-1]
+            d = d / (rho * (y @ y))
+        for (s, y, rho), alpha in zip(pairs, reversed(alphas)):
+            d = d + (alpha - rho * (y @ d)) * s
+        slope = float(g @ d)
+        if not slope < 0:
+            break
+        step = 1.0 / np.linalg.norm(d) if nit == 0 else 1.0
+        found, spent = _wolfe_search(fun, x, d, f, slope, step)
+        evals += spent
+        if found is None:
+            break
+        point, f_new, g_new = found
+        nit += 1
+        s, y = point - x, g_new - g
+        x, f_old, f, g = point, f, f_new, g_new
+        if f_old - f <= 1e-18 * max(abs(f_old), abs(f), 1.0):
+            break
+        sy = s @ y
+        if sy > np.finfo(float).eps * (y @ y):
+            pairs = [*pairs[-9:], (s, y, 1.0 / sy)]
+    return x, nit
+
+
 def _lbfgs(fac: XDFFactorization, cfg: AnsatzConfig, x0: np.ndarray,
            tol: float, maxiter: int):
-    res = minimize(
-        lambda x: _energy_and_gradient(fac, cfg, x),
-        x0,
-        jac=True,
-        method="L-BFGS-B",
-        options={"maxiter": maxiter, "ftol": 1e-18, "gtol": 0.1 * tol},
-    )
-    return np.asarray(res.x), int(res.nit)
+    """L-BFGS on the ansatz energy from x0 to max|g| <= 0.1 tol (the Newton
+    polish finishes to tol); returns the end point and the iterations."""
+    return _minimize_lbfgs(lambda x: _energy_and_gradient(fac, cfg, x), x0,
+                           0.1 * tol, maxiter)
 
 
 def _inverse_hessian(fac: XDFFactorization, cfg: AnsatzConfig,
@@ -287,8 +445,8 @@ def optimize(fac: XDFFactorization, cfg: AnsatzConfig, tol: float = 1e-10,
     layers, or one orbital) leaves the reference state, which is trivially
     stationary.
     """
-    if tol <= 0:
-        raise ValueError("tolerance must be positive")
+    if not 0 < tol < math.inf:
+        raise ValueError("tolerance must be positive and finite")
     if n_parameters(fac.n_orbitals, cfg) == 0:
         energy, _ = _energy_and_gradient(fac, cfg, np.zeros(0))
         return VQEResult(np.zeros(0), energy, 0.0, True, 0)

@@ -1,11 +1,17 @@
 import json
+import os
 import string
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import xdfrelax
 from xdfrelax import cli, lagrange, verify, vqe
 from xdfrelax.hammodel import Hamiltonian, parse_fcidump, synth_hamiltonian, write_fcidump
 
@@ -371,3 +377,47 @@ def test_one_orbital_model(tmp_path):
     code, payload = _run(["vqe", "--fcidump", str(path), "--layers", "0"], tmp_path)
     assert code == 1
     assert payload["error"].startswith("--layers ")
+
+
+SCIPY_PROBE = textwrap.dedent("""
+    import json
+    import sys
+    from pathlib import Path
+
+    from xdfrelax import cli
+    from xdfrelax.hammodel import synth_hamiltonian, write_fcidump
+
+
+    def scipy_modules():
+        return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+
+
+    loaded = {"import": scipy_modules()}
+    work = Path(sys.argv[1])
+    a, b = work / "a.fcidump", work / "b.fcidump"
+    a.write_text(write_fcidump(synth_hamiltonian(3, 1, 1, 2)), encoding="ascii")
+    b.write_text(write_fcidump(synth_hamiltonian(3, 1, 1, 8)), encoding="ascii")
+    commands = {
+        "rdm": ["--layers", "1"],
+        "verify": ["--layers", "1", "--layers-small", "1", "--leaves", "2",
+                   "--perturbations", "1"],
+        "path": ["--fcidump-b", str(b), "--layers", "3", "--tol", "1e-8", "--steps", "2"],
+    }
+    for command, options in commands.items():
+        out = work / f"{command}.json"
+        code = cli.main([command, "--fcidump", str(a), *options, "--out", str(out)])
+        loaded[command] = scipy_modules() if code == 0 else f"exit code {code}"
+    print(json.dumps(loaded))
+""")
+
+
+def test_commands_run_without_scipy(tmp_path):
+    # a fresh interpreter, as every command starts: importing scipy.optimize
+    # would cost each command about half a second
+    env = dict(os.environ)
+    src = str(Path(xdfrelax.__file__).parent.parent)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-c", SCIPY_PROBE, str(tmp_path)], env=env,
+                          capture_output=True, text=True, timeout=300, check=True)
+    loaded = json.loads(done.stdout.splitlines()[-1])
+    assert loaded == {"import": [], "rdm": [], "verify": [], "path": []}

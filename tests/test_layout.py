@@ -2,13 +2,15 @@
 dataclasses hold no mutable containers and compare by identity when they
 hold arrays, every name they export exists, no two of them define the same
 top-level function or class, only ``givens.read_only`` calls ``setflags``,
-every module constant, function, class, method and field they define is
-read, and every CLI flag a subcommand registers is read by that subcommand."""
+they import only numpy and the standard library, every module constant,
+function, class, method and field they define is read, and every CLI flag a
+subcommand registers is read by that subcommand."""
 
 import argparse
 import ast
 import inspect
 import re
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -278,6 +280,31 @@ def test_only_read_only_freezes_arrays():
     found = [caller for path in sorted(PACKAGE.glob("*.py"))
              for caller in setflags_callers(path.read_text(encoding="utf-8"), path.stem)]
     assert found == ["givens.read_only"]
+
+
+def imported_packages(source: str) -> set[str]:
+    """Top-level names of the modules source imports absolutely, wherever
+    the import statement sits."""
+    imported = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            imported.update(a.name.split(".")[0] for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            imported.add(node.module.split(".")[0])
+    return imported
+
+
+def test_finder_flags_imported_packages():
+    source = ("import os.path\nfrom . import qsim\nfrom .xdf import factorize\n"
+              "import numpy as np\ndef f():\n    from scipy.optimize import minimize\n")
+    assert imported_packages(source) == {"os", "numpy", "scipy"}
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_package_imports_only_numpy_and_the_standard_library(path):
+    # numpy is the one runtime dependency; scipy serves only the test suite
+    imported = imported_packages(path.read_text(encoding="utf-8"))
+    assert imported - set(sys.stdlib_module_names) <= {"numpy"}
 
 
 TESTS = Path(__file__).parent

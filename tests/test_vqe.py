@@ -229,6 +229,84 @@ def test_optimize_rejects_nonpositive_tolerance():
         optimize(fac, AnsatzConfig(1), tol=0.0)
 
 
+@pytest.mark.parametrize("tol", [np.nan, np.inf])
+def test_optimize_rejects_nonfinite_tolerance(tol):
+    # no max|g| reaches a nan tolerance and every one is below an infinite
+    # one, so either would make the solve meaningless
+    fac = factorize(synth_hamiltonian(3, 1, 1, 2), TruncationPolicy.exact())
+    with pytest.raises(ValueError, match="tolerance must be positive and finite"):
+        optimize(fac, AnsatzConfig(3, seed=3), tol=tol)
+
+
+# The in-package L-BFGS on analytic functions.
+
+def extended_rosenbrock(x):
+    """Moré, Garbow and Hillstrom's problem 21 (ACM TOMS 7, 17 (1981)) and
+    its gradient; its minimum is 0 at the all-ones point."""
+    a, b = x[0::2], x[1::2]
+    grad = np.empty_like(x)
+    grad[0::2] = -400.0 * a * (b - a ** 2) - 2.0 * (1.0 - a)
+    grad[1::2] = 200.0 * (b - a ** 2)
+    return float(np.sum(100.0 * (b - a ** 2) ** 2 + (1.0 - a) ** 2)), grad
+
+
+def counted(fun):
+    """fun, and the list of the points it was evaluated at."""
+    points = []
+
+    def wrapper(x):
+        points.append(x)
+        return fun(x)
+    return wrapper, points
+
+
+def rosenbrock_start(size: int) -> np.ndarray:
+    return np.tile([-1.2, 1.0], size // 2)  # the problem's standard start
+
+
+@pytest.mark.parametrize("size", [2, 10])
+def test_lbfgs_minimizes_rosenbrock(size):
+    x, nit = vqe._minimize_lbfgs(extended_rosenbrock, rosenbrock_start(size), 1e-10, 2000)
+    assert 0 < nit < 100
+    assert np.max(np.abs(extended_rosenbrock(x)[1])) <= 1e-10
+    np.testing.assert_allclose(x, 1.0, atol=1e-9)
+
+
+@pytest.mark.parametrize("maxiter", [1, 7, 20])
+def test_lbfgs_stops_at_maxiter(maxiter):
+    _, nit = vqe._minimize_lbfgs(extended_rosenbrock, rosenbrock_start(10), 1e-10, maxiter)
+    assert nit == maxiter
+
+
+def test_lbfgs_at_a_stationary_point_takes_no_step():
+    fun, points = counted(lambda x: (float(x @ x), 2.0 * x))
+    x, nit = vqe._minimize_lbfgs(fun, np.zeros(4), 1e-10, 2000)
+    assert nit == 0 and len(points) == 1
+    np.testing.assert_array_equal(x, 0.0)
+
+
+def test_lbfgs_inconsistent_gradient_ends_at_the_start():
+    # the negated gradient makes every descent direction an ascent one, so
+    # the first line search finds no step and the start comes back
+    x0 = rosenbrock_start(4)
+
+    def negated(x):
+        f, g = extended_rosenbrock(x)
+        return f, -g
+
+    fun, points = counted(negated)
+    x, nit = vqe._minimize_lbfgs(fun, x0, 1e-10, 2000)
+    assert nit == 0 and 1 < len(points) <= 21   # the start, then at most 20 trial steps
+    np.testing.assert_array_equal(x, x0)
+
+
+def test_lbfgs_is_deterministic():
+    first = vqe._minimize_lbfgs(extended_rosenbrock, rosenbrock_start(10), 1e-10, 2000)
+    second = vqe._minimize_lbfgs(extended_rosenbrock, rosenbrock_start(10), 1e-10, 2000)
+    assert first[1] == second[1]
+    np.testing.assert_array_equal(first[0], second[0])
+
+
 def test_exact_ground_state_one_body_limit():
     # lowest F0 orbitals are filled; state is that single determinant
     diag = [0.5, -2.0, -1.0]
