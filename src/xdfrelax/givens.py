@@ -22,6 +22,9 @@ keep the stack as the leading axis of what they return. What depends only
 on N (the elimination schedule, the order of the factors, which factor
 absorbs each sign flip, the permutation into rectangle order and the pivot
 chains of the branch reduction) is a cached, read-only ``_Plan``.
+
+One row kernel, ``rotate_rows``, applies every fabric gate: to orbital
+rows here, and in ``qsim`` to the string rows of one spin's operators.
 """
 
 from __future__ import annotations
@@ -36,6 +39,7 @@ __all__ = [
     "brickwork",
     "read_only",
     "lower_indices",
+    "rotate_rows",
     "decompose",
     "reconstruct",
     "jacobian",
@@ -86,12 +90,12 @@ class GivensFabric:
         return brickwork(self.n, self.n)
 
 
-def _rotate_rows(u: np.ndarray, m: int, c: np.ndarray, s: np.ndarray) -> None:
-    """Left-multiply every member of the stack u (B, n, k) in place by the
-    pivot (m, m+1) rotation with its cosine and sine, c and s of shape (B, 1)."""
-    row_m = u[:, m].copy()
-    u[:, m] = c * row_m - s * u[:, m + 1]
-    u[:, m + 1] = s * row_m + c * u[:, m + 1]
+def rotate_rows(u: np.ndarray, a, b, c: np.ndarray, s: np.ndarray) -> None:
+    """Rotate rows a -> c * a - s * b and b -> s * a + c * b of every member
+    of the stack u in place: orbital rows m and m + 1, or equal-length index
+    arrays such as ``qsim.pair_rows``. c and s broadcast against u[:, a]."""
+    row_a, row_b = u[:, a], u[:, b]
+    u[:, a], u[:, b] = c * row_a - s * row_b, s * row_a + c * row_b
 
 
 def _sweep(n: int, angles: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -104,7 +108,7 @@ def _sweep(n: int, angles: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarr
     c, s = np.cos(angles)[:, :, None], np.sin(angles)[:, :, None]
     for g, m in enumerate(brickwork(n, n)):
         lo[:, g], hi[:, g] = prefix[:, m], prefix[:, m + 1]
-        _rotate_rows(prefix, m, c[:, g], s[:, g])
+        rotate_rows(prefix, m, m + 1, c[:, g], s[:, g])
     return prefix, lo, hi
 
 
@@ -225,9 +229,9 @@ def _eliminate(plan: _Plan, work: np.ndarray) -> np.ndarray:
         thetas[:, i] = theta
         if right:
             rot = -theta[:, None]
-            _rotate_rows(np.swapaxes(work, 1, 2), m, np.cos(rot), np.sin(rot))
+            rotate_rows(np.swapaxes(work, 1, 2), m, m + 1, np.cos(rot), np.sin(rot))
         else:
-            _rotate_rows(work, m, np.cos(theta)[:, None], np.sin(theta)[:, None])
+            rotate_rows(work, m, m + 1, np.cos(theta)[:, None], np.sin(theta)[:, None])
     return thetas
 
 
@@ -269,6 +273,10 @@ def decompose(u: np.ndarray) -> GivensFabric:
     member's one-matrix call; an empty stack gives (0, K) angles. Raises
     ``ValueError`` for a matrix that is not square, not orthogonal within
     ``ORTHOGONALITY_TOL`` or of det -1, naming the member of a stack.
+
+    At a signed permutation matrix the fabric's gauge is not unique:
+    ``arctan2`` of roundoff-sized entries picks one of a continuum of
+    fabrics, and round trips can alternate between gauge-distinct ones.
     """
     u = np.asarray(u, dtype=float)
     stacked = u.ndim == 3

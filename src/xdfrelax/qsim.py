@@ -11,21 +11,19 @@ columns are the spin strings of that filling in ascending order
 (``sector_strings``). ``Statevector.embed`` returns the full 4^N vector,
 alpha strings in the low bits; only referees call it.
 
-All gate work is one kernel, ``apply_gate``: every gate is a signed
-permutation of a flat amplitude array, x <- where(mask, cos, 1) * x + sin *
-sign * x[..., perm], with batch axes leading and one angle per batch item.
-The tables of a gate set (``GateTable``: per gate its entry pairs and the
-perm, sign and mask rows) are built once and cached read-only. A Givens gate
-on orbitals (m, m+1) of one spin mixes the block rows ``pair_rows(N,
-filling, m)`` of that spin's filling: rows of Psi for beta, columns for
-alpha. One brickwork schedule, ``givens.brickwork``, lays out both
-circuits: ``ansatz_table`` holds the ansatz circuit on the flat block, its
-pair exchanges on ``pair_exchange_rows(N, n_alpha, n_beta, p)``, and
-``fabric_table`` holds a fabric's gates on the rows of one spin's
-operators, and on their columns through the transpose. Gates act on
-adjacent orbitals of one spin, so no Jordan-Wigner strings appear in
-circuits; the direct RDM oracle handles the strings explicitly on the
-embedded vector.
+A Givens gate on orbitals (m, m+1) of one spin mixes the block rows
+``pair_rows(N, filling, m)`` of that spin's filling: rows of Psi for beta,
+columns for alpha. One brickwork schedule, ``givens.brickwork``, lays out
+both circuits. The ansatz runs on ``apply_gate``: every gate is a signed
+permutation of the flat block, x <- where(mask, cos, 1) * x + sin * sign *
+x[..., perm], with batch axes leading and one angle per batch item, from
+the cached read-only ``ansatz_table`` (a ``GateTable``; pair exchanges on
+``pair_exchange_rows(N, n_alpha, n_beta, p)``). Every fabric runs on
+``givens.rotate_rows``, the row kernel of orbital matrices, on the rows
+``pair_rows`` of one spin's operators and on their columns through
+``np.swapaxes``. Gates act on adjacent orbitals of one spin, so no
+Jordan-Wigner strings appear in circuits; the direct RDM oracle handles the
+strings explicitly on the embedded vector.
 
 A spin-locked fabric acts on each spin through one operator on that spin's
 strings, its gates applied in order to the rows of the identity: the circuit
@@ -64,7 +62,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .givens import GivensFabric, brickwork, lower_indices, read_only
+from .givens import GivensFabric, brickwork, lower_indices, read_only, rotate_rows
 from .hammodel import DESK_CAP
 
 if TYPE_CHECKING:
@@ -84,7 +82,6 @@ __all__ = [
     "pair_exchange_rows",
     "GateTable",
     "apply_gate",
-    "fabric_table",
     "ansatz_table",
     "hf_reference",
     "measure_densities",
@@ -248,11 +245,11 @@ class GateTable:
         for name, arr in (("perm", perm), ("sign", sign), ("mask", sign != 0.0)):
             object.__setattr__(self, name, read_only(arr)[0])
 
-    def factors(self, c, s, gates=slice(None)) -> tuple[np.ndarray, np.ndarray]:
-        """The kernel factors ``where(mask, c, 1)`` and ``s * sign`` of the
-        selected gates (all by default) at cosines c and sines s, which
-        broadcast against the selected rows of the tables."""
-        return np.where(self.mask[gates], c, 1.0), s * self.sign[gates]
+    def factors(self, c, s) -> tuple[np.ndarray, np.ndarray]:
+        """The kernel factors ``where(mask, c, 1)`` and ``s * sign`` of every
+        gate at cosines c and sines s, which broadcast against the (K, dim)
+        tables."""
+        return np.where(self.mask, c, 1.0), s * self.sign
 
 
 def apply_gate(x: np.ndarray, table: GateTable, k: int, scale: np.ndarray,
@@ -263,17 +260,6 @@ def apply_gate(x: np.ndarray, table: GateTable, k: int, scale: np.ndarray,
     plane rotation's products and sum, rounded as such; off them, x times 1
     plus a zero."""
     return scale * x + shift * x.take(table.perm[k], axis=-1)
-
-
-@lru_cache(maxsize=64)
-def fabric_table(n: int, filling: int) -> GateTable:
-    """The fabric gates on the rows of the flattened d x d arrays of one spin
-    filling (d = C(n, filling)), gate g on the rows ``pair_rows(n, filling,
-    m_g)`` for m_g in ``brickwork(n, n)``. Cached; the arrays are read-only."""
-    d = comb(n, filling)
-    return GateTable(d * d, tuple(
-        np.array([_row_entries(a, d), _row_entries(b, d)])
-        for a, b in (pair_rows(n, filling, m) for m in brickwork(n, n))))
 
 
 @lru_cache(maxsize=16)
@@ -303,15 +289,14 @@ def ansatz_table(n: int, n_alpha: int, n_beta: int, blocks: tuple[int, ...]) -> 
 
 def _fabric_operators(n: int, angles: np.ndarray, filling: int) -> np.ndarray:
     """Operators of n-orbital fabrics at the (B, K) ``angles`` on the strings
-    of one spin filling, first gate rightmost: one sweep applies each gate,
-    one angle per fabric, to the rows of B identities. Returns (B, d, d)."""
-    d = comb(n, filling)
-    rows = fabric_table(n, filling)
-    c, s = np.cos(angles)[:, :, None], np.sin(angles)[:, :, None]
-    ops = np.tile(np.eye(d).reshape(-1), (len(angles), 1))
-    for k in range(angles.shape[1]):
-        ops = apply_gate(ops, rows, k, *rows.factors(c[:, k], s[:, k], k))
-    return ops.reshape(-1, d, d)
+    of one spin filling, first gate rightmost: one sweep rotates the rows
+    ``pair_rows`` of B identities by each gate in turn, one angle per fabric
+    (``rotate_rows``). Returns (B, d, d)."""
+    c, s = np.cos(angles)[:, :, None, None], np.sin(angles)[:, :, None, None]
+    ops = np.tile(np.eye(comb(n, filling)), (len(angles), 1, 1))
+    for g, m in enumerate(brickwork(n, n)):
+        rotate_rows(ops, *pair_rows(n, filling, m), c[:, g], s[:, g])
+    return ops
 
 
 # ---------------------------------------------------------------------------
@@ -525,6 +510,8 @@ def denergy_dtheta_shift(state: Statevector, frames: Frames, f: int, g: int) -> 
     pi/2), eight evaluations in total. Every evaluation runs on the embedded
     2^N x 2^N amplitude matrix with full per-spin operators, built per call.
     """
+    if not 0 <= f < len(frames.fabric.angles):
+        raise ValueError(f"frame index {f} out of range")
     row = frames.fabric.angles[f]
     if not 0 <= g < len(row):
         raise ValueError(f"angle index {g} out of range")
@@ -551,23 +538,23 @@ def angle_gradients(state: Statevector, frames: Frames) -> np.ndarray:
     With Y the ``_frame_responses``, the derivative by gate g is 2 Re
     sum(K_g * P_g Y P_g^T) over the spins (P_g the gates before g, K_g the
     generator of g), from one forward sweep per spin over the frames' shared
-    gate table, applied to the rows of Y and then to the rows of its
-    transpose. A row equals the one-frame result bitwise.
+    brickwork schedule: ``rotate_rows`` rotates the rows of Y in place, then
+    its columns through ``np.swapaxes``. A row equals the one-frame result
+    bitwise.
     """
     n, angles = state.n_spatial, frames.fabric.angles
-    c, s = np.cos(angles)[:, :, None], np.sin(angles)[:, :, None]
+    c, s = np.cos(angles)[:, :, None, None], np.sin(angles)[:, :, None, None]
     grad = np.zeros(angles.shape)
     for y, filling in _frame_responses(state, frames, _rotated(state, frames)):
-        table, d = fabric_table(n, filling), y.shape[-1]
-        y = y.reshape(len(y), -1)
+        d = y.shape[-1]
         for g, m in enumerate(brickwork(n, n)):
             a, b = pair_rows(n, filling, m)
-            grad[:, g] += 2.0 * np.real(y.take(b * d + a, axis=1).sum(axis=1)
-                                        - y.take(a * d + b, axis=1).sum(axis=1))
-            factors = table.factors(c[:, g], s[:, g], g)
-            for _ in range(2):  # rows, then columns through the transpose: G Y G^T
-                y = apply_gate(y, table, g, *factors)
-                y = np.swapaxes(y.reshape(-1, d, d), 1, 2).reshape(len(y), -1)
+            # y[:, b, a] would gather column-major, rounding complex sums apart
+            flat = y.reshape(len(y), -1)
+            grad[:, g] += 2.0 * np.real(flat.take(b * d + a, axis=1).sum(axis=1)
+                                        - flat.take(a * d + b, axis=1).sum(axis=1))
+            rotate_rows(y, a, b, c[:, g], s[:, g])  # G Y G^T: rows, then columns
+            rotate_rows(np.swapaxes(y, 1, 2), a, b, c[:, g], s[:, g])
     return grad
 
 

@@ -150,8 +150,9 @@ def rotate_pair(rows: np.ndarray, a: np.ndarray, b: np.ndarray, theta: float) ->
 def table_gate(x: np.ndarray, table: qsim.GateTable, k: int, theta) -> np.ndarray:
     """Gate k of a ``qsim.GateTable`` at angle theta on flat amplitudes x, batch
     axes leading; theta is one angle, or one per batch item."""
-    theta = np.asarray(theta, dtype=float)[..., None]
-    return qsim.apply_gate(x, table, k, *table.factors(np.cos(theta), np.sin(theta), k))
+    theta = np.asarray(theta, dtype=float)[..., None, None]
+    scale, shift = table.factors(np.cos(theta), np.sin(theta))
+    return qsim.apply_gate(x, table, k, scale[..., k, :], shift[..., k, :])
 
 
 # Referees of the stacked fabric algebra in ``givens``: the per-matrix

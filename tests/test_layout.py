@@ -2,9 +2,10 @@
 dataclasses hold no mutable containers and compare by identity when they
 hold arrays, every name they export exists, no two of them define the same
 top-level function or class, only ``givens.read_only`` calls ``setflags``,
-they import only numpy and the standard library, every module constant,
-function, class, method and field they define is read, and every CLI flag a
-subcommand registers is read by that subcommand."""
+only ``qsim.ansatz_table`` constructs a ``GateTable``, they import only
+numpy and the standard library, every module constant, function, class,
+method and field they define is read, and every CLI flag a subcommand
+registers is read by that subcommand."""
 
 import argparse
 import ast
@@ -242,9 +243,10 @@ def test_no_helper_defined_twice():
     assert duplicate_definitions(sources) == []
 
 
-def setflags_callers(source: str, module: str) -> list[str]:
+def callers(source: str, module: str, name: str) -> list[str]:
     """``module.Class.function`` of the innermost function or method around
-    every ``.setflags(...)`` call, or ``module`` for one at top level."""
+    every call of ``name`` (``name(...)`` or ``x.name(...)``), or ``module``
+    for one at top level."""
     found = []
 
     def visit(node, scope):
@@ -252,8 +254,7 @@ def setflags_callers(source: str, module: str) -> list[str]:
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
                 visit(child, scope + [child.name])
                 continue
-            if (isinstance(child, ast.Call) and isinstance(child.func, ast.Attribute)
-                    and child.func.attr == "setflags"):
+            if isinstance(child, ast.Call) and _terminal_name(child) == name:
                 found.append(".".join([module] + scope))
             visit(child, scope)
 
@@ -272,14 +273,36 @@ def test_finder_flags_setflags_callers():
         "        read_only(self.y)\n"
         "np.zeros(2).setflags(write=False)\n"
     )
-    assert setflags_callers(source, "m") == ["m.read_only", "m.Record.__post_init__", "m"]
+    assert callers(source, "m", "setflags") == ["m.read_only", "m.Record.__post_init__", "m"]
 
 
 def test_only_read_only_freezes_arrays():
     # one way to freeze an array: every other package function calls givens.read_only
     found = [caller for path in sorted(PACKAGE.glob("*.py"))
-             for caller in setflags_callers(path.read_text(encoding="utf-8"), path.stem)]
+             for caller in callers(path.read_text(encoding="utf-8"), path.stem, "setflags")]
     assert found == ["givens.read_only"]
+
+
+def test_finder_flags_gate_table_builders():
+    source = (
+        "from . import qsim\n"
+        "from .qsim import GateTable\n"
+        "def ansatz_table(n):\n"
+        "    return GateTable(n, ())\n"
+        "class Fabric:\n"
+        "    def table(self):\n"
+        "        return qsim.GateTable(4, ())\n"
+        "def gate(table: GateTable) -> GateTable:\n"
+        "    return table.factors(1.0, 0.0)\n"
+    )
+    assert callers(source, "m", "GateTable") == ["m.ansatz_table", "m.Fabric.table"]
+
+
+def test_only_the_ansatz_builds_a_gate_table():
+    # fabrics run on givens.rotate_rows; a table for them would be a second path
+    found = [caller for path in sorted(PACKAGE.glob("*.py"))
+             for caller in callers(path.read_text(encoding="utf-8"), path.stem, "GateTable")]
+    assert found == ["qsim.ansatz_table"]
 
 
 def imported_packages(source: str) -> set[str]:

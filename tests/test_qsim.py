@@ -266,10 +266,14 @@ def _frame_energy(state, fac, k, fabric):
 def test_shift_rule_rejects_bad_indices():
     fac = factorize(synth_hamiltonian(3, 1, 1, 2), TruncationPolicy.by_count(2))
     state = hf_reference(3, 1, 1)
-    for f in range(len(fac.frames.fabric.angles)):
+    n_frames = len(fac.frames.fabric.angles)
+    for f in range(n_frames):
         for g in (-1, 3, 99):
             with pytest.raises(ValueError):
                 denergy_dtheta_shift(state, fac.frames, f, g)
+    for f in (-1, n_frames, 99):
+        with pytest.raises(ValueError, match="frame index"):
+            denergy_dtheta_shift(state, fac.frames, f, 0)
 
 
 @pytest.mark.parametrize("n,na,nb,seed", [(3, 2, 1, 4), (4, 2, 2, 13), *FILLING_CASES])
@@ -292,19 +296,16 @@ def test_pair_rows_are_cached_and_read_only():
     assert qsim.pair_rows(4, 2, 1) is qsim.pair_rows(4, 2, 1)
     assert qsim.pair_exchange_rows(4, 1, 2, 1) is qsim.pair_exchange_rows(4, 1, 2, 1)
     assert not qsim.sector_strings(4, 2).flags.writeable
-    # the gate tables too
-    fabric = qsim.fabric_table(4, 2)
-    assert qsim.fabric_table(4, 2) is fabric
+    # the gate table too
     ansatz = qsim.ansatz_table(4, 1, 2, (0, 2, 1))
     assert qsim.ansatz_table(4, 1, 2, (0, 2, 1)) is ansatz
-    for table in (fabric, ansatz):
-        for arr in (table.perm, table.sign, table.mask, *table.pairs):
-            assert not arr.flags.writeable
-            with pytest.raises(ValueError):
-                arr[(0,) * arr.ndim] = 1
+    for arr in (ansatz.perm, ansatz.sign, ansatz.mask, *ansatz.pairs):
+        assert not arr.flags.writeable
+        with pytest.raises(ValueError):
+            arr[(0,) * arr.ndim] = 1
     # every cache in qsim is bounded
     caches = [f for f in vars(qsim).values() if hasattr(f, "cache_parameters")]
-    assert {f.__name__ for f in caches} >= {"fabric_table", "ansatz_table", "pair_rows"}
+    assert {f.__name__ for f in caches} >= {"ansatz_table", "pair_rows"}
     for f in caches:
         assert f.cache_parameters()["maxsize"] is not None, f.__name__
 
@@ -432,8 +433,9 @@ def test_gate_primitive_matches_reference_kernel(n):
             assert np.max(np.abs(psi.reshape(ref[rows].shape) - ref[rows])) <= 1e-12
 
 
-# The table kernel against the rows kernel it replaced, ``_common.rotate_pair``:
-# bitwise, for every gate kind, at exact zeros, +-pi and random angles.
+# The ansatz's table kernel and the fabrics' ``givens.rotate_rows`` against
+# the rows kernel ``_common.rotate_pair``: bitwise, for every gate kind, at
+# exact zeros, +-pi and random angles.
 
 KERNEL_ANGLES = (0.0, -0.0, np.pi, -np.pi)
 
@@ -462,31 +464,44 @@ def test_table_kernel_equals_rows_kernel(n, na, nb, seed, dtype):
                 rotate_pair(view(ref), *rows, theta)
                 out = table_gate(psi.reshape(-1), ansatz, k, theta)
                 np.testing.assert_array_equal(out, ref.reshape(-1))
+
+
+@pytest.mark.parametrize("dtype", [float, complex])
+@pytest.mark.parametrize("n,na,nb,seed", BLOCK_CASES)
+def test_rotate_rows_equals_rows_kernel(n, na, nb, seed, dtype):
+    # a fabric gate on the string rows of (d, d) operators, and on their
+    # columns through np.swapaxes: a (B, d, d) stack with one angle per
+    # member, and one-item runs
+    thetas = np.array([*KERNEL_ANGLES, *np.random.default_rng(seed).uniform(-np.pi, np.pi, 2)])
+    c, s = np.cos(thetas)[:, None, None], np.sin(thetas)[:, None, None]
     for filling in {na, nb}:
-        table = qsim.fabric_table(n, filling)
         d = comb(n, filling)
-        y = _random_amplitudes((d, d), seed + filling, dtype)
-        for g, m in enumerate(givens.brickwork(n, n)):
-            for theta in angles:
-                for view in (lambda ref: ref, lambda ref: ref.T):  # rows, columns
+        ys = _random_amplitudes((len(thetas), d, d), seed + filling, dtype)
+        for m in givens.brickwork(n, n):
+            rows = qsim.pair_rows(n, filling, m)
+            for view in (lambda u: u, lambda u: np.swapaxes(u, -1, -2)):  # rows, columns
+                stack = ys.copy()
+                givens.rotate_rows(view(stack), *rows, c, s)
+                for y, theta, out in zip(ys, thetas, stack, strict=True):
                     ref = y.copy()
-                    rotate_pair(view(ref), *qsim.pair_rows(n, filling, m), theta)
-                    out = table_gate(view(y).reshape(-1), table, g, theta)
-                    np.testing.assert_array_equal(out, view(ref).reshape(-1))
+                    rotate_pair(view(ref), *rows, theta)
+                    one = y[None].copy()
+                    givens.rotate_rows(view(one), *rows, np.cos(theta), np.sin(theta))
+                    np.testing.assert_array_equal(out, ref)
+                    np.testing.assert_array_equal(one[0], ref)
 
 
 @pytest.mark.parametrize("n,na,nb,seed", BLOCK_CASES)
 def test_stacked_batch_equals_one_item_runs(n, na, nb, seed):
     rng = np.random.default_rng(seed)
     thetas = np.array([*KERNEL_ANGLES, *rng.uniform(-np.pi, np.pi, 3)])
-    tables = (qsim.ansatz_table(n, na, nb, tuple(range(n - 1))), qsim.fabric_table(n, na))
-    for table in tables:
-        for dtype in (float, complex):
-            batch = _random_amplitudes((len(thetas), table.dim), seed, dtype)
-            for k in range(len(table.pairs)):
-                out = table_gate(batch, table, k, thetas)
-                for item, theta, row in zip(batch, thetas, out, strict=True):
-                    np.testing.assert_array_equal(row, table_gate(item, table, k, theta))
+    table = qsim.ansatz_table(n, na, nb, tuple(range(n - 1)))
+    for dtype in (float, complex):
+        batch = _random_amplitudes((len(thetas), table.dim), seed, dtype)
+        for k in range(len(table.pairs)):
+            out = table_gate(batch, table, k, thetas)
+            for item, theta, row in zip(batch, thetas, out, strict=True):
+                np.testing.assert_array_equal(row, table_gate(item, table, k, theta))
 
 
 @pytest.mark.parametrize("n,na,nb,seed", [(3, 2, 1, 4), (4, 2, 2, 13), *FILLING_CASES])
@@ -640,6 +655,7 @@ def test_factorized_operators_do_no_gate_work(monkeypatch):
         raise AssertionError("gate applied after the factorization was built")
 
     monkeypatch.setattr(qsim, "apply_gate", refuse)
+    monkeypatch.setattr(qsim, "rotate_rows", refuse)
     out = _embedded(qsim.apply_hamiltonian(state, fac), state)
     assert np.max(np.abs(out - expected)) <= 1e-12
     np.testing.assert_array_equal(qsim.measure_densities(state, fac).omega0, omega0)
