@@ -1,4 +1,4 @@
-"""Fixed-pivot Givens fabrics: decomposition of SO(N), reconstruction, Jacobians.
+"""Fixed-pivot Givens fabrics: decomposition of SO(N) and reconstruction.
 
 Conventions (fixed once, relied on by every other module):
 
@@ -17,14 +17,16 @@ Conventions (fixed once, relied on by every other module):
 Every fabric of one N shares the same pivots, so a ``GivensFabric`` is one
 fabric, (K,) angles, or a stack of B fabrics, (B, K) angles, one angle per
 member at each gate. ``decompose`` turns one matrix into one fabric and a
-(B, N, N) stack into one stacked fabric; ``reconstruct`` and ``jacobian``
-keep the stack as the leading axis of what they return. What depends only
-on N (the elimination schedule, the order of the factors, which factor
-absorbs each sign flip, the permutation into rectangle order and the pivot
-chains of the branch reduction) is a cached, read-only ``_Plan``.
+(B, N, N) stack into one stacked fabric; ``reconstruct`` keeps the stack as
+the leading axis of what it returns. What depends only on N (the
+elimination schedule, the order of the factors, which factor absorbs each
+sign flip, the permutation into rectangle order and the pivot chains of the
+branch reduction) is a cached, read-only ``_Plan``.
 
 One row kernel, ``rotate_rows``, applies every fabric gate: to orbital
-rows here, and in ``qsim`` to the string rows of one spin's operators.
+rows here, and in ``qsim`` to the string rows of one spin's operators. The
+angle Jacobian of the paper's angle route is a referee, ``verify.jacobian``,
+on its own plane-rotation sweep.
 """
 
 from __future__ import annotations
@@ -42,7 +44,6 @@ __all__ = [
     "rotate_rows",
     "decompose",
     "reconstruct",
-    "jacobian",
 ]
 
 ORTHOGONALITY_TOL = 1e-10
@@ -98,24 +99,15 @@ def rotate_rows(u: np.ndarray, a, b, c: np.ndarray, s: np.ndarray) -> None:
     u[:, a], u[:, b] = c * row_a - s * row_b, s * row_a + c * row_b
 
 
-def _sweep(n: int, angles: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The fabric products of a (B, K) angle stack, gates applied in order
-    to the rows of the identity, and rows m and m+1 of each partial product
-    just before gate g on pivot (m, m+1), as (B, K, n) stacks."""
-    prefix = np.tile(np.eye(n), (len(angles), 1, 1))
-    lo = np.empty((*angles.shape, n))
-    hi = np.empty_like(lo)
-    c, s = np.cos(angles)[:, :, None], np.sin(angles)[:, :, None]
-    for g, m in enumerate(brickwork(n, n)):
-        lo[:, g], hi[:, g] = prefix[:, m], prefix[:, m + 1]
-        rotate_rows(prefix, m, m + 1, c[:, g], s[:, g])
-    return prefix, lo, hi
-
-
 def reconstruct(fabric: GivensFabric) -> np.ndarray:
     """Ordered product of a fabric's plane rotations (first pivot applied
-    first): (N, N) for one fabric, (B, N, N) for a stack."""
-    product = _sweep(fabric.n, np.atleast_2d(fabric.angles))[0]
+    first), the gates applied in order to the rows of the identity: (N, N)
+    for one fabric, (B, N, N) for a stack."""
+    angles = np.atleast_2d(fabric.angles)
+    product = np.tile(np.eye(fabric.n), (len(angles), 1, 1))
+    c, s = np.cos(angles)[:, :, None], np.sin(angles)[:, :, None]
+    for g, m in enumerate(fabric.pivots):
+        rotate_rows(product, m, m + 1, c[:, g], s[:, g])
     return product if fabric.angles.ndim == 2 else product[0]
 
 
@@ -323,22 +315,3 @@ def decompose(u: np.ndarray) -> GivensFabric:
                       np.max(np.abs(reconstruct(fabric) - stack), axis=(1, 2))
                       > ORTHOGONALITY_TOL, stacked)
     return fabric if stacked else GivensFabric(n, angles[0])
-
-
-def jacobian(fabric: GivensFabric) -> np.ndarray:
-    """Angle derivatives of the reconstructed matrix's strictly-lower triangle.
-
-    Entry [g, c] is the derivative of entry c of ``lower_indices(N)`` with
-    respect to angle g; square of dimension K = N (N - 1) / 2. One fabric
-    gives that matrix; a stacked fabric gives the (B, K, K) stack, each
-    member bitwise equal to its one-fabric call.
-    With P the product of the gates before gate g on pivot (m, m+1),
-    dU/dtheta_g = U (outer(P[m+1], P[m]) - outer(P[m], P[m+1])); one forward
-    sweep carries P through the gates and records those two rows.
-    """
-    product, lo, hi = _sweep(fabric.n, np.atleast_2d(fabric.angles))
-    u_t = np.swapaxes(product, 1, 2)  # after the last gate, P is the whole product U
-    rows, cols = lower_indices(fabric.n)
-    jac = (hi @ u_t)[:, :, rows] * lo[:, :, cols] - (lo @ u_t)[:, :, rows] * hi[:, :, cols]
-    return jac if fabric.angles.ndim == 2 else jac[0]
-

@@ -13,6 +13,9 @@ __all__ = [
     "Hamiltonian",
     "EffectiveOperators",
     "Perturbation",
+    "eight_fold_images",
+    "eight_fold_symmetrize",
+    "eight_fold_deviation",
     "parse_fcidump",
     "write_fcidump",
     "synth_hamiltonian",
@@ -138,6 +141,13 @@ class Perturbation:
         object.__setattr__(self, "one_body", np.array(self.one_body, dtype=float))
         object.__setattr__(self, "two_body", np.array(self.two_body, dtype=float))
         read_only(self.one_body, self.two_body)
+
+    def check_shape(self, n: int) -> None:
+        """Raise ValueError unless the parts fit a model of n orbitals."""
+        if self.one_body.shape != (n, n):
+            raise ValueError("one-body perturbation has wrong shape")
+        if self.two_body.shape != (n, n, n, n):
+            raise ValueError("two-body perturbation has wrong shape")
 
 
 # ---------------------------------------------------------------------------
@@ -329,10 +339,7 @@ def interpolate(ham_a: Hamiltonian, ham_b: Hamiltonian, s: float) -> Hamiltonian
 def apply_perturbation(ham: Hamiltonian, pert: Perturbation, eps: float) -> Hamiltonian:
     """Shift every integral part by eps times the perturbation's part."""
     n = ham.n_orbitals
-    if pert.one_body.shape != (n, n):
-        raise ValueError("one-body perturbation has wrong shape")
-    if pert.two_body.shape != (n, n, n, n):
-        raise ValueError("two-body perturbation has wrong shape")
+    pert.check_shape(n)
     if np.max(np.abs(pert.one_body - pert.one_body.T)) > DUPLICATE_TOL:
         raise ValueError("one-body perturbation is not symmetric")
     if eight_fold_deviation(pert.two_body) > DUPLICATE_TOL:

@@ -21,7 +21,8 @@ package (see the scalar N=2 closed form in the tests):
 where spec is the relevant eigenvalue vector and R projects the leaf-frame
 energy and mu gradients onto foreign eigenvectors. The paper's angle route
 (solve J eta = -dE/dtheta, then the same quotients of U^T eta) agrees
-wherever J is well conditioned and stays a referee in the tests.
+wherever J is well conditioned; its pieces, ``verify.jacobian`` and
+``verify.angle_gradients``, are referees and production never calls them.
 
 The solved frames travel as stacks, frame first: the mu quotients run over
 the (F, P) gradient stack with a spread per frame, and R is one projection

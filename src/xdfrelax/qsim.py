@@ -9,7 +9,7 @@ block: ``Statevector.amplitudes`` is the matrix ``Psi[beta_string,
 alpha_string]`` of shape (C(N, n_beta), C(N, n_alpha)), whose rows and
 columns are the spin strings of that filling in ascending order
 (``sector_strings``). ``Statevector.embed`` returns the full 4^N vector,
-alpha strings in the low bits; only referees call it.
+alpha strings in the low bits; only the oracles call it.
 
 A Givens gate on orbitals (m, m+1) of one spin mixes the block rows
 ``pair_rows(N, filling, m)`` of that spin's filling: rows of Psi for beta,
@@ -20,10 +20,9 @@ x[..., perm], with batch axes leading and one angle per batch item, from
 the cached read-only ``ansatz_table`` (a ``GateTable``; pair exchanges on
 ``pair_exchange_rows(N, n_alpha, n_beta, p)``). Every fabric runs on
 ``givens.rotate_rows``, the row kernel of orbital matrices, on the rows
-``pair_rows`` of one spin's operators and on their columns through
-``np.swapaxes``. Gates act on adjacent orbitals of one spin, so no
-Jordan-Wigner strings appear in circuits; the direct RDM oracle handles the
-strings explicitly on the embedded vector.
+``pair_rows`` of one spin's operators. Gates act on adjacent orbitals of one
+spin, so no Jordan-Wigner strings appear in circuits; the direct RDM oracle
+handles the strings explicitly on the embedded vector.
 
 A spin-locked fabric acts on each spin through one operator on that spin's
 strings, its gates applied in order to the rows of the identity: the circuit
@@ -34,19 +33,19 @@ Hamiltonian, the one-body term first, then one per retained leaf, are one
 frame, its M_alpha and M_beta, and the terms' energy operators, diagonal in
 the rotated bases, as D[f, beta, alpha]. Every kernel reads the stack
 through one rotation of the state, M_beta^T Psi M_alpha for all frames at
-once: ``apply_hamiltonian`` maps it back and sums, ``measure_densities``
+once: ``apply_hamiltonian`` maps it back and sums, and ``measure_densities``
 takes the densities and the orbital-rotation gradients of every frame from
-it, and ``energy`` the densities alone. The leaf densities are one (T, N, N) stack, matching the
-factorization's leaf stacks.
+it. The leaf densities are one (T, N, N) stack, matching the factorization's
+leaf stacks.
 
 Production differentiates frames without an angle chart: G[a, b], the
 derivative of each frame's energy along U -> U exp(kappa (e_a e_b^T - e_b
 e_a^T)), a > b, comes from one product per spin against the string-space
 table of E_ab - E_ba (``rotation_generators``), and ``lagrange`` takes
-mu[a, b] = -G[a, b] / (spec[a] - spec[b]). The paper's angle route stays as
-referees: ``angle_gradients``, one forward sweep over the fabrics' shared
-brickwork schedule, and the two-frequency shift rule
-``denergy_dtheta_shift`` on the embedded vector.
+mu[a, b] = -G[a, b] / (spec[a] - spec[b]). The paper's angle route, the
+density energy and the dense ground state are referees in ``verify``, on
+their own rotations; of this module's measurements only the brute-force
+``measure_rdms_direct`` serves as an oracle, and ``cli rdm`` reports its gap.
 
 Expectation values are exact (infinite-shot limit). All gates have real
 matrix elements, so amplitudes stay real in practice; complex amplitudes are
@@ -74,7 +73,6 @@ __all__ = [
     "Frames",
     "one_body_energy",
     "leaf_energies",
-    "SHIFT_STEPS",
     "string_bits",
     "sector_strings",
     "sector_shape",
@@ -85,19 +83,10 @@ __all__ = [
     "ansatz_table",
     "hf_reference",
     "measure_densities",
-    "energy",
     "apply_hamiltonian",
-    "denergy_dtheta_shift",
     "rotation_generators",
-    "angle_gradients",
     "measure_rdms_direct",
 ]
-
-# Exact first-derivative rule for a plane-rotation gate, whose conjugation
-# carries both single and double angle frequencies: two symmetric
-# differences at pi/4 and pi/2, as (step, coefficient) pairs.
-SHIFT_STEPS = ((np.pi / 4.0, 1.0), (np.pi / 2.0, (1.0 - np.sqrt(2.0)) / 2.0))
-
 
 @lru_cache(maxsize=16)
 def string_bits(n_bits: int) -> np.ndarray:
@@ -127,13 +116,6 @@ def sector_shape(n: int, n_alpha: int, n_beta: int) -> tuple[int, int]:
     return comb(n, n_beta), comb(n, n_alpha)
 
 
-def _embedded(block: np.ndarray, n: int, n_alpha: int, n_beta: int) -> np.ndarray:
-    """A filling's block placed in the 2^n x 2^n matrix over all spin strings."""
-    full = np.zeros((1 << n, 1 << n), dtype=block.dtype)
-    full[np.ix_(sector_strings(n, n_beta), sector_strings(n, n_alpha))] = block
-    return full
-
-
 @dataclass(frozen=True, eq=False)
 class Statevector:
     """Amplitudes of one (n_alpha, n_beta) filling of 2 * n_spatial
@@ -156,8 +138,11 @@ class Statevector:
 
     def embed(self) -> np.ndarray:
         """The full 4^N amplitude vector, zero outside this filling."""
-        return _embedded(self.amplitudes, self.n_spatial, self.n_alpha,
-                         self.n_beta).reshape(-1)
+        n = self.n_spatial
+        full = np.zeros((1 << n, 1 << n), dtype=self.amplitudes.dtype)
+        block = np.ix_(sector_strings(n, self.n_beta), sector_strings(n, self.n_alpha))
+        full[block] = self.amplitudes
+        return full.reshape(-1)
 
 
 @dataclass(frozen=True, eq=False)
@@ -368,17 +353,13 @@ def leaf_energies(couplings: np.ndarray, n_alpha: int, n_beta: int) -> np.ndarra
             - 0.25 * traces[:, None, None])
 
 
-def _check_filling(state: Statevector, frames: Frames) -> None:
-    if (state.n_alpha, state.n_beta) != (frames.n_alpha, frames.n_beta):
-        raise ValueError(f"state filling ({state.n_alpha}, {state.n_beta}) differs from "
-                         f"frame filling ({frames.n_alpha}, {frames.n_beta})")
-
-
 def _rotated(state: Statevector, frames: Frames) -> np.ndarray:
     """M_beta^T Psi M_alpha: the state in the basis of every frame, as an (F,
     rows, cols) stack. Every kernel reads the frames through this one
     rotation; it refuses a state of another filling."""
-    _check_filling(state, frames)
+    if (state.n_alpha, state.n_beta) != (frames.n_alpha, frames.n_beta):
+        raise ValueError(f"state filling ({state.n_alpha}, {state.n_beta}) differs from "
+                         f"frame filling ({frames.n_alpha}, {frames.n_beta})")
     return np.swapaxes(frames.M_beta, 1, 2) @ state.amplitudes @ frames.M_alpha
 
 
@@ -422,39 +403,27 @@ def rotation_generators(n: int, filling: int) -> np.ndarray:
     return read_only(table)[0]
 
 
-def _frame_responses(state: Statevector, frames: Frames,
-                     rotated: np.ndarray) -> tuple[tuple[np.ndarray, int], ...]:
-    """The (F, d, d) stacks R^T Lambda on the alpha strings and R Lambda^T on
-    the beta ones, with R the ``_rotated`` state and Lambda = D * conj(R),
-    each with its spin's filling; their sum alone when the fillings are equal."""
-    lam = frames.D * np.conj(rotated)
-    alpha = np.swapaxes(rotated, 1, 2) @ lam
-    beta = rotated @ np.swapaxes(lam, 1, 2)
-    if state.n_alpha == state.n_beta:
-        return ((alpha + beta, state.n_alpha),)
-    return (alpha, state.n_alpha), (beta, state.n_beta)
-
-
 def _rotation_gradients(state: Statevector, frames: Frames,
                         rotated: np.ndarray) -> np.ndarray:
     """Energy derivative of each frame along every orbital rotation U -> U
     exp(kappa (e_a e_b^T - e_b e_a^T)), a > b, at kappa = 0, as (F, P) rows in
     ``lower_indices(N)`` order. The rotation moves each spin's operator as
     M -> M k_ab (``rotation_generators``), so G = 2 Re sum over spins of
-    vec(Y) . k_ab with Y the ``_frame_responses``: one product per spin
+    vec(Y) . k_ab, where, with R the ``_rotated`` state and Lambda = D *
+    conj(R), Y is R^T Lambda on the alpha strings and R Lambda^T on the beta
+    ones (their sum alone when the fillings are equal): one product per spin
     against the stacked table. A row equals the one-frame result bitwise."""
+    lam = frames.D * np.conj(rotated)
+    alpha = np.swapaxes(rotated, 1, 2) @ lam
+    beta = rotated @ np.swapaxes(lam, 1, 2)
+    responses = ([(alpha + beta, state.n_alpha)] if state.n_alpha == state.n_beta
+                 else [(alpha, state.n_alpha), (beta, state.n_beta)])
     grad = 0.0
-    for y, filling in _frame_responses(state, frames, rotated):
+    for y, filling in responses:
         table = rotation_generators(state.n_spatial, filling)
         y = np.real(y).reshape(len(y), 1, -1)
         grad = grad + y @ table.reshape(len(table), y.shape[-1]).T
     return 2.0 * grad[:, 0]
-
-
-def _densities(state: Statevector, rotated: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """omega0 and the (T, N, N) leaf omega stack from the ``_rotated`` state."""
-    weights = np.abs(rotated) ** 2
-    return _omega0(state, weights[0]), _omega_leaves(state, weights[1:])
 
 
 def measure_densities(state: Statevector, fac: XDFFactorization) -> EigenbasisDensities:
@@ -462,23 +431,14 @@ def measure_densities(state: Statevector, fac: XDFFactorization) -> EigenbasisDe
     orbital-rotation gradients of every frame, all from one rotation of the
     state into the frame stack."""
     rotated = _rotated(state, fac.frames)
-    return EigenbasisDensities(*_densities(state, rotated),
+    weights = np.abs(rotated) ** 2
+    return EigenbasisDensities(_omega0(state, weights[0]), _omega_leaves(state, weights[1:]),
                                _rotation_gradients(state, fac.frames, rotated))
 
 
 # ---------------------------------------------------------------------------
-# X-DF energy and the angle-route referees
+# The Hamiltonian's action
 # ---------------------------------------------------------------------------
-
-def energy(state: Statevector, fac: XDFFactorization) -> float:
-    """Eigenbasis-density energy: offset + F0 . omega0 + sum_t Z_t : omega_t,
-    from the densities alone (no rotation gradients)."""
-    omega0, omega = _densities(state, _rotated(state, fac.frames))
-    total = fac.eff.scalar_offset + float(fac.F0 @ omega0)
-    for z, omega_t in zip(fac.Z[:fac.retained], omega):
-        total += float(np.sum(z * omega_t))
-    return total
-
 
 def apply_hamiltonian(state: Statevector, fac: XDFFactorization) -> np.ndarray:
     """Action of the (possibly truncated) factorized Hamiltonian on the
@@ -490,72 +450,6 @@ def apply_hamiltonian(state: Statevector, fac: XDFFactorization) -> np.ndarray:
     terms = (frames.M_beta @ (frames.D * _rotated(state, frames))
              @ np.swapaxes(frames.M_alpha, 1, 2))
     return sum(terms, fac.eff.scalar_offset * state.amplitudes)
-
-
-def _full_operator(n: int, angles: np.ndarray) -> np.ndarray:
-    """Per-spin operator of one n-orbital fabric at the (K,) ``angles`` on all
-    2^n strings: the direct sum of its operators on every filling."""
-    op = np.zeros((1 << n, 1 << n))
-    for filling in range(n + 1):
-        strings = sector_strings(n, filling)
-        op[np.ix_(strings, strings)] = _fabric_operators(n, angles[None], filling)[0]
-    return op
-
-
-def denergy_dtheta_shift(state: Statevector, frames: Frames, f: int, g: int) -> float:
-    """Shift-rule energy derivative with respect to angle g of frame f.
-
-    The spin-locked pair is unlocked and each spin's gate is differentiated
-    with the exact two-frequency rule (symmetric differences at pi/4 and
-    pi/2), eight evaluations in total. Every evaluation runs on the embedded
-    2^N x 2^N amplitude matrix with full per-spin operators, built per call.
-    """
-    if not 0 <= f < len(frames.fabric.angles):
-        raise ValueError(f"frame index {f} out of range")
-    row = frames.fabric.angles[f]
-    if not 0 <= g < len(row):
-        raise ValueError(f"angle index {g} out of range")
-    _check_filling(state, frames)
-    n = state.n_spatial
-    psi = state.embed().reshape(1 << n, 1 << n)
-    d_full = _embedded(frames.D[f], n, frames.n_alpha, frames.n_beta)
-    unshifted = _full_operator(n, row)
-    total = 0.0
-    for step, coeff in SHIFT_STEPS:
-        for sign in (1.0, -1.0):
-            angles = row.copy()
-            angles[g] += sign * step
-            shifted = _full_operator(n, angles)
-            # alpha gate shifted (columns), then beta gate shifted (rows)
-            for rotated in (unshifted.T @ psi @ shifted, shifted.T @ psi @ unshifted):
-                total += sign * coeff * float(np.sum(d_full * np.abs(rotated) ** 2))
-    return total
-
-
-def angle_gradients(state: Statevector, frames: Frames) -> np.ndarray:
-    """Energy derivatives of each frame with respect to all of its fabric
-    angles, one row per frame: the paper's angle route, kept as a referee.
-    With Y the ``_frame_responses``, the derivative by gate g is 2 Re
-    sum(K_g * P_g Y P_g^T) over the spins (P_g the gates before g, K_g the
-    generator of g), from one forward sweep per spin over the frames' shared
-    brickwork schedule: ``rotate_rows`` rotates the rows of Y in place, then
-    its columns through ``np.swapaxes``. A row equals the one-frame result
-    bitwise.
-    """
-    n, angles = state.n_spatial, frames.fabric.angles
-    c, s = np.cos(angles)[:, :, None, None], np.sin(angles)[:, :, None, None]
-    grad = np.zeros(angles.shape)
-    for y, filling in _frame_responses(state, frames, _rotated(state, frames)):
-        d = y.shape[-1]
-        for g, m in enumerate(brickwork(n, n)):
-            a, b = pair_rows(n, filling, m)
-            # y[:, b, a] would gather column-major, rounding complex sums apart
-            flat = y.reshape(len(y), -1)
-            grad[:, g] += 2.0 * np.real(flat.take(b * d + a, axis=1).sum(axis=1)
-                                        - flat.take(a * d + b, axis=1).sum(axis=1))
-            rotate_rows(y, a, b, c[:, g], s[:, g])  # G Y G^T: rows, then columns
-            rotate_rows(np.swapaxes(y, 1, 2), a, b, c[:, g], s[:, g])
-    return grad
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,15 @@
 """Independent oracles and end-to-end validation campaigns.
 
 Everything here deliberately avoids the leaf-frame machinery where possible:
-dense contractions, finite differences of re-run pipelines, and symplectic
-dynamics act as external referees for the analytic derivative chain.
+dense contractions, a dense ground state, finite differences of re-run
+pipelines, and symplectic dynamics act as external referees for the analytic
+derivative chain. No production module imports this one.
+
+The paper's angle route is here too, on the referees' own rotations: one
+plain plane-rotation sweep per fabric (``_fabric_sweep``) gives ``jacobian``
+and the chain rule of ``angle_gradients`` from production's orbital-rotation
+gradients, and the shift rule ``denergy_dtheta_shift`` takes its per-spin
+operators from determinant minors. No gate or fabric kernel is used here.
 """
 
 from __future__ import annotations
@@ -12,6 +19,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import lagrange, qsim, vqe
+from .givens import GivensFabric, brickwork, lower_indices
 from .hammodel import Hamiltonian, Perturbation, apply_perturbation, interpolate
 from .vqe import AnsatzConfig
 from .xdf import TruncationPolicy, XDFFactorization, factorize
@@ -23,11 +31,20 @@ __all__ = [
     "Pipeline",
     "NonConvergence",
     "TruncationBoundaryError",
+    "LossinessReport",
     "dense_energy",
+    "density_energy",
+    "exact_ground_state",
+    "jacobian",
+    "angle_gradients",
+    "denergy_dtheta_shift",
+    "five_point_derivative",
     "run_pipeline",
+    "relaxed_rdms",
     "analytic_energy_derivative",
     "fd_energy_derivative",
     "run_regime_suite",
+    "format_reports",
     "verlet_path",
     "projection_lossiness_demo",
 ]
@@ -35,6 +52,11 @@ __all__ = [
 FD_STEP = 1e-3
 DERIVATIVE_TOL = 1e-6
 SUBSPACE_DRIFT_TOL = 0.1
+
+# Exact first-derivative rule for a plane-rotation gate, whose conjugation
+# carries both single and double angle frequencies: two symmetric
+# differences at pi/4 and pi/2, as (step, coefficient) pairs.
+SHIFT_STEPS = ((np.pi / 4.0, 1.0), (np.pi / 2.0, (1.0 - np.sqrt(2.0)) / 2.0))
 
 
 class NonConvergence(RuntimeError):
@@ -124,6 +146,125 @@ def dense_energy(ham: Hamiltonian, gamma: np.ndarray, big_gamma: np.ndarray) -> 
             + float(np.sum(ham.two_body * big_gamma)))
 
 
+def density_energy(state: qsim.Statevector, fac: XDFFactorization) -> float:
+    """Eigenbasis-density energy offset + F0 . omega0 + sum_t Z_t : omega_t,
+    from the densities of ``qsim.measure_densities``."""
+    omegas = qsim.measure_densities(state, fac)
+    total = fac.eff.scalar_offset + float(fac.F0 @ omegas.omega0)
+    for z, omega_t in zip(fac.Z[:fac.retained], omegas.omega):
+        total += float(np.sum(z * omega_t))
+    return total
+
+
+def exact_ground_state(fac: XDFFactorization) -> tuple[qsim.Statevector, float]:
+    """Lowest eigenstate of the factorized Hamiltonian in the electron sector.
+
+    The dense matrix is built column by column from ``qsim.apply_hamiltonian``
+    on the block's basis states. Degeneracies are broken deterministically by
+    fixing the sign of the first significant amplitude.
+    """
+    filling = (fac.n_orbitals, fac.n_alpha, fac.n_beta)
+    shape = qsim.sector_shape(*filling)
+    hmat = np.array([qsim.apply_hamiltonian(qsim.Statevector(*filling, col.reshape(shape)),
+                                            fac).reshape(-1)
+                     for col in np.eye(shape[0] * shape[1])]).T
+    hmat = 0.5 * (hmat + hmat.T)
+    evals, evecs = np.linalg.eigh(hmat)
+    vec = evecs[:, 0]
+    lead = np.nonzero(np.abs(vec) > 1e-8)[0]
+    if lead.size and vec[lead[0]] < 0:
+        vec = -vec
+    return qsim.Statevector(*filling, vec.reshape(shape)), float(evals[0])
+
+
+def _fabric_sweep(n: int, angles: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """One n-orbital fabric at the (K,) ``angles``, its gates applied in order
+    to the rows of the identity as plain plane rotations: the product U and
+    the (K, n, n) stack of U^T dU/dtheta_g = outer(P[m+1], P[m]) - outer(P[m],
+    P[m+1]), with P the product of the gates before gate g on (m, m+1)."""
+    u = np.eye(n)
+    x = np.empty((len(angles), n, n))
+    for g, (m, theta) in enumerate(zip(brickwork(n, n), angles)):
+        x[g] = np.outer(u[m + 1], u[m]) - np.outer(u[m], u[m + 1])
+        c, s = np.cos(theta), np.sin(theta)
+        u[m], u[m + 1] = c * u[m] - s * u[m + 1], s * u[m] + c * u[m + 1]
+    return u, x
+
+
+def jacobian(fabric: GivensFabric) -> np.ndarray:
+    """Angle derivatives of one fabric's matrix's strictly-lower triangle:
+    entry [g, c] is the derivative of entry c of ``lower_indices(N)`` by
+    angle g, a K x K matrix. Refuses a stacked fabric."""
+    if fabric.angles.ndim != 1:
+        raise ValueError("a Jacobian takes one fabric, not a stack")
+    u, x = _fabric_sweep(fabric.n, fabric.angles)
+    rows, cols = lower_indices(fabric.n)
+    return (u @ x)[:, rows, cols]
+
+
+def angle_gradients(state: qsim.Statevector, fac: XDFFactorization) -> np.ndarray:
+    """Energy derivatives of each frame of ``fac.frames`` by all of its fabric
+    angles, one row per frame, from production's orbital-rotation gradients
+    G[a, b] (``qsim.measure_densities``) by the chain rule: dE/dtheta_g = sum
+    over a > b of G[a, b] (U^T dU/dtheta_g)[a, b], each frame on its own
+    ``_fabric_sweep``."""
+    fabric = fac.frames.fabric
+    rows, cols = lower_indices(fabric.n)
+    grad = np.empty(fabric.angles.shape)
+    for f, g_ab in enumerate(qsim.measure_densities(state, fac).gradients):
+        grad[f] = _fabric_sweep(fabric.n, fabric.angles[f])[1][:, rows, cols] @ g_ab
+    return grad
+
+
+def _spin_operator(u: np.ndarray) -> np.ndarray:
+    """Per-spin operator of the orbital rotation u on all 2^n strings: on the
+    strings I, J of one filling the minor det u[I, J] of their occupied
+    orbitals (the filling's compound matrix of u), zero across fillings."""
+    n = len(u)
+    op = np.zeros((1 << n, 1 << n))
+    for filling in range(n + 1):
+        strings = qsim.sector_strings(n, filling)
+        occ = np.nonzero(qsim.string_bits(n)[strings])[1].reshape(len(strings), filling)
+        op[np.ix_(strings, strings)] = np.linalg.det(
+            u[occ[:, None, :, None], occ[None, :, None, :]])
+    return op
+
+
+def denergy_dtheta_shift(state: qsim.Statevector, fac: XDFFactorization,
+                         f: int, g: int) -> float:
+    """Shift-rule energy derivative with respect to angle g of frame f of
+    ``fac.frames``.
+
+    The spin-locked pair is unlocked and each spin's gate is differentiated
+    with the exact two-frequency rule (``SHIFT_STEPS``), eight evaluations in
+    total. Every evaluation runs on the embedded 2^N x 2^N amplitude matrix
+    with full per-spin operators (``_spin_operator``), built per call.
+    """
+    frames = fac.frames
+    if not 0 <= f < len(frames.fabric.angles):
+        raise ValueError(f"frame index {f} out of range")
+    row = frames.fabric.angles[f]
+    if not 0 <= g < len(row):
+        raise ValueError(f"angle index {g} out of range")
+    if (state.n_alpha, state.n_beta) != (frames.n_alpha, frames.n_beta):
+        raise ValueError(f"state filling ({state.n_alpha}, {state.n_beta}) differs from "
+                         f"frame filling ({frames.n_alpha}, {frames.n_beta})")
+    n = state.n_spatial
+    psi = state.embed().reshape(1 << n, 1 << n)
+    block = np.ix_(qsim.sector_strings(n, state.n_beta), qsim.sector_strings(n, state.n_alpha))
+    unshifted = _spin_operator(_fabric_sweep(n, row)[0])
+    total = 0.0
+    for step, coeff in SHIFT_STEPS:
+        for sign in (1.0, -1.0):
+            angles = row.copy()
+            angles[g] += sign * step
+            shifted = _spin_operator(_fabric_sweep(n, angles)[0])
+            # alpha gate shifted (columns), then beta gate shifted (rows)
+            for rotated in (unshifted.T @ psi @ shifted, shifted.T @ psi @ unshifted):
+                total += sign * coeff * float(np.sum(frames.D[f] * np.abs(rotated[block]) ** 2))
+    return total
+
+
 def five_point_derivative(f, step: float) -> float:
     """5-point central first derivative of a callable at zero."""
     return (f(-2 * step) - 8.0 * f(-step) + 8.0 * f(step) - f(2 * step)) / (12.0 * step)
@@ -166,7 +307,9 @@ def relaxed_rdms(pipe: Pipeline, ablate: str | None = None) -> lagrange.RelaxedR
 def analytic_energy_derivative(pipe: Pipeline, pert: Perturbation,
                                rdms: lagrange.RelaxedRDMs | None = None) -> float:
     """Integral-space directional derivative from the relaxed densities,
-    E_core' + h' : gamma + (pq|rs)' : Gamma."""
+    E_core' + h' : gamma + (pq|rs)' : Gamma. Refuses a perturbation whose
+    parts do not fit the model's orbital count."""
+    pert.check_shape(pipe.fac.n_orbitals)
     if rdms is None:
         rdms = relaxed_rdms(pipe)
     return (pert.core + float(np.sum(rdms.gamma_sym * pert.one_body))

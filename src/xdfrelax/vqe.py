@@ -27,7 +27,6 @@ __all__ = [
     "n_parameters",
     "prepare_state",
     "optimize",
-    "exact_ground_state",
 ]
 
 
@@ -474,29 +473,3 @@ def optimize(fac: XDFFactorization, cfg: AnsatzConfig, tol: float = 1e-10,
         warnings.warn(f"optimizer stalled with gradient norm {grad_norm:.3e}",
                       stacklevel=2)
     return VQEResult(x, float(energy), grad_norm, converged, iterations, curvature)
-
-
-def exact_ground_state(fac: XDFFactorization) -> tuple[Statevector, float]:
-    """Lowest eigenstate of the factorized Hamiltonian in the electron sector.
-
-    The Hamiltonian acts leaf by leaf on amplitude blocks; the dense matrix is
-    built column by column from the block's basis states. Degeneracies are
-    broken deterministically by fixing the sign of the first significant
-    amplitude.
-    """
-    n, n_alpha, n_beta = fac.n_orbitals, fac.n_alpha, fac.n_beta
-    shape = qsim.sector_shape(n, n_alpha, n_beta)
-    dim = shape[0] * shape[1]
-    hmat = np.zeros((dim, dim))
-    for col in range(dim):
-        basis = np.zeros(dim)
-        basis[col] = 1.0
-        state = Statevector(n, n_alpha, n_beta, basis.reshape(shape))
-        hmat[:, col] = qsim.apply_hamiltonian(state, fac).reshape(-1)
-    hmat = 0.5 * (hmat + hmat.T)
-    evals, evecs = np.linalg.eigh(hmat)
-    vec = evecs[:, 0]
-    lead = np.nonzero(np.abs(vec) > 1e-8)[0]
-    if lead.size and vec[lead[0]] < 0:
-        vec = -vec
-    return Statevector(n, n_alpha, n_beta, vec.reshape(shape)), float(evals[0])

@@ -47,6 +47,8 @@ class TruncationPolicy:
     def __post_init__(self):
         if (self.threshold is None) == (self.count is None):
             raise ValueError("a truncation policy takes exactly one of threshold and count")
+        if self.threshold is not None and np.isnan(self.threshold):
+            raise ValueError("truncation threshold is NaN")
         if self.count is not None and self.count < 0:
             raise ValueError(f"leaf count must be non-negative, got {self.count}")
 

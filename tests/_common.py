@@ -6,7 +6,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from xdfrelax import givens, hammodel, lagrange, qsim, vqe, xdf
+from xdfrelax import givens, hammodel, lagrange, qsim, verify, vqe, xdf
 from xdfrelax.hammodel import Hamiltonian
 
 
@@ -99,10 +99,16 @@ def frame_subset(frames: qsim.Frames, members) -> qsim.Frames:
                        frames.n_alpha, frames.n_beta, frames.D[members])
 
 
+def bare(frames: qsim.Frames) -> SimpleNamespace:
+    """A stand-in factorization that carries only a frame stack, all that
+    ``qsim.measure_densities`` and the angle-route referees read of one."""
+    return SimpleNamespace(frames=frames)
+
+
 def stack_measure(state: qsim.Statevector, frames: qsim.Frames) -> qsim.EigenbasisDensities:
     """``qsim.measure_densities`` on a bare frame stack: the first member
     stands for the one-body frame, the rest for leaf frames."""
-    return qsim.measure_densities(state, SimpleNamespace(frames=frames))
+    return qsim.measure_densities(state, bare(frames))
 
 
 def rotate_state(state: qsim.Statevector, frames: qsim.Frames, f: int = 0,
@@ -156,8 +162,8 @@ def table_gate(x: np.ndarray, table: qsim.GateTable, k: int, theta) -> np.ndarra
 
 
 # Referees of the stacked fabric algebra in ``givens``: the per-matrix
-# elimination, sign absorption, branch reduction and Jacobian sweep that the
-# stacked pass replaced, one matrix and one gate at a time.
+# elimination, sign absorption and branch reduction that the stacked pass
+# replaced, one matrix and one gate at a time.
 
 def _ref_rotate_rows(u: np.ndarray, m: int, theta: float) -> None:
     """Left-multiply u in place by the pivot (m, m+1) rotation at theta."""
@@ -270,21 +276,6 @@ def _ref_reduce_branch(pivots, angles: np.ndarray) -> np.ndarray:
     return angles
 
 
-def ref_jacobian(n: int, angles: np.ndarray) -> np.ndarray:
-    """Angle derivatives of the strictly-lower triangle, one forward sweep
-    carrying the gate prefix."""
-    pivots = givens.brickwork(n, n)
-    prefix = np.eye(n)
-    lo = np.empty((len(pivots), n))
-    hi = np.empty_like(lo)
-    for g, (m, theta) in enumerate(zip(pivots, angles)):
-        lo[g], hi[g] = prefix[m], prefix[m + 1]
-        _ref_rotate_rows(prefix, m, theta)
-    u_t = prefix.T
-    rows, cols = np.tril_indices(n, -1)
-    return (hi @ u_t)[:, rows] * lo[:, cols] - (lo @ u_t)[:, rows] * hi[:, cols]
-
-
 def ref_fabric_operator(fabric: givens.GivensFabric, filling: int) -> np.ndarray:
     """Operator of a fabric on the strings of one spin filling: its gates
     applied in order to the rows of the identity with ``rotate_pair``."""
@@ -294,11 +285,14 @@ def ref_fabric_operator(fabric: givens.GivensFabric, filling: int) -> np.ndarray
     return op
 
 
-# Referee of the chart-free multipliers: the paper's angle route that
-# production used before, verbatim. Each frame solves J eta = -dE/dtheta
-# through its fabric's angle Jacobian by a minimum-norm least-squares solve,
-# and mu takes the quotients of X = U^T eta. Where J is singular the
-# minimum-norm eta can be wrong, so comparisons keep to well-conditioned J.
+# The paper's angle route from the multipliers' side, as production used it
+# before. Each frame solves J eta = -dE/dtheta through its fabric's angle
+# Jacobian (``verify.jacobian``) by a minimum-norm least-squares solve, and
+# mu takes the quotients of X = U^T eta. dE/dtheta is production's G taken
+# to angles by the chain rule (``verify.angle_gradients``), whose referee is
+# the shift rule (criterion 8); the direct RDM oracle referees mu itself
+# (criterion 4). Where J is singular the minimum-norm eta can be wrong, so
+# comparisons keep to well-conditioned J.
 
 PINV_RCOND = 1e-10
 
@@ -310,15 +304,16 @@ def pinv_solve(a: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     return solution
 
 
-def ref_angle_eta(state: qsim.Statevector, frames) -> tuple[np.ndarray, np.ndarray]:
-    """The (F, N, N) strictly-lower eta stack of the frames and the max-abs
-    residual of each frame's solve."""
-    n = frames.fabric.n
-    jacs = givens.jacobian(frames.fabric)
-    etas = np.zeros((len(jacs), n, n))
-    residuals = np.zeros(len(jacs))
-    for f, (jac, rhs) in enumerate(zip(jacs, -qsim.angle_gradients(state, frames),
-                                       strict=True)):
+def ref_angle_eta(state: qsim.Statevector, fac) -> tuple[np.ndarray, np.ndarray]:
+    """The (F, N, N) strictly-lower eta stack of the frames of ``fac`` and
+    the max-abs residual of each frame's solve."""
+    fabrics = frame_fabrics(fac.frames)
+    n = fac.frames.fabric.n
+    etas = np.zeros((len(fabrics), n, n))
+    residuals = np.zeros(len(fabrics))
+    for f, (fabric, rhs) in enumerate(zip(fabrics, -verify.angle_gradients(state, fac),
+                                          strict=True)):
+        jac = verify.jacobian(fabric)
         eta_vec = pinv_solve(jac, rhs)
         residuals[f] = float(np.max(np.abs(jac @ eta_vec - rhs))) if rhs.size else 0.0
         etas[f][givens.lower_indices(n)] = eta_vec
@@ -327,7 +322,7 @@ def ref_angle_eta(state: qsim.Statevector, frames) -> tuple[np.ndarray, np.ndarr
 
 def ref_angle_mu(fac: xdf.XDFFactorization, state: qsim.Statevector) -> np.ndarray:
     """The (F, N, N) mu stack of every frame of ``fac`` by the angle route."""
-    etas, _ = ref_angle_eta(state, fac.frames)
+    etas, _ = ref_angle_eta(state, fac)
     u = np.concatenate([fac.U0[None], fac.U[:fac.retained]])
     spectra = np.concatenate([fac.F0[None], fac.lam[:fac.retained]])
     return lagrange._guarded_quotients(np.swapaxes(u, 1, 2) @ etas, spectra)
@@ -564,11 +559,11 @@ def ansatz_gradient(fac: xdf.XDFFactorization, cfg: vqe.AnsatzConfig,
     grad = np.zeros_like(params)
 
     def energy(alpha, beta, exch):
-        return qsim.energy(from_full(ref_ansatz_state(fac, blocks, alpha, beta, exch),
-                                     fac.n_orbitals), fac)
+        return verify.density_energy(from_full(ref_ansatz_state(fac, blocks, alpha, beta, exch),
+                                               fac.n_orbitals), fac)
 
     for i in range(len(blocks)):
-        for step, coeff in qsim.SHIFT_STEPS:
+        for step, coeff in verify.SHIFT_STEPS:
             for sign in (1.0, -1.0):
                 shift = np.zeros(len(blocks))
                 shift[i] = sign * step

@@ -18,6 +18,7 @@ from _common import (
     KERNEL_CASES,
     SINGULAR_CHART_CASES,
     eight_fold,
+    frame_fabrics,
     random_sector_state,
     ref_angle_eta,
     ref_angle_mu,
@@ -29,7 +30,7 @@ from _common import (
 def _stationary_pipeline(n, na, nb, seed, policy=None):
     ham = synth_hamiltonian(n, na, nb, seed)
     fac = factorize(ham, policy or TruncationPolicy.exact())
-    state, _ = vqe.exact_ground_state(fac)
+    state, _ = verify.exact_ground_state(fac)
     return ham, fac, state
 
 
@@ -58,13 +59,13 @@ def test_gradient_zero_for_diagonal_one_body_hf():
 def test_gradient_scalar_closed_form_n2():
     # at N=2, U exp(kappa K_10) is the fabric at theta + kappa: G is dE/dtheta
     _, fac, state = _stationary_pipeline(2, 1, 1, 7)
-    de = qsim.denergy_dtheta_shift(state, fac.frames, 0, 0)
+    de = verify.denergy_dtheta_shift(state, fac, 0, 0)
     grad = qsim.measure_densities(state, fac).gradients[0]
     assert abs(grad[0] - de) < 1e-12
     mu = solve_mu(grad, fac.F0)
     assert abs(mu[1, 0] - (-de / (fac.F0[1] - fac.F0[0]))) < 1e-12
     # the angle route's closed form: eta = -dE/dtheta / J, mu from U^T eta
-    eta = np.array([[0.0, 0.0], [-de / givens.jacobian(fac.frames.fabric)[0, 0, 0], 0.0]])
+    eta = np.array([[0.0, 0.0], [-de / verify.jacobian(frame_fabrics(fac.frames)[0])[0, 0], 0.0]])
     x = fac.U0.T @ eta
     assert abs(mu[1, 0] - (x[1, 0] - x[0, 1]) / (fac.F0[1] - fac.F0[0])) < 1e-12
 
@@ -72,13 +73,14 @@ def test_gradient_scalar_closed_form_n2():
 def test_eta_residual_random_fixture():
     # the angle-route referee solves a consistent system on generic frames
     _, fac, state = _stationary_pipeline(3, 2, 1, 4)
-    gradients = qsim.angle_gradients(state, fac.frames)
-    etas, residuals = ref_angle_eta(state, fac.frames)
-    for f, (jac, de_dtheta, eta, residual) in enumerate(
-            zip(givens.jacobian(fac.frames.fabric), gradients, etas, residuals, strict=True)):
+    gradients = verify.angle_gradients(state, fac)
+    etas, residuals = ref_angle_eta(state, fac)
+    for f, (fabric, de_dtheta, eta, residual) in enumerate(
+            zip(frame_fabrics(fac.frames), gradients, etas, residuals, strict=True)):
+        jac = verify.jacobian(fabric)
         eta_vec = eta[np.tril_indices(fac.n_orbitals, -1)]
         rhs = -de_dtheta
-        shift_rhs = -np.array([qsim.denergy_dtheta_shift(state, fac.frames, f, g)
+        shift_rhs = -np.array([verify.denergy_dtheta_shift(state, fac, f, g)
                                for g in range(len(de_dtheta))])
         assert np.max(np.abs(rhs - shift_rhs)) < 1e-10
         assert np.max(np.abs(jac @ eta_vec - rhs)) < 1e-10
@@ -175,7 +177,7 @@ def test_nu_zero_cases():
 def test_nu_structural_zeros_beyond_retained():
     ham = synth_hamiltonian(4, 2, 2, 13)
     fac = factorize(ham, TruncationPolicy.by_count(4))
-    state, _ = vqe.exact_ground_state(fac)
+    state, _ = verify.exact_ground_state(fac)
     omegas, mult = lagrange.measure_and_solve(fac, state)
     n_leaves = fac.n_leaves
     for t in range(n_leaves):
@@ -221,7 +223,7 @@ def test_oracle_equivalence_exact_state(case):
     else:
         ham = synth_hamiltonian(*map(int, case.split("-")))
     fac = factorize(ham, TruncationPolicy.exact())
-    state, _ = vqe.exact_ground_state(fac)
+    state, _ = verify.exact_ground_state(fac)
     rdms, _ = reconstruct_rdms(fac, state)
     gamma_m, big_m = qsim.measure_rdms_direct(state)
     assert np.max(np.abs(rdms.gamma_sym - symmetrize(gamma_m))) < 1e-8
@@ -246,7 +248,7 @@ def test_gauge_distinct_fabrics_give_one_frame():
 def test_angle_route_mu_matches_chart_free(n, na, nb, seed):
     _, fac, state = _stationary_pipeline(n, na, nb, seed)
     _, mult = lagrange.measure_and_solve(fac, state)
-    conds = np.linalg.cond(givens.jacobian(fac.frames.fabric))
+    conds = [np.linalg.cond(verify.jacobian(fabric)) for fabric in frame_fabrics(fac.frames)]
     compared = 0
     for mu, ref, cond in zip((mult.mu0, *mult.mu), ref_angle_mu(fac, state), conds,
                              strict=True):
@@ -261,14 +263,14 @@ def test_production_never_reaches_the_angle_chart(monkeypatch, tmp_path):
     # Verlet forces all run on orbital-rotation gradients
     ham_a, ham_b = synth_hamiltonian(3, 1, 1, 2), synth_hamiltonian(3, 1, 1, 8)
     fac = factorize(ham_a, TruncationPolicy.exact())
-    state, _ = vqe.exact_ground_state(fac)
+    state, _ = verify.exact_ground_state(fac)
     path = tmp_path / "n3.fcidump"
     path.write_text(write_fcidump(ham_a), encoding="ascii")
 
     def refuse(*args, **kwargs):
         raise AssertionError("angle chart reached outside a referee")
 
-    for original in (givens.jacobian, qsim.angle_gradients):
+    for original in (verify.jacobian, verify.angle_gradients, verify.denergy_dtheta_shift):
         for module in (cli, givens, lagrange, qsim, verify, vqe):
             for name, value in list(vars(module).items()):
                 if value is original:
@@ -298,7 +300,7 @@ def test_oracle_equivalence_energy_contraction():
     rdms, _ = reconstruct_rdms(fac, state)
     e_recon = (ham.core_energy + float(np.sum(ham.one_body * rdms.gamma_sym))
                + float(np.sum(ham.two_body * rdms.Gamma_sym)))
-    assert abs(e_recon - qsim.energy(state, fac)) < 1e-8
+    assert abs(e_recon - verify.density_energy(state, fac)) < 1e-8
 
 
 def test_degenerate_spectrum_guard_keeps_gamma_oracle():
@@ -306,7 +308,7 @@ def test_degenerate_spectrum_guard_keeps_gamma_oracle():
     # correspond to vanishing off-diagonal density, so gamma survives intact
     ham = zero_two_body(3, 1, 1, [-2.0, -1.0, -1.0])
     fac = factorize(ham, TruncationPolicy.exact())
-    state, _ = vqe.exact_ground_state(fac)
+    state, _ = verify.exact_ground_state(fac)
     rdms, mult = reconstruct_rdms(fac, state)
     assert np.max(np.abs(mult.mu0)) == 0.0  # degenerate pair zeroed by the guard
     gamma_m, _ = qsim.measure_rdms_direct(state)
@@ -318,7 +320,7 @@ def test_truncated_reconstruction_differs_from_measured():
     # the truncated energy, not reproductions of the measured ones
     ham = synth_hamiltonian(4, 2, 2, 13)
     fac = factorize(ham, TruncationPolicy.by_count(4))
-    state, _ = vqe.exact_ground_state(fac)
+    state, _ = verify.exact_ground_state(fac)
     rdms, _ = reconstruct_rdms(fac, state)
     _, big_m = qsim.measure_rdms_direct(state)
     assert np.max(np.abs(rdms.Gamma_sym - eight_fold(big_m))) > 1e-4
@@ -327,7 +329,7 @@ def test_truncated_reconstruction_differs_from_measured():
 def test_ablation_modes_zero_the_right_pieces():
     ham = synth_hamiltonian(3, 1, 1, 2)
     fac = factorize(ham, TruncationPolicy.by_count(4))
-    state, _ = vqe.exact_ground_state(fac)
+    state, _ = verify.exact_ground_state(fac)
     full_rdms, full_mult = reconstruct_rdms(fac, state)
 
     rdms0, mult0 = reconstruct_rdms(fac, state, ablate="eta0")
@@ -356,7 +358,7 @@ def test_no_retained_leaves_leaves_only_the_one_body_frame():
     # every leaf stays as data; the retained-leaf stacks are empty
     assert fac.g.shape == (6,) and fac.lam.shape == (6, 3)
     assert fac.V.shape == fac.U.shape == fac.Z.shape == (6, 3, 3)
-    state, _ = vqe.exact_ground_state(fac)
+    state, _ = verify.exact_ground_state(fac)
     omegas = qsim.measure_densities(state, fac)
     assert omegas.omega.shape == (0, 3, 3)
     assert omegas.gradients.shape == (1, 3)

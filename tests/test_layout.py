@@ -1,17 +1,27 @@
 """Package modules use each other only through public names, their
 dataclasses hold no mutable containers and compare by identity when they
-hold arrays, every name they export exists, no two of them define the same
-top-level function or class, only ``givens.read_only`` calls ``setflags``,
-only ``qsim.ansatz_table`` constructs a ``GateTable``, they import only
-numpy and the standard library, every module constant, function, class,
-method and field they define is read, and every CLI flag a subcommand
-registers is read by that subcommand."""
+hold arrays, every name they export exists and every public function and
+class is exported, no two of them define the same top-level function or
+class, only ``givens.read_only`` calls ``setflags``, only
+``qsim.ansatz_table`` constructs a ``GateTable``, they import only numpy and
+the standard library, every module constant, function, class, method and
+field they define is read, and every CLI flag a subcommand registers is read
+by that subcommand.
+
+The referees live in ``verify``: no production module imports it, the
+referee names are defined nowhere else, it loads no gate or fabric kernel,
+and its names count as read when a test reads them. Every other package name
+must be read by the package itself.
+
+Each source file is read and parsed once per session (``read``, ``parse``).
+"""
 
 import argparse
 import ast
 import inspect
 import re
 import sys
+from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
@@ -21,12 +31,28 @@ import xdfrelax
 from xdfrelax import cli, givens, hammodel, vqe, xdf
 
 PACKAGE = Path(xdfrelax.__file__).parent
-MODULES = {path.stem for path in PACKAGE.glob("*.py")} - {"__init__"}
+TESTS = Path(__file__).parent
+PACKAGE_FILES = sorted(PACKAGE.glob("*.py"))
+TEST_FILES = sorted(TESTS.glob("*.py"))
+MODULES = {path.stem for path in PACKAGE_FILES} - {"__init__"}
+
+
+@lru_cache(maxsize=None)
+def read(path: Path) -> str:
+    """A source file's text, read once per session."""
+    return path.read_text(encoding="utf-8")
+
+
+@lru_cache(maxsize=None)
+def parse(source: str) -> ast.Module:
+    """The syntax tree of a source text, parsed once per session; the
+    finders only read it."""
+    return ast.parse(source)
 
 
 def private_reach_ins(source: str) -> list[str]:
     """Every ``<package module>._name`` use and private-name import in source."""
-    tree = ast.parse(source)
+    tree = parse(source)
     aliases, found = set(), []
     for node in ast.walk(tree):
         if not isinstance(node, ast.ImportFrom):
@@ -55,9 +81,9 @@ def test_finder_flags_private_access():
     assert private_reach_ins("import numpy as np\nnp._core\n") == []
 
 
-@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+@pytest.mark.parametrize("path", PACKAGE_FILES, ids=lambda p: p.name)
 def test_no_private_reach_ins(path):
-    assert private_reach_ins(path.read_text(encoding="utf-8")) == []
+    assert private_reach_ins(read(path)) == []
 
 
 MUTABLE_FACTORIES = {"dict", "list", "set"}
@@ -76,7 +102,7 @@ def mutable_dataclass_fields(source: str) -> list[str]:
     """``Class.name`` of every dataclass field declared with
     ``field(default_factory=dict|list|set)``."""
     found = []
-    for node in ast.walk(ast.parse(source)):
+    for node in ast.walk(parse(source)):
         if not (isinstance(node, ast.ClassDef)
                 and any(_terminal_name(d) == "dataclass" for d in node.decorator_list)):
             continue
@@ -109,9 +135,9 @@ def test_finder_flags_mutable_dataclass_fields():
     assert mutable_dataclass_fields(source) == ["A.cache", "A.items", "B.seen"]
 
 
-@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+@pytest.mark.parametrize("path", PACKAGE_FILES, ids=lambda p: p.name)
 def test_no_mutable_dataclass_fields(path):
-    assert mutable_dataclass_fields(path.read_text(encoding="utf-8")) == []
+    assert mutable_dataclass_fields(read(path)) == []
 
 
 def array_records_compared_by_value(source: str) -> list[str]:
@@ -119,7 +145,7 @@ def array_records_compared_by_value(source: str) -> list[str]:
     generated ``__eq__`` (and with frozen=True, ``__hash__``): comparing two
     instances would compare arrays and raise."""
     found = []
-    for node in ast.walk(ast.parse(source)):
+    for node in ast.walk(parse(source)):
         if not isinstance(node, ast.ClassDef):
             continue
         for deco in node.decorator_list:
@@ -154,9 +180,9 @@ def test_finder_flags_array_records_compared_by_value():
     assert array_records_compared_by_value(source) == ["A", "B"]
 
 
-@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+@pytest.mark.parametrize("path", PACKAGE_FILES, ids=lambda p: p.name)
 def test_array_records_compare_by_identity(path):
-    assert array_records_compared_by_value(path.read_text(encoding="utf-8")) == []
+    assert array_records_compared_by_value(read(path)) == []
 
 
 def _twin_records():
@@ -183,7 +209,7 @@ def test_array_records_compare_and_hash_without_raising(a, b):
 
 def undefined_exports(source: str) -> list[str]:
     """Names listed in the module's ``__all__`` that no top-level statement binds."""
-    tree = ast.parse(source)
+    tree = parse(source)
     bound, exported = set(), []
     for stmt in tree.body:
         if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
@@ -212,9 +238,37 @@ def test_finder_flags_undefined_exports():
     assert undefined_exports("x = 1\n") == []
 
 
-@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+@pytest.mark.parametrize("path", PACKAGE_FILES, ids=lambda p: p.name)
 def test_exports_are_defined(path):
-    assert undefined_exports(path.read_text(encoding="utf-8")) == []
+    assert undefined_exports(read(path)) == []
+
+
+def unexported_names(source: str) -> list[str]:
+    """Public top-level functions and classes of a module with ``__all__``
+    that it does not list there."""
+    tree = parse(source)
+    exported = None
+    for stmt in tree.body:
+        if isinstance(stmt, ast.Assign) and any(getattr(t, "id", None) == "__all__"
+                                                for t in stmt.targets):
+            exported = {ast.literal_eval(elt) for elt in stmt.value.elts}
+    if exported is None:
+        return []
+    return [stmt.name for stmt in tree.body
+            if isinstance(stmt, (ast.FunctionDef, ast.ClassDef))
+            and not stmt.name.startswith("_") and stmt.name not in exported]
+
+
+def test_finder_flags_unexported_names():
+    source = ("__all__ = ['f', 'TOL']\nTOL = 1\ndef f(): pass\ndef g(): pass\n"
+              "class C: pass\ndef _h(): pass\n")
+    assert unexported_names(source) == ["g", "C"]
+    assert unexported_names("def g(): pass\n") == []
+
+
+@pytest.mark.parametrize("path", PACKAGE_FILES, ids=lambda p: p.name)
+def test_public_names_are_exported(path):
+    assert unexported_names(read(path)) == []
 
 
 def duplicate_definitions(sources: dict[str, str]) -> list[str]:
@@ -222,7 +276,7 @@ def duplicate_definitions(sources: dict[str, str]) -> list[str]:
     that more than one of the named sources defines."""
     homes = {}
     for module, source in sorted(sources.items()):
-        for stmt in ast.parse(source).body:
+        for stmt in parse(source).body:
             if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
                 homes.setdefault(stmt.name, []).append(module)
     return [f"{name}: {', '.join(mods)}" for name, mods in homes.items() if len(mods) > 1]
@@ -239,7 +293,7 @@ def test_finder_flags_duplicate_definitions():
 
 
 def test_no_helper_defined_twice():
-    sources = {path.stem: path.read_text(encoding="utf-8") for path in PACKAGE.glob("*.py")}
+    sources = {path.stem: read(path) for path in PACKAGE_FILES}
     assert duplicate_definitions(sources) == []
 
 
@@ -258,7 +312,7 @@ def callers(source: str, module: str, name: str) -> list[str]:
                 found.append(".".join([module] + scope))
             visit(child, scope)
 
-    visit(ast.parse(source), [])
+    visit(parse(source), [])
     return found
 
 
@@ -278,8 +332,8 @@ def test_finder_flags_setflags_callers():
 
 def test_only_read_only_freezes_arrays():
     # one way to freeze an array: every other package function calls givens.read_only
-    found = [caller for path in sorted(PACKAGE.glob("*.py"))
-             for caller in callers(path.read_text(encoding="utf-8"), path.stem, "setflags")]
+    found = [caller for path in PACKAGE_FILES
+             for caller in callers(read(path), path.stem, "setflags")]
     assert found == ["givens.read_only"]
 
 
@@ -300,8 +354,8 @@ def test_finder_flags_gate_table_builders():
 
 def test_only_the_ansatz_builds_a_gate_table():
     # fabrics run on givens.rotate_rows; a table for them would be a second path
-    found = [caller for path in sorted(PACKAGE.glob("*.py"))
-             for caller in callers(path.read_text(encoding="utf-8"), path.stem, "GateTable")]
+    found = [caller for path in PACKAGE_FILES
+             for caller in callers(read(path), path.stem, "GateTable")]
     assert found == ["qsim.ansatz_table"]
 
 
@@ -309,7 +363,7 @@ def imported_packages(source: str) -> set[str]:
     """Top-level names of the modules source imports absolutely, wherever
     the import statement sits."""
     imported = set()
-    for node in ast.walk(ast.parse(source)):
+    for node in ast.walk(parse(source)):
         if isinstance(node, ast.Import):
             imported.update(a.name.split(".")[0] for a in node.names)
         elif isinstance(node, ast.ImportFrom) and node.level == 0:
@@ -323,14 +377,13 @@ def test_finder_flags_imported_packages():
     assert imported_packages(source) == {"os", "numpy", "scipy"}
 
 
-@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+@pytest.mark.parametrize("path", PACKAGE_FILES, ids=lambda p: p.name)
 def test_package_imports_only_numpy_and_the_standard_library(path):
     # numpy is the one runtime dependency; scipy serves only the test suite
-    imported = imported_packages(path.read_text(encoding="utf-8"))
+    imported = imported_packages(read(path))
     assert imported - set(sys.stdlib_module_names) <= {"numpy"}
 
 
-TESTS = Path(__file__).parent
 CONSTANT = re.compile(r"[A-Z][A-Z0-9_]*")
 
 
@@ -349,31 +402,36 @@ def _other_package_aliases(tree: ast.Module) -> set[str]:
     return aliases
 
 
+@lru_cache(maxsize=None)
+def _loaded(text: str) -> frozenset[str]:
+    """``loaded_names`` of one source, found once per session."""
+    tree = parse(text)
+    foreign = _other_package_aliases(tree)
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            found.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            root = node.value
+            while isinstance(root, ast.Attribute):
+                root = root.value
+            if not (isinstance(root, ast.Name) and root.id in foreign):
+                found.add(node.attr)
+    return frozenset(found)
+
+
 def loaded_names(texts: list[str]) -> set[str]:
     """Every name the sources load by name or use as an attribute, except
     the attributes of a dotted chain rooted at another package's import:
     ``np.linalg.norm`` reads ``np``, not a package ``norm``."""
-    read = set()
-    for text in texts:
-        tree = ast.parse(text)
-        foreign = _other_package_aliases(tree)
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-                read.add(node.id)
-            elif isinstance(node, ast.Attribute):
-                root = node.value
-                while isinstance(root, ast.Attribute):
-                    root = root.value
-                if not (isinstance(root, ast.Name) and root.id in foreign):
-                    read.add(node.attr)
-    return read
+    return set().union(*map(_loaded, texts))
 
 
 def unread_constants(source: str, readers: list[str]) -> list[str]:
     """Module-level UPPER_CASE names bound in source that neither source nor
     any reader loads by name or as an attribute."""
     defined = []
-    for stmt in ast.parse(source).body:
+    for stmt in parse(source).body:
         if isinstance(stmt, (ast.Assign, ast.AnnAssign)):
             targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
             defined += [t.id for t in targets
@@ -399,30 +457,108 @@ def test_finder_flags_unread_constants():
     assert unread_constants(source, [reader, "GUARD + m.TOL\n"]) == []
 
 
-@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+@pytest.mark.parametrize("path", PACKAGE_FILES, ids=lambda p: p.name)
 def test_no_unread_constants(path):
-    readers = [p.read_text(encoding="utf-8")
-               for p in sorted(PACKAGE.glob("*.py")) + sorted(TESTS.glob("*.py"))]
-    assert unread_constants(path.read_text(encoding="utf-8"), readers) == []
+    readers = [read(p) for p in PACKAGE_FILES + TEST_FILES]
+    assert unread_constants(read(path), readers) == []
 
 
-# Referees and fixture generators: the tests and the benchmark call them, the
-# package does not. A class listed here exempts its members too.
-REFEREES = (
-    "energy",  # the eigenbasis-density energy; vqe takes it from apply_hamiltonian
-    "denergy_dtheta_shift", "dense_energy", "exact_ground_state",
-    "jacobian", "angle_gradients",  # the paper's angle route; production is chart-free
+# The referees, and the one module that holds them. Production is every
+# other package module but `cli`, which runs both.
+REFEREE_HOME = "verify"
+PRODUCTION = sorted(MODULES - {REFEREE_HOME, "cli"})
+REFEREE_NAMES = (
+    "dense_energy", "density_energy", "exact_ground_state",
+    "jacobian", "angle_gradients", "denergy_dtheta_shift", "SHIFT_STEPS",
     "projection_lossiness_demo", "LossinessReport",
-    "synth_hamiltonian", "write_fcidump",  # perfbench builds its inputs with these
 )
+# the kernels production runs its gates and fabrics on; a referee that used
+# one would move with the code it checks
+KERNELS = frozenset({"rotate_rows", "reconstruct", "apply_gate", "GateTable", "ansatz_table",
+                     "pair_rows", "pair_exchange_rows", "rotation_generators"})
+# perfbench builds its inputs with these; no package module calls them
+FIXTURE_GENERATORS = ("synth_hamiltonian", "write_fcidump")
+
+
+def package_imports(source: str) -> set[str]:
+    """The package modules source imports, relatively or as ``xdfrelax``,
+    wherever the import statement sits."""
+    found = set()
+    for node in ast.walk(parse(source)):
+        if isinstance(node, ast.Import):
+            found.update(a.name.split(".")[1] for a in node.names
+                         if a.name.startswith("xdfrelax."))
+        elif isinstance(node, ast.ImportFrom):
+            if node.level == 0 and not (node.module or "").startswith("xdfrelax"):
+                continue
+            origin = (node.module or "").removeprefix("xdfrelax").lstrip(".")
+            found.update([origin] if origin else [a.name for a in node.names])
+    return found
+
+
+def test_finder_flags_package_imports():
+    source = ("import numpy as np\nimport xdfrelax.verify\nfrom . import qsim, vqe\n"
+              "from .givens import brickwork\nfrom xdfrelax.lagrange import solve_mu\n"
+              "from xdfrelax import xdf\nfrom numpy import linalg\n"
+              "if TYPE_CHECKING:\n    from .cli import main\n")
+    assert package_imports(source) == {"verify", "qsim", "vqe", "givens", "lagrange",
+                                       "xdf", "cli"}
+    assert package_imports("import numpy\nfrom os import path\n") == set()
+
+
+@pytest.mark.parametrize("module", PRODUCTION)
+def test_production_does_not_import_the_referees(module):
+    assert REFEREE_HOME not in package_imports(read(PACKAGE / f"{module}.py"))
+
+
+def definition_homes(sources: dict[str, str], names) -> dict[str, list[str]]:
+    """The modules whose top level defines each of ``names``: a function, a
+    class or an assigned name."""
+    homes = {name: [] for name in names}
+    for module, source in sorted(sources.items()):
+        for stmt in parse(source).body:
+            if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+                bound = [stmt.name]
+            elif isinstance(stmt, (ast.Assign, ast.AnnAssign)):
+                targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
+                bound = [t.id for t in targets if isinstance(t, ast.Name)]
+            else:
+                continue
+            for name in bound:
+                if name in homes:
+                    homes[name].append(module)
+    return homes
+
+
+def test_finder_flags_definition_homes():
+    sources = {"a": "def f(): pass\nTOL = 1\n", "b": "class f: pass\ndef g():\n    TOL = 2\n"}
+    assert definition_homes(sources, ("f", "TOL", "h")) == {
+        "f": ["a", "b"], "TOL": ["a"], "h": []}
 
 
 def test_referees_are_defined():
-    # a deleted referee must leave the skip list too
-    defined = {stmt.name for path in PACKAGE.glob("*.py")
-               for stmt in ast.parse(path.read_text(encoding="utf-8")).body
-               if isinstance(stmt, (ast.FunctionDef, ast.ClassDef))}
-    assert [name for name in REFEREES if name not in defined] == []
+    # in verify, and nowhere else
+    homes = definition_homes({path.stem: read(path) for path in PACKAGE_FILES}, REFEREE_NAMES)
+    assert homes == {name: [REFEREE_HOME] for name in REFEREE_NAMES}
+
+
+def kernel_uses(source: str) -> list[str]:
+    """The ``KERNELS`` source imports or loads, by name or as an attribute."""
+    imported = {a.name for node in ast.walk(parse(source))
+                if isinstance(node, ast.ImportFrom) for a in node.names}
+    return sorted((loaded_names([source]) | imported) & KERNELS)
+
+
+def test_finder_flags_kernel_uses():
+    source = ("from .givens import rotate_rows as rows, brickwork\nfrom . import qsim\n"
+              "qsim.pair_rows(3, 1, 0)\nlagrange.reconstruct_rdms(fac, state)\n"
+              "def apply_gate(): pass\n")
+    assert kernel_uses(source) == ["pair_rows", "rotate_rows"]
+    assert kernel_uses("from . import qsim\nqsim.measure_densities(state, fac)\n") == []
+
+
+def test_referees_load_no_kernel():
+    assert kernel_uses(read(PACKAGE / f"{REFEREE_HOME}.py")) == []
 
 
 def unread_names(source: str, readers: list[str], skip=()) -> list[str]:
@@ -432,7 +568,7 @@ def unread_names(source: str, readers: list[str], skip=()) -> list[str]:
     of a class derived from another module's class (hooks that base class
     calls, as ``argparse.ArgumentParser.error``) are exempt."""
     defined = []
-    for stmt in ast.parse(source).body:
+    for stmt in parse(source).body:
         if not isinstance(stmt, (ast.FunctionDef, ast.ClassDef)) or stmt.name in skip:
             continue
         defined.append(stmt.name)
@@ -444,9 +580,9 @@ def unread_names(source: str, readers: list[str], skip=()) -> list[str]:
                 defined.append(member.name)
             elif isinstance(member, ast.AnnAssign) and isinstance(member.target, ast.Name):
                 defined.append(member.target.id)
-    read = loaded_names(readers)
+    loaded = loaded_names(readers)
     return [name for name in defined
-            if name not in read and not (name.startswith("__") and name.endswith("__"))]
+            if name not in loaded and not (name.startswith("__") and name.endswith("__"))]
 
 
 def test_finder_flags_unread_names():
@@ -489,17 +625,19 @@ def test_finder_ignores_attributes_of_other_packages():
     assert {"np", "scipy", "la"} <= loaded_names([reader])
 
 
-@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+@pytest.mark.parametrize("path", PACKAGE_FILES, ids=lambda p: p.name)
 def test_no_unread_names(path):
-    readers = [p.read_text(encoding="utf-8") for p in sorted(PACKAGE.glob("*.py"))]
-    assert unread_names(path.read_text(encoding="utf-8"), readers, skip=REFEREES) == []
+    # a referee is read when a test reads it; every other name, by the package
+    readers = PACKAGE_FILES + (TEST_FILES if path.stem == REFEREE_HOME else [])
+    assert unread_names(read(path), [read(p) for p in readers],
+                        skip=FIXTURE_GENERATORS) == []
 
 
 def unread_flags(source: str, func: str, dests) -> list[str]:
     """The dests that function ``func`` in source never reads as
     ``args.<dest>``, itself or through a module-level function it passes
     ``args`` to (which reads it as ``args`` too)."""
-    functions = {node.name: node for node in ast.parse(source).body
+    functions = {node.name: node for node in parse(source).body
                  if isinstance(node, ast.FunctionDef)}
     read, todo, seen = set(), [func], set()
     while todo:

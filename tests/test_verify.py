@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from xdfrelax import hammodel, qsim, verify, vqe
+from xdfrelax import givens, hammodel, qsim, verify
 from xdfrelax.hammodel import Hamiltonian, synth_hamiltonian
 from xdfrelax.verify import (
     RegimeSpec,
@@ -16,8 +16,8 @@ from xdfrelax.verify import (
 )
 from xdfrelax.xdf import TruncationPolicy, factorize
 
-from _common import (PATH_DT, PATH_LAYERS, PATH_MASS, PATH_S0, PATH_V0,
-                     PATH_VQE_TOL, path_fixtures)
+from _common import (FILLING_CASES, KERNEL_CASES, PATH_DT, PATH_LAYERS, PATH_MASS, PATH_S0,
+                     PATH_V0, PATH_VQE_TOL, path_fixtures)
 
 
 def test_dense_energy_zero_rdms_is_core():
@@ -37,9 +37,42 @@ def test_dense_energy_hf_closed_form():
 def test_dense_energy_matches_leaf_energy():
     ham = synth_hamiltonian(3, 2, 1, 3)
     fac = factorize(ham, TruncationPolicy.exact())
-    state, e0 = vqe.exact_ground_state(fac)
+    state, e0 = verify.exact_ground_state(fac)
     gamma, big = qsim.measure_rdms_direct(state)
     assert abs(dense_energy(ham, gamma, big) - e0) < 1e-10
+
+
+@pytest.mark.parametrize("n,na,nb,seed", [*KERNEL_CASES, *FILLING_CASES])
+def test_minor_operators_match_the_frame_operators(n, na, nb, seed):
+    # the shift rule's per-spin operators, determinant minors of the referee's
+    # own sweep, against production's fabric operators
+    fac = factorize(synth_hamiltonian(n, na, nb, seed), TruncationPolicy.exact())
+    frames = fac.frames
+    for f, angles in enumerate(frames.fabric.angles):
+        u = verify._fabric_sweep(n, angles)[0]
+        np.testing.assert_allclose(u, givens.reconstruct(givens.GivensFabric(n, angles)),
+                                   atol=1e-15)
+        op = verify._spin_operator(u)
+        np.testing.assert_allclose(op.T @ op, np.eye(1 << n), atol=1e-13)
+        for filling, m in ((na, frames.M_alpha[f]), (nb, frames.M_beta[f])):
+            strings = qsim.sector_strings(n, filling)
+            np.testing.assert_allclose(op[np.ix_(strings, strings)], m, atol=1e-14)
+
+
+@pytest.mark.parametrize("one_body,two_body,message", [
+    (np.ones((1, 1)), np.ones((1, 1, 1, 1)), "one-body perturbation has wrong shape"),
+    (np.zeros((3, 3)), np.ones((1, 1, 1, 1)), "two-body perturbation has wrong shape"),
+])
+def test_derivatives_refuse_a_perturbation_of_another_size(one_body, two_body, message):
+    # a (1, 1) part would broadcast against the N=3 densities
+    ham = synth_hamiltonian(3, 1, 1, 2)
+    spec = RegimeSpec("exact", TruncationPolicy.exact(), 2)
+    base = run_pipeline(ham, spec)
+    pert = hammodel.Perturbation(one_body, two_body)
+    with pytest.raises(ValueError, match=message):
+        verify.analytic_energy_derivative(base, pert)
+    with pytest.raises(ValueError, match=message):
+        fd_energy_derivative(ham, pert, spec, base=base)
 
 
 def test_five_point_stencil_sanity():

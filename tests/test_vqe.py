@@ -6,12 +6,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from xdfrelax import qsim, vqe
+from xdfrelax.verify import density_energy, exact_ground_state
 from xdfrelax.givens import brickwork
 from xdfrelax.hammodel import (Hamiltonian, apply_perturbation,
                                random_two_body_perturbation, synth_hamiltonian)
 from xdfrelax.vqe import (
     AnsatzConfig,
-    exact_ground_state,
     n_parameters,
     optimize,
     prepare_state,
@@ -65,8 +65,8 @@ def test_gradient_matches_finite_differences():
         plus[i] += step
         minus = params.copy()
         minus[i] -= step
-        fd = (qsim.energy(prepare_state(fac, cfg, plus), fac)
-              - qsim.energy(prepare_state(fac, cfg, minus), fac)) / (2 * step)
+        fd = (density_energy(prepare_state(fac, cfg, plus), fac)
+              - density_energy(prepare_state(fac, cfg, minus), fac)) / (2 * step)
         assert abs(grad[i] - fd) < 1e-7
 
 
@@ -321,7 +321,7 @@ def test_exact_ground_state_one_body_limit():
 def test_exact_ground_state_energy_consistency():
     fac = factorize(synth_hamiltonian(3, 2, 1, 3), TruncationPolicy.exact())
     state, e0 = exact_ground_state(fac)
-    assert abs(qsim.energy(state, fac) - e0) < 1e-10
+    assert abs(density_energy(state, fac) - e0) < 1e-10
     assert electron_counts(state.embed(), 3) == (2, 1)
 
 
@@ -354,7 +354,7 @@ def test_adjoint_gradient_matches_shift_rule(n, na, nb, seed, layers):
     cfg = AnsatzConfig(layers)
     params = np.random.default_rng(seed).uniform(-1.5, 1.5, n_parameters(n, cfg))
     energy, grad = vqe._energy_and_gradient(fac, cfg, params)
-    assert abs(energy - qsim.energy(prepare_state(fac, cfg, params), fac)) <= 1e-12
+    assert abs(energy - density_energy(prepare_state(fac, cfg, params), fac)) <= 1e-12
     assert np.max(np.abs(grad - ansatz_gradient(fac, cfg, params))) <= 1e-12
 
 
@@ -410,7 +410,7 @@ def test_optimize_without_parameters_keeps_reference(ham, cfg, expected):
     reference = qsim.hf_reference(fac.n_orbitals, fac.n_alpha, fac.n_beta)
     assert result.params.shape == (0,)
     assert result.converged and result.grad_norm == 0.0 and result.n_iterations == 0
-    assert abs(result.energy - qsim.energy(reference, fac)) <= 1e-12
+    assert abs(result.energy - density_energy(reference, fac)) <= 1e-12
     if expected is not None:
         assert abs(result.energy - expected) <= 1e-12
 

@@ -3,7 +3,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from xdfrelax import hammodel, qsim
+from xdfrelax import hammodel, verify
 from xdfrelax.hammodel import Hamiltonian, synth_hamiltonian
 from xdfrelax.xdf import (
     TruncationPolicy,
@@ -23,6 +23,14 @@ def test_policy_validation():
         TruncationPolicy("threshold")  # keyword-only: a positional value is refused
     with pytest.raises(ValueError, match="non-negative"):
         TruncationPolicy.by_count(-1)
+
+
+def test_policy_refuses_a_nan_threshold():
+    # NaN compares false with every |g|, so it would keep no leaf without a word
+    for make in (lambda: TruncationPolicy.by_threshold(float("nan")),
+                 lambda: TruncationPolicy(threshold=np.nan)):
+        with pytest.raises(ValueError, match="threshold is NaN"):
+            make()
 
 
 def test_zero_two_body_gives_zero_leaves():
@@ -112,7 +120,7 @@ def test_energy_invariant_under_column_sign_flips():
     ham = synth_hamiltonian(3, 2, 1, 3)
     fac = factorize(ham, TruncationPolicy.exact())
     state = random_sector_state(fac, 17)
-    reference = qsim.energy(state, fac)
+    reference = verify.density_energy(state, fac)
 
     u = fac.U.copy()
     u[:, :, :2] = -u[:, :, :2]  # flip a pair in every leaf to keep det = +1
@@ -120,7 +128,7 @@ def test_energy_invariant_under_column_sign_flips():
     u0[:, 0] = -u0[:, 0]
     u0[:, 2] = -u0[:, 2]
     flipped = replace(fac, U0=u0, U=u)
-    assert abs(qsim.energy(state, flipped) - reference) < 1e-10
+    assert abs(verify.density_energy(state, flipped) - reference) < 1e-10
 
 
 @pytest.mark.parametrize("n,seed", [(2, 7), (3, 5), (4, 13), (6, 4)])
