@@ -23,10 +23,14 @@ elimination schedule, the order of the factors, which factor absorbs each
 sign flip, the permutation into rectangle order and the pivot chains of the
 branch reduction) is a cached, read-only ``_Plan``.
 
-One row kernel, ``rotate_rows``, applies every fabric gate: to orbital
-rows here, and in ``qsim`` to the string rows of one spin's operators. The
-angle Jacobian of the paper's angle route is a referee, ``verify.jacobian``,
-on its own plane-rotation sweep.
+Production reads only ``brickwork``, ``read_only`` and ``lower_indices``
+from here: the ansatz is laid out by ``brickwork``, and the measurement
+frames act through compound matrices of their orbital frames
+(``qsim.Frames``), with no angle. The fabrics serve criterion 2 and the
+angle-route referees in ``verify``, which decompose the frames themselves.
+One row kernel, ``rotate_rows``, applies every fabric gate here, to
+orbital rows; the angle Jacobian of the paper's angle route is a referee,
+``verify.jacobian``, on its own plane-rotation sweep.
 """
 
 from __future__ import annotations
@@ -93,8 +97,8 @@ class GivensFabric:
 
 def rotate_rows(u: np.ndarray, a, b, c: np.ndarray, s: np.ndarray) -> None:
     """Rotate rows a -> c * a - s * b and b -> s * a + c * b of every member
-    of the stack u in place: orbital rows m and m + 1, or equal-length index
-    arrays such as ``qsim.pair_rows``. c and s broadcast against u[:, a]."""
+    of the stack u in place: orbital rows m and m + 1, or any equal-length
+    index arrays. c and s broadcast against u[:, a]."""
     row_a, row_b = u[:, a], u[:, b]
     u[:, a], u[:, b] = c * row_a - s * row_b, s * row_a + c * row_b
 

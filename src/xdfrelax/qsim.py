@@ -13,30 +13,29 @@ alpha strings in the low bits; only the oracles call it.
 
 A Givens gate on orbitals (m, m+1) of one spin mixes the block rows
 ``pair_rows(N, filling, m)`` of that spin's filling: rows of Psi for beta,
-columns for alpha. One brickwork schedule, ``givens.brickwork``, lays out
-both circuits. The ansatz runs on ``apply_gate``: every gate is a signed
-permutation of the flat block, x <- where(mask, cos, 1) * x + sin * sign *
-x[..., perm], with batch axes leading and one angle per batch item, from
-the cached read-only ``ansatz_table`` (a ``GateTable``; pair exchanges on
-``pair_exchange_rows(N, n_alpha, n_beta, p)``). Every fabric runs on
-``givens.rotate_rows``, the row kernel of orbital matrices, on the rows
-``pair_rows`` of one spin's operators. Gates act on adjacent orbitals of one
-spin, so no Jordan-Wigner strings appear in circuits; the direct RDM oracle
-handles the strings explicitly on the embedded vector.
+columns for alpha. The ansatz, laid out by ``givens.brickwork``, runs on
+``apply_gate``: every gate is a signed permutation of the flat block, x <-
+where(mask, cos, 1) * x + sin * sign * x[..., perm], with batch axes leading
+and one angle per batch item, from the cached read-only ``ansatz_table`` (a
+``GateTable``; pair exchanges on ``pair_exchange_rows(N, n_alpha, n_beta,
+p)``). Gates act on adjacent orbitals of one spin, so no Jordan-Wigner
+strings appear in circuits; the direct RDM oracle handles the strings
+explicitly on the embedded vector.
 
-A spin-locked fabric acts on each spin through one operator on that spin's
-strings, its gates applied in order to the rows of the identity: the circuit
-maps Psi to M_beta Psi M_alpha^T and its dagger to M_beta^T Psi M_alpha (one
-operator serves both spins when n_alpha = n_beta). The terms of a factorized
-Hamiltonian, the one-body term first, then one per retained leaf, are one
-``Frames`` stack, frame first: one stacked fabric with a row of angles per
-frame, its M_alpha and M_beta, and the terms' energy operators, diagonal in
-the rotated bases, as D[f, beta, alpha]. Every kernel reads the stack
-through one rotation of the state, M_beta^T Psi M_alpha for all frames at
-once: ``apply_hamiltonian`` maps it back and sums, and ``measure_densities``
-takes the densities and the orbital-rotation gradients of every frame from
-it. The leaf densities are one (T, N, N) stack, matching the factorization's
-leaf stacks.
+A spin-locked orbital rotation U acts on each spin through one operator on
+that spin's strings, the filling's compound matrix M[I, J] = det U[I, J]
+(Löwdin): it maps Psi to M_beta Psi M_alpha^T and its dagger to M_beta^T
+Psi M_alpha (one operator serves both spins when n_alpha = n_beta). On
+hardware U is a Givens network; here no angle is needed. The terms of a
+factorized Hamiltonian, the one-body term first, then one per retained
+leaf, are one ``Frames`` stack, frame first: the orbital frames U, their
+M_alpha and M_beta, built by Laplace expansion from filling 1 (where M =
+U), and the terms' energy operators, diagonal in the rotated bases, as D[f,
+beta, alpha]. Every kernel reads the stack through one rotation of the
+state, M_beta^T Psi M_alpha for all frames at once: ``apply_hamiltonian``
+maps it back and sums, and ``measure_densities`` takes the densities and
+the orbital-rotation gradients of every frame from it. The leaf densities
+are one (T, N, N) stack, matching the factorization's leaf stacks.
 
 Production differentiates frames without an angle chart: G[a, b], the
 derivative of each frame's energy along U -> U exp(kappa (e_a e_b^T - e_b
@@ -61,7 +60,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .givens import GivensFabric, brickwork, lower_indices, read_only, rotate_rows
+from .givens import lower_indices, read_only
 from .hammodel import DESK_CAP
 
 if TYPE_CHECKING:
@@ -272,18 +271,6 @@ def ansatz_table(n: int, n_alpha: int, n_beta: int, blocks: tuple[int, ...]) -> 
     return GateTable(height * width, tuple(pairs))
 
 
-def _fabric_operators(n: int, angles: np.ndarray, filling: int) -> np.ndarray:
-    """Operators of n-orbital fabrics at the (B, K) ``angles`` on the strings
-    of one spin filling, first gate rightmost: one sweep rotates the rows
-    ``pair_rows`` of B identities by each gate in turn, one angle per fabric
-    (``rotate_rows``). Returns (B, d, d)."""
-    c, s = np.cos(angles)[:, :, None, None], np.sin(angles)[:, :, None, None]
-    ops = np.tile(np.eye(comb(n, filling)), (len(angles), 1, 1))
-    for g, m in enumerate(brickwork(n, n)):
-        rotate_rows(ops, *pair_rows(n, filling, m), c[:, g], s[:, g])
-    return ops
-
-
 # ---------------------------------------------------------------------------
 # Frames: the terms of the factorized Hamiltonian as one stack
 # ---------------------------------------------------------------------------
@@ -295,19 +282,65 @@ def _spin_z(n: int, filling: int) -> np.ndarray:
     return read_only(1.0 - 2.0 * _sector_bits(n, filling))[0]
 
 
+@lru_cache(maxsize=64)
+def _laplace_tables(n: int, filling: int) -> tuple[np.ndarray, np.ndarray]:
+    """Flat gather indices of one level of the Laplace expansion of
+    ``_compound_matrices`` on n orbitals, one row per term t < filling: the
+    (filling - 1) compound at (I less its highest orbital h, J less its t-th
+    orbital J_t) and U at (h, J_t), for every row string I and column string
+    J of the filling, row by row. Cached; the arrays are read-only."""
+    strings, lower = sector_strings(n, filling), sector_strings(n, filling - 1)
+    occupied = np.nonzero(_sector_bits(n, filling))[1].reshape(len(strings), filling).T
+    highest = occupied[-1]
+    minor_rows = np.searchsorted(lower, strings - (1 << highest))
+    minor_cols = np.searchsorted(lower, strings - (1 << occupied))
+    minors = minor_rows[None, :, None] * len(lower) + minor_cols[:, None, :]
+    entries = highest[None, :, None] * n + occupied[:, None, :]
+    return read_only(minors.reshape(filling, -1), entries.reshape(filling, -1))
+
+
+def _compound_matrices(u: np.ndarray, filling: int) -> np.ndarray:
+    """The filling-th compound matrices of the (B, n, n) stack u, M[I, J] =
+    det u[I, J] over the ascending strings of that filling, as (B, d, d).
+
+    Filling 0 gives ones and filling 1 is u itself. Each higher filling
+    expands every minor along the highest orbital of its row string, det
+    u[I, J] = sum over t of (-1)^(k - 1 + t) u[h, J_t] det u[I - h, J -
+    J_t], as one product per term on the gathers of ``_laplace_tables``.
+    The expansion runs member last, so that each gather moves all B members
+    of an entry at once. Members never mix, so each equals its one-matrix
+    build bitwise."""
+    size, n = len(u), u.shape[-1]
+    if filling < 2:
+        return u if filling else np.ones((size, 1, 1))
+    flat = np.ascontiguousarray(u.reshape(size, n * n).T)
+    compound = flat
+    for k in range(2, filling + 1):
+        minors, entries = _laplace_tables(n, k)
+        expansion = compound.take(minors[0], axis=0) * flat.take(entries[0], axis=0)
+        for t in range(1, k):
+            term = compound.take(minors[t], axis=0) * flat.take(entries[t], axis=0)
+            if t % 2:
+                expansion -= term
+            else:
+                expansion += term
+        compound = expansion if k % 2 else -expansion
+    d = comb(n, filling)
+    return np.ascontiguousarray(compound.T).reshape(size, d, d)
+
+
 @dataclass(frozen=True, eq=False)
 class Frames:
     """The terms of a factorized Hamiltonian for one (n_alpha, n_beta)
-    filling, frame first: one stacked fabric with (F, K) angles rotating into
-    the frames' bases, the (F, rows, cols) energy operators ``D[f, beta,
-    alpha]``, diagonal there, and the fabric's (F, d, d) operators on the
-    alpha and beta strings, ``M_alpha`` and ``M_beta`` (one array when the
-    fillings are equal). One sweep per spin filling builds the operators on
-    construction, each gate applied to the stacked identities with one angle
-    per frame, so every member equals its one-fabric build bitwise. The
-    arrays are read-only."""
+    filling, frame first: the (F, N, N) orbital frames ``U`` whose bases
+    the terms are diagonal in, the (F, rows, cols) energy operators ``D[f,
+    beta, alpha]`` there, and the frames' (F, d, d) operators on the alpha
+    and beta strings, ``M_alpha`` and ``M_beta`` (one array when the
+    fillings are equal): the compound matrices of U at each spin's filling
+    (``_compound_matrices``), built on construction. Every member equals its
+    one-frame build bitwise. The arrays are read-only."""
 
-    fabric: GivensFabric
+    U: np.ndarray
     n_alpha: int
     n_beta: int
     D: np.ndarray
@@ -315,18 +348,21 @@ class Frames:
     M_beta: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        n, angles = self.fabric.n, self.fabric.angles
-        if angles.ndim != 2:
-            raise ValueError(f"Frames needs a stacked fabric with (F, K) angles, "
-                             f"got one fabric with angles of shape {angles.shape}")
+        orbitals = np.array(self.U, dtype=float)
         energies = np.array(self.D, dtype=float)
-        shape = (len(angles), *sector_shape(n, self.n_alpha, self.n_beta))
+        if orbitals.ndim != 3 or orbitals.shape[1] != orbitals.shape[2]:
+            raise ValueError(f"U has shape {orbitals.shape}, expected (F, N, N), "
+                             f"with D of shape {energies.shape}")
+        n = orbitals.shape[-1]
+        shape = (len(orbitals), *sector_shape(n, self.n_alpha, self.n_beta))
         if energies.shape != shape:
-            raise ValueError(f"D has shape {energies.shape}, expected {shape}")
-        m_alpha = _fabric_operators(n, angles, self.n_alpha)
+            raise ValueError(f"D has shape {energies.shape}, expected {shape} "
+                             f"for U of shape {orbitals.shape}")
+        m_alpha = _compound_matrices(orbitals, self.n_alpha)
         m_beta = (m_alpha if self.n_beta == self.n_alpha
-                  else _fabric_operators(n, angles, self.n_beta))
-        for name, arr in (("D", energies), ("M_alpha", m_alpha), ("M_beta", m_beta)):
+                  else _compound_matrices(orbitals, self.n_beta))
+        for name, arr in (("U", orbitals), ("D", energies), ("M_alpha", m_alpha),
+                          ("M_beta", m_beta)):
             object.__setattr__(self, name, read_only(arr)[0])
 
 

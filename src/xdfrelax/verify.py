@@ -5,9 +5,11 @@ dense contractions, a dense ground state, finite differences of re-run
 pipelines, and symplectic dynamics act as external referees for the analytic
 derivative chain. No production module imports this one.
 
-The paper's angle route is here too, on the referees' own rotations: one
-plain plane-rotation sweep per fabric (``_fabric_sweep``) gives ``jacobian``
-and the chain rule of ``angle_gradients`` from production's orbital-rotation
+The paper's angle route is here too, on the referees' own rotations.
+Production holds no angle, so both angle referees compile the frames'
+orbital matrices into fabrics themselves (``givens.decompose``). One plain
+plane-rotation sweep per fabric (``_fabric_sweep``) gives ``jacobian`` and
+the chain rule of ``angle_gradients`` from production's orbital-rotation
 gradients, and the shift rule ``denergy_dtheta_shift`` takes its per-spin
 operators from determinant minors. No gate or fabric kernel is used here.
 """
@@ -19,7 +21,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import lagrange, qsim, vqe
-from .givens import GivensFabric, brickwork, lower_indices
+from .givens import GivensFabric, brickwork, decompose, lower_indices
 from .hammodel import Hamiltonian, Perturbation, apply_perturbation, interpolate
 from .vqe import AnsatzConfig
 from .xdf import TruncationPolicy, XDFFactorization, factorize
@@ -203,12 +205,13 @@ def jacobian(fabric: GivensFabric) -> np.ndarray:
 
 
 def angle_gradients(state: qsim.Statevector, fac: XDFFactorization) -> np.ndarray:
-    """Energy derivatives of each frame of ``fac.frames`` by all of its fabric
-    angles, one row per frame, from production's orbital-rotation gradients
-    G[a, b] (``qsim.measure_densities``) by the chain rule: dE/dtheta_g = sum
-    over a > b of G[a, b] (U^T dU/dtheta_g)[a, b], each frame on its own
+    """Energy derivatives of each frame of ``fac.frames`` by all of the
+    angles of its fabric (``decompose`` of its orbital frame), one row per
+    frame, from production's orbital-rotation gradients G[a, b]
+    (``qsim.measure_densities``) by the chain rule: dE/dtheta_g = sum over a
+    > b of G[a, b] (U^T dU/dtheta_g)[a, b], each frame on its own
     ``_fabric_sweep``."""
-    fabric = fac.frames.fabric
+    fabric = decompose(fac.frames.U)
     rows, cols = lower_indices(fabric.n)
     grad = np.empty(fabric.angles.shape)
     for f, g_ab in enumerate(qsim.measure_densities(state, fac).gradients):
@@ -232,8 +235,8 @@ def _spin_operator(u: np.ndarray) -> np.ndarray:
 
 def denergy_dtheta_shift(state: qsim.Statevector, fac: XDFFactorization,
                          f: int, g: int) -> float:
-    """Shift-rule energy derivative with respect to angle g of frame f of
-    ``fac.frames``.
+    """Shift-rule energy derivative with respect to angle g of the fabric of
+    frame f of ``fac.frames`` (``decompose`` of its orbital frame).
 
     The spin-locked pair is unlocked and each spin's gate is differentiated
     with the exact two-frequency rule (``SHIFT_STEPS``), eight evaluations in
@@ -241,9 +244,9 @@ def denergy_dtheta_shift(state: qsim.Statevector, fac: XDFFactorization,
     with full per-spin operators (``_spin_operator``), built per call.
     """
     frames = fac.frames
-    if not 0 <= f < len(frames.fabric.angles):
+    if not 0 <= f < len(frames.U):
         raise ValueError(f"frame index {f} out of range")
-    row = frames.fabric.angles[f]
+    row = decompose(frames.U[f]).angles
     if not 0 <= g < len(row):
         raise ValueError(f"angle index {g} out of range")
     if (state.n_alpha, state.n_beta) != (frames.n_alpha, frames.n_beta):

@@ -1,11 +1,10 @@
 """Variational ground-state preparation with a number/spin-conserving ansatz.
 
 The ansatz is a brickwork fabric over adjacent spatial-orbital pairs, laid
-out by the same schedule as the measurement fabrics, ``givens.brickwork``,
-at the configured layer count. Each block carries two angles: a spin-locked
-orbital rotation followed by a pair-exchange rotation between the two
-doubly-occupied configurations. Both gates conserve particle number, S_z,
-and total spin on singlet references.
+out by ``givens.brickwork`` at the configured layer count. Each block
+carries two angles: a spin-locked orbital rotation followed by a
+pair-exchange rotation between the two doubly-occupied configurations. Both
+gates conserve particle number, S_z, and total spin on singlet references.
 """
 
 from __future__ import annotations
@@ -64,6 +63,12 @@ class VQEResult:
 
 
 STENCIL_SWEEP_ENTRIES = 1 << 20  # gate-factor entries of one batched sweep (8 MB a table)
+# Hessian eigen-directions with curvature below these fractions of the largest
+# are dropped from a Newton step: first as flat (gauge) directions of the
+# ansatz, then, once that step stalls, only below the central difference's
+# noise, so that a soft but real mode is stepped along as well.
+GAUGE_RCOND = 1e-6
+NOISE_RCOND = 1e-9
 
 
 def n_parameters(n_spatial: int, cfg: AnsatzConfig) -> int:
@@ -342,16 +347,13 @@ def _lbfgs(fac: XDFFactorization, cfg: AnsatzConfig, x0: np.ndarray,
                            0.1 * tol, maxiter)
 
 
-def _inverse_hessian(fac: XDFFactorization, cfg: AnsatzConfig,
-                     x: np.ndarray) -> np.ndarray:
-    """Pseudo-inverse of the Hessian at x, a central difference of the adjoint
-    gradient over the 2P stencil points x +- h e_i, evaluated as one batch
-    (in slices of at most ``STENCIL_SWEEP_ENTRIES`` gate-factor entries, so
-    deep N=8 stencils stay small), cheap at desk-scale parameter counts.
-
-    Flat (gauge) directions of the ansatz make the Hessian singular; its
-    eigen-directions with curvature below 1e-6 of the largest are dropped.
-    """
+def _hessian_modes(fac: XDFFactorization, cfg: AnsatzConfig,
+                   x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues and eigenvectors of the Hessian at x, a central difference
+    of the adjoint gradient over the 2P stencil points x +- h e_i, evaluated
+    as one batch (in slices of at most ``STENCIL_SWEEP_ENTRIES`` gate-factor
+    entries, so deep N=8 stencils stay small), cheap at desk-scale parameter
+    counts."""
     h = 1e-5
     diag = np.arange(x.size)
     stencil = np.tile(x, (2, x.size, 1))
@@ -364,10 +366,29 @@ def _inverse_hessian(fac: XDFFactorization, cfg: AnsatzConfig,
                             for i in range(0, len(stencil), rows)])
     hess = ((grads[:x.size] - grads[x.size:]) / (2 * h)).T
     hess = 0.5 * (hess + hess.T)
-    evals, evecs = np.linalg.eigh(hess)
-    cutoff = 1e-6 * max(np.max(np.abs(evals)), 1e-300)
+    return np.linalg.eigh(hess)
+
+
+def _pseudo_inverse(modes: tuple[np.ndarray, np.ndarray], rcond: float) -> np.ndarray:
+    """Inverse of a Hessian given by its eigenvalues and eigenvectors
+    ``modes``, on the eigen-directions with curvature above ``rcond`` of the
+    largest; the others are dropped."""
+    evals, evecs = modes
+    cutoff = rcond * max(np.max(np.abs(evals)), 1e-300)
     inv = np.where(np.abs(evals) > cutoff, 1.0 / np.where(evals == 0, 1, evals), 0.0)
     return (evecs * inv) @ evecs.T
+
+
+def _halved_step(fac: XDFFactorization, cfg: AnsatzConfig, x: np.ndarray,
+                 step: np.ndarray, gmax: float):
+    """The first of x + step, x + step / 2, ... (30 trials) whose max|g| is
+    below gmax, with its energy and gradient; None when there is none."""
+    for k in range(30):
+        trial = x + 0.5 ** k * step
+        e_new, g_new = _energy_and_gradient(fac, cfg, trial)
+        if np.max(np.abs(g_new)) < gmax:
+            return trial, e_new, g_new
+    return None
 
 
 def _newton_polish(fac: XDFFactorization, cfg: AnsatzConfig, x: np.ndarray,
@@ -375,10 +396,14 @@ def _newton_polish(fac: XDFFactorization, cfg: AnsatzConfig, x: np.ndarray,
     """Damped Newton steps on the exact gradient until max|g| <= tol.
 
     A chord step x - C g on the current pseudo-inverse Hessian C is taken when
-    it at least halves max|g|. Otherwise C is rebuilt at x and the Newton step
-    is halved until max|g| drops; if 30 halvings do not lower it, Newton stops.
-    Returns the end point, its energy and gradient, the last C and the number
-    of steps taken.
+    it at least halves max|g|. Otherwise the Hessian is rebuilt at x and the
+    Newton step on C without its gauge directions (``GAUGE_RCOND``) is halved
+    until max|g| drops (``_halved_step``). If that stalls, the step on C
+    with every mode above the noise (``NOISE_RCOND``) is tried the same way:
+    a gradient left along a soft mode is not lowered otherwise, and the
+    energy is too flat there for a line search to see. If both stall, Newton
+    stops. Returns the end point, its energy and gradient, the last C and the
+    number of steps taken.
     """
     energy, grad = _energy_and_gradient(fac, cfg, x)
     steps = 0
@@ -393,17 +418,16 @@ def _newton_polish(fac: XDFFactorization, cfg: AnsatzConfig, x: np.ndarray,
                 x, energy, grad = trial, e_new, g_new
                 steps += 1
                 continue
-        curvature = _inverse_hessian(fac, cfg, x)
-        step = -curvature @ grad
-        for k in range(30):
-            trial = x + 0.5 ** k * step
-            e_new, g_new = _energy_and_gradient(fac, cfg, trial)
-            if np.max(np.abs(g_new)) < gmax:
-                x, energy, grad = trial, e_new, g_new
-                steps += 1
+        modes = _hessian_modes(fac, cfg, x)
+        for rcond in (GAUGE_RCOND, NOISE_RCOND):
+            curvature = _pseudo_inverse(modes, rcond)
+            found = _halved_step(fac, cfg, x, -curvature @ grad, gmax)
+            if found is not None:
                 break
         else:
             break
+        x, energy, grad = found
+        steps += 1
     return x, energy, grad, curvature, steps
 
 

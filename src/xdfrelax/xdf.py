@@ -11,10 +11,10 @@ The leaves are built and kept as stacks, leaf first: one
 their frames. Consumers slice the stacks; the retained leaves are a prefix.
 
 A factorization carries its measurement frames, built once on construction
-as one ``qsim.Frames`` stack for the electron filling: the one-body frame
-first, then one per retained leaf. One ``givens.decompose`` call turns the
-one-body and retained-leaf orbital frames into one stacked fabric, and its
-operators come from one sweep per spin filling.
+as one ``qsim.Frames`` stack for the electron filling from the orbital
+frames it already holds: the one-body frame first, then one per retained
+leaf. Their string operators are compound matrices of those frames; no
+frame is compiled into Givens angles.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .givens import decompose, read_only
+from .givens import read_only
 from .hammodel import EffectiveOperators, Hamiltonian, effective_operators
 from .qsim import Frames, leaf_energies, one_body_energy
 
@@ -101,10 +101,10 @@ class XDFFactorization:
             object.__setattr__(self, name, read_only(arr)[0])
         filling = (self.n_alpha, self.n_beta)
         kept = self.retained
-        fabric = decompose(np.concatenate([self.U0[None], self.U[:kept]]))
+        orbitals = np.concatenate([self.U0[None], self.U[:kept]])
         energies = np.concatenate([one_body_energy(self.F0, *filling)[None],
                                    leaf_energies(self.Z[:kept], *filling)])
-        object.__setattr__(self, "frames", Frames(fabric, *filling, energies))
+        object.__setattr__(self, "frames", Frames(orbitals, *filling, energies))
 
     @property
     def n_leaves(self) -> int:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from math import comb
 from types import SimpleNamespace
 
 import numpy as np
@@ -53,6 +54,15 @@ def random_special_orthogonal(n: int, seed: int) -> np.ndarray:
     return q
 
 
+# A det +1 signed permutation at which ``givens.decompose`` is unstable:
+# round trips alternate between gauge-distinct fabrics, two of which are
+# the rows of GAUGE_FABRIC_ANGLES.
+GAUGE_PERMUTATION = np.array([[1, 0, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0], [0, -1, 0, 0]],
+                             dtype=float)
+GAUGE_FABRIC_ANGLES = np.pi * np.array([[0, -0.5, -0.5, 0, 0.5, 0],
+                                        [0, 0.25, 0.5, 0, -0.5, -0.25]])
+
+
 def electron_counts(amps: np.ndarray, n: int) -> tuple[int, int]:
     """Per-spin particle numbers of a full 4^N amplitude vector; raises if the
     vector mixes fillings."""
@@ -73,21 +83,17 @@ def from_full(amps: np.ndarray, n: int) -> qsim.Statevector:
     return qsim.Statevector(n, n_alpha, n_beta, block)
 
 
-def stack_fabrics(fabrics) -> givens.GivensFabric:
-    """One stacked fabric of a sequence of one-fabric members of one N."""
-    fabrics = list(fabrics)
-    return givens.GivensFabric(fabrics[0].n, [fabric.angles for fabric in fabrics])
-
-
 def frame_fabrics(frames: qsim.Frames) -> list[givens.GivensFabric]:
-    """The members of a frame stack's fabric, one one-fabric per frame."""
-    return [givens.GivensFabric(frames.fabric.n, row) for row in frames.fabric.angles]
+    """The fabric of every member of a frame stack, ``givens.decompose`` of
+    its orbital frame, one one-fabric per frame."""
+    stacked = givens.decompose(frames.U)
+    return [givens.GivensFabric(stacked.n, row) for row in stacked.angles]
 
 
-def fabric_frame(fabric: givens.GivensFabric, state: qsim.Statevector) -> qsim.Frames:
-    """One-fabric frame stack for the filling of ``state``, with a zero
-    energy operator."""
-    return qsim.Frames(stack_fabrics([fabric]), state.n_alpha, state.n_beta,
+def orbital_frame(u: np.ndarray, state: qsim.Statevector) -> qsim.Frames:
+    """One-member frame stack of the orbital frame u for the filling of
+    ``state``, with a zero energy operator."""
+    return qsim.Frames(np.asarray(u)[None], state.n_alpha, state.n_beta,
                        np.zeros((1, *state.amplitudes.shape)))
 
 
@@ -95,8 +101,7 @@ def frame_subset(frames: qsim.Frames, members) -> qsim.Frames:
     """The stack of the given members of a frame stack, in that order, built
     on its own."""
     members = list(members)
-    return qsim.Frames(givens.GivensFabric(frames.fabric.n, frames.fabric.angles[members]),
-                       frames.n_alpha, frames.n_beta, frames.D[members])
+    return qsim.Frames(frames.U[members], frames.n_alpha, frames.n_beta, frames.D[members])
 
 
 def bare(frames: qsim.Frames) -> SimpleNamespace:
@@ -122,12 +127,12 @@ def rotate_state(state: qsim.Statevector, frames: qsim.Frames, f: int = 0,
     return qsim.Statevector(state.n_spatial, state.n_alpha, state.n_beta, out)
 
 
-def frame_densities(state: qsim.Statevector, fabrics) -> qsim.EigenbasisDensities:
-    """``qsim.measure_densities`` in the frames of arbitrary fabrics: the first
+def frame_densities(state: qsim.Statevector, orbitals) -> qsim.EigenbasisDensities:
+    """``qsim.measure_densities`` in arbitrary orbital frames: the first
     stands for the one-body frame, the rest for leaf frames."""
-    fabric = stack_fabrics(fabrics)
-    frames = qsim.Frames(fabric, state.n_alpha, state.n_beta,
-                         np.zeros((len(fabric.angles), *state.amplitudes.shape)))
+    orbitals = np.array(orbitals, dtype=float)
+    frames = qsim.Frames(orbitals, state.n_alpha, state.n_beta,
+                         np.zeros((len(orbitals), *state.amplitudes.shape)))
     return stack_measure(state, frames)
 
 
@@ -276,13 +281,17 @@ def _ref_reduce_branch(pivots, angles: np.ndarray) -> np.ndarray:
     return angles
 
 
-def ref_fabric_operator(fabric: givens.GivensFabric, filling: int) -> np.ndarray:
-    """Operator of a fabric on the strings of one spin filling: its gates
-    applied in order to the rows of the identity with ``rotate_pair``."""
-    op = np.eye(len(qsim.sector_strings(fabric.n, filling)))
-    for m, theta in zip(fabric.pivots, fabric.angles):
-        rotate_pair(op, *qsim.pair_rows(fabric.n, filling, m), theta)
-    return op
+def ref_fabric_operators(n: int, angles: np.ndarray, filling: int) -> np.ndarray:
+    """Operators of n-orbital fabrics at the (B, K) ``angles`` on the strings
+    of one spin filling, first gate rightmost: one sweep rotates the rows
+    ``pair_rows`` of B identities by each gate in turn, one angle per fabric
+    (``rotate_rows``). Returns (B, d, d). The fabric sweep that built the
+    frame operators before their compound matrices, kept verbatim."""
+    c, s = np.cos(angles)[:, :, None, None], np.sin(angles)[:, :, None, None]
+    ops = np.tile(np.eye(comb(n, filling)), (len(angles), 1, 1))
+    for g, m in enumerate(givens.brickwork(n, n)):
+        givens.rotate_rows(ops, *qsim.pair_rows(n, filling, m), c[:, g], s[:, g])
+    return ops
 
 
 # The paper's angle route from the multipliers' side, as production used it
@@ -308,7 +317,7 @@ def ref_angle_eta(state: qsim.Statevector, fac) -> tuple[np.ndarray, np.ndarray]
     """The (F, N, N) strictly-lower eta stack of the frames of ``fac`` and
     the max-abs residual of each frame's solve."""
     fabrics = frame_fabrics(fac.frames)
-    n = fac.frames.fabric.n
+    n = fac.frames.U.shape[-1]
     etas = np.zeros((len(fabrics), n, n))
     residuals = np.zeros(len(fabrics))
     for f, (fabric, rhs) in enumerate(zip(fabrics, -verify.angle_gradients(state, fac),
@@ -378,7 +387,7 @@ def random_sector_state(fac: xdf.XDFFactorization, seed: int,
     state = qsim.hf_reference(n, n_alpha, n_beta)
     for _ in range(n_rounds):
         u = random_special_orthogonal(n, int(rng.integers(1 << 30)))
-        state = rotate_state(state, fabric_frame(givens.decompose(u), state))
+        state = rotate_state(state, orbital_frame(u, state))
         psi = np.array(state.amplitudes)
         for p in range(n - 1):
             rotate_pair(psi.reshape(-1), *qsim.pair_exchange_rows(n, n_alpha, n_beta, p),
@@ -423,7 +432,8 @@ def ref_energy_and_gradient(fac: xdf.XDFFactorization, cfg: vqe.AnsatzConfig,
 
 def ref_inverse_hessian(fac: xdf.XDFFactorization, cfg: vqe.AnsatzConfig,
                         x: np.ndarray) -> np.ndarray:
-    """``vqe._inverse_hessian`` as a sequential loop: the central difference
+    """``vqe._pseudo_inverse`` of ``vqe._hessian_modes`` at
+    ``vqe.GAUGE_RCOND`` as a sequential loop: the central difference
     of single-point adjoint gradients, column by column, at x + h e_i and
     x - h e_i, then the same symmetrization and gauge-truncated inverse."""
     h = 1e-5

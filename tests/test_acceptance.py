@@ -205,7 +205,7 @@ def test_criterion_8_parameter_shift_validation():
     for n, na, nb, seed in ((3, 2, 1, 4), (4, 2, 2, 13)):
         fac = factorize(synth_hamiltonian(n, na, nb, seed), TruncationPolicy.exact())
         state = random_sector_state(fac, seed + 70)
-        assert len(fac.frames.fabric.angles) == fac.retained + 1
+        assert len(fac.frames.U) == fac.retained + 1
         chained = verify.angle_gradients(state, fac)
         for f, row in enumerate(chained):
             for g in range(len(row)):

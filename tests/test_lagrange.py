@@ -15,6 +15,8 @@ from xdfrelax.xdf import TruncationPolicy, factorize
 
 from _common import (
     FILLING_CASES,
+    GAUGE_FABRIC_ANGLES,
+    GAUGE_PERMUTATION,
     KERNEL_CASES,
     SINGULAR_CHART_CASES,
     eight_fold,
@@ -40,7 +42,7 @@ def test_gradient_zero_for_rotation_invariant_state():
     fac = factorize(ham, TruncationPolicy.exact())
     vacuum = qsim.hf_reference(3, 0, 0)
     grads = qsim.measure_densities(vacuum, fac).gradients
-    assert grads.shape == (len(fac.frames.fabric.angles), 3)
+    assert grads.shape == (len(fac.frames.U), 3)
     assert np.max(np.abs(grads)) < 1e-12
     _, mult = lagrange.measure_and_solve(fac, vacuum)
     assert max(np.max(np.abs(mu)) for mu in (mult.mu0, *mult.mu)) < 1e-12
@@ -104,9 +106,9 @@ def test_rotation_gradients_build_no_fabric_operator(monkeypatch):
     _, expected = lagrange.measure_and_solve(fac, state)
 
     def refuse(*args):
-        raise AssertionError("fabric operator built during the multiplier solve")
+        raise AssertionError("frame operator built during the multiplier solve")
 
-    monkeypatch.setattr(qsim, "_fabric_operators", refuse)
+    monkeypatch.setattr(qsim, "_compound_matrices", refuse)
     swept = _counting_rotations(monkeypatch)
     _, got = lagrange.measure_and_solve(fac, state)
     assert swept == [fac.frames]
@@ -233,13 +235,13 @@ def test_oracle_equivalence_exact_state(case):
 
 def test_gauge_distinct_fabrics_give_one_frame():
     # decompose alternates between these fabrics of one signed permutation;
-    # frame operators, and so every result, depend on U alone
-    u = np.array([[1, 0, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0], [0, -1, 0, 0]], dtype=float)
-    fabric = givens.GivensFabric(4, np.pi * np.array([[0, -0.5, -0.5, 0, 0.5, 0],
-                                                      [0, 0.25, 0.5, 0, -0.5, -0.25]]))
-    assert np.max(np.abs(givens.reconstruct(fabric) - u)) < 1e-15
+    # frame operators, and so every result, depend on U alone, and the
+    # frames the two fabrics reconstruct differ only by roundoff
+    fabric = givens.GivensFabric(4, GAUGE_FABRIC_ANGLES)
+    assert np.max(np.abs(givens.reconstruct(fabric) - GAUGE_PERMUTATION)) < 1e-15
     for na, nb in ((2, 2), (1, 3)):
-        frames = qsim.Frames(fabric, na, nb, np.zeros((2, *qsim.sector_shape(4, na, nb))))
+        frames = qsim.Frames(givens.reconstruct(fabric), na, nb,
+                             np.zeros((2, *qsim.sector_shape(4, na, nb))))
         assert np.max(np.abs(frames.M_alpha[0] - frames.M_alpha[1])) < 1e-14
         assert np.max(np.abs(frames.M_beta[0] - frames.M_beta[1])) < 1e-14
 
@@ -354,7 +356,7 @@ def test_ablation_modes_zero_the_right_pieces():
 def test_no_retained_leaves_leaves_only_the_one_body_frame():
     ham = synth_hamiltonian(3, 1, 1, 2)
     fac = factorize(ham, TruncationPolicy.by_count(0))
-    assert fac.retained == 0 and len(fac.frames.fabric.angles) == 1
+    assert fac.retained == 0 and len(fac.frames.U) == 1
     # every leaf stays as data; the retained-leaf stacks are empty
     assert fac.g.shape == (6,) and fac.lam.shape == (6, 3)
     assert fac.V.shape == fac.U.shape == fac.Z.shape == (6, 3, 3)

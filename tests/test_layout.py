@@ -353,7 +353,8 @@ def test_finder_flags_gate_table_builders():
 
 
 def test_only_the_ansatz_builds_a_gate_table():
-    # fabrics run on givens.rotate_rows; a table for them would be a second path
+    # the frames act through compound matrices; a table for them would be a
+    # second path
     found = [caller for path in PACKAGE_FILES
              for caller in callers(read(path), path.stem, "GateTable")]
     assert found == ["qsim.ansatz_table"]
@@ -540,6 +541,47 @@ def test_referees_are_defined():
     # in verify, and nowhere else
     homes = definition_homes({path.stem: read(path) for path in PACKAGE_FILES}, REFEREE_NAMES)
     assert homes == {name: [REFEREE_HOME] for name in REFEREE_NAMES}
+
+
+# Production holds no Givens angle: its frames act through compound matrices
+# of their orbital frames, and only the referees decompose them.
+GIVENS_WORK = frozenset({"decompose", "reconstruct", "rotate_rows", "GivensFabric"})
+
+
+def givens_imports(source: str) -> list[str]:
+    """The names source imports from the package's ``givens``, by ``from``
+    import or as an attribute of an imported ``givens`` module."""
+    tree = parse(source)
+    aliases, found = set(), set()
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.ImportFrom):
+            continue
+        if node.level == 0 and not (node.module or "").startswith("xdfrelax"):
+            continue  # an import from another package
+        origin = (node.module or "").removeprefix("xdfrelax").lstrip(".")
+        for alias in node.names:
+            if origin == "givens":
+                found.add(alias.name)
+            elif not origin and alias.name == "givens":
+                aliases.add(alias.asname or alias.name)
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                and node.value.id in aliases):
+            found.add(node.attr)
+    return sorted(found)
+
+
+def test_finder_flags_givens_imports():
+    source = ("from .givens import decompose as dec, brickwork\nfrom . import givens as g\n"
+              "g.rotate_rows(u, 0, 1, c, s)\nfrom xdfrelax.givens import GivensFabric\n"
+              "from numpy.givens import reconstruct\n")
+    assert givens_imports(source) == ["GivensFabric", "brickwork", "decompose", "rotate_rows"]
+    assert givens_imports("from . import qsim\nqsim.Frames(u, 1, 1, d)\n") == []
+
+
+@pytest.mark.parametrize("module", PRODUCTION)
+def test_production_does_no_givens_work(module):
+    assert sorted(GIVENS_WORK.intersection(givens_imports(read(PACKAGE / f"{module}.py")))) == []
 
 
 def kernel_uses(source: str) -> list[str]:

@@ -3,8 +3,10 @@ from math import comb
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from xdfrelax import givens, lagrange, qsim, vqe
+from xdfrelax import givens, lagrange, qsim, verify, vqe
 from xdfrelax.hammodel import Hamiltonian, synth_hamiltonian
 from xdfrelax.qsim import (
     Statevector,
@@ -17,28 +19,28 @@ from xdfrelax.xdf import TruncationPolicy, factorize
 
 from _common import (
     FILLING_CASES,
+    GAUGE_FABRIC_ANGLES,
+    GAUGE_PERMUTATION,
     KERNEL_CASES,
     bare,
     eight_fold,
     electron_counts,
-    fabric_frame,
     frame_densities,
     frame_fabrics,
     frame_subset,
     from_full,
-    identity_fabric,
     loop_apply_hamiltonian,
+    orbital_frame,
     random_sector_state,
     random_special_orthogonal,
     ref_apply_fabric,
     ref_apply_hamiltonian,
     ref_densities,
-    ref_fabric_operator,
+    ref_fabric_operators,
     ref_pair_exchange,
     ref_rotate_pair,
     rotate_pair,
     rotate_state,
-    stack_fabrics,
     stack_measure,
     symmetrize,
     table_gate,
@@ -72,7 +74,7 @@ def test_hf_reference_rejects_overflow():
 
 def test_identity_fabric_leaves_state_unchanged():
     state = hf_reference(3, 2, 1)
-    frame = fabric_frame(identity_fabric(3), state)
+    frame = orbital_frame(np.eye(3), state)
     np.testing.assert_array_equal(frame.M_alpha[0], np.eye(3))
     np.testing.assert_array_equal(frame.M_beta[0], np.eye(3))
     out = rotate_state(state, frame)
@@ -85,8 +87,8 @@ def test_single_particle_transformation_law():
     amps = np.zeros(4 ** n)
     amps[0b01] = 1.0  # one alpha electron in orbital 0
     state = from_full(amps, n)
-    out = rotate_state(state, fabric_frame(fabric, state)).embed()
     u = givens.reconstruct(fabric)
+    out = rotate_state(state, orbital_frame(u, state)).embed()
     np.testing.assert_allclose([out[0b01], out[0b10]], u[:, 0], atol=1e-14)
 
 
@@ -113,7 +115,7 @@ def test_gates_preserve_norm_and_sector(seed):
 
 def test_omega0_on_hf_reference():
     state = hf_reference(2, 1, 1)
-    np.testing.assert_allclose(frame_densities(state, [identity_fabric(2)]).omega0,
+    np.testing.assert_allclose(frame_densities(state, [np.eye(2)]).omega0,
                                [1.0, -1.0], atol=1e-15)
 
 
@@ -130,7 +132,7 @@ def test_omega0_rotation_then_inverse():
     fac = factorize(synth_hamiltonian(3, 1, 1, 9), TruncationPolicy.exact())
     state = random_sector_state(fac, 5)
     rotated = rotate_state(rotate_state(state, fac.frames), fac.frames, dagger=True)
-    identity = [identity_fabric(3)]
+    identity = [np.eye(3)]
     np.testing.assert_allclose(frame_densities(rotated, identity).omega0,
                                frame_densities(state, identity).omega0, atol=1e-12)
 
@@ -138,7 +140,7 @@ def test_omega0_rotation_then_inverse():
 def test_omega_leaf_hf_closed_shell_combinatorics():
     # determinant in its own basis: omega_kl = (n_k - 1)(n_l - 1)/2 - delta/4
     state = hf_reference(2, 1, 1)
-    omega, = frame_densities(state, [identity_fabric(2)] * 2).omega
+    omega, = frame_densities(state, [np.eye(2)] * 2).omega
     np.testing.assert_allclose(omega, [[0.25, -0.5], [-0.5, 0.25]], atol=1e-15)
 
 
@@ -213,7 +215,7 @@ def test_shift_rule_zero_for_unsupported_angle():
     fac = factorize(ham, TruncationPolicy.exact())
     state = hf_reference(3, 1, 1)
     # identity fabric here: angles are zero, pivot 1 is slot index 1
-    assert fac.frames.fabric.pivots[1] == 1
+    assert givens.brickwork(3, 3)[1] == 1
     assert abs(denergy_dtheta_shift(state, fac, 0, 1)) < 1e-14
 
 
@@ -222,7 +224,7 @@ def test_shift_rule_every_angle_every_leaf(seed):
     fac = factorize(synth_hamiltonian(3, 2, 1, 4), TruncationPolicy.exact())
     state = random_sector_state(fac, seed + 99)
     sweeps = angle_gradients(state, fac)
-    assert sweeps.shape == fac.frames.fabric.angles.shape
+    assert sweeps.shape == (len(fac.frames.U), 3)
     for k, (fabric, sweep) in enumerate(zip(frame_fabrics(fac.frames), sweeps, strict=True)):
         for g in range(len(fabric.pivots)):
             shift = denergy_dtheta_shift(state, fac, k, g)
@@ -240,17 +242,19 @@ def test_shift_rule_every_angle_every_leaf(seed):
 
 
 def _frame_energy(state, fac, k, fabric):
-    """Energy contribution of frame k measured through the given fabric."""
+    """Energy contribution of frame k measured in the orbital frame of the
+    given fabric."""
+    u = givens.reconstruct(fabric)
     if k == 0:
-        return float(fac.F0 @ frame_densities(state, [fabric]).omega0)
-    omega, = frame_densities(state, [fabric, fabric]).omega
+        return float(fac.F0 @ frame_densities(state, [u]).omega0)
+    omega, = frame_densities(state, [u, u]).omega
     return float(np.sum(fac.Z[k - 1] * omega))
 
 
 def test_shift_rule_rejects_bad_indices():
     fac = factorize(synth_hamiltonian(3, 1, 1, 2), TruncationPolicy.by_count(2))
     state = hf_reference(3, 1, 1)
-    n_frames = len(fac.frames.fabric.angles)
+    n_frames = len(fac.frames.U)
     for f in range(n_frames):
         for g in (-1, 3, 99):
             with pytest.raises(ValueError):
@@ -321,7 +325,7 @@ def _embedded(block: np.ndarray, state: Statevector) -> np.ndarray:
 def test_fabric_matches_reference_kernel(n, na, nb, seed):
     fac = factorize(synth_hamiltonian(n, na, nb, seed), TruncationPolicy.exact())
     state = random_sector_state(fac, seed + 20)
-    custom = fabric_frame(givens.decompose(random_special_orthogonal(n, seed)), state)
+    custom = orbital_frame(random_special_orthogonal(n, seed), state)
     for frames, f in ((fac.frames, 0), (fac.frames, 1), (custom, 0)):
         for dagger in (False, True):
             out = rotate_state(state, frames, f, dagger=dagger)
@@ -332,7 +336,7 @@ def test_fabric_matches_reference_kernel(n, na, nb, seed):
 def test_fabric_matches_reference_kernel_n8():
     fac = factorize(synth_hamiltonian(8, 4, 4, 3), TruncationPolicy.exact())
     state = random_sector_state(fac, 8, n_rounds=1)
-    frame = fabric_frame(givens.decompose(random_special_orthogonal(8, 5)), state)
+    frame = orbital_frame(random_special_orthogonal(8, 5), state)
     for dagger in (False, True):
         out = rotate_state(state, frame, dagger=dagger)
         ref = ref_apply_fabric(state.embed(), 8, frame_fabrics(frame)[0], dagger=dagger)
@@ -505,11 +509,11 @@ def test_angle_gradients_rows_equal_one_frame_calls(n, na, nb, seed):
 
 def _rotated_frame_energy(state, frames, f, u, a, b, t):
     """Energy of frame f of a stack whose orbitals U move to U exp(t (e_a
-    e_b^T - e_b e_a^T)), its fabric rebuilt from scratch."""
+    e_b^T - e_b e_a^T)), its operators built anew."""
     k = np.zeros(u.shape)
     k[a, b], k[b, a] = 1.0, -1.0
-    fabric = givens.decompose(u @ scipy.linalg.expm(t * k))
-    moved = qsim.Frames(stack_fabrics([fabric]), frames.n_alpha, frames.n_beta, frames.D[f:f + 1])
+    moved = qsim.Frames((u @ scipy.linalg.expm(t * k))[None], frames.n_alpha, frames.n_beta,
+                        frames.D[f:f + 1])
     return float(np.sum(moved.D[0] * np.abs(moved.M_beta[0].T @ state.amplitudes
                                             @ moved.M_alpha[0]) ** 2))
 
@@ -599,15 +603,14 @@ def test_kernels_refuse_a_state_of_another_filling():
 def test_frames_follow_the_factorization(policy):
     fac = factorize(synth_hamiltonian(4, 2, 2, 13), policy)
     frames = fac.frames
-    assert frames.fabric.angles.shape == (fac.retained + 1, 6)
+    assert frames.U.shape == (fac.retained + 1, 4, 4)
     assert frames.D.shape == (fac.retained + 1, *qsim.sector_shape(4, 2, 2))
     assert frames.M_alpha.shape == frames.M_beta.shape == (fac.retained + 1, 6, 6)
     # every leaf, retained or not, is a member of the leaf stacks
     assert fac.g.shape == (10,) and fac.lam.shape == (10, 4)
     assert fac.V.shape == fac.U.shape == fac.Z.shape == (10, 4, 4)
-    orbitals = [fac.U0, *fac.U[:fac.retained]]
-    assert np.max(np.abs(givens.reconstruct(frames.fabric) - orbitals)) <= 1e-10
-    for arr in (frames.fabric.angles, frames.M_alpha, frames.M_beta, frames.D, fac.U0, fac.F0,
+    np.testing.assert_array_equal(frames.U, [fac.U0, *fac.U[:fac.retained]])
+    for arr in (frames.U, frames.M_alpha, frames.M_beta, frames.D, fac.U0, fac.F0,
                 fac.g, fac.V, fac.U, fac.lam):
         assert not arr.flags.writeable
         with pytest.raises(ValueError):
@@ -617,30 +620,33 @@ def test_frames_follow_the_factorization(policy):
 
 
 def test_frames_refuse_a_misshapen_energy_operator():
-    fabric = stack_fabrics([identity_fabric(3)] * 2)
+    orbitals = np.tile(np.eye(3), (2, 1, 1))
     # one alpha electron and no beta electron: D is (2, 1, 3)
     for shape in ((2, 3, 1), (1, 1, 3), (3, 1, 3), (2, 3), (2, 3, 3)):
-        with pytest.raises(ValueError, match="D has shape"):
-            qsim.Frames(fabric, 1, 0, np.zeros(shape))
-    assert qsim.Frames(fabric, 1, 0, np.zeros((2, 1, 3)).tolist()).D.shape == (2, 1, 3)
-
-
-def test_frames_refuse_a_one_fabric():
-    with pytest.raises(ValueError, match="stacked fabric"):
-        qsim.Frames(identity_fabric(3), 1, 0, np.zeros((1, 1, 3)))
+        message = rf"D has shape \({shape[0]},.* for U of shape \(2, 3, 3\)"
+        with pytest.raises(ValueError, match=message):
+            qsim.Frames(orbitals, 1, 0, np.zeros(shape))
+    frames = qsim.Frames(orbitals.tolist(), 1, 0, np.zeros((2, 1, 3)).tolist())
+    assert frames.U.shape == (2, 3, 3) and frames.D.shape == (2, 1, 3)
+    # an orbital stack must be (F, N, N); one matrix is not a stack
+    for shape in ((3, 3), (2, 3, 2), (2, 2, 3, 3), (3,)):
+        message = rf"U has shape \({shape[0]},.*D of shape \(1, 1, 3\)"
+        with pytest.raises(ValueError, match=message):
+            qsim.Frames(np.zeros(shape), 1, 0, np.zeros((1, 1, 3)))
 
 
 def test_factorized_operators_do_no_gate_work(monkeypatch):
     fac = factorize(synth_hamiltonian(3, 2, 1, 3), TruncationPolicy.by_count(4))
     state = random_sector_state(fac, 12)
     expected = ref_apply_hamiltonian(state.embed(), fac)
-    omega0 = frame_densities(state, frame_fabrics(fac.frames)[:1]).omega0
+    omega0 = frame_densities(state, fac.frames.U[:1]).omega0
 
     def refuse(*args):
-        raise AssertionError("gate applied after the factorization was built")
+        raise AssertionError("gate applied or operator built after the factorization was built")
 
     monkeypatch.setattr(qsim, "apply_gate", refuse)
-    monkeypatch.setattr(qsim, "rotate_rows", refuse)
+    monkeypatch.setattr(qsim, "_compound_matrices", refuse)
+    monkeypatch.setattr(givens, "rotate_rows", refuse)
     out = _embedded(qsim.apply_hamiltonian(state, fac), state)
     assert np.max(np.abs(out - expected)) <= 1e-12
     np.testing.assert_array_equal(qsim.measure_densities(state, fac).omega0, omega0)
@@ -665,14 +671,77 @@ def test_production_never_embeds(monkeypatch):
 
 @pytest.mark.parametrize("n,na,nb,seed", [*KERNEL_CASES, *FILLING_CASES, (8, 4, 4, 3)])
 def test_stacked_frame_operators_match_per_frame_referee(n, na, nb, seed):
-    # and every member of the stack equals its one-fabric stack, bit for bit
+    # the compound matrices against the fabric sweep they replaced, on the
+    # fabrics of decompose, and against the shift rule's determinant minors;
+    # every member of the stack equals its one-frame stack, bit for bit
     frames = factorize(synth_hamiltonian(n, na, nb, seed), TruncationPolicy.exact()).frames
-    for f, fabric in enumerate(frame_fabrics(frames)):
-        np.testing.assert_array_equal(frames.M_alpha[f], ref_fabric_operator(fabric, na))
-        np.testing.assert_array_equal(frames.M_beta[f], ref_fabric_operator(fabric, nb))
+    angles = givens.decompose(frames.U).angles
+    for filling, ops in ((na, frames.M_alpha), (nb, frames.M_beta)):
+        assert np.max(np.abs(ops - ref_fabric_operators(n, angles, filling))) <= 1e-14
+    for f, u in enumerate(frames.U):
+        minors = verify._spin_operator(u)
+        for filling, op in ((na, frames.M_alpha[f]), (nb, frames.M_beta[f])):
+            strings = qsim.sector_strings(n, filling)
+            assert np.max(np.abs(op - minors[np.ix_(strings, strings)])) <= 1e-14
         one = frame_subset(frames, [f])
         for name in ("M_alpha", "M_beta", "D"):
             assert getattr(one, name)[0].tobytes() == getattr(frames, name)[f].tobytes()
+
+
+# Property: on any orthogonal n <= 8 matrix, det -1 and signed permutations
+# included, and at every filling, the frame operators are compound matrices:
+# orthogonal, multiplicative (Cauchy-Binet, C(AB) = C(A) C(B)), the
+# identity's is the identity and a signed permutation's a signed permutation.
+# The examples add the signed permutation at which decompose alternates
+# between gauges, and the frames of two of those gauges.
+
+
+def _compound(u: np.ndarray, filling: int) -> np.ndarray:
+    """The filling-th compound matrix of one orbital matrix, read off a
+    one-member frame stack as its alpha operator."""
+    n = len(u)
+    return qsim.Frames(u[None], filling, 0, np.zeros((1, 1, comb(n, filling)))).M_alpha[0]
+
+
+@st.composite
+def _orthogonal(draw, n):
+    """An orthogonal n x n matrix, and whether it is a signed permutation."""
+    if draw(st.booleans()):
+        perm = draw(st.permutations(range(n)))
+        signs = draw(st.lists(st.sampled_from([1.0, -1.0]), min_size=n, max_size=n))
+        return np.eye(n)[list(perm)] * np.array(signs), True
+    u = random_special_orthogonal(n, draw(st.integers(0, 2**31 - 1)))
+    if draw(st.booleans()):
+        u[:, 0] = -u[:, 0]  # det -1
+    return u, False
+
+
+@st.composite
+def _orthogonal_pairs(draw):
+    n = draw(st.integers(1, 8))
+    return draw(_orthogonal(n)), draw(_orthogonal(n))
+
+
+_GAUGE_FRAMES = givens.reconstruct(givens.GivensFabric(4, GAUGE_FABRIC_ANGLES))
+
+
+@settings(max_examples=60, derandomize=True, database=None, deadline=None)
+@given(_orthogonal_pairs())
+@example(((GAUGE_PERMUTATION, True), (_GAUGE_FRAMES[0], False)))
+@example(((_GAUGE_FRAMES[1], False), (GAUGE_PERMUTATION.T, True)))
+def test_compound_matrix_property(pair):
+    (a, signed), (b, _) = pair
+    n = len(a)
+    for filling in range(n + 1):
+        ca, cb, cab = (_compound(u, filling) for u in (a, b, a @ b))
+        identity = np.eye(len(ca))
+        assert np.max(np.abs(ca.T @ ca - identity)) <= 1e-13
+        assert np.max(np.abs(cab - ca @ cb)) <= 1e-13
+        np.testing.assert_array_equal(_compound(np.eye(n), filling), identity)
+        if signed:
+            assert set(np.unique(ca).tolist()) <= {-1.0, 0.0, 1.0}
+            assert np.all(np.count_nonzero(ca, axis=0) == 1)
+            assert np.all(np.count_nonzero(ca, axis=1) == 1)
 
 
 @pytest.mark.parametrize("n,na,nb,seed", [*KERNEL_CASES, (4, 1, 3, 5), (3, 0, 2, 2)])

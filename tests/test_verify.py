@@ -45,10 +45,10 @@ def test_dense_energy_matches_leaf_energy():
 @pytest.mark.parametrize("n,na,nb,seed", [*KERNEL_CASES, *FILLING_CASES])
 def test_minor_operators_match_the_frame_operators(n, na, nb, seed):
     # the shift rule's per-spin operators, determinant minors of the referee's
-    # own sweep, against production's fabric operators
+    # own sweep on the fabrics of decompose, against production's operators
     fac = factorize(synth_hamiltonian(n, na, nb, seed), TruncationPolicy.exact())
     frames = fac.frames
-    for f, angles in enumerate(frames.fabric.angles):
+    for f, angles in enumerate(givens.decompose(frames.U).angles):
         u = verify._fabric_sweep(n, angles)[0]
         np.testing.assert_allclose(u, givens.reconstruct(givens.GivensFabric(n, angles)),
                                    atol=1e-15)

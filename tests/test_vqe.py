@@ -176,18 +176,39 @@ def test_failed_newton_falls_back_to_lbfgs(monkeypatch, lbfgs_calls):
     reference = optimize(fac, cfg, tol=1e-10)
     lbfgs_calls.clear()
     builds = []
-    real = vqe._inverse_hessian
+    real = vqe._hessian_modes
 
     def zero_first(fac, cfg, x):
         builds.append(x)
-        return np.zeros((x.size, x.size)) if len(builds) == 1 else real(fac, cfg, x)
+        return (np.zeros(x.size), np.eye(x.size)) if len(builds) == 1 else real(fac, cfg, x)
 
-    monkeypatch.setattr(vqe, "_inverse_hessian", zero_first)
+    monkeypatch.setattr(vqe, "_hessian_modes", zero_first)
     result = optimize(fac, cfg, tol=1e-10)
     assert len(builds) >= 2  # the zero Hessian stalled Newton, a fresh one was built
     assert len(lbfgs_calls) == cfg.n_layers + 1  # the fallback ran
     assert result.converged
     assert abs(result.energy - reference.energy) <= 1e-12
+
+
+@pytest.mark.parametrize("noise_rcond", [vqe.NOISE_RCOND, vqe.GAUGE_RCOND])
+def test_newton_steps_along_a_soft_mode(monkeypatch, noise_rcond):
+    # a quadratic whose last gradient lies along a mode of curvature 2e-7 of
+    # the largest: the gauge-free step drops it, and only the retry with every
+    # mode above the noise lowers it; without the retry Newton stalls there
+    curvature = np.diag([18.0, 1.0, 4e-6])
+
+    def quadratic(fac, cfg, params):
+        grad = params @ curvature
+        return 0.5 * np.sum(grad * params, axis=-1), grad
+
+    fac = factorize(synth_hamiltonian(3, 1, 1, 2), TruncationPolicy.exact())
+    monkeypatch.setattr(vqe, "_energy_and_gradient", quadratic)
+    monkeypatch.setattr(vqe, "NOISE_RCOND", noise_rcond)
+    x, _, grad, _, _ = vqe._newton_polish(fac, None, np.array([0.01, 0.01, 1e-4]), 1e-11, 20)
+    if noise_rcond == vqe.GAUGE_RCOND:
+        assert abs(grad[2] - 4e-10) <= 1e-15  # the soft component, untouched
+    else:
+        assert np.max(np.abs(grad)) <= 1e-11 and np.max(np.abs(x)) <= 1e-9
 
 
 @pytest.mark.parametrize("scale", [-1.0, 0.0])
@@ -382,7 +403,8 @@ def test_inverse_hessian_matches_sequential_referee(monkeypatch, n, na, nb, seed
     fac = factorize(synth_hamiltonian(n, na, nb, seed), TruncationPolicy.exact())
     cfg = AnsatzConfig(2)
     x = np.random.default_rng(seed).uniform(-1.5, 1.5, n_parameters(n, cfg))
-    np.testing.assert_array_equal(vqe._inverse_hessian(fac, cfg, x),
+    np.testing.assert_array_equal(vqe._pseudo_inverse(vqe._hessian_modes(fac, cfg, x),
+                                                      vqe.GAUGE_RCOND),
                                   ref_inverse_hessian(fac, cfg, x))
 
 

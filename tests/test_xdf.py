@@ -1,9 +1,10 @@
+import sys
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from xdfrelax import hammodel, verify
+from xdfrelax import givens, hammodel, lagrange, verify, vqe
 from xdfrelax.hammodel import Hamiltonian, synth_hamiltonian
 from xdfrelax.xdf import (
     TruncationPolicy,
@@ -11,7 +12,12 @@ from xdfrelax.xdf import (
     reconstruct_eri,
 )
 
-from _common import random_sector_state
+from _common import (
+    REGIME_LAYERS_SMALL,
+    REGIME_TRUNCATED_COUNT,
+    random_sector_state,
+    regime_fixture,
+)
 
 
 def test_policy_validation():
@@ -147,3 +153,28 @@ def test_stacked_leaf_frames_match_per_leaf_loop(n, seed):
         assert u.tobytes() == stored.tobytes()
     for v, lam in zip(fac.V, fac.lam, strict=True):
         assert np.linalg.eigh(v)[0].tobytes() == lam.tobytes()
+
+
+def test_factorization_does_no_givens_work(monkeypatch):
+    # production compiles no frame into angles and sweeps no fabric: every
+    # binding of these givens functions in the package raises
+    def refuse(*args, **kwargs):
+        raise AssertionError("Givens decomposition or sweep in production")
+
+    modules = [module for name, module in sorted(sys.modules.items())
+               if module is not None and name.partition(".")[0] == "xdfrelax"]
+    for name in ("decompose", "reconstruct", "rotate_rows"):
+        original = getattr(givens, name)
+        for module in modules:
+            for key, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, key, refuse)
+    cfg = vqe.AnsatzConfig(REGIME_LAYERS_SMALL, seed=3)
+    for policy in (TruncationPolicy.exact(), TruncationPolicy.by_count(REGIME_TRUNCATED_COUNT)):
+        fac = factorize(regime_fixture(), policy)
+        result = vqe.optimize(fac, cfg, tol=1e-8)
+        state = vqe.prepare_state(fac, cfg, result.params)
+        rdms, _ = lagrange.reconstruct_rdms(fac, state, stationarity_grad=result.grad_norm)
+        assert result.converged and rdms.gamma_sym.shape == (4, 4)
+    with pytest.raises(AssertionError, match="in production"):
+        givens.decompose(np.eye(4))
