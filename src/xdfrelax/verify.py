@@ -6,12 +6,13 @@ pipelines, and symplectic dynamics act as external referees for the analytic
 derivative chain. No production module imports this one.
 
 The paper's angle route is here too, on the referees' own rotations.
-Production holds no angle, so both angle referees compile the frames'
-orbital matrices into fabrics themselves (``givens.decompose``). One plain
-plane-rotation sweep per fabric (``_fabric_sweep``) gives ``jacobian`` and
-the chain rule of ``angle_gradients`` from production's orbital-rotation
-gradients, and the shift rule ``denergy_dtheta_shift`` takes its per-spin
-operators from determinant minors. No gate or fabric kernel is used here.
+Production holds no angle, so both angle referees compile each frame's
+orbital matrix into its fabric themselves, one ``givens.decompose`` call
+per frame. One plain plane-rotation sweep per fabric (``_fabric_sweep``)
+gives ``jacobian`` and the chain rule of ``angle_gradients`` from
+production's orbital-rotation gradients, and the shift rule
+``denergy_dtheta_shift`` takes its per-spin operators from determinant
+minors. No gate kernel and no ``givens.reconstruct`` is used here.
 """
 
 from __future__ import annotations
@@ -196,9 +197,7 @@ def _fabric_sweep(n: int, angles: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def jacobian(fabric: GivensFabric) -> np.ndarray:
     """Angle derivatives of one fabric's matrix's strictly-lower triangle:
     entry [g, c] is the derivative of entry c of ``lower_indices(N)`` by
-    angle g, a K x K matrix. Refuses a stacked fabric."""
-    if fabric.angles.ndim != 1:
-        raise ValueError("a Jacobian takes one fabric, not a stack")
+    angle g, a K x K matrix."""
     u, x = _fabric_sweep(fabric.n, fabric.angles)
     rows, cols = lower_indices(fabric.n)
     return (u @ x)[:, rows, cols]
@@ -211,12 +210,12 @@ def angle_gradients(state: qsim.Statevector, fac: XDFFactorization) -> np.ndarra
     (``qsim.measure_densities``) by the chain rule: dE/dtheta_g = sum over a
     > b of G[a, b] (U^T dU/dtheta_g)[a, b], each frame on its own
     ``_fabric_sweep``."""
-    fabric = decompose(fac.frames.U)
-    rows, cols = lower_indices(fabric.n)
-    grad = np.empty(fabric.angles.shape)
-    for f, g_ab in enumerate(qsim.measure_densities(state, fac).gradients):
-        grad[f] = _fabric_sweep(fabric.n, fabric.angles[f])[1][:, rows, cols] @ g_ab
-    return grad
+    n = fac.frames.U.shape[1]
+    rows, cols = lower_indices(n)
+    return np.array([_fabric_sweep(n, decompose(u).angles)[1][:, rows, cols] @ g_ab
+                     for u, g_ab in zip(fac.frames.U,
+                                        qsim.measure_densities(state, fac).gradients,
+                                        strict=True)])
 
 
 def _spin_operator(u: np.ndarray) -> np.ndarray:

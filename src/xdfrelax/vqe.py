@@ -31,10 +31,16 @@ __all__ = [
 
 @dataclass(frozen=True)
 class AnsatzConfig:
-    """Brickwork layer count and the seed for the random starting point."""
+    """Brickwork layer count and the seed for the random starting point. Zero
+    layers is the parameterless ansatz, the reference state; a negative
+    count is refused."""
 
     n_layers: int
     seed: int = 0
+
+    def __post_init__(self):
+        if self.n_layers < 0:
+            raise ValueError(f"n_layers must be >= 0, got {self.n_layers}")
 
 
 @dataclass(frozen=True, eq=False)

@@ -61,6 +61,9 @@ GAUGE_PERMUTATION = np.array([[1, 0, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0], [0, -1, 
                              dtype=float)
 GAUGE_FABRIC_ANGLES = np.pi * np.array([[0, -0.5, -0.5, 0, 0.5, 0],
                                         [0, 0.25, 0.5, 0, -0.5, -0.25]])
+# the frames those two fabrics reconstruct, which differ only by roundoff
+GAUGE_FRAMES = np.array([givens.reconstruct(givens.GivensFabric(4, angles))
+                         for angles in GAUGE_FABRIC_ANGLES])
 
 
 def electron_counts(amps: np.ndarray, n: int) -> tuple[int, int]:
@@ -85,9 +88,8 @@ def from_full(amps: np.ndarray, n: int) -> qsim.Statevector:
 
 def frame_fabrics(frames: qsim.Frames) -> list[givens.GivensFabric]:
     """The fabric of every member of a frame stack, ``givens.decompose`` of
-    its orbital frame, one one-fabric per frame."""
-    stacked = givens.decompose(frames.U)
-    return [givens.GivensFabric(stacked.n, row) for row in stacked.angles]
+    its orbital frame."""
+    return [givens.decompose(u) for u in frames.U]
 
 
 def orbital_frame(u: np.ndarray, state: qsim.Statevector) -> qsim.Frames:
@@ -166,9 +168,8 @@ def table_gate(x: np.ndarray, table: qsim.GateTable, k: int, theta) -> np.ndarra
     return qsim.apply_gate(x, table, k, scale[..., k, :], shift[..., k, :])
 
 
-# Referees of the stacked fabric algebra in ``givens``: the per-matrix
-# elimination, sign absorption and branch reduction that the stacked pass
-# replaced, one matrix and one gate at a time.
+# Referee of ``givens.reconstruct``: the gates applied one at a time to the
+# rows of the identity.
 
 def _ref_rotate_rows(u: np.ndarray, m: int, theta: float) -> None:
     """Left-multiply u in place by the pivot (m, m+1) rotation at theta."""
@@ -185,112 +186,18 @@ def ref_reconstruct(n: int, angles: np.ndarray) -> np.ndarray:
     return u
 
 
-def _ref_wrap_angle(theta: float) -> float:
-    wrapped = (theta + np.pi) % (2.0 * np.pi) - np.pi
-    if wrapped <= -np.pi + 1e-15:
-        wrapped = np.pi
-    return wrapped
-
-
-def ref_decompose(u: np.ndarray) -> np.ndarray:
-    """Rectangle-fabric angles of one special orthogonal matrix, gate by gate."""
-    u = np.asarray(u, dtype=float)
-    n = u.shape[0]
-    if np.max(np.abs(u.T @ u - np.eye(n))) > givens.ORTHOGONALITY_TOL:
-        raise ValueError("input is not orthogonal within tolerance")
-    if abs(np.linalg.det(u) - 1.0) > givens.ORTHOGONALITY_TOL:
-        raise ValueError("input has det != +1; sign-fix a column first")
-    if n == 1:
-        return np.zeros(0)
-
-    work = u.copy()
-    right_ops, left_ops = [], []
-    for i in range(1, n):
-        if i % 2 == 1:
-            for j in range(i):
-                row, col = n - 1 - j, i - 1 - j
-                theta = np.arctan2(-work[row, col], work[row, col + 1])
-                _ref_rotate_rows(work.T, col, -theta)
-                right_ops.append((col, theta))
-        else:
-            for j in range(1, i + 1):
-                row, col = n - 1 + j - i, j - 1
-                m = row - 1
-                theta = np.arctan2(-work[row, col], work[m, col])
-                _ref_rotate_rows(work, m, theta)
-                left_ops.append((m, theta))
-    signs = np.where(np.diagonal(work) > 0, 1, -1)
-
-    factors = [(m, -theta * signs[m] * signs[m + 1]) for m, theta in left_ops]
-    factors += [(m, -theta) for m, theta in reversed(right_ops)]
-    s = signs.copy()
-    flips = []
-    p = 0
-    while p < n - 1:
-        if s[p] < 0:
-            flips.append(p)
-            s[p] = -s[p]
-            s[p + 1] = -s[p + 1]
-        else:
-            p += 1
-    for m in flips:
-        for idx, (piv, ang) in enumerate(factors):
-            if piv == m:
-                factors[idx] = (piv, ang + np.pi)
-                break
-            if abs(piv - m) == 1:
-                factors[idx] = (piv, -ang)
-
-    applied = list(reversed(factors))
-    canonical = givens.brickwork(n, n)
-    angles = np.zeros(len(canonical))
-    for slot, m in enumerate(canonical):
-        idx = next(i for i, (piv, _) in enumerate(applied) if piv == m)
-        angles[slot] = _ref_wrap_angle(applied.pop(idx)[1])
-    return _ref_reduce_branch(canonical, angles)
-
-
-def _ref_reduce_branch(pivots, angles: np.ndarray) -> np.ndarray:
-    """Gauge away pi-shifted angle pairs per pivot chain, preferring angles
-    near zero."""
-    angles = np.array([_ref_wrap_angle(t) for t in angles])
-
-    def magnitude_gain(t: float) -> float:
-        return abs(_ref_wrap_angle(t)) - abs(_ref_wrap_angle(t + np.pi))
-
-    for m in sorted(set(pivots)):
-        chain = [g for g, p in enumerate(pivots) if p == m]
-        gains = [magnitude_gain(angles[g]) for g in chain]
-        chosen = [i for i, b in enumerate(gains) if b > 1e-12]
-        if len(chosen) % 2 == 1:
-            rest = [i for i in range(len(chain)) if i not in chosen]
-            drop_cost = min(gains[i] for i in chosen)
-            add_cost = -max(gains[i] for i in rest) if rest else np.inf
-            if add_cost < drop_cost:
-                chosen.append(max(rest, key=lambda i: gains[i]))
-            else:
-                chosen.remove(min(chosen, key=lambda i: gains[i]))
-        chosen.sort()
-        for a, b in zip(chosen[::2], chosen[1::2]):
-            g, g2 = chain[a], chain[b]
-            angles[g] = _ref_wrap_angle(angles[g] + np.pi)
-            angles[g2] = _ref_wrap_angle(angles[g2] + np.pi)
-            for h in range(g + 1, g2):
-                if abs(pivots[h] - m) == 1:
-                    angles[h] = -angles[h]
-    return angles
-
-
 def ref_fabric_operators(n: int, angles: np.ndarray, filling: int) -> np.ndarray:
     """Operators of n-orbital fabrics at the (B, K) ``angles`` on the strings
     of one spin filling, first gate rightmost: one sweep rotates the rows
-    ``pair_rows`` of B identities by each gate in turn, one angle per fabric
-    (``rotate_rows``). Returns (B, d, d). The fabric sweep that built the
-    frame operators before their compound matrices, kept verbatim."""
+    ``pair_rows`` of B identities by each gate in turn, one angle per fabric.
+    Returns (B, d, d). The fabric sweep that built the frame operators
+    before their compound matrices."""
     c, s = np.cos(angles)[:, :, None, None], np.sin(angles)[:, :, None, None]
     ops = np.tile(np.eye(comb(n, filling)), (len(angles), 1, 1))
     for g, m in enumerate(givens.brickwork(n, n)):
-        givens.rotate_rows(ops, *qsim.pair_rows(n, filling, m), c[:, g], s[:, g])
+        a, b = qsim.pair_rows(n, filling, m)
+        ops[:, a], ops[:, b] = (c[:, g] * ops[:, a] - s[:, g] * ops[:, b],
+                                s[:, g] * ops[:, a] + c[:, g] * ops[:, b])
     return ops
 
 

@@ -20,7 +20,6 @@ from _common import (
     identity_fabric,
     pinv_solve,
     random_special_orthogonal,
-    ref_decompose,
     ref_reconstruct,
 )
 
@@ -95,7 +94,7 @@ def test_decompose_rejects_bad_inputs():
         decompose(refl)
 
 
-@pytest.mark.parametrize("shape", [(3,), (2, 3), (3, 2), (2, 3, 4), (1, 2, 2, 2)])
+@pytest.mark.parametrize("shape", [(3,), (2, 3), (3, 2), (2, 3, 4), (1, 2, 2, 2), (2, 3, 3)])
 def test_decompose_refuses_non_square_input(shape):
     with pytest.raises(ValueError, match="^input must be square$"):
         decompose(np.zeros(shape))
@@ -130,11 +129,6 @@ def test_jacobian_matches_finite_differences(n):
               - reconstruct(GivensFabric(n, minus))) / (2 * step)
         fd = du[np.tril_indices(n, -1)]
         assert np.max(np.abs(fd - jac[g])) < 1e-7
-
-
-def test_jacobian_takes_one_fabric():
-    with pytest.raises(ValueError, match="one fabric, not a stack"):
-        jacobian(GivensFabric(3, np.zeros((2, 3))))
 
 
 # the minimum-norm solve of the angle-route referee in _common
@@ -178,60 +172,36 @@ def test_pivots_and_lower_indices_are_cached_read_only():
     assert GivensFabric(6, np.zeros(15)).pivots is brickwork(6, 6)
 
 
-# The stacked pass against the per-matrix referees of tests/_common.py:
-# angles and products must agree bit for bit.
-
-
-def _fixture_frames(n, na, nb, seed):
-    fac = factorize(synth_hamiltonian(n, na, nb, seed), TruncationPolicy.exact())
-    return np.concatenate([fac.U0[None], fac.U])
-
-
-def _assert_matches_referee(stack):
-    fabric = decompose(stack)
-    n = stack.shape[1]
-    k = n * (n - 1) // 2
-    assert fabric.n == n and fabric.angles.shape == (len(stack), k)
-    products = reconstruct(fabric)
-    assert products.shape == stack.shape
-    for u, angles, product in zip(stack, fabric.angles, products, strict=True):
-        expected = ref_decompose(u)
-        one = decompose(u)
-        assert one.angles.shape == (k,)
-        assert angles.tobytes() == expected.tobytes() == one.angles.tobytes()
-        assert reconstruct(one).tobytes() == product.tobytes()
+# One matrix, one fabric: the frames of real factorizations round-trip.
 
 
 @pytest.mark.parametrize("n,na,nb,seed", [*KERNEL_CASES, (8, 4, 4, 3)])
-def test_stacked_decompose_matches_referee_on_fixture_frames(n, na, nb, seed):
-    _assert_matches_referee(_fixture_frames(n, na, nb, seed))
-
-
-@pytest.mark.parametrize("n", range(1, 9))
-def test_stacked_decompose_matches_referee_on_random_rotations(n):
-    _assert_matches_referee(np.array([random_special_orthogonal(n, seed)
-                                      for seed in range(12)]))
-
-
-def test_empty_stack_gives_no_fabrics():
-    fabric = decompose(np.zeros((0, 4, 4)))
-    assert fabric.n == 4 and fabric.angles.shape == (0, 6)
-    assert reconstruct(fabric).shape == (0, 4, 4)
+def test_fixture_frames_round_trip(n, na, nb, seed):
+    fac = factorize(synth_hamiltonian(n, na, nb, seed), TruncationPolicy.exact())
+    for u in fac.frames.U:
+        fabric = decompose(u)
+        assert fabric.n == n and fabric.angles.shape == (n * (n - 1) // 2,)
+        assert np.max(np.abs(reconstruct(fabric) - u)) <= ORTHOGONALITY_TOL
 
 
 def test_one_orbital_gives_the_identity_fabric():
     fabric = decompose(np.eye(1))
     assert fabric.n == 1 and fabric.angles.shape == (0,)
-    stacked = decompose(np.ones((3, 1, 1)))
-    assert stacked.angles.shape == (3, 0)
     assert jacobian(fabric).shape == (0, 0)
     np.testing.assert_array_equal(reconstruct(fabric), np.eye(1))
-    np.testing.assert_array_equal(reconstruct(stacked), np.ones((3, 1, 1)))
 
 
-@pytest.mark.parametrize("angles", [0.0, np.zeros((2, 3, 6)), np.zeros(5), np.zeros((2, 7))])
+def test_negated_pi_stays_pi():
+    # signed zeros steer arctan2 to an angle of pi that the branch reduction
+    # negates; the fabric keeps it in (-pi, pi]
+    u = np.array([[1.0, -0.0, -0.0], [0.0, -1.0, -0.0], [0.0, -0.0, -1.0]])
+    np.testing.assert_array_equal(decompose(u).angles, [0.0, np.pi, 0.0])
+
+
+@pytest.mark.parametrize("angles", [0.0, np.zeros((2, 3, 6)), np.zeros(5), np.zeros((2, 7)),
+                                    np.zeros((2, 6))])
 def test_fabric_refuses_angles_of_other_shapes(angles):
-    with pytest.raises(ValueError, match=r"expected \(6,\) or \(B, 6\)"):
+    with pytest.raises(ValueError, match=r"expected \(6,\): one fabric, not a stack"):
         GivensFabric(4, angles)
 
 
@@ -239,25 +209,21 @@ def test_fabric_refuses_angles_of_other_shapes(angles):
     (np.diag([1.0, 1.0, 1.1]), "input is not orthogonal within tolerance"),
     (np.diag([1.0, 1.0, -1.0]), "input has det != +1; sign-fix a column first"),
 ])
-def test_stack_names_its_bad_member(bad, message):
-    with pytest.raises(ValueError) as single:
+def test_decompose_refusal_messages(bad, message):
+    with pytest.raises(ValueError) as refused:
         decompose(bad)
-    assert str(single.value) == message
-    stack = np.array([random_special_orthogonal(3, 0), random_special_orthogonal(3, 1), bad])
-    with pytest.raises(ValueError) as stacked:
-        decompose(stack)
-    assert str(stacked.value) == f"stack member 2: {message}"
+    assert str(refused.value) == message
 
 
 # Property: on any n <= 8 and angles that include exact zeros, +-pi/2, +-pi
 # and values within 1e-12 of +-pi, and on signed permutation matrices of
-# det +1 (which take the pi-absorption path), the stacked decomposition
-# reproduces its input, agrees with the per-matrix referee bit for bit, and
-# decompose o reconstruct o decompose is idempotent wherever the fabric is a
-# regular point of the angle map (a well-conditioned Jacobian). At singular
-# points, such as signed permutations, a continuum of fabrics gives one
-# matrix: arctan2 of two roundoff-sized entries picks among them, and round
-# trips need not settle.
+# det +1 (which take the pi-absorption path), decompose reproduces its
+# input, keeps every angle in (-pi, pi], and decompose o reconstruct o
+# decompose is idempotent wherever the fabric is a regular point of the
+# angle map (a well-conditioned Jacobian); the Jacobian matches a central
+# difference of reconstruct everywhere. At singular points, such as signed
+# permutations, a continuum of fabrics gives one matrix: arctan2 of two
+# roundoff-sized entries picks among them, and round trips need not settle.
 
 EDGE_ANGLES = [0.0, -0.0, np.pi / 2, -np.pi / 2, np.pi, -np.pi,
                np.pi - 1e-12, -np.pi + 1e-12, np.nextafter(np.pi, 0.0),
@@ -265,6 +231,7 @@ EDGE_ANGLES = [0.0, -0.0, np.pi / 2, -np.pi / 2, np.pi, -np.pi,
 ANGLES = st.one_of(st.sampled_from(EDGE_ANGLES),
                    st.floats(np.pi - 1e-12, np.pi), st.floats(-np.pi, -np.pi + 1e-12),
                    st.floats(-np.pi, np.pi, allow_nan=False))
+FD_STEP = 1e-5
 
 
 @st.composite
@@ -278,15 +245,12 @@ def signed_permutation(draw, n):
 
 
 @st.composite
-def rotation_stacks(draw):
+def rotations(draw):
     n = draw(st.integers(1, 8))
     size = n * (n - 1) // 2
-    members = draw(st.lists(
-        st.one_of(st.lists(ANGLES, min_size=size, max_size=size)
-                  .map(lambda angles: ref_reconstruct(n, np.array(angles))),
-                  signed_permutation(n)),
-        min_size=1, max_size=4))
-    return np.array(members).reshape(-1, n, n)
+    return draw(st.one_of(st.lists(ANGLES, min_size=size, max_size=size)
+                          .map(lambda angles: ref_reconstruct(n, np.array(angles))),
+                          signed_permutation(n)))
 
 
 def _wrapped_gap(a: np.ndarray, b: np.ndarray) -> float:
@@ -294,17 +258,27 @@ def _wrapped_gap(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.max(np.minimum(gap, 2.0 * np.pi - gap), initial=0.0))
 
 
+def _central_difference(fabric: GivensFabric, g: int) -> np.ndarray:
+    """Lower triangle of d reconstruct / d angle g by a central difference."""
+    plus, minus = fabric.angles.copy(), fabric.angles.copy()
+    plus[g] += FD_STEP
+    minus[g] -= FD_STEP
+    du = (reconstruct(GivensFabric(fabric.n, plus))
+          - reconstruct(GivensFabric(fabric.n, minus))) / (2 * FD_STEP)
+    return du[lower_indices(fabric.n)]
+
+
 @settings(max_examples=80, derandomize=True, database=None, deadline=None)
-@given(rotation_stacks())
-def test_decompose_property(stack):
-    fabric = decompose(stack)
+@given(rotations())
+def test_decompose_property(u):
+    fabric = decompose(u)
     rebuilt = reconstruct(fabric)
-    assert np.max(np.abs(rebuilt - stack), initial=0.0) <= ORTHOGONALITY_TOL
-    for u, angles in zip(stack, fabric.angles, strict=True):
-        assert angles.tobytes() == ref_decompose(u).tobytes()
+    assert np.max(np.abs(rebuilt - u)) <= ORTHOGONALITY_TOL
+    assert np.all((-np.pi < fabric.angles) & (fabric.angles <= np.pi))
+    jac = jacobian(fabric)
+    for g in range(len(fabric.pivots)):
+        assert np.max(np.abs(_central_difference(fabric, g) - jac[g])) < 1e-7
     once = decompose(rebuilt)
-    twice = decompose(reconstruct(once))
-    for angles, again in zip(once.angles, twice.angles, strict=True):
-        jac = jacobian(GivensFabric(once.n, angles))
-        if not jac.size or np.linalg.cond(jac) < 1e6:
-            assert _wrapped_gap(angles, again) <= 1e-9
+    jac = jacobian(once)
+    if not jac.size or np.linalg.cond(jac) < 1e6:
+        assert _wrapped_gap(once.angles, decompose(reconstruct(once)).angles) <= 1e-9

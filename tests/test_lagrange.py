@@ -15,7 +15,7 @@ from xdfrelax.xdf import TruncationPolicy, factorize
 
 from _common import (
     FILLING_CASES,
-    GAUGE_FABRIC_ANGLES,
+    GAUGE_FRAMES,
     GAUGE_PERMUTATION,
     KERNEL_CASES,
     SINGULAR_CHART_CASES,
@@ -237,10 +237,9 @@ def test_gauge_distinct_fabrics_give_one_frame():
     # decompose alternates between these fabrics of one signed permutation;
     # frame operators, and so every result, depend on U alone, and the
     # frames the two fabrics reconstruct differ only by roundoff
-    fabric = givens.GivensFabric(4, GAUGE_FABRIC_ANGLES)
-    assert np.max(np.abs(givens.reconstruct(fabric) - GAUGE_PERMUTATION)) < 1e-15
+    assert np.max(np.abs(GAUGE_FRAMES - GAUGE_PERMUTATION)) < 1e-15
     for na, nb in ((2, 2), (1, 3)):
-        frames = qsim.Frames(givens.reconstruct(fabric), na, nb,
+        frames = qsim.Frames(GAUGE_FRAMES, na, nb,
                              np.zeros((2, *qsim.sector_shape(4, na, nb))))
         assert np.max(np.abs(frames.M_alpha[0] - frames.M_alpha[1])) < 1e-14
         assert np.max(np.abs(frames.M_beta[0] - frames.M_beta[1])) < 1e-14

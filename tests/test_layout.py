@@ -475,7 +475,7 @@ REFEREE_NAMES = (
 )
 # the kernels production runs its gates and fabrics on; a referee that used
 # one would move with the code it checks
-KERNELS = frozenset({"rotate_rows", "reconstruct", "apply_gate", "GateTable", "ansatz_table",
+KERNELS = frozenset({"reconstruct", "apply_gate", "GateTable", "ansatz_table",
                      "pair_rows", "pair_exchange_rows", "rotation_generators"})
 # perfbench builds its inputs with these; no package module calls them
 FIXTURE_GENERATORS = ("synth_hamiltonian", "write_fcidump")
@@ -545,7 +545,7 @@ def test_referees_are_defined():
 
 # Production holds no Givens angle: its frames act through compound matrices
 # of their orbital frames, and only the referees decompose them.
-GIVENS_WORK = frozenset({"decompose", "reconstruct", "rotate_rows", "GivensFabric"})
+GIVENS_WORK = frozenset({"decompose", "reconstruct", "GivensFabric"})
 
 
 def givens_imports(source: str) -> list[str]:
@@ -573,9 +573,9 @@ def givens_imports(source: str) -> list[str]:
 
 def test_finder_flags_givens_imports():
     source = ("from .givens import decompose as dec, brickwork\nfrom . import givens as g\n"
-              "g.rotate_rows(u, 0, 1, c, s)\nfrom xdfrelax.givens import GivensFabric\n"
-              "from numpy.givens import reconstruct\n")
-    assert givens_imports(source) == ["GivensFabric", "brickwork", "decompose", "rotate_rows"]
+              "g.reconstruct(fabric)\nfrom xdfrelax.givens import GivensFabric\n"
+              "from numpy.givens import lower_indices\n")
+    assert givens_imports(source) == ["GivensFabric", "brickwork", "decompose", "reconstruct"]
     assert givens_imports("from . import qsim\nqsim.Frames(u, 1, 1, d)\n") == []
 
 
@@ -592,10 +592,10 @@ def kernel_uses(source: str) -> list[str]:
 
 
 def test_finder_flags_kernel_uses():
-    source = ("from .givens import rotate_rows as rows, brickwork\nfrom . import qsim\n"
+    source = ("from .givens import reconstruct as rebuild, brickwork\nfrom . import qsim\n"
               "qsim.pair_rows(3, 1, 0)\nlagrange.reconstruct_rdms(fac, state)\n"
               "def apply_gate(): pass\n")
-    assert kernel_uses(source) == ["pair_rows", "rotate_rows"]
+    assert kernel_uses(source) == ["pair_rows", "reconstruct"]
     assert kernel_uses("from . import qsim\nqsim.measure_densities(state, fac)\n") == []
 
 

@@ -19,7 +19,7 @@ from xdfrelax.xdf import TruncationPolicy, factorize
 
 from _common import (
     FILLING_CASES,
-    GAUGE_FABRIC_ANGLES,
+    GAUGE_FRAMES,
     GAUGE_PERMUTATION,
     KERNEL_CASES,
     bare,
@@ -422,9 +422,8 @@ def test_gate_primitive_matches_reference_kernel(n):
             assert np.max(np.abs(psi.reshape(ref[rows].shape) - ref[rows])) <= 1e-12
 
 
-# The ansatz's table kernel and the fabrics' ``givens.rotate_rows`` against
-# the rows kernel ``_common.rotate_pair``: bitwise, for every gate kind, at
-# exact zeros, +-pi and random angles.
+# The ansatz's table kernel against the rows kernel ``_common.rotate_pair``:
+# bitwise, for every gate kind, at exact zeros, +-pi and random angles.
 
 KERNEL_ANGLES = (0.0, -0.0, np.pi, -np.pi)
 
@@ -453,31 +452,6 @@ def test_table_kernel_equals_rows_kernel(n, na, nb, seed, dtype):
                 rotate_pair(view(ref), *rows, theta)
                 out = table_gate(psi.reshape(-1), ansatz, k, theta)
                 np.testing.assert_array_equal(out, ref.reshape(-1))
-
-
-@pytest.mark.parametrize("dtype", [float, complex])
-@pytest.mark.parametrize("n,na,nb,seed", BLOCK_CASES)
-def test_rotate_rows_equals_rows_kernel(n, na, nb, seed, dtype):
-    # a fabric gate on the string rows of (d, d) operators, and on their
-    # columns through np.swapaxes: a (B, d, d) stack with one angle per
-    # member, and one-item runs
-    thetas = np.array([*KERNEL_ANGLES, *np.random.default_rng(seed).uniform(-np.pi, np.pi, 2)])
-    c, s = np.cos(thetas)[:, None, None], np.sin(thetas)[:, None, None]
-    for filling in {na, nb}:
-        d = comb(n, filling)
-        ys = _random_amplitudes((len(thetas), d, d), seed + filling, dtype)
-        for m in givens.brickwork(n, n):
-            rows = qsim.pair_rows(n, filling, m)
-            for view in (lambda u: u, lambda u: np.swapaxes(u, -1, -2)):  # rows, columns
-                stack = ys.copy()
-                givens.rotate_rows(view(stack), *rows, c, s)
-                for y, theta, out in zip(ys, thetas, stack, strict=True):
-                    ref = y.copy()
-                    rotate_pair(view(ref), *rows, theta)
-                    one = y[None].copy()
-                    givens.rotate_rows(view(one), *rows, np.cos(theta), np.sin(theta))
-                    np.testing.assert_array_equal(out, ref)
-                    np.testing.assert_array_equal(one[0], ref)
 
 
 @pytest.mark.parametrize("n,na,nb,seed", BLOCK_CASES)
@@ -646,7 +620,7 @@ def test_factorized_operators_do_no_gate_work(monkeypatch):
 
     monkeypatch.setattr(qsim, "apply_gate", refuse)
     monkeypatch.setattr(qsim, "_compound_matrices", refuse)
-    monkeypatch.setattr(givens, "rotate_rows", refuse)
+    monkeypatch.setattr(givens, "_rotate", refuse)
     out = _embedded(qsim.apply_hamiltonian(state, fac), state)
     assert np.max(np.abs(out - expected)) <= 1e-12
     np.testing.assert_array_equal(qsim.measure_densities(state, fac).omega0, omega0)
@@ -675,7 +649,7 @@ def test_stacked_frame_operators_match_per_frame_referee(n, na, nb, seed):
     # fabrics of decompose, and against the shift rule's determinant minors;
     # every member of the stack equals its one-frame stack, bit for bit
     frames = factorize(synth_hamiltonian(n, na, nb, seed), TruncationPolicy.exact()).frames
-    angles = givens.decompose(frames.U).angles
+    angles = np.array([fabric.angles for fabric in frame_fabrics(frames)])
     for filling, ops in ((na, frames.M_alpha), (nb, frames.M_beta)):
         assert np.max(np.abs(ops - ref_fabric_operators(n, angles, filling))) <= 1e-14
     for f, u in enumerate(frames.U):
@@ -722,13 +696,10 @@ def _orthogonal_pairs(draw):
     return draw(_orthogonal(n)), draw(_orthogonal(n))
 
 
-_GAUGE_FRAMES = givens.reconstruct(givens.GivensFabric(4, GAUGE_FABRIC_ANGLES))
-
-
 @settings(max_examples=60, derandomize=True, database=None, deadline=None)
 @given(_orthogonal_pairs())
-@example(((GAUGE_PERMUTATION, True), (_GAUGE_FRAMES[0], False)))
-@example(((_GAUGE_FRAMES[1], False), (GAUGE_PERMUTATION.T, True)))
+@example(((GAUGE_PERMUTATION, True), (GAUGE_FRAMES[0], False)))
+@example(((GAUGE_FRAMES[1], False), (GAUGE_PERMUTATION.T, True)))
 def test_compound_matrix_property(pair):
     (a, signed), (b, _) = pair
     n = len(a)

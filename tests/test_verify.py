@@ -17,7 +17,7 @@ from xdfrelax.verify import (
 from xdfrelax.xdf import TruncationPolicy, factorize
 
 from _common import (FILLING_CASES, KERNEL_CASES, PATH_DT, PATH_LAYERS, PATH_MASS, PATH_S0,
-                     PATH_V0, PATH_VQE_TOL, path_fixtures)
+                     PATH_V0, PATH_VQE_TOL, frame_fabrics, path_fixtures)
 
 
 def test_dense_energy_zero_rdms_is_core():
@@ -48,10 +48,9 @@ def test_minor_operators_match_the_frame_operators(n, na, nb, seed):
     # own sweep on the fabrics of decompose, against production's operators
     fac = factorize(synth_hamiltonian(n, na, nb, seed), TruncationPolicy.exact())
     frames = fac.frames
-    for f, angles in enumerate(givens.decompose(frames.U).angles):
-        u = verify._fabric_sweep(n, angles)[0]
-        np.testing.assert_allclose(u, givens.reconstruct(givens.GivensFabric(n, angles)),
-                                   atol=1e-15)
+    for f, fabric in enumerate(frame_fabrics(frames)):
+        u = verify._fabric_sweep(n, fabric.angles)[0]
+        np.testing.assert_allclose(u, givens.reconstruct(fabric), atol=1e-15)
         op = verify._spin_operator(u)
         np.testing.assert_allclose(op.T @ op, np.eye(1 << n), atol=1e-13)
         for filling, m in ((na, frames.M_alpha[f]), (nb, frames.M_beta[f])):

@@ -53,6 +53,12 @@ def test_zero_layer_ansatz_has_empty_gradient():
     assert ansatz_gradient(fac, cfg, np.zeros(0)).size == 0
 
 
+@pytest.mark.parametrize("layers", [-1, -2])
+def test_negative_ansatz_depth_is_refused(layers):
+    with pytest.raises(ValueError, match=f"n_layers must be >= 0, got {layers}$"):
+        AnsatzConfig(layers)
+
+
 def test_gradient_matches_finite_differences():
     fac = factorize(synth_hamiltonian(3, 1, 1, 2), TruncationPolicy.exact())
     cfg = AnsatzConfig(2, seed=1)
