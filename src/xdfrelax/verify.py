@@ -17,6 +17,7 @@ minors. No gate kernel and no ``givens.reconstruct`` is used here.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -338,16 +339,28 @@ def _check_leaf_tracking(base: XDFFactorization, displaced: XDFFactorization,
             f"retained leaf subspace moved by {drift:.3e} across the stencil")
 
 
+def _extrapolated(solved, at: float) -> np.ndarray:
+    """The Lagrange polynomial through the solved (x, params) pairs, at x =
+    ``at``: a predicted start for the next solve of a sequence."""
+    total = 0.0
+    for x_i, params in solved:
+        weight = math.prod((at - x_j) / (x_i - x_j) for x_j, _ in solved if x_j != x_i)
+        total = total + weight * params
+    return total
+
+
 def fd_energy_derivative(ham: Hamiltonian, pert: Perturbation, regime: RegimeSpec,
                          eps_step: float = FD_STEP,
                          base: Pipeline | None = None, *, built: dict | None = None) -> float:
     """5-point central difference of the full pipeline energy along eps.
 
-    Every displaced evaluation re-factorizes with the base retained count,
-    re-seeds the optimizer from the base parameters, and re-optimizes with
-    the most recent curvature built in the stencil; a change in the leaf
-    count the regime's own policy keeps, or in the retained subspace, across
-    the stencil is a hard error. ``built`` shares the displaced Hamiltonians
+    Every displaced evaluation re-factorizes with the base retained count and
+    re-optimizes from a predicted start: the Lagrange polynomial in eps
+    through the last (up to three) solved (eps, params) pairs of the
+    stencil, the base point at eps = 0 counted as the first, with the most
+    recent curvature built in the stencil. A change in the leaf count the
+    regime's own policy keeps, or in the retained subspace, across the
+    stencil is a hard error. ``built`` shares the displaced Hamiltonians
     and their factorizations across the calls given it.
     """
     if base is None:
@@ -355,15 +368,18 @@ def fd_energy_derivative(ham: Hamiltonian, pert: Perturbation, regime: RegimeSpe
     pinned = replace(regime, truncation=TruncationPolicy.by_count(base.fac.retained))
 
     curvature = base.result.curvature
+    solved = [(0.0, base.result.params)]
 
     def displaced_energy(eps: float) -> float:
         nonlocal curvature
         displaced = _built_once(built, (ham, pert, eps),
                                 lambda: apply_perturbation(ham, pert, eps))
-        pipe = run_pipeline(displaced, pinned,
-                            seed=replace(base.result, curvature=curvature), built=built)
+        seed = replace(base.result, params=_extrapolated(solved[-3:], eps),
+                       curvature=curvature)
+        pipe = run_pipeline(displaced, pinned, seed=seed, built=built)
         _check_leaf_tracking(base.fac, pipe.fac, regime.truncation)
         curvature = pipe.result.curvature
+        solved.append((eps, pipe.result.params))
         return pipe.energy
 
     return five_point_derivative(displaced_energy, eps_step)
@@ -413,6 +429,9 @@ def verlet_path(ham_a: Hamiltonian, ham_b: Hamiltonian, n_steps: int, dt: float,
     The potential is the pipeline energy at H(s); the force is the analytic
     derivative along H_B - H_A. A consistent energy/force pair conserves
     kinetic + potential; response errors show up as drift or instability.
+    Each step's solve starts at the parameters extrapolated in time through
+    the last (up to three) steps, 3 p_k - 3 p_{k-1} + p_{k-2} (2 p_k -
+    p_{k-1} at the second step), with the previous step's curvature.
     """
     if regime is None:
         regime = RegimeSpec("path", TruncationPolicy.exact(), n_layers=3)
@@ -432,15 +451,18 @@ def verlet_path(ham_a: Hamiltonian, ham_b: Hamiltonian, n_steps: int, dt: float,
     aborted = None
     s, v = s0, v0
     completed = 0
+    solved = [(0, pipe.result.params)]
     for step in range(n_steps):
         try:
             s_new = s + v * dt + 0.5 * accel * dt * dt
-            pipe, accel_new = evaluate(interpolate(ham_a, ham_b, s_new), pipe.result)
+            seed = replace(pipe.result, params=_extrapolated(solved[-3:], step + 1))
+            pipe, accel_new = evaluate(interpolate(ham_a, ham_b, s_new), seed)
             v = v + 0.5 * (accel + accel_new) * dt
             s, accel = s_new, accel_new
         except (RuntimeError, ValueError) as exc:
             aborted = exc
             break
+        solved.append((step + 1, pipe.result.params))
         s_hist.append(s)
         kin.append(0.5 * mass * v * v)
         pot.append(pipe.energy)

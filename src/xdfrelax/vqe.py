@@ -75,6 +75,12 @@ STENCIL_SWEEP_ENTRIES = 1 << 20  # gate-factor entries of one batched sweep (8 M
 # noise, so that a soft but real mode is stepped along as well.
 GAUGE_RCOND = 1e-6
 NOISE_RCOND = 1e-9
+# A freshly built Hessian whose gauge-free Newton step moves some angle by
+# more than this (radians) marks the point as outside Newton's basin.
+NEWTON_REACH = 0.3
+# Each grown depth runs L-BFGS only until max|g| <= 0.1 max(tol, BASIN_TOL):
+# far enough into the basin for Newton to finish to tol.
+BASIN_TOL = 1e-3
 
 
 def n_parameters(n_spatial: int, cfg: AnsatzConfig) -> int:
@@ -402,14 +408,15 @@ def _newton_polish(fac: XDFFactorization, cfg: AnsatzConfig, x: np.ndarray,
     """Damped Newton steps on the exact gradient until max|g| <= tol.
 
     A chord step x - C g on the current pseudo-inverse Hessian C is taken when
-    it at least halves max|g|. Otherwise the Hessian is rebuilt at x and the
-    Newton step on C without its gauge directions (``GAUGE_RCOND``) is halved
-    until max|g| drops (``_halved_step``). If that stalls, the step on C
-    with every mode above the noise (``NOISE_RCOND``) is tried the same way:
-    a gradient left along a soft mode is not lowered otherwise, and the
-    energy is too flat there for a line search to see. If both stall, Newton
-    stops. Returns the end point, its energy and gradient, the last C and the
-    number of steps taken.
+    it at least halves max|g|. Otherwise the Hessian is rebuilt at x. If the
+    Newton step on C without its gauge directions (``GAUGE_RCOND``) moves any
+    angle by more than ``NEWTON_REACH``, x is outside Newton's basin and
+    Newton stops there. Otherwise that step is halved until max|g| drops
+    (``_halved_step``). If that stalls, the step on C with every mode above
+    the noise (``NOISE_RCOND``) is tried the same way: a gradient left along a
+    soft mode is not lowered otherwise, and the energy is too flat there for
+    a line search to see. If both stall, Newton stops. Returns the end point,
+    its energy and gradient, the last C and the number of steps taken.
     """
     energy, grad = _energy_and_gradient(fac, cfg, x)
     steps = 0
@@ -425,12 +432,15 @@ def _newton_polish(fac: XDFFactorization, cfg: AnsatzConfig, x: np.ndarray,
                 steps += 1
                 continue
         modes = _hessian_modes(fac, cfg, x)
-        for rcond in (GAUGE_RCOND, NOISE_RCOND):
-            curvature = _pseudo_inverse(modes, rcond)
+        curvature = _pseudo_inverse(modes, GAUGE_RCOND)
+        step = -curvature @ grad
+        if np.max(np.abs(step)) > NEWTON_REACH:
+            break
+        found = _halved_step(fac, cfg, x, step, gmax)
+        if found is None:
+            curvature = _pseudo_inverse(modes, NOISE_RCOND)
             found = _halved_step(fac, cfg, x, -curvature @ grad, gmax)
-            if found is not None:
-                break
-        else:
+        if found is None:
             break
         x, energy, grad = found
         steps += 1
@@ -442,8 +452,10 @@ def _grown_start(fac: XDFFactorization, cfg: AnsatzConfig, tol: float,
     """Optimize layer by layer, embedding each solution into the next depth.
 
     Blocks are ordered by layer, so a shallower solution is a parameter
-    prefix of the deeper ansatz. Returns the parameters and the L-BFGS
-    iterations spent.
+    prefix of the deeper ansatz. Each depth, the full one included, runs
+    L-BFGS only into its basin, to max|g| <= 0.1 max(tol, ``BASIN_TOL``): a
+    shallow point only seeds the next depth, and Newton finishes the full
+    depth to tol. Returns the parameters and the L-BFGS iterations spent.
     """
     rng = np.random.default_rng(cfg.seed)
     params = np.zeros(0)
@@ -452,7 +464,7 @@ def _grown_start(fac: XDFFactorization, cfg: AnsatzConfig, tol: float,
         sub = AnsatzConfig(depth, cfg.seed)
         fresh = n_parameters(fac.n_orbitals, sub) - params.size
         x0 = np.concatenate([params, 0.05 * rng.standard_normal(fresh)])
-        params, nit = _lbfgs(fac, sub, x0, tol, maxiter)
+        params, nit = _lbfgs(fac, sub, x0, max(tol, BASIN_TOL), maxiter)
         total += nit
     return params, total
 
@@ -462,17 +474,20 @@ def optimize(fac: XDFFactorization, cfg: AnsatzConfig, tol: float = 1e-10,
     """Minimize the factorized energy over the ansatz angles.
 
     Deterministic for fixed (cfg.seed, seed, tol). Both kinds of start take
-    one flow. A cold start grows the ansatz layer by layer with L-BFGS; a warm
-    start from ``seed``, usually a converged result for a nearby Hamiltonian,
-    begins exactly at ``seed.params``, which keeps displaced re-optimizations
-    on the same local minimum, with ``seed.curvature``. Newton steps run from
-    that start. Only if they end above ``tol`` is there one fallback: L-BFGS
-    from the start, then Newton on a fresh Hessian; the converged, else the
-    lower-energy, of the two end points is returned. ``n_iterations`` counts
-    L-BFGS iterations and Newton steps. Non-convergence is reported through
-    the ``converged`` flag, not raised. An ansatz without parameters (no
-    layers, or one orbital) leaves the reference state, which is trivially
-    stationary.
+    one flow: Newton steps from a start that is already near the answer. A
+    cold start grows the ansatz layer by layer with L-BFGS, each depth only
+    into its basin (``_grown_start``). A warm start from ``seed``, usually a
+    converged result for a nearby Hamiltonian, begins exactly at
+    ``seed.params`` (which a caller may set to a predicted point with
+    ``dataclasses.replace``), which keeps displaced re-optimizations on the
+    same local minimum, with ``seed.curvature``. Only if Newton ends above
+    ``tol``, having stalled or found the start outside its reach, is there
+    one fallback: L-BFGS from the start to 0.1 tol, then Newton on a fresh
+    Hessian; the converged, else the lower-energy, of the two end points is
+    returned. ``n_iterations`` counts L-BFGS iterations and Newton steps.
+    Non-convergence is reported through the ``converged`` flag, not raised.
+    An ansatz without parameters (no layers, or one orbital) leaves the
+    reference state, which is trivially stationary.
     """
     if not 0 < tol < math.inf:
         raise ValueError("tolerance must be positive and finite")

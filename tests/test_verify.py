@@ -17,7 +17,7 @@ from xdfrelax.verify import (
 from xdfrelax.xdf import TruncationPolicy, factorize
 
 from _common import (FILLING_CASES, KERNEL_CASES, PATH_DT, PATH_LAYERS, PATH_MASS, PATH_S0,
-                     PATH_V0, PATH_VQE_TOL, frame_fabrics, path_fixtures)
+                     PATH_V0, PATH_VQE_TOL, frame_fabrics, path_fixtures, regime_fixture)
 
 
 def test_dense_energy_zero_rdms_is_core():
@@ -254,6 +254,40 @@ def test_verlet_short_run_conserves():
     assert trace.completed == 40
     assert trace.relative_drift() < 1e-6
     assert trace.aborted is None
+
+
+def test_extrapolated_starts():
+    p = [np.array([1.0, -2.0]), np.array([1.5, -1.0]), np.array([2.5, 1.0])]
+    np.testing.assert_array_equal(verify._extrapolated([(0.0, p[0])], 0.3), p[0])
+    np.testing.assert_array_equal(verify._extrapolated([(0, p[0]), (1, p[1])], 2),
+                                  2 * p[1] - p[0])
+    np.testing.assert_array_equal(verify._extrapolated(list(enumerate(p)), 3),
+                                  3 * p[2] - 3 * p[1] + p[0])
+    # the 5-point stencil's third solve, through eps = 0, -2h and -h, at h
+    eps = [0.0, -2e-3, -1e-3]
+    quadratic = [1.0 + 3.0 * e - 40.0 * e * e for e in eps]
+    pairs = [(e, np.array([q])) for e, q in zip(eps, quadratic)]
+    np.testing.assert_allclose(verify._extrapolated(pairs, 1e-3),
+                               [1.0 + 3e-3 - 40e-6], rtol=0, atol=1e-15)
+
+
+def test_fd_stencil_point_budget(energy_grad_calls):
+    ham = regime_fixture()
+    spec = RegimeSpec("exact", TruncationPolicy.exact(), 4)
+    base = run_pipeline(ham, spec)
+    energy_grad_calls.clear()
+    fd_energy_derivative(ham, hammodel.random_two_body_perturbation(4, 350), spec, base=base)
+    assert len(energy_grad_calls) <= 10
+
+
+def test_verlet_point_budget(energy_grad_calls):
+    ham_a, ham_b = path_fixtures()
+    regime = RegimeSpec("path", TruncationPolicy.exact(), PATH_LAYERS,
+                        vqe_tol=PATH_VQE_TOL)
+    trace = verlet_path(ham_a, ham_b, n_steps=25, dt=PATH_DT, mass=PATH_MASS,
+                        regime=regime, s0=PATH_S0, v0=PATH_V0)
+    assert trace.completed == 25
+    assert len(energy_grad_calls) <= 154
 
 
 def test_report_table_formatting():

@@ -96,21 +96,6 @@ def test_optimize_gradient_norm_at_optimum():
 WARM_TOL = 1e-9
 
 
-@pytest.fixture
-def energy_grad_calls(monkeypatch):
-    """Records every point the optimizer evaluates energy+gradient at: one
-    entry per point of a single-point call, one per row of a batched one."""
-    calls = []
-    real = vqe._energy_and_gradient
-
-    def counting(*args):
-        calls.extend(np.atleast_2d(args[-1]))  # the evaluated parameters
-        return real(*args)
-
-    monkeypatch.setattr(vqe, "_energy_and_gradient", counting)
-    return calls
-
-
 @pytest.fixture(scope="module")
 def displaced_regime():
     """A cold solve on the regime fixture and the fixture displaced by eps=1e-3."""
@@ -168,12 +153,36 @@ def lbfgs_calls(monkeypatch):
 
 
 def test_cold_solve_runs_lbfgs_once_per_depth(lbfgs_calls):
+    fac = factorize(regime_fixture(), TruncationPolicy.exact())
+    cfg = AnsatzConfig(4, seed=3)
+    result = optimize(fac, cfg, tol=WARM_TOL)
+    assert result.converged
+    # one run per grown depth; Newton finishes from the full-depth one
+    assert lbfgs_calls == [n_parameters(4, AnsatzConfig(d)) for d in (1, 2, 3, 4)]
+
+
+def test_cold_solve_hands_back_outside_newton_reach(lbfgs_calls, energy_grad_calls):
+    # the grown full-depth point sits on a soft mode (curvature 6e-5 against
+    # 16.6), and the Newton step there moves an angle by 0.95 rad, beyond
+    # NEWTON_REACH: Newton hands back to the one L-BFGS fallback at once
     fac = factorize(synth_hamiltonian(3, 1, 1, 2), TruncationPolicy.exact())
     cfg = AnsatzConfig(3, seed=3)
     result = optimize(fac, cfg, tol=1e-10)
     assert result.converged
-    # one run per grown depth; Newton finishes from the full-depth one
-    assert lbfgs_calls == [n_parameters(3, AnsatzConfig(d)) for d in (1, 2, 3)]
+    assert lbfgs_calls == [2, 4, 6, 6]
+    # the hand-back costs no more than growing every depth to 0.1 tol
+    assert len(energy_grad_calls) <= 229
+
+
+@pytest.mark.parametrize("ham, layers, seed, budget", [
+    (synth_hamiltonian(6, 3, 3, 101), 2, 0, 60),
+    (regime_fixture(), 4, 3, 100),
+])
+def test_cold_solve_point_budget(energy_grad_calls, ham, layers, seed, budget):
+    result = optimize(factorize(ham, TruncationPolicy.exact()), AnsatzConfig(layers, seed),
+                      tol=WARM_TOL)
+    assert result.converged
+    assert len(energy_grad_calls) <= budget
 
 
 def test_failed_newton_falls_back_to_lbfgs(monkeypatch, lbfgs_calls):
