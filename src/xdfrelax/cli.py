@@ -6,6 +6,7 @@ import argparse
 import hashlib
 import json
 import sys
+from functools import lru_cache
 
 import numpy as np
 
@@ -250,7 +251,10 @@ class _Parser(argparse.ArgumentParser):
         raise ValueError(message)
 
 
+@lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: parsing leaves it
+    unchanged, and every call parses into a fresh namespace."""
     parser = _Parser(
         prog="xdfrelax",
         description="Double-factorized Hamiltonians, statevector VQE, relaxed densities.")

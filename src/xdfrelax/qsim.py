@@ -229,18 +229,13 @@ class GateTable:
         for name, arr in (("perm", perm), ("sign", sign), ("mask", sign != 0.0)):
             object.__setattr__(self, name, read_only(arr)[0])
 
-    def factors(self, c, s) -> tuple[np.ndarray, np.ndarray]:
-        """The kernel factors ``where(mask, c, 1)`` and ``s * sign`` of every
-        gate at cosines c and sines s, which broadcast against the (K, dim)
-        tables."""
-        return np.where(self.mask, c, 1.0), s * self.sign
-
 
 def apply_gate(x: np.ndarray, table: GateTable, k: int, scale: np.ndarray,
                shift: np.ndarray) -> np.ndarray:
     """Gate k of ``table`` on the flat amplitudes x, batch axes leading, with
-    its ``GateTable.factors`` (one cosine and sine per batch item): returns
-    ``scale * x + shift * x[..., perm[k]]``. On the gate's entries that is a
+    its factors ``scale = where(mask[k], cos, 1)`` and ``shift = sin *
+    sign[k]`` (one cosine and sine per batch item): returns ``scale * x +
+    shift * x[..., perm[k]]``. On the gate's entries that is a
     plane rotation's products and sum, rounded as such; off them, x times 1
     plus a zero."""
     return scale * x + shift * x.take(table.perm[k], axis=-1)

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -133,15 +134,21 @@ class PathTrace:
 
 @dataclass(frozen=True, eq=False)
 class Pipeline:
-    """One fully converged factorize + optimize run on a Hamiltonian."""
+    """One fully converged factorize + optimize run on a Hamiltonian. Its
+    ``state`` is prepared on first read: a finite-difference point reads
+    only the energy."""
 
     fac: XDFFactorization
     result: vqe.VQEResult
-    state: qsim.Statevector
+    cfg: AnsatzConfig
 
     @property
     def energy(self) -> float:
         return self.result.energy
+
+    @cached_property
+    def state(self) -> qsim.Statevector:
+        return vqe.prepare_state(self.fac, self.cfg, self.result.params)
 
 
 def dense_energy(ham: Hamiltonian, gamma: np.ndarray, big_gamma: np.ndarray) -> float:
@@ -287,17 +294,26 @@ def _built_once(built: dict | None, key, build):
 def run_pipeline(ham: Hamiltonian, regime: RegimeSpec,
                  seed: vqe.VQEResult | None = None, *, built: dict | None = None) -> Pipeline:
     """Factorize and optimize; ``seed`` warm-starts the VQE (see vqe.optimize).
-    ``built`` shares factorizations of the same (ham, truncation) input
-    across the calls given it."""
-    fac = _built_once(built, (ham, regime.truncation),
-                      lambda: factorize(ham, regime.truncation))
+
+    ``built`` shares factorizations across the calls given it: each
+    Hamiltonian is factorized once with every leaf retained, and a policy
+    that retains fewer takes that factorization's retained prefix, built
+    once per count. Factorizing never depends on the policy but for the
+    count, so the prefix is bitwise ``factorize(ham, regime.truncation)``.
+    """
+    if built is None:
+        fac = factorize(ham, regime.truncation)
+    else:
+        full = _built_once(built, ham, lambda: factorize(ham, TruncationPolicy.exact()))
+        count = regime.truncation.retained_count(full.g)
+        fac = full if count == full.retained else _built_once(
+            built, (ham, count), lambda: replace(full, retained=count))
     cfg = AnsatzConfig(regime.n_layers, regime.ansatz_seed)
     result = vqe.optimize(fac, cfg, tol=regime.vqe_tol, seed=seed)
     if not result.converged:
         raise NonConvergence(
             f"VQE did not reach gradient {regime.vqe_tol:.1e} in regime {regime.name}")
-    state = vqe.prepare_state(fac, cfg, result.params)
-    return Pipeline(fac, result, state)
+    return Pipeline(fac, result, cfg)
 
 
 def relaxed_rdms(pipe: Pipeline, ablate: str | None = None) -> lagrange.RelaxedRDMs:
@@ -360,8 +376,10 @@ def fd_energy_derivative(ham: Hamiltonian, pert: Perturbation, regime: RegimeSpe
     stencil, the base point at eps = 0 counted as the first, with the most
     recent curvature built in the stencil. A change in the leaf count the
     regime's own policy keeps, or in the retained subspace, across the
-    stencil is a hard error. ``built`` shares the displaced Hamiltonians
-    and their factorizations across the calls given it.
+    stencil is a hard error. A displaced point reads only the energy, so it
+    prepares no state. ``built`` shares the displaced Hamiltonians and
+    their factorizations, one per Hamiltonian (``run_pipeline``), across
+    the calls given it.
     """
     if base is None:
         base = run_pipeline(ham, regime)
@@ -389,16 +407,29 @@ def run_regime_suite(ham: Hamiltonian, specs, perturbations,
                      ablate: str | None = None) -> list[DerivativeReport]:
     """Analytic-vs-numerical derivative reports over regimes and perturbations.
 
-    The regimes displace ``ham`` along the same perturbations and steps, so
-    each displaced Hamiltonian, and each factorization of one input under
-    one truncation policy, is built once, when the loop first needs it, and
-    shared for the rest of this call. Every regime still runs its own solves
-    and leaf-tracking checks.
+    The regimes share what they would otherwise repeat, each piece built
+    once, when the loop first needs it, for the rest of this call. All of
+    them displace ``ham`` along the same perturbations and steps, so each
+    displaced Hamiltonian is built once, and factorized once, every policy
+    taking its retained prefix (``run_pipeline``). A regime with the same
+    truncation, ansatz seed and tolerance as an earlier cold solve, at no
+    greater depth, starts at that solve's grown point of its depth
+    (``vqe.VQEResult.grown``): the cold path from the same start, without
+    the growth. Every regime still runs its own solves and leaf-tracking
+    checks, and prepares one state, its base pipeline's.
     """
-    built = {}
+    built, cold = {}, {}
     reports = []
     for regime in specs:
-        base = run_pipeline(ham, regime, built=built)
+        shape = (regime.truncation, regime.ansatz_seed, regime.vqe_tol)
+        grower = cold.get(shape)
+        grown = grower.grown if grower else ()
+        seed = None
+        if 0 < regime.n_layers <= len(grown):
+            seed = replace(grower, params=grown[regime.n_layers - 1], curvature=None)
+        base = run_pipeline(ham, regime, seed, built=built)
+        if len(base.result.grown) > len(grown):
+            cold[shape] = base.result
         rdms = relaxed_rdms(base, ablate=ablate)
         for pert in perturbations:
             analytic = analytic_energy_derivative(base, pert, rdms)

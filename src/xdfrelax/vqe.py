@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -52,6 +53,12 @@ class VQEResult:
     the solve stepped with (built by it or inherited from its seed), or None
     when no Hessian was ever built; a warm re-solve seeded with this result
     takes chord-Newton steps on it.
+
+    ``grown`` holds a cold solve's grown start at every depth 1 .. L
+    (``_grown_start``), and is empty for a warm solve. A solve of the same
+    factorization, ``cfg.seed`` and ``tol`` at depth d <= L seeded with
+    ``grown[d - 1]`` and no curvature runs the cold solve's path without
+    its growth.
     """
 
     params: np.ndarray
@@ -60,12 +67,15 @@ class VQEResult:
     converged: bool
     n_iterations: int
     curvature: np.ndarray | None = None
+    grown: tuple[np.ndarray, ...] = ()
 
     def __post_init__(self):
         for name in ("params", "curvature"):
             value = getattr(self, name)
             if value is not None:
                 object.__setattr__(self, name, read_only(np.array(value, dtype=float))[0])
+        object.__setattr__(self, "grown", read_only(*(np.array(p, dtype=float)
+                                                      for p in self.grown)))
 
 
 STENCIL_SWEEP_ENTRIES = 1 << 20  # gate-factor entries of one batched sweep (8 MB a table)
@@ -87,43 +97,58 @@ def n_parameters(n_spatial: int, cfg: AnsatzConfig) -> int:
     return 2 * len(brickwork(n_spatial, cfg.n_layers))
 
 
-def _gate_angles(points: np.ndarray) -> np.ndarray:
-    """Angle of every ansatz gate in ``qsim.ansatz_table`` order at the (B, P)
-    points: per block the locked rotation's for its alpha and its beta gate,
-    then the exchange's. Returns (B, K) with K = 3 P / 2."""
-    pairs = points.reshape(len(points), points.shape[1] // 2, 2)
-    return pairs[..., [0, 0, 1]].reshape(len(points), -1)
+@dataclass(frozen=True, eq=False)
+class _SweepPlan:
+    """What a sweep of one circuit shape reads, built once: the
+    ``brickwork`` blocks, their gates (``qsim.ansatz_table``), the parameter
+    of every gate (per block the locked rotation's for its alpha and its
+    beta gate, then the exchange's), the flat reference block, and the
+    gates' ``mask`` and ``sign`` tables as (K, 1, dim), which broadcast
+    against the (K, B, 1) cosines and sines of B points. The arrays are
+    read-only."""
+
+    blocks: tuple[int, ...]
+    table: qsim.GateTable
+    gate_params: np.ndarray
+    reference: np.ndarray
+    mask: np.ndarray
+    sign: np.ndarray
 
 
-def _gate_factors(table: qsim.GateTable, angles: np.ndarray):
-    """``GateTable.factors`` of every gate at the (B, K) gate angles, gate
-    axis first: two (K, B, dim) arrays, gate k's factors at ``[k]``."""
-    thetas = angles[..., None]
-    return (f.swapaxes(0, 1) for f in table.factors(np.cos(thetas), np.sin(thetas)))
-
-
-def _ansatz_amplitudes(fac: XDFFactorization, cfg: AnsatzConfig,
-                       points: np.ndarray) -> np.ndarray:
-    """The flat ansatz blocks at the (B, P) points, as (B, dim)."""
-    n, n_alpha, n_beta = fac.n_orbitals, fac.n_alpha, fac.n_beta
-    blocks = brickwork(n, cfg.n_layers)
-    if points.shape[1:] != (2 * len(blocks),):
-        raise ValueError(f"expected {2 * len(blocks)} parameters, got {points.shape[1:]}")
+@lru_cache(maxsize=16)
+def _sweep_plan(n: int, n_alpha: int, n_beta: int, n_layers: int) -> _SweepPlan:
+    """The ``_SweepPlan`` of the ansatz with ``n_layers`` on one filling. Cached."""
+    blocks = brickwork(n, n_layers)
     table = qsim.ansatz_table(n, n_alpha, n_beta, blocks)
-    scale, shift = _gate_factors(table, _gate_angles(points))
-    psi = np.empty((len(points), table.dim))
-    psi[:] = qsim.hf_reference(n, n_alpha, n_beta).amplitudes.reshape(-1)
-    for k in range(len(table.pairs)):
-        psi = qsim.apply_gate(psi, table, k, scale[k], shift[k])
-    return psi
+    gate_params = (2 * np.arange(len(blocks))[:, None] + [0, 0, 1]).ravel()
+    reference = qsim.hf_reference(n, n_alpha, n_beta).amplitudes.reshape(-1)
+    return _SweepPlan(blocks, table, *read_only(gate_params, reference,
+                                                table.mask[:, None], table.sign[:, None]))
+
+
+def _forward_sweep(fac: XDFFactorization, cfg: AnsatzConfig, points: np.ndarray):
+    """The ansatz at the (B, P) points: its plan, the flat blocks as (B, dim)
+    and the kernel factors of every gate, ``where(mask, cos, 1)`` and ``sin *
+    sign``, as two contiguous (K, B, dim) arrays, gate k's at ``[k]``, each
+    built once. The inverse of gate k takes the same ``scale`` and ``-shift``:
+    cos is even and sin is odd."""
+    plan = _sweep_plan(fac.n_orbitals, fac.n_alpha, fac.n_beta, cfg.n_layers)
+    if points.shape[1:] != (2 * len(plan.blocks),):
+        raise ValueError(f"expected {2 * len(plan.blocks)} parameters, got {points.shape[1:]}")
+    angles = points.T[plan.gate_params, :, None]
+    scale, shift = np.where(plan.mask, np.cos(angles), 1.0), np.sin(angles) * plan.sign
+    psi = np.repeat(plan.reference[None], len(points), axis=0)
+    for k in range(len(plan.gate_params)):
+        psi = qsim.apply_gate(psi, plan.table, k, scale[k], shift[k])
+    return plan, psi, scale, shift
 
 
 def prepare_state(fac: XDFFactorization, cfg: AnsatzConfig,
                   params: np.ndarray) -> Statevector:
     n, n_alpha, n_beta = fac.n_orbitals, fac.n_alpha, fac.n_beta
-    psi = _ansatz_amplitudes(fac, cfg, np.asarray(params, dtype=float)[None])[0]
+    _, psi, _, _ = _forward_sweep(fac, cfg, np.asarray(params, dtype=float)[None])
     return Statevector(n, n_alpha, n_beta,
-                       psi.reshape(qsim.sector_shape(n, n_alpha, n_beta)))
+                       psi[0].reshape(qsim.sector_shape(n, n_alpha, n_beta)))
 
 
 def _generator_terms(reads: list[np.ndarray]) -> np.ndarray:
@@ -147,30 +172,30 @@ def _energy_and_gradient(fac: XDFFactorization, cfg: AnsatzConfig, params: np.nd
 
     H is applied one point at a time. The kets and lambda = H|psi> are
     stacked as (2, B, dim) and every gate of the table is un-applied to both
-    at once, the alpha gate of a block before its beta gate; each gate's
+    at once, on the forward sweep's factors with ``shift`` negated, the
+    alpha gate of a block before its beta gate; each gate's
     derivative is read off its generator, 2 <lambda| K |psi>, from the
     entries it acts on, taken where the sweep passes it. The locked
     rotation's generator is the sum of its alpha and beta ones, which
     commute.
     """
     n, n_alpha, n_beta = fac.n_orbitals, fac.n_alpha, fac.n_beta
-    blocks = brickwork(n, cfg.n_layers)
     params = np.asarray(params, dtype=float)
     points = params[None] if params.ndim == 1 else params
-    psi = _ansatz_amplitudes(fac, cfg, points)
-    lam = np.empty_like(psi)
+    plan, psi, scale, shift = _forward_sweep(fac, cfg, points)
+    kets = np.empty((2, *psi.shape))
+    kets[0] = psi
     energy = np.empty(len(points))
+    shape = qsim.sector_shape(n, n_alpha, n_beta)
     for b, amps in enumerate(psi):
-        ket = Statevector(n, n_alpha, n_beta,
-                          amps.reshape(qsim.sector_shape(n, n_alpha, n_beta)))
-        lam[b] = qsim.apply_hamiltonian(ket, fac).reshape(-1)
-        energy[b] = np.vdot(ket.amplitudes, lam[b])
+        ket = Statevector(n, n_alpha, n_beta, amps.reshape(shape))
+        kets[1, b] = qsim.apply_hamiltonian(ket, fac).reshape(-1)
+        energy[b] = np.vdot(ket.amplitudes, kets[1, b])
 
-    table = qsim.ansatz_table(n, n_alpha, n_beta, blocks)
-    scale, shift = _gate_factors(table, -_gate_angles(points))
-    kets = np.array([psi, lam])
+    np.negative(shift, out=shift)  # gate k's inverse: cos is even and sin is odd
+    table = plan.table
     reads = [None] * len(table.pairs)
-    for i in reversed(range(len(blocks))):
+    for i in reversed(range(len(plan.blocks))):
         alpha, beta, exchange = 3 * i, 3 * i + 1, 3 * i + 2
         kets = qsim.apply_gate(kets, table, exchange, scale[exchange], shift[exchange])
         reads[exchange] = kets.take(table.pairs[exchange], axis=-1)
@@ -179,7 +204,7 @@ def _energy_and_gradient(fac: XDFFactorization, cfg: AnsatzConfig, params: np.nd
         for k in (alpha, beta):
             reads[k] = kets.take(table.pairs[k], axis=-1)
     grad = np.zeros(points.shape)
-    if blocks:
+    if plan.blocks:
         alpha_terms, beta_terms, exchange_terms = (
             _generator_terms(reads[kind::3]) for kind in range(3))
         grad[:, 0::2] = 2.0 * (beta_terms + alpha_terms)
@@ -448,25 +473,28 @@ def _newton_polish(fac: XDFFactorization, cfg: AnsatzConfig, x: np.ndarray,
 
 
 def _grown_start(fac: XDFFactorization, cfg: AnsatzConfig, tol: float,
-                 maxiter: int) -> tuple[np.ndarray, int]:
+                 maxiter: int) -> tuple[list[np.ndarray], int]:
     """Optimize layer by layer, embedding each solution into the next depth.
 
     Blocks are ordered by layer, so a shallower solution is a parameter
     prefix of the deeper ansatz. Each depth, the full one included, runs
     L-BFGS only into its basin, to max|g| <= 0.1 max(tol, ``BASIN_TOL``): a
     shallow point only seeds the next depth, and Newton finishes the full
-    depth to tol. Returns the parameters and the L-BFGS iterations spent.
+    depth to tol. A depth's point depends only on the depths before it, so
+    it is also the grown start of a shallower solve. Returns the point of
+    every depth and the L-BFGS iterations spent.
     """
     rng = np.random.default_rng(cfg.seed)
     params = np.zeros(0)
-    total = 0
+    grown, total = [], 0
     for depth in range(1, cfg.n_layers + 1):
         sub = AnsatzConfig(depth, cfg.seed)
         fresh = n_parameters(fac.n_orbitals, sub) - params.size
         x0 = np.concatenate([params, 0.05 * rng.standard_normal(fresh)])
         params, nit = _lbfgs(fac, sub, x0, max(tol, BASIN_TOL), maxiter)
+        grown.append(params)
         total += nit
-    return params, total
+    return grown, total
 
 
 def optimize(fac: XDFFactorization, cfg: AnsatzConfig, tol: float = 1e-10,
@@ -476,7 +504,8 @@ def optimize(fac: XDFFactorization, cfg: AnsatzConfig, tol: float = 1e-10,
     Deterministic for fixed (cfg.seed, seed, tol). Both kinds of start take
     one flow: Newton steps from a start that is already near the answer. A
     cold start grows the ansatz layer by layer with L-BFGS, each depth only
-    into its basin (``_grown_start``). A warm start from ``seed``, usually a
+    into its basin (``_grown_start``), and keeps every depth's grown point
+    as ``grown``. A warm start from ``seed``, usually a
     converged result for a nearby Hamiltonian, begins exactly at
     ``seed.params`` (which a caller may set to a predicted point with
     ``dataclasses.replace``), which keeps displaced re-optimizations on the
@@ -496,10 +525,10 @@ def optimize(fac: XDFFactorization, cfg: AnsatzConfig, tol: float = 1e-10,
         return VQEResult(np.zeros(0), energy, 0.0, True, 0)
 
     if seed is None:
-        start, iterations = _grown_start(fac, cfg, tol, maxiter)
-        curvature = None
+        grown, iterations = _grown_start(fac, cfg, tol, maxiter)
+        start, curvature = grown[-1], None
     else:
-        start, iterations, curvature = seed.params, 0, seed.curvature
+        grown, start, iterations, curvature = (), seed.params, 0, seed.curvature
     max_steps = min(20, maxiter)
     x, energy, grad, curvature, steps = _newton_polish(
         fac, cfg, start, tol, max_steps, curvature)
@@ -517,4 +546,4 @@ def optimize(fac: XDFFactorization, cfg: AnsatzConfig, tol: float = 1e-10,
     if not converged:
         warnings.warn(f"optimizer stalled with gradient norm {grad_norm:.3e}",
                       stacklevel=2)
-    return VQEResult(x, float(energy), grad_norm, converged, iterations, curvature)
+    return VQEResult(x, float(energy), grad_norm, converged, iterations, curvature, grown)

@@ -164,7 +164,7 @@ def table_gate(x: np.ndarray, table: qsim.GateTable, k: int, theta) -> np.ndarra
     """Gate k of a ``qsim.GateTable`` at angle theta on flat amplitudes x, batch
     axes leading; theta is one angle, or one per batch item."""
     theta = np.asarray(theta, dtype=float)[..., None, None]
-    scale, shift = table.factors(np.cos(theta), np.sin(theta))
+    scale, shift = np.where(table.mask, np.cos(theta), 1.0), np.sin(theta) * table.sign
     return qsim.apply_gate(x, table, k, scale[..., k, :], shift[..., k, :])
 
 

@@ -17,3 +17,17 @@ def energy_grad_calls(monkeypatch):
 
     monkeypatch.setattr(vqe, "_energy_and_gradient", counting)
     return calls
+
+
+@pytest.fixture
+def lbfgs_calls(monkeypatch):
+    """Records the parameter count of every L-BFGS run the optimizer starts."""
+    calls = []
+    real = vqe._lbfgs
+
+    def counting(fac, cfg, x0, tol, maxiter):
+        calls.append(x0.size)
+        return real(fac, cfg, x0, tol, maxiter)
+
+    monkeypatch.setattr(vqe, "_lbfgs", counting)
+    return calls

@@ -359,6 +359,18 @@ def test_byte_identical_reruns(fcidump_n3, tmp_path):
     assert out1.read_bytes() == out2.read_bytes()
 
 
+def test_parser_built_once_leaves_nothing_stale(fcidump_n3, tmp_path):
+    assert cli.build_parser() is cli.build_parser()
+    plain = ["rdm", "--fcidump", fcidump_n3, "--layers", "2", "--seed", "4"]
+    code, ablated = _run(plain + ["--ablate", "nu"], tmp_path, "ablated.json")
+    assert code == 0 and ablated["ablated"] == ablated["config"]["ablate"] == "nu"
+    code, after = _run(plain, tmp_path, "after.json")
+    assert code == 0 and after["ablated"] is after["config"]["ablate"] is None
+    cli.build_parser.cache_clear()
+    assert cli.main(plain + ["--out", str(tmp_path / "fresh.json")]) == 0
+    assert (tmp_path / "after.json").read_bytes() == (tmp_path / "fresh.json").read_bytes()
+
+
 def test_one_orbital_model(tmp_path):
     # NORB=1, NELEC=2: the ansatz has no parameters, so the reference state is
     # the answer, E = core + 2 h + (00|00) = -1.4

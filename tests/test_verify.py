@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from xdfrelax import givens, hammodel, qsim, verify
+from xdfrelax import givens, hammodel, qsim, verify, vqe
 from xdfrelax.hammodel import Hamiltonian, synth_hamiltonian
 from xdfrelax.verify import (
     RegimeSpec,
@@ -17,7 +17,8 @@ from xdfrelax.verify import (
 from xdfrelax.xdf import TruncationPolicy, factorize
 
 from _common import (FILLING_CASES, KERNEL_CASES, PATH_DT, PATH_LAYERS, PATH_MASS, PATH_S0,
-                     PATH_V0, PATH_VQE_TOL, frame_fabrics, path_fixtures, regime_fixture)
+                     PATH_V0, PATH_VQE_TOL, ablation_fixture, frame_fabrics, path_fixtures,
+                     regime_fixture)
 
 
 def test_dense_energy_zero_rdms_is_core():
@@ -111,8 +112,8 @@ def test_truncated_regime_derivatives_n3():
 
 
 def test_regime_suite_builds_each_input_once(monkeypatch):
-    # the four regimes displace one Hamiltonian along the same stencil, and the
-    # two regimes of one truncation policy factorize identical inputs
+    # the four regimes displace one Hamiltonian along the same stencil, and
+    # every policy takes its retained prefix of one factorization per input
     ham = synth_hamiltonian(3, 1, 1, 2)
     specs = RegimeSpec.grid(2, 1, TruncationPolicy.by_count(3))
     perts = [hammodel.random_one_body_perturbation(3, 31),
@@ -129,7 +130,100 @@ def test_regime_suite_builds_each_input_once(monkeypatch):
     assert len(calls) == 4 * (1 + 2 * 4)  # per regime: its base, 4 stencil points each
     calls.clear()
     assert run_regime_suite(ham, specs, perts) == alone
-    assert len(calls) == 2 * (1 + 2 * 4)  # per truncation policy
+    assert len(calls) == 1 + 2 * 4  # the base and its 8 displaced inputs, once each
+
+
+@pytest.mark.parametrize("ham", [regime_fixture(), ablation_fixture(), *path_fixtures()],
+                         ids=["regime", "ablation", "path-a", "path-b"])
+def test_shared_factorizations_are_bitwise_prefixes(monkeypatch, ham):
+    # run_pipeline with ``built`` factorizes once and takes each policy's
+    # retained prefix; at every count it is the policy's own factorization
+    facs = []
+
+    def solved(fac, cfg, tol, seed):
+        facs.append(fac)
+        return vqe.VQEResult(np.zeros(vqe.n_parameters(fac.n_orbitals, cfg)), 0.0, 0.0, True, 0)
+
+    monkeypatch.setattr(vqe, "optimize", solved)
+    n_leaves = ham.n_orbitals * (ham.n_orbitals + 1) // 2
+    policies = [TruncationPolicy.exact(),
+                *(TruncationPolicy.by_count(k) for k in reversed(range(n_leaves + 1)))]
+    built = {}
+    for policy in policies:
+        run_pipeline(ham, RegimeSpec("prefix", policy, 1), built=built)
+    assert [fac.retained for fac in facs] == [n_leaves, *reversed(range(n_leaves + 1))]
+    for policy, fac in zip(policies, facs, strict=True):
+        own = factorize(ham, policy)
+        assert fac.retained == own.retained
+        for name in ("U0", "F0", "g", "V", "U", "lam"):
+            np.testing.assert_array_equal(getattr(fac, name), getattr(own, name))
+        for name in ("U", "D", "M_alpha", "M_beta"):
+            np.testing.assert_array_equal(getattr(fac.frames, name), getattr(own.frames, name))
+
+
+def _recorded(monkeypatch, module, name):
+    """Wraps ``module.name`` to record the arguments of every call."""
+    calls = []
+    real = getattr(module, name)
+
+    def recording(*args, **kwargs):
+        calls.append((args, kwargs))
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, recording)
+    return calls
+
+
+def test_approximate_regimes_start_at_the_grown_points(monkeypatch, lbfgs_calls):
+    ham = regime_fixture()
+    specs = RegimeSpec.grid(4, 2, TruncationPolicy.by_count(4))
+    solves = _recorded(monkeypatch, vqe, "optimize")
+    assert run_regime_suite(ham, specs, []) == []
+    # the converged regimes grow depths 1 to 4; the approximate ones grow none
+    growth = [vqe.n_parameters(4, vqe.AnsatzConfig(d)) for d in (1, 2, 3, 4)]
+    assert lbfgs_calls == growth + growth
+    assert [kwargs["seed"] is None for _, kwargs in solves] == [True, True, False, False]
+    # each seeded solve ends where its own cold solve does
+    for args, kwargs in solves[2:]:
+        cold = vqe.optimize(*args, tol=kwargs["tol"])
+        seeded = vqe.optimize(*args, **kwargs)
+        np.testing.assert_array_equal(seeded.params, cold.params)
+        assert seeded.energy == cold.energy
+
+
+def test_regimes_seed_only_from_an_earlier_deeper_cold_solve(monkeypatch):
+    ham = synth_hamiltonian(3, 1, 1, 2)
+    exact, fewer = TruncationPolicy.exact(), TruncationPolicy.by_count(3)
+    specs = [RegimeSpec("shallow first", exact, 1), RegimeSpec("deep", exact, 2),
+             RegimeSpec("no layers", exact, 0), RegimeSpec("shallow after", exact, 1),
+             RegimeSpec("other seed", exact, 1, ansatz_seed=4),
+             RegimeSpec("other tol", exact, 1, vqe_tol=1e-8),
+             RegimeSpec("other truncation", fewer, 1)]
+    solves = _recorded(monkeypatch, vqe, "optimize")
+    run_regime_suite(ham, specs, [])
+    seeds = [kwargs["seed"] for _, kwargs in solves]
+    assert [seed is not None for seed in seeds] == [False, False, False, True,
+                                                    False, False, False]
+    deep = solves[1]
+    np.testing.assert_array_equal(seeds[3].params, vqe.optimize(
+        *deep[0], tol=deep[1]["tol"]).grown[0])
+    assert seeds[3].curvature is None
+
+
+def test_only_base_pipelines_prepare_a_state(monkeypatch):
+    ham = synth_hamiltonian(3, 1, 1, 2)
+    specs = RegimeSpec.grid(2, 1, TruncationPolicy.by_count(3))
+    perts = [hammodel.random_one_body_perturbation(3, 31)]
+    prepared = _recorded(monkeypatch, vqe, "prepare_state")
+    run_regime_suite(ham, specs, perts)
+    assert len(prepared) == len(specs)  # one per regime, for its relaxed densities
+    base = run_pipeline(ham, specs[0])
+    prepared.clear()
+    fd_energy_derivative(ham, perts[0], specs[0], base=base)
+    assert prepared == []
+    base.state
+    assert len(prepared) == 1
+    assert base.state is base.state and len(prepared) == 1
 
 
 def test_nu_ablation_breaks_derivatives():

@@ -1,4 +1,4 @@
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, replace
 
 import numpy as np
 import pytest
@@ -136,20 +136,6 @@ def test_warm_displaced_resolve_matches_lbfgs_route(displaced_regime, energy_gra
     assert np.max(np.abs(grad)) <= WARM_TOL
     assert abs(result.energy - energy) <= 1e-12
     assert abs(chord.energy - energy) <= 1e-12
-
-
-@pytest.fixture
-def lbfgs_calls(monkeypatch):
-    """Records the parameter count of every L-BFGS run the optimizer starts."""
-    calls = []
-    real = vqe._lbfgs
-
-    def counting(fac, cfg, x0, tol, maxiter):
-        calls.append(x0.size)
-        return real(fac, cfg, x0, tol, maxiter)
-
-    monkeypatch.setattr(vqe, "_lbfgs", counting)
-    return calls
 
 
 def test_cold_solve_runs_lbfgs_once_per_depth(lbfgs_calls):
@@ -481,3 +467,54 @@ def test_table_kernel_sweep_matches_rows_kernel_and_shift_rule(point):
     assert energy == ref_energy
     np.testing.assert_array_equal(grad, ref_grad)
     assert np.max(np.abs(grad - ansatz_gradient(fac, cfg, params)), initial=0.0) <= 1e-10
+
+
+def test_sweep_plan_is_cached_and_read_only():
+    plan = vqe._sweep_plan(4, 2, 1, 3)
+    assert vqe._sweep_plan(4, 2, 1, 3) is plan
+    assert plan.blocks == brickwork(4, 3)
+    assert plan.table is qsim.ansatz_table(4, 2, 1, plan.blocks)
+    gates, dim = len(plan.table.pairs), plan.table.dim
+    assert plan.gate_params.tolist() == [p for i in range(len(plan.blocks))
+                                         for p in (2 * i, 2 * i, 2 * i + 1)]
+    assert plan.mask.shape == plan.sign.shape == (gates, 1, dim)
+    for arr in (plan.gate_params, plan.reference, plan.mask, plan.sign):
+        assert not arr.flags.writeable
+    with pytest.raises(FrozenInstanceError):
+        plan.blocks = ()
+
+
+def test_cos_is_even_and_sin_is_odd_bitwise():
+    # the inverse sweep takes gate k's cos and -sin for cos(-theta) and
+    # sin(-theta); checked on every array length the sweeps of this suite
+    # pass to numpy, whose vector loops treat the tail of an array apart
+    rng = np.random.default_rng(0)
+    edges = [0.0, -0.0, np.pi, -np.pi, np.pi / 2, np.pi / 4, 1e-300, 5e-324, 1e-8,
+             2 * np.pi, 1e5, np.nextafter(np.pi, 0.0)]
+    angles = np.concatenate([edges, rng.uniform(-4 * np.pi, 4 * np.pi, 4096),
+                             1e-6 * rng.standard_normal(256)])
+    for size in [*range(1, 65), len(angles)]:
+        theta = angles[:size]
+        assert np.array_equal(np.cos(-theta), np.cos(theta))
+        assert np.array_equal(np.sin(-theta), -np.sin(theta))
+        assert np.array_equal(np.signbit(np.sin(-theta)), np.signbit(-np.sin(theta)))
+
+
+def test_cold_solve_keeps_each_grown_depth(lbfgs_calls):
+    fac = factorize(regime_fixture(), TruncationPolicy.exact())
+    deep = optimize(fac, AnsatzConfig(4, seed=3), tol=WARM_TOL)
+    assert [p.size for p in deep.grown] == [n_parameters(4, AnsatzConfig(d)) for d in (1, 2, 3, 4)]
+    assert all(not p.flags.writeable for p in deep.grown)
+    # a shallower cold solve grows the same points, and a solve seeded with
+    # one of them runs the rest of that cold solve with no growth
+    lbfgs_calls.clear()
+    shallow = optimize(fac, AnsatzConfig(2, seed=3), tol=WARM_TOL)
+    assert lbfgs_calls == [4, 6]
+    for grown, point in zip(shallow.grown, deep.grown, strict=False):
+        np.testing.assert_array_equal(grown, point)
+    lbfgs_calls.clear()
+    seeded = optimize(fac, AnsatzConfig(2, seed=3), tol=WARM_TOL,
+                      seed=replace(deep, params=deep.grown[1], curvature=None))
+    assert lbfgs_calls == [] and seeded.grown == ()
+    np.testing.assert_array_equal(seeded.params, shallow.params)
+    assert seeded.energy == shallow.energy and seeded.grad_norm == shallow.grad_norm
