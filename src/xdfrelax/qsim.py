@@ -155,9 +155,11 @@ class EigenbasisDensities:
     gradients: np.ndarray
 
 
+@lru_cache(maxsize=64)
 def hf_reference(n_spatial: int, n_alpha: int, n_beta: int) -> Statevector:
     """Computational basis determinant occupying the lowest orbitals per spin:
-    the first string of each spin's filling."""
+    the first string of each spin's filling. Cached; a Statevector is
+    immutable."""
     amps = np.zeros(sector_shape(n_spatial, n_alpha, n_beta))
     amps[0, 0] = 1.0
     return Statevector(n_spatial, n_alpha, n_beta, amps)

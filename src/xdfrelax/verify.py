@@ -296,18 +296,16 @@ def run_pipeline(ham: Hamiltonian, regime: RegimeSpec,
     """Factorize and optimize; ``seed`` warm-starts the VQE (see vqe.optimize).
 
     ``built`` shares factorizations across the calls given it: each
-    Hamiltonian is factorized once with every leaf retained, and a policy
-    that retains fewer takes that factorization's retained prefix, built
-    once per count. Factorizing never depends on the policy but for the
-    count, so the prefix is bitwise ``factorize(ham, regime.truncation)``.
+    Hamiltonian is factorized once, by the first policy asked of it, and a
+    policy that retains another leaf count takes that factorization with
+    its own count, built once per count. ``factorize`` keeps every leaf and
+    depends on the policy only through the count, so this is bitwise
+    ``factorize(ham, regime.truncation)``.
     """
-    if built is None:
-        fac = factorize(ham, regime.truncation)
-    else:
-        full = _built_once(built, ham, lambda: factorize(ham, TruncationPolicy.exact()))
-        count = regime.truncation.retained_count(full.g)
-        fac = full if count == full.retained else _built_once(
-            built, (ham, count), lambda: replace(full, retained=count))
+    fac = _built_once(built, ham, lambda: factorize(ham, regime.truncation))
+    count = regime.truncation.retained_count(fac.g)
+    if count != fac.retained:
+        fac = _built_once(built, (ham, count), lambda: replace(fac, retained=count))
     cfg = AnsatzConfig(regime.n_layers, regime.ansatz_seed)
     result = vqe.optimize(fac, cfg, tol=regime.vqe_tol, seed=seed)
     if not result.converged:

@@ -12,7 +12,6 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -73,9 +72,17 @@ class VQEResult:
         for name in ("params", "curvature"):
             value = getattr(self, name)
             if value is not None:
-                object.__setattr__(self, name, read_only(np.array(value, dtype=float))[0])
-        object.__setattr__(self, "grown", read_only(*(np.array(p, dtype=float)
-                                                      for p in self.grown)))
+                object.__setattr__(self, name, _frozen(value))
+        object.__setattr__(self, "grown", tuple(_frozen(p) for p in self.grown))
+
+
+def _frozen(value) -> np.ndarray:
+    """``value`` itself when it is already a read-only float array (so
+    ``dataclasses.replace`` of a result shares its arrays), else a read-only
+    float copy."""
+    if isinstance(value, np.ndarray) and value.dtype == float and not value.flags.writeable:
+        return value
+    return read_only(np.array(value, dtype=float))[0]
 
 
 STENCIL_SWEEP_ENTRIES = 1 << 20  # gate-factor entries of one batched sweep (8 MB a table)
@@ -97,50 +104,28 @@ def n_parameters(n_spatial: int, cfg: AnsatzConfig) -> int:
     return 2 * len(brickwork(n_spatial, cfg.n_layers))
 
 
-@dataclass(frozen=True, eq=False)
-class _SweepPlan:
-    """What a sweep of one circuit shape reads, built once: the
-    ``brickwork`` blocks, their gates (``qsim.ansatz_table``), the parameter
-    of every gate (per block the locked rotation's for its alpha and its
-    beta gate, then the exchange's), the flat reference block, and the
-    gates' ``mask`` and ``sign`` tables as (K, 1, dim), which broadcast
-    against the (K, B, 1) cosines and sines of B points. The arrays are
-    read-only."""
-
-    blocks: tuple[int, ...]
-    table: qsim.GateTable
-    gate_params: np.ndarray
-    reference: np.ndarray
-    mask: np.ndarray
-    sign: np.ndarray
-
-
-@lru_cache(maxsize=16)
-def _sweep_plan(n: int, n_alpha: int, n_beta: int, n_layers: int) -> _SweepPlan:
-    """The ``_SweepPlan`` of the ansatz with ``n_layers`` on one filling. Cached."""
-    blocks = brickwork(n, n_layers)
+def _forward_sweep(fac: XDFFactorization, cfg: AnsatzConfig, points: np.ndarray):
+    """The ansatz at the (B, P) points: its gate table (``qsim.ansatz_table``),
+    the flat blocks as (B, dim) and the kernel factors of every gate,
+    ``where(mask, cos, 1)`` and ``sin * sign``, as two contiguous (K, B,
+    dim) arrays, gate k's at ``[k]``, each built once. A block's alpha and
+    beta gates take its locked rotation's angle, its exchange gate the
+    next. The inverse of gate k takes the same ``scale`` and ``-shift``:
+    cos is even and sin is odd."""
+    n, n_alpha, n_beta = fac.n_orbitals, fac.n_alpha, fac.n_beta
+    blocks = brickwork(n, cfg.n_layers)
+    if points.shape[1:] != (2 * len(blocks),):
+        raise ValueError(f"expected {2 * len(blocks)} parameters, got {points.shape[1:]}")
     table = qsim.ansatz_table(n, n_alpha, n_beta, blocks)
     gate_params = (2 * np.arange(len(blocks))[:, None] + [0, 0, 1]).ravel()
-    reference = qsim.hf_reference(n, n_alpha, n_beta).amplitudes.reshape(-1)
-    return _SweepPlan(blocks, table, *read_only(gate_params, reference,
-                                                table.mask[:, None], table.sign[:, None]))
-
-
-def _forward_sweep(fac: XDFFactorization, cfg: AnsatzConfig, points: np.ndarray):
-    """The ansatz at the (B, P) points: its plan, the flat blocks as (B, dim)
-    and the kernel factors of every gate, ``where(mask, cos, 1)`` and ``sin *
-    sign``, as two contiguous (K, B, dim) arrays, gate k's at ``[k]``, each
-    built once. The inverse of gate k takes the same ``scale`` and ``-shift``:
-    cos is even and sin is odd."""
-    plan = _sweep_plan(fac.n_orbitals, fac.n_alpha, fac.n_beta, cfg.n_layers)
-    if points.shape[1:] != (2 * len(plan.blocks),):
-        raise ValueError(f"expected {2 * len(plan.blocks)} parameters, got {points.shape[1:]}")
-    angles = points.T[plan.gate_params, :, None]
-    scale, shift = np.where(plan.mask, np.cos(angles), 1.0), np.sin(angles) * plan.sign
-    psi = np.repeat(plan.reference[None], len(points), axis=0)
-    for k in range(len(plan.gate_params)):
-        psi = qsim.apply_gate(psi, plan.table, k, scale[k], shift[k])
-    return plan, psi, scale, shift
+    angles = points.T[gate_params, :, None]
+    scale = np.where(table.mask[:, None], np.cos(angles), 1.0)
+    shift = np.sin(angles) * table.sign[:, None]
+    reference = qsim.hf_reference(n, n_alpha, n_beta).amplitudes.reshape(1, -1)
+    psi = np.repeat(reference, len(points), axis=0)
+    for k in range(len(gate_params)):
+        psi = qsim.apply_gate(psi, table, k, scale[k], shift[k])
+    return table, psi, scale, shift
 
 
 def prepare_state(fac: XDFFactorization, cfg: AnsatzConfig,
@@ -182,7 +167,7 @@ def _energy_and_gradient(fac: XDFFactorization, cfg: AnsatzConfig, params: np.nd
     n, n_alpha, n_beta = fac.n_orbitals, fac.n_alpha, fac.n_beta
     params = np.asarray(params, dtype=float)
     points = params[None] if params.ndim == 1 else params
-    plan, psi, scale, shift = _forward_sweep(fac, cfg, points)
+    table, psi, scale, shift = _forward_sweep(fac, cfg, points)
     kets = np.empty((2, *psi.shape))
     kets[0] = psi
     energy = np.empty(len(points))
@@ -193,9 +178,8 @@ def _energy_and_gradient(fac: XDFFactorization, cfg: AnsatzConfig, params: np.nd
         energy[b] = np.vdot(ket.amplitudes, kets[1, b])
 
     np.negative(shift, out=shift)  # gate k's inverse: cos is even and sin is odd
-    table = plan.table
     reads = [None] * len(table.pairs)
-    for i in reversed(range(len(plan.blocks))):
+    for i in reversed(range(len(table.pairs) // 3)):
         alpha, beta, exchange = 3 * i, 3 * i + 1, 3 * i + 2
         kets = qsim.apply_gate(kets, table, exchange, scale[exchange], shift[exchange])
         reads[exchange] = kets.take(table.pairs[exchange], axis=-1)
@@ -204,7 +188,7 @@ def _energy_and_gradient(fac: XDFFactorization, cfg: AnsatzConfig, params: np.nd
         for k in (alpha, beta):
             reads[k] = kets.take(table.pairs[k], axis=-1)
     grad = np.zeros(points.shape)
-    if plan.blocks:
+    if table.pairs:
         alpha_terms, beta_terms, exchange_terms = (
             _generator_terms(reads[kind::3]) for kind in range(3))
         grad[:, 0::2] = 2.0 * (beta_terms + alpha_terms)

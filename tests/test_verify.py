@@ -113,7 +113,7 @@ def test_truncated_regime_derivatives_n3():
 
 def test_regime_suite_builds_each_input_once(monkeypatch):
     # the four regimes displace one Hamiltonian along the same stencil, and
-    # every policy takes its retained prefix of one factorization per input
+    # every policy takes one factorization per input with its own leaf count
     ham = synth_hamiltonian(3, 1, 1, 2)
     specs = RegimeSpec.grid(2, 1, TruncationPolicy.by_count(3))
     perts = [hammodel.random_one_body_perturbation(3, 31),
@@ -133,34 +133,6 @@ def test_regime_suite_builds_each_input_once(monkeypatch):
     assert len(calls) == 1 + 2 * 4  # the base and its 8 displaced inputs, once each
 
 
-@pytest.mark.parametrize("ham", [regime_fixture(), ablation_fixture(), *path_fixtures()],
-                         ids=["regime", "ablation", "path-a", "path-b"])
-def test_shared_factorizations_are_bitwise_prefixes(monkeypatch, ham):
-    # run_pipeline with ``built`` factorizes once and takes each policy's
-    # retained prefix; at every count it is the policy's own factorization
-    facs = []
-
-    def solved(fac, cfg, tol, seed):
-        facs.append(fac)
-        return vqe.VQEResult(np.zeros(vqe.n_parameters(fac.n_orbitals, cfg)), 0.0, 0.0, True, 0)
-
-    monkeypatch.setattr(vqe, "optimize", solved)
-    n_leaves = ham.n_orbitals * (ham.n_orbitals + 1) // 2
-    policies = [TruncationPolicy.exact(),
-                *(TruncationPolicy.by_count(k) for k in reversed(range(n_leaves + 1)))]
-    built = {}
-    for policy in policies:
-        run_pipeline(ham, RegimeSpec("prefix", policy, 1), built=built)
-    assert [fac.retained for fac in facs] == [n_leaves, *reversed(range(n_leaves + 1))]
-    for policy, fac in zip(policies, facs, strict=True):
-        own = factorize(ham, policy)
-        assert fac.retained == own.retained
-        for name in ("U0", "F0", "g", "V", "U", "lam"):
-            np.testing.assert_array_equal(getattr(fac, name), getattr(own, name))
-        for name in ("U", "D", "M_alpha", "M_beta"):
-            np.testing.assert_array_equal(getattr(fac.frames, name), getattr(own.frames, name))
-
-
 def _recorded(monkeypatch, module, name):
     """Wraps ``module.name`` to record the arguments of every call."""
     calls = []
@@ -172,6 +144,37 @@ def _recorded(monkeypatch, module, name):
 
     monkeypatch.setattr(module, name, recording)
     return calls
+
+
+@pytest.mark.parametrize("ham", [regime_fixture(), ablation_fixture(), *path_fixtures()],
+                         ids=["regime", "ablation", "path-a", "path-b"])
+def test_shared_factorizations_are_bitwise_the_policys_own(monkeypatch, ham):
+    # run_pipeline with ``built`` factorizes once, with the first policy, and
+    # gives every other policy that factorization with its own count, fewer
+    # leaves or more; at every count it is the policy's own factorization
+    facs = []
+
+    def solved(fac, cfg, tol, seed):
+        facs.append(fac)
+        return vqe.VQEResult(np.zeros(vqe.n_parameters(fac.n_orbitals, cfg)), 0.0, 0.0, True, 0)
+
+    monkeypatch.setattr(vqe, "optimize", solved)
+    n_leaves = ham.n_orbitals * (ham.n_orbitals + 1) // 2
+    policies = [TruncationPolicy.by_count(1), TruncationPolicy.exact(),
+                *(TruncationPolicy.by_count(k) for k in range(n_leaves + 1))]
+    built = {}
+    factorizations = _recorded(monkeypatch, verify, "factorize")
+    for policy in policies:
+        run_pipeline(ham, RegimeSpec("shared", policy, 1), built=built)
+    assert len(factorizations) == 1
+    assert [fac.retained for fac in facs] == [1, n_leaves, *range(n_leaves + 1)]
+    for policy, fac in zip(policies, facs, strict=True):
+        own = factorize(ham, policy)
+        assert fac.retained == own.retained
+        for name in ("U0", "F0", "g", "V", "U", "lam"):
+            np.testing.assert_array_equal(getattr(fac, name), getattr(own, name))
+        for name in ("U", "D", "M_alpha", "M_beta"):
+            np.testing.assert_array_equal(getattr(fac.frames, name), getattr(own.frames, name))
 
 
 def test_approximate_regimes_start_at_the_grown_points(monkeypatch, lbfgs_calls):

@@ -1,4 +1,4 @@
-from dataclasses import FrozenInstanceError, replace
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -469,21 +469,6 @@ def test_table_kernel_sweep_matches_rows_kernel_and_shift_rule(point):
     assert np.max(np.abs(grad - ansatz_gradient(fac, cfg, params)), initial=0.0) <= 1e-10
 
 
-def test_sweep_plan_is_cached_and_read_only():
-    plan = vqe._sweep_plan(4, 2, 1, 3)
-    assert vqe._sweep_plan(4, 2, 1, 3) is plan
-    assert plan.blocks == brickwork(4, 3)
-    assert plan.table is qsim.ansatz_table(4, 2, 1, plan.blocks)
-    gates, dim = len(plan.table.pairs), plan.table.dim
-    assert plan.gate_params.tolist() == [p for i in range(len(plan.blocks))
-                                         for p in (2 * i, 2 * i, 2 * i + 1)]
-    assert plan.mask.shape == plan.sign.shape == (gates, 1, dim)
-    for arr in (plan.gate_params, plan.reference, plan.mask, plan.sign):
-        assert not arr.flags.writeable
-    with pytest.raises(FrozenInstanceError):
-        plan.blocks = ()
-
-
 def test_cos_is_even_and_sin_is_odd_bitwise():
     # the inverse sweep takes gate k's cos and -sin for cos(-theta) and
     # sin(-theta); checked on every array length the sweeps of this suite
@@ -505,6 +490,12 @@ def test_cold_solve_keeps_each_grown_depth(lbfgs_calls):
     deep = optimize(fac, AnsatzConfig(4, seed=3), tol=WARM_TOL)
     assert [p.size for p in deep.grown] == [n_parameters(4, AnsatzConfig(d)) for d in (1, 2, 3, 4)]
     assert all(not p.flags.writeable for p in deep.grown)
+    # replace shares a result's read-only arrays and copies a writeable one
+    start = np.zeros(deep.params.size)
+    moved = replace(deep, params=start)
+    assert moved.params is not start and not moved.params.flags.writeable
+    assert moved.curvature is deep.curvature
+    assert all(a is b for a, b in zip(moved.grown, deep.grown, strict=True))
     # a shallower cold solve grows the same points, and a solve seeded with
     # one of them runs the rest of that cold solve with no growth
     lbfgs_calls.clear()
