@@ -5,6 +5,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import re
 import sys
 from functools import lru_cache
 
@@ -245,7 +246,12 @@ def _add_common(parser, *flags):
 
 
 class _Parser(argparse.ArgumentParser):
-    """Reports a usage error as a ValueError, for the exit-1 path of ``main``."""
+    """Reports a usage error as a ValueError, for the exit-1 path of ``main``, and
+    reads ``-5e-2`` as a number like ``-0.05`` (argparse < 3.13 reads a flag)."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
 
     def error(self, message):
         raise ValueError(message)

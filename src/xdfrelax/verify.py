@@ -18,6 +18,7 @@ minors. No gate kernel and no ``givens.reconstruct`` is used here.
 from __future__ import annotations
 
 import math
+from collections import deque
 from dataclasses import dataclass, replace
 from functools import cached_property
 
@@ -291,9 +292,10 @@ def _built_once(built: dict | None, key, build):
     return built[key]
 
 
-def run_pipeline(ham: Hamiltonian, regime: RegimeSpec,
-                 seed: vqe.VQEResult | None = None, *, built: dict | None = None) -> Pipeline:
-    """Factorize and optimize; ``seed`` warm-starts the VQE (see vqe.optimize).
+def run_pipeline(ham: Hamiltonian, regime: RegimeSpec, start: np.ndarray | None = None,
+                 curvature: np.ndarray | None = None, *, built: dict | None = None) -> Pipeline:
+    """Factorize and optimize; with a ``start`` the VQE solve is warm, from
+    that point with that ``curvature``, else cold (see vqe.optimize).
 
     ``built`` shares factorizations across the calls given it: each
     Hamiltonian is factorized once, by the first policy asked of it, and a
@@ -307,7 +309,7 @@ def run_pipeline(ham: Hamiltonian, regime: RegimeSpec,
     if count != fac.retained:
         fac = _built_once(built, (ham, count), lambda: replace(fac, retained=count))
     cfg = AnsatzConfig(regime.n_layers, regime.ansatz_seed)
-    result = vqe.optimize(fac, cfg, tol=regime.vqe_tol, seed=seed)
+    result = vqe.optimize(fac, cfg, tol=regime.vqe_tol, start=start, curvature=curvature)
     if not result.converged:
         raise NonConvergence(
             f"VQE did not reach gradient {regime.vqe_tol:.1e} in regime {regime.name}")
@@ -353,14 +355,21 @@ def _check_leaf_tracking(base: XDFFactorization, displaced: XDFFactorization,
             f"retained leaf subspace moved by {drift:.3e} across the stencil")
 
 
-def _extrapolated(solved, at: float) -> np.ndarray:
-    """The Lagrange polynomial through the solved (x, params) pairs, at x =
-    ``at``: a predicted start for the next solve of a sequence."""
-    total = 0.0
-    for x_i, params in solved:
+def _predicted_solve(ham: Hamiltonian, regime: RegimeSpec, solved: deque, at: float,
+                     built: dict | None = None) -> Pipeline:
+    """The pipeline of ``ham``, the point ``at`` of a sequence of nearby
+    Hamiltonians, warm-started from the sequence's last (up to three)
+    solves: ``solved``, a ``deque(maxlen=3)`` of (coordinate, ``VQEResult``)
+    pairs, oldest first. The solve starts at the Lagrange polynomial through
+    those points, at ``at``, with the latest solve's curvature; its own
+    pair is then appended."""
+    start = 0.0
+    for x_i, result in solved:
         weight = math.prod((at - x_j) / (x_i - x_j) for x_j, _ in solved if x_j != x_i)
-        total = total + weight * params
-    return total
+        start = start + weight * result.params
+    pipe = run_pipeline(ham, regime, start, solved[-1][1].curvature, built=built)
+    solved.append((at, pipe.result))
+    return pipe
 
 
 def fd_energy_derivative(ham: Hamiltonian, pert: Perturbation, regime: RegimeSpec,
@@ -369,33 +378,26 @@ def fd_energy_derivative(ham: Hamiltonian, pert: Perturbation, regime: RegimeSpe
     """5-point central difference of the full pipeline energy along eps.
 
     Every displaced evaluation re-factorizes with the base retained count and
-    re-optimizes from a predicted start: the Lagrange polynomial in eps
-    through the last (up to three) solved (eps, params) pairs of the
-    stencil, the base point at eps = 0 counted as the first, with the most
-    recent curvature built in the stencil. A change in the leaf count the
-    regime's own policy keeps, or in the retained subspace, across the
-    stencil is a hard error. A displaced point reads only the energy, so it
-    prepares no state. ``built`` shares the displaced Hamiltonians and
-    their factorizations, one per Hamiltonian (``run_pipeline``), across
-    the calls given it.
+    re-optimizes from a predicted start (``_predicted_solve``): the Lagrange
+    polynomial in eps through the last (up to three) solved points of the
+    stencil, the base point at eps = 0 counted as the first, with the
+    latest solve's curvature. A change in the leaf count the regime's own
+    policy keeps, or in the retained subspace, across the stencil is a hard
+    error. A displaced point reads only the energy, so it prepares no
+    state. ``built`` shares the displaced Hamiltonians and their
+    factorizations, one per Hamiltonian (``run_pipeline``), across the
+    calls given it.
     """
     if base is None:
         base = run_pipeline(ham, regime)
     pinned = replace(regime, truncation=TruncationPolicy.by_count(base.fac.retained))
-
-    curvature = base.result.curvature
-    solved = [(0.0, base.result.params)]
+    solved = deque([(0.0, base.result)], maxlen=3)
 
     def displaced_energy(eps: float) -> float:
-        nonlocal curvature
         displaced = _built_once(built, (ham, pert, eps),
                                 lambda: apply_perturbation(ham, pert, eps))
-        seed = replace(base.result, params=_extrapolated(solved[-3:], eps),
-                       curvature=curvature)
-        pipe = run_pipeline(displaced, pinned, seed=seed, built=built)
+        pipe = _predicted_solve(displaced, pinned, solved, eps, built)
         _check_leaf_tracking(base.fac, pipe.fac, regime.truncation)
-        curvature = pipe.result.curvature
-        solved.append((eps, pipe.result.params))
         return pipe.energy
 
     return five_point_derivative(displaced_energy, eps_step)
@@ -412,22 +414,19 @@ def run_regime_suite(ham: Hamiltonian, specs, perturbations,
     taking its retained prefix (``run_pipeline``). A regime with the same
     truncation, ansatz seed and tolerance as an earlier cold solve, at no
     greater depth, starts at that solve's grown point of its depth
-    (``vqe.VQEResult.grown``): the cold path from the same start, without
-    the growth. Every regime still runs its own solves and leaf-tracking
-    checks, and prepares one state, its base pipeline's.
+    (``vqe.VQEResult.grown``), with no curvature: the cold path from the
+    same start, without the growth. Every regime still runs its own solves
+    and leaf-tracking checks, and prepares one state, its base pipeline's.
     """
     built, cold = {}, {}
     reports = []
     for regime in specs:
         shape = (regime.truncation, regime.ansatz_seed, regime.vqe_tol)
-        grower = cold.get(shape)
-        grown = grower.grown if grower else ()
-        seed = None
-        if 0 < regime.n_layers <= len(grown):
-            seed = replace(grower, params=grown[regime.n_layers - 1], curvature=None)
-        base = run_pipeline(ham, regime, seed, built=built)
+        grown = cold.get(shape, ())
+        start = grown[regime.n_layers - 1] if 0 < regime.n_layers <= len(grown) else None
+        base = run_pipeline(ham, regime, start, built=built)
         if len(base.result.grown) > len(grown):
-            cold[shape] = base.result
+            cold[shape] = base.result.grown
         rdms = relaxed_rdms(base, ablate=ablate)
         for pert in perturbations:
             analytic = analytic_energy_derivative(base, pert, rdms)
@@ -458,9 +457,10 @@ def verlet_path(ham_a: Hamiltonian, ham_b: Hamiltonian, n_steps: int, dt: float,
     The potential is the pipeline energy at H(s); the force is the analytic
     derivative along H_B - H_A. A consistent energy/force pair conserves
     kinetic + potential; response errors show up as drift or instability.
-    Each step's solve starts at the parameters extrapolated in time through
-    the last (up to three) steps, 3 p_k - 3 p_{k-1} + p_{k-2} (2 p_k -
-    p_{k-1} at the second step), with the previous step's curvature.
+    Each step's solve is a predicted warm solve (``_predicted_solve``) in
+    the step index: from the parameters extrapolated through the last (up to
+    three) steps, 3 p_k - 3 p_{k-1} + p_{k-2} (2 p_k - p_{k-1} at the second
+    step), with the previous step's curvature.
     """
     if regime is None:
         regime = RegimeSpec("path", TruncationPolicy.exact(), n_layers=3)
@@ -468,30 +468,29 @@ def verlet_path(ham_a: Hamiltonian, ham_b: Hamiltonian, n_steps: int, dt: float,
     direction = Perturbation(ham_b.one_body - ham_a.one_body, ham_b.two_body - ham_a.two_body,
                              core=ham_b.core_energy - ham_a.core_energy)
 
-    def evaluate(ham: Hamiltonian, seed: vqe.VQEResult | None):
-        pipe = run_pipeline(ham, regime, seed)
+    def acceleration(pipe: Pipeline) -> float:
         rdms = relaxed_rdms(pipe, ablate=ablate)
-        return pipe, -analytic_energy_derivative(pipe, direction, rdms) / mass
+        return -analytic_energy_derivative(pipe, direction, rdms) / mass
 
     s_hist = [s0]
-    pipe, accel = evaluate(start, None)
+    pipe = run_pipeline(start, regime)
+    accel = acceleration(pipe)
     kin = [0.5 * mass * v0 * v0]
     pot = [pipe.energy]
     aborted = None
     s, v = s0, v0
     completed = 0
-    solved = [(0, pipe.result.params)]
+    solved = deque([(0, pipe.result)], maxlen=3)
     for step in range(n_steps):
         try:
             s_new = s + v * dt + 0.5 * accel * dt * dt
-            seed = replace(pipe.result, params=_extrapolated(solved[-3:], step + 1))
-            pipe, accel_new = evaluate(interpolate(ham_a, ham_b, s_new), seed)
+            pipe = _predicted_solve(interpolate(ham_a, ham_b, s_new), regime, solved, step + 1)
+            accel_new = acceleration(pipe)
             v = v + 0.5 * (accel + accel_new) * dt
             s, accel = s_new, accel_new
         except (RuntimeError, ValueError) as exc:
             aborted = exc
             break
-        solved.append((step + 1, pipe.result.params))
         s_hist.append(s)
         kin.append(0.5 * mass * v * v)
         pot.append(pipe.energy)

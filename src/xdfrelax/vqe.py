@@ -47,16 +47,17 @@ class AnsatzConfig:
 class VQEResult:
     """A solve's end point, its energy and max|g|, whether that is within the
     solve's ``tol``, and the L-BFGS iterations plus Newton steps it took.
+    Every array is kept as a read-only float copy.
 
     ``curvature`` is the gauge-truncated pseudo-inverse of the last Hessian
-    the solve stepped with (built by it or inherited from its seed), or None
-    when no Hessian was ever built; a warm re-solve seeded with this result
-    takes chord-Newton steps on it.
+    the solve stepped with (built by it or handed to it with its start), or
+    None when no Hessian was ever built; a warm re-solve started with this
+    curvature takes chord-Newton steps on it.
 
     ``grown`` holds a cold solve's grown start at every depth 1 .. L
     (``_grown_start``), and is empty for a warm solve. A solve of the same
-    factorization, ``cfg.seed`` and ``tol`` at depth d <= L seeded with
-    ``grown[d - 1]`` and no curvature runs the cold solve's path without
+    factorization, ``cfg.seed`` and ``tol`` at depth d <= L started at
+    ``grown[d - 1]`` with no curvature runs the cold solve's path without
     its growth.
     """
 
@@ -72,17 +73,8 @@ class VQEResult:
         for name in ("params", "curvature"):
             value = getattr(self, name)
             if value is not None:
-                object.__setattr__(self, name, _frozen(value))
-        object.__setattr__(self, "grown", tuple(_frozen(p) for p in self.grown))
-
-
-def _frozen(value) -> np.ndarray:
-    """``value`` itself when it is already a read-only float array (so
-    ``dataclasses.replace`` of a result shares its arrays), else a read-only
-    float copy."""
-    if isinstance(value, np.ndarray) and value.dtype == float and not value.flags.writeable:
-        return value
-    return read_only(np.array(value, dtype=float))[0]
+                object.__setattr__(self, name, read_only(np.array(value, float))[0])
+        object.__setattr__(self, "grown", read_only(*(np.array(p, float) for p in self.grown)))
 
 
 STENCIL_SWEEP_ENTRIES = 1 << 20  # gate-factor entries of one batched sweep (8 MB a table)
@@ -482,25 +474,25 @@ def _grown_start(fac: XDFFactorization, cfg: AnsatzConfig, tol: float,
 
 
 def optimize(fac: XDFFactorization, cfg: AnsatzConfig, tol: float = 1e-10,
-             seed: VQEResult | None = None, maxiter: int = 2000) -> VQEResult:
+             start: np.ndarray | None = None, curvature: np.ndarray | None = None,
+             maxiter: int = 2000) -> VQEResult:
     """Minimize the factorized energy over the ansatz angles.
 
-    Deterministic for fixed (cfg.seed, seed, tol). Both kinds of start take
-    one flow: Newton steps from a start that is already near the answer. A
-    cold start grows the ansatz layer by layer with L-BFGS, each depth only
-    into its basin (``_grown_start``), and keeps every depth's grown point
-    as ``grown``. A warm start from ``seed``, usually a
-    converged result for a nearby Hamiltonian, begins exactly at
-    ``seed.params`` (which a caller may set to a predicted point with
-    ``dataclasses.replace``), which keeps displaced re-optimizations on the
-    same local minimum, with ``seed.curvature``. Only if Newton ends above
-    ``tol``, having stalled or found the start outside its reach, is there
-    one fallback: L-BFGS from the start to 0.1 tol, then Newton on a fresh
-    Hessian; the converged, else the lower-energy, of the two end points is
-    returned. ``n_iterations`` counts L-BFGS iterations and Newton steps.
-    Non-convergence is reported through the ``converged`` flag, not raised.
-    An ansatz without parameters (no layers, or one orbital) leaves the
-    reference state, which is trivially stationary.
+    Deterministic for fixed (cfg.seed, start, curvature, tol). Every solve
+    is Newton steps from a start already near the answer. With no ``start``
+    the solve is cold: it grows the ansatz layer by layer with L-BFGS, each
+    depth only into its basin (``_grown_start``), keeps every depth's point
+    as ``grown`` and reads no ``curvature``. With a ``start``, usually a
+    solved or predicted point of a nearby Hamiltonian, it is warm: it
+    begins exactly there, which keeps displaced re-solves on the same local
+    minimum, with chord steps on ``curvature`` (a result's) when given.
+    Only if Newton ends above ``tol``, stalled or with the start outside
+    its reach, is there one fallback: L-BFGS from the start to 0.1 tol,
+    then Newton on a fresh Hessian; the converged, else the lower-energy,
+    end point is returned. ``n_iterations`` counts L-BFGS iterations and
+    Newton steps. Non-convergence is reported through ``converged``, not
+    raised. An ansatz without parameters (no layers, or one orbital) leaves
+    the reference state, which is trivially stationary.
     """
     if not 0 < tol < math.inf:
         raise ValueError("tolerance must be positive and finite")
@@ -508,11 +500,11 @@ def optimize(fac: XDFFactorization, cfg: AnsatzConfig, tol: float = 1e-10,
         energy, _ = _energy_and_gradient(fac, cfg, np.zeros(0))
         return VQEResult(np.zeros(0), energy, 0.0, True, 0)
 
-    if seed is None:
+    if start is None:
         grown, iterations = _grown_start(fac, cfg, tol, maxiter)
         start, curvature = grown[-1], None
     else:
-        grown, start, iterations, curvature = (), seed.params, 0, seed.curvature
+        grown, iterations, start = (), 0, np.asarray(start, dtype=float)
     max_steps = min(20, maxiter)
     x, energy, grad, curvature, steps = _newton_polish(
         fac, cfg, start, tol, max_steps, curvature)

@@ -237,6 +237,27 @@ def test_exit_code_bad_flag_value(fcidump_n3, tmp_path, argv, flag):
     assert payload["error"].startswith(flag + " ")
 
 
+def test_negative_exponent_flag_value(fcidump_n3, tmp_path):
+    # -5e-2 is a value, as -0.05 is, not an unknown flag
+    argv = ["path", "--fcidump", fcidump_n3, "--fcidump-b", fcidump_n3, "--steps", "1",
+            "--layers", "1", "--v0"]
+    for value in ("-5e-2", "-0.05"):
+        assert cli.main(argv + [value, "--out", str(tmp_path / f"{value}.json")]) == 0
+    assert (tmp_path / "-5e-2.json").read_bytes() == (tmp_path / "-0.05.json").read_bytes()
+
+
+@pytest.mark.parametrize("argv,flag", [
+    (["path", "--fcidump-b", "b"], "--v0"), (["path", "--fcidump-b", "b"], "--s0"),
+    (["path", "--fcidump-b", "b"], "--dt"), (["rdm"], "--threshold"),
+])
+def test_negative_numbers_parse_in_every_spelling(argv, flag):
+    parser = cli.build_parser()
+    parsed = {getattr(parser.parse_args([*argv, "--fcidump", "a", flag, value]),
+                      flag.lstrip("-"))
+              for value in ("-5e-2", "-5E-2", "-0.05", "-.05", "-0.5e-1")}
+    assert parsed == {-0.05}
+
+
 VALID_FCIDUMP = write_fcidump(synth_hamiltonian(2, 1, 1, 7))
 
 

@@ -6,7 +6,8 @@ class, only ``givens.read_only`` calls ``setflags``, only
 ``qsim.ansatz_table`` constructs a ``GateTable``, they import only numpy and
 the standard library, every module constant, function, class, method and
 field they define is read, and every CLI flag a subcommand registers is read
-by that subcommand.
+by that subcommand. The README's CLI flag table lists each subcommand's flags,
+and every ``xdfrelax`` example line in it parses.
 
 The referees live in ``verify``: no production module imports it, the
 referee names are defined nowhere else, it loads no gate or fabric kernel,
@@ -727,3 +728,35 @@ def test_cli_flags_are_read(command):
     dests = [action.dest for action in sub._actions if action.dest not in ("help", "out")]
     func = sub.get_default("func").__name__
     assert unread_flags(inspect.getsource(cli), func, dests) == []
+
+
+README = TESTS.parent / "README.md"
+
+
+def readme_flag_table(text: str) -> dict[str, set[str]]:
+    """The flags of each row of the README's subcommand table, by subcommand."""
+    rows = re.findall(r"^\| `([a-z]+)` *\|(.*)$", text, re.MULTILINE)
+    return {command: set(re.findall(r"--[a-z0-9-]+", cells)) for command, cells in rows}
+
+
+def test_finder_reads_the_flag_table():
+    text = ("| subcommand | solve | own flags |\n|---|---|---|\n"
+            "| `vqe` | `--layers` (default 3), `--tol` | — |\n| `rdm` | — | `--ablate` |\n")
+    assert readme_flag_table(text) == {"vqe": {"--layers", "--tol"}, "rdm": {"--ablate"}}
+
+
+def test_readme_flag_table_lists_every_flag():
+    # every subcommand also takes --fcidump and --out, which the table leaves out
+    table = readme_flag_table(README.read_text(encoding="utf-8"))
+    flags = {command: {option for action in sub._actions for option in action.option_strings}
+             - {"-h", "--help", "--fcidump", "--out"}
+             for command, sub in _subparsers().items()}
+    assert table == flags
+
+
+def test_readme_examples_parse():
+    lines = [line.split()[1:] for line in README.read_text(encoding="utf-8").splitlines()
+             if line.startswith("xdfrelax ")]
+    assert sorted({argv[0] for argv in lines}) == sorted(_subparsers())
+    for argv in lines:
+        cli.build_parser().parse_args(argv)

@@ -1,3 +1,5 @@
+from collections import deque
+
 import numpy as np
 import pytest
 
@@ -154,7 +156,7 @@ def test_shared_factorizations_are_bitwise_the_policys_own(monkeypatch, ham):
     # leaves or more; at every count it is the policy's own factorization
     facs = []
 
-    def solved(fac, cfg, tol, seed):
+    def solved(fac, cfg, tol, start, curvature):
         facs.append(fac)
         return vqe.VQEResult(np.zeros(vqe.n_parameters(fac.n_orbitals, cfg)), 0.0, 0.0, True, 0)
 
@@ -185,8 +187,8 @@ def test_approximate_regimes_start_at_the_grown_points(monkeypatch, lbfgs_calls)
     # the converged regimes grow depths 1 to 4; the approximate ones grow none
     growth = [vqe.n_parameters(4, vqe.AnsatzConfig(d)) for d in (1, 2, 3, 4)]
     assert lbfgs_calls == growth + growth
-    assert [kwargs["seed"] is None for _, kwargs in solves] == [True, True, False, False]
-    # each seeded solve ends where its own cold solve does
+    assert [kwargs["start"] is None for _, kwargs in solves] == [True, True, False, False]
+    # each started solve ends where its own cold solve does
     for args, kwargs in solves[2:]:
         cold = vqe.optimize(*args, tol=kwargs["tol"])
         seeded = vqe.optimize(*args, **kwargs)
@@ -204,13 +206,13 @@ def test_regimes_seed_only_from_an_earlier_deeper_cold_solve(monkeypatch):
              RegimeSpec("other truncation", fewer, 1)]
     solves = _recorded(monkeypatch, vqe, "optimize")
     run_regime_suite(ham, specs, [])
-    seeds = [kwargs["seed"] for _, kwargs in solves]
-    assert [seed is not None for seed in seeds] == [False, False, False, True,
-                                                    False, False, False]
+    starts = [kwargs["start"] for _, kwargs in solves]
+    assert [start is not None for start in starts] == [False, False, False, True,
+                                                       False, False, False]
     deep = solves[1]
-    np.testing.assert_array_equal(seeds[3].params, vqe.optimize(
+    np.testing.assert_array_equal(starts[3], vqe.optimize(
         *deep[0], tol=deep[1]["tol"]).grown[0])
-    assert seeds[3].curvature is None
+    assert solves[3][1]["curvature"] is None
 
 
 def test_only_base_pipelines_prepare_a_state(monkeypatch):
@@ -353,19 +355,36 @@ def test_verlet_short_run_conserves():
     assert trace.aborted is None
 
 
-def test_extrapolated_starts():
+def test_extrapolated_starts(monkeypatch):
+    # the start _predicted_solve hands to run_pipeline, and the curvature
+    def recorded(ham, regime, start, curvature, *, built=None):
+        return verify.Pipeline(None, vqe.VQEResult(start, 0.0, 0.0, True, 0, curvature), None)
+
+    monkeypatch.setattr(verify, "run_pipeline", recorded)
+
+    def extrapolated(pairs, at):
+        solved = deque(((x, vqe.VQEResult(params, 0.0, 0.0, True, 0, np.eye(params.size) * x))
+                        for x, params in pairs), maxlen=3)
+        result = verify._predicted_solve(None, None, solved, at).result
+        np.testing.assert_array_equal(result.curvature, np.eye(result.params.size) * pairs[-1][0])
+        assert solved[-1] == (at, result)
+        return result.params
+
     p = [np.array([1.0, -2.0]), np.array([1.5, -1.0]), np.array([2.5, 1.0])]
-    np.testing.assert_array_equal(verify._extrapolated([(0.0, p[0])], 0.3), p[0])
-    np.testing.assert_array_equal(verify._extrapolated([(0, p[0]), (1, p[1])], 2),
+    np.testing.assert_array_equal(extrapolated([(0.0, p[0])], 0.3), p[0])
+    np.testing.assert_array_equal(extrapolated([(0, p[0]), (1, p[1])], 2),
                                   2 * p[1] - p[0])
-    np.testing.assert_array_equal(verify._extrapolated(list(enumerate(p)), 3),
+    np.testing.assert_array_equal(extrapolated(list(enumerate(p)), 3),
                                   3 * p[2] - 3 * p[1] + p[0])
     # the 5-point stencil's third solve, through eps = 0, -2h and -h, at h
     eps = [0.0, -2e-3, -1e-3]
     quadratic = [1.0 + 3.0 * e - 40.0 * e * e for e in eps]
     pairs = [(e, np.array([q])) for e, q in zip(eps, quadratic)]
-    np.testing.assert_allclose(verify._extrapolated(pairs, 1e-3),
+    np.testing.assert_allclose(extrapolated(pairs, 1e-3),
                                [1.0 + 3e-3 - 40e-6], rtol=0, atol=1e-15)
+    # only the last three solves are read: an older one drops out
+    np.testing.assert_array_equal(extrapolated([(-1, 7 * p[0]), *enumerate(p)], 3),
+                                  3 * p[2] - 3 * p[1] + p[0])
 
 
 def test_fd_stencil_point_budget(energy_grad_calls):

@@ -1,5 +1,3 @@
-from dataclasses import replace
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -112,7 +110,7 @@ def test_optimize_restart_is_a_fixed_point(energy_grad_calls):
     cfg = AnsatzConfig(2, seed=5)
     first = optimize(fac, cfg, tol=1e-10)
     energy_grad_calls.clear()
-    second = optimize(fac, cfg, tol=1e-10, seed=first)
+    second = optimize(fac, cfg, tol=1e-10, start=first.params, curvature=first.curvature)
     # a converged seed is checked with one gradient and returned unchanged
     assert len(energy_grad_calls) == 1
     assert second.energy == first.energy and second.n_iterations == 0
@@ -120,7 +118,7 @@ def test_optimize_restart_is_a_fixed_point(energy_grad_calls):
 
 def test_warm_displaced_resolve_matches_lbfgs_route(displaced_regime, energy_grad_calls):
     fac, cfg, base = displaced_regime
-    result = optimize(fac, cfg, tol=WARM_TOL, seed=base)
+    result = optimize(fac, cfg, tol=WARM_TOL, start=base.params, curvature=base.curvature)
     n_calls = len(energy_grad_calls)
     assert result.converged and result.grad_norm <= WARM_TOL
     assert result.n_iterations >= 1
@@ -128,7 +126,7 @@ def test_warm_displaced_resolve_matches_lbfgs_route(displaced_regime, energy_gra
     assert n_calls <= 2 * base.params.size + 6
     # reseeded with the curvature it built, the solve is a few chord steps
     energy_grad_calls.clear()
-    chord = optimize(fac, cfg, tol=WARM_TOL, seed=replace(base, curvature=result.curvature))
+    chord = optimize(fac, cfg, tol=WARM_TOL, start=base.params, curvature=result.curvature)
     assert chord.converged and len(energy_grad_calls) <= 4
     # the route without curvature: L-BFGS from the seed, then a Newton polish
     x, _ = vqe._lbfgs(fac, cfg, base.params, WARM_TOL, 2000)
@@ -212,28 +210,59 @@ def test_newton_steps_along_a_soft_mode(monkeypatch, noise_rcond):
         assert np.max(np.abs(grad)) <= 1e-11 and np.max(np.abs(x)) <= 1e-9
 
 
+def test_newton_halves_a_step_that_raises_the_gradient(monkeypatch):
+    # g = arctan(10 x) / 10 flattens away from 0: the whole Newton step from
+    # 0.14 is -0.281, inside NEWTON_REACH, yet it overshoots to max|g| 0.0955
+    # against 0.0951; half of it lowers max|g| to 6.8e-4, and Newton
+    # converges from there. Taking only whole steps, Newton stops at once
+    def saturating(fac, cfg, params):
+        grad = np.arctan(10.0 * params) / 10.0
+        return np.sum(params * grad - np.log1p(100.0 * params ** 2) / 200.0, axis=-1), grad
+
+    fac = factorize(synth_hamiltonian(3, 1, 1, 2), TruncationPolicy.exact())
+    monkeypatch.setattr(vqe, "_energy_and_gradient", saturating)
+    x0 = np.array([0.14])
+    g0 = saturating(fac, None, x0)[1]
+    whole = -vqe._pseudo_inverse(vqe._hessian_modes(fac, None, x0), vqe.GAUGE_RCOND) @ g0
+    assert abs(whole[0] + 0.281) <= 1e-3 and abs(whole[0]) <= vqe.NEWTON_REACH
+    assert abs(saturating(fac, None, x0 + whole)[1][0]) > abs(g0[0])
+    assert abs(saturating(fac, None, x0 + whole / 2)[1][0]) <= 7e-4
+    _, _, grad, _, steps = vqe._newton_polish(fac, None, x0, 1e-12, 20)
+    assert np.max(np.abs(grad)) <= 1e-12 and steps == 3
+
+
 @pytest.mark.parametrize("scale", [-1.0, 0.0])
 def test_wrong_seed_curvature_is_rebuilt(displaced_regime, energy_grad_calls, scale):
     fac, cfg, base = displaced_regime
-    good = optimize(fac, cfg, tol=WARM_TOL, seed=base)
-    wrong = replace(base, curvature=scale * good.curvature)
+    good = optimize(fac, cfg, tol=WARM_TOL, start=base.params, curvature=base.curvature)
+    wrong = scale * good.curvature
     energy_grad_calls.clear()
-    result = optimize(fac, cfg, tol=WARM_TOL, seed=wrong)
+    result = optimize(fac, cfg, tol=WARM_TOL, start=base.params, curvature=wrong)
     assert result.converged
     assert len(energy_grad_calls) >= 2 * base.params.size  # the Hessian was rebuilt
-    assert np.max(np.abs(result.curvature - wrong.curvature)) > 0
+    assert np.max(np.abs(result.curvature - wrong)) > 0
     assert abs(result.energy - good.energy) <= 1e-12
 
 
 def test_curvature_is_read_only(displaced_regime):
     fac, cfg, base = displaced_regime
-    result = optimize(fac, cfg, tol=WARM_TOL, seed=base)
+    result = optimize(fac, cfg, tol=WARM_TOL, start=base.params, curvature=base.curvature)
     assert result.curvature.shape == (base.params.size,) * 2
     np.testing.assert_allclose(result.curvature, result.curvature.T, atol=1e-12)
     with pytest.raises(ValueError):
         result.curvature[0, 0] = 1.0
     with pytest.raises(ValueError):
         result.params[0] = 1.0
+
+
+def test_result_keeps_read_only_copies(displaced_regime):
+    _, _, base = displaced_regime
+    params = np.zeros(base.params.size)
+    kept = vqe.VQEResult(params, 0.0, 0.0, True, 0, base.curvature, base.grown)
+    for given, held in [(params, kept.params), (base.curvature, kept.curvature),
+                        *zip(base.grown, kept.grown, strict=True)]:
+        assert held is not given and not held.flags.writeable
+        np.testing.assert_array_equal(held, given)
 
 
 def test_optimize_deterministic():
@@ -490,13 +519,7 @@ def test_cold_solve_keeps_each_grown_depth(lbfgs_calls):
     deep = optimize(fac, AnsatzConfig(4, seed=3), tol=WARM_TOL)
     assert [p.size for p in deep.grown] == [n_parameters(4, AnsatzConfig(d)) for d in (1, 2, 3, 4)]
     assert all(not p.flags.writeable for p in deep.grown)
-    # replace shares a result's read-only arrays and copies a writeable one
-    start = np.zeros(deep.params.size)
-    moved = replace(deep, params=start)
-    assert moved.params is not start and not moved.params.flags.writeable
-    assert moved.curvature is deep.curvature
-    assert all(a is b for a, b in zip(moved.grown, deep.grown, strict=True))
-    # a shallower cold solve grows the same points, and a solve seeded with
+    # a shallower cold solve grows the same points, and a solve started at
     # one of them runs the rest of that cold solve with no growth
     lbfgs_calls.clear()
     shallow = optimize(fac, AnsatzConfig(2, seed=3), tol=WARM_TOL)
@@ -504,8 +527,7 @@ def test_cold_solve_keeps_each_grown_depth(lbfgs_calls):
     for grown, point in zip(shallow.grown, deep.grown, strict=False):
         np.testing.assert_array_equal(grown, point)
     lbfgs_calls.clear()
-    seeded = optimize(fac, AnsatzConfig(2, seed=3), tol=WARM_TOL,
-                      seed=replace(deep, params=deep.grown[1], curvature=None))
+    seeded = optimize(fac, AnsatzConfig(2, seed=3), tol=WARM_TOL, start=deep.grown[1])
     assert lbfgs_calls == [] and seeded.grown == ()
     np.testing.assert_array_equal(seeded.params, shallow.params)
     assert seeded.energy == shallow.energy and seeded.grad_norm == shallow.grad_norm
