@@ -5,6 +5,10 @@ out by ``givens.brickwork`` at the configured layer count. Each block
 carries two angles: a spin-locked orbital rotation followed by a
 pair-exchange rotation between the two doubly-occupied configurations. Both
 gates conserve particle number, S_z, and total spin on singlet references.
+
+Every solve is one trust-region loop on a quadratic model of the energy
+(``_trust_region``); ``VQEResult.curvature`` hands the model to the next
+solve.
 """
 
 from __future__ import annotations
@@ -46,13 +50,13 @@ class AnsatzConfig:
 @dataclass(frozen=True, eq=False)
 class VQEResult:
     """A solve's end point, its energy and max|g|, whether that is within the
-    solve's ``tol``, and the L-BFGS iterations plus Newton steps it took.
+    solve's ``tol``, and the trust-region steps it took.
     Every array is kept as a read-only float copy.
 
-    ``curvature`` is the gauge-truncated pseudo-inverse of the last Hessian
-    the solve stepped with (built by it or handed to it with its start), or
-    None when no Hessian was ever built; a warm re-solve started with this
-    curvature takes chord-Newton steps on it.
+    ``curvature`` is the (P, P) Hessian of the quadratic model the solve
+    ended with: a central-difference Hessian or the model handed to it,
+    updated by every trial step since; None when the solve took no step and
+    was handed no model. A warm re-solve started with it steps on it.
 
     ``grown`` holds a cold solve's grown start at every depth 1 .. L
     (``_grown_start``), and is empty for a warm solve. A solve of the same
@@ -78,17 +82,16 @@ class VQEResult:
 
 
 STENCIL_SWEEP_ENTRIES = 1 << 20  # gate-factor entries of one batched sweep (8 MB a table)
-# Hessian eigen-directions with curvature below these fractions of the largest
-# are dropped from a Newton step: first as flat (gauge) directions of the
-# ansatz, then, once that step stalls, only below the central difference's
-# noise, so that a soft but real mode is stepped along as well.
-GAUGE_RCOND = 1e-6
-NOISE_RCOND = 1e-9
-# A freshly built Hessian whose gauge-free Newton step moves some angle by
-# more than this (radians) marks the point as outside Newton's basin.
-NEWTON_REACH = 0.3
-# Each grown depth runs L-BFGS only until max|g| <= 0.1 max(tol, BASIN_TOL):
-# far enough into the basin for Newton to finish to tol.
+# A trust-region step keeps the model's eigen-directions with curvature
+# above STIFF_RCOND of the largest, and those above SOFT_RCOND whose gradient
+# component is still above the tolerance: the rest are flat (gauge)
+# directions of the ansatz or the central difference's noise.
+STIFF_RCOND = 1e-6
+SOFT_RCOND = 1e-9
+TRUST_RADIUS = 0.3  # radians: the first trust radius of every loop
+MAX_RADIUS = 2.0    # radians: the largest
+# Each grown depth runs only until max|g| <= 0.1 max(tol, BASIN_TOL): far
+# enough into the basin for the full depth's finish to reach tol.
 BASIN_TOL = 1e-3
 
 
@@ -190,183 +193,11 @@ def _energy_and_gradient(fac: XDFFactorization, cfg: AnsatzConfig, params: np.nd
     return energy, grad
 
 
-def _cubic_step(a: float, fa: float, da: float, b: float, fb: float, db: float):
-    """The minimizer of the cubic through (a, fa, da) and (b, fb, db) as the
-    fraction r of the way from a to b, and the cubic's gamma, which is 0
-    when the cubic has no minimizer."""
-    theta = 3.0 * (fa - fb) / (b - a) + da + db
-    s = max(abs(theta), abs(da), abs(db))
-    gamma = s * math.sqrt(max(0.0, (theta / s) ** 2 - (da / s) * (db / s)))
-    if b < a:
-        gamma = -gamma
-    return ((gamma - da) + theta) / (((gamma - da) + gamma) + db), gamma
-
-
-def _safeguarded_step(stx, fx, dx, sty, fy, dy, stp, fp, dp, bracketed, lo, hi):
-    """One trial step of Moré and Thuente (ACM TOMS 20, 286 (1994), Sec. 4),
-    as MINPACK-2's ``dcstep``: stx is the best step so far, sty the other
-    end of the interval, stp the step just evaluated, lo and hi bound the
-    next step while no minimizer is bracketed. Returns the updated stx, fx,
-    dx, sty, fy, dy, the next step and whether a minimizer is bracketed."""
-    opposite = dp < 0 < dx or dx < 0 < dp
-    if fp > fx:                                   # higher value: bracketed
-        r, _ = _cubic_step(stx, fx, dx, stp, fp, dp)
-        cubic = stx + r * (stp - stx)
-        quad = stx + dx / ((fx - fp) / (stp - stx) + dx) / 2.0 * (stp - stx)
-        new = cubic if abs(cubic - stx) < abs(quad - stx) else cubic + (quad - cubic) / 2.0
-        bracketed = True
-    elif opposite:                                # the derivative changed sign
-        r, _ = _cubic_step(stp, fp, dp, stx, fx, dx)
-        cubic = stp + r * (stx - stp)
-        secant = stp + dp / (dp - dx) * (stx - stp)
-        new = cubic if abs(cubic - stp) > abs(secant - stp) else secant
-        bracketed = True
-    elif abs(dp) < abs(dx):                       # the derivative shrank
-        r, gamma = _cubic_step(stp, fp, dp, stx, fx, dx)
-        if r < 0 and gamma != 0:
-            cubic = stp + r * (stx - stp)
-        else:
-            cubic = hi if stp > stx else lo
-        secant = stp + dp / (dp - dx) * (stx - stp)
-        if bracketed:
-            new = cubic if abs(cubic - stp) < abs(secant - stp) else secant
-            limit = stp + 0.66 * (sty - stp)
-            new = min(limit, new) if stp > stx else max(limit, new)
-        else:
-            new = cubic if abs(cubic - stp) > abs(secant - stp) else secant
-            new = min(max(new, lo), hi)
-    elif bracketed:                               # the derivative grew
-        r, _ = _cubic_step(stp, fp, dp, sty, fy, dy)
-        new = stp + r * (sty - stp)
-    else:
-        new = hi if stp > stx else lo
-    if fp > fx:
-        sty, fy, dy = stp, fp, dp
-    else:
-        if opposite:
-            sty, fy, dy = stx, fx, dx
-        stx, fx, dx = stp, fp, dp
-    return stx, fx, dx, sty, fy, dy, new, bracketed
-
-
-def _wolfe_search(fun, x: np.ndarray, d: np.ndarray, f0: float, slope0: float,
-                  step: float):
-    """A Moré–Thuente line search from x along the descent direction d, as
-    MINPACK-2's ``dcsrch`` with ftol 1e-3, gtol 0.9, xtol 0.1 and steps in
-    [0, 1e10]: at most 20 evaluations of ``fun`` for a strong-Wolfe step,
-    f <= f0 + 1e-3 step slope0 and |slope| <= 0.9 |slope0|.
-
-    When the bracket shrinks below xtol, or rounding or a degenerate
-    interpolant stops progress, the best step so far (``dcsrch``'s stx) is
-    taken, as L-BFGS-B takes a ``dcsrch`` warning. Returns (point, f, g),
-    or None when that best step is still 0 or the 20 evaluations run out,
-    and the evaluations spent.
-    """
-    gtest = 1e-3 * slope0
-    stx = sty = 0.0
-    fx = fy = f0
-    gx = gy = slope0
-    best = None
-    bracketed, stage1 = False, True
-    width, width1 = 1e10, 2e10
-    lo, hi = 0.0, 5.0 * step
-    for evals in range(1, 21):
-        point = x + step * d
-        f, g = fun(point)
-        slope = float(g @ d)
-        ftest = f0 + step * gtest
-        if f <= ftest and abs(slope) <= -0.9 * slope0:
-            return (point, f, g), evals
-        if stage1 and f <= ftest and slope >= 0:
-            stage1 = False
-        # Until a step has sufficient decrease and a nonnegative slope, a
-        # lower f without sufficient decrease is stepped on through
-        # psi(t) = f(t) - f0 - t gtest.
-        shift = gtest if stage1 and ftest < f <= fx else 0.0
-        try:
-            stx, fx, gx, sty, fy, gy, new, bracketed = _safeguarded_step(
-                stx, fx - stx * shift, gx - shift, sty, fy - sty * shift, gy - shift,
-                step, f - step * shift, slope - shift, bracketed, lo, hi)
-        except ZeroDivisionError:
-            return best, evals
-        fx, gx, fy, gy = fx + stx * shift, gx + shift, fy + sty * shift, gy + shift
-        if stx == step:
-            best = (point, f, g)
-        if bracketed:
-            if abs(sty - stx) >= 0.66 * width1:
-                new = stx + 0.5 * (sty - stx)
-            width1, width = width, abs(sty - stx)
-            lo, hi = min(stx, sty), max(stx, sty)
-        else:
-            lo, hi = new + 1.1 * (new - stx), new + 4.0 * (new - stx)
-        step = min(max(new, 0.0), 1e10)
-        if bracketed and (step <= lo or step >= hi or hi - lo <= 0.1 * hi):
-            return best, evals
-    return None, evals
-
-
-def _minimize_lbfgs(fun, x: np.ndarray, gtol: float, maxiter: int):
-    """L-BFGS (Liu and Nocedal, Math. Program. 45, 503 (1989)) as L-BFGS-B
-    runs it on an unbounded problem: 10 correction pairs, the first trial
-    step 1/|g|_2 and then 1, ``_wolfe_search`` for the step. A pair is
-    skipped when s.y <= eps y.y. ``fun`` maps a point to (f, g).
-
-    Stops when max|g| <= gtol, when a step lowers f by at most 1e-18 of
-    max(|f|, 1), after ``maxiter`` iterations or 15000 evaluations, or when
-    the direction does not descend or the line search finds no step; then
-    at the last accepted point.
-    Returns the end point and the iterations taken.
-    """
-    f, g = fun(x)
-    evals, nit = 1, 0
-    pairs = []                                    # (s, y, 1 / s.y), oldest first
-    while np.max(np.abs(g)) > gtol and nit < maxiter and evals < 15000:
-        d = -g
-        alphas = []
-        for s, y, rho in reversed(pairs):
-            alpha = rho * (s @ d)
-            d = d - alpha * y
-            alphas.append(alpha)
-        if pairs:
-            s, y, rho = pairs[-1]
-            d = d / (rho * (y @ y))
-        for (s, y, rho), alpha in zip(pairs, reversed(alphas)):
-            d = d + (alpha - rho * (y @ d)) * s
-        slope = float(g @ d)
-        if not slope < 0:
-            break
-        step = 1.0 / np.linalg.norm(d) if nit == 0 else 1.0
-        found, spent = _wolfe_search(fun, x, d, f, slope, step)
-        evals += spent
-        if found is None:
-            break
-        point, f_new, g_new = found
-        nit += 1
-        s, y = point - x, g_new - g
-        x, f_old, f, g = point, f, f_new, g_new
-        if f_old - f <= 1e-18 * max(abs(f_old), abs(f), 1.0):
-            break
-        sy = s @ y
-        if sy > np.finfo(float).eps * (y @ y):
-            pairs = [*pairs[-9:], (s, y, 1.0 / sy)]
-    return x, nit
-
-
-def _lbfgs(fac: XDFFactorization, cfg: AnsatzConfig, x0: np.ndarray,
-           tol: float, maxiter: int):
-    """L-BFGS on the ansatz energy from x0 to max|g| <= 0.1 tol (the Newton
-    polish finishes to tol); returns the end point and the iterations."""
-    return _minimize_lbfgs(lambda x: _energy_and_gradient(fac, cfg, x), x0,
-                           0.1 * tol, maxiter)
-
-
-def _hessian_modes(fac: XDFFactorization, cfg: AnsatzConfig,
-                   x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvalues and eigenvectors of the Hessian at x, a central difference
-    of the adjoint gradient over the 2P stencil points x +- h e_i, evaluated
-    as one batch (in slices of at most ``STENCIL_SWEEP_ENTRIES`` gate-factor
-    entries, so deep N=8 stencils stay small), cheap at desk-scale parameter
-    counts."""
+def _fd_hessian(fac: XDFFactorization, cfg: AnsatzConfig, x: np.ndarray) -> np.ndarray:
+    """The Hessian at x, the symmetrized central difference of the adjoint
+    gradient over the 2P stencil points x +- h e_i, evaluated as one batch
+    (in slices of at most ``STENCIL_SWEEP_ENTRIES`` gate-factor entries, so
+    deep N=8 stencils stay small), cheap at desk-scale parameter counts."""
     h = 1e-5
     diag = np.arange(x.size)
     stencil = np.tile(x, (2, x.size, 1))
@@ -378,74 +209,117 @@ def _hessian_modes(fac: XDFFactorization, cfg: AnsatzConfig,
     grads = np.concatenate([_energy_and_gradient(fac, cfg, stencil[i:i + rows])[1]
                             for i in range(0, len(stencil), rows)])
     hess = ((grads[:x.size] - grads[x.size:]) / (2 * h)).T
-    hess = 0.5 * (hess + hess.T)
-    return np.linalg.eigh(hess)
+    return 0.5 * (hess + hess.T)
 
 
-def _pseudo_inverse(modes: tuple[np.ndarray, np.ndarray], rcond: float) -> np.ndarray:
-    """Inverse of a Hessian given by its eigenvalues and eigenvectors
-    ``modes``, on the eigen-directions with curvature above ``rcond`` of the
-    largest; the others are dropped."""
-    evals, evecs = modes
-    cutoff = rcond * max(np.max(np.abs(evals)), 1e-300)
-    inv = np.where(np.abs(evals) > cutoff, 1.0 / np.where(evals == 0, 1, evals), 0.0)
-    return (evecs * inv) @ evecs.T
+def _model_step(evals: np.ndarray, coef: np.ndarray, radius: float) -> np.ndarray:
+    """The minimizer of coef.s + s.(evals s) / 2 over |s| <= radius, for
+    ascending evals, as Moré and Sorensen (SIAM J. Sci. Stat. Comput. 4, 553
+    (1983)) find it in the model's eigenbasis: the Newton step when the
+    model is convex and that step inside; else the boundary step (evals +
+    sigma) s = -coef, sigma >= max(0, -evals[0]), by Newton's method on
+    1/|s| = 1/radius from below the root; in the hard case, where coef has
+    no part on the lowest modes, the rest of the step at sigma = -evals[0]
+    plus the lowest mode out to the radius."""
+    if evals[0] > 0 and np.all(np.abs(coef) <= radius * evals):
+        step = -coef / evals
+        if step @ step <= radius ** 2:
+            return step
+    gap = evals - evals[0]
+    lowest = gap == 0
+    if evals[0] <= 0 and np.all(np.abs(coef) <= radius * gap):
+        step = -np.divide(coef, gap, out=np.zeros_like(coef), where=~lowest)
+        if step @ step <= radius ** 2:
+            step[np.argmax(lowest)] = math.sqrt(radius ** 2 - step @ step)
+            return step
+    # shift = sigma + evals[0], from below the root: no |s_i| exceeds radius
+    shift = max(evals[0], 0.0, np.linalg.norm(coef[lowest]) / radius,
+                np.max(np.abs(coef) / radius - gap))
+    live = coef != 0
+    lift, part = gap[live], coef[live]
+    for _ in range(100):
+        ratios = part / (lift + shift)
+        norm2 = ratios @ ratios
+        if norm2 <= (radius * (1 + 1e-10)) ** 2:
+            break
+        norm = math.sqrt(norm2)
+        shift += (norm / radius - 1.0) * norm2 / np.sum(ratios ** 2 / (lift + shift))
+    step = np.zeros_like(coef)
+    step[live] = -part / (lift + shift)
+    return step
 
 
-def _halved_step(fac: XDFFactorization, cfg: AnsatzConfig, x: np.ndarray,
-                 step: np.ndarray, gmax: float):
-    """The first of x + step, x + step / 2, ... (30 trials) whose max|g| is
-    below gmax, with its energy and gradient; None when there is none."""
-    for k in range(30):
-        trial = x + 0.5 ** k * step
-        e_new, g_new = _energy_and_gradient(fac, cfg, trial)
-        if np.max(np.abs(g_new)) < gmax:
-            return trial, e_new, g_new
-    return None
+def _sr1(hess: np.ndarray, step: np.ndarray, dgrad: np.ndarray) -> np.ndarray:
+    """The symmetric-rank-one update of hess that maps ``step`` to ``dgrad``,
+    hess + r r^T / (r . step) with r = dgrad - hess step (Nocedal and
+    Wright, Numerical Optimization, eq. 6.24). It is skipped when |r . step|
+    is at most 2e-3 |r| |step|: the update then puts a curvature of
+    |r| / (|step| cos) on r, and a small mismatch r orthogonal to a short
+    step, such as a handed model's error for a nearby Hamiltonian, would
+    become a large spurious curvature."""
+    r = dgrad - hess @ step
+    denom = r @ step
+    if abs(denom) <= 2e-3 * math.sqrt((r @ r) * (step @ step)):
+        return hess
+    return hess + r[:, None] * (r / denom)
 
 
-def _newton_polish(fac: XDFFactorization, cfg: AnsatzConfig, x: np.ndarray,
-                   tol: float, max_steps: int, curvature: np.ndarray | None = None):
-    """Damped Newton steps on the exact gradient until max|g| <= tol.
+def _trust_region(fun, x: np.ndarray, model, gtol: float, maxiter: int):
+    """Trust-region steps on a quadratic model of f from x until max|g| <= gtol.
 
-    A chord step x - C g on the current pseudo-inverse Hessian C is taken when
-    it at least halves max|g|. Otherwise the Hessian is rebuilt at x. If the
-    Newton step on C without its gauge directions (``GAUGE_RCOND``) moves any
-    angle by more than ``NEWTON_REACH``, x is outside Newton's basin and
-    Newton stops there. Otherwise that step is halved until max|g| drops
-    (``_halved_step``). If that stalls, the step on C with every mode above
-    the noise (``NOISE_RCOND``) is tried the same way: a gradient left along a
-    soft mode is not lowered otherwise, and the energy is too flat there for
-    a line search to see. If both stall, Newton stops. Returns the end point,
-    its energy and gradient, the last C and the number of steps taken.
+    ``fun`` maps a point to (f, g); ``model(x)`` gives the model Hessian at
+    x, asked for once, when the first step is needed. Each step is
+    ``_model_step`` on the model's eigen-directions with curvature above
+    ``STIFF_RCOND`` of the largest, and those above ``SOFT_RCOND`` whose
+    gradient component exceeds gtol. Every trial point updates the model
+    (``_sr1``), as in Byrd, Khalfan and Schnabel's analysis of symmetric-
+    rank-one trust regions (SIAM J. Optim. 6, 1025 (1996)). A trial is taken
+    when f falls by more than 1e-4 of the predicted decrease, or at the flat
+    end, where f differences are rounding, when max|g| falls and f rises by
+    at most 1e-13 |f|. The radius starts at ``TRUST_RADIUS``. On a ratio of
+    actual to predicted decrease below 0.25 it shrinks to a quarter of the
+    step, unless the trial is taken with a predicted decrease below 1e-13
+    |f|, where the ratio is noise, and to a sixteenth from the third refusal
+    in a row, when the updates have not mended the model; on a ratio above
+    0.75 at the boundary it doubles, up to ``MAX_RADIUS``. Stops at max|g|
+    <= gtol, after ``maxiter`` taken steps, or when a step predicts no
+    decrease or no longer moves x; refused trials shrink the radius, so that
+    comes after a bounded number of them. Returns the end point, f and g
+    there, the model (None if it was never asked for) and the steps taken.
     """
-    energy, grad = _energy_and_gradient(fac, cfg, x)
-    steps = 0
-    for _ in range(max_steps):
-        gmax = np.max(np.abs(grad))
-        if gmax <= tol:
+    f, g = fun(x)
+    gmax = np.max(np.abs(g))
+    hess, radius, steps, refused = None, TRUST_RADIUS, 0, 0
+    while gmax > gtol and steps < maxiter:
+        if hess is None:
+            hess = np.array(model(x), dtype=float)
+        evals, evecs = np.linalg.eigh(hess)
+        coef = evecs.T @ g
+        size = np.abs(evals)
+        rcond = np.where(np.abs(coef) > gtol, SOFT_RCOND, STIFF_RCOND)
+        keep = size >= rcond * np.max(size)
+        evals, coef = evals[keep], coef[keep]
+        local = _model_step(evals, coef, radius)
+        predicted = -(coef + 0.5 * evals * local) @ local
+        step = evecs[:, keep] @ local
+        trial = x + step
+        if not predicted > 0 or np.array_equal(trial, x):
             break
-        if curvature is not None:
-            trial = x - curvature @ grad
-            e_new, g_new = _energy_and_gradient(fac, cfg, trial)
-            if np.max(np.abs(g_new)) <= 0.5 * gmax:
-                x, energy, grad = trial, e_new, g_new
-                steps += 1
-                continue
-        modes = _hessian_modes(fac, cfg, x)
-        curvature = _pseudo_inverse(modes, GAUGE_RCOND)
-        step = -curvature @ grad
-        if np.max(np.abs(step)) > NEWTON_REACH:
-            break
-        found = _halved_step(fac, cfg, x, step, gmax)
-        if found is None:
-            curvature = _pseudo_inverse(modes, NOISE_RCOND)
-            found = _halved_step(fac, cfg, x, -curvature @ grad, gmax)
-        if found is None:
-            break
-        x, energy, grad = found
-        steps += 1
-    return x, energy, grad, curvature, steps
+        f_new, g_new = fun(trial)
+        gmax_new = np.max(np.abs(g_new))
+        hess = _sr1(hess, step, g_new - g)
+        ratio = (f - f_new) / predicted
+        taken = ratio > 1e-4 or (gmax_new < gmax and f_new - f <= 1e-13 * abs(f))
+        length = math.sqrt(local @ local)
+        refused = 0 if taken else refused + 1
+        if ratio < 0.25 and (predicted >= 1e-13 * abs(f) or not taken):
+            radius = (0.25 if refused < 3 else 0.0625) * length
+        elif ratio > 0.75 and length >= 0.99 * radius:
+            radius = min(2.0 * radius, MAX_RADIUS)
+        if taken:
+            x, f, g, gmax = trial, f_new, g_new, gmax_new
+            steps += 1
+    return x, f, g, hess, steps
 
 
 def _grown_start(fac: XDFFactorization, cfg: AnsatzConfig, tol: float,
@@ -454,22 +328,29 @@ def _grown_start(fac: XDFFactorization, cfg: AnsatzConfig, tol: float,
 
     Blocks are ordered by layer, so a shallower solution is a parameter
     prefix of the deeper ansatz. Each depth, the full one included, runs
-    L-BFGS only into its basin, to max|g| <= 0.1 max(tol, ``BASIN_TOL``): a
-    shallow point only seeds the next depth, and Newton finishes the full
-    depth to tol. A depth's point depends only on the depths before it, so
-    it is also the grown start of a shallower solve. Returns the point of
-    every depth and the L-BFGS iterations spent.
+    ``_trust_region`` only into its basin, to max|g| <= 0.1 max(tol,
+    ``BASIN_TOL``), on the previous depth's model padded with the identity:
+    a shallow point only seeds the next depth, and the full depth is
+    finished to tol from a fresh Hessian. A depth's point depends only on
+    the depths before it, so it is also the grown start of a shallower
+    solve. Returns the point of every depth and the trust-region steps
+    spent.
     """
     rng = np.random.default_rng(cfg.seed)
-    params = np.zeros(0)
+    params, model = np.zeros(0), np.zeros((0, 0))
     grown, total = [], 0
     for depth in range(1, cfg.n_layers + 1):
         sub = AnsatzConfig(depth, cfg.seed)
         fresh = n_parameters(fac.n_orbitals, sub) - params.size
         x0 = np.concatenate([params, 0.05 * rng.standard_normal(fresh)])
-        params, nit = _lbfgs(fac, sub, x0, max(tol, BASIN_TOL), maxiter)
+        padded = np.eye(x0.size)
+        padded[:params.size, :params.size] = model
+        params, _, _, model, steps = _trust_region(
+            lambda x: _energy_and_gradient(fac, sub, x), x0, lambda x: padded,
+            0.1 * max(tol, BASIN_TOL), maxiter)
+        model = padded if model is None else model
         grown.append(params)
-        total += nit
+        total += steps
     return grown, total
 
 
@@ -479,20 +360,20 @@ def optimize(fac: XDFFactorization, cfg: AnsatzConfig, tol: float = 1e-10,
     """Minimize the factorized energy over the ansatz angles.
 
     Deterministic for fixed (cfg.seed, start, curvature, tol). Every solve
-    is Newton steps from a start already near the answer. With no ``start``
-    the solve is cold: it grows the ansatz layer by layer with L-BFGS, each
-    depth only into its basin (``_grown_start``), keeps every depth's point
-    as ``grown`` and reads no ``curvature``. With a ``start``, usually a
-    solved or predicted point of a nearby Hamiltonian, it is warm: it
-    begins exactly there, which keeps displaced re-solves on the same local
-    minimum, with chord steps on ``curvature`` (a result's) when given.
-    Only if Newton ends above ``tol``, stalled or with the start outside
-    its reach, is there one fallback: L-BFGS from the start to 0.1 tol,
-    then Newton on a fresh Hessian; the converged, else the lower-energy,
-    end point is returned. ``n_iterations`` counts L-BFGS iterations and
-    Newton steps. Non-convergence is reported through ``converged``, not
-    raised. An ansatz without parameters (no layers, or one orbital) leaves
-    the reference state, which is trivially stationary.
+    ends with ``_trust_region`` steps to max|g| <= tol. With no ``start``
+    the solve is cold: it grows the ansatz layer by layer, each depth only
+    into its basin (``_grown_start``), keeps every depth's point as
+    ``grown``, reads no ``curvature`` and finishes from a central-difference
+    Hessian at the full depth's point (``_fd_hessian``). With a ``start``,
+    usually a solved or predicted point of a nearby Hamiltonian, it is
+    warm: it begins exactly there, which keeps displaced re-solves on the
+    same local minimum, on the model ``curvature`` (a result's) when given,
+    else on a central-difference Hessian there. Each run of the loop takes
+    at most ``maxiter`` steps; ``n_iterations`` counts the steps taken by
+    every loop, growth included.
+    Non-convergence is reported through ``converged``, not raised. An
+    ansatz without parameters (no layers, or one orbital) leaves the
+    reference state, which is trivially stationary.
     """
     if not 0 < tol < math.inf:
         raise ValueError("tolerance must be positive and finite")
@@ -504,22 +385,15 @@ def optimize(fac: XDFFactorization, cfg: AnsatzConfig, tol: float = 1e-10,
         grown, iterations = _grown_start(fac, cfg, tol, maxiter)
         start, curvature = grown[-1], None
     else:
-        grown, iterations, start = (), 0, np.asarray(start, dtype=float)
-    max_steps = min(20, maxiter)
-    x, energy, grad, curvature, steps = _newton_polish(
-        fac, cfg, start, tol, max_steps, curvature)
-    iterations += steps
+        grown, iterations = (), 0
+    x, energy, grad, model, steps = _trust_region(
+        lambda x: _energy_and_gradient(fac, cfg, x), np.asarray(start, dtype=float),
+        lambda x: _fd_hessian(fac, cfg, x) if curvature is None else curvature,
+        tol, maxiter)
     grad_norm = float(np.max(np.abs(grad)))
-    if not grad_norm <= tol:
-        x_lbfgs, nit = _lbfgs(fac, cfg, start, tol, maxiter)
-        x_fb, e_fb, g_fb, c_fb, steps = _newton_polish(fac, cfg, x_lbfgs, tol, max_steps)
-        iterations += nit + steps
-        gn_fb = float(np.max(np.abs(g_fb)))
-        if gn_fb <= tol or e_fb < energy:  # converged first, then lower energy
-            x, energy, grad_norm, curvature = x_fb, e_fb, gn_fb, c_fb
-
     converged = bool(grad_norm <= tol)
     if not converged:
         warnings.warn(f"optimizer stalled with gradient norm {grad_norm:.3e}",
                       stacklevel=2)
-    return VQEResult(x, float(energy), grad_norm, converged, iterations, curvature, grown)
+    return VQEResult(x, float(energy), grad_norm, converged, iterations + steps,
+                     curvature if model is None else model, grown)

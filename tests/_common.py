@@ -337,12 +337,11 @@ def ref_energy_and_gradient(fac: xdf.XDFFactorization, cfg: vqe.AnsatzConfig,
     return energy, grad
 
 
-def ref_inverse_hessian(fac: xdf.XDFFactorization, cfg: vqe.AnsatzConfig,
-                        x: np.ndarray) -> np.ndarray:
-    """``vqe._pseudo_inverse`` of ``vqe._hessian_modes`` at
-    ``vqe.GAUGE_RCOND`` as a sequential loop: the central difference
-    of single-point adjoint gradients, column by column, at x + h e_i and
-    x - h e_i, then the same symmetrization and gauge-truncated inverse."""
+def ref_hessian(fac: xdf.XDFFactorization, cfg: vqe.AnsatzConfig,
+                x: np.ndarray) -> np.ndarray:
+    """``vqe._fd_hessian`` as a sequential loop: the central difference of
+    single-point adjoint gradients, column by column, at x + h e_i and
+    x - h e_i, then the same symmetrization."""
     h = 1e-5
     hess = np.zeros((x.size, x.size))
     for i in range(x.size):
@@ -352,11 +351,7 @@ def ref_inverse_hessian(fac: xdf.XDFFactorization, cfg: vqe.AnsatzConfig,
         xm[i] -= h
         hess[:, i] = (vqe._energy_and_gradient(fac, cfg, xp)[1]
                       - vqe._energy_and_gradient(fac, cfg, xm)[1]) / (2 * h)
-    hess = 0.5 * (hess + hess.T)
-    evals, evecs = np.linalg.eigh(hess)
-    cutoff = 1e-6 * max(np.max(np.abs(evals)), 1e-300)
-    inv = np.where(np.abs(evals) > cutoff, 1.0 / np.where(evals == 0, 1, evals), 0.0)
-    return (evecs * inv) @ evecs.T
+    return 0.5 * (hess + hess.T)
 
 
 # Reference kernel: the slice-based gates on the full 4^N vector that the

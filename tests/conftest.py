@@ -20,14 +20,15 @@ def energy_grad_calls(monkeypatch):
 
 
 @pytest.fixture
-def lbfgs_calls(monkeypatch):
-    """Records the parameter count of every L-BFGS run the optimizer starts."""
-    calls = []
-    real = vqe._lbfgs
+def hessian_builds(monkeypatch):
+    """Records the parameter count of every central-difference Hessian the
+    optimizer builds."""
+    builds = []
+    real = vqe._fd_hessian
 
-    def counting(fac, cfg, x0, tol, maxiter):
-        calls.append(x0.size)
-        return real(fac, cfg, x0, tol, maxiter)
+    def counting(fac, cfg, x):
+        builds.append(x.size)
+        return real(fac, cfg, x)
 
-    monkeypatch.setattr(vqe, "_lbfgs", counting)
-    return calls
+    monkeypatch.setattr(vqe, "_fd_hessian", counting)
+    return builds

@@ -179,15 +179,15 @@ def test_shared_factorizations_are_bitwise_the_policys_own(monkeypatch, ham):
             np.testing.assert_array_equal(getattr(fac.frames, name), getattr(own.frames, name))
 
 
-def test_approximate_regimes_start_at_the_grown_points(monkeypatch, lbfgs_calls):
+def test_approximate_regimes_start_at_the_grown_points(monkeypatch, hessian_builds):
     ham = regime_fixture()
     specs = RegimeSpec.grid(4, 2, TruncationPolicy.by_count(4))
     solves = _recorded(monkeypatch, vqe, "optimize")
     assert run_regime_suite(ham, specs, []) == []
     # the converged regimes grow depths 1 to 4; the approximate ones grow none
-    growth = [vqe.n_parameters(4, vqe.AnsatzConfig(d)) for d in (1, 2, 3, 4)]
-    assert lbfgs_calls == growth + growth
     assert [kwargs["start"] is None for _, kwargs in solves] == [True, True, False, False]
+    # every solve builds one Hessian, at its own depth, for its finish
+    assert hessian_builds == [vqe.n_parameters(4, vqe.AnsatzConfig(d)) for d in (4, 4, 2, 2)]
     # each started solve ends where its own cold solve does
     for args, kwargs in solves[2:]:
         cold = vqe.optimize(*args, tol=kwargs["tol"])
