@@ -128,7 +128,7 @@ def cmd_rdm(args) -> dict:
     fac = factorize(ham, _policy(args))
     cfg, result = _optimize(fac, args)
     state = vqe.prepare_state(fac, cfg, result.params)
-    rdms, mult = lagrange.reconstruct_rdms(
+    rdms = lagrange.reconstruct_rdms(
         fac, state, ablate=args.ablate, stationarity_grad=result.grad_norm)
 
     untruncated = fac.retained == fac.n_leaves
@@ -149,14 +149,14 @@ def cmd_rdm(args) -> dict:
         "gamma_sym": _array(rdms.gamma_sym),
         "Gamma_sym": _array(rdms.Gamma_sym),
         "multipliers": {
-            "mu0": _array(mult.mu0),
-            "mu": [_array(m) for m in mult.mu],
-            "nu": _array(mult.nu),
+            "mu0": _array(rdms.mu0),
+            "mu": [_array(m) for m in rdms.mu],
+            "nu": _array(rdms.nu),
         },
         "multiplier_norms": {
-            "mu0": float(np.max(np.abs(mult.mu0))),
-            "mu_leaf_max": float(np.max(np.abs(mult.mu), initial=0.0)),
-            "nu": float(np.max(np.abs(mult.nu))),
+            "mu0": float(np.max(np.abs(rdms.mu0))),
+            "mu_leaf_max": float(np.max(np.abs(rdms.mu), initial=0.0)),
+            "nu": float(np.max(np.abs(rdms.nu))),
         },
         "ablated": args.ablate,
         "oracle": oracle,

@@ -138,10 +138,9 @@ def _reduce_branch(pivots: tuple[int, ...], angles: np.ndarray) -> np.ndarray:
 def decompose(u: np.ndarray) -> GivensFabric:
     """Decompose one special orthogonal (n, n) matrix into its Givens fabric.
 
-    Alternating column/row elimination sweeps reduce u to a +-1 diagonal;
+    Alternating column/row elimination sweeps reduce u to the identity;
     the inverted eliminations are reordered into the rectangle layout
-    (disjoint pivots commute), the diagonal signs are absorbed into angles
-    as pivot rotations by pi, and each pivot chain is gauged toward angles
+    (disjoint pivots commute), and each pivot chain is gauged toward angles
     near zero (``_reduce_branch``). Raises ``ValueError`` for input that is
     not one square matrix, not orthogonal within ``ORTHOGONALITY_TOL`` or of
     det -1.
@@ -174,27 +173,12 @@ def decompose(u: np.ndarray) -> GivensFabric:
                 theta = np.arctan2(-work[row, col], work[row - 1, col])
                 _rotate(work, row - 1, np.cos(theta), np.sin(theta))
                 left_ops.append((row - 1, theta))
-    signs = np.where(np.diagonal(work) > 0, 1, -1)
-    if np.max(np.abs(work - np.diag(signs))) > 1e-9:
-        raise ValueError("elimination sweeps did not reach a +-1 diagonal")
-
-    # U = L_1^T ... L_nL^T  D  R_nR^T ... R_1^T; pull D to the far left,
-    # flipping the angle sign of every left factor whose pivot signs differ.
-    factors = [(m, -theta * signs[m] * signs[m + 1]) for m, theta in left_ops]
+    # every elimination leaves its kept entry at +hypot, so a det +1 input
+    # ends at the identity: U = L_1^T ... L_nL^T R_nR^T ... R_1^T
+    if np.max(np.abs(work - np.eye(n))) > 1e-9:
+        raise ValueError("elimination sweeps did not reach the identity")
+    factors = [(m, -theta) for m, theta in left_ops]
     factors += [(m, -theta) for m, theta in reversed(right_ops)]
-    # Factor D into adjacent sign-pair flips (at every m where the running
-    # product of signs is negative) and push each one rightward until it is
-    # absorbed by a same-pivot rotation as an extra pi.
-    flips = np.cumprod(signs) < 0
-    if flips[-1]:
-        raise ValueError("diagonal has det -1; input cannot be reached by rotations")
-    for m in np.nonzero(flips)[0]:
-        for idx, (piv, ang) in enumerate(factors):
-            if piv == m:
-                factors[idx] = (piv, ang + np.pi)
-                break
-            if abs(piv - m) == 1:
-                factors[idx] = (piv, -ang)
 
     # Application order is the reverse of matrix-product order; sort into the
     # rectangle sequence by commuting disjoint-pivot neighbours.

@@ -2,15 +2,16 @@
 
 The energy only sees eigenbasis densities, so its integral derivatives need
 response terms for every frame the factorization fixed: one-body and leaf
-eigenvectors (mu) and the two-electron eigenvectors (nu). Each solve feeds
-the next; the final assembly reproduces the full one- and two-body density
-matrices without ever measuring their off-diagonals.
+eigenvectors (mu) and the two-electron eigenvectors (nu). One call,
+``reconstruct_rdms``, runs the chain in order and returns one record,
+``RelaxedRDMs``: one ``qsim.measure_densities`` call rotates the state into
+the frame stack once for the leaf densities and every frame's
+orbital-rotation gradient G[a, b], the derivative of its energy along
+U -> U exp(kappa (e_a e_b^T - e_b e_a^T)), a > b; mu comes from G, nu from
+mu, and the assembly reproduces the full one- and two-body density matrices
+without ever measuring their off-diagonals.
 
-A frame's eigenvector multipliers come from its orbital-rotation gradient
-G[a, b], the derivative of its energy along U -> U exp(kappa (e_a e_b^T -
-e_b e_a^T)), a > b. ``qsim.measure_densities`` returns G for every frame
-next to the densities, from the same single rotation of the state into the
-frame stack. G needs no angle chart, so identity-like, block-diagonal and
+G needs no angle chart, so identity-like, block-diagonal and
 signed-permutation orbitals, where the Givens angle Jacobian is singular,
 are no special case. Sign conventions are self-consistent within this
 package (see the scalar N=2 closed form in the tests):
@@ -43,17 +44,7 @@ from .hammodel import eight_fold_symmetrize
 from .qsim import EigenbasisDensities, Statevector
 from .xdf import XDFFactorization
 
-__all__ = [
-    "MultiplierSet",
-    "RelaxedRDMs",
-    "solve_mu",
-    "solve_nu",
-    "relaxed_gamma",
-    "relaxed_Gamma",
-    "measure_and_solve",
-    "reconstruct_rdms",
-    "ABLATION_MODES",
-]
+__all__ = ["RelaxedRDMs", "solve_mu", "solve_nu", "reconstruct_rdms", "ABLATION_MODES"]
 
 DEGENERACY_GUARD = 1e-8
 STATIONARITY_TOL = 1e-8
@@ -62,26 +53,19 @@ ABLATION_MODES = ("eta0", "etat", "nu")
 
 
 @dataclass(frozen=True, eq=False)
-class MultiplierSet:
-    """Solved multipliers; strictly-lower-triangular storage throughout.
-
-    ``mu0`` is the one-body frame's (N, N) block and ``mu`` the (T, N, N)
-    stack of the retained leaves, (0, N, N) when none is retained. ``nu``
-    spans all leaf pairs t > u and is structurally zero when both indices
-    are discarded leaves.
-    """
-
-    mu0: np.ndarray
-    mu: np.ndarray
-    nu: np.ndarray
-
-
-@dataclass(frozen=True, eq=False)
 class RelaxedRDMs:
-    """Reconstructed density matrices, symmetrized."""
+    """Relaxed, symmetrized density matrices and the multipliers that built
+    them, each multiplier block strictly-lower-triangular. ``mu0`` is the
+    one-body frame's (N, N) block and ``mu`` the (T, N, N) stack of the
+    retained leaves, (0, N, N) when none is retained. ``nu`` spans all leaf
+    pairs t > u and is structurally zero when both are discarded leaves.
+    """
 
     gamma_sym: np.ndarray
     Gamma_sym: np.ndarray
+    mu0: np.ndarray
+    mu: np.ndarray
+    nu: np.ndarray
 
 
 def _guarded_quotients(x: np.ndarray, values: np.ndarray) -> np.ndarray:
@@ -92,8 +76,7 @@ def _guarded_quotients(x: np.ndarray, values: np.ndarray) -> np.ndarray:
     no warning; it is right only when both pair members are discarded or the
     state is totally symmetric. Otherwise the relaxed RDMs miss the element:
     an F0 pair split by 1e-8 or less gave a 1.4e-3 oracle gap (ROADMAP item 2)."""
-    spread = (np.max(values, axis=-1) - np.min(values, axis=-1) if values.shape[-1]
-              else np.zeros(values.shape[:-1]))
+    spread = np.max(values, axis=-1) - np.min(values, axis=-1)
     denom = values[..., :, None] - values[..., None, :]
     cutoff = DEGENERACY_GUARD * np.maximum(spread, 1e-300)[..., None, None]
     keep = np.tril(np.abs(denom) > cutoff, -1)
@@ -137,20 +120,45 @@ def solve_nu(fac: XDFFactorization, omegas: EigenbasisDensities,
     return nu
 
 
-def relaxed_gamma(fac: XDFFactorization, omegas: EigenbasisDensities,
-                  mu0: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """One-body density from the measured diagonal plus mu0 off-diagonals."""
-    u0 = fac.U0
-    gamma = np.eye(fac.n_orbitals) + (u0 * omegas.omega0) @ u0.T + u0 @ mu0 @ u0.T
-    return gamma, 0.5 * (gamma + gamma.T)
+def reconstruct_rdms(fac: XDFFactorization, state: Statevector,
+                     ablate: str | None = None,
+                     stationarity_grad: float | None = None) -> RelaxedRDMs:
+    """Relaxed, symmetrized RDMs of a stationary state and the multipliers
+    that built them, in order: one ``qsim.measure_densities`` call for the
+    leaf densities and every frame's gradients; mu over every frame's
+    spectrum (F0, then the retained lambda); nu from the leaf densities and
+    the leaf mu; gamma from the one-body diagonal and mu0; Gamma from the
+    identity terms, the gamma_bar dressing, each retained leaf's explicit
+    eigenvalue derivative and the nu response.
 
+    ``ablate="eta0"`` zeroes the one-body mu, ``"etat"`` every leaf mu and
+    ``"nu"`` nu; the names follow the paper's fabric-angle multipliers.
+    ``stationarity_grad``, when supplied, is the caller's ansatz gradient
+    infinity-norm; a violation is warned about (the multiplier premise is
+    a variationally stationary state), never silently ignored.
+    """
+    if stationarity_grad is not None and stationarity_grad > STATIONARITY_TOL:
+        warnings.warn(
+            f"state gradient norm {stationarity_grad:.3e} exceeds "
+            f"{STATIONARITY_TOL:.1e}; relaxed densities will carry the bias",
+            stacklevel=2)
+    if ablate is not None and ablate not in ABLATION_MODES:
+        raise ValueError(f"unknown ablation {ablate!r}; choose from {ABLATION_MODES}")
+    omegas = qsim.measure_densities(state, fac)
+    mus = solve_mu(omegas.gradients, np.concatenate([fac.F0[None], fac.lam[:fac.retained]]))
+    if ablate == "eta0":
+        mus[0] = 0.0
+    elif ablate == "etat":
+        mus[1:] = 0.0
+    nu = solve_nu(fac, omegas, mus[1:])
+    if ablate == "nu":
+        nu = np.zeros_like(nu)
 
-def relaxed_Gamma(fac: XDFFactorization, omegas: EigenbasisDensities,
-                  nu: np.ndarray, gamma_bar: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Two-body density: identity terms, gamma_bar dressing, the explicit
-    per-leaf eigenvalue derivative, and the inter-leaf nu response."""
     n = fac.n_orbitals
     eye = np.eye(n)
+    u0 = fac.U0
+    gamma = eye + (u0 * omegas.omega0) @ u0.T + u0 @ mus[0] @ u0.T
+    gamma_bar = gamma - eye
     gamma_term = (
         np.einsum("pq,rs->pqrs", gamma_bar, eye)
         - 0.25 * np.einsum("pr,qs->pqrs", gamma_bar, eye)
@@ -169,49 +177,5 @@ def relaxed_Gamma(fac: XDFFactorization, omegas: EigenbasisDensities,
         coeff[t] = float(lam @ omegas.omega[t] @ lam)
     big += ((vecs.T * coeff) @ vecs).reshape(n, n, n, n)
     big += (vecs.T @ nu @ vecs).reshape(n, n, n, n)
-    return big, eight_fold_symmetrize(big)
-
-
-def measure_and_solve(fac: XDFFactorization, state: Statevector,
-                      ablate: str | None = None) -> tuple[EigenbasisDensities, MultiplierSet]:
-    """Measure the leaf densities and every frame's orbital-rotation
-    gradients in one ``qsim.measure_densities`` call and run the mu -> nu
-    chain on the frame stack. ``ablate="eta0"`` zeroes the one-body mu,
-    ``"etat"`` every leaf mu and ``"nu"`` nu; the names follow the paper's
-    fabric-angle multipliers."""
-    if ablate is not None and ablate not in ABLATION_MODES:
-        raise ValueError(f"unknown ablation {ablate!r}; choose from {ABLATION_MODES}")
-    omegas = qsim.measure_densities(state, fac)
-    mus = solve_mu(omegas.gradients, np.concatenate([fac.F0[None], fac.lam[:fac.retained]]))
-    if ablate == "eta0":
-        mus[0] = 0.0
-    elif ablate == "etat":
-        mus[1:] = 0.0
-
-    nu = solve_nu(fac, omegas, mus[1:])
-    if ablate == "nu":
-        nu = np.zeros_like(nu)
-
-    return omegas, MultiplierSet(mus[0], mus[1:], nu)
-
-
-def reconstruct_rdms(fac: XDFFactorization, state: Statevector,
-                     ablate: str | None = None,
-                     stationarity_grad: float | None = None,
-                     ) -> tuple[RelaxedRDMs, MultiplierSet]:
-    """Full pipeline from a stationary state to relaxed, symmetrized RDMs.
-
-    ``stationarity_grad``, when supplied, is the caller's ansatz gradient
-    infinity-norm; a violation is warned about (the multiplier premise is
-    a variationally stationary state), never silently ignored.
-    """
-    if stationarity_grad is not None and stationarity_grad > STATIONARITY_TOL:
-        warnings.warn(
-            f"state gradient norm {stationarity_grad:.3e} exceeds "
-            f"{STATIONARITY_TOL:.1e}; relaxed densities will carry the bias",
-            stacklevel=2)
-    omegas, multipliers = measure_and_solve(fac, state, ablate)
-    gamma, gamma_sym = relaxed_gamma(fac, omegas, multipliers.mu0)
-    gamma_bar = gamma - np.eye(fac.n_orbitals)
-    _, big_sym = relaxed_Gamma(fac, omegas, multipliers.nu, gamma_bar)
-    return RelaxedRDMs(gamma_sym, big_sym), multipliers
+    return RelaxedRDMs(0.5 * (gamma + gamma.T), eight_fold_symmetrize(big),
+                       mus[0], mus[1:], nu)

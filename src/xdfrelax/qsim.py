@@ -501,8 +501,6 @@ def _apply_singlet_excitation(amps: np.ndarray, n: int, p: int, q: int) -> np.nd
             continue
         mask = (bits[:, qs] == 1) & (bits[:, ps] == 0)
         x = np.nonzero(mask)[0]
-        if x.size == 0:
-            continue
         y = x ^ (1 << qs) ^ (1 << ps)
         lo, hi = (ps, qs) if ps < qs else (qs, ps)
         if hi - lo > 1:

@@ -317,10 +317,8 @@ def run_pipeline(ham: Hamiltonian, regime: RegimeSpec, start: np.ndarray | None 
 
 
 def relaxed_rdms(pipe: Pipeline, ablate: str | None = None) -> lagrange.RelaxedRDMs:
-    rdms, _ = lagrange.reconstruct_rdms(
-        pipe.fac, pipe.state, ablate=ablate,
-        stationarity_grad=pipe.result.grad_norm)
-    return rdms
+    return lagrange.reconstruct_rdms(pipe.fac, pipe.state, ablate=ablate,
+                                     stationarity_grad=pipe.result.grad_norm)
 
 
 def analytic_energy_derivative(pipe: Pipeline, pert: Perturbation,
@@ -336,7 +334,7 @@ def analytic_energy_derivative(pipe: Pipeline, pert: Perturbation,
 
 
 def _retained_subspace(fac: XDFFactorization) -> np.ndarray:
-    vecs = fac.V[:fac.retained].reshape(fac.retained, -1)
+    vecs = fac.V[:fac.retained].reshape(fac.retained, fac.n_orbitals ** 2)
     return vecs.T @ vecs
 
 
@@ -347,8 +345,6 @@ def _check_leaf_tracking(base: XDFFactorization, displaced: XDFFactorization,
     count = truncation.retained_count(displaced.g)
     if count != base.retained:
         raise TruncationBoundaryError(f"retained count changed {base.retained} -> {count}")
-    if base.retained == 0:
-        return
     drift = np.linalg.norm(_retained_subspace(base) - _retained_subspace(displaced))
     if drift > SUBSPACE_DRIFT_TOL:
         raise TruncationBoundaryError(

@@ -129,7 +129,7 @@ def test_criterion_4_lagrangian_rdm_oracle():
     cases.append((fac, vqe.prepare_state(fac, cfg, result.params), result.grad_norm))
 
     for fac, state, grad in cases:
-        rdms, _ = lagrange.reconstruct_rdms(fac, state, stationarity_grad=grad)
+        rdms = lagrange.reconstruct_rdms(fac, state, stationarity_grad=grad)
         gamma_m, big_m = qsim.measure_rdms_direct(state)
         worst = max(worst, float(np.max(np.abs(rdms.gamma_sym - symmetrize(gamma_m)))))
         worst = max(worst, float(np.max(np.abs(rdms.Gamma_sym - eight_fold(big_m)))))

@@ -1,3 +1,6 @@
+import itertools
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -198,6 +201,25 @@ def test_negated_pi_stays_pi():
     np.testing.assert_array_equal(decompose(u).angles, [0.0, np.pi, 0.0])
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_every_signed_permutation_decomposes_and_round_trips(n):
+    # the elimination sweeps end at the identity on every det +1 signed
+    # permutation, the inputs where arctan2 sees exact and signed zeros
+    decomposed = 0
+    for perm in itertools.permutations(range(n)):
+        for signs in itertools.product([1.0, -1.0], repeat=n):
+            u = np.eye(n)[list(perm)] * np.array(signs)
+            if np.linalg.det(u) < 0:
+                continue
+            fabric = decompose(u)
+            assert np.max(np.abs(reconstruct(fabric) - u)) <= ORTHOGONALITY_TOL
+            assert np.all((-np.pi < fabric.angles) & (fabric.angles <= np.pi))
+            again = reconstruct(decompose(reconstruct(fabric)))
+            assert np.max(np.abs(again - u)) <= ORTHOGONALITY_TOL
+            decomposed += 1
+    assert decomposed == math.factorial(n) * 2 ** (n - 1)
+
+
 @pytest.mark.parametrize("angles", [0.0, np.zeros((2, 3, 6)), np.zeros(5), np.zeros((2, 7)),
                                     np.zeros((2, 6))])
 def test_fabric_refuses_angles_of_other_shapes(angles):
@@ -217,8 +239,7 @@ def test_decompose_refusal_messages(bad, message):
 
 # Property: on any n <= 8 and angles that include exact zeros, +-pi/2, +-pi
 # and values within 1e-12 of +-pi, and on signed permutation matrices of
-# det +1 (which take the pi-absorption path), decompose reproduces its
-# input, keeps every angle in (-pi, pi], and decompose o reconstruct o
+# det +1, decompose reproduces its input, keeps every angle in (-pi, pi], and decompose o reconstruct o
 # decompose is idempotent wherever the fabric is a regular point of the
 # angle map (a well-conditioned Jacobian); the Jacobian matches a central
 # difference of reconstruct everywhere. At singular points, such as signed

@@ -3,13 +3,7 @@ import pytest
 
 from xdfrelax import cli, givens, lagrange, qsim, verify, vqe
 from xdfrelax.hammodel import synth_hamiltonian, write_fcidump
-from xdfrelax.lagrange import (
-    reconstruct_rdms,
-    relaxed_Gamma,
-    relaxed_gamma,
-    solve_mu,
-    solve_nu,
-)
+from xdfrelax.lagrange import RelaxedRDMs, reconstruct_rdms, solve_mu, solve_nu
 from xdfrelax.qsim import EigenbasisDensities
 from xdfrelax.xdf import TruncationPolicy, factorize
 
@@ -44,8 +38,8 @@ def test_gradient_zero_for_rotation_invariant_state():
     grads = qsim.measure_densities(vacuum, fac).gradients
     assert grads.shape == (len(fac.frames.U), 3)
     assert np.max(np.abs(grads)) < 1e-12
-    _, mult = lagrange.measure_and_solve(fac, vacuum)
-    assert max(np.max(np.abs(mu)) for mu in (mult.mu0, *mult.mu)) < 1e-12
+    rdms = reconstruct_rdms(fac, vacuum)
+    assert max(np.max(np.abs(mu)) for mu in (rdms.mu0, *rdms.mu)) < 1e-12
 
 
 def test_gradient_zero_for_diagonal_one_body_hf():
@@ -103,33 +97,42 @@ def _counting_rotations(monkeypatch):
 
 def test_rotation_gradients_build_no_fabric_operator(monkeypatch):
     _, fac, state = _stationary_pipeline(3, 2, 1, 4)
-    _, expected = lagrange.measure_and_solve(fac, state)
+    expected = reconstruct_rdms(fac, state)
 
     def refuse(*args):
         raise AssertionError("frame operator built during the multiplier solve")
 
     monkeypatch.setattr(qsim, "_compound_matrices", refuse)
     swept = _counting_rotations(monkeypatch)
-    _, got = lagrange.measure_and_solve(fac, state)
+    got = reconstruct_rdms(fac, state)
     assert swept == [fac.frames]
     for mu, got_mu in zip((expected.mu0, *expected.mu), (got.mu0, *got.mu), strict=True):
         np.testing.assert_array_equal(got_mu, mu)
 
 
 @pytest.mark.parametrize("ablate", [None, "eta0", "etat", "nu"])
-def test_measure_and_solve_sweeps_the_solved_frames_once(monkeypatch, ablate):
-    # one rotation serves the densities and every frame's gradients
+def test_relaxation_measures_once_and_sweeps_the_frames_once(monkeypatch, ablate):
+    # one measurement, one rotation, serves the densities and every frame's
+    # gradients, and one record comes back
     _, fac, state = _stationary_pipeline(3, 2, 1, 4)
-    _, full = lagrange.measure_and_solve(fac, state)
+    full = reconstruct_rdms(fac, state)
+    measured, measure = [], qsim.measure_densities
+
+    def counting(*args):
+        measured.append(args)
+        return measure(*args)
+
+    monkeypatch.setattr(qsim, "measure_densities", counting)
     swept = _counting_rotations(monkeypatch)
-    _, multipliers = lagrange.measure_and_solve(fac, state, ablate)
-    assert swept == [fac.frames]
+    rdms = reconstruct_rdms(fac, state, ablate)
+    assert len(measured) == 1 and swept == [fac.frames]
+    assert isinstance(rdms, RelaxedRDMs)
     if ablate == "etat":
-        assert all(not np.any(mu) for mu in multipliers.mu)
-        assert multipliers.mu0.tobytes() == full.mu0.tobytes()
+        assert all(not np.any(mu) for mu in rdms.mu)
+        assert rdms.mu0.tobytes() == full.mu0.tobytes()
 
 
-def test_eta_warns_on_nonstationary_state():
+def test_relaxation_warns_on_nonstationary_state():
     ham = synth_hamiltonian(2, 1, 1, 7)
     fac = factorize(ham, TruncationPolicy.exact())
     state = qsim.hf_reference(2, 1, 1)  # not an eigenstate of this Hamiltonian
@@ -180,40 +183,46 @@ def test_nu_structural_zeros_beyond_retained():
     ham = synth_hamiltonian(4, 2, 2, 13)
     fac = factorize(ham, TruncationPolicy.by_count(4))
     state, _ = verify.exact_ground_state(fac)
-    omegas, mult = lagrange.measure_and_solve(fac, state)
+    rdms = reconstruct_rdms(fac, state)
     n_leaves = fac.n_leaves
     for t in range(n_leaves):
         for u in range(t):
             if t >= fac.retained and u >= fac.retained:
-                assert mult.nu[t, u] == 0.0
+                assert rdms.nu[t, u] == 0.0
     # upper triangle never populated
-    assert np.max(np.abs(np.triu(mult.nu))) == 0.0
+    assert np.max(np.abs(np.triu(rdms.nu))) == 0.0
 
 
-def test_relaxed_gamma_hf_identity_frame():
+def _measuring(monkeypatch, omegas):
+    """Have every measurement return ``omegas``."""
+    monkeypatch.setattr(qsim, "measure_densities", lambda state, fac: omegas)
+
+
+def test_gamma_assembly_hf_identity_frame(monkeypatch):
     ham = zero_two_body(2, 1, 1, [-1.0, 1.0])
     fac = factorize(ham, TruncationPolicy.exact())
-    omegas = EigenbasisDensities(np.array([1.0, -1.0]), np.zeros((0, 2, 2)),
-                                 np.zeros((fac.retained + 1, 1)))
-    gamma, gamma_sym = relaxed_gamma(fac, omegas, np.zeros((2, 2)))
-    np.testing.assert_allclose(gamma, np.diag([2.0, 0.0]), atol=1e-14)
-    np.testing.assert_allclose(gamma_sym, gamma, atol=1e-15)
+    _measuring(monkeypatch, EigenbasisDensities(np.array([1.0, -1.0]),
+                                                np.zeros((fac.retained, 2, 2)),
+                                                np.zeros((fac.retained + 1, 1))))
+    rdms = reconstruct_rdms(fac, qsim.hf_reference(2, 1, 1))
+    assert not np.any(rdms.mu0)
+    np.testing.assert_allclose(rdms.gamma_sym, np.diag([2.0, 0.0]), atol=1e-14)
 
 
-def test_relaxed_Gamma_identity_terms_only():
+def test_Gamma_assembly_identity_terms_only(monkeypatch):
     ham = synth_hamiltonian(3, 1, 1, 2)
     fac = factorize(ham, TruncationPolicy.exact())
     n = 3
-    omegas = EigenbasisDensities(np.zeros(n), np.zeros((fac.retained, n, n)),
-                                 np.zeros((fac.retained + 1, 3)))
-    nu = np.zeros((fac.n_leaves, fac.n_leaves))
-    big, big_sym = relaxed_Gamma(fac, omegas, nu, np.zeros((n, n)))
+    _measuring(monkeypatch, EigenbasisDensities(np.zeros(n), np.zeros((fac.retained, n, n)),
+                                                np.zeros((fac.retained + 1, 3))))
+    rdms = reconstruct_rdms(fac, qsim.hf_reference(3, 1, 1))
     eye = np.eye(n)
+    assert not np.any(rdms.nu)
+    np.testing.assert_array_equal(rdms.gamma_sym, eye)  # gamma_bar is zero
     expected = (0.5 * np.einsum("pq,rs->pqrs", eye, eye)
                 - 0.125 * np.einsum("pr,qs->pqrs", eye, eye)
                 - 0.125 * np.einsum("ps,qr->pqrs", eye, eye))
-    np.testing.assert_allclose(big, expected, atol=1e-14)
-    np.testing.assert_allclose(big_sym, expected, atol=1e-14)
+    np.testing.assert_allclose(rdms.Gamma_sym, expected, atol=1e-14)
 
 
 @pytest.mark.parametrize("case", ["2-1-1-7", "3-1-1-2", "3-2-1-3", *SINGULAR_CHART_CASES])
@@ -226,7 +235,7 @@ def test_oracle_equivalence_exact_state(case):
         ham = synth_hamiltonian(*map(int, case.split("-")))
     fac = factorize(ham, TruncationPolicy.exact())
     state, _ = verify.exact_ground_state(fac)
-    rdms, _ = reconstruct_rdms(fac, state)
+    rdms = reconstruct_rdms(fac, state)
     gamma_m, big_m = qsim.measure_rdms_direct(state)
     assert np.max(np.abs(rdms.gamma_sym - symmetrize(gamma_m))) < 1e-8
     assert np.max(np.abs(rdms.Gamma_sym - eight_fold(big_m))) < 1e-8
@@ -248,10 +257,10 @@ def test_gauge_distinct_fabrics_give_one_frame():
 @pytest.mark.parametrize("n,na,nb,seed", [*KERNEL_CASES, *FILLING_CASES])
 def test_angle_route_mu_matches_chart_free(n, na, nb, seed):
     _, fac, state = _stationary_pipeline(n, na, nb, seed)
-    _, mult = lagrange.measure_and_solve(fac, state)
+    rdms = reconstruct_rdms(fac, state)
     conds = [np.linalg.cond(verify.jacobian(fabric)) for fabric in frame_fabrics(fac.frames)]
     compared = 0
-    for mu, ref, cond in zip((mult.mu0, *mult.mu), ref_angle_mu(fac, state), conds,
+    for mu, ref, cond in zip((rdms.mu0, *rdms.mu), ref_angle_mu(fac, state), conds,
                              strict=True):
         if cond < 1e6:
             assert np.max(np.abs(mu - ref)) < 1e-10
@@ -276,7 +285,7 @@ def test_production_never_reaches_the_angle_chart(monkeypatch, tmp_path):
             for name, value in list(vars(module).items()):
                 if value is original:
                     monkeypatch.setattr(module, name, refuse)
-    rdms, _ = reconstruct_rdms(fac, state)
+    rdms = reconstruct_rdms(fac, state)
     assert rdms.gamma_sym.shape == (3, 3)
     assert cli.main(["rdm", "--fcidump", str(path), "--layers", "2",
                      "--out", str(tmp_path / "rdm.json")]) == cli.EXIT_OK
@@ -290,7 +299,7 @@ def test_oracle_equivalence_converged_vqe_state():
     result = vqe.optimize(fac, vqe.AnsatzConfig(2, seed=3), tol=1e-11)
     assert result.converged
     state = vqe.prepare_state(fac, vqe.AnsatzConfig(2, seed=3), result.params)
-    rdms, _ = reconstruct_rdms(fac, state, stationarity_grad=result.grad_norm)
+    rdms = reconstruct_rdms(fac, state, stationarity_grad=result.grad_norm)
     gamma_m, big_m = qsim.measure_rdms_direct(state)
     assert np.max(np.abs(rdms.gamma_sym - symmetrize(gamma_m))) < 1e-8
     assert np.max(np.abs(rdms.Gamma_sym - eight_fold(big_m))) < 1e-8
@@ -298,7 +307,7 @@ def test_oracle_equivalence_converged_vqe_state():
 
 def test_oracle_equivalence_energy_contraction():
     ham, fac, state = _stationary_pipeline(3, 1, 1, 2)
-    rdms, _ = reconstruct_rdms(fac, state)
+    rdms = reconstruct_rdms(fac, state)
     e_recon = (ham.core_energy + float(np.sum(ham.one_body * rdms.gamma_sym))
                + float(np.sum(ham.two_body * rdms.Gamma_sym)))
     assert abs(e_recon - verify.density_energy(state, fac)) < 1e-8
@@ -310,8 +319,8 @@ def test_degenerate_spectrum_guard_keeps_gamma_oracle():
     ham = zero_two_body(3, 1, 1, [-2.0, -1.0, -1.0])
     fac = factorize(ham, TruncationPolicy.exact())
     state, _ = verify.exact_ground_state(fac)
-    rdms, mult = reconstruct_rdms(fac, state)
-    assert np.max(np.abs(mult.mu0)) == 0.0  # degenerate pair zeroed by the guard
+    rdms = reconstruct_rdms(fac, state)
+    assert np.max(np.abs(rdms.mu0)) == 0.0  # degenerate pair zeroed by the guard
     gamma_m, _ = qsim.measure_rdms_direct(state)
     assert np.max(np.abs(rdms.gamma_sym - symmetrize(gamma_m))) < 1e-10
 
@@ -322,7 +331,7 @@ def test_truncated_reconstruction_differs_from_measured():
     ham = synth_hamiltonian(4, 2, 2, 13)
     fac = factorize(ham, TruncationPolicy.by_count(4))
     state, _ = verify.exact_ground_state(fac)
-    rdms, _ = reconstruct_rdms(fac, state)
+    rdms = reconstruct_rdms(fac, state)
     _, big_m = qsim.measure_rdms_direct(state)
     assert np.max(np.abs(rdms.Gamma_sym - eight_fold(big_m))) > 1e-4
 
@@ -331,20 +340,20 @@ def test_ablation_modes_zero_the_right_pieces():
     ham = synth_hamiltonian(3, 1, 1, 2)
     fac = factorize(ham, TruncationPolicy.by_count(4))
     state, _ = verify.exact_ground_state(fac)
-    full_rdms, full_mult = reconstruct_rdms(fac, state)
+    full_rdms = reconstruct_rdms(fac, state)
 
-    rdms0, mult0 = reconstruct_rdms(fac, state, ablate="eta0")
-    assert np.max(np.abs(mult0.mu0)) == 0.0
+    rdms0 = reconstruct_rdms(fac, state, ablate="eta0")
+    assert np.max(np.abs(rdms0.mu0)) == 0.0
     # gamma loses its off-diagonal response, Gamma inherits via gamma_bar
     assert np.max(np.abs(rdms0.gamma_sym - full_rdms.gamma_sym)) > 1e-6
 
-    rdmst, multt = reconstruct_rdms(fac, state, ablate="etat")
-    assert all(np.max(np.abs(m)) == 0.0 for m in multt.mu)
+    rdmst = reconstruct_rdms(fac, state, ablate="etat")
+    assert all(np.max(np.abs(m)) == 0.0 for m in rdmst.mu)
     np.testing.assert_allclose(rdmst.gamma_sym, full_rdms.gamma_sym, atol=1e-12)
-    assert np.max(np.abs(multt.nu)) > 0.0  # omega-driven part survives
+    assert np.max(np.abs(rdmst.nu)) > 0.0  # omega-driven part survives
 
-    rdmsn, multn = reconstruct_rdms(fac, state, ablate="nu")
-    assert np.max(np.abs(multn.nu)) == 0.0
+    rdmsn = reconstruct_rdms(fac, state, ablate="nu")
+    assert np.max(np.abs(rdmsn.nu)) == 0.0
     np.testing.assert_allclose(rdmsn.gamma_sym, full_rdms.gamma_sym, atol=1e-12)
     assert np.max(np.abs(rdmsn.Gamma_sym - full_rdms.Gamma_sym)) > 1e-6
 
@@ -363,11 +372,11 @@ def test_no_retained_leaves_leaves_only_the_one_body_frame():
     omegas = qsim.measure_densities(state, fac)
     assert omegas.omega.shape == (0, 3, 3)
     assert omegas.gradients.shape == (1, 3)
-    rdms, mult = reconstruct_rdms(fac, state)
-    assert mult.mu.shape == (0, 3, 3)
-    assert mult.nu.shape == (fac.n_leaves, fac.n_leaves)
-    assert not np.any(mult.nu)
-    assert np.any(mult.mu0)
+    rdms = reconstruct_rdms(fac, state)
+    assert rdms.mu.shape == (0, 3, 3)
+    assert rdms.nu.shape == (fac.n_leaves, fac.n_leaves)
+    assert not np.any(rdms.nu)
+    assert np.any(rdms.mu0)
     assert abs(np.trace(rdms.gamma_sym) - 2.0) < 1e-8
 
 
@@ -379,10 +388,11 @@ def test_stacked_chain_matches_per_frame_loops(n, na, nb, seed, count):
     policy = TruncationPolicy.exact() if count is None else TruncationPolicy.by_count(count)
     fac = factorize(synth_hamiltonian(n, na, nb, seed), policy)
     state = random_sector_state(fac, seed + 3)
-    omegas, mult = lagrange.measure_and_solve(fac, state)
+    omegas = qsim.measure_densities(state, fac)
+    rdms = reconstruct_rdms(fac, state)
     grads = omegas.gradients
     spectra = [fac.F0, *fac.lam[:fac.retained]]
-    for grad, mu, spectrum in zip(grads, (mult.mu0, *mult.mu), spectra, strict=True):
+    for grad, mu, spectrum in zip(grads, (rdms.mu0, *rdms.mu), spectra, strict=True):
         spread = float(np.max(spectrum) - np.min(spectrum))
         expected = np.zeros((n, n))
         for p, (a, b) in enumerate(zip(*givens.lower_indices(n))):
@@ -395,15 +405,15 @@ def test_stacked_chain_matches_per_frame_loops(n, na, nb, seed, count):
     for u in range(fac.retained):
         leaf_u = fac.U[u]
         w = omegas.omega[u] @ fac.lam[u]
-        core = 2.0 * fac.g[u] * (leaf_u * w) @ leaf_u.T + leaf_u @ mult.mu[u] @ leaf_u.T
+        core = 2.0 * fac.g[u] * (leaf_u * w) @ leaf_u.T + leaf_u @ rdms.mu[u] @ leaf_u.T
         for up in range(fac.n_leaves):
             if up != u:
                 r_mat[up, u] = float(np.sum(fac.V[up] * core))
-    assert solve_nu(fac, omegas, mult.mu).tobytes() == mult.nu.tobytes()
+    assert solve_nu(fac, omegas, rdms.mu).tobytes() == rdms.nu.tobytes()
     g = fac.g
     for t in range(fac.n_leaves):
         for u in range(t):
             expected = 0.0
             if abs(g[t] - g[u]) > lagrange.DEGENERACY_GUARD * float(np.max(g) - np.min(g)):
                 expected = (r_mat[t, u] - r_mat[u, t]) / (g[u] - g[t])
-            assert mult.nu[t, u] == (0.0 if min(t, u) >= fac.retained else expected)
+            assert rdms.nu[t, u] == (0.0 if min(t, u) >= fac.retained else expected)

@@ -209,6 +209,19 @@ def test_rdm_trace_identities():
     np.testing.assert_allclose(partial, 0.5 * (n_elec - 1) * gamma, atol=1e-12)
 
 
+@pytest.mark.parametrize("filling", [(3, 0, 0), (3, 3, 3), (2, 2, 0)])
+def test_direct_oracle_at_empty_and_full_fillings(filling):
+    # a determinant's gamma is its occupations and its Gamma the Wick product
+    # 0.5 (gamma_pq gamma_rs - sum over spins of D_ps D_rq)
+    n, na, nb = filling
+    spins = [np.diag(np.arange(n) < count).astype(float) for count in (na, nb)]
+    gamma, big = measure_rdms_direct(hf_reference(*filling))
+    np.testing.assert_array_equal(gamma, spins[0] + spins[1])
+    wick = 0.5 * (np.einsum("pq,rs->pqrs", gamma, gamma)
+                  - sum(np.einsum("ps,rq->pqrs", occ, occ) for occ in spins))
+    np.testing.assert_allclose(big, wick, atol=1e-14)
+
+
 def test_shift_rule_zero_for_unsupported_angle():
     # electron frozen in orbital 0; the (1, 2) rotation never touches it
     ham = zero_two_body(3, 1, 1, [-2.0, -1.0, 0.5])
@@ -589,8 +602,10 @@ def test_frames_follow_the_factorization(policy):
         assert not arr.flags.writeable
         with pytest.raises(ValueError):
             arr[...] = 0.0
-    omegas, mult = lagrange.measure_and_solve(fac, random_sector_state(fac, 3))
-    assert omegas.omega.shape == mult.mu.shape == (fac.retained, 4, 4)
+    state = random_sector_state(fac, 3)
+    omegas = qsim.measure_densities(state, fac)
+    rdms = lagrange.reconstruct_rdms(fac, state)
+    assert omegas.omega.shape == rdms.mu.shape == (fac.retained, 4, 4)
 
 
 def test_frames_refuse_a_misshapen_energy_operator():
@@ -637,7 +652,7 @@ def test_production_never_embeds(monkeypatch):
     monkeypatch.setattr(Statevector, "embed", refuse)
     result = vqe.optimize(fac, cfg, tol=1e-10)
     state = vqe.prepare_state(fac, cfg, result.params)
-    rdms, _ = lagrange.reconstruct_rdms(fac, state, stationarity_grad=result.grad_norm)
+    rdms = lagrange.reconstruct_rdms(fac, state, stationarity_grad=result.grad_norm)
     assert result.converged and rdms.gamma_sym.shape == (3, 3)
     with pytest.raises(AssertionError, match="outside a referee"):
         measure_rdms_direct(state)

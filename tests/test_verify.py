@@ -113,6 +113,20 @@ def test_truncated_regime_derivatives_n3():
         assert report.passed()
 
 
+def test_zero_leaf_regime_derivatives_n3():
+    # with no leaf retained only the one-body frame is measured, and leaf
+    # tracking compares two empty retained subspaces
+    ham = synth_hamiltonian(3, 1, 1, 2)
+    specs = [spec for spec in RegimeSpec.grid(3, 1, TruncationPolicy.by_count(0))
+             if spec.truncation.count == 0]
+    perts = [hammodel.random_one_body_perturbation(3, 31),
+             hammodel.random_two_body_perturbation(3, 32)]
+    reports = run_regime_suite(ham, specs, perts)
+    assert len(specs) == 2 and len(reports) == 4
+    for report in reports:
+        assert report.passed(), (report.regime, report.perturbation, report.abs_diff)
+
+
 def test_regime_suite_builds_each_input_once(monkeypatch):
     # the four regimes displace one Hamiltonian along the same stencil, and
     # every policy takes one factorization per input with its own leaf count

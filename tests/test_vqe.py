@@ -126,8 +126,9 @@ def test_cold_solve_whose_finish_takes_no_step_keeps_no_model(hessian_builds):
     assert hessian_builds == [] and result.curvature is None
 
 
-def test_warm_displaced_resolve_matches_lbfgs_route(displaced_regime, energy_grad_calls,
-                                                    hessian_builds):
+def test_warm_displaced_resolve_matches_the_route_without_a_model(displaced_regime,
+                                                                 energy_grad_calls,
+                                                                 hessian_builds):
     fac, cfg, base = displaced_regime
     result = optimize(fac, cfg, tol=WARM_TOL, start=base.params, curvature=base.curvature)
     n_calls = len(energy_grad_calls)
@@ -146,7 +147,7 @@ def test_warm_displaced_resolve_matches_lbfgs_route(displaced_regime, energy_gra
     assert abs(chord.energy - fresh.energy) <= 1e-12
 
 
-def test_cold_solve_runs_lbfgs_once_per_depth(hessian_builds):
+def test_cold_solve_grows_one_point_per_depth(hessian_builds):
     fac = factorize(regime_fixture(), TruncationPolicy.exact())
     cfg = AnsatzConfig(4, seed=3)
     result = optimize(fac, cfg, tol=WARM_TOL)
@@ -158,7 +159,7 @@ def test_cold_solve_runs_lbfgs_once_per_depth(hessian_builds):
     assert hessian_builds == [n_parameters(4, cfg)]
 
 
-def test_cold_solve_hands_back_outside_newton_reach(hessian_builds, energy_grad_calls):
+def test_cold_solve_walks_a_curved_valley(hessian_builds, energy_grad_calls):
     # the grown full-depth point sits in a curved valley with two soft modes
     # (curvature 6e-5 and 9e-5 against 16.7), and the Newton step there
     # moves an angle by about 1 rad: the finish walks the valley on the
@@ -203,7 +204,7 @@ def test_cold_solve_point_budget(energy_grad_calls, ham, layers, seed, budget):
     assert len(energy_grad_calls) <= budget
 
 
-def test_failed_newton_falls_back_to_lbfgs(monkeypatch):
+def test_finish_from_a_zero_model_reaches_the_minimum(monkeypatch):
     # the finish starts on a zero model: its steps are steepest descent to
     # the trust radius until the updates from its trial points have built a
     # model, and it still reaches the minimum of a solve on the true Hessian
@@ -217,7 +218,7 @@ def test_failed_newton_falls_back_to_lbfgs(monkeypatch):
 
 
 @pytest.mark.parametrize("fraction", [vqe.STIFF_RCOND, vqe.SOFT_RCOND])
-def test_newton_steps_along_a_soft_mode(fraction):
+def test_trust_region_steps_along_a_soft_mode(fraction):
     # a quadratic whose gradient ends along a mode of curvature twice
     # ``fraction`` of the largest: above STIFF_RCOND the mode is always
     # stepped along; between SOFT_RCOND and STIFF_RCOND only while its
@@ -234,7 +235,7 @@ def test_newton_steps_along_a_soft_mode(fraction):
     assert np.max(np.abs(grad)) <= 1e-11 and np.max(np.abs(x)) <= 1e-9
 
 
-def test_newton_halves_a_step_that_raises_the_gradient():
+def test_trust_region_converges_past_an_overshooting_step():
     # g = arctan(10 x) / 10 flattens away from 0: the whole Newton step from
     # 0.14 is -0.281, inside the first trust radius, yet it overshoots to
     # max|g| 0.0955 against 0.0951; the trust region still converges
@@ -342,7 +343,7 @@ def trust_region(fun, x0, maxiter=2000):
 
 
 @pytest.mark.parametrize("size", [2, 10])
-def test_lbfgs_minimizes_rosenbrock(size):
+def test_trust_region_minimizes_rosenbrock(size):
     x, nit = trust_region(extended_rosenbrock, rosenbrock_start(size))
     assert 0 < nit < 100
     assert np.max(np.abs(extended_rosenbrock(x)[1])) <= 1e-10
@@ -350,19 +351,19 @@ def test_lbfgs_minimizes_rosenbrock(size):
 
 
 @pytest.mark.parametrize("maxiter", [1, 7, 20])
-def test_lbfgs_stops_at_maxiter(maxiter):
+def test_trust_region_stops_at_maxiter(maxiter):
     _, nit = trust_region(extended_rosenbrock, rosenbrock_start(10), maxiter)
     assert nit == maxiter
 
 
-def test_lbfgs_at_a_stationary_point_takes_no_step():
+def test_trust_region_at_a_stationary_point_takes_no_step():
     fun, points = counted(lambda x: (float(x @ x), 2.0 * x))
     x, nit = trust_region(fun, np.zeros(4))
     assert nit == 0 and len(points) == 1
     np.testing.assert_array_equal(x, 0.0)
 
 
-def test_lbfgs_inconsistent_gradient_ends_at_the_start():
+def test_trust_region_inconsistent_gradient_ends_at_the_start():
     # the negated gradient makes every model step an ascent one: each trial
     # is refused and shrinks the radius to a quarter of its step, from the
     # third refusal in a row to a sixteenth, until a step no longer moves
@@ -379,7 +380,7 @@ def test_lbfgs_inconsistent_gradient_ends_at_the_start():
     np.testing.assert_array_equal(x, x0)
 
 
-def test_lbfgs_is_deterministic():
+def test_trust_region_is_deterministic():
     first = trust_region(extended_rosenbrock, rosenbrock_start(10))
     second = trust_region(extended_rosenbrock, rosenbrock_start(10))
     assert first[1] == second[1]
@@ -487,8 +488,7 @@ def test_batched_rows_match_single_points(n, na, nb, seed, layers):
 
 @pytest.mark.parametrize("sweep_entries", [None, 1])  # one batch; one point per sweep
 @pytest.mark.parametrize("n,na,nb,seed", KERNEL_CASES + [(4, 1, 3, 5)])
-def test_inverse_hessian_matches_sequential_referee(monkeypatch, n, na, nb, seed,
-                                                     sweep_entries):
+def test_fd_hessian_matches_sequential_referee(monkeypatch, n, na, nb, seed, sweep_entries):
     if sweep_entries is not None:
         monkeypatch.setattr(vqe, "STENCIL_SWEEP_ENTRIES", sweep_entries)
     fac = factorize(synth_hamiltonian(n, na, nb, seed), TruncationPolicy.exact())

@@ -174,7 +174,7 @@ def test_factorization_does_no_givens_work(monkeypatch):
         fac = factorize(regime_fixture(), policy)
         result = vqe.optimize(fac, cfg, tol=1e-8)
         state = vqe.prepare_state(fac, cfg, result.params)
-        rdms, _ = lagrange.reconstruct_rdms(fac, state, stationarity_grad=result.grad_norm)
+        rdms = lagrange.reconstruct_rdms(fac, state, stationarity_grad=result.grad_norm)
         assert result.converged and rdms.gamma_sym.shape == (4, 4)
     with pytest.raises(AssertionError, match="in production"):
         givens.decompose(np.eye(4))
