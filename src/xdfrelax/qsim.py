@@ -9,7 +9,8 @@ block: ``Statevector.amplitudes`` is the matrix ``Psi[beta_string,
 alpha_string]`` of shape (C(N, n_beta), C(N, n_alpha)), whose rows and
 columns are the spin strings of that filling in ascending order
 (``sector_strings``). ``Statevector.embed`` returns the full 4^N vector,
-alpha strings in the low bits; only the oracles call it.
+alpha strings in the low bits; only the oracles call it, and the direct RDM
+oracle reads it only at the filling's strings.
 
 A Givens gate on orbitals (m, m+1) of one spin mixes the block rows
 ``pair_rows(N, filling, m)`` of that spin's filling: rows of Psi for beta,
@@ -19,8 +20,10 @@ where(mask, cos, 1) * x + sin * sign * x[..., perm], with batch axes leading
 and one angle per batch item, from the cached read-only ``ansatz_table`` (a
 ``GateTable``; pair exchanges on ``pair_exchange_rows(N, n_alpha, n_beta,
 p)``). Gates act on adjacent orbitals of one spin, so no Jordan-Wigner
-strings appear in circuits; the direct RDM oracle handles the strings
-explicitly on the embedded vector.
+strings appear in circuits. The direct RDM oracle handles the strings
+explicitly on the filling's full 2N-qubit basis strings, from its own cached
+table of every E_pq's nonzero matrix elements there, so its cost follows
+the filling's C(N, n_alpha) C(N, n_beta) amplitudes, not 4^N.
 
 A spin-locked orbital rotation U acts on each spin through one operator on
 that spin's strings, the filling's compound matrix M[I, J] = det U[I, J]
@@ -489,44 +492,58 @@ def apply_hamiltonian(state: Statevector, fac: XDFFactorization) -> np.ndarray:
 # Direct (brute-force) fermionic RDMs
 # ---------------------------------------------------------------------------
 
-def _apply_singlet_excitation(amps: np.ndarray, n: int, p: int, q: int) -> np.ndarray:
-    """E_pq acting on the amplitude vector, Jordan-Wigner strings included."""
-    nq = 2 * n
-    bits = string_bits(nq)
-    out = np.zeros_like(amps)
-    for off in (0, n):
-        ps, qs = p + off, q + off
-        if p == q:
-            out += bits[:, ps] * amps
-            continue
-        mask = (bits[:, qs] == 1) & (bits[:, ps] == 0)
-        x = np.nonzero(mask)[0]
-        y = x ^ (1 << qs) ^ (1 << ps)
-        lo, hi = (ps, qs) if ps < qs else (qs, ps)
-        if hi - lo > 1:
-            parity = bits[x, lo + 1:hi].sum(axis=1) % 2
-            signs = 1.0 - 2.0 * parity
-        else:
-            signs = np.ones(x.size)
-        out[y] += signs * amps[x]
-    return out
+@lru_cache(maxsize=16)
+def _excitation_tables(n: int, n_alpha: int, n_beta: int) -> tuple[np.ndarray, ...]:
+    """Every nonzero matrix element of every E_pq = sum over spins of a_p^+
+    a_q on one filling, by Jordan-Wigner on the full 2N-qubit strings.
+
+    Returns ``strings``, the filling's D full basis indices in ascending
+    order (beta in the high bits, as ``Statevector.embed`` lays them out),
+    and one entry per element: its ``sources`` position in ``strings``, its
+    ``targets`` position in the flattened (N^2, D) image array (row p N + q,
+    column the image string's position, found by ``searchsorted``) and its
+    ``signs``, (-1)^(occupied qubits strictly between p and q). An image
+    entry gets at most one element per spin, so its sum does not depend on
+    the order of the entries. Cached; the arrays are read-only."""
+    alpha, beta = sector_strings(n, n_alpha), sector_strings(n, n_beta)
+    strings = ((beta[:, None] << n) | alpha[None, :]).ravel()
+    occupied = ((strings[:, None] >> np.arange(2 * n)) & 1).reshape(-1, 2, n)
+    filled = np.cumsum(occupied, axis=2)
+    # in each spin, E_pq takes a string with q occupied, and p empty or p ==
+    # q, to the one with q emptied and p filled
+    moves = ((occupied[:, :, None, :] == 1)
+             & ((occupied[:, :, :, None] == 0) | np.eye(n, dtype=bool)))
+    x, spin, p, q = np.nonzero(moves)      # views of one (K, 4) index array
+    flips = (1 << (p + n * spin)) ^ (1 << (q + n * spin))
+    targets = (p * n + q) * len(strings) + np.searchsorted(strings, strings[x] ^ flips)
+    # the occupied qubits strictly between p and q number filled[p] -
+    # filled[q] when p > q (p is empty) and filled[q] - filled[p] - 1 when
+    # p < q (q is occupied); only the parity counts
+    parity = filled[x, spin, p] - filled[x, spin, q] + (p < q)
+    return read_only(strings, x.copy(), targets, 1.0 - 2.0 * (parity % 2))
 
 
 def measure_rdms_direct(state: Statevector) -> tuple[np.ndarray, np.ndarray]:
     """Full one- and two-body fermionic RDMs by explicit operator application.
 
     gamma[p, q] = <E_pq>; Gamma[p, q, r, s] = (<E_pq E_rs> - d_qr <E_ps>) / 2.
-    This is the oracle the leaf-frame workflow avoids measuring; it runs on
-    the embedded 4^N vector.
+    This is the oracle the leaf-frame workflow avoids measuring. It reads the
+    embedded 4^N vector at the filling's D strings, applies every E_pq there
+    through the Jordan-Wigner signs of ``_excitation_tables`` (one scatter of
+    all N^2 images into an (N^2, D) array) and contracts the images with two
+    matrix products, so its cost follows D, not 4^N.
     """
     n = state.n_spatial
-    amps = state.embed()
-    images = np.empty((n, n, amps.size), dtype=amps.dtype)
-    for r in range(n):
-        for s in range(n):
-            images[r, s] = _apply_singlet_excitation(amps, n, r, s)
-    gamma = np.real(images @ np.conj(amps))
-    pair = np.real(np.einsum("qpx,rsx->pqrs", np.conj(images), images))
+    strings, sources, targets, signs = _excitation_tables(n, state.n_alpha, state.n_beta)
+    amps = state.embed()[strings]
+    moved = signs * amps[sources]
+    size = n * n * len(strings)
+    images = np.bincount(targets, moved.real, size)
+    if np.iscomplexobj(amps):
+        images = images + 1j * np.bincount(targets, moved.imag, size)
+    images = images.reshape(n * n, len(strings))
+    gamma = np.real(images @ amps.conj()).reshape(n, n)
+    pair = np.real(images.conj() @ images.T).reshape(n, n, n, n).transpose(1, 0, 2, 3)
     gamma_term = np.einsum("qr,ps->pqrs", np.eye(n), gamma)
     big_gamma = 0.5 * (pair - gamma_term)
     return gamma, big_gamma

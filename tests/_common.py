@@ -86,6 +86,47 @@ def from_full(amps: np.ndarray, n: int) -> qsim.Statevector:
     return qsim.Statevector(n, n_alpha, n_beta, block)
 
 
+# Reference oracle: every E_pq applied on the fly to the full 4^N vector and
+# the images contracted by einsum, the construction ``qsim.measure_rdms_direct``
+# replaced with tables on the filling.
+
+def ref_apply_excitation(amps: np.ndarray, n: int, p: int, q: int) -> np.ndarray:
+    """E_pq acting on a full amplitude vector, Jordan-Wigner strings included."""
+    nq = 2 * n
+    bits = qsim.string_bits(nq)
+    out = np.zeros_like(amps)
+    for off in (0, n):
+        ps, qs = p + off, q + off
+        if p == q:
+            out += bits[:, ps] * amps
+            continue
+        mask = (bits[:, qs] == 1) & (bits[:, ps] == 0)
+        x = np.nonzero(mask)[0]
+        y = x ^ (1 << qs) ^ (1 << ps)
+        lo, hi = (ps, qs) if ps < qs else (qs, ps)
+        if hi - lo > 1:
+            parity = bits[x, lo + 1:hi].sum(axis=1) % 2
+            signs = 1.0 - 2.0 * parity
+        else:
+            signs = np.ones(x.size)
+        out[y] += signs * amps[x]
+    return out
+
+
+def ref_rdms_direct(state: qsim.Statevector) -> tuple[np.ndarray, np.ndarray]:
+    """gamma[p, q] = <E_pq> and Gamma[p, q, r, s] = (<E_pq E_rs> - d_qr
+    <E_ps>) / 2 from the N^2 images of the embedded vector."""
+    n = state.n_spatial
+    amps = state.embed()
+    images = np.empty((n, n, amps.size), dtype=amps.dtype)
+    for r in range(n):
+        for s in range(n):
+            images[r, s] = ref_apply_excitation(amps, n, r, s)
+    gamma = np.real(images @ np.conj(amps))
+    pair = np.real(np.einsum("qpx,rsx->pqrs", np.conj(images), images))
+    return gamma, 0.5 * (pair - np.einsum("qr,ps->pqrs", np.eye(n), gamma))
+
+
 def frame_fabrics(frames: qsim.Frames) -> list[givens.GivensFabric]:
     """The fabric of every member of a frame stack, ``givens.decompose`` of
     its orbital frame."""

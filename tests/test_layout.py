@@ -12,7 +12,8 @@ and every ``xdfrelax`` example line in it parses.
 The referees live in ``verify``: no production module imports it, the
 referee names are defined nowhere else, it loads no gate or fabric kernel,
 and its names count as read when a test reads them. Every other package name
-must be read by the package itself.
+must be read by the package itself. The direct RDM oracle in ``qsim`` loads
+no frame, gate or Hamiltonian kernel, and only ``cli`` runs it.
 
 Each source file is read and parsed once per session (``read``, ``parse``).
 """
@@ -602,6 +603,43 @@ def test_finder_flags_kernel_uses():
 
 def test_referees_load_no_kernel():
     assert kernel_uses(read(PACKAGE / f"{REFEREE_HOME}.py")) == []
+
+
+# The direct RDM oracle builds its own Jordan-Wigner tables: no production
+# kernel enters it, and in the package only `cli` runs it.
+ORACLE_PARTS = ("measure_rdms_direct", "_excitation_tables")
+ORACLE_BARRED = frozenset({"Frames", "_rotated", "_compound_matrices", "rotation_generators",
+                           "apply_gate", "ansatz_table", "apply_hamiltonian",
+                           "measure_densities"})
+
+
+def function_loads(source: str, names) -> dict[str, set[str]]:
+    """``loaded_names`` of each top-level function of source in ``names``."""
+    return {stmt.name: loaded_names([ast.get_source_segment(source, stmt)])
+            for stmt in parse(source).body
+            if isinstance(stmt, ast.FunctionDef) and stmt.name in names}
+
+
+def test_finder_flags_function_loads():
+    source = ("import numpy as np\n"
+              "@lru_cache\ndef tables(n):\n    return rotation_generators(n, 1)\n"
+              "def oracle(state):\n    return np.sum(qsim.measure_densities(state).omega0)\n"
+              "def kernel(x):\n    return apply_gate(x)\n")
+    loads = function_loads(source, ("tables", "oracle", "absent"))
+    assert {name: found & ORACLE_BARRED for name, found in loads.items()} == {
+        "tables": {"rotation_generators"}, "oracle": {"measure_densities"}}
+
+
+def test_direct_oracle_loads_no_production_kernel():
+    loads = function_loads(read(PACKAGE / "qsim.py"), ORACLE_PARTS)
+    assert {name: found & ORACLE_BARRED for name, found in loads.items()} == {
+        name: set() for name in ORACLE_PARTS}
+
+
+def test_only_the_cli_runs_the_direct_oracle():
+    found = {caller.split(".")[0] for path in PACKAGE_FILES
+             for caller in callers(read(path), path.stem, "measure_rdms_direct")}
+    assert found == {"cli"}
 
 
 def unread_names(source: str, readers: list[str], skip=()) -> list[str]:

@@ -1,3 +1,4 @@
+import tracemalloc
 from math import comb
 
 import numpy as np
@@ -33,11 +34,13 @@ from _common import (
     orbital_frame,
     random_sector_state,
     random_special_orthogonal,
+    ref_apply_excitation,
     ref_apply_fabric,
     ref_apply_hamiltonian,
     ref_densities,
     ref_fabric_operators,
     ref_pair_exchange,
+    ref_rdms_direct,
     ref_rotate_pair,
     rotate_pair,
     rotate_state,
@@ -220,6 +223,53 @@ def test_direct_oracle_at_empty_and_full_fillings(filling):
     wick = 0.5 * (np.einsum("pq,rs->pqrs", gamma, gamma)
                   - sum(np.einsum("ps,rq->pqrs", occ, occ) for occ in spins))
     np.testing.assert_allclose(big, wick, atol=1e-14)
+
+
+def _gaussian_state(n: int, na: int, nb: int, seed: int, imaginary: bool) -> Statevector:
+    """A normalized state of one filling with Gaussian amplitudes, complex
+    when ``imaginary``; built without any circuit or frame."""
+    rng = np.random.default_rng(seed)
+    shape = qsim.sector_shape(n, na, nb)
+    amps = rng.standard_normal(shape) + (1j * rng.standard_normal(shape) if imaginary else 0.0)
+    return Statevector(n, na, nb, amps / np.linalg.norm(amps))
+
+
+@pytest.mark.parametrize("n,na,nb,seed,imaginary",
+                         [(*case, False) for case in BLOCK_CASES]
+                         + [(4, 1, 3, 5, True), (8, 2, 2, 3, False)])
+def test_direct_oracle_matches_on_the_fly_reference(n, na, nb, seed, imaginary):
+    # the filling's tables against every E_pq applied to the full 4^N vector
+    state = _gaussian_state(n, na, nb, seed, imaginary)
+    gamma, big = measure_rdms_direct(state)
+    gamma_ref, big_ref = ref_rdms_direct(state)
+    assert np.max(np.abs(gamma - gamma_ref)) <= 1e-14
+    assert np.max(np.abs(big - big_ref)) <= 1e-14
+    tables = qsim._excitation_tables(n, na, nb)
+    assert qsim._excitation_tables(n, na, nb) is tables
+    assert not any(table.flags.writeable for table in tables)
+
+
+@pytest.mark.parametrize("imaginary", [False, True])
+def test_direct_oracle_at_the_desk_cap(imaginary):
+    # N=8 (4a, 4b): 4900 of 65536 amplitudes; one cold call, tables built,
+    # stays far below the 64 MiB that N^2 images of the full register would
+    # take
+    n, na, nb, n_elec = 8, 4, 4, 8
+    state = _gaussian_state(n, na, nb, 17, imaginary)
+    qsim._excitation_tables.cache_clear()
+    tracemalloc.start()
+    try:
+        gamma, big = measure_rdms_direct(state)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 24 * 2 ** 20
+    assert abs(np.trace(gamma) - n_elec) < 1e-12
+    np.testing.assert_allclose(np.einsum("pqrr->pq", big), 0.5 * (n_elec - 1) * gamma,
+                               rtol=0, atol=1e-12)
+    np.testing.assert_allclose(gamma, gamma.T, rtol=0, atol=1e-12)
+    occupations = np.linalg.eigvalsh(gamma)
+    assert -1e-12 <= occupations[0] and occupations[-1] <= 2.0 + 1e-12
 
 
 def test_shift_rule_zero_for_unsupported_angle():
@@ -535,8 +585,8 @@ def test_rotation_generators_match_jordan_wigner_excitations(n, na, nb, seed):
             for col, string in enumerate(strings):
                 basis = np.zeros(4 ** n)
                 basis[spectator | (int(string) << shift)] = 1.0
-                image = (qsim._apply_singlet_excitation(basis, n, a, b)
-                         - qsim._apply_singlet_excitation(basis, n, b, a))
+                image = (ref_apply_excitation(basis, n, a, b)
+                         - ref_apply_excitation(basis, n, b, a))
                 column = image[spectator | (strings << shift)]
                 np.testing.assert_array_equal(table[p, :, col], column)
 
