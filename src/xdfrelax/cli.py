@@ -93,9 +93,10 @@ def _optimize(fac, args):
 def cmd_factorize(args) -> dict:
     ham, digest = _load(args.fcidump)
     fac = factorize(ham, _policy(args))
-    rebuilt = reconstruct_eri(fac)
-    err = float(np.linalg.norm(rebuilt - ham.two_body))
-    denom = float(np.linalg.norm(ham.two_body))
+    # both norms over the largest integral: a plain norm of 1e200 overflows
+    scale = float(np.max(np.abs(ham.two_body), initial=0.0)) or 1.0
+    err = float(np.linalg.norm(reconstruct_eri(fac) / scale - ham.two_body / scale))
+    denom = float(np.linalg.norm(ham.two_body / scale))
     return {
         "input_sha256": digest,
         "n_orbitals": fac.n_orbitals,

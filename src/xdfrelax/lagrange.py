@@ -128,7 +128,7 @@ def reconstruct_rdms(fac: XDFFactorization, state: Statevector,
     leaf densities and every frame's gradients; mu over every frame's
     spectrum (F0, then the retained lambda); nu from the leaf densities and
     the leaf mu; gamma from the one-body diagonal and mu0; Gamma from the
-    identity terms, the gamma_bar dressing, each retained leaf's explicit
+    one-body dressing of gamma - I/2, each retained leaf's explicit
     eigenvalue derivative and the nu response.
 
     ``ablate="eta0"`` zeroes the one-body mu, ``"etat"`` every leaf mu and
@@ -158,18 +158,10 @@ def reconstruct_rdms(fac: XDFFactorization, state: Statevector,
     eye = np.eye(n)
     u0 = fac.U0
     gamma = eye + (u0 * omegas.omega0) @ u0.T + u0 @ mus[0] @ u0.T
-    gamma_bar = gamma - eye
-    gamma_term = (
-        np.einsum("pq,rs->pqrs", gamma_bar, eye)
-        - 0.25 * np.einsum("pr,qs->pqrs", gamma_bar, eye)
-        - 0.25 * np.einsum("ps,qr->pqrs", gamma_bar, eye)
-    )
-    identity_term = (
-        0.5 * np.einsum("pq,rs->pqrs", eye, eye)
-        - 0.125 * np.einsum("pr,qs->pqrs", eye, eye)
-        - 0.125 * np.einsum("ps,qr->pqrs", eye, eye)
-    )
-    big = identity_term + gamma_term
+    shifted = gamma - 0.5 * eye
+    big = (np.einsum("pq,rs->pqrs", shifted, eye)
+           - 0.25 * np.einsum("pr,qs->pqrs", shifted, eye)
+           - 0.25 * np.einsum("ps,qr->pqrs", shifted, eye))
 
     vecs = fac.V.reshape(fac.n_leaves, -1)
     coeff = np.zeros(fac.n_leaves)

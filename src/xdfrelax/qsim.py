@@ -34,11 +34,14 @@ factorized Hamiltonian, the one-body term first, then one per retained
 leaf, are one ``Frames`` stack, frame first: the orbital frames U, their
 M_alpha and M_beta, built by Laplace expansion from filling 1 (where M =
 U), and the terms' energy operators, diagonal in the rotated bases, as D[f,
-beta, alpha]. Every kernel reads the stack through one rotation of the
-state, M_beta^T Psi M_alpha for all frames at once: ``apply_hamiltonian``
-maps it back and sums, and ``measure_densities`` takes the densities and
-the orbital-rotation gradients of every frame from it. The leaf densities
-are one (T, N, N) stack, matching the factorization's leaf stacks.
+beta, alpha]. Each term is a polynomial in its frame's occupations, so one
+occupation table per filling serves D (``term_energies``) and the densities
+(``measure_densities``). Every kernel reads the stack through one rotation
+of the state, M_beta^T Psi M_alpha for all frames at once:
+``apply_hamiltonian`` maps it back and sums, and ``measure_densities``
+takes the densities and the orbital-rotation gradients of every frame from
+it. The leaf densities are one (T, N, N) stack, matching the
+factorization's leaf stacks.
 
 Production differentiates frames without an angle chart: G[a, b], the
 derivative of each frame's energy along U -> U exp(kappa (e_a e_b^T - e_b
@@ -73,8 +76,7 @@ __all__ = [
     "Statevector",
     "EigenbasisDensities",
     "Frames",
-    "one_body_energy",
-    "leaf_energies",
+    "term_energies",
     "string_bits",
     "sector_strings",
     "sector_shape",
@@ -275,13 +277,6 @@ def ansatz_table(n: int, n_alpha: int, n_beta: int, blocks: tuple[int, ...]) -> 
 # Frames: the terms of the factorized Hamiltonian as one stack
 # ---------------------------------------------------------------------------
 
-@lru_cache(maxsize=128)
-def _spin_z(n: int, filling: int) -> np.ndarray:
-    """Pauli-Z eigenvalue of every orbital in every string of one spin filling.
-    Cached; the array is read-only."""
-    return read_only(1.0 - 2.0 * _sector_bits(n, filling))[0]
-
-
 @lru_cache(maxsize=64)
 def _laplace_tables(n: int, filling: int) -> tuple[np.ndarray, np.ndarray]:
     """Flat gather indices of one level of the Laplace expansion of
@@ -366,27 +361,29 @@ class Frames:
             object.__setattr__(self, name, read_only(arr)[0])
 
 
-def one_body_energy(f0: np.ndarray, n_alpha: int, n_beta: int) -> np.ndarray:
-    """Energy operator of the one-body term with eigenvalues ``f0``."""
+@lru_cache(maxsize=64)
+def _occupation_table(n: int, n_alpha: int, n_beta: int) -> tuple[np.ndarray, np.ndarray]:
+    """z_k = Z_k,alpha + Z_k,beta = 2 - 2 n_k of every orbital k on every flat
+    block entry (beta-major, as ``amplitudes.ravel()``), shape (N, dim), and
+    the pair products zz[k N + l] = z_k z_l, shape (N^2, dim). Cached; the
+    arrays are read-only."""
+    occupied = _sector_bits(n, n_beta)[:, None, :] + _sector_bits(n, n_alpha)[None, :, :]
+    z = np.ascontiguousarray(2.0 - 2.0 * occupied.reshape(-1, n).T)
+    return read_only(z, (z[:, None, :] * z[None, :, :]).reshape(n * n, -1))
+
+
+def term_energies(f0: np.ndarray, couplings: np.ndarray, n_alpha: int, n_beta: int) -> np.ndarray:
+    """Energy operators of the one-body term with eigenvalues ``f0`` and of
+    the leaves with the (T, N, N) stack of Z/ZZ couplings ``couplings`` (a
+    slice of ``XDFFactorization.Z``), each diagonal in its frame, as a (1 +
+    T, rows, cols) stack: -1/2 f0 . z, then 1/8 vec(Z_t) . zz - 1/4 tr Z_t
+    over the ``_occupation_table``."""
     n = len(f0)
-    d_alpha = _sector_bits(n, n_alpha) @ f0
-    d_beta = _sector_bits(n, n_beta) @ f0
-    return d_beta[:, None] + d_alpha[None, :] - float(np.sum(f0))
-
-
-def leaf_energies(couplings: np.ndarray, n_alpha: int, n_beta: int) -> np.ndarray:
-    """Energy operators of the leaves with the (T, N, N) stack of Z/ZZ
-    couplings ``couplings`` (a slice of ``XDFFactorization.Z``), as a (T,
-    rows, cols) stack."""
-    n = couplings.shape[-1]
-    z_alpha, z_beta = _spin_z(n, n_alpha), _spin_z(n, n_beta)
-    w = z_beta @ couplings @ z_alpha.T
-    q_alpha = np.sum((z_alpha @ couplings) * z_alpha, axis=-1)
-    q_beta = (q_alpha if n_beta == n_alpha
-              else np.sum((z_beta @ couplings) * z_beta, axis=-1))
-    traces = np.trace(couplings, axis1=1, axis2=2)
-    return (0.125 * (q_beta[:, :, None] + q_alpha[:, None, :] + 2.0 * w)
-            - 0.25 * traces[:, None, None])
+    z, zz = _occupation_table(n, n_alpha, n_beta)
+    leaves = (0.125 * (couplings.reshape(len(couplings), n * n) @ zz)
+              - 0.25 * np.trace(couplings, axis1=1, axis2=2)[:, None])
+    energies = np.concatenate([-0.5 * (f0 @ z)[None], leaves])
+    return energies.reshape(-1, *sector_shape(n, n_alpha, n_beta))
 
 
 def _rotated(state: Statevector, frames: Frames) -> np.ndarray:
@@ -402,23 +399,6 @@ def _rotated(state: Statevector, frames: Frames) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # Frame measurements
 # ---------------------------------------------------------------------------
-
-def _omega0(state: Statevector, weights: np.ndarray) -> np.ndarray:
-    n = state.n_spatial
-    return -0.5 * (weights.sum(axis=0) @ _spin_z(n, state.n_alpha)
-                   + weights.sum(axis=1) @ _spin_z(n, state.n_beta))
-
-
-def _omega_leaves(state: Statevector, weights: np.ndarray) -> np.ndarray:
-    """Leaf densities from a (T, rows, cols) stack of weights."""
-    n = state.n_spatial
-    z_alpha, z_beta = _spin_z(n, state.n_alpha), _spin_z(n, state.n_beta)
-    cross = z_beta.T @ weights @ z_alpha
-    moments = ((z_alpha.T * weights.sum(axis=1)[:, None, :]) @ z_alpha
-               + (z_beta.T * weights.sum(axis=2)[:, None, :]) @ z_beta
-               + cross + np.swapaxes(cross, 1, 2))
-    return (moments - 2.0 * np.eye(n)) / 8.0
-
 
 @lru_cache(maxsize=64)
 def rotation_generators(n: int, filling: int) -> np.ndarray:
@@ -463,12 +443,16 @@ def _rotation_gradients(state: Statevector, frames: Frames,
 
 
 def measure_densities(state: Statevector, fac: XDFFactorization) -> EigenbasisDensities:
-    """omega0 in the one-body frame, omega in every leaf frame and the
-    orbital-rotation gradients of every frame, all from one rotation of the
-    state into the frame stack."""
+    """omega0 in the one-body frame, omega in every leaf frame and every
+    frame's orbital-rotation gradients, from one rotation R of the state into
+    the frame stack. The occupation table that built D reads the densities
+    off the weights w = |R|^2: omega0 = -z.w_0/2 and omega_t = zz.w_t/8 - I/4."""
+    n = state.n_spatial
+    z, zz = _occupation_table(n, state.n_alpha, state.n_beta)
     rotated = _rotated(state, fac.frames)
-    weights = np.abs(rotated) ** 2
-    return EigenbasisDensities(_omega0(state, weights[0]), _omega_leaves(state, weights[1:]),
+    weights = (np.abs(rotated) ** 2).reshape(len(rotated), -1)
+    omega = (0.125 * (weights[1:] @ zz.T)).reshape(-1, n, n) - 0.25 * np.eye(n)
+    return EigenbasisDensities(-0.5 * (z @ weights[0]), omega,
                                _rotation_gradients(state, fac.frames, rotated))
 
 

@@ -26,7 +26,7 @@ import numpy as np
 
 from .givens import read_only
 from .hammodel import EffectiveOperators, Hamiltonian, effective_operators
-from .qsim import Frames, leaf_energies, one_body_energy
+from .qsim import Frames, term_energies
 
 __all__ = [
     "XDFFactorization",
@@ -100,10 +100,8 @@ class XDFFactorization:
             arr = np.array(getattr(self, name), dtype=float)
             object.__setattr__(self, name, read_only(arr)[0])
         filling = (self.n_alpha, self.n_beta)
-        kept = self.retained
-        orbitals = np.concatenate([self.U0[None], self.U[:kept]])
-        energies = np.concatenate([one_body_energy(self.F0, *filling)[None],
-                                   leaf_energies(self.Z[:kept], *filling)])
+        orbitals = np.concatenate([self.U0[None], self.U[:self.retained]])
+        energies = term_energies(self.F0, self.Z[:self.retained], *filling)
         object.__setattr__(self, "frames", Frames(orbitals, *filling, energies))
 
     @property

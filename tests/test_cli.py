@@ -58,6 +58,26 @@ def test_factorize_threshold_zero_retains_all(fcidump_n3, tmp_path):
     assert payload["reconstruction_error"] < 1e-10
 
 
+def _refuse_constant(name):
+    raise ValueError(f"non-JSON constant {name}")
+
+
+def test_factorize_error_is_finite_on_huge_integrals(tmp_path, capsys):
+    # squared integrals of 1e200 overflow a plain norm, and inf / inf printed NaN
+    ham = synth_hamiltonian(3, 1, 1, 2)
+    errors = []
+    for factor in (1.0, 1e200):
+        path = tmp_path / f"x{factor:g}.fcidump"
+        path.write_text(write_fcidump(Hamiltonian(
+            3, 1, 1, factor * ham.core_energy, factor * ham.one_body,
+            factor * ham.two_body)), encoding="ascii")
+        capsys.readouterr()
+        assert cli.main(["factorize", "--fcidump", str(path), "--leaves", "2"]) == 0
+        payload = json.loads(capsys.readouterr().out, parse_constant=_refuse_constant)
+        errors.append(payload["reconstruction_error"])
+    assert np.isfinite(errors[1]) and abs(errors[1] - errors[0]) <= 1e-12
+
+
 def test_vqe_command(fcidump_n3, tmp_path):
     code, payload = _run(["vqe", "--fcidump", fcidump_n3, "--layers", "3",
                           "--tol", "1e-9", "--seed", "3"], tmp_path)

@@ -780,22 +780,67 @@ def test_compound_matrix_property(pair):
             assert np.all(np.count_nonzero(ca, axis=1) == 1)
 
 
+def _spin_z(n: int, filling: int) -> np.ndarray:
+    """Pauli-Z eigenvalue of every orbital in every string of one spin filling."""
+    return 1.0 - 2.0 * qsim.string_bits(n)[qsim.sector_strings(n, filling)]
+
+
 @pytest.mark.parametrize("n,na,nb,seed", [*KERNEL_CASES, (4, 1, 3, 5), (3, 0, 2, 2)])
 def test_stacked_densities_match_per_frame_formulas(n, na, nb, seed):
-    # the per-frame weights and moments the stacked measurement replaced
+    # the per-spin weights and moments the occupation table replaced; the
+    # table sums the same products in another order, so they agree to
+    # rounding, not bitwise
     fac = factorize(synth_hamiltonian(n, na, nb, seed), TruncationPolicy.exact())
     state = random_sector_state(fac, seed + 40)
-    z_alpha, z_beta = (1.0 - 2.0 * qsim.string_bits(n)[qsim.sector_strings(n, filling)]
-                       for filling in (na, nb))
+    z_alpha, z_beta = _spin_z(n, na), _spin_z(n, nb)
     weights = [np.abs(m_beta.T @ state.amplitudes @ m_alpha) ** 2
                for m_alpha, m_beta in zip(fac.frames.M_alpha, fac.frames.M_beta)]
     omegas = qsim.measure_densities(state, fac)
     w0 = weights[0]
     omega0 = -0.5 * (w0.sum(axis=0) @ z_alpha + w0.sum(axis=1) @ z_beta)
-    assert omegas.omega0.tobytes() == omega0.tobytes()
+    assert np.max(np.abs(omegas.omega0 - omega0)) <= 1e-14
     assert len(omegas.omega) == fac.retained
     for w, omega in zip(weights[1:], omegas.omega, strict=True):
         cross = z_beta.T @ w @ z_alpha
         moments = ((z_alpha.T * w.sum(axis=0)) @ z_alpha
                    + (z_beta.T * w.sum(axis=1)) @ z_beta + cross + cross.T)
-        assert omega.tobytes() == ((moments - 2.0 * np.eye(n)) / 8.0).tobytes()
+        assert np.max(np.abs(omega - (moments - 2.0 * np.eye(n)) / 8.0)) <= 1e-14
+
+
+@pytest.mark.parametrize("policy", [TruncationPolicy.exact(), TruncationPolicy.by_count(2)],
+                         ids=["exact", "count2"])
+@pytest.mark.parametrize("n,na,nb,seed", [*BLOCK_CASES, (8, 4, 4, 3)])
+def test_term_energies_match_per_spin_formulas(n, na, nb, seed, policy):
+    # the per-spin one-body and leaf energy operators the occupation table
+    # replaced
+    fac = factorize(synth_hamiltonian(n, na, nb, seed), policy)
+    z_alpha, z_beta = _spin_z(n, na), _spin_z(n, nb)
+    bits_alpha, bits_beta = (1.0 - z_alpha) / 2.0, (1.0 - z_beta) / 2.0
+    one_body = ((bits_beta @ fac.F0)[:, None] + (bits_alpha @ fac.F0)[None, :]
+                - float(np.sum(fac.F0)))
+    couplings = fac.Z[:fac.retained]
+    w = z_beta @ couplings @ z_alpha.T
+    q_alpha = np.sum((z_alpha @ couplings) * z_alpha, axis=-1)
+    q_beta = np.sum((z_beta @ couplings) * z_beta, axis=-1)
+    leaves = (0.125 * (q_beta[:, :, None] + q_alpha[:, None, :] + 2.0 * w)
+              - 0.25 * np.trace(couplings, axis1=1, axis2=2)[:, None, None])
+    expected = np.concatenate([one_body[None], leaves])
+    assert fac.frames.D.shape == expected.shape == (1 + fac.retained, *qsim.sector_shape(n, na, nb))
+    assert np.max(np.abs(fac.frames.D - expected)) <= 1e-14 * np.max(np.abs(expected))
+
+
+@pytest.mark.parametrize("n,na,nb", [(2, 0, 0), (3, 3, 3), (4, 1, 3)])
+def test_occupation_table(n, na, nb):
+    table = qsim._occupation_table(n, na, nb)
+    assert qsim._occupation_table(n, na, nb) is table
+    z, zz = table
+    assert not z.flags.writeable and not zz.flags.writeable
+    bits = qsim.string_bits(n)
+    alpha, beta = qsim.sector_strings(n, na), qsim.sector_strings(n, nb)
+    assert z.shape == (n, len(beta) * len(alpha)) and zz.shape == (n * n, z.shape[1])
+    for i, b in enumerate(beta):
+        for j, a in enumerate(alpha):
+            entry = i * len(alpha) + j
+            expected = 2.0 - 2.0 * (bits[a] + bits[b])
+            np.testing.assert_array_equal(z[:, entry], expected)
+            np.testing.assert_array_equal(zz[:, entry], np.outer(expected, expected).ravel())
