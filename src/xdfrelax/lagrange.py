@@ -164,9 +164,9 @@ def reconstruct_rdms(fac: XDFFactorization, state: Statevector,
            - 0.25 * np.einsum("ps,qr->pqrs", shifted, eye))
 
     vecs = fac.V.reshape(fac.n_leaves, -1)
+    lam = fac.lam[:fac.retained]
     coeff = np.zeros(fac.n_leaves)
-    for t, lam in enumerate(fac.lam[:fac.retained]):
-        coeff[t] = float(lam @ omegas.omega[t] @ lam)
+    coeff[:fac.retained] = ((lam[:, None, :] @ omegas.omega) @ lam[:, :, None])[:, 0, 0]
     big += ((vecs.T * coeff) @ vecs).reshape(n, n, n, n)
     big += (vecs.T @ nu @ vecs).reshape(n, n, n, n)
     return RelaxedRDMs(0.5 * (gamma + gamma.T), eight_fold_symmetrize(big),

@@ -125,7 +125,8 @@ class PathTrace:
         return float(np.max(np.abs(self.total - self.total[0])))
 
     def relative_drift(self) -> float:
-        return self.drift() / abs(self.total[0])
+        """Drift over |E_0|; the absolute drift when E_0 is exactly 0."""
+        return self.drift() / (abs(float(self.total[0])) or 1.0)
 
     def secular_slope(self) -> float:
         """Least-squares slope of the total energy against the step index."""

@@ -6,9 +6,10 @@ N (N + 1) / 2 eigenpairs (g, V) forms a leaf; the symmetric eigen-matrix V is
 then itself eigendecomposed into an orthogonal frame U and spectrum lambda,
 yielding the diagonal two-body couplings Z = g * outer(lambda, lambda).
 
-The leaves are built and kept as stacks, leaf first: one
-``np.linalg.eigh`` over all leaf eigen-matrices and one sign fix over all of
-their frames. Consumers slice the stacks; the retained leaves are a prefix.
+Every orbital frame comes from one stack, the effective one-body operator
+first and then the leaf eigen-matrices: one ``np.linalg.eigh`` and one sign
+fix cover the one-body frame and every leaf. The leaves are kept as stacks;
+consumers slice them, and the retained leaves are a prefix.
 
 A factorization carries its measurement frames, built once on construction
 as one ``qsim.Frames`` stack for the electron filling from the orbital
@@ -115,18 +116,18 @@ class XDFFactorization:
         return self.g[:, None, None] * (self.lam[:, :, None] * self.lam[:, None, :])
 
 
-def _lead_positive(x: np.ndarray, axis: int) -> np.ndarray:
-    """x with every vector along ``axis`` negated where its largest-magnitude
-    entry (the first on ties) is negative."""
-    index = np.expand_dims(np.argmax(np.abs(x), axis=axis), axis)
-    return np.where(np.take_along_axis(x, index, axis=axis) < 0, -x, x)
+def _lead_positive(x: np.ndarray) -> np.ndarray:
+    """x with every column of a (..., m, n) stack negated where its
+    largest-magnitude entry (the first on ties) is negative."""
+    index = np.argmax(np.abs(x), axis=-2)[..., None, :]
+    return np.where(np.take_along_axis(x, index, axis=-2) < 0, -x, x)
 
 
 def _special_orthogonalize(u: np.ndarray) -> np.ndarray:
     """Orthogonal matrices (..., n, n) with every column's largest-magnitude
     entry made positive (``_lead_positive``), then the last column of each
     det -1 member negated."""
-    u = _lead_positive(u, axis=-2)
+    u = _lead_positive(u)
     last = u[..., :, -1]
     u[..., :, -1] = np.where((np.linalg.det(u) < 0)[..., None], -last, last)
     return u
@@ -136,16 +137,11 @@ def _special_orthogonalize(u: np.ndarray) -> np.ndarray:
 def _pair_basis(n: int) -> np.ndarray:
     """Orthonormal basis of vectorized symmetric matrices, columns of shape N^2.
     Cached; the array is read-only."""
-    pairs = [(p, q) for p in range(n) for q in range(p, n)]
-    basis = np.zeros((n * n, len(pairs)))
-    for col, (p, q) in enumerate(pairs):
-        mat = np.zeros((n, n))
-        if p == q:
-            mat[p, p] = 1.0
-        else:
-            mat[p, q] = mat[q, p] = 1.0 / np.sqrt(2.0)
-        basis[:, col] = mat.reshape(-1)
-    return read_only(basis)[0]
+    p, q = np.triu_indices(n)
+    col = np.arange(len(p))
+    basis = np.zeros((n, n, len(p)))
+    basis[p, q, col] = basis[q, p, col] = np.where(p == q, 1.0, 1.0 / np.sqrt(2.0))
+    return read_only(basis.reshape(n * n, -1))[0]
 
 
 def factorize(ham: Hamiltonian, policy: TruncationPolicy) -> XDFFactorization:
@@ -158,28 +154,24 @@ def factorize(ham: Hamiltonian, policy: TruncationPolicy) -> XDFFactorization:
     n = ham.n_orbitals
     eff = effective_operators(ham)
 
-    f0, u0 = np.linalg.eigh(eff.eff_one_body)
-    u0 = _special_orthogonalize(u0)
-
     basis = _pair_basis(n)
     packed = basis.T @ ham.supermatrix() @ basis
     packed = 0.5 * (packed + packed.T)
     g_all, w_all = np.linalg.eigh(packed)
 
     # one matrix-vector product per column: a matrix product rounds differently
-    vecs = np.array([basis @ w_all[:, col] for col in range(w_all.shape[1])])
-    vecs = _lead_positive(vecs, axis=1)
+    vecs = _lead_positive(np.stack([basis @ w for w in w_all.T], axis=1)).T
     first_nonzero = np.argmax(np.abs(vecs) > 1e-12, axis=1)
     order = sorted(range(len(vecs)), key=lambda col: (
         -abs(float(g_all[col])), first_nonzero[col], vecs[col].tobytes()))
 
     v = vecs[order].reshape(-1, n, n)
     v = 0.5 * (v + np.swapaxes(v, 1, 2))
-    lam, u = np.linalg.eigh(v)
-    u = _special_orthogonalize(u)
+    spectra, frames = np.linalg.eigh(np.concatenate([eff.eff_one_body[None], v]))
+    frames = _special_orthogonalize(frames)
     g = g_all[order]
-    return XDFFactorization(n, ham.n_alpha, ham.n_beta, eff, u0, f0, g, v, u, lam,
-                            policy.retained_count(g))
+    return XDFFactorization(n, ham.n_alpha, ham.n_beta, eff, frames[0], spectra[0], g, v,
+                            frames[1:], spectra[1:], policy.retained_count(g))
 
 
 def reconstruct_eri(fac: XDFFactorization) -> np.ndarray:

@@ -157,6 +157,20 @@ def test_path_command_short(fcidump_n3, tmp_path):
     assert len(payload["total"]["data"]) == 11
 
 
+def test_path_drift_is_finite_at_zero_energy(tmp_path, capsys):
+    # every integral zero: the initial total energy is exactly 0, so the
+    # relative drift has no scale and is reported as the absolute drift
+    path = tmp_path / "zero.fcidump"
+    path.write_text(" &FCI NORB=2,NELEC=2,MS2=0,\n &END\n  0.0 0 0 0 0\n",
+                    encoding="ascii")
+    capsys.readouterr()
+    assert cli.main(["path", "--fcidump", str(path), "--fcidump-b", str(path),
+                     "--steps", "2", "--v0", "0"]) == 0
+    payload = json.loads(capsys.readouterr().out, parse_constant=_refuse_constant)
+    assert payload["total"]["data"] == [0.0, 0.0, 0.0]
+    assert payload["relative_drift"] == payload["drift"] == 0.0
+
+
 def test_path_refuses_models_of_different_orbital_counts(fcidump_n3, fcidump_n4, tmp_path):
     # the compatibility check runs before the models are subtracted
     code, payload = _run(["path", "--fcidump", fcidump_n4, "--fcidump-b", fcidump_n3,
@@ -432,6 +446,23 @@ def test_one_orbital_model(tmp_path):
     assert payload["error"].startswith("--layers ")
 
 
+def _package_env():
+    """The environment with this package's source first on PYTHONPATH."""
+    env = dict(os.environ)
+    src = str(Path(xdfrelax.__file__).parent.parent)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return env
+
+
+def test_module_entry_point(fcidump_n3):
+    done = subprocess.run([sys.executable, "-m", "xdfrelax", "factorize",
+                           "--fcidump", fcidump_n3, "--leaves", "2"],
+                          env=_package_env(), capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0 and done.stderr == ""
+    payload = json.loads(done.stdout, parse_constant=_refuse_constant)
+    assert payload["exit_code"] == 0 and payload["retained"] == 2
+
+
 SCIPY_PROBE = textwrap.dedent("""
     import json
     import sys
@@ -467,10 +498,8 @@ SCIPY_PROBE = textwrap.dedent("""
 def test_commands_run_without_scipy(tmp_path):
     # a fresh interpreter, as every command starts: importing scipy.optimize
     # would cost each command about half a second
-    env = dict(os.environ)
-    src = str(Path(xdfrelax.__file__).parent.parent)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    done = subprocess.run([sys.executable, "-c", SCIPY_PROBE, str(tmp_path)], env=env,
-                          capture_output=True, text=True, timeout=300, check=True)
+    done = subprocess.run([sys.executable, "-c", SCIPY_PROBE, str(tmp_path)],
+                          env=_package_env(), capture_output=True, text=True, timeout=300,
+                          check=True)
     loaded = json.loads(done.stdout.splitlines()[-1])
     assert loaded == {"import": [], "rdm": [], "verify": [], "path": []}

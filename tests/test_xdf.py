@@ -17,6 +17,7 @@ from _common import (
     REGIME_TRUNCATED_COUNT,
     random_sector_state,
     regime_fixture,
+    with_effective_one_body,
 )
 
 
@@ -153,6 +154,68 @@ def test_stacked_leaf_frames_match_per_leaf_loop(n, seed):
         assert u.tobytes() == stored.tobytes()
     for v, lam in zip(fac.V, fac.lam, strict=True):
         assert np.linalg.eigh(v)[0].tobytes() == lam.tobytes()
+
+
+def _sign_fixed(u):
+    """Largest-magnitude entry of every column made positive, then the last
+    column of every det -1 member negated."""
+    index = np.argmax(np.abs(u), axis=-2)[..., None, :]
+    u = np.where(np.take_along_axis(u, index, axis=-2) < 0, -u, u)
+    last = u[..., :, -1]
+    u[..., :, -1] = np.where((np.linalg.det(u) < 0)[..., None], -last, last)
+    return u
+
+
+def _two_pass_frames(fac):
+    """U0, F0, U, lam from two passes: the one-body operator's eigh and sign
+    fix, then the leaf stack's."""
+    f0, u0 = np.linalg.eigh(fac.eff.eff_one_body)
+    lam, u = np.linalg.eigh(fac.V)
+    return _sign_fixed(u0), f0, _sign_fixed(u), lam
+
+
+STACKED_FRAME_CASES = {
+    **{f"seeded-{n}": (lambda n=n: synth_hamiltonian(n, n // 2, n // 2, n + 20))
+       for n in range(2, 9)},
+    "identity-one-body": lambda: with_effective_one_body(
+        synth_hamiltonian(4, 2, 2, 13), np.ones(4)),
+    "repeated-diagonal-one-body": lambda: with_effective_one_body(
+        synth_hamiltonian(5, 2, 1, 3), [-1.0, 0.5, -1.0, 0.5, 2.0]),
+    "zero-two-body": lambda: Hamiltonian(
+        3, 1, 1, 0.0, synth_hamiltonian(3, 1, 1, 5).one_body, np.zeros((3,) * 4)),
+}
+
+
+@pytest.mark.parametrize("case", STACKED_FRAME_CASES)
+def test_one_stack_gives_every_frame_of_the_two_pass_factorization(case):
+    # the one-body frame rides in the leaf stack; eigh and the sign rule act
+    # on each member as on one matrix, so the frames stay bit for bit
+    fac = factorize(STACKED_FRAME_CASES[case](), TruncationPolicy.exact())
+    for stored, reference in zip((fac.U0, fac.F0, fac.U, fac.lam), _two_pass_frames(fac),
+                                 strict=True):
+        np.testing.assert_array_equal(stored, reference)
+    # every frame, the one-body frame included, has det +1 and a positive
+    # largest-magnitude entry in each column but the last, whose sign is the
+    # one that makes det +1
+    frames = np.concatenate([fac.U0[None], fac.U])
+    np.testing.assert_allclose(np.linalg.det(frames), 1.0, atol=1e-12)
+    leads = np.take_along_axis(frames, np.argmax(np.abs(frames), axis=1)[:, None, :], axis=1)
+    assert leads.shape == (fac.n_leaves + 1, 1, fac.n_orbitals)
+    assert np.all(leads[..., :-1] > 0)
+
+
+def test_factorize_runs_two_eighs(monkeypatch):
+    # one over the packed pair-basis supermatrix, one over the frame stack
+    shapes = []
+    eigh = np.linalg.eigh
+
+    def counted(a, *args, **kwargs):
+        shapes.append(np.shape(a))
+        return eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counted)
+    fac = factorize(synth_hamiltonian(4, 2, 2, 13), TruncationPolicy.exact())
+    assert shapes == [(10, 10), (11, 4, 4)] and fac.n_leaves == 10
 
 
 def test_factorization_does_no_givens_work(monkeypatch):
