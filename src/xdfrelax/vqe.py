@@ -8,7 +8,10 @@ gates conserve particle number, S_z, and total spin on singlet references.
 
 Every solve is one trust-region loop on a quadratic model of the energy
 (``_trust_region``); ``VQEResult.curvature`` hands the model to the next
-solve.
+solve. The loop, the growth and the central-difference Hessian are
+generators that yield the points they need and are sent (f, g) there, so
+``optimize_all`` can run independent solves in lockstep, one batched
+adjoint sweep per round.
 """
 
 from __future__ import annotations
@@ -30,6 +33,7 @@ __all__ = [
     "n_parameters",
     "prepare_state",
     "optimize",
+    "optimize_all",
 ]
 
 
@@ -144,32 +148,35 @@ def _generator_terms(reads: list[np.ndarray]) -> np.ndarray:
     return (dots[..., 0] - dots[..., 1]).T
 
 
-def _energy_and_gradient(fac: XDFFactorization, cfg: AnsatzConfig, params: np.ndarray):
+def _energy_and_gradient(fac, cfg: AnsatzConfig, params: np.ndarray):
     """Energy and its exact parameter gradient via one reverse sweep: a float
     and (P,) at a (P,) point, or (B,) and (B, P) at a (B, P) stack of
-    points, batch axis leading as in ``qsim.apply_gate``. Every row comes
-    out bitwise as its own single-point call.
+    points, batch axis leading as in ``qsim.apply_gate``. ``fac`` is the
+    factorization of every row, or a sequence of B factorizations of one
+    filling, one per row. Every row comes out bitwise as its own
+    single-point call.
 
-    H is applied one point at a time. The kets and lambda = H|psi> are
-    stacked as (2, B, dim) and every gate of the table is un-applied to both
-    at once, on the forward sweep's factors with ``shift`` negated, the
-    alpha gate of a block before its beta gate; each gate's
-    derivative is read off its generator, 2 <lambda| K |psi>, from the
-    entries it acts on, taken where the sweep passes it. The locked
+    H is applied one point at a time, with the row's own factorization. The
+    kets and lambda = H|psi> are stacked as (2, B, dim) and every gate of
+    the table is un-applied to both at once, on the forward sweep's factors
+    with ``shift`` negated, the alpha gate of a block before its beta gate;
+    each gate's derivative is read off its generator, 2 <lambda| K |psi>,
+    from the entries it acts on, taken where the sweep passes it. The locked
     rotation's generator is the sum of its alpha and beta ones, which
     commute.
     """
-    n, n_alpha, n_beta = fac.n_orbitals, fac.n_alpha, fac.n_beta
     params = np.asarray(params, dtype=float)
     points = params[None] if params.ndim == 1 else params
-    table, psi, scale, shift = _forward_sweep(fac, cfg, points)
+    facs = [fac] * len(points) if isinstance(fac, XDFFactorization) else fac
+    n, n_alpha, n_beta = facs[0].n_orbitals, facs[0].n_alpha, facs[0].n_beta
+    table, psi, scale, shift = _forward_sweep(facs[0], cfg, points)
     kets = np.empty((2, *psi.shape))
     kets[0] = psi
     energy = np.empty(len(points))
     shape = qsim.sector_shape(n, n_alpha, n_beta)
     for b, amps in enumerate(psi):
         ket = Statevector(n, n_alpha, n_beta, amps.reshape(shape))
-        kets[1, b] = qsim.apply_hamiltonian(ket, fac).reshape(-1)
+        kets[1, b] = qsim.apply_hamiltonian(ket, facs[b]).reshape(-1)
         energy[b] = np.vdot(ket.amplitudes, kets[1, b])
 
     np.negative(shift, out=shift)  # gate k's inverse: cos is even and sin is odd
@@ -193,21 +200,33 @@ def _energy_and_gradient(fac: XDFFactorization, cfg: AnsatzConfig, params: np.nd
     return energy, grad
 
 
-def _fd_hessian(fac: XDFFactorization, cfg: AnsatzConfig, x: np.ndarray) -> np.ndarray:
+def _evaluate(facs, cfg: AnsatzConfig, points: np.ndarray):
+    """``_energy_and_gradient`` of a (B, P) stack, row b on ``facs[b]``, in
+    slices of at most ``STENCIL_SWEEP_ENTRIES`` gate-factor entries, so deep
+    N=8 batches stay small."""
+    if len(points) > 1:
+        fac = facs[0]
+        entries = 3 * points.shape[1] // 2 * math.prod(
+            qsim.sector_shape(fac.n_orbitals, fac.n_alpha, fac.n_beta))
+        rows = max(1, STENCIL_SWEEP_ENTRIES // max(1, entries))
+        if len(points) > rows:
+            parts = [_energy_and_gradient(facs[i:i + rows], cfg, points[i:i + rows])
+                     for i in range(0, len(points), rows)]
+            return tuple(np.concatenate(part) for part in zip(*parts))
+    return _energy_and_gradient(facs, cfg, points)
+
+
+def _fd_hessian(x: np.ndarray):
     """The Hessian at x, the symmetrized central difference of the adjoint
-    gradient over the 2P stencil points x +- h e_i, evaluated as one batch
-    (in slices of at most ``STENCIL_SWEEP_ENTRIES`` gate-factor entries, so
-    deep N=8 stencils stay small), cheap at desk-scale parameter counts."""
+    gradient over the 2P stencil points x +- h e_i. A generator: it yields
+    the stencil as one (2P, P) stack, is sent its energies and gradients
+    and returns the Hessian."""
     h = 1e-5
     diag = np.arange(x.size)
     stencil = np.tile(x, (2, x.size, 1))
     stencil[0, diag, diag] += h
     stencil[1, diag, diag] -= h
-    stencil = stencil.reshape(-1, x.size)
-    dim = np.prod(qsim.sector_shape(fac.n_orbitals, fac.n_alpha, fac.n_beta))
-    rows = max(1, STENCIL_SWEEP_ENTRIES // (3 * x.size // 2 * dim))
-    grads = np.concatenate([_energy_and_gradient(fac, cfg, stencil[i:i + rows])[1]
-                            for i in range(0, len(stencil), rows)])
+    _, grads = yield stencil.reshape(-1, x.size)
     hess = ((grads[:x.size] - grads[x.size:]) / (2 * h)).T
     return 0.5 * (hess + hess.T)
 
@@ -264,11 +283,14 @@ def _sr1(hess: np.ndarray, step: np.ndarray, dgrad: np.ndarray) -> np.ndarray:
     return hess + r[:, None] * (r / denom)
 
 
-def _trust_region(fun, x: np.ndarray, model, gtol: float, maxiter: int):
+def _trust_region(x: np.ndarray, hess: np.ndarray | None, gtol: float, maxiter: int):
     """Trust-region steps on a quadratic model of f from x until max|g| <= gtol.
 
-    ``fun`` maps a point to (f, g); ``model(x)`` gives the model Hessian at
-    x, asked for once, when the first step is needed. Each step is
+    A generator: it yields each point it needs as a (1, P) stack, and each
+    model Hessian it needs as ``_fd_hessian``'s stencil, and is sent (f, g)
+    there as (B,) energies and (B, P) gradients. ``hess`` is the model
+    Hessian to start from; None asks for a central-difference Hessian at x
+    (``_fd_hessian``), once, when the first step is needed. Each step is
     ``_model_step`` on the model's eigen-directions with curvature above
     ``STIFF_RCOND`` of the largest, and those above ``SOFT_RCOND`` whose
     gradient component exceeds gtol. Every trial point updates the model
@@ -285,14 +307,16 @@ def _trust_region(fun, x: np.ndarray, model, gtol: float, maxiter: int):
     <= gtol, after ``maxiter`` taken steps, or when a step predicts no
     decrease or no longer moves x; refused trials shrink the radius, so that
     comes after a bounded number of them. Returns the end point, f and g
-    there, the model (None if it was never asked for) and the steps taken.
+    there, the model (None if none was given or built) and the steps taken.
     """
-    f, g = fun(x)
+    energies, grads = yield x[None]
+    f, g = float(energies[0]), grads[0]
     gmax = np.max(np.abs(g))
-    hess, radius, steps, refused = None, TRUST_RADIUS, 0, 0
+    hess = None if hess is None else np.array(hess, dtype=float)
+    radius, steps, refused = TRUST_RADIUS, 0, 0
     while gmax > gtol and steps < maxiter:
         if hess is None:
-            hess = np.array(model(x), dtype=float)
+            hess = yield from _fd_hessian(x)
         evals, evecs = np.linalg.eigh(hess)
         coef = evecs.T @ g
         size = np.abs(evals)
@@ -305,7 +329,8 @@ def _trust_region(fun, x: np.ndarray, model, gtol: float, maxiter: int):
         trial = x + step
         if not predicted > 0 or np.array_equal(trial, x):
             break
-        f_new, g_new = fun(trial)
+        energies, grads = yield trial[None]
+        f_new, g_new = float(energies[0]), grads[0]
         gmax_new = np.max(np.abs(g_new))
         hess = _sr1(hess, step, g_new - g)
         ratio = (f - f_new) / predicted
@@ -322,8 +347,20 @@ def _trust_region(fun, x: np.ndarray, model, gtol: float, maxiter: int):
     return x, f, g, hess, steps
 
 
-def _grown_start(fac: XDFFactorization, cfg: AnsatzConfig, tol: float,
-                 maxiter: int) -> tuple[list[np.ndarray], int]:
+def _on_ansatz(cfg: AnsatzConfig, steps):
+    """``steps``, a generator of the solve loop, with each point stack it
+    yields paired with the ansatz it is for: yields (cfg, points), passes
+    on what it is sent and returns what ``steps`` returns."""
+    reply = None
+    while True:
+        try:
+            points = steps.send(reply)
+        except StopIteration as done:
+            return done.value
+        reply = yield cfg, points
+
+
+def _grown_start(fac: XDFFactorization, cfg: AnsatzConfig, tol: float, maxiter: int):
     """Optimize layer by layer, embedding each solution into the next depth.
 
     Blocks are ordered by layer, so a shallower solution is a parameter
@@ -333,8 +370,9 @@ def _grown_start(fac: XDFFactorization, cfg: AnsatzConfig, tol: float,
     a shallow point only seeds the next depth, and the full depth is
     finished to tol from a fresh Hessian. A depth's point depends only on
     the depths before it, so it is also the grown start of a shallower
-    solve. Returns the point of every depth and the trust-region steps
-    spent.
+    solve. A generator that yields (depth's config, points), as
+    ``_on_ansatz``; returns the point of every depth and the trust-region
+    steps spent.
     """
     rng = np.random.default_rng(cfg.seed)
     params, model = np.zeros(0), np.zeros((0, 0))
@@ -345,19 +383,102 @@ def _grown_start(fac: XDFFactorization, cfg: AnsatzConfig, tol: float,
         x0 = np.concatenate([params, 0.05 * rng.standard_normal(fresh)])
         padded = np.eye(x0.size)
         padded[:params.size, :params.size] = model
-        params, _, _, model, steps = _trust_region(
-            lambda x: _energy_and_gradient(fac, sub, x), x0, lambda x: padded,
-            0.1 * max(tol, BASIN_TOL), maxiter)
-        model = padded if model is None else model
+        params, _, _, model, steps = yield from _on_ansatz(sub, _trust_region(
+            x0, padded, 0.1 * max(tol, BASIN_TOL), maxiter))
         grown.append(params)
         total += steps
     return grown, total
 
 
+def _solve(fac: XDFFactorization, cfg: AnsatzConfig, tol: float = 1e-10,
+           start: np.ndarray | None = None, curvature: np.ndarray | None = None,
+           maxiter: int = 2000):
+    """One ``optimize`` solve as a generator that yields (cfg, points), as
+    ``_on_ansatz``, and returns its ``VQEResult``."""
+    if not 0 < tol < math.inf:
+        raise ValueError("tolerance must be positive and finite")
+    if n_parameters(fac.n_orbitals, cfg) == 0:
+        energies, _ = yield cfg, np.zeros((1, 0))
+        return VQEResult(np.zeros(0), float(energies[0]), 0.0, True, 0)
+
+    if start is None:
+        grown, iterations = yield from _grown_start(fac, cfg, tol, maxiter)
+        start, curvature = grown[-1], None
+    else:
+        grown, iterations = (), 0
+    x, energy, grad, model, steps = yield from _on_ansatz(cfg, _trust_region(
+        np.asarray(start, dtype=float), curvature, tol, maxiter))
+    grad_norm = float(np.max(np.abs(grad)))
+    return VQEResult(x, energy, grad_norm, bool(grad_norm <= tol), iterations + steps,
+                     model, grown)
+
+
+def _grouped_replies(asked: dict, facs: list) -> list:
+    """One lockstep round: the (cfg, points) each solve i asks for in
+    ``asked``, grouped by filling and ``AnsatzConfig``, each group evaluated
+    by one ``_evaluate`` call, its rows on their own solve's ``facs[i]``; a
+    group of one evaluates its points as they were asked for. Returns (i,
+    (energies, grads)) pairs."""
+    groups = {}
+    for i, (cfg, _) in asked.items():
+        fac = facs[i]
+        groups.setdefault((fac.n_orbitals, fac.n_alpha, fac.n_beta, cfg), []).append(i)
+    replies = []
+    for (*_, cfg), members in groups.items():
+        stacks = [asked[i][1] for i in members]
+        energies, grads = _evaluate(
+            [facs[i] for i, stack in zip(members, stacks) for _ in range(len(stack))], cfg,
+            stacks[0] if len(stacks) == 1 else np.concatenate(stacks))
+        end = 0
+        for i, stack in zip(members, stacks):
+            start, end = end, end + len(stack)
+            replies.append((i, (energies[start:end], grads[start:end])))
+    return replies
+
+
+def optimize_all(requests) -> list[VQEResult]:
+    """Run independent ``optimize`` solves in lockstep; their results, in order.
+
+    Each request is a tuple of ``optimize``'s arguments, (fac, cfg[, tol,
+    start, curvature, maxiter]). Every round gathers the points each
+    unfinished solve asks for next and evaluates them grouped by filling and
+    ``AnsatzConfig`` (``_grouped_replies``): one ``_energy_and_gradient``
+    sweep per group, sliced at ``STENCIL_SWEEP_ENTRIES``, each row on its
+    own request's factorization. A lone unfinished solve is evaluated as it
+    asks, with no grouping. Rows come out bitwise as single-point calls, so
+    each result is bitwise what the solve gives alone. A solve that stops
+    above its ``tol`` warns once, after the last round. An error raised
+    inside any solve ends the call.
+    """
+    requests = list(requests)
+    facs = [fac for fac, *_ in requests]
+    solves = [_solve(*request) for request in requests]
+    asked = {i: next(solve) for i, solve in enumerate(solves)}
+    results = [None] * len(solves)
+    while asked:
+        if len(asked) == 1:
+            (i, (cfg, points)), = asked.items()
+            replies = [(i, _evaluate([facs[i]] * len(points), cfg, points))]
+        else:
+            replies = _grouped_replies(asked, facs)
+        for i, reply in replies:
+            try:
+                asked[i] = solves[i].send(reply)
+            except StopIteration as done:
+                results[i] = done.value
+                del asked[i]
+    for result in results:
+        if not result.converged:
+            warnings.warn(f"optimizer stalled with gradient norm {result.grad_norm:.3e}",
+                          stacklevel=2)
+    return results
+
+
 def optimize(fac: XDFFactorization, cfg: AnsatzConfig, tol: float = 1e-10,
              start: np.ndarray | None = None, curvature: np.ndarray | None = None,
              maxiter: int = 2000) -> VQEResult:
-    """Minimize the factorized energy over the ansatz angles.
+    """Minimize the factorized energy over the ansatz angles: ``optimize_all``
+    of this one request.
 
     Deterministic for fixed (cfg.seed, start, curvature, tol). Every solve
     ends with ``_trust_region`` steps to max|g| <= tol. With no ``start``
@@ -375,25 +496,4 @@ def optimize(fac: XDFFactorization, cfg: AnsatzConfig, tol: float = 1e-10,
     ansatz without parameters (no layers, or one orbital) leaves the
     reference state, which is trivially stationary.
     """
-    if not 0 < tol < math.inf:
-        raise ValueError("tolerance must be positive and finite")
-    if n_parameters(fac.n_orbitals, cfg) == 0:
-        energy, _ = _energy_and_gradient(fac, cfg, np.zeros(0))
-        return VQEResult(np.zeros(0), energy, 0.0, True, 0)
-
-    if start is None:
-        grown, iterations = _grown_start(fac, cfg, tol, maxiter)
-        start, curvature = grown[-1], None
-    else:
-        grown, iterations = (), 0
-    x, energy, grad, model, steps = _trust_region(
-        lambda x: _energy_and_gradient(fac, cfg, x), np.asarray(start, dtype=float),
-        lambda x: _fd_hessian(fac, cfg, x) if curvature is None else curvature,
-        tol, maxiter)
-    grad_norm = float(np.max(np.abs(grad)))
-    converged = bool(grad_norm <= tol)
-    if not converged:
-        warnings.warn(f"optimizer stalled with gradient norm {grad_norm:.3e}",
-                      stacklevel=2)
-    return VQEResult(x, float(energy), grad_norm, converged, iterations + steps,
-                     curvature if model is None else model, grown)
+    return optimize_all([(fac, cfg, tol, start, curvature, maxiter)])[0]

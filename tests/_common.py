@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import math
+from collections import deque
+from dataclasses import replace
 from math import comb
 from types import SimpleNamespace
 
@@ -393,6 +396,76 @@ def ref_hessian(fac: xdf.XDFFactorization, cfg: vqe.AnsatzConfig,
         hess[:, i] = (vqe._energy_and_gradient(fac, cfg, xp)[1]
                       - vqe._energy_and_gradient(fac, cfg, xm)[1]) / (2 * h)
     return 0.5 * (hess + hess.T)
+
+
+def drive(steps, evaluate):
+    """Runs ``steps``, a generator of vqe's solve loop (``_trust_region``,
+    ``_fd_hessian``), to its end: each (B, P) stack of points it yields is
+    sent ``evaluate(points)``, (B,) energies and (B, P) gradients. Returns
+    what the generator returns."""
+    reply = None
+    while True:
+        try:
+            points = steps.send(reply)
+        except StopIteration as done:
+            return done.value
+        reply = evaluate(points)
+
+
+def pointwise(fun):
+    """``drive``'s ``evaluate`` from a plain function, point -> (f, g),
+    called once per row."""
+    def evaluate(points):
+        energies, grads = zip(*map(fun, points))
+        return np.array(energies), np.array(grads)
+    return evaluate
+
+
+def fd_hessian(fac: xdf.XDFFactorization, cfg: vqe.AnsatzConfig, x: np.ndarray) -> np.ndarray:
+    """``vqe._fd_hessian`` at x, its stencil evaluated as ``vqe.optimize_all``
+    evaluates a group (``vqe._evaluate``)."""
+    return drive(vqe._fd_hessian(x), lambda points: vqe._evaluate([fac] * len(points), cfg, points))
+
+
+def sequential_regime_suite(ham: Hamiltonian, specs, perturbations,
+                            ablate: str | None = None) -> list[verify.DerivativeReport]:
+    """``verify.run_regime_suite`` as a loop of single solves, each through
+    ``verify.run_pipeline``, in the order (regime, perturbation, stencil
+    point). A regime starts at the grown point of its depth of the last
+    earlier cold solve with its truncation, ansatz seed and tolerance that
+    grew that deep. Each displaced point re-factorizes on its own and
+    starts at the Lagrange polynomial through the stencil's last three
+    solves, with the latest solve's curvature."""
+    cold, reports = {}, []
+    for regime in specs:
+        shape = (regime.truncation, regime.ansatz_seed, regime.vqe_tol)
+        grown = cold.get(shape, ())
+        start = grown[regime.n_layers - 1] if 0 < regime.n_layers <= len(grown) else None
+        base = verify.run_pipeline(ham, regime, start)
+        if len(base.result.grown) > len(grown):
+            cold[shape] = base.result.grown
+        rdms = verify.relaxed_rdms(base, ablate=ablate)
+        pinned = replace(regime, truncation=xdf.TruncationPolicy.by_count(base.fac.retained))
+        for pert in perturbations:
+            analytic = verify.analytic_energy_derivative(base, pert, rdms)
+            solved = deque([(0.0, base.result)], maxlen=3)
+
+            def displaced_energy(eps, pert=pert, solved=solved, base=base, regime=regime,
+                                 pinned=pinned):
+                start = 0.0
+                for x_i, result in solved:
+                    weight = math.prod((eps - x_j) / (x_i - x_j) for x_j, _ in solved if x_j != x_i)
+                    start = start + weight * result.params
+                pipe = verify.run_pipeline(hammodel.apply_perturbation(ham, pert, eps), pinned,
+                                           start, solved[-1][1].curvature)
+                solved.append((eps, pipe.result))
+                verify._check_leaf_tracking(base.fac, pipe.fac, regime.truncation)
+                return pipe.energy
+
+            numerical = verify.five_point_derivative(displaced_energy, verify.FD_STEP)
+            reports.append(verify.DerivativeReport(regime.name, pert.label, analytic, numerical,
+                                                   abs(analytic - numerical)))
+    return reports
 
 
 # Reference kernel: the slice-based gates on the full 4^N vector that the

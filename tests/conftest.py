@@ -22,13 +22,13 @@ def energy_grad_calls(monkeypatch):
 @pytest.fixture
 def hessian_builds(monkeypatch):
     """Records the parameter count of every central-difference Hessian the
-    optimizer builds."""
+    optimizer builds: one entry per stencil generator started."""
     builds = []
     real = vqe._fd_hessian
 
-    def counting(fac, cfg, x):
+    def counting(x):
         builds.append(x.size)
-        return real(fac, cfg, x)
+        return (yield from real(x))
 
     monkeypatch.setattr(vqe, "_fd_hessian", counting)
     return builds

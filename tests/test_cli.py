@@ -130,13 +130,13 @@ def test_verify_command_small(fcidump_n3, tmp_path):
 @pytest.mark.filterwarnings("ignore:state gradient norm")  # a loose --tol is the point
 def test_verify_passes_tol_to_every_solve(fcidump_n3, tmp_path, monkeypatch):
     seen = []
-    real = vqe.optimize
+    real = vqe.optimize_all
 
-    def recording(fac, cfg, tol, **kwargs):
-        seen.append(tol)
-        return real(fac, cfg, tol, **kwargs)
+    def recording(requests):
+        seen.extend(tol for _, _, tol, *_ in requests)
+        return real(requests)
 
-    monkeypatch.setattr(vqe, "optimize", recording)
+    monkeypatch.setattr(vqe, "optimize_all", recording)
     code, payload = _run(["verify", "--fcidump", fcidump_n3, "--layers", "2",
                           "--layers-small", "1", "--leaves", "3",
                           "--perturbations", "1", "--tol", "1e-7"], tmp_path)
@@ -331,13 +331,15 @@ def test_exit_code_nonconvergence(fcidump_n3, tmp_path):
     assert "error" in payload
 
 
+def _unconverged(requests):
+    """``vqe.optimize_all`` with every solve stopped above its tolerance."""
+    return [vqe.VQEResult(np.zeros(1), 0.0, 1.0, False, 0) for _ in requests]
+
+
 @pytest.mark.parametrize("command", ["vqe", "verify", "path"])
 def test_exit_code_nonconvergence_every_command(fcidump_n3, tmp_path, monkeypatch, command):
     # every solve, the first included, stops above its tolerance
-    def unconverged(fac, cfg, tol, **kwargs):
-        return vqe.VQEResult(np.zeros(1), 0.0, 1.0, False, 0)
-
-    monkeypatch.setattr(vqe, "optimize", unconverged)
+    monkeypatch.setattr(vqe, "optimize_all", _unconverged)
     argv = [command, "--fcidump", fcidump_n3]
     if command == "path":
         argv += ["--fcidump-b", fcidump_n3, "--steps", "2"]
@@ -396,10 +398,7 @@ def test_exit_code_path_numerical_failure_at_step_1(fcidump_n3, tmp_path, monkey
 
 
 def test_exit_code_path_nonconvergence_at_step_1(fcidump_n3, tmp_path, monkeypatch):
-    def unconverged(fac, cfg, tol, **kwargs):
-        return vqe.VQEResult(np.zeros(1), 0.0, 1.0, False, 0)
-
-    _fail_on_second_call(monkeypatch, vqe, "optimize", unconverged)
+    _fail_on_second_call(monkeypatch, vqe, "optimize_all", _unconverged)
     code, payload = _run(_path_argv(fcidump_n3), tmp_path)
     assert code == 3 and payload["exit_code"] == 3
     assert payload["error"].startswith("dynamics aborted at step 1: VQE did not reach")
@@ -461,6 +460,16 @@ def test_module_entry_point(fcidump_n3):
     assert done.returncode == 0 and done.stderr == ""
     payload = json.loads(done.stdout, parse_constant=_refuse_constant)
     assert payload["exit_code"] == 0 and payload["retained"] == 2
+
+
+def test_cli_module_runs_without_a_warning(fcidump_n3):
+    # the package does not import cli, so ``python -m xdfrelax.cli`` finds no
+    # copy of it loaded before it runs, and prints nothing on stderr
+    done = subprocess.run([sys.executable, "-m", "xdfrelax.cli", "factorize",
+                           "--fcidump", fcidump_n3, "--leaves", "2"],
+                          env=_package_env(), capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0 and done.stderr == ""
+    assert json.loads(done.stdout, parse_constant=_refuse_constant)["exit_code"] == 0
 
 
 SCIPY_PROBE = textwrap.dedent("""

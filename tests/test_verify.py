@@ -19,8 +19,9 @@ from xdfrelax.verify import (
 from xdfrelax.xdf import TruncationPolicy, factorize
 
 from _common import (FILLING_CASES, KERNEL_CASES, PATH_DT, PATH_LAYERS, PATH_MASS, PATH_S0,
-                     PATH_V0, PATH_VQE_TOL, ablation_fixture, frame_fabrics, path_fixtures,
-                     regime_fixture)
+                     PATH_V0, PATH_VQE_TOL, REGIME_LAYERS_BIG, REGIME_LAYERS_SMALL,
+                     REGIME_TRUNCATED_COUNT, ablation_fixture, frame_fabrics, path_fixtures,
+                     regime_fixture, sequential_regime_suite)
 
 
 def test_dense_energy_zero_rdms_is_core():
@@ -149,6 +150,20 @@ def test_regime_suite_builds_each_input_once(monkeypatch):
     assert len(calls) == 1 + 2 * 4  # the base and its 8 displaced inputs, once each
 
 
+def _batches(monkeypatch):
+    """Wraps ``vqe.optimize_all`` to record the requests of every call, one
+    list per call."""
+    batches = []
+    real = vqe.optimize_all
+
+    def recording(requests):
+        batches.append([tuple(request) for request in requests])
+        return real(batches[-1])
+
+    monkeypatch.setattr(vqe, "optimize_all", recording)
+    return batches
+
+
 def _recorded(monkeypatch, module, name):
     """Wraps ``module.name`` to record the arguments of every call."""
     calls = []
@@ -170,11 +185,12 @@ def test_shared_factorizations_are_bitwise_the_policys_own(monkeypatch, ham):
     # leaves or more; at every count it is the policy's own factorization
     facs = []
 
-    def solved(fac, cfg, tol, start, curvature):
-        facs.append(fac)
-        return vqe.VQEResult(np.zeros(vqe.n_parameters(fac.n_orbitals, cfg)), 0.0, 0.0, True, 0)
+    def solved(requests):
+        facs.extend(fac for fac, *_ in requests)
+        return [vqe.VQEResult(np.zeros(vqe.n_parameters(fac.n_orbitals, cfg)), 0.0, 0.0, True, 0)
+                for fac, cfg, *_ in requests]
 
-    monkeypatch.setattr(vqe, "optimize", solved)
+    monkeypatch.setattr(vqe, "optimize_all", solved)
     n_leaves = ham.n_orbitals * (ham.n_orbitals + 1) // 2
     policies = [TruncationPolicy.by_count(1), TruncationPolicy.exact(),
                 *(TruncationPolicy.by_count(k) for k in range(n_leaves + 1))]
@@ -196,16 +212,19 @@ def test_shared_factorizations_are_bitwise_the_policys_own(monkeypatch, ham):
 def test_approximate_regimes_start_at_the_grown_points(monkeypatch, hessian_builds):
     ham = regime_fixture()
     specs = RegimeSpec.grid(4, 2, TruncationPolicy.by_count(4))
-    solves = _recorded(monkeypatch, vqe, "optimize")
+    batches = _batches(monkeypatch)
     assert run_regime_suite(ham, specs, []) == []
-    # the converged regimes grow depths 1 to 4; the approximate ones grow none
-    assert [kwargs["start"] is None for _, kwargs in solves] == [True, True, False, False]
+    # the converged regimes grow depths 1 to 4, in one lockstep call; the
+    # approximate ones, in the next, grow none
+    assert [len(batch) for batch in batches] == [2, 2]
+    solves = [request for batch in batches for request in batch]
+    assert [start is None for _, _, _, start, _ in solves] == [True, True, False, False]
     # every solve builds one Hessian, at its own depth, for its finish
     assert hessian_builds == [vqe.n_parameters(4, vqe.AnsatzConfig(d)) for d in (4, 4, 2, 2)]
     # each started solve ends where its own cold solve does
-    for args, kwargs in solves[2:]:
-        cold = vqe.optimize(*args, tol=kwargs["tol"])
-        seeded = vqe.optimize(*args, **kwargs)
+    for fac, cfg, tol, start, curvature in solves[2:]:
+        cold = vqe.optimize(fac, cfg, tol)
+        seeded = vqe.optimize(fac, cfg, tol, start, curvature)
         np.testing.assert_array_equal(seeded.params, cold.params)
         assert seeded.energy == cold.energy
 
@@ -218,15 +237,127 @@ def test_regimes_seed_only_from_an_earlier_deeper_cold_solve(monkeypatch):
              RegimeSpec("other seed", exact, 1, ansatz_seed=4),
              RegimeSpec("other tol", exact, 1, vqe_tol=1e-8),
              RegimeSpec("other truncation", fewer, 1)]
-    solves = _recorded(monkeypatch, vqe, "optimize")
+    batches = _batches(monkeypatch)
     run_regime_suite(ham, specs, [])
-    starts = [kwargs["start"] for _, kwargs in solves]
-    assert [start is not None for start in starts] == [False, False, False, True,
-                                                       False, False, False]
-    deep = solves[1]
-    np.testing.assert_array_equal(starts[3], vqe.optimize(
-        *deep[0], tol=deep[1]["tol"]).grown[0])
-    assert solves[3][1]["curvature"] is None
+    # the cold regimes in one lockstep call, then the seeded one: only
+    # "shallow after" starts at a grown point, the deep solve's first
+    cold, seeded = batches
+    assert [start is not None for _, _, _, start, _ in cold + seeded] == [False] * 6 + [True]
+    assert [(cfg.n_layers, cfg.seed, tol) for _, cfg, tol, _, _ in cold + seeded] == [
+        (spec.n_layers, spec.ansatz_seed, spec.vqe_tol)
+        for spec in (*specs[:3], *specs[4:], specs[3])]
+    deep = cold[1]
+    (fac, cfg, tol, start, curvature), = seeded
+    np.testing.assert_array_equal(start, vqe.optimize(*deep[:3]).grown[0])
+    assert curvature is None
+
+
+def _two_perturbations(n: int, seed: int) -> list[hammodel.Perturbation]:
+    return [hammodel.random_one_body_perturbation(n, seed + 10),
+            hammodel.random_two_body_perturbation(n, seed + 50)]
+
+
+@pytest.mark.parametrize("ham, specs, perts", [
+    (regime_fixture(), RegimeSpec.grid(REGIME_LAYERS_BIG, REGIME_LAYERS_SMALL,
+                                       TruncationPolicy.by_count(REGIME_TRUNCATED_COUNT)),
+     _two_perturbations(4, 3)[1:]),
+    (synth_hamiltonian(3, 1, 1, 2), [
+        RegimeSpec("shallow first", TruncationPolicy.exact(), 1),
+        RegimeSpec("deep", TruncationPolicy.exact(), 3),
+        RegimeSpec("seeded", TruncationPolicy.exact(), 2),
+        RegimeSpec("truncated", TruncationPolicy.by_count(3), 2)], _two_perturbations(3, 3)),
+], ids=["regime-grid", "n3-seeded"])
+def test_regime_suite_equals_the_sequential_loop(ham, specs, perts):
+    # lockstep solves, two base waves and stencil columns report the bits of
+    # one single solve after another
+    assert run_regime_suite(ham, specs, perts) == sequential_regime_suite(ham, specs, perts)
+
+
+def test_regime_suite_shares_sweeps_not_points(monkeypatch):
+    # the verify-n4 grid: the lockstep campaign evaluates every point the
+    # sequential loop does, in fewer batched sweeps
+    ham = regime_fixture()
+    specs = RegimeSpec.grid(4, 2, TruncationPolicy.by_count(4), ansatz_seed=0)
+    perts = _two_perturbations(4, 0)
+    calls, rows = [], []
+    real = vqe._energy_and_gradient
+
+    def counting(fac, cfg, params):
+        calls.append(1)
+        rows.extend(np.atleast_2d(params))
+        return real(fac, cfg, params)
+
+    monkeypatch.setattr(vqe, "_energy_and_gradient", counting)
+    sequential = sequential_regime_suite(ham, specs, perts)
+    sequential_work = len(calls), len(rows)
+    calls.clear()
+    rows.clear()
+    assert run_regime_suite(ham, specs, perts) == sequential
+    assert len(rows) == sequential_work[1]
+    assert 2 * len(calls) < sequential_work[0]
+
+
+def _failing_stencils(monkeypatch, fail_at: dict) -> list[str]:
+    """Wraps ``verify._fd_stencil`` so that the stencil of each (regime name,
+    perturbation label) in ``fail_at`` raises once sent the result of that
+    displaced point; returns the messages in the order they were raised."""
+    raised = []
+    real = verify._fd_stencil
+
+    def failing(ham, pert, regime, eps_step, base, built):
+        stencil = real(ham, pert, regime, eps_step, base, built)
+        request = next(stencil)
+        for point in range(4):
+            result = yield request
+            if fail_at.get((regime.name, pert.label)) == point:
+                raised.append(f"{regime.name} {pert.label} point {point}")
+                raise TruncationBoundaryError(raised[-1])
+            try:
+                request = stencil.send(result)
+            except StopIteration as done:
+                return done.value
+
+    monkeypatch.setattr(verify, "_fd_stencil", failing)
+    return raised
+
+
+def test_regime_suite_raises_the_sequential_first_error(monkeypatch):
+    # regime 1's first displaced point fails in the first column, before
+    # regime 0's second perturbation fails at its last point; the loop of
+    # single solves meets regime 0's first, and so does the campaign
+    ham = synth_hamiltonian(3, 1, 1, 2)
+    specs = RegimeSpec.grid(2, 1, TruncationPolicy.by_count(3))
+    perts = _two_perturbations(3, 21)
+    raised = _failing_stencils(monkeypatch, {(specs[1].name, perts[0].label): 0,
+                                             (specs[0].name, perts[1].label): 3})
+    with pytest.raises(TruncationBoundaryError) as err:
+        run_regime_suite(ham, specs, perts)
+    assert raised == [f"{specs[1].name} {perts[0].label} point 0",
+                      f"{specs[0].name} {perts[1].label} point 3"]
+    assert str(err.value) == raised[1]
+
+
+def test_regime_suite_raises_a_stencil_error_before_a_later_base_error(monkeypatch):
+    # the seeded exact-approximate base fails in the second wave, before any
+    # stencil runs; truncated-converged's stencil comes first in the loop
+    ham = synth_hamiltonian(3, 1, 1, 2)
+    specs = RegimeSpec.grid(2, 1, TruncationPolicy.by_count(3))
+    perts = _two_perturbations(3, 21)
+    raised = _failing_stencils(monkeypatch, {(specs[1].name, perts[1].label): 2})
+    real = verify._pipeline
+
+    def failing_base(ham, regime, *args, **kwargs):
+        if regime is specs[2]:
+            raise verify.NonConvergence(f"base of {regime.name}")
+        return (yield from real(ham, regime, *args, **kwargs))
+
+    monkeypatch.setattr(verify, "_pipeline", failing_base)
+    with pytest.raises(TruncationBoundaryError) as err:
+        run_regime_suite(ham, specs, perts)
+    assert raised == [f"{specs[1].name} {perts[1].label} point 2"] == [str(err.value)]
+    # alone, the failed base is the error
+    with pytest.raises(verify.NonConvergence, match=f"base of {specs[2].name}"):
+        run_regime_suite(ham, specs[2:], perts)
 
 
 def test_only_base_pipelines_prepare_a_state(monkeypatch):

@@ -1,3 +1,5 @@
+from contextlib import nullcontext
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -16,9 +18,9 @@ from xdfrelax.vqe import (
 )
 from xdfrelax.xdf import TruncationPolicy, factorize
 
-from _common import (FILLING_CASES, KERNEL_CASES, ansatz_gradient, electron_counts,
-                     ref_ansatz_state, ref_energy_and_gradient, ref_hessian,
-                     regime_fixture, zero_two_body)
+from _common import (FILLING_CASES, KERNEL_CASES, ansatz_gradient, drive, electron_counts,
+                     fd_hessian, pointwise, ref_ansatz_state, ref_energy_and_gradient,
+                     ref_hessian, regime_fixture, zero_two_body)
 
 def test_block_layout():
     assert brickwork(4, 2) == (0, 2, 1)
@@ -187,7 +189,7 @@ def test_regime_cold_solves_pass_the_grown_saddles(policy, seed):
     cfg = AnsatzConfig(8, seed)
     result = optimize(fac, cfg, tol=WARM_TOL)
     assert result.converged
-    curvatures = np.linalg.eigvalsh(vqe._fd_hessian(fac, cfg, result.params))
+    curvatures = np.linalg.eigvalsh(fd_hessian(fac, cfg, result.params))
     assert curvatures[0] >= -1e-6 * curvatures[-1]
     if seed in (1, 2):
         assert round(result.energy, 7) == -5.7202315
@@ -211,7 +213,12 @@ def test_finish_from_a_zero_model_reaches_the_minimum(monkeypatch):
     fac = factorize(synth_hamiltonian(3, 1, 1, 2), TruncationPolicy.exact())
     cfg = AnsatzConfig(3, seed=3)
     reference = optimize(fac, cfg, tol=1e-10)
-    monkeypatch.setattr(vqe, "_fd_hessian", lambda fac, cfg, x: np.zeros((x.size, x.size)))
+
+    def zero_model(x):
+        return np.zeros((x.size, x.size))
+        yield  # a stencil that asks for no point
+
+    monkeypatch.setattr(vqe, "_fd_hessian", zero_model)
     result = optimize(fac, cfg, tol=1e-10)
     assert result.converged
     assert abs(result.energy - reference.energy) <= 1e-12
@@ -230,7 +237,7 @@ def test_trust_region_steps_along_a_soft_mode(fraction):
         return 0.5 * float(grad @ params), grad
 
     x0 = np.array([0.01, 0.01, 0.01])
-    x, _, grad, _, _ = vqe._trust_region(quadratic, x0, lambda x: curvature, 1e-11, 20)
+    x, _, grad, _, _ = drive(vqe._trust_region(x0, curvature, 1e-11, 20), pointwise(quadratic))
     assert abs(grad[2]) <= 1e-11 < abs(quadratic(x0)[1][2])
     assert np.max(np.abs(grad)) <= 1e-11 and np.max(np.abs(x)) <= 1e-9
 
@@ -249,7 +256,7 @@ def test_trust_region_converges_past_an_overshooting_step():
     whole = -g0 / np.diag(hess)
     assert abs(whole[0] + 0.281) <= 1e-3 and abs(whole[0]) <= vqe.TRUST_RADIUS
     assert abs(saturating(x0 + whole)[1][0]) > abs(g0[0])
-    _, _, grad, _, steps = vqe._trust_region(saturating, x0, lambda x: hess, 1e-12, 20)
+    _, _, grad, _, steps = drive(vqe._trust_region(x0, hess, 1e-12, 20), pointwise(saturating))
     assert np.max(np.abs(grad)) <= 1e-12 and steps < 20
 
 
@@ -338,7 +345,8 @@ def rosenbrock_start(size: int) -> np.ndarray:
 def trust_region(fun, x0, maxiter=2000):
     """``vqe._trust_region`` to max|g| <= 1e-10 from the identity model: the
     end point and the steps taken."""
-    x, _, _, _, steps = vqe._trust_region(fun, x0, lambda x: np.eye(x.size), 1e-10, maxiter)
+    x, _, _, _, steps = drive(vqe._trust_region(x0, np.eye(x0.size), 1e-10, maxiter),
+                              pointwise(fun))
     return x, steps
 
 
@@ -486,6 +494,57 @@ def test_batched_rows_match_single_points(n, na, nb, seed, layers):
         np.testing.assert_array_equal(grad, single_grad)
 
 
+@pytest.mark.parametrize("n,na,nb,seed", KERNEL_CASES + FILLING_CASES)
+def test_batched_rows_on_their_own_factorizations(n, na, nb, seed):
+    # one factorization per row: other Hamiltonians of the filling and other
+    # retained counts in one batch, each row bitwise its single-point call
+    exact, one = TruncationPolicy.exact(), TruncationPolicy.by_count(1)
+    facs = [factorize(synth_hamiltonian(n, na, nb, seed + k), policy)
+            for k, policy in ((0, exact), (1, one), (2, exact), (0, one), (0, exact))]
+    assert len({fac.retained for fac in facs}) == 2
+    cfg = AnsatzConfig(2)
+    points = np.random.default_rng(seed).uniform(-np.pi, np.pi, (len(facs), n_parameters(n, cfg)))
+    energies, grads = vqe._energy_and_gradient(facs, cfg, points)
+    for fac, point, energy, grad in zip(facs, points, energies, grads, strict=True):
+        single_energy, single_grad = vqe._energy_and_gradient(fac, cfg, point)
+        assert energy == single_energy
+        np.testing.assert_array_equal(grad, single_grad)
+
+
+def _bits(result: vqe.VQEResult) -> tuple:
+    """Every field of a result as bytes, None kept."""
+    def raw(array):
+        return None if array is None else (array.shape, array.tobytes())
+    return (raw(result.params), np.float64(result.energy).tobytes(),
+            np.float64(result.grad_norm).tobytes(), result.converged, result.n_iterations,
+            raw(result.curvature), tuple(raw(point) for point in result.grown))
+
+
+def test_optimize_all_is_optimize_one_at_a_time(displaced_regime):
+    fac, cfg, base = displaced_regime
+    cold = factorize(regime_fixture(), TruncationPolicy.exact())
+    small = factorize(synth_hamiltonian(3, 2, 1, 3), TruncationPolicy.exact())
+    stalled = (small, AnsatzConfig(2, seed=5), 1e-9, None, None, 1)  # one step per loop
+    requests = [
+        (fac, cfg, WARM_TOL, base.params, base.curvature),  # warm
+        (small, AnsatzConfig(2, seed=1), 1e-9),            # cold, another filling
+        (fac, cfg, WARM_TOL, base.params),                  # warm, no curvature
+        (cold, AnsatzConfig(2, seed=3), WARM_TOL),          # cold, another depth
+        (small, AnsatzConfig(0)),                           # no parameters
+        stalled,
+        (cold, AnsatzConfig(2, seed=3), WARM_TOL, base.params[:6]),  # warm, shallower
+    ]
+    with pytest.warns(UserWarning, match="optimizer stalled") as caught:
+        together = vqe.optimize_all(requests)
+    assert len(caught) == 1
+    alone = []
+    for request in requests:
+        with pytest.warns(UserWarning) if request is stalled else nullcontext():
+            alone.append(optimize(*request))
+    assert [result.converged for result in together] == [True] * 5 + [False, True]
+    assert [_bits(result) for result in together] == [_bits(result) for result in alone]
+
+
 @pytest.mark.parametrize("sweep_entries", [None, 1])  # one batch; one point per sweep
 @pytest.mark.parametrize("n,na,nb,seed", KERNEL_CASES + [(4, 1, 3, 5)])
 def test_fd_hessian_matches_sequential_referee(monkeypatch, n, na, nb, seed, sweep_entries):
@@ -494,7 +553,7 @@ def test_fd_hessian_matches_sequential_referee(monkeypatch, n, na, nb, seed, swe
     fac = factorize(synth_hamiltonian(n, na, nb, seed), TruncationPolicy.exact())
     cfg = AnsatzConfig(2)
     x = np.random.default_rng(seed).uniform(-1.5, 1.5, n_parameters(n, cfg))
-    np.testing.assert_array_equal(vqe._fd_hessian(fac, cfg, x), ref_hessian(fac, cfg, x))
+    np.testing.assert_array_equal(fd_hessian(fac, cfg, x), ref_hessian(fac, cfg, x))
 
 
 @pytest.mark.parametrize("shape", [(3,), (2, 4), ()])
