@@ -295,15 +295,14 @@ def _built_once(built: dict | None, key, build):
 
 def _pipeline(ham: Hamiltonian, regime: RegimeSpec, start: np.ndarray | None = None,
               curvature: np.ndarray | None = None, built: dict | None = None):
-    """``run_pipeline`` as a ``_lockstep`` task: a generator that yields its
-    one ``vqe.optimize_all`` request, (fac, cfg, tol, start, curvature), is
-    sent the ``VQEResult`` and returns the ``Pipeline``."""
+    """``run_pipeline`` as a ``vqe.lockstep`` task: a generator that runs
+    its solve (``vqe.solve_task``) and returns the ``Pipeline``."""
     fac = _built_once(built, ham, lambda: factorize(ham, regime.truncation))
     count = regime.truncation.retained_count(fac.g)
     if count != fac.retained:
         fac = _built_once(built, (ham, count), lambda: replace(fac, retained=count))
     cfg = AnsatzConfig(regime.n_layers, regime.ansatz_seed)
-    result = yield fac, cfg, regime.vqe_tol, start, curvature
+    result = yield from vqe.solve_task(fac, cfg, regime.vqe_tol, start, curvature)
     if not result.converged:
         raise NonConvergence(
             f"VQE did not reach gradient {regime.vqe_tol:.1e} in regime {regime.name}")
@@ -322,46 +321,15 @@ def run_pipeline(ham: Hamiltonian, regime: RegimeSpec, start: np.ndarray | None 
     depends on the policy only through the count, so this is bitwise
     ``factorize(ham, regime.truncation)``.
     """
-    steps = _pipeline(ham, regime, start, curvature, built)
+    return vqe.lockstep([_pipeline(ham, regime, start, curvature, built)])[0]
+
+
+def _held(task):
+    """``task``, returning the exception that ends it in place of raising it."""
     try:
-        steps.send(vqe.optimize(*next(steps)))
-    except StopIteration as done:
-        return done.value
-
-
-def _lockstep(tasks) -> list:
-    """Runs ``tasks`` together: generators that each yield one
-    ``vqe.optimize_all`` request at a time and are sent its result. Each
-    round hands the pending request of every unfinished task to one
-    ``optimize_all`` call. Returns what each task returned, or the exception
-    that ended it; an exception ends only its own task."""
-    outcomes = [None] * len(tasks)
-    asked = {}
-
-    def advance(t, result):
-        try:
-            asked[t] = tasks[t].send(result)
-        except StopIteration as done:
-            outcomes[t] = done.value
-        except Exception as exc:  # raised by the caller, in the sequential order
-            outcomes[t] = exc
-
-    for t in range(len(tasks)):
-        advance(t, None)
-    while asked:
-        order = list(asked)
-        for t, result in zip(order, vqe.optimize_all([asked.pop(t) for t in order])):
-            advance(t, result)
-    return outcomes
-
-
-def _raise_first(outcomes: list) -> list:
-    """``outcomes`` of ``_lockstep``, once none of them is an exception; else
-    the first exception is raised."""
-    for outcome in outcomes:
-        if isinstance(outcome, Exception):
-            raise outcome
-    return outcomes
+        return (yield from task)
+    except Exception as exc:
+        return exc
 
 
 def relaxed_rdms(pipe: Pipeline, ablate: str | None = None) -> lagrange.RelaxedRDMs:
@@ -424,7 +392,7 @@ def _predicted_solve(ham: Hamiltonian, regime: RegimeSpec, solved: deque, at: fl
 
 def _fd_stencil(ham: Hamiltonian, pert: Perturbation, regime: RegimeSpec, eps_step: float,
                 base: Pipeline, built: dict | None):
-    """``fd_energy_derivative`` as a ``_lockstep`` task: one request per
+    """``fd_energy_derivative`` as a ``vqe.lockstep`` task: one solve per
     displaced point, in the order ``five_point_derivative`` reads them;
     returns the derivative."""
     pinned = replace(regime, truncation=TruncationPolicy.by_count(base.fac.retained))
@@ -459,7 +427,7 @@ def fd_energy_derivative(ham: Hamiltonian, pert: Perturbation, regime: RegimeSpe
     """
     if base is None:
         base = run_pipeline(ham, regime)
-    return _raise_first(_lockstep([_fd_stencil(ham, pert, regime, eps_step, base, built)]))[0]
+    return vqe.lockstep([_fd_stencil(ham, pert, regime, eps_step, base, built)])[0]
 
 
 def run_regime_suite(ham: Hamiltonian, specs, perturbations,
@@ -480,15 +448,15 @@ def run_regime_suite(ham: Hamiltonian, specs, perturbations,
     6 of 7 seeds. Every regime still runs its own solves and leaf-tracking
     checks, and prepares one state, its base pipeline's.
 
-    Independent solves run in lockstep (``vqe.optimize_all``), with the
-    bits of one solve after another. The base pipelines run in two waves:
-    the cold regimes, then the regimes seeded from a first-wave grown
-    point; which seeds from which is fixed by the specs alone. The stencils
-    then run column by column: the i-th displaced solve of every (regime,
-    perturbation) in one round, each start predicted from its own stencil's
-    solves. An error raised is the first one of the sequential order
-    (regime, perturbation, stencil point), as a loop of single solves would
-    raise it.
+    Independent solves run in lockstep (``vqe.lockstep``), with the bits
+    of one solve after another. The base pipelines run in two waves: the
+    cold regimes, then the regimes seeded from a first-wave grown point;
+    which seeds from which is fixed by the specs alone. Then every
+    (regime, perturbation) stencil runs as its own task, all of them
+    together; a stencil solves its displaced points in order, each start
+    predicted from its own earlier solves. An error raised is the first one
+    of the sequential order (regime, perturbation, stencil point), as a
+    loop of single solves would raise it.
     """
     specs = list(specs)
     built, cold, grown_from = {}, {}, {}
@@ -501,11 +469,12 @@ def run_regime_suite(ham: Hamiltonian, specs, perturbations,
               and vqe.n_parameters(ham.n_orbitals, AnsatzConfig(regime.n_layers)) > 0):
             cold[shape] = (regime.n_layers, r)
     first = [r for r in range(len(specs)) if r not in grown_from]
-    bases = dict(zip(first, _lockstep([_pipeline(ham, specs[r], built=built) for r in first])))
+    bases = dict(zip(first, vqe.lockstep([_held(_pipeline(ham, specs[r], built=built))
+                                          for r in first])))
     second = [r for r, source in grown_from.items() if isinstance(bases[source], Pipeline)]
-    bases.update(zip(second, _lockstep([
-        _pipeline(ham, specs[r], bases[grown_from[r]].result.grown[specs[r].n_layers - 1],
-                  built=built) for r in second])))
+    bases.update(zip(second, vqe.lockstep([
+        _held(_pipeline(ham, specs[r], bases[grown_from[r]].result.grown[specs[r].n_layers - 1],
+                        built=built)) for r in second])))
 
     rows, stencils, error = [], [], None
     try:
@@ -519,7 +488,7 @@ def run_regime_suite(ham: Hamiltonian, specs, perturbations,
                 stencils.append(_fd_stencil(ham, pert, regime, FD_STEP, base, built))
     except Exception as exc:  # raised after the stencils before it, whose errors come first
         error = exc
-    numerical = _raise_first(_lockstep(stencils))
+    numerical = vqe.lockstep(stencils)
     if error is not None:
         raise error
     return [DerivativeReport(name, label, analytic, fd, abs(analytic - fd))

@@ -10,13 +10,14 @@ Every solve is one trust-region loop on a quadratic model of the energy
 (``_trust_region``); ``VQEResult.curvature`` hands the model to the next
 solve. The loop, the growth and the central-difference Hessian are
 generators that yield the points they need and are sent (f, g) there, so
-``optimize_all`` can run independent solves in lockstep, one batched
-adjoint sweep per round.
+``lockstep`` can run independent solves together, one batched adjoint
+sweep per round (``optimize_all``, and verify's campaign).
 """
 
 from __future__ import annotations
 
 import math
+import sys
 import warnings
 from dataclasses import dataclass
 
@@ -34,6 +35,8 @@ __all__ = [
     "prepare_state",
     "optimize",
     "optimize_all",
+    "solve_task",
+    "lockstep",
 ]
 
 
@@ -240,20 +243,20 @@ def _model_step(evals: np.ndarray, coef: np.ndarray, radius: float) -> np.ndarra
     1/|s| = 1/radius from below the root; in the hard case, where coef has
     no part on the lowest modes, the rest of the step at sigma = -evals[0]
     plus the lowest mode out to the radius."""
-    if evals[0] > 0 and np.all(np.abs(coef) <= radius * evals):
+    if evals[0] > 0 and (np.abs(coef) <= radius * evals).all():
         step = -coef / evals
         if step @ step <= radius ** 2:
             return step
     gap = evals - evals[0]
     lowest = gap == 0
-    if evals[0] <= 0 and np.all(np.abs(coef) <= radius * gap):
+    if evals[0] <= 0 and (np.abs(coef) <= radius * gap).all():
         step = -np.divide(coef, gap, out=np.zeros_like(coef), where=~lowest)
         if step @ step <= radius ** 2:
             step[np.argmax(lowest)] = math.sqrt(radius ** 2 - step @ step)
             return step
     # shift = sigma + evals[0], from below the root: no |s_i| exceeds radius
     shift = max(evals[0], 0.0, np.linalg.norm(coef[lowest]) / radius,
-                np.max(np.abs(coef) / radius - gap))
+                (np.abs(coef) / radius - gap).max())
     live = coef != 0
     lift, part = gap[live], coef[live]
     for _ in range(100):
@@ -311,7 +314,7 @@ def _trust_region(x: np.ndarray, hess: np.ndarray | None, gtol: float, maxiter: 
     """
     energies, grads = yield x[None]
     f, g = float(energies[0]), grads[0]
-    gmax = np.max(np.abs(g))
+    gmax = np.abs(g).max()
     hess = None if hess is None else np.array(hess, dtype=float)
     radius, steps, refused = TRUST_RADIUS, 0, 0
     while gmax > gtol and steps < maxiter:
@@ -327,11 +330,11 @@ def _trust_region(x: np.ndarray, hess: np.ndarray | None, gtol: float, maxiter: 
         predicted = -(coef + 0.5 * evals * local) @ local
         step = evecs[:, keep] @ local
         trial = x + step
-        if not predicted > 0 or np.array_equal(trial, x):
+        if not predicted > 0 or (trial == x).all():
             break
         energies, grads = yield trial[None]
         f_new, g_new = float(energies[0]), grads[0]
-        gmax_new = np.max(np.abs(g_new))
+        gmax_new = np.abs(g_new).max()
         hess = _sr1(hess, step, g_new - g)
         ratio = (f - f_new) / predicted
         taken = ratio > 1e-4 or (gmax_new < gmax and f_new - f <= 1e-13 * abs(f))
@@ -347,17 +350,18 @@ def _trust_region(x: np.ndarray, hess: np.ndarray | None, gtol: float, maxiter: 
     return x, f, g, hess, steps
 
 
-def _on_ansatz(cfg: AnsatzConfig, steps):
+def _on_ansatz(fac: XDFFactorization, cfg: AnsatzConfig, steps):
     """``steps``, a generator of the solve loop, with each point stack it
-    yields paired with the ansatz it is for: yields (cfg, points), passes
-    on what it is sent and returns what ``steps`` returns."""
+    yields paired with the factorization and ansatz it is for: yields (fac,
+    cfg, points), passes on what it is sent and returns what ``steps``
+    returns."""
     reply = None
     while True:
         try:
             points = steps.send(reply)
         except StopIteration as done:
             return done.value
-        reply = yield cfg, points
+        reply = yield fac, cfg, points
 
 
 def _grown_start(fac: XDFFactorization, cfg: AnsatzConfig, tol: float, maxiter: int):
@@ -370,7 +374,7 @@ def _grown_start(fac: XDFFactorization, cfg: AnsatzConfig, tol: float, maxiter: 
     a shallow point only seeds the next depth, and the full depth is
     finished to tol from a fresh Hessian. A depth's point depends only on
     the depths before it, so it is also the grown start of a shallower
-    solve. A generator that yields (depth's config, points), as
+    solve. A generator that yields (fac, depth's config, points), as
     ``_on_ansatz``; returns the point of every depth and the trust-region
     steps spent.
     """
@@ -383,22 +387,23 @@ def _grown_start(fac: XDFFactorization, cfg: AnsatzConfig, tol: float, maxiter: 
         x0 = np.concatenate([params, 0.05 * rng.standard_normal(fresh)])
         padded = np.eye(x0.size)
         padded[:params.size, :params.size] = model
-        params, _, _, model, steps = yield from _on_ansatz(sub, _trust_region(
+        params, _, _, model, steps = yield from _on_ansatz(fac, sub, _trust_region(
             x0, padded, 0.1 * max(tol, BASIN_TOL), maxiter))
         grown.append(params)
         total += steps
     return grown, total
 
 
-def _solve(fac: XDFFactorization, cfg: AnsatzConfig, tol: float = 1e-10,
-           start: np.ndarray | None = None, curvature: np.ndarray | None = None,
-           maxiter: int = 2000):
-    """One ``optimize`` solve as a generator that yields (cfg, points), as
-    ``_on_ansatz``, and returns its ``VQEResult``."""
+def solve_task(fac: XDFFactorization, cfg: AnsatzConfig, tol: float = 1e-10,
+               start: np.ndarray | None = None, curvature: np.ndarray | None = None,
+               maxiter: int = 2000):
+    """One ``optimize`` solve as a ``lockstep`` task: a generator that
+    yields (fac, cfg, points), as ``_on_ansatz``, is sent (energies, grads)
+    there and returns its ``VQEResult``."""
     if not 0 < tol < math.inf:
         raise ValueError("tolerance must be positive and finite")
     if n_parameters(fac.n_orbitals, cfg) == 0:
-        energies, _ = yield cfg, np.zeros((1, 0))
+        energies, _ = yield fac, cfg, np.zeros((1, 0))
         return VQEResult(np.zeros(0), float(energies[0]), 0.0, True, 0)
 
     if start is None:
@@ -406,71 +411,115 @@ def _solve(fac: XDFFactorization, cfg: AnsatzConfig, tol: float = 1e-10,
         start, curvature = grown[-1], None
     else:
         grown, iterations = (), 0
-    x, energy, grad, model, steps = yield from _on_ansatz(cfg, _trust_region(
+    x, energy, grad, model, steps = yield from _on_ansatz(fac, cfg, _trust_region(
         np.asarray(start, dtype=float), curvature, tol, maxiter))
     grad_norm = float(np.max(np.abs(grad)))
     return VQEResult(x, energy, grad_norm, bool(grad_norm <= tol), iterations + steps,
                      model, grown)
 
 
-def _grouped_replies(asked: dict, facs: list) -> list:
-    """One lockstep round: the (cfg, points) each solve i asks for in
-    ``asked``, grouped by filling and ``AnsatzConfig``, each group evaluated
-    by one ``_evaluate`` call, its rows on their own solve's ``facs[i]``; a
-    group of one evaluates its points as they were asked for. Returns (i,
-    (energies, grads)) pairs."""
-    groups = {}
-    for i, (cfg, _) in asked.items():
-        fac = facs[i]
-        groups.setdefault((fac.n_orbitals, fac.n_alpha, fac.n_beta, cfg), []).append(i)
-    replies = []
-    for (*_, cfg), members in groups.items():
-        stacks = [asked[i][1] for i in members]
-        energies, grads = _evaluate(
-            [facs[i] for i, stack in zip(members, stacks) for _ in range(len(stack))], cfg,
-            stacks[0] if len(stacks) == 1 else np.concatenate(stacks))
-        end = 0
-        for i, stack in zip(members, stacks):
-            start, end = end, end + len(stack)
-            replies.append((i, (energies[start:end], grads[start:end])))
+def _replies(asked: dict, members: list) -> list:
+    """(t, (energies, grads)) for each task t of ``members``, from one
+    ``_evaluate`` call on the points each asks for in ``asked``, (fac, cfg,
+    points), every row on its own task's factorization: the points of one
+    task as they were asked for, of several concatenated."""
+    if len(members) == 1:
+        fac, cfg, points = asked[members[0]]
+        return [(members[0], _evaluate([fac] * len(points), cfg, points))]
+    stacks = [asked[t][2] for t in members]
+    facs = [asked[t][0] for t, stack in zip(members, stacks) for _ in range(len(stack))]
+    energies, grads = _evaluate(facs, asked[members[0]][1], np.concatenate(stacks))
+    replies, end = [], 0
+    for t, stack in zip(members, stacks):
+        start, end = end, end + len(stack)
+        replies.append((t, (energies[start:end], grads[start:end])))
     return replies
+
+
+def _round(asked: dict) -> list:
+    """One lockstep round: the points every task asks for in ``asked``,
+    grouped by filling and ``AnsatzConfig``, each group evaluated by one
+    ``_replies`` call. A group whose call raises is evaluated task by task,
+    and a task whose own points raise gets that exception as its reply, as
+    it would meet it in a solve alone."""
+    groups = {}
+    for t, (fac, cfg, _) in asked.items():
+        groups.setdefault((fac.n_orbitals, fac.n_alpha, fac.n_beta, cfg), []).append(t)
+    replies = []
+    for members in groups.values():
+        try:
+            replies += _replies(asked, members)
+        except Exception:
+            for t in members:
+                try:
+                    replies += _replies(asked, [t])
+                except Exception as exc:
+                    replies.append((t, exc))
+    return replies
+
+
+def lockstep(tasks) -> list:
+    """Runs ``tasks`` together and returns what each returned, in order.
+
+    A task is a generator that yields (fac, cfg, points), as
+    ``solve_task`` does, and is sent (energies, grads) there. Every round
+    evaluates the points of every unfinished task (``_round``). Rows come
+    out bitwise as single-point calls, so each task sees the bits it would
+    see alone. An exception ends only its own task; once every task has
+    ended, the exception of the first failed task is raised.
+    """
+    tasks = list(tasks)
+    outcomes, errors, asked = [None] * len(tasks), {}, {}
+
+    def advance(t, resume, reply):
+        try:
+            asked[t] = resume(reply)
+        except StopIteration as done:
+            outcomes[t] = done.value
+        except Exception as exc:
+            errors[t] = exc
+
+    for t, task in enumerate(tasks):
+        advance(t, task.send, None)
+    while asked:
+        for t, reply in _round(asked):
+            del asked[t]
+            task = tasks[t]
+            advance(t, task.throw if isinstance(reply, Exception) else task.send, reply)
+    if errors:
+        raise errors[min(errors)]
+    return outcomes
+
+
+def _warn_stalled(results) -> None:
+    """Warns once for each result that stopped above its tolerance, at the
+    first caller outside this module."""
+    level, frame = 1, sys._getframe()
+    while frame.f_globals is globals():
+        level, frame = level + 1, frame.f_back
+    for result in results:
+        if not result.converged:
+            warnings.warn(f"optimizer stalled with gradient norm {result.grad_norm:.3e}",
+                          stacklevel=level)
 
 
 def optimize_all(requests) -> list[VQEResult]:
     """Run independent ``optimize`` solves in lockstep; their results, in order.
 
     Each request is a tuple of ``optimize``'s arguments, (fac, cfg[, tol,
-    start, curvature, maxiter]). Every round gathers the points each
-    unfinished solve asks for next and evaluates them grouped by filling and
-    ``AnsatzConfig`` (``_grouped_replies``): one ``_energy_and_gradient``
-    sweep per group, sliced at ``STENCIL_SWEEP_ENTRIES``, each row on its
-    own request's factorization. A lone unfinished solve is evaluated as it
-    asks, with no grouping. Rows come out bitwise as single-point calls, so
-    each result is bitwise what the solve gives alone. A solve that stops
-    above its ``tol`` warns once, after the last round. An error raised
-    inside any solve ends the call.
+    start, curvature, maxiter]), and runs as a ``solve_task`` of
+    ``lockstep``. Every round gathers the points each unfinished solve asks
+    for next and evaluates them grouped by filling and ``AnsatzConfig``: one
+    ``_energy_and_gradient`` sweep per group, sliced at
+    ``STENCIL_SWEEP_ENTRIES``, each row on its own request's factorization,
+    a group of one on its points as they were asked for. Rows come out
+    bitwise as single-point calls, so each result is bitwise what the solve
+    gives alone. A solve that stops above its ``tol`` warns once, after the
+    last round. If solves fail, the error of the first in request order is
+    raised once every solve has ended.
     """
-    requests = list(requests)
-    facs = [fac for fac, *_ in requests]
-    solves = [_solve(*request) for request in requests]
-    asked = {i: next(solve) for i, solve in enumerate(solves)}
-    results = [None] * len(solves)
-    while asked:
-        if len(asked) == 1:
-            (i, (cfg, points)), = asked.items()
-            replies = [(i, _evaluate([facs[i]] * len(points), cfg, points))]
-        else:
-            replies = _grouped_replies(asked, facs)
-        for i, reply in replies:
-            try:
-                asked[i] = solves[i].send(reply)
-            except StopIteration as done:
-                results[i] = done.value
-                del asked[i]
-    for result in results:
-        if not result.converged:
-            warnings.warn(f"optimizer stalled with gradient norm {result.grad_norm:.3e}",
-                          stacklevel=2)
+    results = lockstep(solve_task(*request) for request in requests)
+    _warn_stalled(results)
     return results
 
 

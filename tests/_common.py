@@ -422,7 +422,7 @@ def pointwise(fun):
 
 
 def fd_hessian(fac: xdf.XDFFactorization, cfg: vqe.AnsatzConfig, x: np.ndarray) -> np.ndarray:
-    """``vqe._fd_hessian`` at x, its stencil evaluated as ``vqe.optimize_all``
+    """``vqe._fd_hessian`` at x, its stencil evaluated as ``vqe.lockstep``
     evaluates a group (``vqe._evaluate``)."""
     return drive(vqe._fd_hessian(x), lambda points: vqe._evaluate([fac] * len(points), cfg, points))
 

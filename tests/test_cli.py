@@ -4,6 +4,7 @@ import string
 import subprocess
 import sys
 import textwrap
+from contextlib import nullcontext
 from pathlib import Path
 
 import numpy as np
@@ -130,13 +131,13 @@ def test_verify_command_small(fcidump_n3, tmp_path):
 @pytest.mark.filterwarnings("ignore:state gradient norm")  # a loose --tol is the point
 def test_verify_passes_tol_to_every_solve(fcidump_n3, tmp_path, monkeypatch):
     seen = []
-    real = vqe.optimize_all
+    real = vqe.solve_task
 
-    def recording(requests):
-        seen.extend(tol for _, _, tol, *_ in requests)
-        return real(requests)
+    def recording(fac, cfg, tol, *rest):
+        seen.append(tol)
+        return real(fac, cfg, tol, *rest)
 
-    monkeypatch.setattr(vqe, "optimize_all", recording)
+    monkeypatch.setattr(vqe, "solve_task", recording)
     code, payload = _run(["verify", "--fcidump", fcidump_n3, "--layers", "2",
                           "--layers-small", "1", "--leaves", "3",
                           "--perturbations", "1", "--tol", "1e-7"], tmp_path)
@@ -323,27 +324,32 @@ def test_mutated_fcidump_is_an_input_error_or_parses(tmp_path_factory, text):
 
 
 def test_exit_code_nonconvergence(fcidump_n3, tmp_path):
-    # zero optimizer iterations leaves the random start non-stationary
-    with pytest.warns(UserWarning, match="optimizer stalled"):
+    # zero optimizer iterations leaves the random start non-stationary; the
+    # warning names the CLI's call of ``vqe.optimize``
+    with pytest.warns(UserWarning, match="optimizer stalled") as caught:
         code, payload = _run(["vqe", "--fcidump", fcidump_n3, "--layers", "2",
                               "--tol", "1e-9", "--maxiter", "0", "--seed", "0"], tmp_path)
+    assert [warning.filename for warning in caught] == [cli.__file__]
     assert code == 3
     assert "error" in payload
 
 
-def _unconverged(requests):
-    """``vqe.optimize_all`` with every solve stopped above its tolerance."""
-    return [vqe.VQEResult(np.zeros(1), 0.0, 1.0, False, 0) for _ in requests]
+def _unconverged(*request):
+    """``vqe.solve_task`` with every solve stopped above its tolerance."""
+    yield from ()
+    return vqe.VQEResult(np.zeros(1), 0.0, 1.0, False, 0)
 
 
 @pytest.mark.parametrize("command", ["vqe", "verify", "path"])
 def test_exit_code_nonconvergence_every_command(fcidump_n3, tmp_path, monkeypatch, command):
-    # every solve, the first included, stops above its tolerance
-    monkeypatch.setattr(vqe, "optimize_all", _unconverged)
+    # every solve, the first included, stops above its tolerance; the vqe
+    # command's solve is an ``optimize`` call, which warns
+    monkeypatch.setattr(vqe, "solve_task", _unconverged)
     argv = [command, "--fcidump", fcidump_n3]
     if command == "path":
         argv += ["--fcidump-b", fcidump_n3, "--steps", "2"]
-    code, payload = _run(argv, tmp_path)
+    with pytest.warns(UserWarning, match="optimizer stalled") if command == "vqe" else nullcontext():
+        code, payload = _run(argv, tmp_path)
     assert code == 3 and payload["exit_code"] == 3
     assert "error" in payload
 
@@ -398,7 +404,7 @@ def test_exit_code_path_numerical_failure_at_step_1(fcidump_n3, tmp_path, monkey
 
 
 def test_exit_code_path_nonconvergence_at_step_1(fcidump_n3, tmp_path, monkeypatch):
-    _fail_on_second_call(monkeypatch, vqe, "optimize_all", _unconverged)
+    _fail_on_second_call(monkeypatch, vqe, "solve_task", _unconverged)
     code, payload = _run(_path_argv(fcidump_n3), tmp_path)
     assert code == 3 and payload["exit_code"] == 3
     assert payload["error"].startswith("dynamics aborted at step 1: VQE did not reach")

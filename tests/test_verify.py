@@ -151,16 +151,25 @@ def test_regime_suite_builds_each_input_once(monkeypatch):
 
 
 def _batches(monkeypatch):
-    """Wraps ``vqe.optimize_all`` to record the requests of every call, one
-    list per call."""
+    """Wraps ``vqe.lockstep`` and ``vqe.solve_task`` to record the arguments
+    of every solve, one list per ``lockstep`` call that starts a solve."""
     batches = []
-    real = vqe.optimize_all
+    real_lockstep, real_solve = vqe.lockstep, vqe.solve_task
 
-    def recording(requests):
-        batches.append([tuple(request) for request in requests])
-        return real(batches[-1])
+    def lockstep(tasks):
+        batches.append([])
+        try:
+            return real_lockstep(tasks)
+        finally:
+            if not batches[-1]:
+                batches.pop()
 
-    monkeypatch.setattr(vqe, "optimize_all", recording)
+    def solve_task(*request):
+        batches[-1].append(request)
+        return real_solve(*request)
+
+    monkeypatch.setattr(vqe, "lockstep", lockstep)
+    monkeypatch.setattr(vqe, "solve_task", solve_task)
     return batches
 
 
@@ -185,12 +194,12 @@ def test_shared_factorizations_are_bitwise_the_policys_own(monkeypatch, ham):
     # leaves or more; at every count it is the policy's own factorization
     facs = []
 
-    def solved(requests):
-        facs.extend(fac for fac, *_ in requests)
-        return [vqe.VQEResult(np.zeros(vqe.n_parameters(fac.n_orbitals, cfg)), 0.0, 0.0, True, 0)
-                for fac, cfg, *_ in requests]
+    def solved(fac, cfg, *rest):
+        facs.append(fac)
+        yield from ()
+        return vqe.VQEResult(np.zeros(vqe.n_parameters(fac.n_orbitals, cfg)), 0.0, 0.0, True, 0)
 
-    monkeypatch.setattr(vqe, "optimize_all", solved)
+    monkeypatch.setattr(vqe, "solve_task", solved)
     n_leaves = ham.n_orbitals * (ham.n_orbitals + 1) // 2
     policies = [TruncationPolicy.by_count(1), TruncationPolicy.exact(),
                 *(TruncationPolicy.by_count(k) for k in range(n_leaves + 1))]
@@ -268,7 +277,7 @@ def _two_perturbations(n: int, seed: int) -> list[hammodel.Perturbation]:
         RegimeSpec("truncated", TruncationPolicy.by_count(3), 2)], _two_perturbations(3, 3)),
 ], ids=["regime-grid", "n3-seeded"])
 def test_regime_suite_equals_the_sequential_loop(ham, specs, perts):
-    # lockstep solves, two base waves and stencil columns report the bits of
+    # lockstep solves, two base waves and stencil tasks report the bits of
     # one single solve after another
     assert run_regime_suite(ham, specs, perts) == sequential_regime_suite(ham, specs, perts)
 
@@ -297,32 +306,45 @@ def test_regime_suite_shares_sweeps_not_points(monkeypatch):
     assert 2 * len(calls) < sequential_work[0]
 
 
-def _failing_stencils(monkeypatch, fail_at: dict) -> list[str]:
+def _failing_stencils(monkeypatch, fail_at: dict, break_at: dict | None = None) -> list[str]:
     """Wraps ``verify._fd_stencil`` so that the stencil of each (regime name,
-    perturbation label) in ``fail_at`` raises once sent the result of that
-    displaced point; returns the messages in the order they were raised."""
-    raised = []
+    perturbation label) in ``fail_at`` raises a TruncationBoundaryError
+    once the solve of that displaced point has ended, and the stencil of
+    each in ``break_at`` has a LinAlgError thrown into that point's solve at
+    its first reply, as a failed sweep or eigh would raise there. A point's
+    solve has ended when the stencil asks for points on another
+    factorization, or returns. Returns the messages in the order they were
+    raised."""
+    raised, break_at = [], break_at or {}
     real = verify._fd_stencil
 
     def failing(ham, pert, regime, eps_step, base, built):
         stencil = real(ham, pert, regime, eps_step, base, built)
-        request = next(stencil)
-        for point in range(4):
-            result = yield request
-            if fail_at.get((regime.name, pert.label)) == point:
-                raised.append(f"{regime.name} {pert.label} point {point}")
-                raise TruncationBoundaryError(raised[-1])
+        key = (regime.name, pert.label)
+        point, fac, reply = -1, None, None
+        while True:
             try:
-                request = stencil.send(result)
+                request = stencil.send(reply)
             except StopIteration as done:
-                return done.value
+                request, value = None, done.value
+            if request is None or request[0] is not fac:
+                if point >= 0 and fail_at.get(key) == point:
+                    raised.append(f"{regime.name} {pert.label} point {point}")
+                    raise TruncationBoundaryError(raised[-1])
+                if request is None:
+                    return value
+                point, fac = point + 1, request[0]
+            reply = yield request
+            if break_at.get(key) == point:
+                raised.append(f"{regime.name} {pert.label} solve {point}")
+                stencil.throw(np.linalg.LinAlgError(raised[-1]))
 
     monkeypatch.setattr(verify, "_fd_stencil", failing)
     return raised
 
 
 def test_regime_suite_raises_the_sequential_first_error(monkeypatch):
-    # regime 1's first displaced point fails in the first column, before
+    # regime 1's first displaced point fails first in time, before
     # regime 0's second perturbation fails at its last point; the loop of
     # single solves meets regime 0's first, and so does the campaign
     ham = synth_hamiltonian(3, 1, 1, 2)
@@ -335,6 +357,27 @@ def test_regime_suite_raises_the_sequential_first_error(monkeypatch):
     assert raised == [f"{specs[1].name} {perts[0].label} point 0",
                       f"{specs[0].name} {perts[1].label} point 3"]
     assert str(err.value) == raised[1]
+
+
+def test_regime_suite_raises_the_sequential_first_error_over_a_failed_solve(monkeypatch):
+    # regime 0's first stencil fails its leaf tracking after its first point;
+    # the solve of regime 1's second point breaks in a later round; each
+    # error stays with its own stencil and the sequential first is raised
+    ham = synth_hamiltonian(3, 1, 1, 2)
+    specs = RegimeSpec.grid(2, 1, TruncationPolicy.by_count(3))
+    perts = _two_perturbations(3, 21)
+    raised = _failing_stencils(monkeypatch, {(specs[0].name, perts[0].label): 0},
+                               {(specs[1].name, perts[0].label): 1})
+    with pytest.raises(TruncationBoundaryError) as err:
+        run_regime_suite(ham, specs, perts)
+    assert raised == [f"{specs[0].name} {perts[0].label} point 0",
+                      f"{specs[1].name} {perts[0].label} solve 1"]
+    assert str(err.value) == raised[0]
+    # alone, the broken solve is the error
+    raised.clear()
+    with pytest.raises(np.linalg.LinAlgError) as err:
+        run_regime_suite(ham, specs[1:], perts)
+    assert raised == [f"{specs[1].name} {perts[0].label} solve 1"] == [str(err.value)]
 
 
 def test_regime_suite_raises_a_stencil_error_before_a_later_base_error(monkeypatch):

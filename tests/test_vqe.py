@@ -536,13 +536,35 @@ def test_optimize_all_is_optimize_one_at_a_time(displaced_regime):
     ]
     with pytest.warns(UserWarning, match="optimizer stalled") as caught:
         together = vqe.optimize_all(requests)
-    assert len(caught) == 1
+    assert [warning.filename for warning in caught] == [__file__]
     alone = []
     for request in requests:
-        with pytest.warns(UserWarning) if request is stalled else nullcontext():
+        with pytest.warns(UserWarning) if request is stalled else nullcontext() as caught:
             alone.append(optimize(*request))
+        assert request is not stalled or [warning.filename for warning in caught] == [__file__]
     assert [result.converged for result in together] == [True] * 5 + [False, True]
     assert [_bits(result) for result in together] == [_bits(result) for result in alone]
+
+
+def test_lockstep_gives_each_task_its_own_evaluation_error(displaced_regime):
+    # a start of the wrong length fails its group's batched sweep; the group
+    # is then evaluated task by task, so the other solve ends as it does
+    # alone, and the first failed task's error, the one optimize raises for
+    # it, is raised after the last round
+    fac, cfg, base = displaced_regime
+    good = (fac, cfg, WARM_TOL, base.params, base.curvature)
+    short = (fac, cfg, WARM_TOL, base.params[:-1])
+    ended = []
+
+    def recorded(request):
+        ended.append((yield from vqe.solve_task(*request)))
+
+    with pytest.raises(ValueError) as alone:
+        optimize(*short)
+    with pytest.raises(ValueError) as together:
+        vqe.lockstep([vqe.solve_task(*short), recorded(good), vqe.solve_task(fac, cfg, 0.0)])
+    assert str(together.value) == str(alone.value) != ""
+    assert [_bits(result) for result in ended] == [_bits(optimize(*good))]
 
 
 @pytest.mark.parametrize("sweep_entries", [None, 1])  # one batch; one point per sweep
